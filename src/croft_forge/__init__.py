@@ -52,6 +52,7 @@ from .svgout import (
     write_svg,
 )
 from .tortoise import (
+    ConvergenceError,
     DensityRecord,
     body_area_coefficient,
     fit_eps2_coefficient,
@@ -78,6 +79,7 @@ __all__ = [
     "ArcBody",
     "BodyError",
     "CapGeometryError",
+    "ConvergenceError",
     "DensityRecord",
     "LatticeConfig",
     "PairCut",

@@ -19,7 +19,7 @@ import numpy as np
 from .body import croft_constants
 from .lattice import LatticeConfig
 from .stepfn import StepFunction, make_step_function, reference_step_function
-from .tortoise import fit_net_coefficient, series_net_coefficient
+from .tortoise import DEFAULT_FIT_EPS, fit_net_coefficient, series_net_coefficient
 
 N_FREE = 12
 N_VARS = 14  # 12 step values + 2 shift components
@@ -80,7 +80,7 @@ def c2_net(
     mode: str = "series2",
     *,
     template: StepFunction | None = None,
-    fit_eps=(-0.04, -0.02, 0.02, 0.04),
+    fit_eps=DEFAULT_FIT_EPS,
 ) -> float:
     """Second-order density-gain coefficient of a candidate profile.
 

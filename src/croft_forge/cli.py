@@ -31,6 +31,7 @@ from .lattice import default_config, verify_avoidance
 from .stepfn import load_qspec, reference_step_function
 
 DEFAULT_TOL = 1e-9
+MAX_EPS_GRID = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -48,13 +49,28 @@ def _load_profile(args):
     return reference_step_function()
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _eps_list(args, default=(0.0,)):
     if getattr(args, "eps_range", None):
+        spec = args.eps_range
         try:
-            a, b, step = (float(x) for x in args.eps_range.split(":"))
+            a, b, step = (float(x) for x in spec.split(":"))
         except ValueError:
-            raise SystemExit(2)
-        n = int(round((b - a) / step)) + 1
+            _usage_error(f"--eps-range must be a:b:step, got {spec!r}")
+        if step == 0.0 or not all(math.isfinite(x) for x in (a, b, step)):
+            _usage_error(
+                f"--eps-range needs finite bounds and a nonzero step, got {spec!r}"
+            )
+        count = (b - a) / step
+        if not count < MAX_EPS_GRID:
+            _usage_error(f"--eps-range {spec!r} has more than {MAX_EPS_GRID} points")
+        n = int(round(count)) + 1
+        if n < 1:
+            _usage_error(f"--eps-range {spec!r} is an empty grid")
         return [a + i * step for i in range(n)]
     if getattr(args, "eps", None) is not None:
         return [float(e) for e in args.eps]
@@ -133,7 +149,7 @@ def cmd_scan(args) -> int:
         try:
             rec = tortoise.tortoise_area(eps, args.mode, q=q)
             rows.append(tortoise.record_row(rec))
-        except (BodyError, segments.CapGeometryError) as exc:
+        except (BodyError, segments.CapGeometryError, tortoise.ConvergenceError) as exc:
             rows.append({"eps": eps, "mode": args.mode, "error": str(exc)})
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args)
@@ -198,12 +214,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    mode = args.mode if args.mode in ("series1", "series2", "exact2") else "series2"
-    form = ansatz.assemble_quadratic_form(mode)
+    form = ansatz.assemble_quadratic_form(args.mode)
     rep = ansatz.eigen_signature(form)
     ref_v = reference.Q_VALUES[:12]
     out = {
-        "mode": mode,
+        "mode": args.mode,
         "eigenvalues": [float(v) for v in rep.eigenvalues],
         "signature": {
             "positive": rep.signature[0],
@@ -439,7 +454,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BodyError, segments.CapGeometryError, FileNotFoundError) as exc:
+    except (
+        BodyError,
+        segments.CapGeometryError,
+        tortoise.ConvergenceError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

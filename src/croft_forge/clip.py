@@ -89,6 +89,48 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
     return float(area)
 
 
+def halfplane_clip_derivatives(body: ArcBody, n, c: float):
+    """Gradient and Hessian of ``halfplane_clip_area`` in (c, theta).
+
+    theta is the angle of the unit normal, n = (cos theta, sin theta), and
+    t = (-sin theta, cos theta) runs along the line.  The line meets the
+    boundary at x_i = c*n + u_i*t (u_1 < u_2) on arcs with centres M_i.
+    Moving the line sweeps the chord, so A_c = -(u_2 - u_1) and
+    A_theta = (u_2^2 - u_1^2)/2.  With w = x - M the crossings slide by
+    u_c = -(w.n)/(w.t) and u_theta = -w.(c*t - u*n)/(w.t), which gives
+    A_cc = -(u_2,c - u_1,c), A_ctheta = -(u_2,theta - u_1,theta) and
+    A_thetatheta = u_2*u_2,theta - u_1*u_1,theta.
+
+    Returns (grad, hess) as arrays ordered (c, theta).  Raises
+    ``ValueError`` unless the line meets the boundary in exactly two points.
+    """
+    n = np.asarray(n, dtype=float)
+    t = np.array([-n[1], n[0]])
+    crossings = []
+    for i in range(body.n_arcs):
+        center = body.centers[i]
+        radius = body.radii[i]
+        a, b = body.breaks[i], body.breaks[i + 1]
+        for phi in arc_line_crossings(center, radius, a, b, n, c):
+            x = _arc_point(center, radius, phi)
+            w = x - center
+            wt = float(w @ t)
+            u = float(x @ t)
+            u_c = -float(w @ n) / wt
+            u_t = -float(w @ (c * t - u * n)) / wt
+            crossings.append((u, u_c, u_t))
+    if len(crossings) != 2:
+        raise ValueError(
+            f"line {n[0]:.6g}*x + {n[1]:.6g}*y = {c:.6g} meets the boundary in "
+            f"{len(crossings)} points, not 2"
+        )
+    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = sorted(crossings)
+    a_ct = -(u2_t - u1_t)
+    grad = np.array([-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1)])
+    hess = np.array([[-(u2_c - u1_c), a_ct], [a_ct, u2 * u2_t - u1 * u1_t]])
+    return grad, hess
+
+
 def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
     """All boundary points where the body boundary meets the line n.x = c."""
     n = np.asarray(n, dtype=float)

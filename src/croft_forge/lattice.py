@@ -1,11 +1,11 @@
 """Three-colored hexagonal lattice of rotated (and shifted) body copies.
 
 Copies of one body sit on a triangular lattice; each site gets one of
-three colors and the copy is rotated by color * 2*pi/3 (the two rotated
-colors are additionally shifted by eps * shift before rotation).  Every
-nearest-neighbor edge then joins colors c and c+1 and falls into one of
-three classes by direction; the geometry of the stripe cut across an
-edge depends only on its class.
+three colors and the copy is shifted by eps * shift in its own frame,
+then rotated by color * 2*pi/3 (so the unrotated color is shifted
+too).  Every nearest-neighbor edge then joins colors c and c+1 and
+falls into one of three classes by direction; the geometry of the
+stripe cut across an edge depends only on its class.
 """
 
 from __future__ import annotations
@@ -216,6 +216,31 @@ def _stripe_lines(position, beta, s, delta, stripe_width):
         np.asarray(n),
         float(n[0] * p_left[0] + n[1] * p_left[1]),
         float(n[0] * p_right[0] + n[1] * p_right[1]),
+    )
+
+
+def _stripe_line_derivatives(s, delta):
+    """(s, delta)-derivatives of the two cut lines of a stripe along +x.
+
+    Each line of ``_stripe_lines((0, 0), 0, s, delta, width)`` is taken as
+    a clip line {n.x = c} with n = (cos theta, sin theta) pointing into
+    the cap it removes:
+
+    - left line: c = cos(delta)*(cos(phi_c) + s), theta = -delta;
+    - right line: c = -cos(delta)*(cos(phi_c) + s) - width, theta = pi - delta.
+
+    The width drops out of every derivative.  Returns one (jac, c_hess)
+    pair per line: ``jac`` holds the gradients of c and theta as rows,
+    ``c_hess`` the Hessian of c (theta is linear).
+    """
+    p = math.cos(croft_constants().phi_c) + s
+    cd, sd = math.cos(delta), math.sin(delta)
+    c_grad = np.array([cd, -sd * p])
+    c_hess = np.array([[0.0, -sd], [-sd, -cd * p]])
+    theta_grad = np.array([0.0, -1.0])
+    return (
+        (np.stack([c_grad, theta_grad]), c_hess),
+        (np.stack([-c_grad, theta_grad]), -c_hess),
     )
 
 

@@ -4,7 +4,7 @@ The numbers below describe the published 1-parameter family of
 constant-diameter-2 bodies used as the default input everywhere in this
 package: the radius-perturbation step values, the per-interval center
 offsets of the arc chain (at unit family parameter), the pre-rotation
-shift applied to the rotated lattice copies, and the lattice constant.
+shift of the lattice copies, and the lattice constant.
 All values are printed to 15 decimals.
 """
 
@@ -64,8 +64,9 @@ Y_OFFSETS = np.array([
     +0.090961755271850, +0.378043789657369, +0.000000000000000,
 ])
 
-# Shift (per unit family parameter) applied to a copy before rotating it
-# by 2*pi/3 or 4*pi/3; the unrotated copies are not shifted.
+# Shift (per unit family parameter) applied to every copy in its own frame,
+# before it is rotated by its color angle (0, 2*pi/3 or 4*pi/3), as
+# ``lattice.place_body`` does.
 SHIFT_X = -0.001383301426275
 SHIFT_Y = -0.158574235421304
 

@@ -6,6 +6,16 @@ the packing density.  Four evaluation modes are provided: second-order
 series with shift-only or shift+tilt stripe minimization ("series1",
 "series2"), and exact clipped-arc areas with the same two minimizations
 ("exact1", "exact2").
+
+The exact modes minimize each stripe pair's clipped area by Newton's
+method on s (exact1) or (s, delta) (exact2), with closed-form first and
+second derivatives (``clip.halfplane_clip_derivatives`` chained through
+``lattice._stripe_line_derivatives``).  Newton starts at the series
+minimizer, halves any step that raises the area, and stops after a full
+step below NEWTON_STEP_TOL; each ``EdgeCut`` records its iterations and
+the final gradient norm as a stationarity certificate.  A line that
+misses a body, or no convergence within NEWTON_MAX_ITER steps, raises
+``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -17,12 +27,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .body import ArcBody, body_area, build_body, croft_constants, transform
-from .clip import halfplane_clip_area
+from .clip import halfplane_clip_area, halfplane_clip_derivatives
 from .lattice import (
     LatticeConfig,
+    _stripe_line_derivatives,
     _stripe_lines,
     cut_parameters,
     default_config,
@@ -42,14 +52,37 @@ from .stepfn import StepFunction, reference_step_function
 MODES = ("series1", "series2", "exact1", "exact2")
 
 
+# Exact-mode Newton solver: stop once every step component is below the
+# tolerance; fail past the iteration cap.
+NEWTON_STEP_TOL = 1e-10
+NEWTON_MAX_ITER = 30
+# Smallest Hessian eigenvalue kept, relative to the largest.
+HESSIAN_FLOOR = 1e-6
+# The clipped area sums Green's-theorem terms of order one, so near the
+# minimum a step can raise it by rounding alone; rises up to this count
+# as no rise.
+AREA_ROUNDING = 1e-14
+
+
+class ConvergenceError(RuntimeError):
+    """An exact-mode stripe minimization did not converge."""
+
+
 @dataclass(frozen=True)
 class EdgeCut:
-    """Minimized stripe cut of one edge class."""
+    """Minimized stripe cut of one edge class.
+
+    In the exact modes ``iterations`` counts Newton iterations and
+    ``grad_norm`` is the area gradient norm at (s, delta), the
+    stationarity certificate; both are 0 in the series modes.
+    """
 
     k: int
     s: float
     delta: float
     area: float
+    iterations: int = 0
+    grad_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -79,8 +112,9 @@ def _edge_pair_bodies(
     """The two body copies across the representative class-k edge.
 
     The edge runs along +x from the left copy at the origin to the right
-    copy at distance one lattice constant; each copy carries its color's
-    rotation and (for rotated colors) the eps-scaled shift.
+    copy at distance one lattice constant; each copy carries the
+    eps-scaled shift in its own frame, then its color's rotation, as in
+    ``lattice.place_body``.
     """
     c_l = left_color_of_class(k)
     c_r = (c_l + 1) % 3
@@ -91,14 +125,44 @@ def _edge_pair_bodies(
     return out[0], out[1]
 
 
+def _pair_clips(left: ArcBody, right: ArcBody, s: float, delta: float):
+    """(body, n, c) per copy: the stripe at (s, delta) removes body ∩ {n.x >= c}."""
+    n, c_left, c_right = _stripe_lines((0.0, 0.0), 0.0, s, delta, 2.0)
+    return (left, n, c_left), (right, -n, -c_right)
+
+
 def pair_clip_area(
     left: ArcBody, right: ArcBody, s: float, delta: float, config: LatticeConfig
 ) -> float:
     """Exact area removed from both copies by the stripe at (s, delta)."""
-    n, c_left, c_right = _stripe_lines((0.0, 0.0), 0.0, s, delta, 2.0)
-    return halfplane_clip_area(left, n, c_left) + halfplane_clip_area(
-        right, -np.asarray(n), -c_right
-    )
+    clips = _pair_clips(left, right, s, delta)
+    return sum(halfplane_clip_area(body, n, c) for body, n, c in clips)
+
+
+def _pair_clip_derivatives(
+    left: ArcBody, right: ArcBody, s: float, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``pair_clip_area`` in (s, delta)."""
+    grad = np.zeros(2)
+    hess = np.zeros((2, 2))
+    lines = _stripe_line_derivatives(s, delta)
+    for (body, n, c), (jac, c_hess) in zip(_pair_clips(left, right, s, delta), lines):
+        try:
+            a_grad, a_hess = halfplane_clip_derivatives(body, n, c)
+        except ValueError as exc:
+            raise ConvergenceError(f"stripe at s={s}, delta={delta}: {exc}") from exc
+        grad += jac.T @ a_grad
+        hess += jac.T @ a_hess @ jac + a_grad[0] * c_hess
+    return grad, hess
+
+
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton step, with the Hessian shifted to positive definite if it is not."""
+    lam = np.linalg.eigvalsh(hess)
+    floor = HESSIAN_FLOOR * max(abs(lam[-1]), 1.0)
+    if lam[0] < floor:
+        hess = hess + (floor - lam[0]) * np.eye(len(grad))
+    return -np.linalg.solve(hess, grad)
 
 
 def _minimize_pair_clip(
@@ -109,31 +173,47 @@ def _minimize_pair_clip(
     cut: PairCut,
     with_tilt: bool,
 ) -> EdgeCut:
-    left, right = _edge_pair_bodies(q, eps, k, config)
-    s0 = series_shift_minimizer(cut)
-    if not with_tilt:
-        res = minimize_scalar(
-            lambda s: pair_clip_area(left, right, s, 0.0, config),
-            bounds=(s0 - 0.05, s0 + 0.05),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if not res.success:
-            raise RuntimeError(f"stripe-shift minimization failed: {res.message}")
-        return EdgeCut(k=k, s=float(res.x), delta=0.0, area=float(res.fun))
+    """Safeguarded Newton on the exact pair area, from the series minimizer.
 
-    _, delta0 = series_tilt_minimizer(cut)
-    best = None
-    for seed in ((s0, delta0), (s0, -delta0), (s0, 0.0)):
-        res = minimize(
-            lambda x: pair_clip_area(left, right, x[0], x[1], config),
-            x0=list(seed),
-            method="Nelder-Mead",
-            options={"xatol": 1e-11, "fatol": 1e-15, "maxiter": 2000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return EdgeCut(k=k, s=float(best.x[0]), delta=float(best.x[1]), area=float(best.fun))
+    Works on s alone (exact1) or on (s, delta) (exact2).  A step that
+    raises the area beyond rounding is halved until it does not.  The
+    loop stops after taking a full Newton step below NEWTON_STEP_TOL in
+    every component and reports the iterations and the gradient norm at
+    the returned point.
+    """
+    left, right = _edge_pair_bodies(q, eps, k, config)
+    if with_tilt:
+        x = np.array(series_tilt_minimizer(cut))
+    else:
+        x = np.array([series_shift_minimizer(cut), 0.0])
+    dim = 2 if with_tilt else 1
+    area = pair_clip_area(left, right, x[0], x[1], config)
+    grad, hess = _pair_clip_derivatives(left, right, x[0], x[1])
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
+        step = np.zeros(2)
+        step[:dim] = _newton_step(grad[:dim], hess[:dim, :dim])
+        converged = np.max(np.abs(step)) < NEWTON_STEP_TOL
+        while True:
+            trial = x + step
+            trial_area = pair_clip_area(left, right, trial[0], trial[1], config)
+            if trial_area <= area + AREA_ROUNDING:
+                break
+            step *= 0.5
+            if np.max(np.abs(step)) < NEWTON_STEP_TOL:
+                raise ConvergenceError(
+                    f"class {k} at eps={eps}: no area decrease along the Newton "
+                    f"step from s={x[0]}, delta={x[1]}"
+                )
+        x, area = trial, trial_area
+        grad, hess = _pair_clip_derivatives(left, right, x[0], x[1])
+        if converged:
+            return EdgeCut(
+                k=k, s=float(x[0]), delta=float(x[1]), area=float(area),
+                iterations=iteration, grad_norm=float(np.linalg.norm(grad[:dim])),
+            )
+    raise ConvergenceError(
+        f"class {k} at eps={eps}: no convergence in {NEWTON_MAX_ITER} Newton steps"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +232,7 @@ def tortoise_area(
 
     The body area minus the three minimized stripe-pair areas; the cell
     is a rhombus of side one lattice constant.  ``include_shift=False``
-    zeroes the pre-rotation shift of the rotated copies.
+    zeroes the pre-rotation shift of every copy.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -346,8 +426,9 @@ def record_row(r: DensityRecord) -> dict:
 
 def write_scan_csv(records: list[DensityRecord], path: str | Path) -> None:
     rows = [record_row(r) for r in records]
+    fields = list(rows[0].keys()) if rows else list(SCAN_FIELDS)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 

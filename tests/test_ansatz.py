@@ -63,6 +63,11 @@ def test_c2_net_reference_point():
     assert got == pytest.approx(series_net_coefficient(mode="series2"), abs=1e-12)
 
 
+def test_c2_net_exact_mode_is_the_headline_fit():
+    got = c2_net(REF_V, (SHIFT_X, SHIFT_Y), "exact2")
+    assert got == pytest.approx(-0.004416796094533, abs=1e-9)
+
+
 def test_zero_profile_gives_zero():
     assert c2_net(np.zeros(N_FREE), (0.0, 0.0), "series2") == pytest.approx(
         0.0, abs=1e-12

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import croft_forge
+from croft_forge import ansatz, tortoise
 from croft_forge.cli import main
 
 
@@ -162,3 +169,70 @@ def test_bad_eps_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--eps-range", "garbage"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "eps_range, message",
+    [
+        ("0:0.1:0", "nonzero step"),
+        ("0.1:0:0.05", "empty grid"),
+        ("0:1:nan", "nonzero step"),
+        ("0:1:1e-9", "more than"),
+    ],
+)
+def test_degenerate_eps_range_is_usage_error(eps_range, message):
+    env = dict(os.environ)
+    src = str(Path(croft_forge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "croft_forge.cli", "scan", f"--eps-range={eps_range}"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def _no_convergence(*args, **kwargs):
+    raise tortoise.ConvergenceError("no convergence (injected)")
+
+
+def test_scan_reports_convergence_error_as_row(capsys, monkeypatch):
+    monkeypatch.setattr(tortoise, "_minimize_pair_clip", _no_convergence)
+    code, out, err = run(capsys, "scan", "--eps", "0.05", "--mode", "exact2",
+                         "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows == [{"eps": 0.05, "mode": "exact2",
+                     "error": "no convergence (injected)"}]
+    assert "Traceback" not in err
+
+
+def test_fit_convergence_error_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(tortoise, "_minimize_pair_clip", _no_convergence)
+    code, out, err = run(capsys, "fit", "--mode", "exact1")
+    assert code == 2
+    assert err.startswith("error: no convergence (injected)")
+    assert out == ""
+
+
+@pytest.mark.parametrize("mode", ["series1", "exact1", "exact2"])
+def test_eigen_runs_the_requested_mode(capsys, monkeypatch, mode):
+    seen = []
+
+    def fake_form(mode_arg="series2", **kwargs):
+        seen.append(mode_arg)
+        return ansatz.QuadraticForm(
+            matrix=-np.eye(ansatz.N_VARS - 2),
+            basis=np.eye(ansatz.N_VARS)[:, : ansatz.N_VARS - 2],
+            hessian=-2.0 * np.eye(ansatz.N_VARS),
+            mode=mode_arg,
+            fd_step=1e-3,
+        )
+
+    monkeypatch.setattr(ansatz, "assemble_quadratic_form", fake_form)
+    code, out, _ = run(capsys, "eigen", "--mode", mode, "--format", "json")
+    assert code == 0
+    assert seen == [mode]
+    assert json.loads(out)["mode"] == mode

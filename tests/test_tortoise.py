@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from croft_forge import reference
+from scipy.optimize import minimize
+
+from croft_forge import ansatz, reference, tortoise
 from croft_forge.body import build_body, croft_constants, transform
 from croft_forge.clip import halfplane_clip_area
-from croft_forge.lattice import default_config
+from croft_forge.lattice import cut_parameters, default_config
+from croft_forge.segments import series_tilt_minimizer
 from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import (
     DEFAULT_FIT_EPS,
     MODES,
+    SCAN_FIELDS,
+    ConvergenceError,
+    _edge_pair_bodies,
     body_area_coefficient,
     fit_eps2_coefficient,
     fit_net_coefficient,
@@ -168,3 +174,74 @@ def test_shift_matters():
     with_shift = series_net_coefficient(mode="series1", include_shift=True)
     without = series_net_coefficient(mode="series1", include_shift=False)
     assert with_shift > without + 0.1  # the shift recovers most of the loss
+
+
+def test_write_scan_csv_of_no_records_writes_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_scan_csv([], path)
+    assert path.read_text().splitlines() == [",".join(SCAN_FIELDS)]
+
+
+# ---------------------------------------------------------------------------
+# Exact-mode Newton solver
+
+
+def test_exact2_fit_edges_are_certified():
+    for rec in scan(DEFAULT_FIT_EPS, "exact2"):
+        for e in rec.per_edge:
+            assert e.grad_norm <= 1e-10
+            assert 1 <= e.iterations <= 6
+
+
+def test_series_edges_carry_no_certificate():
+    for e in tortoise_area(0.05, "series2").per_edge:
+        assert (e.iterations, e.grad_norm) == (0, 0.0)
+
+
+def test_newton_step_descends_on_indefinite_hessian():
+    grad = np.array([0.3, -0.2])
+    for hess in (np.diag([2.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        assert grad @ tortoise._newton_step(grad, hess) < 0
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(tortoise, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="no convergence"):
+        tortoise_area(0.08, "exact2")
+
+
+def random_profile(rng):
+    v = ansatz.closure_project(rng.standard_normal(ansatz.N_FREE))
+    return ansatz.step_from_halfvalues(v / np.max(np.abs(v)))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_newton_matches_nelder_mead_reference(seed):
+    """A derivative-free simplex from the series seed finds no lower cut
+    than Newton on seeded random profiles, in both exact modes."""
+    rng = np.random.default_rng(seed)
+    q = random_profile(rng)
+    eps = float(rng.uniform(-0.1, 0.1))
+    config = default_config()
+    body = build_body(q, eps)
+    for mode in ("exact1", "exact2"):
+        rec = tortoise_area(eps, mode, q=q)
+        for e in rec.per_edge:
+            left, right = _edge_pair_bodies(q, eps, e.k, config)
+            s0, delta0 = series_tilt_minimizer(
+                cut_parameters(q, eps, e.k, config.shift, body=body)
+            )
+            if mode == "exact1":
+                x0 = [s0]
+                f = lambda x: pair_clip_area(left, right, x[0], 0.0, config)
+            else:
+                x0 = [s0, delta0]
+                f = lambda x: pair_clip_area(left, right, x[0], x[1], config)
+            # a simplex of side 1e-3, far wider than the series-to-exact gap
+            simplex = np.vstack([x0, np.add(x0, 1e-3 * np.eye(len(x0)))])
+            ref = minimize(f, x0=x0, method="Nelder-Mead", options={
+                "xatol": 1e-11, "fatol": 1e-15, "maxiter": 2000,
+                "initial_simplex": simplex,
+            })
+            assert ref.fun >= e.area - 1e-12
+            assert e.grad_norm <= 1e-10
