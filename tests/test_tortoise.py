@@ -243,5 +243,6 @@ def test_newton_matches_nelder_mead_reference(seed):
                 "xatol": 1e-11, "fatol": 1e-15, "maxiter": 2000,
                 "initial_simplex": simplex,
             })
+            assert ref.success
             assert ref.fun >= e.area - 1e-12
             assert e.grad_norm <= 1e-10
