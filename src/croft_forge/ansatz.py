@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +42,18 @@ def step_from_halfvalues(v, template: StepFunction | None = None) -> StepFunctio
 
 
 def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
-    """(2, n/2) matrix A with A v = 0 iff the arc chain closes."""
+    """(2, n/2) matrix A with A v = 0 iff the arc chain closes.
+
+    Built once per break set and returned read-only.
+    """
     if template is None:
         template = reference_step_function()
-    n = template.n_intervals
+    return _closure_matrix(tuple(template.breaks))
+
+
+@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
+def _closure_matrix(breaks: tuple[float, ...]) -> np.ndarray:
+    n = len(breaks) - 1
     half = n // 2
     A = np.zeros((2, half))
     for m in range(half):
@@ -52,10 +61,11 @@ def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
         q[m], q[m + half] = 1.0, -1.0
         res = np.zeros(2)
         for i in range(n):
-            phi = template.breaks[(i + 1) % n]
+            phi = breaks[(i + 1) % n]
             dq = q[(i + 1) % n] - q[i]
             res += dq * np.array([math.cos(phi), math.sin(phi)])
         A[:, m] = res
+    A.setflags(write=False)
     return A
 
 

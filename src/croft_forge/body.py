@@ -22,7 +22,7 @@ RADIUS_TOL = 1e-12
 
 
 class BodyError(ValueError):
-    """Invalid body construction (open chain or negative radius)."""
+    """Invalid body construction (non-finite eps, open chain or negative radius)."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,14 @@ def build_body(
 ) -> ArcBody:
     """Assemble the constant-diameter-2 body for profile ``q`` at ``eps``.
 
-    Raises :class:`BodyError` when the chained centers do not close (the
-    profile violates the two linear closure constraints) or when some
-    radius 1 - eps*q would be negative.  A zero radius is allowed: the
-    arc degenerates to a corner point of the boundary.
+    Raises :class:`BodyError` when eps is not finite, when the chained
+    centers do not close (the profile violates the two linear closure
+    constraints) or when some radius 1 - eps*q would be negative.  A zero
+    radius is allowed: the arc degenerates to a corner point of the
+    boundary.
     """
+    if not math.isfinite(eps):
+        raise BodyError(f"eps must be finite, got {eps}")
     anchor = np.asarray(anchor, dtype=float)
     radii = 1.0 - eps * q.values
     if radii.min() < -RADIUS_TOL:

@@ -40,12 +40,35 @@ def _fmt(x: float) -> str:
 
 def _tolerance(default: float = DEFAULT_TOL) -> float:
     env = os.environ.get("CROFT_FORGE_TOL")
-    return float(env) if env else default
+    if not env:
+        return default
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        _usage_error(f"CROFT_FORGE_TOL must be a finite number >= 0, got {env!r}")
+    return tol
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _load_profile(args):
     if getattr(args, "q_spec", None):
-        return load_qspec(args.q_spec)
+        try:
+            return load_qspec(args.q_spec)
+        except (ValueError, KeyError, TypeError) as exc:
+            # malformed JSON, a missing key or an invalid profile
+            _usage_error(f"--q-spec {args.q_spec}: {type(exc).__name__}: {exc}")
     return reference_step_function()
 
 
@@ -68,7 +91,7 @@ def _eps_list(args, default=(0.0,)):
         count = (b - a) / step
         if not count < MAX_EPS_GRID:
             _usage_error(f"--eps-range {spec!r} has more than {MAX_EPS_GRID} points")
-        n = int(round(count)) + 1
+        n = int(round(max(count, -1.0))) + 1  # count may be -inf
         if n < 1:
             _usage_error(f"--eps-range {spec!r} is an empty grid")
         return [a + i * step for i in range(n)]
@@ -178,6 +201,12 @@ def cmd_scan(args) -> int:
 def cmd_fit(args) -> int:
     q = _load_profile(args)
     eps_values = _eps_list(args, default=tortoise.DEFAULT_FIT_EPS)
+    distinct = len(set(eps_values))
+    if distinct < tortoise.FIT_MIN_SAMPLES:
+        _usage_error(
+            f"fit needs at least {tortoise.FIT_MIN_SAMPLES} distinct eps values, "
+            f"got {distinct}"
+        )
     fit = tortoise.fit_net_coefficient(args.mode, eps_values=eps_values, q=q)
     out = {
         "mode": args.mode,
@@ -311,13 +340,7 @@ def _check_avoidance(q, inject, tol):
     for eps in (0.0, 0.05, 0.1):
         rec = tortoise.tortoise_area(eps, "series2", q=q)
         report = verify_avoidance(
-            q,
-            eps,
-            rec.stripes(),
-            stripe_width=width,
-            n_boundary=2000,
-            n_chord=100,
-            tol=max(tol, 1e-9),
+            q, eps, rec.stripes(), stripe_width=width, tol=max(tol, 1e-9)
         )
         if not report.ok:
             worst.extend(f"eps={eps}: {v}" for v in report.violations[:3])
@@ -339,6 +362,9 @@ def _check_eigen(q, inject, tol):
     return ok, f"form asymmetry {asym:.1e}, eigen residual {resid:.1e} (norm {norm:.1e})"
 
 
+# the fault-injection settings the checks read
+INJECT_KEYS = ("eps", "stripe-width")
+
 CHECK_FUNCS = {
     "constants": _check_constants,
     "closure": _check_closure,
@@ -356,7 +382,14 @@ def cmd_verify(args) -> int:
     inject = {}
     for item in args.inject or []:
         key, _, val = item.partition("=")
-        inject[key] = float(val) if val else True
+        if key not in INJECT_KEYS:
+            _usage_error(
+                f"--inject key must be one of {', '.join(INJECT_KEYS)}, got {item!r}"
+            )
+        try:
+            inject[key] = float(val)
+        except ValueError:
+            _usage_error(f"--inject needs KEY=NUMBER, got {item!r}")
     names = (
         [c.strip() for c in args.checks.split(",")] if args.checks else list(ALL_CHECKS)
     )
@@ -408,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_mode=True):
         # let values like "-0.1:0.1:0.01" or "-0.05" follow an option flag
         p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+(:.*)?$")
-        p.add_argument("--eps", action="append", type=float, help="family parameter")
+        p.add_argument(
+            "--eps", action="append", type=_finite_float, help="family parameter"
+        )
         p.add_argument("--eps-range", help="grid a:b:step of family parameters")
         if with_mode:
             p.add_argument(
@@ -458,7 +493,7 @@ def main(argv=None) -> int:
         BodyError,
         segments.CapGeometryError,
         tortoise.ConvergenceError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

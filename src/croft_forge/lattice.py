@@ -6,6 +6,18 @@ then rotated by color * 2*pi/3 (so the unrotated color is shifted
 too).  Every nearest-neighbor edge then joins colors c and c+1 and
 falls into one of three classes by direction; the geometry of the
 stripe cut across an edge depends only on its class.
+
+Patch verification is exact.  Each copy is trimmed by its stripe
+half-planes to a boundary of arc pieces and chords (``trim_body``), and
+distances are closed forms over pairs of pieces, vectorised with NumPy.
+Every candidate is a distance between two points of the trimmed bodies,
+and the list is complete: an extreme pair either has an endpoint of a
+piece (a vertex) as one point, or is an interior critical pair of two
+pieces, which lies on the line of centres of two arcs or at the arc
+point whose normal is a chord's normal (concentric arcs have no isolated
+critical pair and reach their extremes at an endpoint).  A stripe of
+width w > 0 puts the two bodies of an edge in disjoint half-planes, so
+they never meet and their nearest pair is such a boundary pair.
 """
 
 from __future__ import annotations
@@ -14,10 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .body import ArcBody, boundary_point, build_body, croft_constants, transform
-from .clip import boundary_line_crossings
+from .clip import arc_line_crossings
 from .stepfn import StepFunction
 from .segments import PairCut
 
@@ -174,28 +185,7 @@ def cut_parameters(
 
 
 # ---------------------------------------------------------------------------
-# Overlap-avoidance verification
-
-
-@dataclass
-class AvoidanceReport:
-    """Outcome of the patch verification; ``ok`` aggregates all checks."""
-
-    ok: bool
-    n_edges: int
-    max_halfplane_violation: float
-    min_cross_distance: float
-    max_same_body_diameter: float
-    violations: list[str]
-
-    def summary(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return (
-            f"{status}: {self.n_edges} edges, "
-            f"max half-plane violation {self.max_halfplane_violation:.3e}, "
-            f"min cross-body distance {self.min_cross_distance:.12f}, "
-            f"max same-body diameter {self.max_same_body_diameter:.12f}"
-        )
+# Stripe lines
 
 
 def _stripe_lines(position, beta, s, delta, stripe_width):
@@ -244,33 +234,6 @@ def _stripe_line_derivatives(s, delta):
     )
 
 
-def _remainder_samples(body: ArcBody, cuts, n_boundary: int, n_chord: int):
-    """Boundary samples of the body minus all its stripe caps.
-
-    ``cuts`` is a list of (n, c, keep_sign): the kept side satisfies
-    keep_sign * (n.x - c) <= 0.  Cut chords are sampled too, including
-    the exact arc-line crossing points.
-    """
-    phis = np.linspace(0.0, 2.0 * math.pi, n_boundary, endpoint=False)
-    pts = boundary_point(body, phis + body.breaks[0])
-    crossings = []
-    for n, c, keep in cuts:
-        hp = boundary_line_crossings(body, n, c)
-        if len(hp) >= 2:
-            hp = np.asarray(hp)
-            # sample the chord between the extreme crossing points
-            t = hp @ np.array([-n[1], n[0]])
-            lo, hi = hp[np.argmin(t)], hp[np.argmax(t)]
-            frac = np.linspace(0.0, 1.0, n_chord)[:, None]
-            crossings.append(lo + frac * (hi - lo))
-    if crossings:
-        pts = np.vstack([pts] + crossings)
-    keep_mask = np.ones(len(pts), dtype=bool)
-    for n, c, keep in cuts:
-        keep_mask &= keep * (pts @ n - c) <= 1e-12
-    return pts[keep_mask]
-
-
 def collect_patch_cuts(
     sites,
     stripes: dict[int, tuple[float, float]],
@@ -307,6 +270,296 @@ def collect_patch_cuts(
     return cuts, edges
 
 
+# ---------------------------------------------------------------------------
+# Overlap-avoidance verification on the exact trimmed boundary
+
+KEEP_TOL = 1e-12
+CONCENTRIC_TOL = 1e-12
+ANGLE_TOL = 1e-12  # narrowest arc piece kept as an arc
+
+Witness = tuple[np.ndarray, np.ndarray]
+
+
+@dataclass
+class AvoidanceReport:
+    """Outcome of the patch verification; ``ok`` aggregates all checks.
+
+    ``cross_witness`` and ``diameter_witness`` are the two points that
+    attain ``min_cross_distance`` and ``max_same_body_diameter`` (None
+    when the check did not run).
+    """
+
+    ok: bool
+    n_edges: int
+    max_halfplane_violation: float
+    min_cross_distance: float
+    max_same_body_diameter: float
+    violations: list[str]
+    cross_witness: Witness | None = None
+    diameter_witness: Witness | None = None
+
+    def summary(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        return (
+            f"{status}: {self.n_edges} edges, "
+            f"max half-plane violation {self.max_halfplane_violation:.3e}, "
+            f"min cross-body distance {self.min_cross_distance:.12f}, "
+            f"max same-body diameter {self.max_same_body_diameter:.12f}"
+        )
+
+
+@dataclass(frozen=True)
+class TrimmedBody:
+    """Boundary of a body cut by half-planes: arc pieces, chords, vertices.
+
+    Arc piece i is centers[i] + radii[i] * u for the unit vectors u from
+    ``u0[i]`` counter-clockwise to ``u1[i]``; it spans at most pi, because
+    every break of a profile has its antipode, so pi is a break.  Chord j
+    runs from chord_a[j] to chord_b[j]; ``vertices`` holds every piece
+    endpoint.
+    """
+
+    centers: np.ndarray   # (k, 2)
+    radii: np.ndarray     # (k,)
+    u0: np.ndarray        # (k, 2)
+    u1: np.ndarray        # (k, 2)
+    chord_a: np.ndarray   # (m, 2)
+    chord_b: np.ndarray   # (m, 2)
+    vertices: np.ndarray  # (v, 2)
+
+
+def _unit(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _in_arc(d, u0, u1):
+    """Whether direction ``d`` lies in the arc range from ``u0``
+    counter-clockwise to ``u1``, a range of width in (0, pi]."""
+    return (_cross(u0, d) >= 0.0) & (_cross(d, u1) >= 0.0)
+
+
+def trim_body(body: ArcBody, cuts) -> TrimmedBody:
+    """Exact boundary of ``body`` intersected with its cut half-planes.
+
+    ``cuts`` holds (n, c, keep_sign) as from ``collect_patch_cuts``.  Each
+    arc is split where it crosses a cut line and the pieces whose midpoints
+    satisfy every cut are kept.  Each cut line adds the chord between its
+    two boundary crossings, clipped as an interval by the other cuts.
+    """
+    normals = np.array([n for n, _, _ in cuts], dtype=float).reshape(-1, 2)
+    offsets = np.array([c for _, c, _ in cuts], dtype=float)
+    keeps = np.array([k for _, _, k in cuts], dtype=float)
+    hits: list[list[np.ndarray]] = [[] for _ in cuts]
+    pieces = []  # (arc index, start angle, end angle)
+    for i in range(body.n_arcs):
+        center, radius = body.centers[i], body.radii[i]
+        a, b = body.breaks[i], body.breaks[i + 1]
+        angles = [a, b]
+        for j, (n, c, _) in enumerate(cuts):
+            for phi in arc_line_crossings(center, radius, a, b, n, c):
+                angles.append(phi)
+                hits[j].append(center + radius * _unit(phi))
+        angles.sort()
+        pieces.extend((i, lo, hi) for lo, hi in zip(angles, angles[1:]))
+    # arc_line_crossings skips crossings at arc ends: add the breaks on a line
+    corners = body.centers + body.radii[:, None] * _unit(body.breaks[:-1])
+    for i, j in zip(*np.nonzero(np.abs(corners @ normals.T - offsets) <= KEEP_TOL)):
+        hits[j].append(corners[i])
+    idx = np.array([p[0] for p in pieces], dtype=int)
+    lo = np.array([p[1] for p in pieces], dtype=float)
+    hi = np.array([p[2] for p in pieces], dtype=float)
+    centers, radii = body.centers[idx], body.radii[idx]
+    mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
+    kept = np.all(keeps * (mid @ normals.T - offsets) <= KEEP_TOL, axis=1)
+    centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
+
+    chords = []
+    for j, pts in enumerate(hits):
+        if len(pts) < 2:
+            continue
+        n = normals[j]
+        pts = np.array(pts)
+        along = pts @ np.array([-n[1], n[0]])
+        p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
+        # the chord p0 + u*(p1 - p0), u in [0, 1], kept where
+        # g0 + u*g1 <= 0 for every other cut
+        g0 = keeps * (normals @ p0 - offsets)
+        g1 = keeps * (normals @ (p1 - p0))
+        u_lo, u_hi = 0.0, 1.0
+        for k in range(len(cuts)):
+            if k == j:
+                continue
+            if g1[k] > 0.0:
+                u_hi = min(u_hi, -g0[k] / g1[k])
+            elif g1[k] < 0.0:
+                u_lo = max(u_lo, -g0[k] / g1[k])
+            elif g0[k] > KEEP_TOL:
+                u_hi = -1.0
+        if u_lo <= u_hi:
+            chords.append((p0 + u_lo * (p1 - p0), p0 + u_hi * (p1 - p0)))
+    chord_a = np.array([c[0] for c in chords], dtype=float).reshape(-1, 2)
+    chord_b = np.array([c[1] for c in chords], dtype=float).reshape(-1, 2)
+
+    u0, u1 = _unit(lo), _unit(hi)
+    vertices = np.concatenate([
+        centers + radii[:, None] * u0,
+        centers + radii[:, None] * u1,
+        chord_a,
+        chord_b,
+    ])
+    # A narrower piece may have u0 == u1 after rounding, and _in_arc would
+    # then admit -u0 too.  Its points lie within ANGLE_TOL * r of its
+    # endpoints, which stay vertices.
+    arc = hi - lo > ANGLE_TOL
+    return TrimmedBody(
+        centers[arc], radii[arc], u0[arc], u1[arc], chord_a, chord_b, vertices
+    )
+
+
+# Candidate point pairs.  Each helper returns (P, Q): rows of points on the
+# first and on the second piece set, one row per candidate that lies on
+# both pieces.  Range tests use cross products of direction vectors, so no
+# angle is computed.
+
+
+def _vertex_vertex(v, w):
+    return np.repeat(v, len(w), axis=0), np.tile(w, (len(v), 1))
+
+
+def _vertex_arc(v, t: TrimmedBody, sign: float):
+    """Nearest (sign +1) or farthest (sign -1) circle point of each arc
+    piece of ``t`` from each vertex, where it lies on the piece."""
+    d = sign * (v[:, None, :] - t.centers[None, :, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d /= np.hypot(d[..., 0], d[..., 1])[..., None]
+    ok = _in_arc(d, t.u0, t.u1)
+    Q = t.centers + t.radii[:, None] * d
+    P = np.broadcast_to(v[:, None, :], Q.shape)
+    return P[ok], Q[ok]
+
+
+def _vertex_chord(v, t: TrimmedBody):
+    """Foot of each vertex on each chord of ``t``, inside the chord."""
+    e = t.chord_b - t.chord_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum((v[:, None, :] - t.chord_a) * e, axis=-1) / np.sum(e * e, axis=-1)
+    ok = (s > 0.0) & (s < 1.0)
+    Q = t.chord_a + s[..., None] * e
+    P = np.broadcast_to(v[:, None, :], Q.shape)
+    return P[ok], Q[ok]
+
+
+def _arc_arc(a: TrimmedBody, b: TrimmedBody):
+    """Interior critical pairs of two arc-piece sets: P = M_a + s1*r_a*u and
+    Q = M_b + s2*r_b*u on the line of centres (unit vector u), s1, s2 = +-1.
+
+    Concentric arcs (|dM| <= CONCENTRIC_TOL) have no isolated critical
+    pair: their distance depends only on the angle between the two points,
+    so its extremes over two ranges are reached with one point at a piece
+    endpoint, among the vertex-arc candidates.
+    """
+    D = b.centers[None, :, :] - a.centers[:, None, :]
+    dist = np.hypot(D[..., 0], D[..., 1])
+    concentric = dist <= CONCENTRIC_TOL
+    dirs = np.array([1.0, -1.0])[:, None, None, None] * (
+        D / np.where(concentric, 1.0, dist)[..., None]
+    )
+    on_a = ~concentric & _in_arc(dirs, a.u0[:, None], a.u1[:, None])
+    on_b = _in_arc(dirs, b.u0[None], b.u1[None])
+    ok = on_a[:, None] & on_b[None]  # (s1, s2, arc of a, arc of b)
+    P = a.centers[:, None, :] + a.radii[:, None, None] * dirs
+    Q = b.centers[None, :, :] + b.radii[None, :, None] * dirs
+    shape = ok.shape + (2,)
+    return (np.broadcast_to(P[:, None], shape)[ok],
+            np.broadcast_to(Q[None, :], shape)[ok])
+
+
+def _arc_chord(a: TrimmedBody, b: TrimmedBody):
+    """Arc points M +- r*m of ``a``, m a chord normal of ``b``, paired with
+    their feet on that chord, where both lie on their pieces."""
+    e = b.chord_b - b.chord_a
+    length2 = np.sum(e * e, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.stack([-e[:, 1], e[:, 0]], axis=-1) / np.sqrt(length2)[:, None]
+    Ps, Qs = [], []
+    for sign in (1.0, -1.0):
+        X = a.centers[:, None, :] + (sign * a.radii)[:, None, None] * m[None, :, :]
+        with np.errstate(invalid="ignore"):
+            s = np.sum((X - b.chord_a) * e, axis=-1) / length2
+        on_arc = _in_arc(sign * m[None], a.u0[:, None], a.u1[:, None])
+        ok = on_arc & (s >= 0.0) & (s <= 1.0)
+        Ps.append(X[ok])
+        Qs.append((b.chord_a + s[..., None] * e)[ok])
+    return np.concatenate(Ps), np.concatenate(Qs)
+
+
+def _extreme(pick, candidates) -> tuple[float, Witness]:
+    P = np.concatenate([c[0] for c in candidates])
+    Q = np.concatenate([c[1] for c in candidates])
+    d = np.hypot(*(P - Q).T)
+    i = int(pick(d))
+    return float(d[i]), (P[i].copy(), Q[i].copy())
+
+
+def closest_pair(a: TrimmedBody, b: TrimmedBody) -> tuple[float, Witness]:
+    """Exact distance between two disjoint trimmed bodies and its witness.
+
+    The nearest pair of disjoint convex sets lies on their boundaries; on a
+    pair of pieces it is either a vertex with a vertex or with the nearest
+    interior point of a piece, or an interior critical pair (arc-arc on the
+    line of centres, arc-chord at the arc point whose normal is the chord
+    normal); two chords have no isolated interior critical pair.
+    """
+    return _extreme(np.argmin, [
+        _vertex_vertex(a.vertices, b.vertices),
+        _vertex_arc(a.vertices, b, 1.0),
+        _vertex_arc(b.vertices, a, 1.0)[::-1],
+        _vertex_chord(a.vertices, b),
+        _vertex_chord(b.vertices, a)[::-1],
+        _arc_arc(a, b),
+        _arc_chord(a, b),
+        _arc_chord(b, a)[::-1],
+    ])
+
+
+def farthest_pair(t: TrimmedBody) -> tuple[float, Witness]:
+    """Exact diameter of a trimmed body and its witness.
+
+    A distance is convex along a chord, so chords attain their maximum at
+    vertices; what remains is vertex-vertex, vertex to the farthest point
+    of an arc, and arc-arc pairs on the line of centres.  Antipodal arcs
+    share their centre; their farthest pairs (r_1 + r_2 wherever one range
+    overlaps the other turned by pi) include one with a piece endpoint.
+    """
+    return _extreme(np.argmax, [
+        _vertex_vertex(t.vertices, t.vertices),
+        _vertex_arc(t.vertices, t, -1.0),
+        _arc_arc(t, t),
+    ])
+
+
+def halfplane_excess(t: TrimmedBody, cuts) -> np.ndarray:
+    """max of keep_sign*(n.x - c) over the trimmed body, one per cut.
+
+    A linear function d.x peaks on an arc piece at an endpoint or at
+    M + r*d, and on a chord at an endpoint; every endpoint is a vertex.
+    """
+    dirs = np.array([k * np.asarray(n) for n, _, k in cuts], dtype=float).reshape(-1, 2)
+    on_arc = _in_arc(dirs[None], t.u0[:, None], t.u1[:, None])
+    peaks = np.where(on_arc, t.centers @ dirs.T + t.radii[:, None], -math.inf)
+    top = np.max(np.vstack([peaks, t.vertices @ dirs.T]), axis=0, initial=-math.inf)
+    return top - np.array([k * c for _, c, k in cuts])
+
+
+def _point(p) -> str:
+    return f"({p[0]:.9f}, {p[1]:.9f})"
+
+
 def verify_avoidance(
     q: StepFunction,
     eps: float,
@@ -315,20 +568,37 @@ def verify_avoidance(
     config: LatticeConfig | None = None,
     extent: int = 1,
     stripe_width: float = 2.0,
-    n_boundary: int = 4000,
-    n_chord: int = 200,
     tol: float = 1e-9,
     checks: tuple[str, ...] = ("halfplane", "cross", "diameter"),
 ) -> AvoidanceReport:
-    """Check that stripe-cut copies on a lattice patch stay 2 apart.
+    """Check exactly that stripe-cut copies on a lattice patch stay 2 apart.
 
     ``stripes`` maps each edge class k to its (shift, tilt).  For every
-    site in the (2*extent+1)^2 patch and every nearest-neighbor edge,
-    the two cut lines are laid across the edge; the checks assert that
-    (a) each trimmed body stays on its side of its cut lines, (b) points
-    of distinct trimmed bodies are at least 2 - tol apart, and (c) no
-    trimmed body has two points further than 2 + tol apart.
+    site in the (2*extent+1)^2 patch and every nearest-neighbor edge, the
+    two cut lines are laid across the edge and each body is trimmed to
+    its exact boundary (``trim_body``).  The checks assert that
+    (a) each trimmed body stays on its side of its cut lines to ``tol``,
+    (b) trimmed bodies across an edge are at least 2 - tol apart, and
+    (c) no trimmed body has two points more than 2 + tol apart.
+
+    No value is sampled.  (a) is the exact maximum of each cut's linear
+    function over the pieces.  (b) is the exact minimum over vertex-vertex,
+    vertex-arc, vertex-chord, arc-arc (line of centres) and arc-chord
+    (arc normal = chord normal) candidates; the list is complete because
+    for width > 0 the two bodies lie in the disjoint half-planes n.x <= c
+    and n.x >= c + width.  (c) is the exact maximum over vertex-vertex,
+    vertex to farthest arc point and arc-arc candidates (chords peak at
+    their vertices).  (b) and (c) come with witness points.
+
+    What the checks guard: (a) holds by construction of the trimming, and
+    the strip bounds the distance in (b) below by the stripe width, so at
+    width 2 they guard the trimming code and the body's constant width
+    (a body wider than 2 fails (c)), not the stripe placement.  A width
+    below 2 fails (b) by the shortfall.  Raises ``ValueError`` unless
+    ``stripe_width`` > 0.
     """
+    if not stripe_width > 0.0:
+        raise ValueError(f"stripe width must be positive, got {stripe_width}")
     if config is None:
         config = default_config()
     sites = [
@@ -338,52 +608,48 @@ def verify_avoidance(
     ]
     bodies = {s: place_body(q, eps, *s, config) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, config, stripe_width)
-
-    samples = {
-        s: _remainder_samples(bodies[s], cuts[s], n_boundary, n_chord) for s in sites
-    }
+    trimmed = {s: trim_body(bodies[s], cuts[s]) for s in sites}
+    nonempty = {s for s in sites if len(trimmed[s].vertices)}
 
     violations: list[str] = []
     max_hp = -math.inf
     if "halfplane" in checks:
         for s in sites:
-            for n, c, keep in cuts[s]:
-                if len(samples[s]) == 0:
-                    continue
-                v = float(np.max(keep * (samples[s] @ n - c)))
+            if s not in nonempty:
+                continue
+            for v in halfplane_excess(trimmed[s], cuts[s]):
                 max_hp = max(max_hp, v)
                 if v > tol:
                     violations.append(
                         f"site {s}: trimmed body crosses a cut line by {v:.3e}"
                     )
 
-    min_cross = math.inf
+    min_cross, cross_witness = math.inf, None
     if "cross" in checks:
         for a, b, k in edges:
-            pa, pb = samples[a], samples[b]
-            if len(pa) == 0 or len(pb) == 0:
+            if a not in nonempty or b not in nonempty:
                 continue
-            d, _ = cKDTree(pa).query(pb, k=1)
-            dmin = float(np.min(d))
-            min_cross = min(min_cross, dmin)
-            if dmin < 2.0 - tol:
+            d, w = closest_pair(trimmed[a], trimmed[b])
+            if d < min_cross:
+                min_cross, cross_witness = d, w
+            if d < 2.0 - tol:
                 violations.append(
-                    f"edge {a}->{b} (class {k}): bodies only {dmin:.12f} apart"
+                    f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "
+                    f"at {_point(w[0])} and {_point(w[1])}"
                 )
 
-    max_diam = -math.inf
+    max_diam, diameter_witness = -math.inf, None
     if "diameter" in checks:
         for s in sites:
-            pts = samples[s]
-            if len(pts) == 0:
+            if s not in nonempty:
                 continue
-            sub = pts[:: max(1, len(pts) // 800)]
-            d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
-            dmax = float(math.sqrt(d2.max()))
-            max_diam = max(max_diam, dmax)
-            if dmax > 2.0 + max(tol, 1e-6):
+            d, w = farthest_pair(trimmed[s])
+            if d > max_diam:
+                max_diam, diameter_witness = d, w
+            if d > 2.0 + tol:
                 violations.append(
-                    f"site {s}: trimmed body has diameter {dmax:.12f} > 2"
+                    f"site {s}: trimmed body has diameter {d:.12f} > 2, "
+                    f"between {_point(w[0])} and {_point(w[1])}"
                 )
 
     return AvoidanceReport(
@@ -393,4 +659,6 @@ def verify_avoidance(
         min_cross_distance=min_cross,
         max_same_body_diameter=max_diam,
         violations=violations,
+        cross_witness=cross_witness,
+        diameter_witness=diameter_witness,
     )

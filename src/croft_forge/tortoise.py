@@ -395,6 +395,8 @@ def fit_eps2_coefficient(eps_values, areas, *, odd_nuisance: bool = True) -> Qua
                         max_residual=resid)
 
 
+# samples needed by the default fit: a0, c2, c4 and the two odd nuisance terms
+FIT_MIN_SAMPLES = 5
 DEFAULT_FIT_EPS = (-0.08, -0.04, -0.02, -0.01, 0.01, 0.02, 0.04, 0.08)
 
 

@@ -235,16 +235,14 @@ def test_criterion_8_avoidance():
     details = []
     for eps in (0.0, 0.05, 0.1):
         rec = tortoise_area(eps, "series2", q=Q)
-        rep = verify_avoidance(Q, eps, rec.stripes(), n_boundary=2000, n_chord=100)
+        rep = verify_avoidance(Q, eps, rec.stripes())
         ok = ok and rep.ok and rep.min_cross_distance >= 2.0 - 1e-9
         details.append(
             f"eps={eps}: halfplane {rep.max_halfplane_violation:.1e}, "
             f"min distance {rep.min_cross_distance:.6f}"
         )
     rec = tortoise_area(0.05, "series2", q=Q)
-    injected = verify_avoidance(
-        Q, 0.05, rec.stripes(), stripe_width=1.9, n_boundary=2000, n_chord=100
-    )
+    injected = verify_avoidance(Q, 0.05, rec.stripes(), stripe_width=1.9)
     ok = ok and not injected.ok
     report(
         "avoidance",

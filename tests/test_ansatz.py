@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from croft_forge import ansatz
 from croft_forge.ansatz import (
     N_FREE,
     N_VARS,
@@ -30,6 +31,18 @@ def form():
 def test_closure_matrix_annihilates_reference():
     A = closure_matrix()
     assert np.max(np.abs(A @ REF_V)) <= 1e-12
+
+
+def test_closure_matrix_is_cached_and_read_only():
+    q = reference_step_function()
+    A = closure_matrix(q)
+    assert closure_matrix(q) is A
+    assert closure_matrix() is A
+    fresh = ansatz._closure_matrix.__wrapped__(tuple(q.breaks))
+    assert fresh is not A
+    assert np.array_equal(A, fresh)
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
 
 
 def test_projection_is_idempotent_and_feasible():

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import croft_forge
 from croft_forge import ansatz, tortoise
@@ -236,3 +241,117 @@ def test_eigen_runs_the_requested_mode(capsys, monkeypatch, mode):
     assert code == 0
     assert seen == [mode]
     assert json.loads(out)["mode"] == mode
+
+
+def _exit_code(argv):
+    """Exit code of ``main(argv)`` in-process, whether returned or raised."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fit", "--eps", "0.1"), "at least 5 distinct eps values"),
+        (("scan", "--mode", "series2", "--eps", "nan"), "expected a finite number"),
+        (("scan", "--mode", "exact2", "--eps", "nan"), "expected a finite number"),
+        (("scan", "--mode", "exact2", "--eps", "inf"), "expected a finite number"),
+        (("fit", "--mode", "series2", "--eps=-inf"), "expected a finite number"),
+    ],
+)
+def test_bad_eps_is_usage_error(capsys, argv, message):
+    code = _exit_code(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9"])
+def test_bad_tolerance_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CROFT_FORGE_TOL", value)
+    code = _exit_code(["verify", "--checks", "closure"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: CROFT_FORGE_TOL")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{bad", "JSONDecodeError"),
+        ('{"breaks": [0, 1], "values": [1]}', "StepFunctionError"),
+        ('{"breaks": [0, 2]}', "KeyError"),
+        ("[1]", "TypeError"),
+    ],
+)
+def test_bad_profile_file_is_usage_error(capsys, tmp_path, content, message):
+    path = tmp_path / "q.json"
+    path.write_text(content)
+    code = _exit_code(["scan", "--eps", "0.0", "--q-spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: --q-spec") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--checks", "avoidance", "--inject", "stripe-width=abc"),
+        # a misspelt key would otherwise leave the fault out and pass
+        ("verify", "--checks", "avoidance", "--inject", "stripe_width=1.9"),
+        ("verify", "--checks", "avoidance", "--inject", "stripe-width"),
+        ("scan", "--eps", "0.0", "--q-spec", "."),
+        ("constants", "--out", "."),
+    ],
+)
+def test_bad_inject_or_path_is_usage_error(capsys, argv):
+    code = _exit_code(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+_EPS_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-0.2, max_value=0.2).map(repr),
+)
+_RANGE_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.tuples(_EPS_TEXT, _EPS_TEXT, _EPS_TEXT).map(":".join),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["scan", "fit", "render body", "verify"]))
+    argv = command.split()
+    if command == "verify":
+        argv += ["--checks", "closure,antipodal"]
+    if draw(st.booleans()):
+        argv += ["--mode", draw(st.sampled_from(["series1", "series2"]))]
+    if draw(st.booleans()):
+        argv.append(f"--eps-range={draw(_RANGE_TEXT)}")
+    for eps in draw(st.lists(_EPS_TEXT, max_size=6)):
+        argv.append(f"--eps={eps}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv())
+def test_generated_argv_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # grids beyond about 50 points are refused, which keeps each call short
+    with mock.patch("croft_forge.cli.MAX_EPS_GRID", 50), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = _exit_code(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
