@@ -63,7 +63,7 @@ def _finite_float(text: str) -> float:
 
 
 def _load_profile(args):
-    if getattr(args, "q_spec", None):
+    if args.q_spec:
         try:
             return load_qspec(args.q_spec)
         except (ValueError, KeyError, TypeError) as exc:
@@ -78,7 +78,7 @@ def _usage_error(message: str):
 
 
 def _eps_list(args, default=(0.0,)):
-    if getattr(args, "eps_range", None):
+    if args.eps_range:
         spec = args.eps_range
         try:
             a, b, step = (float(x) for x in spec.split(":"))
@@ -95,7 +95,7 @@ def _eps_list(args, default=(0.0,)):
         if n < 1:
             _usage_error(f"--eps-range {spec!r} is an empty grid")
         return [a + i * step for i in range(n)]
-    if getattr(args, "eps", None) is not None:
+    if args.eps is not None:
         return [float(e) for e in args.eps]
     return list(default)
 
@@ -438,25 +438,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_mode=True):
+    def add_common(p, *, eps=True, profile=True, with_mode=True):
         # let values like "-0.1:0.1:0.01" or "-0.05" follow an option flag
         p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+(:.*)?$")
-        p.add_argument(
-            "--eps", action="append", type=_finite_float, help="family parameter"
-        )
-        p.add_argument("--eps-range", help="grid a:b:step of family parameters")
+        if eps:
+            p.add_argument(
+                "--eps", action="append", type=_finite_float, help="family parameter"
+            )
+            p.add_argument("--eps-range", help="grid a:b:step of family parameters")
         if with_mode:
             p.add_argument(
                 "--mode",
                 choices=("series1", "series2", "exact1", "exact2"),
                 default="series2",
             )
-        p.add_argument("--q-spec", help="JSON step-function file (default: bundled)")
+        if profile:
+            p.add_argument("--q-spec", help="JSON step-function file (default: bundled)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("constants", help="baseline and series constants")
-    add_common(p, with_mode=False)
+    add_common(p, eps=False, profile=False, with_mode=False)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("scan", help="density records over a parameter grid")
@@ -468,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eigen", help="quadratic form spectrum")
-    add_common(p)
+    add_common(p, eps=False, profile=False)
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="invariant suite")
-    add_common(p)
+    add_common(p, eps=False)
     p.add_argument("--inject", action="append", help="fault injection KEY=VAL")
     p.add_argument("--checks", help="comma-separated subset of checks")
     p.set_defaults(func=cmd_verify)

@@ -32,7 +32,8 @@ def _arc_point(center, radius, phi):
 
 
 def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
-    """Angles in (a, b) where the arc crosses the line n.x = c (n unit)."""
+    """Angles in [a, b) where the arc crosses the line n.x = c (n unit);
+    a crossing within TANGENCY_TOL of a break belongs to the arc starting there."""
     if radius <= 0.0:
         return []
     t = (c - float(n[0] * center[0] + n[1] * center[1])) / radius
@@ -46,8 +47,8 @@ def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
         k = math.floor((a - branch) / (2.0 * math.pi))
         for m in (k, k + 1, k + 2):
             phi = branch + 2.0 * math.pi * m
-            if a + TANGENCY_TOL < phi < b - TANGENCY_TOL:
-                out.append(phi)
+            if a - TANGENCY_TOL <= phi < b - TANGENCY_TOL:
+                out.append(max(phi, a))
     return sorted(out)
 
 
@@ -67,6 +68,8 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
             continue
         cuts = [a] + arc_line_crossings(center, radius, a, b, n, c) + [b]
         for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:  # a crossing at the start break
+                continue
             mid = 0.5 * (lo + hi)
             p_mid = _arc_point(center, radius, mid)
             if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:

@@ -366,10 +366,6 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
                 hits[j].append(center + radius * _unit(phi))
         angles.sort()
         pieces.extend((i, lo, hi) for lo, hi in zip(angles, angles[1:]))
-    # arc_line_crossings skips crossings at arc ends: add the breaks on a line
-    corners = body.centers + body.radii[:, None] * _unit(body.breaks[:-1])
-    for i, j in zip(*np.nonzero(np.abs(corners @ normals.T - offsets) <= KEEP_TOL)):
-        hits[j].append(corners[i])
     idx = np.array([p[0] for p in pieces], dtype=int)
     lo = np.array([p[1] for p in pieces], dtype=float)
     hi = np.array([p[2] for p in pieces], dtype=float)

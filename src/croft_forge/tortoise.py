@@ -43,6 +43,8 @@ from .segments import (
     PairCut,
     minimize_pair_shift,
     minimize_pair_shift_tilt,
+    pair_area_series_shift,
+    pair_area_series_shift_tilt,
     series_coefficients,
     series_shift_minimizer,
     series_tilt_minimizer,
@@ -131,9 +133,7 @@ def _pair_clips(left: ArcBody, right: ArcBody, s: float, delta: float):
     return (left, n, c_left), (right, -n, -c_right)
 
 
-def pair_clip_area(
-    left: ArcBody, right: ArcBody, s: float, delta: float, config: LatticeConfig
-) -> float:
+def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> float:
     """Exact area removed from both copies by the stripe at (s, delta)."""
     clips = _pair_clips(left, right, s, delta)
     return sum(halfplane_clip_area(body, n, c) for body, n, c in clips)
@@ -187,7 +187,7 @@ def _minimize_pair_clip(
     else:
         x = np.array([series_shift_minimizer(cut), 0.0])
     dim = 2 if with_tilt else 1
-    area = pair_clip_area(left, right, x[0], x[1], config)
+    area = pair_clip_area(left, right, x[0], x[1])
     grad, hess = _pair_clip_derivatives(left, right, x[0], x[1])
     for iteration in range(1, NEWTON_MAX_ITER + 1):
         step = np.zeros(2)
@@ -195,7 +195,7 @@ def _minimize_pair_clip(
         converged = np.max(np.abs(step)) < NEWTON_STEP_TOL
         while True:
             trial = x + step
-            trial_area = pair_clip_area(left, right, trial[0], trial[1], config)
+            trial_area = pair_clip_area(left, right, trial[0], trial[1])
             if trial_area <= area + AREA_ROUNDING:
                 break
             step *= 0.5
@@ -307,33 +307,24 @@ def series_cut_coefficients(
     mode: str = "series2",
     include_shift: bool = True,
     config: LatticeConfig | None = None,
-    pairing: str = "upper",
 ) -> tuple[float, float]:
     """(linear, quadratic) eps-coefficients of the minimized cut-area sum.
 
     The sum of the three minimized pair areas is
-    6*a0 + linear*eps + quadratic*eps**2 in the series modes.
+    6*a0 + linear*eps + quadratic*eps**2 in the series modes.  Each pair
+    area P is second order in its unit cut c, so its odd and even parts
+    at eps = +-1 are the linear and the a0-free quadratic coefficients.
     """
     if q is None:
         q = reference_step_function()
     if mode not in ("series1", "series2"):
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
-    sc = series_coefficients()
-    linear = 0.0
-    quad = 0.0
-    for cut in _unit_cuts(q, include_shift, config):
-        linear += sc.b * cut.d_x + 0.5 * sc.c * cut.r_s
-        quad += (
-            0.25 * sc.d * cut.d_x**2
-            + 0.25 * sc.e * cut.d_x * cut.r_s
-            - sc.e**2 / (16.0 * sc.d) * cut.r_l**2
-            + 0.25 * sc.f * cut.r_s2
-        )
-        if mode == "series2":
-            r_t = cut.r_u if pairing == "upper" else cut.r_c
-            quad -= (sc.k * r_t - 2.0 * sc.b * cut.d_y) ** 2 / (
-                16.0 * (sc.l + sc.b)
-            )
+    pair_area = pair_area_series_shift if mode == "series1" else pair_area_series_shift_tilt
+    a0 = series_coefficients().a0
+    cuts = _unit_cuts(q, include_shift, config)
+    areas = [(pair_area(c), pair_area(c.scaled(-1.0))) for c in cuts]
+    linear = sum(0.5 * (plus - minus) for plus, minus in areas)
+    quad = sum(0.5 * (plus + minus) - 2.0 * a0 for plus, minus in areas)
     return linear, quad
 
 

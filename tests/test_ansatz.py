@@ -19,6 +19,8 @@ from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
 from croft_forge.stepfn import reference_step_function
 from croft_forge.tortoise import series_net_coefficient
 
+FD_STEP = 1e-3  # step of the test-only central-difference reference
+
 RNG = np.random.default_rng(7)
 REF_V = np.array(Q_VALUES[:N_FREE])
 
@@ -103,6 +105,67 @@ def test_form_reproduces_functional(form):
         assert form.value(v, shifts) == pytest.approx(direct, abs=1e-8)
 
 
+def test_form_makes_78_polarization_calls(monkeypatch):
+    calls = []
+    real = ansatz.c2_net
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ansatz, "c2_net", counted)
+    assemble_quadratic_form("series2")
+    assert len(calls) == 12 + 12 * 11 // 2
+
+
+def test_form_reproduces_functional_to_rounding(form):
+    """Polarization of an exactly quadratic functional is exact: the form
+    matches direct evaluation to rounding of its largest value there."""
+    rng = np.random.default_rng(11)
+    norm = np.linalg.norm(form.hessian / 2.0, 2)
+    for _ in range(20):
+        v = closure_project(rng.normal(scale=0.2, size=N_FREE))
+        shifts = rng.normal(scale=0.2, size=2)
+        scale = norm * (v @ v + shifts @ shifts)
+        assert abs(form.value(v, shifts) - c2_net(v, shifts, "series2")) <= 1e-12 * scale
+    ref = form.value(REF_V, (SHIFT_X, SHIFT_Y))
+    assert ref == pytest.approx(series_net_coefficient(mode="series2"), abs=1e-12)
+
+
+def fd_form_matrix(form):
+    """Test-only reference: central-difference Hessian of c2_net over the
+    14 coordinates, restricted to the form's basis."""
+    def f(u):
+        return c2_net(u[:N_FREE], u[N_FREE:], "series2")
+
+    e = FD_STEP * np.eye(N_VARS)
+    H = np.empty((N_VARS, N_VARS))
+    for i in range(N_VARS):
+        for j in range(i, N_VARS):
+            H[i, j] = H[j, i] = (
+                f(e[i] + e[j]) - f(e[i] - e[j]) - f(e[j] - e[i]) + f(-e[i] - e[j])
+            ) / (4.0 * FD_STEP**2)
+    return form.basis.T @ (H / 2.0) @ form.basis
+
+
+def test_form_matches_finite_differences(form):
+    assert np.max(np.abs(form.matrix - fd_form_matrix(form))) <= 1e-8
+
+
+def test_form_hessian_is_the_matrix_on_the_basis(form):
+    assert np.allclose(form.basis.T @ (form.hessian / 2.0) @ form.basis, form.matrix,
+                       rtol=0, atol=1e-14)
+    assert not hasattr(form, "fd_step")
+
+
+def test_exact2_form_agrees_with_series2(form):
+    exact = assemble_quadratic_form("exact2")
+    report = eigen_signature(exact)
+    assert report.signature == (0, 0, N_VARS - 2)
+    series_vals = eigen_signature(form).eigenvalues
+    assert np.max(np.abs(report.eigenvalues - series_vals)) <= 1e-7
+
+
 def test_jacobi_matches_library_solver():
     for n in (3, 8, 12):
         A = RNG.normal(size=(n, n))
@@ -114,6 +177,21 @@ def test_jacobi_matches_library_solver():
         resid = np.max(np.abs(A @ vecs - vecs @ np.diag(vals)))
         assert resid <= 1e-12 * np.linalg.norm(A)
         assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_jacobi_residual_does_not_depend_on_test_order(scale):
+    """The stopping test must resolve the off-diagonal norm (on the third of
+    these matrices a norm taken as sqrt(sum A^2 - sum diag^2) cancels and
+    stopped early, at residual 1.8e-10 |A|) and scale with the matrix."""
+    rng = np.random.default_rng(7)
+    for n in (3, 8, 12):
+        A = rng.normal(size=(n, n))
+        A = scale * (A + A.T)
+        vals, vecs = jacobi_eigh(A)
+        resid = np.max(np.abs(A @ vecs - vecs @ np.diag(vals)))
+        assert resid <= 1e-14 * np.linalg.norm(A)
+        assert np.allclose(vals, np.linalg.eigvalsh(A)[::-1], rtol=0, atol=1e-13 * scale)
 
 
 def test_jacobi_known_signatures():

@@ -233,7 +233,6 @@ def test_eigen_runs_the_requested_mode(capsys, monkeypatch, mode):
             basis=np.eye(ansatz.N_VARS)[:, : ansatz.N_VARS - 2],
             hessian=-2.0 * np.eye(ansatz.N_VARS),
             mode=mode_arg,
-            fd_step=1e-3,
         )
 
     monkeypatch.setattr(ansatz, "assemble_quadratic_form", fake_form)
@@ -319,6 +318,27 @@ def test_bad_inject_or_path_is_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # verify reads eps from --inject, not from --eps
+        ("verify", "--checks", "antipodal", "--eps", "0.3"),
+        ("verify", "--checks", "antipodal", "--eps-range", "0:0.2:0.1"),
+        ("eigen", "--q-spec", "q.json"),
+        ("eigen", "--eps", "0.1"),
+        ("constants", "--eps", "0.1"),
+        ("constants", "--q-spec", "q.json"),
+    ],
+)
+def test_unused_option_is_usage_error(capsys, argv):
+    code = _exit_code(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("usage: croft-forge")
+    assert f"unrecognized arguments: {argv[-2]}" in err
+    assert out == ""
+
+
 _EPS_TEXT = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -338,6 +358,8 @@ def _argv(draw):
         argv += ["--checks", "closure,antipodal"]
     if draw(st.booleans()):
         argv += ["--mode", draw(st.sampled_from(["series1", "series2"]))]
+    if command == "verify":
+        return argv  # verify takes no --eps; that usage error has its own test
     if draw(st.booleans()):
         argv.append(f"--eps-range={draw(_RANGE_TEXT)}")
     for eps in draw(st.lists(_EPS_TEXT, max_size=6)):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from croft_forge.body import build_body
-from croft_forge.clip import halfplane_clip_area, halfplane_clip_derivatives
+from croft_forge.clip import (
+    arc_line_crossings,
+    boundary_line_crossings,
+    halfplane_clip_area,
+    halfplane_clip_derivatives,
+)
 from croft_forge.lattice import _stripe_lines, cut_parameters, default_config
 from croft_forge.segments import series_tilt_minimizer
 from croft_forge.stepfn import reference_step_function, zero_step_function
@@ -107,6 +112,32 @@ def test_unit_disc_clip_derivatives(c, theta):
     assert np.max(np.abs([hess[0, 1], hess[1, 0], hess[1, 1]])) <= 1e-10
 
 
+def test_line_through_a_break_crosses_twice():
+    """x = 1/2 meets the unit disc at the breaks at +-pi/3; each crossing is
+    reported once, by the arc that starts there."""
+    disc = build_body(reference_step_function(), 0.0)
+    assert np.isclose(disc.breaks, math.pi / 3, rtol=0, atol=1e-15).sum() == 1
+    pts = boundary_line_crossings(disc, (1.0, 0.0), 0.5)
+    assert len(pts) == 2
+    assert np.allclose(sorted(p[1] for p in pts), [-math.sqrt(0.75), math.sqrt(0.75)],
+                       rtol=0, atol=1e-15)
+    grad, hess = halfplane_clip_derivatives(disc, (1.0, 0.0), 0.5)
+    assert grad[0] == pytest.approx(-math.sqrt(3.0), abs=1e-14)
+    assert grad[1] == pytest.approx(0.0, abs=1e-14)
+    assert hess[0, 0] == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
+    assert halfplane_clip_area(disc, (1.0, 0.0), 0.5) == pytest.approx(
+        math.pi / 3 - math.sqrt(3.0) / 4, abs=1e-14
+    )
+
+
+def test_arc_crossing_at_its_ends():
+    """A crossing at an arc's start is reported at the start angle; one at
+    its end is left to the next arc."""
+    start = arc_line_crossings((0.0, 0.0), 1.0, 0.5, 1.0, (1.0, 0.0), math.cos(0.5))
+    assert start == [0.5]
+    assert arc_line_crossings((0.0, 0.0), 1.0, 0.0, 0.5, (1.0, 0.0), math.cos(0.5)) == []
+
+
 def test_clip_derivatives_need_two_crossings():
     disc = build_body(zero_step_function(), 0.0)
     with pytest.raises(ValueError, match="0 points"):
@@ -123,7 +154,7 @@ def test_pair_derivatives_match_finite_differences(eps, k):
     grad, hess = _pair_clip_derivatives(left, right, s, delta)
 
     def f(s_, d_):
-        return pair_clip_area(left, right, s_, d_, CONFIG)
+        return pair_clip_area(left, right, s_, d_)
 
     assert np.max(np.abs(grad)) > 1e-3
     assert np.max(np.abs(grad - fd_gradient(f, (s, delta), H_GRAD))) <= 1e-8

@@ -67,7 +67,7 @@ def test_pair_clip_area_symmetric_discs():
     disc = build_body(zero_step_function(), 0.0)
     config = default_config()
     right = transform(disc, 0.0, (config.lattice_constant, 0.0))
-    a = pair_clip_area(disc, right, 0.0, 0.0, config)
+    a = pair_clip_area(disc, right, 0.0, 0.0)
     assert a == pytest.approx(2 * CROFT.a_c, abs=1e-12)
 
 
@@ -233,10 +233,10 @@ def test_newton_matches_nelder_mead_reference(seed):
             )
             if mode == "exact1":
                 x0 = [s0]
-                f = lambda x: pair_clip_area(left, right, x[0], 0.0, config)
+                f = lambda x: pair_clip_area(left, right, x[0], 0.0)
             else:
                 x0 = [s0, delta0]
-                f = lambda x: pair_clip_area(left, right, x[0], x[1], config)
+                f = lambda x: pair_clip_area(left, right, x[0], x[1])
             # a simplex of side 1e-3, far wider than the series-to-exact gap
             simplex = np.vstack([x0, np.add(x0, 1e-3 * np.eye(len(x0)))])
             ref = minimize(f, x0=x0, method="Nelder-Mead", options={
