@@ -105,7 +105,7 @@ def c2_net(
         croft_constants().lattice_constant, (float(shifts[0]), float(shifts[1]))
     )
     if mode in ("series1", "series2"):
-        return series_net_coefficient(q, mode, include_shift=True, config=config)
+        return series_net_coefficient(q, mode, config=config)
     return fit_net_coefficient(mode, eps_values=fit_eps, q=q, config=config).c2
 
 

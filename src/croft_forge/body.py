@@ -167,8 +167,9 @@ def transform(b: ArcBody, rotation: float = 0.0, translation=(0.0, 0.0)) -> ArcB
     """Rigidly move a body: rotate about the origin, then translate.
 
     The returned body's breaks are shifted by the rotation angle and no
-    longer start at 0; angle lookups still work modulo 2*pi only through
-    the arc list, so use this for area/clipping work, not interval_of.
+    longer start at 0.  ``interval_of`` reduces angles from ``breaks[0]``,
+    so ``boundary_point`` of the moved body at phi + rotation is the moved
+    point of the original at phi.
     """
     c, s = math.cos(rotation), math.sin(rotation)
     rot = np.array([[c, -s], [s, c]])

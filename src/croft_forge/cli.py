@@ -27,7 +27,7 @@ from .body import (
     croft_constants,
     diameter_profile,
 )
-from .lattice import default_config, verify_avoidance
+from .lattice import verify_avoidance
 from .stepfn import load_qspec, reference_step_function
 
 DEFAULT_TOL = 1e-9
@@ -101,7 +101,7 @@ def _eps_list(args, default=(0.0,)):
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -438,50 +438,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, eps=True, profile=True, with_mode=True):
+    def add_options(p, *names):
+        """Register the shared options ``names`` that the subcommand reads."""
         # let values like "-0.1:0.1:0.01" or "-0.05" follow an option flag
         p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+(:.*)?$")
-        if eps:
+        if "eps" in names:
             p.add_argument(
                 "--eps", action="append", type=_finite_float, help="family parameter"
             )
             p.add_argument("--eps-range", help="grid a:b:step of family parameters")
-        if with_mode:
+        if "mode" in names:
             p.add_argument(
                 "--mode",
                 choices=("series1", "series2", "exact1", "exact2"),
                 default="series2",
             )
-        if profile:
+        if "q-spec" in names:
             p.add_argument("--q-spec", help="JSON step-function file (default: bundled)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="output path (default: stdout)")
+        if "format" in names:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if "out" in names:
+            p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("constants", help="baseline and series constants")
-    add_common(p, eps=False, profile=False, with_mode=False)
+    add_options(p, "out")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("scan", help="density records over a parameter grid")
-    add_common(p)
+    add_options(p, "eps", "mode", "q-spec", "format", "out")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("fit", help="second-order coefficient fit")
-    add_common(p)
+    add_options(p, "eps", "mode", "q-spec", "format", "out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eigen", help="quadratic form spectrum")
-    add_common(p, eps=False, profile=False)
+    add_options(p, "mode", "format", "out")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="invariant suite")
-    add_common(p, eps=False)
+    add_options(p, "q-spec")
     p.add_argument("--inject", action="append", help="fault injection KEY=VAL")
     p.add_argument("--checks", help="comma-separated subset of checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="SVG output")
     p.add_argument("target", choices=("body", "tortoise", "lattice"))
-    add_common(p)
+    add_options(p, "eps", "mode", "q-spec", "out")
     p.set_defaults(func=cmd_render)
 
     return parser

@@ -60,13 +60,16 @@ class LatticeConfig:
         return i * self.omega1 + j * self.omega2
 
 
-def default_config(include_shift: bool = True) -> LatticeConfig:
-    """Lattice constant from the disc optimum, shift from the reference."""
+def default_config() -> LatticeConfig:
+    """Lattice constant from the disc optimum, shift from the reference.
+
+    An unshifted lattice is ``LatticeConfig(lattice_constant)``.
+    """
     from . import reference
 
-    shift = (reference.SHIFT_X, reference.SHIFT_Y) if include_shift else (0.0, 0.0)
     return LatticeConfig(
-        lattice_constant=croft_constants().lattice_constant, shift=shift
+        lattice_constant=croft_constants().lattice_constant,
+        shift=(reference.SHIFT_X, reference.SHIFT_Y),
     )
 
 
@@ -103,20 +106,28 @@ def left_color_of_class(k: int) -> int:
     return (3 - k) % 3
 
 
+def place_copy(
+    q: StepFunction, eps: float, color: int, position, config: LatticeConfig
+) -> ArcBody:
+    """Body copy of ``color`` at ``position``: shift by eps*shift, rotate
+    by the color angle, translate to the position.
+
+    This is the one placement rule; ``place_body`` and the exact-mode
+    stripe cuts both use it.  The shift is applied to every copy in its
+    own pre-rotation frame; only this convention makes the cut geometry
+    depend on the edge class alone and not on which colors the edge
+    happens to join.
+    """
+    anchor = (eps * config.shift[0], eps * config.shift[1])
+    body = build_body(q, eps, anchor=anchor)
+    return transform(body, rotation_of_color(color), position)
+
+
 def place_body(
     q: StepFunction, eps: float, i: int, j: int, config: LatticeConfig
 ) -> ArcBody:
-    """Body copy at site (i, j): shift by eps*shift, rotate by the color
-    angle, translate to the site.
-
-    The shift is applied to every copy in its own pre-rotation frame;
-    only this convention makes the cut geometry depend on the edge class
-    alone and not on which colors the edge happens to join.
-    """
-    c = color_index(i, j)
-    anchor = (eps * config.shift[0], eps * config.shift[1])
-    body = build_body(q, eps, anchor=anchor)
-    return transform(body, rotation_of_color(c), config.position(i, j))
+    """Body copy at lattice site (i, j), placed by ``place_copy``."""
+    return place_copy(q, eps, color_index(i, j), config.position(i, j), config)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ Y_OFFSETS = np.array([
 
 # Shift (per unit family parameter) applied to every copy in its own frame,
 # before it is rotated by its color angle (0, 2*pi/3 or 4*pi/3), as
-# ``lattice.place_body`` does.
+# ``lattice.place_copy`` does.
 SHIFT_X = -0.001383301426275
 SHIFT_Y = -0.158574235421304
 

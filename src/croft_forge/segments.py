@@ -5,15 +5,29 @@ depth D = w_c + d; tilting the line by delta keeps it through the same
 axis point.  The closed-form cap area, its series coefficients, and the
 1-parameter (stripe shift s) and 2-parameter (shift + tilt) minimization
 of two opposite caps with four independent radii all live here.
+
+Tilt model.  Both upper half caps tilt by +delta and both lower half
+caps by -delta, so the tilt couples to r_u = r_lu + r_ru - r_ll - r_rl.
+The diagonal pattern (the right cap's halves swapped, coupling the tilt
+to r_lu + r_rl - r_ll - r_ru) was compared and removed.  On the
+reference unit cuts it gives cut c2 -0.017916152560773 and net c2
++0.007441447088142, against -0.006057919731823 and -0.004416785740809
+for the model kept here, which the exact2 clipped-area fit confirms.
+The printed values (cut -0.0118673, net +0.0013926) lie between the
+two.
+
+Footprint.  The tilted stripe's wider footprint enters the closed-form
+series pair area only in the linear depth term.  Keeping it in every
+term and minimizing numerically changes the minimized pair area of the
+reference unit cuts scaled by 0.02, 0.01 and 0.005 by at most 7.6e-12,
+4.2e-13 and 1.9e-14: fourth order, so c2 does not see it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -91,10 +105,6 @@ class PairCut:
     @property
     def r_l(self) -> float:
         return self.r_lu + self.r_ll - self.r_ru - self.r_rl
-
-    @property
-    def r_c(self) -> float:
-        return self.r_lu + self.r_rl - self.r_ll - self.r_ru
 
     @property
     def r_u(self) -> float:
@@ -197,14 +207,16 @@ def series_shift_minimizer(cut: PairCut) -> float:
     return -sc.e * cut.r_l / (4.0 * sc.d)
 
 
-def minimize_pair_shift(
-    cut: PairCut, mode: str = "exact", *, span: float = 0.02
-) -> tuple[float, float]:
+# Half-width of the exact shift search bracket around the series minimizer.
+SHIFT_BRACKET = 0.02
+
+
+def minimize_pair_shift(cut: PairCut, mode: str = "exact") -> tuple[float, float]:
     """Minimize the two-cap area over the stripe shift s.
 
     Returns (s_min, area).  ``mode='series'`` uses the closed form;
     ``mode='exact'`` minimizes the exact objective numerically in a
-    bracket of half-width ``span`` around the series minimizer.
+    bracket of half-width SHIFT_BRACKET around the series minimizer.
     """
     s0 = series_shift_minimizer(cut)
     if mode == "series":
@@ -213,7 +225,7 @@ def minimize_pair_shift(
         raise ValueError(f"unknown mode {mode!r}")
     res = minimize_scalar(
         lambda s: _pair_objective_shift(cut, s),
-        bounds=(s0 - span, s0 + span),
+        bounds=(s0 - SHIFT_BRACKET, s0 + SHIFT_BRACKET),
         method="bounded",
         options={"xatol": 1e-13},
     )
@@ -222,117 +234,65 @@ def minimize_pair_shift(
     return float(res.x), float(res.fun)
 
 
-def effective_depth_sum(cut: PairCut, delta: float, *, exact: bool = True) -> float:
+def effective_depth_sum(cut: PairCut, delta: float) -> float:
     """Total depth perturbation of the pair once the stripe is tilted.
 
     The tilted stripe keeps perpendicular width 2, which widens its
     horizontal footprint, and the vertical cap displacements slide along
-    the tilted lines.  ``exact=False`` keeps only second-order terms.
+    the tilted lines.
     """
-    if exact:
-        return cut.d_x + 2.0 * (1.0 / math.cos(delta) - 1.0) - math.tan(delta) * cut.d_y
-    return cut.d_x + delta * delta - delta * cut.d_y
+    return cut.d_x + 2.0 * (1.0 / math.cos(delta) - 1.0) - math.tan(delta) * cut.d_y
 
 
-def _tilt_radius_combination(cut: PairCut, pairing: str) -> float:
-    """Radius combination coupled to the tilt.
-
-    ``pairing='upper'`` is the geometrically derived sign pattern (both
-    upper half-caps tilt one way, both lower halves the other), coupling
-    the tilt to r_u; ``pairing='cross'`` is the alternative diagonal
-    pattern coupling it to r_c, kept for comparison because the two
-    disagree and only 'upper' matches the exact clipped-area minimizer.
-    """
-    if pairing == "upper":
-        return cut.r_u
-    if pairing == "cross":
-        return cut.r_c
-    raise ValueError(f"pairing must be 'upper' or 'cross', got {pairing!r}")
-
-
-def pair_objective_shift_tilt(
-    cut: PairCut, s: float, delta: float, *, pairing: str = "upper"
-) -> float:
+def pair_objective_shift_tilt(cut: PairCut, s: float, delta: float) -> float:
     """Exact two-cap objective with tilt: four half-cap terms.
 
-    With ``pairing='upper'`` the tilt enters the half caps with signs
-    (lu: +delta, ru: +delta, ll: -delta, rl: -delta); 'cross' flips the
-    right cap's pair.  The depth uses the exact tilted footprint.
+    The tilt enters the half caps with signs (lu: +delta, ru: +delta,
+    ll: -delta, rl: -delta).  The depth uses the exact tilted footprint.
     """
-    sign_ru = +1.0 if pairing == "upper" else -1.0
-    _tilt_radius_combination(cut, pairing)  # validate pairing
-    half = 0.5 * effective_depth_sum(cut, delta, exact=True)
+    half = 0.5 * effective_depth_sum(cut, delta)
     return 0.5 * (
         segment_area_exact_tilted(half + s, cut.r_lu, +delta)
-        + segment_area_exact_tilted(half - s, cut.r_ru, sign_ru * delta)
+        + segment_area_exact_tilted(half - s, cut.r_ru, +delta)
         + segment_area_exact_tilted(half + s, cut.r_ll, -delta)
-        + segment_area_exact_tilted(half - s, cut.r_rl, -sign_ru * delta)
+        + segment_area_exact_tilted(half - s, cut.r_rl, -delta)
     )
 
 
-def series_tilt_minimizer(cut: PairCut, *, pairing: str = "upper") -> tuple[float, float]:
+def series_tilt_minimizer(cut: PairCut) -> tuple[float, float]:
     sc = series_coefficients()
-    s0 = -sc.e * cut.r_l / (4.0 * sc.d)
-    r_t = _tilt_radius_combination(cut, pairing)
-    delta0 = -(sc.k * r_t - 2.0 * sc.b * cut.d_y) / (4.0 * (sc.l + sc.b))
-    return s0, delta0
+    delta0 = -(sc.k * cut.r_u - 2.0 * sc.b * cut.d_y) / (4.0 * (sc.l + sc.b))
+    return series_shift_minimizer(cut), delta0
 
 
-def pair_area_series_shift_tilt(cut: PairCut, *, pairing: str = "upper") -> float:
+def pair_area_series_shift_tilt(cut: PairCut) -> float:
     """Closed-form minimized pair area with shift and tilt.
 
     The footprint correction is applied only in the linear depth term,
     so the result stays a clean second-order expression: the shift-only
-    minimum lowered by (k*r_t - 2b*d_y)^2 / (16 (l + b)) with r_t the
-    pairing-dependent radius combination.
+    minimum lowered by (k*r_u - 2b*d_y)^2 / (16 (l + b)).
     """
     sc = series_coefficients()
-    r_t = _tilt_radius_combination(cut, pairing)
-    extra = (sc.k * r_t - 2.0 * sc.b * cut.d_y) ** 2 / (16.0 * (sc.l + sc.b))
+    extra = (sc.k * cut.r_u - 2.0 * sc.b * cut.d_y) ** 2 / (16.0 * (sc.l + sc.b))
     return pair_area_series_shift(cut) - extra
 
 
 def minimize_pair_shift_tilt(
-    cut: PairCut,
-    mode: str = "exact",
-    *,
-    pairing: str = "upper",
-    full_footprint_series: bool = False,
+    cut: PairCut, mode: str = "exact"
 ) -> tuple[float, float, float]:
     """Minimize the two-cap area over stripe shift and tilt.
 
     Returns (s_min, delta_min, area).  ``mode='series'`` evaluates the
     closed forms; ``mode='exact'`` runs a simplex search on the exact
-    objective seeded at the series minimizer.  With
-    ``full_footprint_series`` the series objective keeps the footprint
-    substitution in every term and is minimized numerically instead
-    (sensitivity analysis only).
+    objective seeded at the series minimizer.
     """
-    s0, delta0 = series_tilt_minimizer(cut, pairing=pairing)
-    sign_ru = +1.0 if pairing == "upper" else -1.0
+    s0, delta0 = series_tilt_minimizer(cut)
     if mode == "series":
-        if not full_footprint_series:
-            return s0, delta0, pair_area_series_shift_tilt(cut, pairing=pairing)
-
-        def obj(x):
-            s, delta = x
-            dbar = effective_depth_sum(cut, delta, exact=False)
-            half = 0.5 * dbar
-            return 0.5 * (
-                segment_area_series_tilted(half + s, cut.r_lu, +delta)
-                + segment_area_series_tilted(half - s, cut.r_ru, sign_ru * delta)
-                + segment_area_series_tilted(half + s, cut.r_ll, -delta)
-                + segment_area_series_tilted(half - s, cut.r_rl, -sign_ru * delta)
-            )
-
-    elif mode == "exact":
-        def obj(x):
-            return pair_objective_shift_tilt(cut, x[0], x[1], pairing=pairing)
-    else:
+        return s0, delta0, pair_area_series_shift_tilt(cut)
+    if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-
     res = minimize(
-        obj,
+        lambda x: pair_objective_shift_tilt(cut, x[0], x[1]),
         x0=[s0, delta0],
         method="Nelder-Mead",
         options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 4000},
@@ -366,10 +326,3 @@ def difference_grid(
                 }
             )
     return rows
-
-
-def write_difference_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["d", "r", "delta", "exact", "series", "diff"])
-        writer.writeheader()
-        writer.writerows(rows)

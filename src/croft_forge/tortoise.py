@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, build_body, croft_constants, transform
+from .body import ArcBody, body_area, build_body
 from .clip import halfplane_clip_area, halfplane_clip_derivatives
 from .lattice import (
     LatticeConfig,
@@ -37,7 +37,7 @@ from .lattice import (
     cut_parameters,
     default_config,
     left_color_of_class,
-    rotation_of_color,
+    place_copy,
 )
 from .segments import (
     PairCut,
@@ -114,17 +114,15 @@ def _edge_pair_bodies(
     """The two body copies across the representative class-k edge.
 
     The edge runs along +x from the left copy at the origin to the right
-    copy at distance one lattice constant; each copy carries the
-    eps-scaled shift in its own frame, then its color's rotation, as in
-    ``lattice.place_body``.
+    copy at distance one lattice constant; both are placed by
+    ``lattice.place_copy``, so they are the lattice copies across any
+    class-k edge, moved so that the edge starts at the origin along +x.
     """
     c_l = left_color_of_class(k)
-    c_r = (c_l + 1) % 3
-    anchor = (eps * config.shift[0], eps * config.shift[1])
-    out = []
-    for c, pos in ((c_l, (0.0, 0.0)), (c_r, (config.lattice_constant, 0.0))):
-        out.append(transform(build_body(q, eps, anchor=anchor), rotation_of_color(c), pos))
-    return out[0], out[1]
+    return (
+        place_copy(q, eps, c_l, (0.0, 0.0), config),
+        place_copy(q, eps, (c_l + 1) % 3, (config.lattice_constant, 0.0), config),
+    )
 
 
 def _pair_clips(left: ArcBody, right: ArcBody, s: float, delta: float):
@@ -226,30 +224,27 @@ def tortoise_area(
     *,
     q: StepFunction | None = None,
     config: LatticeConfig | None = None,
-    include_shift: bool = True,
 ) -> DensityRecord:
     """Area and density of the cut body at family parameter ``eps``.
 
     The body area minus the three minimized stripe-pair areas; the cell
-    is a rhombus of side one lattice constant.  ``include_shift=False``
-    zeroes the pre-rotation shift of every copy.
+    is a rhombus of side one lattice constant.  ``config`` carries the
+    lattice constant and the pre-rotation shift of every copy (default:
+    ``default_config()``).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if q is None:
         q = reference_step_function()
     if config is None:
-        config = default_config(include_shift)
-    elif not include_shift:
-        config = LatticeConfig(config.lattice_constant, (0.0, 0.0))
+        config = default_config()
 
     body = build_body(q, eps)
     a_body = body_area(body)
-    shift = config.shift if config.shift != (0.0, 0.0) else None
 
     per_edge = []
     for k in range(3):
-        cut = cut_parameters(q, eps, k, shift, body=body)
+        cut = cut_parameters(q, eps, k, config.shift, body=body)
         if mode == "series1":
             s, area = minimize_pair_shift(cut, mode="series")
             per_edge.append(EdgeCut(k=k, s=s, delta=0.0, area=area))
@@ -288,24 +283,21 @@ def scan(
 # Closed-form second-order coefficients (series modes)
 
 
-def _unit_cuts(
-    q: StepFunction, include_shift: bool, config: LatticeConfig | None = None
-) -> list[PairCut]:
+def _unit_cuts(q: StepFunction, config: LatticeConfig | None = None) -> list[PairCut]:
     """Per-class cut geometry at unit eps (all entries are linear in eps)."""
     if config is None:
-        config = default_config(include_shift)
-    shift = config.shift if include_shift else None
+        config = default_config()
     h = 0.125
     body = build_body(q, h)
     return [
-        cut_parameters(q, h, k, shift, body=body).scaled(1.0 / h) for k in range(3)
+        cut_parameters(q, h, k, config.shift, body=body).scaled(1.0 / h)
+        for k in range(3)
     ]
 
 
 def series_cut_coefficients(
     q: StepFunction | None = None,
     mode: str = "series2",
-    include_shift: bool = True,
     config: LatticeConfig | None = None,
 ) -> tuple[float, float]:
     """(linear, quadratic) eps-coefficients of the minimized cut-area sum.
@@ -321,7 +313,7 @@ def series_cut_coefficients(
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
     pair_area = pair_area_series_shift if mode == "series1" else pair_area_series_shift_tilt
     a0 = series_coefficients().a0
-    cuts = _unit_cuts(q, include_shift, config)
+    cuts = _unit_cuts(q, config)
     areas = [(pair_area(c), pair_area(c.scaled(-1.0))) for c in cuts]
     linear = sum(0.5 * (plus - minus) for plus, minus in areas)
     quad = sum(0.5 * (plus + minus) - 2.0 * a0 for plus, minus in areas)
@@ -341,14 +333,13 @@ def body_area_coefficient(q: StepFunction | None = None) -> float:
 def series_net_coefficient(
     q: StepFunction | None = None,
     mode: str = "series2",
-    include_shift: bool = True,
     config: LatticeConfig | None = None,
 ) -> float:
     """Second-order coefficient of the cut-body area, series closed form.
 
     Positive means the family improves on the disc-based construction.
     """
-    _, quad = series_cut_coefficients(q, mode, include_shift, config)
+    _, quad = series_cut_coefficients(q, mode, config)
     return body_area_coefficient(q) - quad
 
 

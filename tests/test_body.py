@@ -115,6 +115,17 @@ def test_transform_preserves_area_and_moves_boundary():
     assert boundary_point(t, 0.3 + 0.7) == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("rotation", [2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+def test_boundary_lookup_on_rotated_body(rotation):
+    # angles past the last shifted break wrap around from breaks[0]
+    b = build_body(Q, 0.1)
+    t = transform(b, rotation)
+    phi = np.linspace(0.0, 2.0 * math.pi, 2001)
+    c, s = math.cos(rotation), math.sin(rotation)
+    expect = boundary_point(b, phi) @ np.array([[c, s], [-s, c]])
+    assert np.max(np.abs(boundary_point(t, phi + rotation) - expect)) <= 1e-12
+
+
 def test_body_to_dict():
     d = body_to_dict(build_body(Q, 0.1))
     assert len(d["arcs"]) == 24

@@ -328,6 +328,11 @@ def test_bad_inject_or_path_is_usage_error(capsys, argv):
         ("eigen", "--eps", "0.1"),
         ("constants", "--eps", "0.1"),
         ("constants", "--q-spec", "q.json"),
+        # verify reads none of --mode, --format, --out; constants and render no --format
+        ("verify", "--checks", "closure", "--mode", "series1"),
+        ("verify", "--checks", "closure", "--format", "json"),
+        ("constants", "--format", "json"),
+        ("render", "body", "--format", "json"),
     ],
 )
 def test_unused_option_is_usage_error(capsys, argv):
@@ -337,6 +342,17 @@ def test_unused_option_is_usage_error(capsys, argv):
     assert err.startswith("usage: croft-forge")
     assert f"unrecognized arguments: {argv[-2]}" in err
     assert out == ""
+
+
+def test_verify_out_is_usage_error_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = _exit_code(["verify", "--checks", "closure", "--out", "v.txt", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("usage: croft-forge")
+    assert "unrecognized arguments: --out v.txt --format json" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 _EPS_TEXT = st.one_of(
@@ -355,11 +371,10 @@ def _argv(draw):
     command = draw(st.sampled_from(["scan", "fit", "render body", "verify"]))
     argv = command.split()
     if command == "verify":
-        argv += ["--checks", "closure,antipodal"]
+        # verify takes no --mode or --eps; those usage errors have their own tests
+        return argv + ["--checks", "closure,antipodal"]
     if draw(st.booleans()):
         argv += ["--mode", draw(st.sampled_from(["series1", "series2"]))]
-    if command == "verify":
-        return argv  # verify takes no --eps; that usage error has its own test
     if draw(st.booleans()):
         argv.append(f"--eps-range={draw(_RANGE_TEXT)}")
     for eps in draw(st.lists(_EPS_TEXT, max_size=6)):

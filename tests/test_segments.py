@@ -198,13 +198,6 @@ def test_pair_series_shift_value():
     assert closed == pytest.approx(brute, abs=1e-10)
 
 
-def test_tilt_pairing_variants_differ():
-    cut = PairCut(0.002, -0.004, 0.006, -0.005, 0.003, -0.007)
-    _, d_up = series_tilt_minimizer(cut, pairing="upper")
-    _, d_cr = series_tilt_minimizer(cut, pairing="cross")
-    assert d_up != d_cr
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.floats(-0.01, 0.01, allow_nan=False),

@@ -8,9 +8,15 @@ import pytest
 from scipy.optimize import minimize
 
 from croft_forge import ansatz, reference, tortoise
-from croft_forge.body import build_body, croft_constants, transform
+from croft_forge.body import boundary_point, build_body, croft_constants, transform
 from croft_forge.clip import halfplane_clip_area
-from croft_forge.lattice import cut_parameters, default_config
+from croft_forge.lattice import (
+    LatticeConfig,
+    collect_patch_cuts,
+    cut_parameters,
+    default_config,
+    place_body,
+)
 from croft_forge.segments import series_tilt_minimizer
 from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import (
@@ -171,9 +177,32 @@ def test_unknown_mode_rejected():
 
 
 def test_shift_matters():
-    with_shift = series_net_coefficient(mode="series1", include_shift=True)
-    without = series_net_coefficient(mode="series1", include_shift=False)
+    with_shift = series_net_coefficient(mode="series1")
+    without = series_net_coefficient(
+        mode="series1", config=LatticeConfig(croft_constants().lattice_constant)
+    )
     assert with_shift > without + 0.1  # the shift recovers most of the loss
+
+
+def test_edge_pair_bodies_are_the_patch_copies():
+    """The exact-mode cuts and ``verify_avoidance`` see the same copies:
+    across every edge of a 3x3 patch, the two ``place_body`` copies moved
+    so that the edge starts at the origin along +x are ``_edge_pair_bodies``."""
+    eps = 0.07
+    config = default_config()
+    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
+    stripes = {k: (0.0, 0.0) for k in range(3)}
+    _, edges = collect_patch_cuts(sites, stripes, config, 2.0)
+    phi = np.linspace(0.0, 2.0 * math.pi, 721)
+    for a, b, k in edges:
+        pos_a = config.position(*a)
+        d = config.position(*b) - pos_a
+        beta = math.atan2(d[1], d[0])
+        expected = _edge_pair_bodies(Q, eps, k, config)
+        for site, body in zip((a, b), expected):
+            moved = transform(transform(place_body(Q, eps, *site, config), 0.0, -pos_a), -beta)
+            assert np.max(np.abs(boundary_point(moved, phi) - boundary_point(body, phi))) <= 1e-12
+    assert {k for _, _, k in edges} == {0, 1, 2}
 
 
 def test_write_scan_csv_of_no_records_writes_header(tmp_path):
