@@ -54,6 +54,7 @@ from .svgout import (
 from .tortoise import (
     ConvergenceError,
     DensityRecord,
+    NarrowCapError,
     body_area_coefficient,
     fit_eps2_coefficient,
     fit_net_coefficient,
@@ -82,6 +83,7 @@ __all__ = [
     "ConvergenceError",
     "DensityRecord",
     "LatticeConfig",
+    "NarrowCapError",
     "PairCut",
     "QuadraticForm",
     "StepFunction",

@@ -1,13 +1,13 @@
 """Quadratic form of the second-order density gain over profile space.
 
-A candidate profile is 12 free step values (the other 12 follow by
-half-turn antisymmetry) plus the 2 shift components, subject to the two
-linear closure constraints of the arc chain.  The eps^2 coefficient of
-the cut-body area is an exactly quadratic function of these variables in
-the series modes; this module assembles its matrix on the constraint
-subspace by polarization and diagonalizes it with a self-contained Jacobi
-sweep, so the best direction and the signature do not depend on a library
-eigensolver.
+A candidate profile on n intervals (24 on the reference profile) is n/2
+free step values (the other n/2 follow by half-turn antisymmetry) plus
+the 2 shift components, subject to the two linear closure constraints of
+the arc chain.  The eps^2 coefficient of the cut-body area is an exactly
+quadratic function of these variables in the series modes; this module
+assembles its matrix on the constraint subspace by polarization and
+diagonalizes it with a self-contained Jacobi sweep, so the best direction
+and the signature do not depend on a library eigensolver.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .lattice import LatticeConfig
 from .stepfn import StepFunction, make_step_function, reference_step_function
 from .tortoise import DEFAULT_FIT_EPS, fit_net_coefficient, series_net_coefficient
 
+# Sizes on the reference profile; the form takes its own from the template.
 N_FREE = 12
 N_VARS = 14  # 12 step values + 2 shift components
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -97,7 +98,7 @@ def c2_net(
 
     ``v`` is projected onto the closure subspace before evaluation, so
     the functional is defined (and exactly quadratic, in series modes)
-    on all of R^12 x R^2.
+    on all of R^(n/2) x R^2.
     """
     vp = closure_project(v, template)
     q = step_from_halfvalues(vp, template)
@@ -114,9 +115,9 @@ class QuadraticForm:
     """The density-gain form restricted to the constraint subspace.
 
     ``basis`` has orthonormal columns spanning the closure subspace plus
-    the shifts; ``matrix`` is the (12, 12) form on those columns, whose
+    the shifts; ``matrix`` is the (n/2, n/2) form on those columns, whose
     values are the c2 coefficients; ``hessian`` = 2 basis matrix basis^T
-    is the (14, 14) second-derivative matrix over (v, shifts).
+    is the (n/2 + 2, n/2 + 2) second-derivative matrix over (v, shifts).
     """
 
     matrix: np.ndarray
@@ -153,19 +154,20 @@ def assemble_quadratic_form(
     if template is None:
         template = reference_step_function()
     t = POLARIZATION_SCALE[mode]
+    n_free = template.n_intervals // 2
 
     def f(u):
-        return c2_net(t * u[:N_FREE], t * u[N_FREE:], mode, template=template) / (t * t)
+        return c2_net(t * u[:n_free], t * u[n_free:], mode, template=template) / (t * t)
 
-    null = closure_nullspace(template)  # (12, 10)
-    basis = np.zeros((N_VARS, N_VARS - 2))
-    basis[:N_FREE, : null.shape[1]] = null
-    basis[N_FREE, null.shape[1]] = 1.0
-    basis[N_FREE + 1, null.shape[1] + 1] = 1.0
+    null = closure_nullspace(template)  # (n_free, n_free - 2)
+    basis = np.zeros((n_free + 2, n_free))
+    basis[:n_free, : n_free - 2] = null
+    basis[n_free, n_free - 2] = 1.0
+    basis[n_free + 1, n_free - 1] = 1.0
     diag = [f(b) for b in basis.T]
     matrix = np.diag(diag)
-    for i in range(N_VARS - 2):
-        for j in range(i + 1, N_VARS - 2):
+    for i in range(n_free):
+        for j in range(i + 1, n_free):
             matrix[i, j] = matrix[j, i] = 0.5 * (
                 f(basis[:, i] + basis[:, j]) - diag[i] - diag[j]
             )
@@ -256,7 +258,7 @@ def eigen_signature(
     n_neg = int(np.sum(vals < -zero_tol))
     n_zero = len(vals) - n_pos - n_neg
     top = form.basis @ vecs[:, 0]
-    v, shift = top[:N_FREE], top[N_FREE:]
+    v, shift = top[:-2], top[-2:]  # the last two basis rows are the shifts
     pivot = v[np.argmax(np.abs(v))]
     if pivot != 0.0:
         v = v / pivot

@@ -46,10 +46,10 @@ class ArcBody:
 
     def interval_of(self, phi) -> np.ndarray:
         # reduce into [breaks[0], breaks[0] + 2*pi) so rotated bodies
-        # (whose breaks do not start at 0) still look up correctly
+        # (whose breaks do not start at 0) still look up correctly; only
+        # rounding can put phi on breaks[-1]
         phi = self.breaks[0] + (np.asarray(phi, dtype=float) - self.breaks[0]) % TWO_PI
-        idx = np.searchsorted(self.breaks, phi, side="right") - 1
-        return np.clip(idx, 0, self.n_arcs - 1)
+        return np.minimum(np.searchsorted(self.breaks, phi, side="right") - 1, self.n_arcs - 1)
 
 
 def center_offsets(q: StepFunction) -> np.ndarray:
@@ -81,10 +81,11 @@ def chain_closure_residual(q: StepFunction) -> float:
     return math.hypot(end_x - offs[0, 0], end_y - offs[0, 1])
 
 
-def build_body(
-    q: StepFunction, eps: float, anchor=(0.0, 0.0), *, closure_tol: float = CLOSURE_TOL
-) -> ArcBody:
+def build_body(q: StepFunction, eps: float, *, closure_tol: float = CLOSURE_TOL) -> ArcBody:
     """Assemble the constant-diameter-2 body for profile ``q`` at ``eps``.
+
+    The boundary point at phi = 0 is (1, 0) (``center_offsets``); the
+    lattice copies are rigid motions of this one body (``lattice.place_copy``).
 
     Raises :class:`BodyError` when eps is not finite, when the chained
     centers do not close (the profile violates the two linear closure
@@ -94,7 +95,6 @@ def build_body(
     """
     if not math.isfinite(eps):
         raise BodyError(f"eps must be finite, got {eps}")
-    anchor = np.asarray(anchor, dtype=float)
     radii = 1.0 - eps * q.values
     if radii.min() < -RADIUS_TOL:
         raise BodyError(
@@ -107,7 +107,7 @@ def build_body(
             f"arc chain does not close (residual {residual:.3g}): the "
             "profile violates the closure constraints"
         )
-    centers = anchor + eps * center_offsets(q)
+    centers = eps * center_offsets(q)
     return ArcBody(
         centers=centers,
         radii=np.maximum(radii, 0.0),
@@ -119,13 +119,10 @@ def build_body(
 
 def boundary_point(b: ArcBody, phi) -> np.ndarray:
     """Boundary point(s) at angle(s) ``phi``: M_i + rho_i * (cos, sin)."""
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    idx = b.interval_of(phi_arr)
-    u = np.stack([np.cos(phi_arr), np.sin(phi_arr)], axis=-1)
-    pts = b.centers[idx] + b.radii[idx, None] * u
-    if np.isscalar(phi) or np.ndim(phi) == 0:
-        return pts[0]
-    return pts
+    phi = np.asarray(phi, dtype=float)
+    idx = b.interval_of(phi)
+    u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    return b.centers[idx] + b.radii[idx][..., None] * u
 
 
 def body_area(b: ArcBody) -> float:

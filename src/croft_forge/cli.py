@@ -219,10 +219,16 @@ def cmd_fit(args) -> int:
         "reference_body_area_c2": -reference.AREA_COEFF,
     }
     for mode in ("series1", "series2"):
-        lin, quad = tortoise.series_cut_coefficients(q, mode)
+        try:
+            lin, quad = tortoise.series_cut_coefficients(q, mode)
+        except tortoise.NarrowCapError as exc:
+            lin = quad = net = "refused"
+            out["series_refused"] = str(exc)
+        else:
+            net = tortoise.series_net_coefficient(q, mode)
         out[f"{mode}_cut_linear"] = lin
         out[f"{mode}_cut_c2"] = quad
-        out[f"{mode}_net_c2"] = tortoise.series_net_coefficient(q, mode)
+        out[f"{mode}_net_c2"] = net
     out["reference_cut_c2_shift_tilt"] = reference.PRINTED_CUT_COEFF_SHIFT_TILT
     out["reference_net_c2_shift_tilt"] = reference.PRINTED_NET_COEFF_SHIFT_TILT
     out["reference_net_c2_shift_only"] = reference.PRINTED_NET_COEFF_SHIFT_ONLY
@@ -498,6 +504,7 @@ def main(argv=None) -> int:
         BodyError,
         segments.CapGeometryError,
         tortoise.ConvergenceError,
+        tortoise.NarrowCapError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

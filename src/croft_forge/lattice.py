@@ -1,11 +1,11 @@
 """Three-colored hexagonal lattice of rotated (and shifted) body copies.
 
 Copies of one body sit on a triangular lattice; each site gets one of
-three colors and the copy is shifted by eps * shift in its own frame,
-then rotated by color * 2*pi/3 (so the unrotated color is shifted
-too).  Every nearest-neighbor edge then joins colors c and c+1 and
-falls into one of three classes by direction; the geometry of the
-stripe cut across an edge depends only on its class.
+three colors, and its copy is the body rotated by color * 2*pi/3 and
+moved to the site plus the rotated eps * shift (``place_copy``).  Every
+nearest-neighbor edge then joins colors c and c+1 and falls into one of
+three classes by direction; the geometry of the stripe cut across an
+edge depends only on its class.
 
 Patch verification is exact.  Each copy is trimmed by its stripe
 half-planes to a boundary of arc pieces and chords (``trim_body``), and
@@ -106,28 +106,38 @@ def left_color_of_class(k: int) -> int:
     return (3 - k) % 3
 
 
-def place_copy(
-    q: StepFunction, eps: float, color: int, position, config: LatticeConfig
-) -> ArcBody:
-    """Body copy of ``color`` at ``position``: shift by eps*shift, rotate
-    by the color angle, translate to the position.
+def place_copy(body: ArcBody, color: int, position, config: LatticeConfig) -> ArcBody:
+    """Copy of ``body`` for ``color`` at ``position``: the body rotated by
+    the color angle and translated by position + R(color) * eps * shift.
 
-    This is the one placement rule; ``place_body`` and the exact-mode
-    stripe cuts both use it.  The shift is applied to every copy in its
-    own pre-rotation frame; only this convention makes the cut geometry
-    depend on the edge class alone and not on which colors the edge
-    happens to join.
+    This is the one placement rule and the only reader of ``config.shift``.
+    The shift acts on every copy in its own pre-rotation frame; only this
+    convention makes the cut geometry depend on the edge class alone and
+    not on which colors the edge happens to join.
     """
-    anchor = (eps * config.shift[0], eps * config.shift[1])
-    body = build_body(q, eps, anchor=anchor)
-    return transform(body, rotation_of_color(color), position)
+    angle = rotation_of_color(color)
+    eps = body.epsilon
+    sx, sy = _rot(angle, (eps * config.shift[0], eps * config.shift[1]))
+    return transform(body, angle, (position[0] + sx, position[1] + sy))
 
 
-def place_body(
-    q: StepFunction, eps: float, i: int, j: int, config: LatticeConfig
-) -> ArcBody:
-    """Body copy at lattice site (i, j), placed by ``place_copy``."""
-    return place_copy(q, eps, color_index(i, j), config.position(i, j), config)
+def place_body(body: ArcBody, i: int, j: int, config: LatticeConfig) -> ArcBody:
+    """Copy of ``body`` at lattice site (i, j), placed by ``place_copy``."""
+    return place_copy(body, color_index(i, j), config.position(i, j), config)
+
+
+def edge_copies(body: ArcBody, k: int, config: LatticeConfig) -> tuple[ArcBody, ArcBody]:
+    """The two copies of ``body`` across the representative class-k edge.
+
+    The edge runs along +x from the left copy at the origin to the right
+    copy one lattice constant away; they are the lattice copies across any
+    class-k edge, moved so that the edge starts at the origin along +x.
+    """
+    c_l = left_color_of_class(k)
+    return (
+        place_copy(body, c_l, (0.0, 0.0), config),
+        place_copy(body, (c_l + 1) % 3, (config.lattice_constant, 0.0), config),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,42 +162,27 @@ def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
     return (c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
-def cut_parameters(
-    q: StepFunction,
-    eps: float,
-    k: int,
-    shift: tuple[float, float] | None = None,
-    *,
-    body: ArcBody | None = None,
-) -> PairCut:
-    """Stripe-cut geometry of edge class ``k`` for the body at ``eps``.
+def cut_parameters(q: StepFunction, body: ArcBody, k: int, config: LatticeConfig) -> PairCut:
+    """Stripe-cut geometry of edge class ``k`` for ``body``, the body of ``q``.
 
-    The left cap sits at boundary angle 2k*psi of the left copy and the
-    right cap at (2k+1)*psi of the right copy; displacements are summed
-    in the shared cap frame.  ``shift`` (per unit eps) is applied to
-    every copy in its pre-rotation frame, which makes its cap-frame
-    contribution R(-phi_cap) * shift regardless of the copy's color.  A
-    prebuilt unit-anchor ``body`` may be passed to avoid rebuilding it
-    per class.
+    The displacements are read off the two copies across the edge, as in
+    ``edge_copies`` but each placed at the origin: the left cap at angle 0
+    of the left copy and the right cap at angle pi of the right copy,
+    summed in the edge frame.  The radius perturbations are the one-sided
+    profile values at the cap angles 2k*psi and (2k+1)*psi of the
+    unrotated body.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"edge class must be 0, 1 or 2, got {k}")
-    if body is None:
-        body = build_body(q, eps)
+    c_l = left_color_of_class(k)
+    xl, yl = rotated_frame(place_copy(body, c_l, (0.0, 0.0), config), 0.0)
+    xr, yr = rotated_frame(place_copy(body, (c_l + 1) % 3, (0.0, 0.0), config), math.pi)
+    eps = body.epsilon
     phi_l = 2.0 * k * PSI
     phi_r = (2.0 * k + 1.0) * PSI
-    xl, yl = rotated_frame(body, phi_l)
-    xr, yr = rotated_frame(body, phi_r)
-    d_x = xl + xr
-    d_y = yl + yr
-    if shift is not None and (shift[0] or shift[1]):
-        for phi_cap in (phi_l, phi_r):
-            sx, sy = _rot(-phi_cap, shift)
-            d_x += eps * sx
-            d_y += eps * sy
     return PairCut(
-        d_x=d_x,
-        d_y=d_y,
+        d_x=xl + xr,
+        d_y=yl + yr,
         r_lu=-eps * q(phi_l, side="right"),
         r_ll=-eps * q(phi_l, side="left"),
         r_ru=-eps * q(phi_r, side="right"),
@@ -613,7 +608,8 @@ def verify_avoidance(
         for i in range(-extent, extent + 1)
         for j in range(-extent, extent + 1)
     ]
-    bodies = {s: place_body(q, eps, *s, config) for s in sites}
+    body = build_body(q, eps)
+    bodies = {s: place_body(body, *s, config) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, config, stripe_width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in sites}
     nonempty = {s for s in sites if len(trimmed[s].vertices)}

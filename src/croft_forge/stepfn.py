@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,7 +40,6 @@ class StepFunction:
     breaks: np.ndarray
     values: np.ndarray
     break_fractions: tuple[Fraction, ...]
-    narrow_cut_intervals: bool = field(default=False, compare=False)
 
     @property
     def n_intervals(self) -> int:
@@ -76,7 +75,6 @@ class StepFunction:
             breaks=self.breaks,
             values=self.values * factor,
             break_fractions=self.break_fractions,
-            narrow_cut_intervals=self.narrow_cut_intervals,
         )
 
 
@@ -92,9 +90,7 @@ def _to_fraction(b) -> Fraction:
     raise StepFunctionError(f"cannot interpret break {b!r}")
 
 
-def make_step_function(
-    breaks: Sequence, values: Iterable[float], *, cut_half_angle: float | None = None
-) -> StepFunction:
+def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunction:
     """Validate and build a :class:`StepFunction`.
 
     ``breaks`` are rational multiples of pi, given as Fractions,
@@ -103,11 +99,6 @@ def make_step_function(
     be 0 and the last 2*pi.  Validation enforces strict monotonicity, the
     value/interval count, the pairing of every break with its antipode,
     and the antisymmetry of the values.
-
-    ``cut_half_angle``, when given, marks the function if any interval
-    adjacent to a multiple of pi/3 is narrower than that angle (the cut
-    next to such a break would then leak into the following interval);
-    this is recorded as a flag, not an error.
     """
     fracs = tuple(_to_fraction(b) for b in breaks)
     vals = np.asarray(list(values), dtype=float)
@@ -136,21 +127,10 @@ def make_step_function(
                 f"value[{j}]={vals[j]!r} on the antipodal interval"
             )
 
-    narrow = False
-    if cut_half_angle is not None:
-        sixths = {Fraction(m, 3) for m in range(6)}
-        for i, f in enumerate(inner):
-            lo, hi = fracs[i], fracs[i + 1]
-            width = float(hi - lo) * math.pi
-            if (lo in sixths or hi % 2 in sixths) and width < cut_half_angle:
-                narrow = True
-
     brk = np.array([float(f) * math.pi for f in fracs])
     brk[0] = 0.0
     brk[-1] = TWO_PI
-    return StepFunction(
-        breaks=brk, values=vals, break_fractions=fracs, narrow_cut_intervals=narrow
-    )
+    return StepFunction(breaks=brk, values=vals, break_fractions=fracs)
 
 
 def eval_step(f: StepFunction, phi: float, side: str = "right") -> float:
@@ -167,13 +147,13 @@ def zero_step_function() -> StepFunction:
 # JSON q-spec files: {"breaks": [{"num": int, "den": int}, ...], "values": [...]}
 
 
-def qspec_from_dict(spec: dict, **kwargs) -> StepFunction:
-    return make_step_function(spec["breaks"], spec["values"], **kwargs)
+def qspec_from_dict(spec: dict) -> StepFunction:
+    return make_step_function(spec["breaks"], spec["values"])
 
 
-def load_qspec(path: str | Path, **kwargs) -> StepFunction:
+def load_qspec(path: str | Path) -> StepFunction:
     with open(path) as fh:
-        return qspec_from_dict(json.load(fh), **kwargs)
+        return qspec_from_dict(json.load(fh))
 
 
 def dump_qspec(f: StepFunction, path: str | Path) -> None:
@@ -187,10 +167,8 @@ def dump_qspec(f: StepFunction, path: str | Path) -> None:
         json.dump(spec, fh, indent=2)
 
 
-def reference_step_function(cut_half_angle: float | None = None) -> StepFunction:
+def reference_step_function() -> StepFunction:
     """The bundled 24-interval reference profile."""
     from . import reference
 
-    return qspec_from_dict(
-        reference.reference_qspec_dict(), cut_half_angle=cut_half_angle
-    )
+    return qspec_from_dict(reference.reference_qspec_dict())

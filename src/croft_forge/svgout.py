@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody
+from .body import ArcBody, build_body
 from .lattice import (
     COLORS,
     LatticeConfig,
@@ -102,7 +102,7 @@ def render_tortoise_svg(
         config = default_config()
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     cuts, _ = collect_patch_cuts(sites, stripes, config, 2.0)
-    body = place_body(q, eps, 0, 0, config)
+    body = place_body(build_body(q, eps), 0, 0, config)
     elements = [
         f'<path d="{body_path_d(body)}" fill="{FILL_BY_COLOR["red"]}" '
         f'stroke="{STROKE}" stroke-width="0.01"/>'
@@ -129,12 +129,12 @@ def render_lattice_svg(
         for j in range(-extent, extent + 1)
     ]
     cuts, _ = collect_patch_cuts(sites, stripes, config, 2.0)
+    body = build_body(q, eps)
     elements = []
     for s in sites:
-        body = place_body(q, eps, *s, config)
         fill = FILL_BY_COLOR[COLORS[color_index(*s)]]
         elements.append(
-            f'<path d="{body_path_d(body)}" fill="{fill}" '
+            f'<path d="{body_path_d(place_body(body, *s, config))}" fill="{fill}" '
             f'stroke="{STROKE}" stroke-width="0.01"/>'
         )
         for n, c, keep in cuts[s]:

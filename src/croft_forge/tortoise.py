@@ -28,16 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, build_body
+from .body import ArcBody, body_area, build_body, croft_constants
 from .clip import halfplane_clip_area, halfplane_clip_derivatives
 from .lattice import (
+    PSI,
     LatticeConfig,
     _stripe_line_derivatives,
     _stripe_lines,
     cut_parameters,
     default_config,
-    left_color_of_class,
-    place_copy,
+    edge_copies,
 )
 from .segments import (
     PairCut,
@@ -49,7 +49,7 @@ from .segments import (
     series_shift_minimizer,
     series_tilt_minimizer,
 )
-from .stepfn import StepFunction, reference_step_function
+from .stepfn import BREAK_SNAP_TOL, StepFunction, reference_step_function
 
 MODES = ("series1", "series2", "exact1", "exact2")
 
@@ -68,6 +68,31 @@ AREA_ROUNDING = 1e-14
 
 class ConvergenceError(RuntimeError):
     """An exact-mode stripe minimization did not converge."""
+
+
+class NarrowCapError(ValueError):
+    """A series mode was asked for a profile whose caps cover two arcs."""
+
+
+def require_single_arc_caps(q: StepFunction) -> None:
+    """Raise ``NarrowCapError`` if a break lies strictly within phi_c of a
+    cut angle k*pi/3.
+
+    The series closed forms model a cap by one arc on each side of its cut
+    angle; a cap spans the cut angle +- phi_c, so such a break puts a
+    further arc under it and the series areas go wrong at second order.
+    """
+    phi_c = croft_constants().phi_c
+    off = np.mod(q.breaks, PSI)
+    dist = np.minimum(off, PSI - off)
+    narrow = np.flatnonzero((dist > BREAK_SNAP_TOL) & (dist < phi_c))
+    if len(narrow):
+        i = narrow[0]
+        raise NarrowCapError(
+            f"break {q.break_fractions[i]}*pi lies {dist[i]:.4f} from a cut angle "
+            f"k*pi/3, inside the cap half-angle phi_c = {phi_c:.4f}; the series "
+            "modes model a cap on one arc per side, use exact1 or exact2"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,23 +131,6 @@ class DensityRecord:
 
 # ---------------------------------------------------------------------------
 # Exact pair objective: clip the two placed bodies against the stripe lines
-
-
-def _edge_pair_bodies(
-    q: StepFunction, eps: float, k: int, config: LatticeConfig
-) -> tuple[ArcBody, ArcBody]:
-    """The two body copies across the representative class-k edge.
-
-    The edge runs along +x from the left copy at the origin to the right
-    copy at distance one lattice constant; both are placed by
-    ``lattice.place_copy``, so they are the lattice copies across any
-    class-k edge, moved so that the edge starts at the origin along +x.
-    """
-    c_l = left_color_of_class(k)
-    return (
-        place_copy(q, eps, c_l, (0.0, 0.0), config),
-        place_copy(q, eps, (c_l + 1) % 3, (config.lattice_constant, 0.0), config),
-    )
 
 
 def _pair_clips(left: ArcBody, right: ArcBody, s: float, delta: float):
@@ -164,12 +172,7 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 def _minimize_pair_clip(
-    q: StepFunction,
-    eps: float,
-    k: int,
-    config: LatticeConfig,
-    cut: PairCut,
-    with_tilt: bool,
+    body: ArcBody, k: int, config: LatticeConfig, cut: PairCut, with_tilt: bool
 ) -> EdgeCut:
     """Safeguarded Newton on the exact pair area, from the series minimizer.
 
@@ -179,7 +182,8 @@ def _minimize_pair_clip(
     every component and reports the iterations and the gradient norm at
     the returned point.
     """
-    left, right = _edge_pair_bodies(q, eps, k, config)
+    left, right = edge_copies(body, k, config)
+    eps = body.epsilon
     if with_tilt:
         x = np.array(series_tilt_minimizer(cut))
     else:
@@ -230,7 +234,8 @@ def tortoise_area(
     The body area minus the three minimized stripe-pair areas; the cell
     is a rhombus of side one lattice constant.  ``config`` carries the
     lattice constant and the pre-rotation shift of every copy (default:
-    ``default_config()``).
+    ``default_config()``).  The body is built once and every copy is its
+    rigid motion; the series modes first ``require_single_arc_caps``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -239,12 +244,14 @@ def tortoise_area(
     if config is None:
         config = default_config()
 
+    if mode in ("series1", "series2"):
+        require_single_arc_caps(q)
     body = build_body(q, eps)
     a_body = body_area(body)
 
     per_edge = []
     for k in range(3):
-        cut = cut_parameters(q, eps, k, config.shift, body=body)
+        cut = cut_parameters(q, body, k, config)
         if mode == "series1":
             s, area = minimize_pair_shift(cut, mode="series")
             per_edge.append(EdgeCut(k=k, s=s, delta=0.0, area=area))
@@ -253,7 +260,7 @@ def tortoise_area(
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
         else:
             per_edge.append(
-                _minimize_pair_clip(q, eps, k, config, cut, with_tilt=(mode == "exact2"))
+                _minimize_pair_clip(body, k, config, cut, with_tilt=(mode == "exact2"))
             )
 
     a_cut = sum(e.area for e in per_edge)
@@ -289,10 +296,7 @@ def _unit_cuts(q: StepFunction, config: LatticeConfig | None = None) -> list[Pai
         config = default_config()
     h = 0.125
     body = build_body(q, h)
-    return [
-        cut_parameters(q, h, k, config.shift, body=body).scaled(1.0 / h)
-        for k in range(3)
-    ]
+    return [cut_parameters(q, body, k, config).scaled(1.0 / h) for k in range(3)]
 
 
 def series_cut_coefficients(
@@ -311,6 +315,7 @@ def series_cut_coefficients(
         q = reference_step_function()
     if mode not in ("series1", "series2"):
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
+    require_single_arc_caps(q)
     pair_area = pair_area_series_shift if mode == "series1" else pair_area_series_shift_tilt
     a0 = series_coefficients().a0
     cuts = _unit_cuts(q, config)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from croft_forge.ansatz import (
     step_from_halfvalues,
 )
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
-from croft_forge.stepfn import reference_step_function
+from croft_forge.stepfn import make_step_function, reference_step_function
 from croft_forge.tortoise import series_net_coefficient
 
 FD_STEP = 1e-3  # step of the test-only central-difference reference
@@ -130,6 +132,26 @@ def test_form_reproduces_functional_to_rounding(form):
         assert abs(form.value(v, shifts) - c2_net(v, shifts, "series2")) <= 1e-12 * scale
     ref = form.value(REF_V, (SHIFT_X, SHIFT_Y))
     assert ref == pytest.approx(series_net_coefficient(mode="series2"), abs=1e-12)
+
+
+def test_form_sizes_come_from_the_template():
+    """A 12-interval form is (6, 6); its values are c2_net to rounding."""
+    template = make_step_function([Fraction(i, 6) for i in range(13)], np.zeros(12))
+    form = assemble_quadratic_form("series2", template=template)
+    assert form.matrix.shape == (6, 6)
+    assert form.basis.shape == form.hessian.shape[:1] + (6,) == (8, 6)
+    report = eigen_signature(form)
+    assert report.signature == (0, 0, 6)
+    assert report.top_value == pytest.approx(-1.023e-2, rel=1e-3)
+    assert report.top_v.shape == (6,) and report.top_shift.shape == (2,)
+    rng = np.random.default_rng(3)
+    norm = np.linalg.norm(form.hessian / 2.0, 2)
+    for _ in range(20):
+        v = closure_project(rng.normal(scale=0.2, size=6), template)
+        shifts = rng.normal(scale=0.2, size=2)
+        direct = c2_net(v, shifts, "series2", template=template)
+        scale = norm * (v @ v + shifts @ shifts)
+        assert abs(form.value(v, shifts) - direct) <= 1e-12 * scale
 
 
 def fd_form_matrix(form):

@@ -164,6 +164,32 @@ def test_custom_profile_round_trip(capsys, tmp_path):
     assert json.loads(out) == json.loads(ref_out)
 
 
+def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
+    """On a uniform 36-interval profile a break lies pi/18 from each cut
+    angle, inside the cap: series scan and fit exit 2 with the reason and
+    print no rows; an exact2 fit still runs and marks its series fields."""
+    from fractions import Fraction
+
+    from croft_forge.stepfn import dump_qspec, make_step_function
+
+    template = make_step_function([Fraction(i, 18) for i in range(37)], np.zeros(36))
+    v = ansatz.closure_project(np.random.default_rng(1).standard_normal(18), template)
+    path = tmp_path / "q36.json"
+    dump_qspec(ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template), path)
+    for argv in (["scan", "--eps", "0.05"], ["fit"]):
+        code, out, err = run(capsys, *argv, "--mode", "series2", "--q-spec", str(path))
+        assert (code, out) == (2, "")
+        assert "inside the cap half-angle" in err
+    code, out, _ = run(
+        capsys, "fit", "--mode", "exact2", "--q-spec", str(path), "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert isinstance(data["c2"], float)
+    assert data["series2_net_c2"] == data["series1_cut_c2"] == "refused"
+    assert "inside the cap half-angle" in data["series_refused"]
+
+
 def test_missing_profile_is_usage_error(capsys):
     code, _, err = run(capsys, "scan", "--eps", "0.0", "--q-spec", "/no/such/file.json")
     assert code == 2

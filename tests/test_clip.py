@@ -12,12 +12,11 @@ from croft_forge.clip import (
     halfplane_clip_area,
     halfplane_clip_derivatives,
 )
-from croft_forge.lattice import _stripe_lines, cut_parameters, default_config
+from croft_forge.lattice import _stripe_lines, cut_parameters, default_config, edge_copies
 from croft_forge.segments import series_tilt_minimizer
 from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import (
     ConvergenceError,
-    _edge_pair_bodies,
     _pair_clip_derivatives,
     pair_clip_area,
 )
@@ -63,8 +62,9 @@ def fd_hessian(f, x, h):
 
 def stripe_clips(eps, k):
     """The two (body, c, theta) clips of class k's stripe at its series seed."""
-    left, right = _edge_pair_bodies(Q, eps, k, CONFIG)
-    cut = cut_parameters(Q, eps, k, CONFIG.shift)
+    body = build_body(Q, eps)
+    left, right = edge_copies(body, k, CONFIG)
+    cut = cut_parameters(Q, body, k, CONFIG)
     s, delta = series_tilt_minimizer(cut)
     n, c_left, c_right = _stripe_lines((0.0, 0.0), 0.0, s, delta, 2.0)
     theta = math.atan2(n[1], n[0])
@@ -148,8 +148,9 @@ def test_clip_derivatives_need_two_crossings():
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_pair_derivatives_match_finite_differences(eps, k):
     """The stripe-line chain rule against differences of pair_clip_area."""
-    left, right = _edge_pair_bodies(Q, eps, k, CONFIG)
-    s, delta = series_tilt_minimizer(cut_parameters(Q, eps, k, CONFIG.shift))
+    body = build_body(Q, eps)
+    left, right = edge_copies(body, k, CONFIG)
+    s, delta = series_tilt_minimizer(cut_parameters(Q, body, k, CONFIG))
     s, delta = s + 3e-3, delta - 5e-3  # off the minimum, where the gradient is not 0
     grad, hess = _pair_clip_derivatives(left, right, s, delta)
 
@@ -162,6 +163,6 @@ def test_pair_derivatives_match_finite_differences(eps, k):
 
 
 def test_pair_derivatives_raise_when_a_line_misses():
-    left, right = _edge_pair_bodies(Q, 0.05, 0, CONFIG)
+    left, right = edge_copies(build_body(Q, 0.05), 0, CONFIG)
     with pytest.raises(ConvergenceError, match="not 2"):
         _pair_clip_derivatives(left, right, 5.0, 0.0)

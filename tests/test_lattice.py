@@ -10,6 +10,7 @@ from croft_forge.body import build_body, boundary_point, transform
 from croft_forge.clip import boundary_line_crossings
 from croft_forge.lattice import (
     NEIGHBOR_STEPS,
+    LatticeConfig,
     PSI,
     closest_pair,
     collect_patch_cuts,
@@ -82,8 +83,8 @@ def test_rotated_frame_antisymmetry():
 
 
 def test_cut_parameters_linear_in_eps():
-    c1 = cut_parameters(Q, 0.04, 1, CONFIG.shift)
-    c2 = cut_parameters(Q, 0.08, 1, CONFIG.shift)
+    c1 = cut_parameters(Q, build_body(Q, 0.04), 1, CONFIG)
+    c2 = cut_parameters(Q, build_body(Q, 0.08), 1, CONFIG)
     for field in ("d_x", "d_y", "r_lu", "r_ll", "r_ru", "r_rl"):
         assert getattr(c2, field) == pytest.approx(2 * getattr(c1, field), abs=1e-13)
 
@@ -98,8 +99,9 @@ def test_cut_parameters_match_placed_geometry():
     """
     eps = 0.03
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
-    bodies = {s: place_body(Q, eps, *s, CONFIG) for s in sites}
-    per_class = {k: cut_parameters(Q, eps, k, CONFIG.shift) for k in range(3)}
+    body = build_body(Q, eps)
+    bodies = {s: place_body(body, *s, CONFIG) for s in sites}
+    per_class = {k: cut_parameters(Q, body, k, CONFIG) for k in range(3)}
     checked = set()
     for (i, j) in sites:
         for di, dj in NEIGHBOR_STEPS:
@@ -126,8 +128,9 @@ def test_cut_parameters_match_placed_geometry():
 
 
 def test_shift_contribution_is_rotation_of_shift():
-    base = cut_parameters(Q, 0.5, 2, None)
-    shifted = cut_parameters(Q, 0.5, 2, (0.3, -0.2))
+    body = build_body(Q, 0.5)
+    base = cut_parameters(Q, body, 2, LatticeConfig(CONFIG.lattice_constant))
+    shifted = cut_parameters(Q, body, 2, LatticeConfig(CONFIG.lattice_constant, (0.3, -0.2)))
     expect = np.zeros(2)
     for phi in (4 * PSI, 5 * PSI):
         c, s = math.cos(-phi), math.sin(-phi)
@@ -137,14 +140,15 @@ def test_shift_contribution_is_rotation_of_shift():
 
 
 def test_place_body_red_is_unrotated():
-    b = place_body(Q, 0.1, 0, 0, CONFIG)
-    direct = build_body(Q, 0.1, anchor=(0.1 * CONFIG.shift[0], 0.1 * CONFIG.shift[1]))
-    assert np.allclose(b.centers, direct.centers, atol=1e-15)
+    body = build_body(Q, 0.1)
+    b = place_body(body, 0, 0, CONFIG)
+    direct = body.centers + 0.1 * np.asarray(CONFIG.shift)
+    assert np.allclose(b.centers, direct, atol=1e-15)
     assert b.breaks[0] == 0.0
 
 
 def test_place_body_rotation():
-    b = place_body(Q, 0.1, 1, 0, CONFIG)  # green: rotated by 2*pi/3
+    b = place_body(build_body(Q, 0.1), 1, 0, CONFIG)  # green: rotated by 2*pi/3
     assert b.breaks[0] == pytest.approx(rotation_of_color(1), abs=0)
 
 
@@ -231,7 +235,8 @@ def _random_profile(seed):
 
 def _patch(q, eps, stripes, width):
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
-    bodies = {s: place_body(q, eps, *s, CONFIG) for s in sites}
+    body = build_body(q, eps)
+    bodies = {s: place_body(body, *s, CONFIG) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, CONFIG, width)
     return bodies, cuts, edges
 
@@ -308,9 +313,9 @@ def test_arc_fault_of_1e_7_is_caught(monkeypatch, fault):
     place = lattice.place_body
     arc = 2  # spans [2, 2.93]*pi/12, between the caps at 0 and pi/3
 
-    def faulty(q, eps, i, j, config):
-        body = place(q, eps, i, j, config)
-        return fault(body, arc) if (i, j) == (0, 0) else body
+    def faulty(body, i, j, config):
+        copy = place(body, i, j, config)
+        return fault(copy, arc) if (i, j) == (0, 0) else copy
 
     monkeypatch.setattr(lattice, "place_body", faulty)
     report = verify_avoidance(Q, eps, stripes)

@@ -92,17 +92,6 @@ def test_scaled():
     assert q.scaled(2.0)(0.1) == 1.0
 
 
-def test_narrow_cut_interval_flag():
-    wide = make_step_function(SIMPLE_BREAKS, [0.5, -0.25, -0.5, 0.25], cut_half_angle=0.26)
-    assert not wide.narrow_cut_intervals
-    narrow = make_step_function(
-        [Fraction(0), Fraction(1, 24), Fraction(1), Fraction(25, 24), Fraction(2)],
-        [0.5, -0.25, -0.5, 0.25],
-        cut_half_angle=0.26,
-    )
-    assert narrow.narrow_cut_intervals
-
-
 def test_json_round_trip(tmp_path):
     q = reference_step_function()
     path = tmp_path / "q.json"

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from scipy.optimize import minimize
 
 from croft_forge import ansatz, reference, tortoise
+from croft_forge import body as body_module
 from croft_forge.body import boundary_point, build_body, croft_constants, transform
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
@@ -15,20 +18,23 @@ from croft_forge.lattice import (
     collect_patch_cuts,
     cut_parameters,
     default_config,
+    edge_copies,
     place_body,
+    verify_avoidance,
 )
 from croft_forge.segments import series_tilt_minimizer
-from croft_forge.stepfn import reference_step_function, zero_step_function
+from croft_forge.stepfn import make_step_function, reference_step_function, zero_step_function
 from croft_forge.tortoise import (
     DEFAULT_FIT_EPS,
     MODES,
     SCAN_FIELDS,
     ConvergenceError,
-    _edge_pair_bodies,
+    NarrowCapError,
     body_area_coefficient,
     fit_eps2_coefficient,
     fit_net_coefficient,
     pair_clip_area,
+    require_single_arc_caps,
     scan,
     series_cut_coefficients,
     series_net_coefficient,
@@ -187,22 +193,77 @@ def test_shift_matters():
 def test_edge_pair_bodies_are_the_patch_copies():
     """The exact-mode cuts and ``verify_avoidance`` see the same copies:
     across every edge of a 3x3 patch, the two ``place_body`` copies moved
-    so that the edge starts at the origin along +x are ``_edge_pair_bodies``."""
+    so that the edge starts at the origin along +x are ``edge_copies``."""
     eps = 0.07
     config = default_config()
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     stripes = {k: (0.0, 0.0) for k in range(3)}
     _, edges = collect_patch_cuts(sites, stripes, config, 2.0)
     phi = np.linspace(0.0, 2.0 * math.pi, 721)
+    built = build_body(Q, eps)
     for a, b, k in edges:
         pos_a = config.position(*a)
         d = config.position(*b) - pos_a
         beta = math.atan2(d[1], d[0])
-        expected = _edge_pair_bodies(Q, eps, k, config)
+        expected = edge_copies(built, k, config)
         for site, body in zip((a, b), expected):
-            moved = transform(transform(place_body(Q, eps, *site, config), 0.0, -pos_a), -beta)
+            moved = transform(transform(place_body(built, *site, config), 0.0, -pos_a), -beta)
             assert np.max(np.abs(boundary_point(moved, phi) - boundary_point(body, phi))) <= 1e-12
     assert {k for _, _, k in edges} == {0, 1, 2}
+
+
+def _count_build_body(monkeypatch) -> list:
+    """Record each ``build_body`` call, under every name croft_forge binds it to."""
+    calls = []
+    original = body_module.build_body
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "croft_forge" or name.startswith("croft_forge."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_one_body_per_profile_and_eps(monkeypatch):
+    """Every copy is a rigid motion of one body: an exact2 evaluation and
+    a 3x3 patch check each build it once."""
+    calls = _count_build_body(monkeypatch)
+    rec = tortoise_area(0.05, "exact2")
+    assert len(calls) == 1
+    assert verify_avoidance(Q, 0.05, rec.stripes()).ok
+    assert len(calls) == 2
+
+
+NARROW = make_step_function(
+    [Fraction(0), Fraction(1, 24), Fraction(1), Fraction(25, 24), Fraction(2)],
+    [0.5, -0.25, -0.5, 0.25],
+)
+
+
+def test_series_modes_refuse_narrow_caps(monkeypatch):
+    """A break pi/24 from the cut angle 0 lies inside the cap (phi_c =
+    0.2633): the series modes refuse the profile before building a body."""
+    calls = _count_build_body(monkeypatch)
+    for mode in ("series1", "series2"):
+        for evaluate in (
+            lambda: tortoise_area(0.05, mode, q=NARROW),
+            lambda: series_cut_coefficients(NARROW, mode),
+            lambda: series_net_coefficient(NARROW, mode),
+        ):
+            with pytest.raises(NarrowCapError, match=r"break 1/24\*pi"):
+                evaluate()
+    assert calls == []
+    wide = make_step_function(
+        [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3), Fraction(2)],
+        [0.5, -0.25, -0.5, 0.25],
+    )
+    for q in (wide, Q):  # Q's nearest off-cut break is 4*pi/45 = 0.2793 away
+        require_single_arc_caps(q)
 
 
 def test_write_scan_csv_of_no_records_writes_header(tmp_path):
@@ -256,10 +317,8 @@ def test_newton_matches_nelder_mead_reference(seed):
     for mode in ("exact1", "exact2"):
         rec = tortoise_area(eps, mode, q=q)
         for e in rec.per_edge:
-            left, right = _edge_pair_bodies(q, eps, e.k, config)
-            s0, delta0 = series_tilt_minimizer(
-                cut_parameters(q, eps, e.k, config.shift, body=body)
-            )
+            left, right = edge_copies(body, e.k, config)
+            s0, delta0 = series_tilt_minimizer(cut_parameters(q, body, e.k, config))
             if mode == "exact1":
                 x0 = [s0]
                 f = lambda x: pair_clip_area(left, right, x[0], 0.0)
