@@ -172,7 +172,7 @@ def cmd_scan(args) -> int:
         try:
             rec = tortoise.tortoise_area(eps, args.mode, q=q)
             rows.append(tortoise.record_row(rec))
-        except (BodyError, segments.CapGeometryError, tortoise.ConvergenceError) as exc:
+        except (BodyError, tortoise.ConvergenceError) as exc:
             rows.append({"eps": eps, "mode": args.mode, "error": str(exc)})
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args)
@@ -344,7 +344,7 @@ def _check_avoidance(q, inject, tol):
     width = inject.get("stripe-width", 2.0)
     worst: list[str] = []
     for eps in (0.0, 0.05, 0.1):
-        rec = tortoise.tortoise_area(eps, "series2", q=q)
+        rec = tortoise.tortoise_area(eps, "exact2", q=q)
         report = verify_avoidance(
             q, eps, rec.stripes(), stripe_width=width, tol=max(tol, 1e-9)
         )
@@ -403,15 +403,20 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"unknown checks: {', '.join(bad)}", file=sys.stderr)
         return 2
-    failures = 0
+    failures = skipped = 0
     for name in names:
         try:
             ok, detail = CHECK_FUNCS[name](q, inject, tol)
+        except tortoise.NarrowCapError as exc:  # a series check refused this profile
+            print(f"SKIP {name}: {exc}")
+            skipped += 1
+            continue
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
-    print(f"{len(names) - failures}/{len(names)} checks passed")
+    run = len(names) - skipped
+    print(f"{run - failures}/{run} checks passed, {skipped} skipped")
     return 0 if failures == 0 else 1
 
 
@@ -502,7 +507,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         BodyError,
-        segments.CapGeometryError,
         tortoise.ConvergenceError,
         tortoise.NarrowCapError,
         OSError,

@@ -3,8 +3,10 @@
 A cap is the part of a disc of radius R = 1 + r beyond a cut line at
 depth D = w_c + d; tilting the line by delta keeps it through the same
 axis point.  The closed-form cap area, its series coefficients, and the
-1-parameter (stripe shift s) and 2-parameter (shift + tilt) minimization
-of two opposite caps with four independent radii all live here.
+closed-form 1-parameter (stripe shift s) and 2-parameter (shift + tilt)
+minimization of two opposite caps with four independent radii all live
+here.  The numerical minimizers of the exact disc-cap pair area, which
+check these closed forms, are test code (``tests/disc_reference.py``).
 
 Tilt model.  Both upper half caps tilt by +delta and both lower half
 caps by -delta, so the tilt couples to r_u = r_lu + r_ru - r_ll - r_rl.
@@ -28,9 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .body import croft_constants
 
@@ -182,16 +181,6 @@ def segment_area_series_tilted(d: float, r: float, delta: float) -> float:
 # Pair minimization: two opposite caps, stripe shifted by s (and tilted)
 
 
-def _pair_objective_shift(cut: PairCut, s: float) -> float:
-    half = 0.5 * cut.d_x
-    return 0.5 * (
-        segment_area_exact(half + s, cut.r_lu)
-        + segment_area_exact(half - s, cut.r_ru)
-        + segment_area_exact(half + s, cut.r_ll)
-        + segment_area_exact(half - s, cut.r_rl)
-    )
-
-
 def pair_area_series_shift(cut: PairCut) -> float:
     """Closed-form minimized pair area, shift-only minimization."""
     sc = series_coefficients()
@@ -207,56 +196,12 @@ def series_shift_minimizer(cut: PairCut) -> float:
     return -sc.e * cut.r_l / (4.0 * sc.d)
 
 
-# Half-width of the exact shift search bracket around the series minimizer.
-SHIFT_BRACKET = 0.02
+def minimize_pair_shift(cut: PairCut) -> tuple[float, float]:
+    """Minimize the two-cap series area over the stripe shift s.
 
-
-def minimize_pair_shift(cut: PairCut, mode: str = "exact") -> tuple[float, float]:
-    """Minimize the two-cap area over the stripe shift s.
-
-    Returns (s_min, area).  ``mode='series'`` uses the closed form;
-    ``mode='exact'`` minimizes the exact objective numerically in a
-    bracket of half-width SHIFT_BRACKET around the series minimizer.
+    Returns (s_min, area) from the closed forms.
     """
-    s0 = series_shift_minimizer(cut)
-    if mode == "series":
-        return s0, pair_area_series_shift(cut)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    res = minimize_scalar(
-        lambda s: _pair_objective_shift(cut, s),
-        bounds=(s0 - SHIFT_BRACKET, s0 + SHIFT_BRACKET),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    if not res.success:
-        raise RuntimeError(f"shift minimization failed: {res.message}")
-    return float(res.x), float(res.fun)
-
-
-def effective_depth_sum(cut: PairCut, delta: float) -> float:
-    """Total depth perturbation of the pair once the stripe is tilted.
-
-    The tilted stripe keeps perpendicular width 2, which widens its
-    horizontal footprint, and the vertical cap displacements slide along
-    the tilted lines.
-    """
-    return cut.d_x + 2.0 * (1.0 / math.cos(delta) - 1.0) - math.tan(delta) * cut.d_y
-
-
-def pair_objective_shift_tilt(cut: PairCut, s: float, delta: float) -> float:
-    """Exact two-cap objective with tilt: four half-cap terms.
-
-    The tilt enters the half caps with signs (lu: +delta, ru: +delta,
-    ll: -delta, rl: -delta).  The depth uses the exact tilted footprint.
-    """
-    half = 0.5 * effective_depth_sum(cut, delta)
-    return 0.5 * (
-        segment_area_exact_tilted(half + s, cut.r_lu, +delta)
-        + segment_area_exact_tilted(half - s, cut.r_ru, +delta)
-        + segment_area_exact_tilted(half + s, cut.r_ll, -delta)
-        + segment_area_exact_tilted(half - s, cut.r_rl, -delta)
-    )
+    return series_shift_minimizer(cut), pair_area_series_shift(cut)
 
 
 def series_tilt_minimizer(cut: PairCut) -> tuple[float, float]:
@@ -277,52 +222,10 @@ def pair_area_series_shift_tilt(cut: PairCut) -> float:
     return pair_area_series_shift(cut) - extra
 
 
-def minimize_pair_shift_tilt(
-    cut: PairCut, mode: str = "exact"
-) -> tuple[float, float, float]:
-    """Minimize the two-cap area over stripe shift and tilt.
+def minimize_pair_shift_tilt(cut: PairCut) -> tuple[float, float, float]:
+    """Minimize the two-cap series area over stripe shift and tilt.
 
-    Returns (s_min, delta_min, area).  ``mode='series'`` evaluates the
-    closed forms; ``mode='exact'`` runs a simplex search on the exact
-    objective seeded at the series minimizer.
+    Returns (s_min, delta_min, area) from the closed forms.
     """
     s0, delta0 = series_tilt_minimizer(cut)
-    if mode == "series":
-        return s0, delta0, pair_area_series_shift_tilt(cut)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    res = minimize(
-        lambda x: pair_objective_shift_tilt(cut, x[0], x[1]),
-        x0=[s0, delta0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 4000},
-    )
-    if not res.success:
-        raise RuntimeError(f"shift+tilt minimization failed: {res.message}")
-    return float(res.x[0]), float(res.x[1]), float(res.fun)
-
-
-# ---------------------------------------------------------------------------
-# Difference grids
-
-
-def difference_grid(
-    d_range=(-0.01, 0.01), r_range=(-0.1, 0.1), n: int = 41, delta: float = 0.0
-) -> list[dict]:
-    """Exact-vs-series cap area rows over a (d, r) grid at fixed tilt."""
-    rows = []
-    for d in np.linspace(*d_range, n):
-        for r in np.linspace(*r_range, n):
-            if delta == 0.0:
-                exact = segment_area_exact(d, r)
-                series = segment_area_series(d, r)
-            else:
-                exact = segment_area_exact_tilted(d, r, delta)
-                series = segment_area_series_tilted(d, r, delta)
-            rows.append(
-                {
-                    "d": float(d), "r": float(r), "delta": delta,
-                    "exact": exact, "series": series, "diff": series - exact,
-                }
-            )
-    return rows
+    return s0, delta0, pair_area_series_shift_tilt(cut)

@@ -253,10 +253,10 @@ def tortoise_area(
     for k in range(3):
         cut = cut_parameters(q, body, k, config)
         if mode == "series1":
-            s, area = minimize_pair_shift(cut, mode="series")
+            s, area = minimize_pair_shift(cut)
             per_edge.append(EdgeCut(k=k, s=s, delta=0.0, area=area))
         elif mode == "series2":
-            s, delta, area = minimize_pair_shift_tilt(cut, mode="series")
+            s, delta, area = minimize_pair_shift_tilt(cut)
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
         else:
             per_edge.append(
@@ -290,11 +290,17 @@ def scan(
 # Closed-form second-order coefficients (series modes)
 
 
+def _probe_eps(q: StepFunction, h: float) -> float:
+    """Probe eps ``h / max(1, max|q|)``: every radius 1 - eps*q stays at
+    least 1 - h at +-eps, and a profile with max|q| <= 1 keeps ``h``."""
+    return h / max(1.0, float(np.max(np.abs(q.values))))
+
+
 def _unit_cuts(q: StepFunction, config: LatticeConfig | None = None) -> list[PairCut]:
     """Per-class cut geometry at unit eps (all entries are linear in eps)."""
     if config is None:
         config = default_config()
-    h = 0.125
+    h = _probe_eps(q, 0.125)
     body = build_body(q, h)
     return [cut_parameters(q, body, k, config).scaled(1.0 / h) for k in range(3)]
 
@@ -329,7 +335,7 @@ def body_area_coefficient(q: StepFunction | None = None) -> float:
     """c2 in area(eps) = pi + c2 * eps**2 (exact: the area is quadratic)."""
     if q is None:
         q = reference_step_function()
-    h = 0.25
+    h = _probe_eps(q, 0.25)
     a_plus = body_area(build_body(q, h))
     a_minus = body_area(build_body(q, -h))
     return (a_plus + a_minus - 2.0 * math.pi) / (2.0 * h * h)

@@ -148,6 +148,23 @@ def test_croft_constants_against_quadrature_free_scan():
     )
 
 
+def test_croft_constants_newton_solve(monkeypatch):
+    """The Newton root is a density stationary point with full-precision
+    derivative numerator and slope; too few steps raise RuntimeError."""
+    from croft_forge import body as body_module
+
+    phi_c = croft_constants().phi_c
+    g, slope = body_module._density_derivative_numerator(phi_c)
+    assert abs(g) <= 1e-15
+    h = 1e-6
+    g_plus, _ = body_module._density_derivative_numerator(phi_c + h)
+    g_minus, _ = body_module._density_derivative_numerator(phi_c - h)
+    assert slope == pytest.approx((g_plus - g_minus) / (2 * h), rel=1e-8)
+    monkeypatch.setattr(body_module, "PHI_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match="no convergence in 2 steps"):
+        croft_constants.__wrapped__()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     eps=st.floats(-0.9, 0.9, allow_nan=False),

@@ -164,10 +164,8 @@ def test_custom_profile_round_trip(capsys, tmp_path):
     assert json.loads(out) == json.loads(ref_out)
 
 
-def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
-    """On a uniform 36-interval profile a break lies pi/18 from each cut
-    angle, inside the cap: series scan and fit exit 2 with the reason and
-    print no rows; an exact2 fit still runs and marks its series fields."""
+def _q36_profile(tmp_path):
+    """A seeded uniform 36-interval profile, written as a q-spec file."""
     from fractions import Fraction
 
     from croft_forge.stepfn import dump_qspec, make_step_function
@@ -176,6 +174,14 @@ def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
     v = ansatz.closure_project(np.random.default_rng(1).standard_normal(18), template)
     path = tmp_path / "q36.json"
     dump_qspec(ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template), path)
+    return path
+
+
+def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
+    """On a uniform 36-interval profile a break lies pi/18 from each cut
+    angle, inside the cap: series scan and fit exit 2 with the reason and
+    print no rows; an exact2 fit still runs and marks its series fields."""
+    path = _q36_profile(tmp_path)
     for argv in (["scan", "--eps", "0.05"], ["fit"]):
         code, out, err = run(capsys, *argv, "--mode", "series2", "--q-spec", str(path))
         assert (code, out) == (2, "")
@@ -188,6 +194,48 @@ def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
     assert isinstance(data["c2"], float)
     assert data["series2_net_c2"] == data["series1_cut_c2"] == "refused"
     assert "inside the cap half-angle" in data["series_refused"]
+
+
+def test_verify_skips_series_checks_on_a_narrow_cap_profile(capsys, tmp_path):
+    """The two series-only checks are skipped, not failed, on the q36
+    profile; the avoidance check runs on exact2 stripes, passes at width 2
+    and still catches the width-1.9 fault (closest pair 1.9655 at eps 0)."""
+    path = _q36_profile(tmp_path)
+    code, out, _ = run(capsys, "verify", "--q-spec", str(path))
+    assert code == 0
+    skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
+    assert [line.split(":")[0] for line in skipped] == [
+        "SKIP cancellation", "SKIP series-vs-exact"
+    ]
+    assert all("inside the cap half-angle" in line for line in skipped)
+    assert "PASS avoidance" in out and "FAIL" not in out
+    assert "5/5 checks passed, 2 skipped" in out
+    code, out, _ = run(
+        capsys, "verify", "--q-spec", str(path), "--checks", "avoidance",
+        "--inject", "stripe-width=1.9",
+    )
+    assert code == 1
+    assert "FAIL avoidance" in out and "only 1.965532" in out
+
+
+@pytest.mark.parametrize("mode", ["series2", "exact2"])
+def test_fit_on_a_large_profile(capsys, tmp_path, mode):
+    """max|q| = 5: the closed-form probes shrink with the profile, so a fit
+    on small eps runs, and the body-area c2 is 25 times the reference."""
+    from croft_forge.stepfn import dump_qspec, reference_step_function
+
+    path = tmp_path / "q5.json"
+    dump_qspec(reference_step_function().scaled(5.0), path)
+    eps = ["--eps=-0.01", "--eps=-0.005", "--eps=0.0025", "--eps=0.005", "--eps=0.01"]
+    code, out, err = run(
+        capsys, "fit", "--mode", mode, "--q-spec", str(path), *eps, "--format", "json"
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["body_area_c2"] == pytest.approx(
+        25.0 * data["reference_body_area_c2"], rel=1e-13
+    )
+    assert isinstance(data["series2_net_c2"], float)
 
 
 def test_missing_profile_is_usage_error(capsys):

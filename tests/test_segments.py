@@ -10,11 +10,8 @@ from croft_forge.body import croft_constants
 from croft_forge.segments import (
     CapGeometryError,
     PairCut,
-    difference_grid,
-    minimize_pair_shift,
     minimize_pair_shift_tilt,
     pair_area_series_shift,
-    pair_objective_shift_tilt,
     segment_area_exact,
     segment_area_exact_tilted,
     segment_area_series,
@@ -22,6 +19,12 @@ from croft_forge.segments import (
     series_coefficients,
     series_shift_minimizer,
     series_tilt_minimizer,
+)
+from disc_reference import (
+    difference_grid,
+    minimize_pair_shift_exact,
+    minimize_pair_shift_tilt_exact,
+    pair_objective_shift_tilt,
 )
 
 
@@ -119,8 +122,8 @@ def random_cuts(n, scale=0.02, seed=0):
 def test_minimization_never_increases():
     for cut in random_cuts(100):
         unmin = pair_objective_shift_tilt(cut, 0.0, 0.0)
-        _, a1 = minimize_pair_shift(cut, mode="exact")
-        _, _, a2 = minimize_pair_shift_tilt(cut, mode="exact")
+        _, a1 = minimize_pair_shift_exact(cut)
+        _, _, a2 = minimize_pair_shift_tilt_exact(cut)
         assert a2 <= a1 + 1e-12
         assert a1 <= unmin + 1e-12
 
@@ -130,8 +133,8 @@ def test_series_matches_exact_minimum_to_cubic_order():
     diffs = {}
     for t in (0.5, 1.0):
         cut = base.scaled(t)
-        _, _, exact = minimize_pair_shift_tilt(cut, mode="exact")
-        _, _, series = minimize_pair_shift_tilt(cut, mode="series")
+        _, _, exact = minimize_pair_shift_tilt_exact(cut)
+        _, _, series = minimize_pair_shift_tilt(cut)
         diffs[t] = abs(exact - series)
     assert diffs[1.0] <= 2e-5
     assert diffs[0.5] <= 0.2 * diffs[1.0]  # cubic remainder: factor ~1/8
@@ -140,7 +143,7 @@ def test_series_matches_exact_minimum_to_cubic_order():
 def test_series_minimizer_near_exact_minimizer():
     cut = PairCut(0.008, -0.004, 0.006, -0.005, 0.003, -0.007)
     s0, d0 = series_tilt_minimizer(cut)
-    s_star, d_star, _ = minimize_pair_shift_tilt(cut, mode="exact")
+    s_star, d_star, _ = minimize_pair_shift_tilt_exact(cut)
     assert abs(s_star - s0) <= 5e-4
     assert abs(d_star - d0) <= 5e-4
 
@@ -150,7 +153,7 @@ def test_hessian_at_exact_minimum():
     # so probe it on a very small cut where the drift is below 1e-4 relative
     sc = series_coefficients()
     cut = PairCut(0.006, -0.003, 0.004, -0.002, 0.005, -0.004).scaled(1e-3)
-    s_star, d_star, _ = minimize_pair_shift_tilt(cut, mode="exact")
+    s_star, d_star, _ = minimize_pair_shift_tilt_exact(cut)
     h = 1e-4
 
     def f(s, t):
@@ -175,7 +178,7 @@ def test_shift_minimizer_closed_form():
     assert series_shift_minimizer(cut) == pytest.approx(
         -sc.e * cut.r_l / (4 * sc.d), abs=0
     )
-    s_exact, _ = minimize_pair_shift(cut, mode="exact")
+    s_exact, _ = minimize_pair_shift_exact(cut)
     assert abs(s_exact - series_shift_minimizer(cut)) <= 1e-4
 
 

@@ -334,3 +334,20 @@ def test_newton_matches_nelder_mead_reference(seed):
             assert ref.success
             assert ref.fun >= e.area - 1e-12
             assert e.grad_norm <= 1e-10
+
+
+def test_probe_eps_scales_with_the_profile():
+    """The closed-form probes stay inside the valid eps range of a profile
+    with max|q| > 4: five times the reference profile (and its shift) gives
+    exactly 25 times the reference body-area and cut coefficients."""
+    q = reference_step_function()
+    big = q.scaled(5.0)
+    config = default_config()
+    big_config = LatticeConfig(config.lattice_constant, tuple(5.0 * v for v in config.shift))
+    assert body_area_coefficient(big) == pytest.approx(
+        25.0 * body_area_coefficient(q), rel=1e-13
+    )
+    for mode in ("series1", "series2"):
+        _, quad = series_cut_coefficients(big, mode, big_config)
+        _, ref_quad = series_cut_coefficients(q, mode)
+        assert quad == pytest.approx(25.0 * ref_quad, rel=1e-12)
