@@ -69,12 +69,16 @@ def center_offsets(q: StepFunction) -> np.ndarray:
     return offs
 
 
-def chain_closure_residual(q: StepFunction) -> float:
-    """Gap when chaining the center offsets once around the full turn."""
+def chain_closure_residual(q: StepFunction, offs: np.ndarray | None = None) -> float:
+    """Gap when chaining the center offsets once around the full turn.
+
+    ``offs`` is ``center_offsets(q)`` when the caller already has it.
+    """
     vals = q.values
     phi0 = q.breaks[0]
     dq0 = vals[0] - vals[-1]
-    offs = center_offsets(q)
+    if offs is None:
+        offs = center_offsets(q)
     end_x = offs[-1, 0] + dq0 * math.cos(phi0)
     end_y = offs[-1, 1] + dq0 * math.sin(phi0)
     return math.hypot(end_x - offs[0, 0], end_y - offs[0, 1])
@@ -100,13 +104,14 @@ def build_body(q: StepFunction, eps: float, *, closure_tol: float = CLOSURE_TOL)
             f"non-positive radius {radii.min():.3g}: eps={eps} outside the "
             "valid range for this profile"
         )
-    residual = abs(eps) * chain_closure_residual(q)
+    offs = center_offsets(q)
+    residual = abs(eps) * chain_closure_residual(q, offs)
     if residual > closure_tol:
         raise BodyError(
             f"arc chain does not close (residual {residual:.3g}): the "
             "profile violates the closure constraints"
         )
-    centers = eps * center_offsets(q)
+    centers = eps * offs
     return ArcBody(
         centers=centers,
         radii=np.maximum(radii, 0.0),

@@ -4,6 +4,14 @@ Areas are accumulated with the sector-minus-triangle closed form along
 the kept boundary pieces; gaps where the boundary leaves the half-plane
 are closed with straight chords.  Circle-line intersections are solved
 per arc from the cosine equation in the arc's own angle parameter.
+
+Only the arcs under the cap are tried (``cap_arcs``).  The boundary point
+at angle phi has outward normal (cos phi, sin phi), so the point farthest
+along n lies on the arc whose range holds the angle of n, found by
+bisection on the breaks.  On a convex boundary n.x falls monotonically
+away from that point on both sides, so a walk out from the support arc
+that stops at the first shared endpoint below the line finds every arc
+that can meet it: one to three arcs for a stripe cap instead of all n.
 """
 
 from __future__ import annotations
@@ -15,6 +23,10 @@ import numpy as np
 from .body import ArcBody
 
 TANGENCY_TOL = 1e-12
+# The cap walk goes on past a shared arc endpoint up to this far below the
+# line.  It covers the chain's closure gap at the first break (up to
+# body.CLOSURE_TOL) and rounding; an arc taken in excess finds no crossing.
+CAP_MARGIN = 1e-8
 
 
 def _arc_piece_area(center, radius, a, b) -> float:
@@ -52,15 +64,47 @@ def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
     return sorted(out)
 
 
+def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
+    """Indices of the arcs that can meet {x : n.x >= c}, in boundary order.
+
+    Starts at the support arc, the one whose range holds the angle of the
+    unit normal ``n``, and walks out both ways while the shared endpoint
+    stays within CAP_MARGIN of the half-plane.  The support arc is always
+    returned, and every arc when the whole boundary is in the half-plane.
+    """
+    n0, n1 = float(n[0]), float(n[1])
+    count = body.n_arcs
+    centers, radii, breaks = body.centers, body.radii, body.breaks
+    floor = c - CAP_MARGIN
+
+    def inside(i, phi):  # arc i at angle phi lies above the floor
+        x = centers[i, 0] + radii[i] * math.cos(phi)
+        y = centers[i, 1] + radii[i] * math.sin(phi)
+        return n0 * x + n1 * y >= floor
+
+    support = int(body.interval_of(math.atan2(n1, n0)))
+    after = []
+    i = support
+    while len(after) < count - 1 and inside(i, breaks[i + 1]):
+        i = (i + 1) % count
+        after.append(i)
+    before = []
+    i = support
+    while len(before) + len(after) < count - 1 and inside(i, breaks[i]):
+        i = (i - 1) % count
+        before.append(i)
+    return before[::-1] + [support] + after
+
+
 def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
     """Area of body ∩ {x : n.x >= c} for a unit normal ``n``.
 
-    Walks the arcs in boundary order, keeps the sub-arcs inside the
-    half-plane, and closes every excursion outside with a chord.
+    Walks the arcs under the cap in boundary order, keeps the sub-arcs
+    inside the half-plane, and closes every excursion outside with a chord.
     """
     n = np.asarray(n, dtype=float)
     pieces = []  # (area contribution, start point, end point)
-    for i in range(body.n_arcs):
+    for i in cap_arcs(body, n, c):
         center = body.centers[i]
         radius = body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]
@@ -110,7 +154,7 @@ def halfplane_clip_derivatives(body: ArcBody, n, c: float):
     n = np.asarray(n, dtype=float)
     t = np.array([-n[1], n[0]])
     crossings = []
-    for i in range(body.n_arcs):
+    for i in cap_arcs(body, n, c):
         center = body.centers[i]
         radius = body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]
@@ -135,10 +179,11 @@ def halfplane_clip_derivatives(body: ArcBody, n, c: float):
 
 
 def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
-    """All boundary points where the body boundary meets the line n.x = c."""
+    """All boundary points where the body boundary meets the line n.x = c,
+    in boundary order from the first arc under the cap."""
     n = np.asarray(n, dtype=float)
     pts = []
-    for i in range(body.n_arcs):
+    for i in cap_arcs(body, n, c):
         center = body.centers[i]
         radius = body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import ArcBody, boundary_point, build_body, croft_constants, transform
-from .clip import arc_line_crossings
+from .clip import arc_line_crossings, cap_arcs
 from .stepfn import StepFunction
 from .segments import PairCut
 
@@ -353,20 +353,28 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     """Exact boundary of ``body`` intersected with its cut half-planes.
 
     ``cuts`` holds (n, c, keep_sign) as from ``collect_patch_cuts``.  Each
-    arc is split where it crosses a cut line and the pieces whose midpoints
-    satisfy every cut are kept.  Each cut line adds the chord between its
-    two boundary crossings, clipped as an interval by the other cuts.
+    arc is split where it crosses a cut line, trying only the arcs under
+    the cap each cut removes (``clip.cap_arcs``), and the pieces whose
+    midpoints satisfy every cut are kept.  Each cut line adds the chord
+    between its two boundary crossings, clipped as an interval by the
+    other cuts.
     """
     normals = np.array([n for n, _, _ in cuts], dtype=float).reshape(-1, 2)
     offsets = np.array([c for _, c, _ in cuts], dtype=float)
     keeps = np.array([k for _, _, k in cuts], dtype=float)
     hits: list[list[np.ndarray]] = [[] for _ in cuts]
+    # the cuts whose line can cross each arc: only arcs under the removed cap
+    arc_cuts: list[list[int]] = [[] for _ in range(body.n_arcs)]
+    for j in range(len(cuts)):
+        for i in cap_arcs(body, keeps[j] * normals[j], keeps[j] * offsets[j]):
+            arc_cuts[i].append(j)
     pieces = []  # (arc index, start angle, end angle)
     for i in range(body.n_arcs):
         center, radius = body.centers[i], body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]
         angles = [a, b]
-        for j, (n, c, _) in enumerate(cuts):
+        for j in arc_cuts[i]:  # ascending, as the cuts are listed
+            n, c, _ = cuts[j]
             for phi in arc_line_crossings(center, radius, a, b, n, c):
                 angles.append(phi)
                 hits[j].append(center + radius * _unit(phi))

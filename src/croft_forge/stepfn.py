@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,6 +91,35 @@ def _to_fraction(b) -> Fraction:
     raise StepFunctionError(f"cannot interpret break {b!r}")
 
 
+@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
+def _break_set(fracs: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float breaks and antipode index of one break set.
+
+    Enforces the endpoints 0 and 2*pi, strict monotonicity and the pairing
+    of every break with its antipode.  Returns read-only arrays: the breaks
+    in radians and, per interval i, the index of the interval starting at
+    the antipode of its start.
+    """
+    if len(fracs) < 2 or fracs[0] != 0 or fracs[-1] != 2:
+        raise StepFunctionError("breaks must start at 0 and end at 2*pi")
+    if any(b2 <= b1 for b1, b2 in zip(fracs, fracs[1:])):
+        raise StepFunctionError("breaks must be strictly increasing")
+    inner = fracs[:-1]
+    index = {f: i for i, f in enumerate(inner)}
+    antipode = np.empty(len(inner), dtype=int)
+    for i, f in enumerate(inner):
+        j = index.get((f + 1) % 2)
+        if j is None:
+            raise StepFunctionError(f"break {f}*pi has no antipodal break")
+        antipode[i] = j
+    brk = np.array([float(f) * math.pi for f in fracs])
+    brk[0] = 0.0
+    brk[-1] = TWO_PI
+    brk.setflags(write=False)
+    antipode.setflags(write=False)
+    return brk, antipode
+
+
 def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunction:
     """Validate and build a :class:`StepFunction`.
 
@@ -97,39 +127,27 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
     (num, den) tuples, {"num", "den"} dicts, or plain radians (converted
     to the nearest small rational multiple of pi).  The first break must
     be 0 and the last 2*pi.  Validation enforces strict monotonicity, the
-    value/interval count, the pairing of every break with its antipode,
-    and the antisymmetry of the values.
+    pairing of every break with its antipode (checked once per break set,
+    ``_break_set``), the value/interval count, and the antisymmetry of the
+    values.  The returned breaks are read-only and shared by every profile
+    on the same break set.
     """
     fracs = tuple(_to_fraction(b) for b in breaks)
+    brk, antipode = _break_set(fracs)
     vals = np.asarray(list(values), dtype=float)
-
-    if len(fracs) < 2 or fracs[0] != 0 or fracs[-1] != 2:
-        raise StepFunctionError("breaks must start at 0 and end at 2*pi")
-    if any(b2 <= b1 for b1, b2 in zip(fracs, fracs[1:])):
-        raise StepFunctionError("breaks must be strictly increasing")
     if len(vals) != len(fracs) - 1:
         raise StepFunctionError(
             f"{len(fracs) - 1} intervals but {len(vals)} values"
         )
-
-    inner = fracs[:-1]
-    index = {f: i for i, f in enumerate(inner)}
-    # Every break must have its antipode in the break list.
-    for f in inner:
-        if (f + 1) % 2 not in index:
-            raise StepFunctionError(f"break {f}*pi has no antipodal break")
     # Value-by-value antisymmetry on paired intervals.
-    for i, f in enumerate(inner):
-        j = index[(f + 1) % 2]
-        if abs(vals[j] + vals[i]) > ANTISYMMETRY_TOL:
-            raise StepFunctionError(
-                f"antisymmetry violated: value[{i}]={vals[i]!r} vs "
-                f"value[{j}]={vals[j]!r} on the antipodal interval"
-            )
-
-    brk = np.array([float(f) * math.pi for f in fracs])
-    brk[0] = 0.0
-    brk[-1] = TWO_PI
+    bad = np.flatnonzero(np.abs(vals[antipode] + vals) > ANTISYMMETRY_TOL)
+    if len(bad):
+        i = int(bad[0])
+        j = int(antipode[i])
+        raise StepFunctionError(
+            f"antisymmetry violated: value[{i}]={float(vals[i])!r} vs "
+            f"value[{j}]={float(vals[j])!r} on the antipodal interval"
+        )
     return StepFunction(breaks=brk, values=vals, break_fractions=fracs)
 
 
@@ -167,8 +185,12 @@ def dump_qspec(f: StepFunction, path: str | Path) -> None:
         json.dump(spec, fh, indent=2)
 
 
+@lru_cache(maxsize=1)
 def reference_step_function() -> StepFunction:
-    """The bundled 24-interval reference profile."""
+    """The bundled 24-interval reference profile, built once and shared;
+    its arrays are read-only."""
     from . import reference
 
-    return qspec_from_dict(reference.reference_qspec_dict())
+    q = qspec_from_dict(reference.reference_qspec_dict())
+    q.values.setflags(write=False)
+    return q

@@ -1,0 +1,166 @@
+"""The cap walk (``clip.cap_arcs``) against the full walk over every arc.
+
+Clip areas, clip derivatives, line crossings and trimmed bodies are
+compared with ``full_walk``, which intersects each line with all n arcs.
+Bodies are closure-projected random profiles at |eps| <= 0.1, placed as
+lattice copies so that their breaks are rotated and the walk wraps from
+arc n-1 to arc 0; normals point at every angle, and offsets run from the
+whole body kept, through tangency, to a line that misses the body.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import full_walk
+from croft_forge import ansatz, clip, lattice, tortoise
+from croft_forge.body import boundary_point, build_body
+from croft_forge.clip import (
+    boundary_line_crossings,
+    cap_arcs,
+    halfplane_clip_area,
+    halfplane_clip_derivatives,
+)
+from croft_forge.lattice import default_config, place_copy, trim_body
+from croft_forge.stepfn import make_step_function, reference_step_function
+
+CONFIG = default_config()
+REF = reference_step_function()
+UNIFORM_36 = make_step_function([Fraction(i, 18) for i in range(37)], np.zeros(36))
+AREA_TOL = 1e-14
+
+
+def _placed_bodies(seed):
+    """Seeded placed copies: random profiles on the reference and on the
+    uniform 36-interval breaks, every color, random eps and position."""
+    rng = np.random.default_rng(seed)
+    bodies = []
+    for template in (REF, UNIFORM_36):
+        for color in range(3):
+            v = ansatz.closure_project(rng.standard_normal(template.n_intervals // 2), template)
+            q = ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
+            body = build_body(q, float(rng.uniform(-0.1, 0.1)))
+            bodies.append(place_copy(body, color, rng.uniform(-3.0, 3.0, 2), CONFIG))
+    return bodies
+
+
+def _normals(rng, body, count):
+    """Random angles, plus the angles of the copy's own breaks, where the
+    support point is an arc endpoint."""
+    thetas = list(rng.uniform(0.0, 2.0 * math.pi, count))
+    thetas += list(rng.choice(body.breaks[:-1], 3, replace=False))
+    return [np.array([math.cos(t), math.sin(t)]) for t in thetas]
+
+
+def _offsets(rng, body, n):
+    """Offsets from below the body (all kept) to above it (line misses),
+    with both tangencies."""
+    theta = math.atan2(n[1], n[0])
+    top = float(n @ boundary_point(body, theta))
+    bottom = float(n @ boundary_point(body, theta + math.pi))
+    return [bottom - 0.1, bottom, bottom + 1e-9, *rng.uniform(bottom, top, 4),
+            top - 1e-9, top, top + 0.1]
+
+
+def _cases(seed, count=4):
+    rng = np.random.default_rng(seed)
+    for body in _placed_bodies(seed):
+        for n in _normals(rng, body, count):
+            for c in _offsets(rng, body, n):
+                yield body, n, c
+
+
+def _key(points):
+    return sorted(tuple(map(float, p)) for p in points)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_clip_area_matches_the_full_walk(seed):
+    for body, n, c in _cases(seed):
+        assert abs(halfplane_clip_area(body, n, c)
+                   - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crossings_and_derivatives_match_the_full_walk(seed):
+    for body, n, c in _cases(seed):
+        got = boundary_line_crossings(body, n, c)
+        assert _key(got) == _key(full_walk.boundary_line_crossings(body, n, c))
+        if len(got) == 2:
+            grad, hess = halfplane_clip_derivatives(body, n, c)
+            want_grad, want_hess = full_walk.halfplane_clip_derivatives(body, n, c)
+            assert np.array_equal(grad, want_grad) and np.array_equal(hess, want_hess)
+        else:
+            with pytest.raises(ValueError, match=f"{len(got)} points, not 2"):
+                halfplane_clip_derivatives(body, n, c)
+
+
+def test_cap_walk_wraps_and_covers():
+    """The walk wraps past arc n-1 on a rotated copy, returns a contiguous
+    run in boundary order, and every arc for a line below the body."""
+    body = _placed_bodies(5)[1]  # a color-1 copy: breaks start at 2*pi/3
+    count = body.n_arcs
+    n = np.array([math.cos(body.breaks[0]), math.sin(body.breaks[0])])
+    top = float(n @ boundary_point(body, body.breaks[0]))
+    arcs = cap_arcs(body, n, top - 0.05)
+    assert count - 1 in arcs and 0 in arcs
+    assert all((b - a) % count == 1 for a, b in zip(arcs, arcs[1:]))
+    assert sorted(cap_arcs(body, n, -10.0)) == list(range(count))
+    assert len(cap_arcs(body, n, top + 0.1)) <= 2
+
+
+def _random_cuts(rng, body, count):
+    cuts = []
+    for _ in range(count):
+        n = _normals(rng, body, 1)[0]
+        c = float(rng.choice(_offsets(rng, body, n)))
+        cuts.append((n, c, float(rng.choice([-1.0, 1.0]))))
+    return cuts
+
+
+def _assert_same_trim(body, cuts):
+    got, want = trim_body(body, cuts), full_walk.trim_body(body, cuts)
+    for field in ("centers", "radii", "u0", "u1", "chord_a", "chord_b", "vertices"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_trim_matches_the_full_walk(seed):
+    rng = np.random.default_rng(seed)
+    for body in _placed_bodies(seed):
+        for count in (1, 2, 4, 6):
+            _assert_same_trim(body, _random_cuts(rng, body, count))
+
+
+@pytest.mark.parametrize("width", [2.0, 1.9])
+def test_trim_matches_the_full_walk_on_a_patch(width):
+    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
+    eps = 0.07
+    body = build_body(REF, eps)
+    stripes = tortoise.tortoise_area(eps, "exact2").stripes()
+    cuts, _ = lattice.collect_patch_cuts(sites, stripes, CONFIG, width)
+    for s in sites:
+        _assert_same_trim(lattice.place_body(body, *s, CONFIG), cuts[s])
+
+
+def test_exact2_record_tries_few_arcs(monkeypatch):
+    """Each clip or derivative call of an exact2 record tries at most four
+    arcs on average (the full walk tried all 24)."""
+    counts = {"arcs": 0, "clips": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(clip, "arc_line_crossings", counted(clip.arc_line_crossings, "arcs"))
+    for name in ("halfplane_clip_area", "halfplane_clip_derivatives"):
+        wrapped = counted(getattr(clip, name), "clips")
+        monkeypatch.setattr(clip, name, wrapped)
+        monkeypatch.setattr(tortoise, name, wrapped)
+    tortoise.tortoise_area(0.08, "exact2")
+    assert counts["clips"] > 0
+    assert counts["arcs"] <= 4 * counts["clips"]

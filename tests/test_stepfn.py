@@ -113,3 +113,25 @@ def test_json_round_trip(tmp_path):
 def test_antisymmetry_property(vals, phi):
     q = make_step_function(SIMPLE_BREAKS, [vals[0], vals[1], -vals[0], -vals[1]])
     assert q((phi + math.pi) % (2 * math.pi)) == pytest.approx(-q(phi), abs=1e-12)
+
+
+def test_reference_profile_is_shared_and_read_only():
+    q = reference_step_function()
+    assert reference_step_function() is q
+    with pytest.raises(ValueError, match="read-only"):
+        q.values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        q.breaks[1] = 0.0
+
+
+def test_break_set_is_checked_once_and_shared():
+    a = simple()
+    b = simple((0.1, 0.2, -0.1, -0.2))
+    assert a.breaks is b.breaks
+    assert not a.breaks.flags.writeable
+    assert a.values.flags.writeable  # only the break set is shared
+
+
+def test_antisymmetry_error_names_the_first_bad_index():
+    with pytest.raises(StepFunctionError, match=r"value\[1\]=0.3 vs value\[3\]=0.25"):
+        make_step_function(SIMPLE_BREAKS, [0.5, 0.3, -0.5, 0.25])
