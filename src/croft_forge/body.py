@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +42,11 @@ class ArcBody:
     @property
     def n_arcs(self) -> int:
         return len(self.radii)
+
+    @cached_property
+    def arc_lists(self) -> tuple[list, list, list]:
+        """(centers, radii, breaks) as Python lists, for walks arc by arc."""
+        return self.centers.tolist(), self.radii.tolist(), self.breaks.tolist()
 
     def interval_of(self, phi) -> np.ndarray:
         # reduce into [breaks[0], breaks[0] + 2*pi) so rotated bodies

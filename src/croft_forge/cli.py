@@ -249,9 +249,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    form = ansatz.assemble_quadratic_form(args.mode)
+    q = _load_profile(args)  # only its break set is read
+    form = ansatz.assemble_quadratic_form(args.mode, template=q)
     rep = ansatz.eigen_signature(form)
-    ref_v = reference.Q_VALUES[:12]
+    n_free = q.n_intervals // 2
     out = {
         "mode": args.mode,
         "eigenvalues": [float(v) for v in rep.eigenvalues],
@@ -262,19 +263,23 @@ def cmd_eigen(args) -> int:
         },
         "top_eigenvector": [float(v) for v in rep.top_v],
         "top_shift": [float(v) for v in rep.top_shift],
-        "reference_vector": [float(v) for v in ref_v],
-        "reference_shift": [reference.SHIFT_X, reference.SHIFT_Y],
-        "max_vector_deviation": float(np.max(np.abs(rep.top_v - ref_v))),
     }
+    # the published vector lives on the reference break set only
+    on_reference = q.break_fractions == reference_step_function().break_fractions
+    if on_reference:
+        ref_v = reference.Q_VALUES[:n_free]
+        out["reference_vector"] = [float(v) for v in ref_v]
+        out["reference_shift"] = [reference.SHIFT_X, reference.SHIFT_Y]
+        out["max_vector_deviation"] = float(np.max(np.abs(rep.top_v - ref_v)))
     if args.format == "json":
         _emit(json.dumps(out, indent=2) + "\n", args)
     else:
-        lines = ["index,top_eigenvector,reference,delta"]
-        for i in range(12):
-            lines.append(
-                f"{i},{_fmt(float(rep.top_v[i]))},{_fmt(float(ref_v[i]))},"
-                f"{_fmt(float(rep.top_v[i] - ref_v[i]))}"
-            )
+        lines = ["index,top_eigenvector" + (",reference,delta" if on_reference else "")]
+        for i in range(n_free):
+            row = f"{i},{_fmt(float(rep.top_v[i]))}"
+            if on_reference:
+                row += f",{_fmt(float(ref_v[i]))},{_fmt(float(rep.top_v[i] - ref_v[i]))}"
+            lines.append(row)
         lines.append(f"signature,{rep.signature[0]},{rep.signature[1]},{rep.signature[2]}")
         _emit("\n".join(lines) + "\n", args)
     return 0
@@ -484,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eigen", help="quadratic form spectrum")
-    add_options(p, "mode", "format", "out")
+    add_options(p, "mode", "q-spec", "format", "out")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="invariant suite")

@@ -3,7 +3,9 @@
 Areas are accumulated with the sector-minus-triangle closed form along
 the kept boundary pieces; gaps where the boundary leaves the half-plane
 are closed with straight chords.  Circle-line intersections are solved
-per arc from the cosine equation in the arc's own angle parameter.
+per arc from the cosine equation in the arc's own angle parameter.  The
+same walk gives the area's gradient and Hessian in the line's offset and
+angle from the two crossings it finds (``halfplane_clip_area``).
 
 Only the arcs under the cap are tried (``cap_arcs``).  The boundary point
 at angle phi has outward normal (cos phi, sin phi), so the point farthest
@@ -17,10 +19,13 @@ that can meet it: one to three arcs for a stripe cap instead of all n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
 from .body import ArcBody
+from .stepfn import TWO_PI
 
 TANGENCY_TOL = 1e-12
 # The cap walk goes on past a shared arc endpoint up to this far below the
@@ -37,10 +42,8 @@ def _arc_piece_area(center, radius, a, b) -> float:
     return 0.5 * (radius * radius * (b - a) + radius * cross)
 
 
-def _arc_point(center, radius, phi):
-    return np.array(
-        [center[0] + radius * math.cos(phi), center[1] + radius * math.sin(phi)]
-    )
+def _arc_point(center, radius, phi) -> tuple[float, float]:
+    return (center[0] + radius * math.cos(phi), center[1] + radius * math.sin(phi))
 
 
 def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
@@ -73,16 +76,17 @@ def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
     returned, and every arc when the whole boundary is in the half-plane.
     """
     n0, n1 = float(n[0]), float(n[1])
-    count = body.n_arcs
-    centers, radii, breaks = body.centers, body.radii, body.breaks
+    centers, radii, breaks = body.arc_lists
+    count = len(radii)
     floor = c - CAP_MARGIN
 
     def inside(i, phi):  # arc i at angle phi lies above the floor
-        x = centers[i, 0] + radii[i] * math.cos(phi)
-        y = centers[i, 1] + radii[i] * math.sin(phi)
+        x, y = _arc_point(centers[i], radii[i], phi)
         return n0 * x + n1 * y >= floor
 
-    support = int(body.interval_of(math.atan2(n1, n0)))
+    # the interval of the normal's angle, reduced as in ArcBody.interval_of
+    phi = breaks[0] + (math.atan2(n1, n0) - breaks[0]) % TWO_PI
+    support = min(bisect_right(breaks, phi) - 1, count - 1)
     after = []
     i = support
     while len(after) < count - 1 and inside(i, breaks[i + 1]):
@@ -96,48 +100,18 @@ def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
     return before[::-1] + [support] + after
 
 
-def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
-    """Area of body ∩ {x : n.x >= c} for a unit normal ``n``.
+class Clip(NamedTuple):
+    """A clipped area with its gradient and Hessian in two line parameters,
+    both None where a line does not cross its boundary in exactly two points."""
 
-    Walks the arcs under the cap in boundary order, keeps the sub-arcs
-    inside the half-plane, and closes every excursion outside with a chord.
-    """
-    n = np.asarray(n, dtype=float)
-    pieces = []  # (area contribution, start point, end point)
-    for i in cap_arcs(body, n, c):
-        center = body.centers[i]
-        radius = body.radii[i]
-        a, b = body.breaks[i], body.breaks[i + 1]
-        if radius <= 0.0 or b - a <= 0.0:
-            continue
-        cuts = [a] + arc_line_crossings(center, radius, a, b, n, c) + [b]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo == hi:  # a crossing at the start break
-                continue
-            mid = 0.5 * (lo + hi)
-            p_mid = _arc_point(center, radius, mid)
-            if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
-                pieces.append(
-                    (
-                        _arc_piece_area(center, radius, lo, hi),
-                        _arc_point(center, radius, lo),
-                        _arc_point(center, radius, hi),
-                    )
-                )
-    if not pieces:
-        return 0.0
-    area = sum(p[0] for p in pieces)
-    # chords from each piece end to the next piece start (cyclically);
-    # contiguous pieces contribute zero because the points coincide.
-    for j, piece in enumerate(pieces):
-        end = piece[2]
-        start = pieces[(j + 1) % len(pieces)][1]
-        area += 0.5 * (end[0] * start[1] - end[1] * start[0])
-    return float(area)
+    area: float
+    grad: np.ndarray | None = None
+    hess: np.ndarray | None = None
 
 
-def halfplane_clip_derivatives(body: ArcBody, n, c: float):
-    """Gradient and Hessian of ``halfplane_clip_area`` in (c, theta).
+def _chord_derivatives(hits, n, c):
+    """(grad, hess) of the clipped area in (c, theta) from the crossings
+    (center, radius, phi) of the line n.x = c; (None, None) unless two.
 
     theta is the angle of the unit normal, n = (cos theta, sin theta), and
     t = (-sin theta, cos theta) runs along the line.  The line meets the
@@ -147,48 +121,71 @@ def halfplane_clip_derivatives(body: ArcBody, n, c: float):
     u_c = -(w.n)/(w.t) and u_theta = -w.(c*t - u*n)/(w.t), which gives
     A_cc = -(u_2,c - u_1,c), A_ctheta = -(u_2,theta - u_1,theta) and
     A_thetatheta = u_2*u_2,theta - u_1*u_1,theta.
-
-    Returns (grad, hess) as arrays ordered (c, theta).  Raises
-    ``ValueError`` unless the line meets the boundary in exactly two points.
     """
-    n = np.asarray(n, dtype=float)
-    t = np.array([-n[1], n[0]])
-    crossings = []
-    for i in cap_arcs(body, n, c):
-        center = body.centers[i]
-        radius = body.radii[i]
-        a, b = body.breaks[i], body.breaks[i + 1]
-        for phi in arc_line_crossings(center, radius, a, b, n, c):
-            x = _arc_point(center, radius, phi)
-            w = x - center
-            wt = float(w @ t)
-            u = float(x @ t)
-            u_c = -float(w @ n) / wt
-            u_t = -float(w @ (c * t - u * n)) / wt
-            crossings.append((u, u_c, u_t))
-    if len(crossings) != 2:
-        raise ValueError(
-            f"line {n[0]:.6g}*x + {n[1]:.6g}*y = {c:.6g} meets the boundary in "
-            f"{len(crossings)} points, not 2"
-        )
-    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = sorted(crossings)
+    if len(hits) != 2:
+        return None, None
+    t0, t1 = -n[1], n[0]
+    slides = []  # (u, u_c, u_theta) per crossing
+    for center, radius, phi in hits:
+        x0, x1 = _arc_point(center, radius, phi)
+        w0, w1 = x0 - center[0], x1 - center[1]
+        wt = w0 * t0 + w1 * t1
+        u = x0 * t0 + x1 * t1
+        u_c = -(w0 * n[0] + w1 * n[1]) / wt
+        u_t = -(w0 * (c * t0 - u * n[0]) + w1 * (c * t1 - u * n[1])) / wt
+        slides.append((u, u_c, u_t))
+    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = sorted(slides)
     a_ct = -(u2_t - u1_t)
     grad = np.array([-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1)])
     hess = np.array([[-(u2_c - u1_c), a_ct], [a_ct, u2 * u2_t - u1 * u1_t]])
     return grad, hess
 
 
+def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
+    """Area of body ∩ {x : n.x >= c} for a unit normal ``n``, with its
+    derivatives in (c, theta) (``_chord_derivatives``), from one walk.
+
+    The walk keeps the sub-arcs under the cap that lie inside the
+    half-plane, in boundary order, closes every excursion outside with a
+    chord, and keeps the crossings it finds for the derivatives.
+    """
+    n = (float(n[0]), float(n[1]))
+    centers, radii, breaks = body.arc_lists
+    pieces = []  # (area contribution, start point, end point)
+    hits = []  # (center, radius, angle) per crossing
+    for i in cap_arcs(body, n, c):
+        center, radius = centers[i], radii[i]
+        a, b = breaks[i], breaks[i + 1]
+        if radius <= 0.0 or b - a <= 0.0:
+            continue
+        crossings = arc_line_crossings(center, radius, a, b, n, c)
+        hits += [(center, radius, phi) for phi in crossings]
+        cuts = [a] + crossings + [b]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:  # a crossing at the start break
+                continue
+            p_mid = _arc_point(center, radius, 0.5 * (lo + hi))
+            if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
+                pieces.append((_arc_piece_area(center, radius, lo, hi),
+                               _arc_point(center, radius, lo), _arc_point(center, radius, hi)))
+    area = sum(p[0] for p in pieces)
+    # chords from each piece end to the next piece start (cyclically);
+    # contiguous pieces contribute zero because the points coincide.
+    for j, piece in enumerate(pieces):
+        end = piece[2]
+        start = pieces[(j + 1) % len(pieces)][1]
+        area += 0.5 * (end[0] * start[1] - end[1] * start[0])
+    return Clip(float(area), *_chord_derivatives(hits, n, c))
+
+
 def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
     """All boundary points where the body boundary meets the line n.x = c,
     in boundary order from the first arc under the cap."""
-    n = np.asarray(n, dtype=float)
+    centers, radii, breaks = body.arc_lists
     pts = []
     for i in cap_arcs(body, n, c):
-        center = body.centers[i]
-        radius = body.radii[i]
-        a, b = body.breaks[i], body.breaks[i + 1]
-        if radius <= 0.0:
-            continue
+        center, radius = centers[i], radii[i]
+        a, b = breaks[i], breaks[i + 1]
         for phi in arc_line_crossings(center, radius, a, b, n, c):
-            pts.append(_arc_point(center, radius, phi))
+            pts.append(np.array(_arc_point(center, radius, phi)))
     return pts

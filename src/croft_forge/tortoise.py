@@ -9,13 +9,14 @@ series with shift-only or shift+tilt stripe minimization ("series1",
 
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and
-second derivatives (``clip.halfplane_clip_derivatives`` chained through
-``lattice._stripe_line_derivatives``).  Newton starts at the series
-minimizer, halves any step that raises the area, and stops after a full
-step below NEWTON_STEP_TOL; each ``EdgeCut`` records its iterations and
-the final gradient norm as a stationarity certificate.  A line that
-misses a body, or no convergence within NEWTON_MAX_ITER steps, raises
-``ConvergenceError``.
+second derivatives: one ``clip.halfplane_clip_area`` walk per copy gives
+its area and derivatives, chained through ``lattice._stripe_line_derivatives``.
+Newton starts at the series minimizer, halves any step that raises the
+area, and stops after a full step below NEWTON_STEP_TOL; each ``EdgeCut``
+records its iterations and the final gradient norm as a stationarity
+certificate.  A line that misses a body where Newton needs derivatives
+(the start and each accepted step), or no convergence within
+NEWTON_MAX_ITER steps, raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .body import ArcBody, body_area, build_body, croft_constants
-from .clip import halfplane_clip_area, halfplane_clip_derivatives
+from .clip import Clip, halfplane_clip_area
 from .lattice import (
     PSI,
     LatticeConfig,
@@ -133,33 +134,30 @@ class DensityRecord:
 # Exact pair objective: clip the two placed bodies against the stripe lines
 
 
-def _pair_clips(left: ArcBody, right: ArcBody, s: float, delta: float):
-    """(body, n, c) per copy: the stripe at (s, delta) removes body ∩ {n.x >= c}."""
+def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> Clip:
+    """Exact area removed from both copies by the stripe at (s, delta), with its
+    gradient and Hessian in (s, delta) chained from each copy's (c, theta) ones."""
+    # the stripe removes left ∩ {n.x >= c_left} and right ∩ {-n.x >= -c_right}
     n, c_left, c_right = _stripe_lines((0.0, 0.0), 0.0, s, delta, 2.0)
-    return (left, n, c_left), (right, -n, -c_right)
+    clips = (halfplane_clip_area(left, n, c_left), halfplane_clip_area(right, -n, -c_right))
+    area = clips[0].area + clips[1].area
+    if clips[0].grad is None or clips[1].grad is None:
+        return Clip(area)
+    grad, hess = np.zeros(2), np.zeros((2, 2))
+    for clip, (jac, c_hess) in zip(clips, _stripe_line_derivatives(s, delta)):
+        grad += jac.T @ clip.grad
+        hess += jac.T @ clip.hess @ jac + clip.grad[0] * c_hess
+    return Clip(area, grad, hess)
 
 
-def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> float:
-    """Exact area removed from both copies by the stripe at (s, delta)."""
-    clips = _pair_clips(left, right, s, delta)
-    return sum(halfplane_clip_area(body, n, c) for body, n, c in clips)
-
-
-def _pair_clip_derivatives(
-    left: ArcBody, right: ArcBody, s: float, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of ``pair_clip_area`` in (s, delta)."""
-    grad = np.zeros(2)
-    hess = np.zeros((2, 2))
-    lines = _stripe_line_derivatives(s, delta)
-    for (body, n, c), (jac, c_hess) in zip(_pair_clips(left, right, s, delta), lines):
-        try:
-            a_grad, a_hess = halfplane_clip_derivatives(body, n, c)
-        except ValueError as exc:
-            raise ConvergenceError(f"stripe at s={s}, delta={delta}: {exc}") from exc
-        grad += jac.T @ a_grad
-        hess += jac.T @ a_hess @ jac + a_grad[0] * c_hess
-    return grad, hess
+def _pair_derivatives(pair: Clip, s: float, delta: float):
+    """(grad, hess) of ``pair`` at (s, delta), which Newton cannot go on without."""
+    if pair.grad is None:
+        raise ConvergenceError(
+            f"stripe at s={s}, delta={delta}: the number of points where a line "
+            "crosses its copy is not 2"
+        )
+    return pair.grad, pair.hess
 
 
 def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -189,16 +187,16 @@ def _minimize_pair_clip(
     else:
         x = np.array([series_shift_minimizer(cut), 0.0])
     dim = 2 if with_tilt else 1
-    area = pair_clip_area(left, right, x[0], x[1])
-    grad, hess = _pair_clip_derivatives(left, right, x[0], x[1])
+    pair = pair_clip_area(left, right, x[0], x[1])
+    grad, hess = _pair_derivatives(pair, x[0], x[1])
     for iteration in range(1, NEWTON_MAX_ITER + 1):
         step = np.zeros(2)
         step[:dim] = _newton_step(grad[:dim], hess[:dim, :dim])
         converged = np.max(np.abs(step)) < NEWTON_STEP_TOL
         while True:
             trial = x + step
-            trial_area = pair_clip_area(left, right, trial[0], trial[1])
-            if trial_area <= area + AREA_ROUNDING:
+            trial_pair = pair_clip_area(left, right, trial[0], trial[1])
+            if trial_pair.area <= pair.area + AREA_ROUNDING:
                 break
             step *= 0.5
             if np.max(np.abs(step)) < NEWTON_STEP_TOL:
@@ -206,11 +204,11 @@ def _minimize_pair_clip(
                     f"class {k} at eps={eps}: no area decrease along the Newton "
                     f"step from s={x[0]}, delta={x[1]}"
                 )
-        x, area = trial, trial_area
-        grad, hess = _pair_clip_derivatives(left, right, x[0], x[1])
+        x, pair = trial, trial_pair
+        grad, hess = _pair_derivatives(pair, x[0], x[1])
         if converged:
             return EdgeCut(
-                k=k, s=float(x[0]), delta=float(x[1]), area=float(area),
+                k=k, s=float(x[0]), delta=float(x[1]), area=float(pair.area),
                 iterations=iteration, grad_norm=float(np.linalg.norm(grad[:dim])),
             )
     raise ConvergenceError(

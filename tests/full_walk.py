@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from croft_forge.body import ArcBody
-from croft_forge.clip import _arc_piece_area, _arc_point, arc_line_crossings
+from croft_forge.clip import (
+    _arc_piece_area,
+    _arc_point,
+    _chord_derivatives,
+    arc_line_crossings,
+)
 from croft_forge.lattice import ANGLE_TOL, KEEP_TOL, TrimmedBody, _unit
 
 
@@ -50,32 +55,17 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
 
 
 def halfplane_clip_derivatives(body: ArcBody, n, c: float):
-    """Gradient and Hessian in (c, theta) from the crossings on all arcs."""
-    n = np.asarray(n, dtype=float)
-    t = np.array([-n[1], n[0]])
-    crossings = []
+    """(grad, hess) in (c, theta) by the closed form of ``croft_forge.clip``
+    from the crossings on all arcs; (None, None) unless there are two."""
+    n = (float(n[0]), float(n[1]))
+    hits = []
     for i in range(body.n_arcs):
         center = body.centers[i]
         radius = body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]
-        for phi in arc_line_crossings(center, radius, a, b, n, c):
-            x = _arc_point(center, radius, phi)
-            w = x - center
-            wt = float(w @ t)
-            u = float(x @ t)
-            u_c = -float(w @ n) / wt
-            u_t = -float(w @ (c * t - u * n)) / wt
-            crossings.append((u, u_c, u_t))
-    if len(crossings) != 2:
-        raise ValueError(
-            f"line {n[0]:.6g}*x + {n[1]:.6g}*y = {c:.6g} meets the boundary in "
-            f"{len(crossings)} points, not 2"
-        )
-    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = sorted(crossings)
-    a_ct = -(u2_t - u1_t)
-    grad = np.array([-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1)])
-    hess = np.array([[-(u2_c - u1_c), a_ct], [a_ct, u2 * u2_t - u1 * u1_t]])
-    return grad, hess
+        hits += [(center, radius, phi)
+                 for phi in arc_line_crossings(center, radius, a, b, n, c)]
+    return _chord_derivatives(hits, n, c)
 
 
 def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
@@ -89,7 +79,7 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
         if radius <= 0.0:
             continue
         for phi in arc_line_crossings(center, radius, a, b, n, c):
-            pts.append(_arc_point(center, radius, phi))
+            pts.append(np.array(_arc_point(center, radius, phi)))
     return pts
 
 

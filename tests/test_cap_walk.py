@@ -1,6 +1,6 @@
 """The cap walk (``clip.cap_arcs``) against the full walk over every arc.
 
-Clip areas, clip derivatives, line crossings and trimmed bodies are
+Clip areas and their derivatives, line crossings and trimmed bodies are
 compared with ``full_walk``, which intersects each line with all n arcs.
 Bodies are closure-projected random profiles at |eps| <= 0.1, placed as
 lattice copies so that their breaks are rotated and the walk wraps from
@@ -17,12 +17,7 @@ import pytest
 import full_walk
 from croft_forge import ansatz, clip, lattice, tortoise
 from croft_forge.body import boundary_point, build_body
-from croft_forge.clip import (
-    boundary_line_crossings,
-    cap_arcs,
-    halfplane_clip_area,
-    halfplane_clip_derivatives,
-)
+from croft_forge.clip import boundary_line_crossings, cap_arcs, halfplane_clip_area
 from croft_forge.lattice import default_config, place_copy, trim_body
 from croft_forge.stepfn import make_step_function, reference_step_function
 
@@ -79,7 +74,7 @@ def _key(points):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_clip_area_matches_the_full_walk(seed):
     for body, n, c in _cases(seed):
-        assert abs(halfplane_clip_area(body, n, c)
+        assert abs(halfplane_clip_area(body, n, c).area
                    - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
 
 
@@ -88,13 +83,16 @@ def test_crossings_and_derivatives_match_the_full_walk(seed):
     for body, n, c in _cases(seed):
         got = boundary_line_crossings(body, n, c)
         assert _key(got) == _key(full_walk.boundary_line_crossings(body, n, c))
+        clip_ = halfplane_clip_area(body, n, c)
+        # the walk that gives the derivatives gives the area too, also
+        # where the line misses the body or touches it once
+        assert abs(clip_.area - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
+        want_grad, want_hess = full_walk.halfplane_clip_derivatives(body, n, c)
         if len(got) == 2:
-            grad, hess = halfplane_clip_derivatives(body, n, c)
-            want_grad, want_hess = full_walk.halfplane_clip_derivatives(body, n, c)
-            assert np.array_equal(grad, want_grad) and np.array_equal(hess, want_hess)
+            assert np.array_equal(clip_.grad, want_grad)
+            assert np.array_equal(clip_.hess, want_hess)
         else:
-            with pytest.raises(ValueError, match=f"{len(got)} points, not 2"):
-                halfplane_clip_derivatives(body, n, c)
+            assert clip_.grad is clip_.hess is want_grad is want_hess is None
 
 
 def test_cap_walk_wraps_and_covers():
@@ -145,22 +143,35 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
         _assert_same_trim(lattice.place_body(body, *s, CONFIG), cuts[s])
 
 
+def _counted(fn, counts, key):
+    """``fn``, counting its calls in ``counts[key]``."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_exact2_record_tries_few_arcs(monkeypatch):
-    """Each clip or derivative call of an exact2 record tries at most four
-    arcs on average (the full walk tried all 24)."""
+    """Each clip of an exact2 record tries at most four arcs on average
+    (the full walk tried all 24)."""
     counts = {"arcs": 0, "clips": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(clip, "arc_line_crossings", counted(clip.arc_line_crossings, "arcs"))
-    for name in ("halfplane_clip_area", "halfplane_clip_derivatives"):
-        wrapped = counted(getattr(clip, name), "clips")
-        monkeypatch.setattr(clip, name, wrapped)
-        monkeypatch.setattr(tortoise, name, wrapped)
+    monkeypatch.setattr(clip, "arc_line_crossings",
+                        _counted(clip.arc_line_crossings, counts, "arcs"))
+    wrapped = _counted(clip.halfplane_clip_area, counts, "clips")
+    monkeypatch.setattr(clip, "halfplane_clip_area", wrapped)
+    monkeypatch.setattr(tortoise, "halfplane_clip_area", wrapped)
     tortoise.tortoise_area(0.08, "exact2")
     assert counts["clips"] > 0
     assert counts["arcs"] <= 4 * counts["clips"]
+
+
+def test_exact2_record_walks_each_cap_once(monkeypatch):
+    """Each Newton point of an exact2 record walks the cap of each of its
+    two copies once, for the area and its derivatives together."""
+    counts = {"walks": 0, "points": 0}
+    monkeypatch.setattr(clip, "cap_arcs", _counted(clip.cap_arcs, counts, "walks"))
+    monkeypatch.setattr(tortoise, "pair_clip_area",
+                        _counted(tortoise.pair_clip_area, counts, "points"))
+    tortoise.tortoise_area(0.08, "exact2")
+    assert counts["points"] == 11
+    assert counts["walks"] == 2 * counts["points"]

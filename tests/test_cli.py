@@ -218,6 +218,56 @@ def test_verify_skips_series_checks_on_a_narrow_cap_profile(capsys, tmp_path):
     assert "FAIL avoidance" in out and "only 1.965532" in out
 
 
+def _uniform_qspec(tmp_path, n):
+    """The zero profile on n uniform intervals, written as a q-spec file."""
+    from fractions import Fraction
+
+    from croft_forge.stepfn import dump_qspec, make_step_function
+
+    path = tmp_path / f"u{n}.json"
+    dump_qspec(make_step_function([Fraction(2 * i, n) for i in range(n + 1)], np.zeros(n)), path)
+    return path
+
+
+def test_eigen_on_a_q_spec_break_set(capsys, tmp_path):
+    """The exact2 form on the uniform 12-interval break set: n/2 = 6
+    eigenvalues, all negative, and no published vector to compare with."""
+    path = _uniform_qspec(tmp_path, 12)
+    code, out, _ = run(capsys, "eigen", "--mode", "exact2", "--q-spec", str(path),
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["signature"] == {"positive": 0, "zero": 0, "negative": 6}
+    assert data["eigenvalues"][0] == pytest.approx(-1.023e-2, abs=5e-6)
+    assert len(data["top_eigenvector"]) == 6
+    assert "reference_vector" not in data and "max_vector_deviation" not in data
+    code, out, _ = run(capsys, "eigen", "--mode", "exact2", "--q-spec", str(path))
+    lines = out.splitlines()
+    assert lines[0] == "index,top_eigenvector"
+    assert [line.split(",")[0] for line in lines[1:]] == [*map(str, range(6)), "signature"]
+    assert lines[-1] == "signature,0,0,6"
+
+
+def test_eigen_on_the_reference_q_spec_is_unchanged(capsys, tmp_path):
+    """The reference break set as a q-spec gives the default output,
+    with the comparison to the published vector."""
+    from croft_forge.stepfn import dump_qspec, reference_step_function
+
+    path = tmp_path / "q.json"
+    dump_qspec(reference_step_function(), path)
+    for fmt in ("csv", "json"):
+        code, out, _ = run(capsys, "eigen", "--q-spec", str(path), "--format", fmt)
+        assert code == 0
+        assert (code, out) == run(capsys, "eigen", "--format", fmt)[:2]
+    assert "max_vector_deviation" in out
+
+
+def test_eigen_series_mode_refuses_a_narrow_cap_break_set(capsys, tmp_path):
+    code, out, err = run(capsys, "eigen", "--q-spec", str(_uniform_qspec(tmp_path, 36)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "inside the cap half-angle" in err
+
+
 @pytest.mark.parametrize("mode", ["series2", "exact2"])
 def test_fit_on_a_large_profile(capsys, tmp_path, mode):
     """max|q| = 5: the closed-form probes shrink with the profile, so a fit
@@ -398,7 +448,7 @@ def test_bad_inject_or_path_is_usage_error(capsys, argv):
         # verify reads eps from --inject, not from --eps
         ("verify", "--checks", "antipodal", "--eps", "0.3"),
         ("verify", "--checks", "antipodal", "--eps-range", "0:0.2:0.1"),
-        ("eigen", "--q-spec", "q.json"),
+        ("eigen", "--eps-range", "0:0.2:0.1"),
         ("eigen", "--eps", "0.1"),
         ("constants", "--eps", "0.1"),
         ("constants", "--q-spec", "q.json"),

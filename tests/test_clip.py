@@ -5,21 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from croft_forge.body import build_body
-from croft_forge.clip import (
-    arc_line_crossings,
-    boundary_line_crossings,
-    halfplane_clip_area,
-    halfplane_clip_derivatives,
-)
+from croft_forge.body import body_area, build_body
+from croft_forge.clip import arc_line_crossings, boundary_line_crossings, halfplane_clip_area
 from croft_forge.lattice import _stripe_lines, cut_parameters, default_config, edge_copies
 from croft_forge.segments import series_tilt_minimizer
 from croft_forge.stepfn import reference_step_function, zero_step_function
-from croft_forge.tortoise import (
-    ConvergenceError,
-    _pair_clip_derivatives,
-    pair_clip_area,
-)
+from croft_forge.tortoise import ConvergenceError, _pair_derivatives, pair_clip_area
 
 Q = reference_step_function()
 CONFIG = default_config()
@@ -33,7 +24,7 @@ def hess_tol(hess):
 
 
 def clip_area(body, c, theta):
-    return halfplane_clip_area(body, (math.cos(theta), math.sin(theta)), c)
+    return halfplane_clip_area(body, (math.cos(theta), math.sin(theta)), c).area
 
 
 def fd_gradient(f, x, h):
@@ -75,9 +66,7 @@ def stripe_clips(eps, k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_clip_derivatives_match_finite_differences(eps, k):
     for body, c, theta in stripe_clips(eps, k):
-        grad, hess = halfplane_clip_derivatives(
-            body, (math.cos(theta), math.sin(theta)), c
-        )
+        _, grad, hess = halfplane_clip_area(body, (math.cos(theta), math.sin(theta)), c)
 
         def f(c_, t_):
             return clip_area(body, c_, t_)
@@ -87,9 +76,7 @@ def test_clip_derivatives_match_finite_differences(eps, k):
 
         # tighter: central differences of the (just checked) gradient
         def g(c_, t_):
-            return halfplane_clip_derivatives(
-                body, (math.cos(t_), math.sin(t_)), c_
-            )[0]
+            return halfplane_clip_area(body, (math.cos(t_), math.sin(t_)), c_).grad
 
         fd = np.stack(
             [(g(c + H_GRAD, theta) - g(c - H_GRAD, theta)) / (2 * H_GRAD),
@@ -104,7 +91,7 @@ def test_unit_disc_clip_derivatives(c, theta):
     """Oracle: the kept part of the unit disc loses the chord 2*sqrt(1-c^2)
     per unit offset and does not depend on the line angle."""
     disc = build_body(zero_step_function(), 0.0)
-    grad, hess = halfplane_clip_derivatives(disc, (math.cos(theta), math.sin(theta)), c)
+    _, grad, hess = halfplane_clip_area(disc, (math.cos(theta), math.sin(theta)), c)
     root = math.sqrt(1.0 - c * c)
     assert grad[0] == pytest.approx(-2.0 * root, abs=1e-12)
     assert grad[1] == pytest.approx(0.0, abs=1e-12)
@@ -121,11 +108,11 @@ def test_line_through_a_break_crosses_twice():
     assert len(pts) == 2
     assert np.allclose(sorted(p[1] for p in pts), [-math.sqrt(0.75), math.sqrt(0.75)],
                        rtol=0, atol=1e-15)
-    grad, hess = halfplane_clip_derivatives(disc, (1.0, 0.0), 0.5)
+    area, grad, hess = halfplane_clip_area(disc, (1.0, 0.0), 0.5)
     assert grad[0] == pytest.approx(-math.sqrt(3.0), abs=1e-14)
     assert grad[1] == pytest.approx(0.0, abs=1e-14)
     assert hess[0, 0] == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
-    assert halfplane_clip_area(disc, (1.0, 0.0), 0.5) == pytest.approx(
+    assert area == pytest.approx(
         math.pi / 3 - math.sqrt(3.0) / 4, abs=1e-14
     )
 
@@ -139,9 +126,11 @@ def test_arc_crossing_at_its_ends():
 
 
 def test_clip_derivatives_need_two_crossings():
+    """A line that misses the body gives its area (none kept) but no derivatives."""
     disc = build_body(zero_step_function(), 0.0)
-    with pytest.raises(ValueError, match="0 points"):
-        halfplane_clip_derivatives(disc, (1.0, 0.0), 1.5)
+    clip = halfplane_clip_area(disc, (1.0, 0.0), 1.5)
+    assert clip.area == 0.0
+    assert clip.grad is None and clip.hess is None
 
 
 @pytest.mark.parametrize("eps", [-0.08, 0.08])
@@ -152,10 +141,10 @@ def test_pair_derivatives_match_finite_differences(eps, k):
     left, right = edge_copies(body, k, CONFIG)
     s, delta = series_tilt_minimizer(cut_parameters(Q, body, k, CONFIG))
     s, delta = s + 3e-3, delta - 5e-3  # off the minimum, where the gradient is not 0
-    grad, hess = _pair_clip_derivatives(left, right, s, delta)
+    grad, hess = _pair_derivatives(pair_clip_area(left, right, s, delta), s, delta)
 
     def f(s_, d_):
-        return pair_clip_area(left, right, s_, d_)
+        return pair_clip_area(left, right, s_, d_).area
 
     assert np.max(np.abs(grad)) > 1e-3
     assert np.max(np.abs(grad - fd_gradient(f, (s, delta), H_GRAD))) <= 1e-8
@@ -163,6 +152,12 @@ def test_pair_derivatives_match_finite_differences(eps, k):
 
 
 def test_pair_derivatives_raise_when_a_line_misses():
+    """Far out both stripe lines miss their copies: the area is still given
+    (the whole right copy lies on its removed side), and only asking for
+    the derivatives raises."""
     left, right = edge_copies(build_body(Q, 0.05), 0, CONFIG)
+    pair = pair_clip_area(left, right, 5.0, 0.0)
+    assert pair.grad is None
+    assert pair.area == pytest.approx(body_area(right), abs=1e-14)
     with pytest.raises(ConvergenceError, match="not 2"):
-        _pair_clip_derivatives(left, right, 5.0, 0.0)
+        _pair_derivatives(pair, 5.0, 0.0)

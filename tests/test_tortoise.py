@@ -70,7 +70,7 @@ def test_clip_area_against_segment_formula():
     disc = build_body(zero_step_function(), 0.0)
     for depth in (0.05, CROFT.w_c, 0.3):
         n = (1.0, 0.0)
-        a = halfplane_clip_area(disc, n, -(1.0 - depth))
+        a = halfplane_clip_area(disc, n, -(1.0 - depth)).area
         # area kept on the wrong side = disc minus segment
         assert math.pi - a == pytest.approx(disc_segment_area(depth), abs=1e-12)
 
@@ -79,7 +79,7 @@ def test_pair_clip_area_symmetric_discs():
     disc = build_body(zero_step_function(), 0.0)
     config = default_config()
     right = transform(disc, 0.0, (config.lattice_constant, 0.0))
-    a = pair_clip_area(disc, right, 0.0, 0.0)
+    a = pair_clip_area(disc, right, 0.0, 0.0).area
     assert a == pytest.approx(2 * CROFT.a_c, abs=1e-12)
 
 
@@ -321,10 +321,10 @@ def test_newton_matches_nelder_mead_reference(seed):
             s0, delta0 = series_tilt_minimizer(cut_parameters(q, body, e.k, config))
             if mode == "exact1":
                 x0 = [s0]
-                f = lambda x: pair_clip_area(left, right, x[0], 0.0)
+                f = lambda x: pair_clip_area(left, right, x[0], 0.0).area
             else:
                 x0 = [s0, delta0]
-                f = lambda x: pair_clip_area(left, right, x[0], x[1])
+                f = lambda x: pair_clip_area(left, right, x[0], x[1]).area
             # a simplex of side 1e-3, far wider than the series-to-exact gap
             simplex = np.vstack([x0, np.add(x0, 1e-3 * np.eye(len(x0)))])
             ref = minimize(f, x0=x0, method="Nelder-Mead", options={
