@@ -21,12 +21,16 @@ import numpy as np
 from .body import croft_constants
 from .lattice import LatticeConfig
 from .stepfn import StepFunction, make_step_function, reference_step_function
-from .tortoise import DEFAULT_FIT_EPS, fit_net_coefficient, series_net_coefficient
+from .tortoise import fit_net_coefficient, series_net_coefficient
 
 # Sizes on the reference profile; the form takes its own from the template.
 N_FREE = 12
 N_VARS = 14  # 12 step values + 2 shift components
 ZERO_EIGENVALUE_TOL = 1e-10
+# Jacobi stops once the off-diagonal norm is below JACOBI_OFF_TOL times the
+# matrix norm and fails after JACOBI_MAX_SWEEPS sweeps.
+JACOBI_OFF_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 100
 
 
 def step_from_halfvalues(v, template: StepFunction | None = None) -> StepFunction:
@@ -92,7 +96,6 @@ def c2_net(
     mode: str = "series2",
     *,
     template: StepFunction | None = None,
-    fit_eps=DEFAULT_FIT_EPS,
 ) -> float:
     """Second-order density-gain coefficient of a candidate profile.
 
@@ -107,7 +110,7 @@ def c2_net(
     )
     if mode in ("series1", "series2"):
         return series_net_coefficient(q, mode, config=config)
-    return fit_net_coefficient(mode, eps_values=fit_eps, q=q, config=config).c2
+    return fit_net_coefficient(mode, q=q, config=config).c2
 
 
 @dataclass(frozen=True)
@@ -180,14 +183,12 @@ def assemble_quadratic_form(
 # Self-contained cyclic Jacobi eigensolver
 
 
-def jacobi_eigh(
-    A: np.ndarray, *, off_tol: float = 1e-13, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps 2x2 rotations over all off-diagonal entries until their
-    Frobenius norm drops below ``off_tol`` times that of the whole matrix,
-    which the rotations keep.  Returns (eigenvalues,
+    Frobenius norm drops below JACOBI_OFF_TOL times that of the whole
+    matrix, which the rotations keep.  Returns (eigenvalues,
     eigenvectors) sorted in descending eigenvalue order, eigenvectors in
     columns.
     """
@@ -198,8 +199,8 @@ def jacobi_eigh(
         raise ValueError("matrix must be symmetric")
     n = A.shape[0]
     V = np.eye(n)
-    tol = off_tol * float(np.linalg.norm(A))
-    for _ in range(max_sweeps):
+    tol = JACOBI_OFF_TOL * float(np.linalg.norm(A))
+    for _ in range(JACOBI_MAX_SWEEPS):
         if np.linalg.norm(A - np.diag(np.diag(A))) <= tol:
             break
         for p in range(n - 1):
@@ -249,13 +250,11 @@ class EigenReport:
         return self.signature[0] > 0
 
 
-def eigen_signature(
-    form: QuadraticForm, *, zero_tol: float = ZERO_EIGENVALUE_TOL
-) -> EigenReport:
+def eigen_signature(form: QuadraticForm) -> EigenReport:
     """Diagonalize the form and extract the best candidate direction."""
     vals, vecs = jacobi_eigh(form.matrix)
-    n_pos = int(np.sum(vals > zero_tol))
-    n_neg = int(np.sum(vals < -zero_tol))
+    n_pos = int(np.sum(vals > ZERO_EIGENVALUE_TOL))
+    n_neg = int(np.sum(vals < -ZERO_EIGENVALUE_TOL))
     n_zero = len(vals) - n_pos - n_neg
     top = form.basis @ vecs[:, 0]
     v, shift = top[:-2], top[-2:]  # the last two basis rows are the shifts

@@ -18,6 +18,7 @@ from .stepfn import TWO_PI, StepFunction
 
 CLOSURE_TOL = 1e-9
 RADIUS_TOL = 1e-12
+DIAMETER_SAMPLES = 10_000  # evenly spaced angles in [0, pi) of diameter_profile
 
 
 class BodyError(ValueError):
@@ -89,7 +90,7 @@ def chain_closure_residual(q: StepFunction, offs: np.ndarray | None = None) -> f
     return math.hypot(end_x - offs[0, 0], end_y - offs[0, 1])
 
 
-def build_body(q: StepFunction, eps: float, *, closure_tol: float = CLOSURE_TOL) -> ArcBody:
+def build_body(q: StepFunction, eps: float) -> ArcBody:
     """Assemble the constant-diameter-2 body for profile ``q`` at ``eps``.
 
     The boundary point at phi = 0 is (1, 0) (``center_offsets``); the
@@ -111,7 +112,7 @@ def build_body(q: StepFunction, eps: float, *, closure_tol: float = CLOSURE_TOL)
         )
     offs = center_offsets(q)
     residual = abs(eps) * chain_closure_residual(q, offs)
-    if residual > closure_tol:
+    if residual > CLOSURE_TOL:
         raise BodyError(
             f"arc chain does not close (residual {residual:.3g}): the "
             "profile violates the closure constraints"
@@ -151,15 +152,13 @@ def body_area(b: ArcBody) -> float:
     return float(0.5 * np.sum(b.radii**2 * dphi + b.radii * cross))
 
 
-def diameter_profile(b: ArcBody, n: int = 10_000) -> tuple[float, float]:
-    """(max, min) antipodal boundary distance over ``n`` sampled angles.
+def diameter_profile(b: ArcBody) -> tuple[float, float]:
+    """(max, min) antipodal boundary distance over DIAMETER_SAMPLES angles.
 
     Break angles are included (sampled just inside each adjacent
     interval) so corner points are covered.
     """
-    if n < 24:
-        raise ValueError("need at least 24 samples")
-    phis = np.linspace(0.0, math.pi, n, endpoint=False)
+    phis = np.linspace(0.0, math.pi, DIAMETER_SAMPLES, endpoint=False)
     eps_in = 1e-9
     extra = np.concatenate([b.breaks[:-1] + eps_in, b.breaks[:-1] - eps_in])
     phis = np.concatenate([phis, extra % TWO_PI])

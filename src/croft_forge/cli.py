@@ -361,7 +361,7 @@ def _check_avoidance(q, inject, tol):
 
 
 def _check_eigen(q, inject, tol):
-    form = ansatz.assemble_quadratic_form("series2")
+    form = ansatz.assemble_quadratic_form("series2", template=q)
     asym = float(np.max(np.abs(form.matrix - form.matrix.T)))
     vals, vecs = ansatz.jacobi_eigh(form.matrix)
     norm = float(np.linalg.norm(form.matrix, 2))
@@ -470,7 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default="series2",
             )
         if "q-spec" in names:
-            p.add_argument("--q-spec", help="JSON step-function file (default: bundled)")
+            p.add_argument(
+                "--q-spec", help="JSON step-function file (default: the reference profile)"
+            )
         if "format" in names:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if "out" in names:

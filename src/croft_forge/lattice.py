@@ -7,6 +7,13 @@ nearest-neighbor edge then joins colors c and c+1 and falls into one of
 three classes by direction; the geometry of the stripe cut across an
 edge depends only on its class.
 
+Every cut has one format: a pair (n, c) for the removed half-plane
+{x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
+states where a stripe's two caps sit across an edge along +x, and
+``collect_patch_cuts`` moves them onto each edge of a patch; the exact
+clip (``clip.halfplane_clip_area``), the trimming and the drawings take
+the pairs as they are.
+
 Patch verification is exact.  Each copy is trimmed by its stripe
 half-planes to a boundary of arc pieces and chords (``trim_body``), and
 distances are closed forms over pairs of pieces, vectorised with NumPy.
@@ -36,8 +43,12 @@ PSI = math.pi / 3.0
 
 COLORS = ("red", "green", "blue")
 
-# Lattice index offsets of the six nearest neighbors (basis below).
+# Lattice index offsets of the six nearest neighbors (basis below); step m
+# points at angle m*pi/3.
 NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+# The patch that is verified and drawn: a site and its 3x3 neighborhood.
+PATCH_SITES = tuple((i, j) for i in range(-1, 2) for j in range(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -191,52 +202,33 @@ def cut_parameters(q: StepFunction, body: ArcBody, k: int, config: LatticeConfig
 
 
 # ---------------------------------------------------------------------------
-# Stripe lines
+# Stripe caps
 
 
-def _stripe_lines(position, beta, s, delta, stripe_width):
-    """The two cut lines of a stripe across an edge, in lattice coordinates.
+def stripe_caps(s: float, delta: float, stripe_width: float = 2.0):
+    """The two caps a stripe at (s, delta) removes across the class edge along
+    +x from the origin: the left copy's cap, then the right copy's.
 
-    Returns (n, c_left, c_right): outward unit normal of the left cap and
-    the two line offsets; the left body keeps n.x <= c_left, the right
-    body keeps n.x >= c_right.
-    """
-    phi_c = croft_constants().phi_c
-    n_frame = (math.cos(delta), -math.sin(delta))
-    n = _rot(beta, n_frame)
-    p_left = np.asarray(position) + np.asarray(_rot(beta, (math.cos(phi_c) + s, 0.0)))
-    p_right = np.asarray(position) + np.asarray(
-        _rot(beta, (math.cos(phi_c) + s + stripe_width / math.cos(delta), 0.0))
-    )
-    return (
-        np.asarray(n),
-        float(n[0] * p_left[0] + n[1] * p_left[1]),
-        float(n[0] * p_right[0] + n[1] * p_right[1]),
-    )
+    Each cap is (n, c, jac, c_hess) for the removed half-plane {x : n.x >= c},
+    with n = (cos theta, sin theta):
 
+    - left: c = cos(delta)*(cos(phi_c) + s), n = (cos delta, -sin delta);
+    - right: n_r = -n, c_r = -c - stripe_width.
 
-def _stripe_line_derivatives(s, delta):
-    """(s, delta)-derivatives of the two cut lines of a stripe along +x.
-
-    Each line of ``_stripe_lines((0, 0), 0, s, delta, width)`` is taken as
-    a clip line {n.x = c} with n = (cos theta, sin theta) pointing into
-    the cap it removes:
-
-    - left line: c = cos(delta)*(cos(phi_c) + s), theta = -delta;
-    - right line: c = -cos(delta)*(cos(phi_c) + s) - width, theta = pi - delta.
-
-    The width drops out of every derivative.  Returns one (jac, c_hess)
-    pair per line: ``jac`` holds the gradients of c and theta as rows,
-    ``c_hess`` the Hessian of c (theta is linear).
+    ``jac`` holds the (s, delta)-gradients of c and theta as rows and
+    ``c_hess`` the Hessian of c (theta is linear); the width drops out of
+    both.  This is the one place that states where a stripe's lines sit.
     """
     p = math.cos(croft_constants().phi_c) + s
     cd, sd = math.cos(delta), math.sin(delta)
+    n = np.array([cd, -sd])
+    c = cd * p
     c_grad = np.array([cd, -sd * p])
     c_hess = np.array([[0.0, -sd], [-sd, -cd * p]])
     theta_grad = np.array([0.0, -1.0])
     return (
-        (np.stack([c_grad, theta_grad]), c_hess),
-        (np.stack([-c_grad, theta_grad]), -c_hess),
+        (n, c, np.stack([c_grad, theta_grad]), c_hess),
+        (-n, -c - stripe_width, np.stack([-c_grad, theta_grad]), -c_hess),
     )
 
 
@@ -246,32 +238,33 @@ def collect_patch_cuts(
     config: LatticeConfig,
     stripe_width: float = 2.0,
 ):
-    """Cut constraints per site and the list of edges of a lattice patch.
+    """Cuts per site and the list of edges of a lattice patch.
 
-    Returns (cuts, edges): ``cuts[site]`` is a list of (n, c, keep_sign)
-    half-plane constraints (kept side: keep_sign * (n.x - c) <= 0);
+    Returns (cuts, edges): ``cuts[site]`` lists the removed half-planes
+    {x : n.x >= c} of the site's copy as (n, c) pairs, the caps of
+    ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
+    by m*pi/3 for neighbor step m, then a shift to the edge's origin);
     ``edges`` lists (site_a, site_b, class) with the edge oriented from
     color c to color c+1.
     """
     site_set = set(sites)
+    caps = {k: stripe_caps(s, delta, stripe_width) for k, (s, delta) in stripes.items()}
     cuts: dict[tuple[int, int], list] = {s: [] for s in sites}
     edges = []
     for (i, j) in sites:
-        for (di, dj) in NEIGHBOR_STEPS:
+        for m, (di, dj) in enumerate(NEIGHBOR_STEPS):
             other = (i + di, j + dj)
             if other not in site_set:
                 continue
             c_a, c_b = color_index(i, j), color_index(*other)
             if (c_a + 1) % 3 != c_b:
                 continue  # traverse each edge once, from color c to c+1
-            pos_a = config.position(i, j)
-            pos_b = config.position(*other)
-            beta = math.atan2(pos_b[1] - pos_a[1], pos_b[0] - pos_a[0])
+            beta = m * PSI
             k = edge_class(c_a, beta)
-            s, delta = stripes[k]
-            n, c_left, c_right = _stripe_lines(pos_a, beta, s, delta, stripe_width)
-            cuts[(i, j)].append((n, c_left, +1.0))
-            cuts[other].append((n, c_right, -1.0))
+            origin = config.position(i, j)
+            for site, (n, c, _, _) in zip(((i, j), other), caps[k]):
+                n = np.array(_rot(beta, n))
+                cuts[site].append((n, c + float(n @ origin)))
             edges.append(((i, j), other, k))
     return cuts, edges
 
@@ -350,23 +343,23 @@ def _in_arc(d, u0, u1):
 
 
 def trim_body(body: ArcBody, cuts) -> TrimmedBody:
-    """Exact boundary of ``body`` intersected with its cut half-planes.
+    """Exact boundary of ``body`` with its cut half-planes removed.
 
-    ``cuts`` holds (n, c, keep_sign) as from ``collect_patch_cuts``.  Each
-    arc is split where it crosses a cut line, trying only the arcs under
-    the cap each cut removes (``clip.cap_arcs``), and the pieces whose
-    midpoints satisfy every cut are kept.  Each cut line adds the chord
+    ``cuts`` holds (n, c) pairs, each the removed half-plane {x : n.x >= c},
+    as from ``collect_patch_cuts``.  Each arc is split where it crosses a
+    cut line, trying only the arcs under the cap each cut removes
+    (``clip.cap_arcs``), and the pieces whose midpoints satisfy
+    n.x <= c for every cut are kept.  Each cut line adds the chord
     between its two boundary crossings, clipped as an interval by the
     other cuts.
     """
-    normals = np.array([n for n, _, _ in cuts], dtype=float).reshape(-1, 2)
-    offsets = np.array([c for _, c, _ in cuts], dtype=float)
-    keeps = np.array([k for _, _, k in cuts], dtype=float)
+    normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
+    offsets = np.array([c for _, c in cuts], dtype=float)
     hits: list[list[np.ndarray]] = [[] for _ in cuts]
     # the cuts whose line can cross each arc: only arcs under the removed cap
     arc_cuts: list[list[int]] = [[] for _ in range(body.n_arcs)]
-    for j in range(len(cuts)):
-        for i in cap_arcs(body, keeps[j] * normals[j], keeps[j] * offsets[j]):
+    for j, (n, c) in enumerate(cuts):
+        for i in cap_arcs(body, n, c):
             arc_cuts[i].append(j)
     pieces = []  # (arc index, start angle, end angle)
     for i in range(body.n_arcs):
@@ -374,7 +367,7 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
         a, b = body.breaks[i], body.breaks[i + 1]
         angles = [a, b]
         for j in arc_cuts[i]:  # ascending, as the cuts are listed
-            n, c, _ = cuts[j]
+            n, c = cuts[j]
             for phi in arc_line_crossings(center, radius, a, b, n, c):
                 angles.append(phi)
                 hits[j].append(center + radius * _unit(phi))
@@ -385,7 +378,7 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     hi = np.array([p[2] for p in pieces], dtype=float)
     centers, radii = body.centers[idx], body.radii[idx]
     mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
-    kept = np.all(keeps * (mid @ normals.T - offsets) <= KEEP_TOL, axis=1)
+    kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
     centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
 
     chords = []
@@ -398,8 +391,8 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
         p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
         # the chord p0 + u*(p1 - p0), u in [0, 1], kept where
         # g0 + u*g1 <= 0 for every other cut
-        g0 = keeps * (normals @ p0 - offsets)
-        g1 = keeps * (normals @ (p1 - p0))
+        g0 = normals @ p0 - offsets
+        g1 = normals @ (p1 - p0)
         u_lo, u_hi = 0.0, 1.0
         for k in range(len(cuts)):
             if k == j:
@@ -554,16 +547,16 @@ def farthest_pair(t: TrimmedBody) -> tuple[float, Witness]:
 
 
 def halfplane_excess(t: TrimmedBody, cuts) -> np.ndarray:
-    """max of keep_sign*(n.x - c) over the trimmed body, one per cut.
+    """max of n.x - c over the trimmed body, one per cut (n, c).
 
-    A linear function d.x peaks on an arc piece at an endpoint or at
-    M + r*d, and on a chord at an endpoint; every endpoint is a vertex.
+    A linear function n.x peaks on an arc piece at an endpoint or at
+    M + r*n, and on a chord at an endpoint; every endpoint is a vertex.
     """
-    dirs = np.array([k * np.asarray(n) for n, _, k in cuts], dtype=float).reshape(-1, 2)
+    dirs = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
     on_arc = _in_arc(dirs[None], t.u0[:, None], t.u1[:, None])
     peaks = np.where(on_arc, t.centers @ dirs.T + t.radii[:, None], -math.inf)
     top = np.max(np.vstack([peaks, t.vertices @ dirs.T]), axis=0, initial=-math.inf)
-    return top - np.array([k * c for _, c, k in cuts])
+    return top - np.array([c for _, c in cuts], dtype=float)
 
 
 def _point(p) -> str:
@@ -576,15 +569,13 @@ def verify_avoidance(
     stripes: dict[int, tuple[float, float]],
     *,
     config: LatticeConfig | None = None,
-    extent: int = 1,
     stripe_width: float = 2.0,
     tol: float = 1e-9,
-    checks: tuple[str, ...] = ("halfplane", "cross", "diameter"),
 ) -> AvoidanceReport:
     """Check exactly that stripe-cut copies on a lattice patch stay 2 apart.
 
     ``stripes`` maps each edge class k to its (shift, tilt).  For every
-    site in the (2*extent+1)^2 patch and every nearest-neighbor edge, the
+    site of the 3x3 patch ``PATCH_SITES`` and every nearest-neighbor edge, the
     two cut lines are laid across the edge and each body is trimmed to
     its exact boundary (``trim_body``).  The checks assert that
     (a) each trimmed body stays on its side of its cut lines to ``tol``,
@@ -611,11 +602,7 @@ def verify_avoidance(
         raise ValueError(f"stripe width must be positive, got {stripe_width}")
     if config is None:
         config = default_config()
-    sites = [
-        (i, j)
-        for i in range(-extent, extent + 1)
-        for j in range(-extent, extent + 1)
-    ]
+    sites = PATCH_SITES
     body = build_body(q, eps)
     bodies = {s: place_body(body, *s, config) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, config, stripe_width)
@@ -624,44 +611,41 @@ def verify_avoidance(
 
     violations: list[str] = []
     max_hp = -math.inf
-    if "halfplane" in checks:
-        for s in sites:
-            if s not in nonempty:
-                continue
-            for v in halfplane_excess(trimmed[s], cuts[s]):
-                max_hp = max(max_hp, v)
-                if v > tol:
-                    violations.append(
-                        f"site {s}: trimmed body crosses a cut line by {v:.3e}"
-                    )
+    for s in sites:
+        if s not in nonempty:
+            continue
+        for v in halfplane_excess(trimmed[s], cuts[s]):
+            max_hp = max(max_hp, v)
+            if v > tol:
+                violations.append(
+                    f"site {s}: trimmed body crosses a cut line by {v:.3e}"
+                )
 
     min_cross, cross_witness = math.inf, None
-    if "cross" in checks:
-        for a, b, k in edges:
-            if a not in nonempty or b not in nonempty:
-                continue
-            d, w = closest_pair(trimmed[a], trimmed[b])
-            if d < min_cross:
-                min_cross, cross_witness = d, w
-            if d < 2.0 - tol:
-                violations.append(
-                    f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "
-                    f"at {_point(w[0])} and {_point(w[1])}"
-                )
+    for a, b, k in edges:
+        if a not in nonempty or b not in nonempty:
+            continue
+        d, w = closest_pair(trimmed[a], trimmed[b])
+        if d < min_cross:
+            min_cross, cross_witness = d, w
+        if d < 2.0 - tol:
+            violations.append(
+                f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "
+                f"at {_point(w[0])} and {_point(w[1])}"
+            )
 
     max_diam, diameter_witness = -math.inf, None
-    if "diameter" in checks:
-        for s in sites:
-            if s not in nonempty:
-                continue
-            d, w = farthest_pair(trimmed[s])
-            if d > max_diam:
-                max_diam, diameter_witness = d, w
-            if d > 2.0 + tol:
-                violations.append(
-                    f"site {s}: trimmed body has diameter {d:.12f} > 2, "
-                    f"between {_point(w[0])} and {_point(w[1])}"
-                )
+    for s in sites:
+        if s not in nonempty:
+            continue
+        d, w = farthest_pair(trimmed[s])
+        if d > max_diam:
+            max_diam, diameter_witness = d, w
+        if d > 2.0 + tol:
+            violations.append(
+                f"site {s}: trimmed body has diameter {d:.12f} > 2, "
+                f"between {_point(w[0])} and {_point(w[1])}"
+            )
 
     return AvoidanceReport(
         ok=not violations,

@@ -1,18 +1,16 @@
-"""Reference dataset for the bundled 24-interval constant-diameter family.
+"""Reference dataset for the 24-interval constant-diameter family.
 
 The numbers below describe the published 1-parameter family of
 constant-diameter-2 bodies used as the default input everywhere in this
-package: the radius-perturbation step values, the per-interval center
-offsets of the arc chain (at unit family parameter), the pre-rotation
-shift of the lattice copies, and the lattice constant.
-All values are printed to 15 decimals.
+package: the break angles and radius-perturbation step values (the
+profile of ``stepfn.reference_step_function``), the per-interval center
+offsets of the arc chain (at unit family parameter) and the pre-rotation
+shift of the lattice copies.  All values are printed to 15 decimals.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
@@ -70,9 +68,6 @@ Y_OFFSETS = np.array([
 SHIFT_X = -0.001383301426275
 SHIFT_Y = -0.158574235421304
 
-# Lattice constant of the hexagonal lattice at diameter-2 scale.
-LATTICE_CONSTANT = 3.93106461489781
-
 # The body area is pi - AREA_COEFF * eps**2 (exactly quadratic in eps).
 AREA_COEFF = 0.010474705472633
 
@@ -81,9 +76,3 @@ AREA_COEFF = 0.010474705472633
 PRINTED_CUT_COEFF_SHIFT_TILT = -0.0118673317
 PRINTED_NET_COEFF_SHIFT_TILT = +0.0013926262
 PRINTED_NET_COEFF_SHIFT_ONLY = +2.04e-15
-
-
-def reference_qspec_dict() -> dict:
-    """Load the bundled q-spec JSON as a plain dict."""
-    with resources.files("croft_forge.data").joinpath("reference_q.json").open() as fh:
-        return json.load(fh)

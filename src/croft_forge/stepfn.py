@@ -187,10 +187,10 @@ def dump_qspec(f: StepFunction, path: str | Path) -> None:
 
 @lru_cache(maxsize=1)
 def reference_step_function() -> StepFunction:
-    """The bundled 24-interval reference profile, built once and shared;
-    its arrays are read-only."""
+    """The 24-interval reference profile of ``reference``, built once and
+    shared; its arrays are read-only."""
     from . import reference
 
-    q = qspec_from_dict(reference.reference_qspec_dict())
+    q = make_step_function(reference.BREAK_FRACTIONS, reference.Q_VALUES)
     q.values.setflags(write=False)
     return q

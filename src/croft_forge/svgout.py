@@ -16,6 +16,7 @@ import numpy as np
 from .body import ArcBody, build_body
 from .lattice import (
     COLORS,
+    PATCH_SITES,
     LatticeConfig,
     collect_patch_cuts,
     color_index,
@@ -80,13 +81,13 @@ def svg_document(elements: list[str], bounds: tuple[float, float, float, float])
     )
 
 
-def render_body_svg(b: ArcBody, fill: str = "#ddd") -> str:
+def render_body_svg(b: ArcBody) -> str:
     """Standalone picture of one body."""
     d = body_path_d(b)
     cx, cy = float(np.mean(b.centers[:, 0])), float(np.mean(b.centers[:, 1]))
     pad = 1.4
     return svg_document(
-        [f'<path d="{d}" fill="{fill}" stroke="{STROKE}" stroke-width="0.01"/>'],
+        [f'<path d="{d}" fill="#ddd" stroke="{STROKE}" stroke-width="0.01"/>'],
         (cx - pad, cy - pad, cx + pad, cy + pad),
     )
 
@@ -100,14 +101,13 @@ def render_tortoise_svg(
     """One body with the six cut lines of its incident stripes."""
     if config is None:
         config = default_config()
-    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
-    cuts, _ = collect_patch_cuts(sites, stripes, config, 2.0)
+    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes, config, 2.0)
     body = place_body(build_body(q, eps), 0, 0, config)
     elements = [
         f'<path d="{body_path_d(body)}" fill="{FILL_BY_COLOR["red"]}" '
         f'stroke="{STROKE}" stroke-width="0.01"/>'
     ]
-    for n, c, keep in cuts[(0, 0)]:
+    for n, c in cuts[(0, 0)]:
         elements.append(_line_segment(n, c, (0.0, 0.0)))
     pad = 1.6
     return svg_document(elements, (-pad, -pad, pad, pad))
@@ -118,30 +118,24 @@ def render_lattice_svg(
     eps: float,
     stripes: dict[int, tuple[float, float]],
     config: LatticeConfig | None = None,
-    extent: int = 1,
 ) -> str:
-    """A patch of colored bodies with every stripe's two cut lines."""
+    """The 3x3 patch of colored bodies with every stripe's two cut lines."""
     if config is None:
         config = default_config()
-    sites = [
-        (i, j)
-        for i in range(-extent, extent + 1)
-        for j in range(-extent, extent + 1)
-    ]
-    cuts, _ = collect_patch_cuts(sites, stripes, config, 2.0)
+    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes, config, 2.0)
     body = build_body(q, eps)
     elements = []
-    for s in sites:
+    for s in PATCH_SITES:
         fill = FILL_BY_COLOR[COLORS[color_index(*s)]]
         elements.append(
             f'<path d="{body_path_d(place_body(body, *s, config))}" fill="{fill}" '
             f'stroke="{STROKE}" stroke-width="0.01"/>'
         )
-        for n, c, keep in cuts[s]:
+        for n, c in cuts[s]:
             elements.append(_line_segment(n, c, config.position(*s)))
     L = config.lattice_constant
-    lo = -(extent + 0.6) * L
-    hi = (extent + 1.2) * L
+    lo = -1.6 * L
+    hi = 2.2 * L
     return svg_document(elements, (lo, lo, hi, hi))
 
 

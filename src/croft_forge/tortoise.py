@@ -10,7 +10,7 @@ series with shift-only or shift+tilt stripe minimization ("series1",
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and
 second derivatives: one ``clip.halfplane_clip_area`` walk per copy gives
-its area and derivatives, chained through ``lattice._stripe_line_derivatives``.
+its area and derivatives, chained through the caps of ``lattice.stripe_caps``.
 Newton starts at the series minimizer, halves any step that raises the
 area, and stops after a full step below NEWTON_STEP_TOL; each ``EdgeCut``
 records its iterations and the final gradient norm as a stationarity
@@ -34,11 +34,10 @@ from .clip import Clip, halfplane_clip_area
 from .lattice import (
     PSI,
     LatticeConfig,
-    _stripe_line_derivatives,
-    _stripe_lines,
     cut_parameters,
     default_config,
     edge_copies,
+    stripe_caps,
 )
 from .segments import (
     PairCut,
@@ -137,14 +136,14 @@ class DensityRecord:
 def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> Clip:
     """Exact area removed from both copies by the stripe at (s, delta), with its
     gradient and Hessian in (s, delta) chained from each copy's (c, theta) ones."""
-    # the stripe removes left ∩ {n.x >= c_left} and right ∩ {-n.x >= -c_right}
-    n, c_left, c_right = _stripe_lines((0.0, 0.0), 0.0, s, delta, 2.0)
-    clips = (halfplane_clip_area(left, n, c_left), halfplane_clip_area(right, -n, -c_right))
+    caps = stripe_caps(s, delta)
+    clips = [halfplane_clip_area(body, n, c)
+             for body, (n, c, _, _) in zip((left, right), caps)]
     area = clips[0].area + clips[1].area
     if clips[0].grad is None or clips[1].grad is None:
         return Clip(area)
     grad, hess = np.zeros(2), np.zeros((2, 2))
-    for clip, (jac, c_hess) in zip(clips, _stripe_line_derivatives(s, delta)):
+    for clip, (_, _, jac, c_hess) in zip(clips, caps):
         grad += jac.T @ clip.grad
         hess += jac.T @ clip.hess @ jac + clip.grad[0] * c_hess
     return Clip(area, grad, hess)
@@ -366,29 +365,29 @@ class QuadraticFit:
     max_residual: float
 
 
-def fit_eps2_coefficient(eps_values, areas, *, odd_nuisance: bool = True) -> QuadraticFit:
+# fitted powers of eps: a0, c2, c4 and the two odd nuisance terms
+FIT_POWERS = (0, 2, 4, 3, 5)
+FIT_MIN_SAMPLES = len(FIT_POWERS)
+DEFAULT_FIT_EPS = (-0.08, -0.04, -0.02, -0.01, 0.01, 0.02, 0.04, 0.08)
+
+
+def fit_eps2_coefficient(eps_values, areas) -> QuadraticFit:
     """Fit a0 + c2*eps^2 + c4*eps^4 to (eps, area) samples.
 
     The exactly-clipped areas are not even functions of eps (the series
-    areas are), so by default cubic and quintic nuisance terms are
-    included; on a symmetric sample grid they leave a0, c2, c4 unchanged
-    and only keep genuine odd content out of the residual.
+    areas are), so cubic and quintic nuisance terms are included; on a
+    symmetric sample grid they leave a0, c2, c4 unchanged and only keep
+    genuine odd content out of the residual.
     """
     eps_arr = np.asarray(list(eps_values), dtype=float)
     y = np.asarray(list(areas), dtype=float)
-    powers = [0, 2, 4] + ([3, 5] if odd_nuisance else [])
-    if len(eps_arr) < len(powers):
-        raise ValueError(f"need at least {len(powers)} samples for this fit")
-    design = np.stack([eps_arr**p for p in powers], axis=-1)
+    if len(eps_arr) < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples for this fit")
+    design = np.stack([eps_arr**p for p in FIT_POWERS], axis=-1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.max(np.abs(design @ coef - y)))
     return QuadraticFit(a0=float(coef[0]), c2=float(coef[1]), c4=float(coef[2]),
                         max_residual=resid)
-
-
-# samples needed by the default fit: a0, c2, c4 and the two odd nuisance terms
-FIT_MIN_SAMPLES = 5
-DEFAULT_FIT_EPS = (-0.08, -0.04, -0.02, -0.01, 0.01, 0.02, 0.04, 0.08)
 
 
 def fit_net_coefficient(

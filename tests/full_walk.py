@@ -84,17 +84,17 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
 
 
 def trim_body(body: ArcBody, cuts) -> TrimmedBody:
-    """``lattice.trim_body`` with every cut line tried on every arc."""
-    normals = np.array([n for n, _, _ in cuts], dtype=float).reshape(-1, 2)
-    offsets = np.array([c for _, c, _ in cuts], dtype=float)
-    keeps = np.array([k for _, _, k in cuts], dtype=float)
+    """``lattice.trim_body`` with every cut line tried on every arc; each
+    cut (n, c) removes {x : n.x >= c}."""
+    normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
+    offsets = np.array([c for _, c in cuts], dtype=float)
     hits: list[list[np.ndarray]] = [[] for _ in cuts]
     pieces = []  # (arc index, start angle, end angle)
     for i in range(body.n_arcs):
         center, radius = body.centers[i], body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]
         angles = [a, b]
-        for j, (n, c, _) in enumerate(cuts):
+        for j, (n, c) in enumerate(cuts):
             for phi in arc_line_crossings(center, radius, a, b, n, c):
                 angles.append(phi)
                 hits[j].append(center + radius * _unit(phi))
@@ -105,7 +105,7 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     hi = np.array([p[2] for p in pieces], dtype=float)
     centers, radii = body.centers[idx], body.radii[idx]
     mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
-    kept = np.all(keeps * (mid @ normals.T - offsets) <= KEEP_TOL, axis=1)
+    kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
     centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
 
     chords = []
@@ -116,8 +116,8 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
         pts = np.array(pts)
         along = pts @ np.array([-n[1], n[0]])
         p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
-        g0 = keeps * (normals @ p0 - offsets)
-        g1 = keeps * (normals @ (p1 - p0))
+        g0 = normals @ p0 - offsets
+        g1 = normals @ (p1 - p0)
         u_lo, u_hi = 0.0, 1.0
         for k in range(len(cuts)):
             if k == j:

@@ -110,11 +110,13 @@ def test_cap_walk_wraps_and_covers():
 
 
 def _random_cuts(rng, body, count):
+    """Cuts (n, c) that remove either side of a random line."""
     cuts = []
     for _ in range(count):
         n = _normals(rng, body, 1)[0]
         c = float(rng.choice(_offsets(rng, body, n)))
-        cuts.append((n, c, float(rng.choice([-1.0, 1.0]))))
+        side = float(rng.choice([-1.0, 1.0]))
+        cuts.append((side * n, side * c))
     return cuts
 
 

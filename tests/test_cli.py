@@ -197,19 +197,20 @@ def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
 
 
 def test_verify_skips_series_checks_on_a_narrow_cap_profile(capsys, tmp_path):
-    """The two series-only checks are skipped, not failed, on the q36
-    profile; the avoidance check runs on exact2 stripes, passes at width 2
-    and still catches the width-1.9 fault (closest pair 1.9655 at eps 0)."""
+    """The three series-only checks (cancellation, series-vs-exact and the
+    series2 form of eigen) are skipped, not failed, on the q36 profile; the
+    avoidance check runs on exact2 stripes, passes at width 2 and still
+    catches the width-1.9 fault (closest pair 1.9655 at eps 0)."""
     path = _q36_profile(tmp_path)
     code, out, _ = run(capsys, "verify", "--q-spec", str(path))
     assert code == 0
     skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
     assert [line.split(":")[0] for line in skipped] == [
-        "SKIP cancellation", "SKIP series-vs-exact"
+        "SKIP cancellation", "SKIP series-vs-exact", "SKIP eigen"
     ]
     assert all("inside the cap half-angle" in line for line in skipped)
     assert "PASS avoidance" in out and "FAIL" not in out
-    assert "5/5 checks passed, 2 skipped" in out
+    assert "4/4 checks passed, 3 skipped" in out
     code, out, _ = run(
         capsys, "verify", "--q-spec", str(path), "--checks", "avoidance",
         "--inject", "stripe-width=1.9",
@@ -246,6 +247,23 @@ def test_eigen_on_a_q_spec_break_set(capsys, tmp_path):
     assert lines[0] == "index,top_eigenvector"
     assert [line.split(",")[0] for line in lines[1:]] == [*map(str, range(6)), "signature"]
     assert lines[-1] == "signature,0,0,6"
+
+
+def test_verify_eigen_checks_the_q_spec_form(capsys, tmp_path):
+    """``verify --checks eigen`` diagonalizes the series2 form on the
+    q-spec's break set (norm 8.7 on the uniform 12 intervals), not the
+    reference form (norm 8.4)."""
+    from croft_forge.stepfn import load_qspec
+
+    path = _uniform_qspec(tmp_path, 12)
+    form = ansatz.assemble_quadratic_form("series2", template=load_qspec(path))
+    norm = f"(norm {np.linalg.norm(form.matrix, 2):.1e})"
+    code, out, _ = run(capsys, "verify", "--q-spec", str(path), "--checks", "eigen")
+    assert code == 0
+    assert out.startswith("PASS eigen: ") and norm in out
+    code, out, _ = run(capsys, "verify", "--checks", "eigen")
+    assert code == 0
+    assert "(norm 8.4e+00)" in out and norm not in out
 
 
 def test_eigen_on_the_reference_q_spec_is_unchanged(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from croft_forge.body import body_area, build_body
 from croft_forge.clip import arc_line_crossings, boundary_line_crossings, halfplane_clip_area
-from croft_forge.lattice import _stripe_lines, cut_parameters, default_config, edge_copies
+from croft_forge.lattice import cut_parameters, default_config, edge_copies, stripe_caps
 from croft_forge.segments import series_tilt_minimizer
 from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import ConvergenceError, _pair_derivatives, pair_clip_area
@@ -57,9 +57,8 @@ def stripe_clips(eps, k):
     left, right = edge_copies(body, k, CONFIG)
     cut = cut_parameters(Q, body, k, CONFIG)
     s, delta = series_tilt_minimizer(cut)
-    n, c_left, c_right = _stripe_lines((0.0, 0.0), 0.0, s, delta, 2.0)
-    theta = math.atan2(n[1], n[0])
-    return [(left, c_left, theta), (right, -c_right, theta + math.pi)]
+    return [(body, c, math.atan2(n[1], n[0]))
+            for body, (n, c, _, _) in zip((left, right), stripe_caps(s, delta))]
 
 
 @pytest.mark.parametrize("eps", [-0.08, 0.08])
@@ -136,7 +135,8 @@ def test_clip_derivatives_need_two_crossings():
 @pytest.mark.parametrize("eps", [-0.08, 0.08])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_pair_derivatives_match_finite_differences(eps, k):
-    """The stripe-line chain rule against differences of pair_clip_area."""
+    """The chain rule through the ``stripe_caps`` derivatives against
+    differences of pair_clip_area."""
     body = build_body(Q, eps)
     left, right = edge_copies(body, k, CONFIG)
     s, delta = series_tilt_minimizer(cut_parameters(Q, body, k, CONFIG))

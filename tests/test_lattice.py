@@ -186,13 +186,13 @@ def test_collect_patch_cuts_structure():
 def _dense_samples(body, cuts, n_boundary, n_chord):
     """Boundary and cut-chord samples of the trimmed body (test-only sampler).
 
-    ``cuts`` holds (n, c, keep_sign); the kept side satisfies
-    keep_sign * (n.x - c) <= 0.  Each chord is sampled between the extreme
-    points where its line crosses the body boundary, ends included.
+    ``cuts`` holds (n, c) pairs, each removing {x : n.x >= c}.  Each chord
+    is sampled between the extreme points where its line crosses the body
+    boundary, ends included.
     """
     phis = np.linspace(0.0, 2.0 * math.pi, n_boundary, endpoint=False)
     pts = [boundary_point(body, phis + body.breaks[0])]
-    for n, c, _ in cuts:
+    for n, c in cuts:
         hits = boundary_line_crossings(body, n, c)
         if len(hits) >= 2:
             hits = np.asarray(hits)
@@ -202,15 +202,15 @@ def _dense_samples(body, cuts, n_boundary, n_chord):
             pts.append(lo + frac * (hi - lo))
     pts = np.vstack(pts)
     keep = np.ones(len(pts), dtype=bool)
-    for n, c, k in cuts:
-        keep &= k * (pts @ n - c) <= 1e-12
+    for n, c in cuts:
+        keep &= pts @ n - c <= 1e-12
     return pts[keep]
 
 
 def _on_trimmed_body(body, cuts, x, tol=1e-12) -> bool:
     """Whether ``x`` satisfies every cut and lies on a body arc or on a cut
     line between that line's two boundary crossings."""
-    if any(k * (n @ x - c) > tol for n, c, k in cuts):
+    if any(n @ x - c > tol for n, c in cuts):
         return False
     for i in range(body.n_arcs):
         w = x - body.centers[i]
@@ -218,7 +218,7 @@ def _on_trimmed_body(body, cuts, x, tol=1e-12) -> bool:
         on_circle = abs(math.hypot(*w) - body.radii[i]) <= tol
         if on_circle and (math.atan2(w[1], w[0]) - a) % (2 * math.pi) <= b - a + tol:
             return True
-    for n, c, _ in cuts:
+    for n, c in cuts:
         if abs(n @ x - c) <= tol:
             along = np.array([-n[1], n[0]])
             t = [h @ along for h in boundary_line_crossings(body, n, c)]
@@ -338,7 +338,7 @@ def test_closest_pair_of_discs_is_on_the_line_of_centres():
 def test_trimmed_corner_against_known_distances():
     """Two cuts x <= 0.5 and y <= 0.5 meet inside the disc: both chords end
     at the corner (0.5, 0.5), the nearest point to a disc centred at (3, 3)."""
-    cuts = [(np.array([1.0, 0.0]), 0.5, 1.0), (np.array([0.0, 1.0]), 0.5, 1.0)]
+    cuts = [(np.array([1.0, 0.0]), 0.5), (np.array([0.0, 1.0]), 0.5)]
     t = trim_body(DISC, cuts)
     assert len(t.chord_a) == 2
     corner = np.array([0.5, 0.5])
@@ -349,7 +349,7 @@ def test_trimmed_corner_against_known_distances():
     # what is left of the circle spans 150 to 300 degrees
     assert farthest_pair(t)[0] == pytest.approx(2.0 * math.sin(math.radians(75.0)), abs=1e-12)
     # the far side of a cut line that misses the body
-    far = (np.array([1.0, 0.0]), 5.0, 1.0)
+    far = (np.array([1.0, 0.0]), 5.0)
     assert halfplane_excess(t, cuts + [far]) == pytest.approx([0.0, 0.0, -4.5], abs=1e-12)
 
 
@@ -359,7 +359,7 @@ def test_diameter_through_an_arc_interior():
     no break of the profile lies there, so each has a cut vertex on one
     side and an arc interior on the other."""
     n = np.array([math.cos(math.radians(322.5)), math.sin(math.radians(322.5))])
-    t = trim_body(DISC, [(n, math.cos(math.radians(87.5)), 1.0)])
+    t = trim_body(DISC, [(n, math.cos(math.radians(87.5)))])
     d, (p, r) = farthest_pair(t)
     assert d == pytest.approx(2.0, abs=1e-12)
     assert np.min(np.hypot(*(t.vertices - p).T)) == 0.0
@@ -374,7 +374,7 @@ def test_trim_keeps_no_degenerate_arc_piece():
     cuts = []
     for normal_deg in (60.0, 140.0):
         n = np.array([math.cos(math.radians(normal_deg)), math.sin(math.radians(normal_deg))])
-        cuts.append((n, float(n @ p), 1.0))
+        cuts.append((n, float(n @ p)))
     t = trim_body(DISC, cuts)
     assert np.all(t.u0[:, 0] * t.u1[:, 1] - t.u0[:, 1] * t.u1[:, 0] > 0.0)
     assert np.min(np.hypot(*(t.vertices - p).T)) <= 1e-15
@@ -390,7 +390,7 @@ def test_halfplane_excess_is_the_support_function():
     pts = _dense_samples(bodies[(0, 0)], cuts[(0, 0)], 4000, 200)
     for angle in np.linspace(0.0, 2.0 * math.pi, 17)[:-1] + 0.1:
         n = np.array([math.cos(angle), math.sin(angle)])
-        (exact,) = halfplane_excess(t, [(n, 0.0, 1.0)])
+        (exact,) = halfplane_excess(t, [(n, 0.0)])
         sampled = float(np.max(pts @ n))
         assert sampled - 1e-12 <= exact <= sampled + 1e-6
 

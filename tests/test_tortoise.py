@@ -14,12 +14,14 @@ from croft_forge import body as body_module
 from croft_forge.body import boundary_point, build_body, croft_constants, transform
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
+    PATCH_SITES,
     LatticeConfig,
     collect_patch_cuts,
     cut_parameters,
     default_config,
     edge_copies,
     place_body,
+    stripe_caps,
     verify_avoidance,
 )
 from croft_forge.segments import series_tilt_minimizer
@@ -191,24 +193,44 @@ def test_shift_matters():
 
 
 def test_edge_pair_bodies_are_the_patch_copies():
-    """The exact-mode cuts and ``verify_avoidance`` see the same copies:
-    across every edge of a 3x3 patch, the two ``place_body`` copies moved
-    so that the edge starts at the origin along +x are ``edge_copies``."""
+    """The exact-mode cuts and ``verify_avoidance`` see the same copies and
+    the same caps: across every edge of a 3x3 patch, the two ``place_body``
+    copies moved so that the edge starts at the origin along +x are
+    ``edge_copies``, their two patch cuts moved the same way are
+    ``stripe_caps``, and each copy loses to its cut that side's term of
+    ``pair_clip_area``."""
     eps = 0.07
     config = default_config()
-    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
-    stripes = {k: (0.0, 0.0) for k in range(3)}
-    _, edges = collect_patch_cuts(sites, stripes, config, 2.0)
+    rng = np.random.default_rng(5)
+    stripes = {k: (float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.05, 0.05)))
+               for k in range(3)}
+    cuts, edges = collect_patch_cuts(PATCH_SITES, stripes, config, 2.0)
+    # an edge's two cuts are appended to its sites as the edge is listed
+    unread = {site: iter(site_cuts) for site, site_cuts in cuts.items()}
     phi = np.linspace(0.0, 2.0 * math.pi, 721)
     built = build_body(Q, eps)
     for a, b, k in edges:
         pos_a = config.position(*a)
         d = config.position(*b) - pos_a
         beta = math.atan2(d[1], d[0])
+        back = np.array([[math.cos(beta), math.sin(beta)],
+                         [-math.sin(beta), math.cos(beta)]])  # rotation by -beta
         expected = edge_copies(built, k, config)
-        for site, body in zip((a, b), expected):
-            moved = transform(transform(place_body(built, *site, config), 0.0, -pos_a), -beta)
+        caps = stripe_caps(*stripes[k], 2.0)
+        for site, body, (n, c, _, _) in zip((a, b), expected, caps):
+            placed = place_body(built, *site, config)
+            moved = transform(transform(placed, 0.0, -pos_a), -beta)
             assert np.max(np.abs(boundary_point(moved, phi) - boundary_point(body, phi))) <= 1e-12
+            n_patch, c_patch = next(unread[site])
+            assert np.max(np.abs(back @ n_patch - n)) <= 1e-15
+            assert abs(c_patch - n_patch @ pos_a - c) <= 1e-14
+            lost = halfplane_clip_area(placed, n_patch, c_patch).area
+            assert abs(lost - halfplane_clip_area(body, n, c).area) <= 1e-14
+        pair = pair_clip_area(*expected, *stripes[k]).area
+        assert pair > 0.0
+        assert abs(pair - sum(halfplane_clip_area(body, n, c).area
+                              for body, (n, c, _, _) in zip(expected, caps))) <= 1e-14
+    assert all(next(rest, None) is None for rest in unread.values())
     assert {k for _, _, k in edges} == {0, 1, 2}
 
 
