@@ -23,16 +23,12 @@ from .lattice import (
     cut_parameters,
     default_config,
     place_body,
-    rotated_frame,
     verify_avoidance,
 )
 from .segments import (
-    CapGeometryError,
     PairCut,
     minimize_pair_shift,
     minimize_pair_shift_tilt,
-    segment_area_exact,
-    segment_area_exact_tilted,
     segment_area_series,
     segment_area_series_tilted,
     series_coefficients,
@@ -79,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcBody",
     "BodyError",
-    "CapGeometryError",
     "ConvergenceError",
     "DensityRecord",
     "LatticeConfig",
@@ -114,10 +109,7 @@ __all__ = [
     "render_body_svg",
     "render_lattice_svg",
     "render_tortoise_svg",
-    "rotated_frame",
     "scan",
-    "segment_area_exact",
-    "segment_area_exact_tilted",
     "segment_area_series",
     "segment_area_series_tilted",
     "series_coefficients",

@@ -18,10 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .body import croft_constants
 from .lattice import LatticeConfig
 from .stepfn import StepFunction, make_step_function, reference_step_function
-from .tortoise import fit_net_coefficient, series_net_coefficient
+from .tortoise import SERIES_MODES, fit_net_coefficient, series_net_coefficient
 
 # Sizes on the reference profile; the form takes its own from the template.
 N_FREE = 12
@@ -105,10 +104,8 @@ def c2_net(
     """
     vp = closure_project(v, template)
     q = step_from_halfvalues(vp, template)
-    config = LatticeConfig(
-        croft_constants().lattice_constant, (float(shifts[0]), float(shifts[1]))
-    )
-    if mode in ("series1", "series2"):
+    config = LatticeConfig((float(shifts[0]), float(shifts[1])))
+    if mode in SERIES_MODES:
         return series_net_coefficient(q, mode, config=config)
     return fit_net_coefficient(mode, q=q, config=config).c2
 

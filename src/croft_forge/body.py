@@ -30,15 +30,13 @@ class ArcBody:
     """Closed chain of circular arcs, one per interval of the profile.
 
     ``centers[i]`` and ``radii[i]`` describe the arc spanning angles
-    [breaks[i], breaks[i+1]].  ``closure_residual`` is the gap left when
-    chaining the centers once around (checked, not enforced).
+    [breaks[i], breaks[i+1]].
     """
 
     centers: np.ndarray          # (n, 2)
     radii: np.ndarray            # (n,)
     breaks: np.ndarray           # (n + 1,)
     epsilon: float
-    closure_residual: float
 
     @property
     def n_arcs(self) -> int:
@@ -123,7 +121,6 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
         radii=np.maximum(radii, 0.0),
         breaks=q.breaks.copy(),
         epsilon=eps,
-        closure_residual=residual,
     )
 
 
@@ -183,25 +180,7 @@ def transform(b: ArcBody, rotation: float = 0.0, translation=(0.0, 0.0)) -> ArcB
         radii=b.radii.copy(),
         breaks=b.breaks + rotation,
         epsilon=b.epsilon,
-        closure_residual=b.closure_residual,
     )
-
-
-def body_to_dict(b: ArcBody) -> dict:
-    """JSON-ready dump of the arcs for external cross-checks."""
-    return {
-        "epsilon": b.epsilon,
-        "closure_residual": b.closure_residual,
-        "arcs": [
-            {
-                "center": [float(b.centers[i, 0]), float(b.centers[i, 1])],
-                "radius": float(b.radii[i]),
-                "phi_start": float(b.breaks[i]),
-                "phi_end": float(b.breaks[i + 1]),
-            }
-            for i in range(b.n_arcs)
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

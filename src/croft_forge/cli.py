@@ -218,7 +218,7 @@ def cmd_fit(args) -> int:
         "body_area_c2": tortoise.body_area_coefficient(q),
         "reference_body_area_c2": -reference.AREA_COEFF,
     }
-    for mode in ("series1", "series2"):
+    for mode in tortoise.SERIES_MODES:
         try:
             lin, quad = tortoise.series_cut_coefficients(q, mode)
         except tortoise.NarrowCapError as exc:
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "mode" in names:
             p.add_argument(
                 "--mode",
-                choices=("series1", "series2", "exact1", "exact2"),
+                choices=tortoise.MODES,
                 default="series2",
             )
         if "q-spec" in names:

@@ -2,10 +2,15 @@
 
 Copies of one body sit on a triangular lattice; each site gets one of
 three colors, and its copy is the body rotated by color * 2*pi/3 and
-moved to the site plus the rotated eps * shift (``place_copy``).  Every
+moved to the site plus the rotated eps * shift (``place_copy``).  The
+lattice constant and the basis are fixed by the cut-disc optimum and
+stated once below; ``LatticeConfig`` carries only the shift.  Every
 nearest-neighbor edge then joins colors c and c+1 and falls into one of
-three classes by direction; the geometry of the stripe cut across an
-edge depends only on its class.
+three classes by direction, read off its neighbor step by an integer
+rule (``collect_patch_cuts``); the geometry of the stripe cut across an
+edge depends only on its class, and ``edge_copies`` places the two
+copies across the representative edge of each class.  The series cut
+data (``cut_parameters``) and the exact clips read those same copies.
 
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
@@ -30,7 +35,7 @@ they never meet and their nearest pair is such a boundary pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,37 +56,29 @@ NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 PATCH_SITES = tuple((i, j) for i in range(-1, 2) for j in range(-1, 2))
 
 
+# The lattice constant 2(1 + cos phi_c) of the cut-disc optimum and the
+# basis: site (i, j) sits at i*OMEGA1 + j*OMEGA2.
+LATTICE_CONSTANT = croft_constants().lattice_constant
+OMEGA1 = np.array([LATTICE_CONSTANT, 0.0])
+OMEGA2 = np.array([LATTICE_CONSTANT * math.cos(PSI), LATTICE_CONSTANT * math.sin(PSI)])
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Lattice constant, basis vectors, and the per-unit-eps shift."""
+    """The per-unit-eps shift of every copy, in the copy's own frame."""
 
-    lattice_constant: float
     shift: tuple[float, float] = (0.0, 0.0)
-    omega1: np.ndarray = field(init=False)
-    omega2: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        L = self.lattice_constant
-        object.__setattr__(self, "omega1", np.array([L, 0.0]))
-        object.__setattr__(
-            self, "omega2", np.array([L * math.cos(PSI), L * math.sin(PSI)])
-        )
 
-    def position(self, i: int, j: int) -> np.ndarray:
-        return i * self.omega1 + j * self.omega2
+def site_position(i: int, j: int) -> np.ndarray:
+    return i * OMEGA1 + j * OMEGA2
 
 
 def default_config() -> LatticeConfig:
-    """Lattice constant from the disc optimum, shift from the reference.
-
-    An unshifted lattice is ``LatticeConfig(lattice_constant)``.
-    """
+    """The reference shift; an unshifted lattice is ``LatticeConfig()``."""
     from . import reference
 
-    return LatticeConfig(
-        lattice_constant=croft_constants().lattice_constant,
-        shift=(reference.SHIFT_X, reference.SHIFT_Y),
-    )
+    return LatticeConfig((reference.SHIFT_X, reference.SHIFT_Y))
 
 
 def color_index(i: int, j: int) -> int:
@@ -97,23 +94,8 @@ def rotation_of_color(c: int) -> float:
     return (c % 3) * 2.0 * PSI
 
 
-def edge_class(c_left: int, beta: float) -> int:
-    """Stripe class of the edge leaving a color-c site at angle ``beta``.
-
-    The edge must point from color c to color c+1; its direction is then
-    2*c*psi + 2*k*psi (mod pi) for a unique class k in {0, 1, 2}.
-    """
-    t = (beta - 2.0 * c_left * PSI) / (2.0 * PSI)
-    k = round(t)
-    if abs(t - k) > 1e-9:
-        raise ValueError(
-            f"direction {beta} is not a class direction for left color {c_left}"
-        )
-    return k % 3
-
-
 def left_color_of_class(k: int) -> int:
-    """Color on the lower-index end of a class-k edge traversed at angle 2k*psi."""
+    """Color at the start of a class-k edge that runs along +x."""
     return (3 - k) % 3
 
 
@@ -134,7 +116,7 @@ def place_copy(body: ArcBody, color: int, position, config: LatticeConfig) -> Ar
 
 def place_body(body: ArcBody, i: int, j: int, config: LatticeConfig) -> ArcBody:
     """Copy of ``body`` at lattice site (i, j), placed by ``place_copy``."""
-    return place_copy(body, color_index(i, j), config.position(i, j), config)
+    return place_copy(body, color_index(i, j), site_position(i, j), config)
 
 
 def edge_copies(body: ArcBody, k: int, config: LatticeConfig) -> tuple[ArcBody, ArcBody]:
@@ -147,25 +129,8 @@ def edge_copies(body: ArcBody, k: int, config: LatticeConfig) -> tuple[ArcBody, 
     c_l = left_color_of_class(k)
     return (
         place_copy(body, c_l, (0.0, 0.0), config),
-        place_copy(body, (c_l + 1) % 3, (config.lattice_constant, 0.0), config),
+        place_copy(body, (c_l + 1) % 3, (LATTICE_CONSTANT, 0.0), config),
     )
-
-
-# ---------------------------------------------------------------------------
-# Rotated frame and cut parameters
-
-
-def rotated_frame(body: ArcBody, phi: float) -> tuple[float, float]:
-    """Boundary displacement at angle ``phi`` in the frame rotated by phi.
-
-    Rotates the boundary point back by ``phi`` and measures the offset
-    from the unperturbed point (1, 0): the first component is the radial
-    excess, the second the tangential slide.  Both are exactly linear in
-    eps and flip sign under phi -> phi + pi.
-    """
-    p = boundary_point(body, phi)
-    c, s = math.cos(phi), math.sin(phi)
-    return (c * p[0] + s * p[1] - 1.0, -s * p[0] + c * p[1])
 
 
 def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
@@ -176,24 +141,24 @@ def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
 def cut_parameters(q: StepFunction, body: ArcBody, k: int, config: LatticeConfig) -> PairCut:
     """Stripe-cut geometry of edge class ``k`` for ``body``, the body of ``q``.
 
-    The displacements are read off the two copies across the edge, as in
-    ``edge_copies`` but each placed at the origin: the left cap at angle 0
-    of the left copy and the right cap at angle pi of the right copy,
-    summed in the edge frame.  The radius perturbations are the one-sided
+    The displacements are read off the two ``edge_copies``: the left
+    copy's cap point at angle 0 measured from (1, 0) and the right copy's
+    at angle pi measured from (L - 1, 0), summed in the edge frame, where
+    x points along the edge.  The radius perturbations are the one-sided
     profile values at the cap angles 2k*psi and (2k+1)*psi of the
     unrotated body.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"edge class must be 0, 1 or 2, got {k}")
-    c_l = left_color_of_class(k)
-    xl, yl = rotated_frame(place_copy(body, c_l, (0.0, 0.0), config), 0.0)
-    xr, yr = rotated_frame(place_copy(body, (c_l + 1) % 3, (0.0, 0.0), config), math.pi)
+    left, right = edge_copies(body, k, config)
+    xl, yl = boundary_point(left, 0.0)
+    xr, yr = boundary_point(right, math.pi)
     eps = body.epsilon
     phi_l = 2.0 * k * PSI
     phi_r = (2.0 * k + 1.0) * PSI
     return PairCut(
-        d_x=xl + xr,
-        d_y=yl + yr,
+        d_x=(xl - 1.0) + (LATTICE_CONSTANT - 1.0 - xr),
+        d_y=yl - yr,
         r_lu=-eps * q(phi_l, side="right"),
         r_ll=-eps * q(phi_l, side="left"),
         r_ru=-eps * q(phi_r, side="right"),
@@ -235,7 +200,6 @@ def stripe_caps(s: float, delta: float, stripe_width: float = 2.0):
 def collect_patch_cuts(
     sites,
     stripes: dict[int, tuple[float, float]],
-    config: LatticeConfig,
     stripe_width: float = 2.0,
 ):
     """Cuts per site and the list of edges of a lattice patch.
@@ -245,23 +209,27 @@ def collect_patch_cuts(
     ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
     by m*pi/3 for neighbor step m, then a shift to the edge's origin);
     ``edges`` lists (site_a, site_b, class) with the edge oriented from
-    color c to color c+1.
+    color c to color c+1, each edge once.
+
+    The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
+    back), and the edge of step m has class k = (m/2 - c) mod 3: its
+    direction m*psi is 2*c*psi + 2*k*psi mod 2*pi, so at direction 0 the
+    class-k edge starts at color -k mod 3 (``left_color_of_class``).
     """
     site_set = set(sites)
     caps = {k: stripe_caps(s, delta, stripe_width) for k, (s, delta) in stripes.items()}
     cuts: dict[tuple[int, int], list] = {s: [] for s in sites}
     edges = []
     for (i, j) in sites:
-        for m, (di, dj) in enumerate(NEIGHBOR_STEPS):
+        c_a = color_index(i, j)
+        origin = site_position(i, j)
+        for m in (0, 2, 4):
+            di, dj = NEIGHBOR_STEPS[m]
             other = (i + di, j + dj)
             if other not in site_set:
                 continue
-            c_a, c_b = color_index(i, j), color_index(*other)
-            if (c_a + 1) % 3 != c_b:
-                continue  # traverse each edge once, from color c to c+1
+            k = (m // 2 - c_a) % 3
             beta = m * PSI
-            k = edge_class(c_a, beta)
-            origin = config.position(i, j)
             for site, (n, c, _, _) in zip(((i, j), other), caps[k]):
                 n = np.array(_rot(beta, n))
                 cuts[site].append((n, c + float(n @ origin)))
@@ -605,7 +573,7 @@ def verify_avoidance(
     sites = PATCH_SITES
     body = build_body(q, eps)
     bodies = {s: place_body(body, *s, config) for s in sites}
-    cuts, edges = collect_patch_cuts(sites, stripes, config, stripe_width)
+    cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in sites}
     nonempty = {s for s in sites if len(trimmed[s].vertices)}
 

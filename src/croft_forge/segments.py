@@ -1,12 +1,13 @@
-"""Disc-cap areas, their second-order power series, and pair minimization.
+"""Disc-cap area series and the closed-form pair minimization.
 
 A cap is the part of a disc of radius R = 1 + r beyond a cut line at
 depth D = w_c + d; tilting the line by delta keeps it through the same
-axis point.  The closed-form cap area, its series coefficients, and the
-closed-form 1-parameter (stripe shift s) and 2-parameter (shift + tilt)
-minimization of two opposite caps with four independent radii all live
-here.  The numerical minimizers of the exact disc-cap pair area, which
-check these closed forms, are test code (``tests/disc_reference.py``).
+axis point.  The second-order series coefficients of the cap area and
+the closed-form 1-parameter (stripe shift s) and 2-parameter (shift +
+tilt) minimization of two opposite caps with four independent radii
+live here.  The exact cap area and the numerical minimizers of the exact
+disc-cap pair area, which check these closed forms, are test code
+(``tests/disc_reference.py``).
 
 Tilt model.  Both upper half caps tilt by +delta and both lower half
 caps by -delta, so the tilt couples to r_u = r_lu + r_ru - r_ll - r_rl.
@@ -15,8 +16,15 @@ to r_lu + r_rl - r_ll - r_ru) was compared and removed.  On the
 reference unit cuts it gives cut c2 -0.017916152560773 and net c2
 +0.007441447088142, against -0.006057919731823 and -0.004416785740809
 for the model kept here, which the exact2 clipped-area fit confirms.
-The printed values (cut -0.0118673, net +0.0013926) lie between the
-two.
+
+The printed values (cut -0.0118673317, net +0.0013926262) are this
+model with the vertical cap-point displacement d_y dropped from the tilt
+term (k*r_u - 2b*d_y).  Zeroing d_y in the reference unit cuts gives cut
+c2 -0.011867331708 and net c2 +0.001392626235, within 7.9e-12 and
+3.5e-11 of them; the exact clipped area sees d_y.  The printed
+shift-only +2.04e-15 is the eps-linear cut coefficient, which vanishes:
+it is about 2e-15 here, zero up to rounding, while the shift-only
+(series1) net c2 is -0.0048968.
 
 Footprint.  The tilted stripe's wider footprint enters the closed-form
 series pair area only in the linear depth term.  Keeping it in every
@@ -32,10 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .body import croft_constants
-
-
-class CapGeometryError(ValueError):
-    """Cut line misses the disc (cap depth outside the valid range)."""
 
 
 @dataclass(frozen=True)
@@ -113,45 +117,6 @@ class PairCut:
     def scaled(self, factor: float) -> "PairCut":
         return PairCut(*(factor * x for x in (
             self.d_x, self.d_y, self.r_lu, self.r_ll, self.r_ru, self.r_rl)))
-
-
-# ---------------------------------------------------------------------------
-# Exact cap areas
-
-
-def segment_area_exact(d: float, r: float) -> float:
-    """Exact cap area at depth perturbation ``d``, radius perturbation ``r``."""
-    w_c = croft_constants().w_c
-    R = 1.0 + r
-    if R <= 0.0:
-        raise CapGeometryError(f"non-positive disc radius {R}")
-    D = w_c + d
-    t = (R - D) / R
-    if t > 1.0 + 1e-12 or t < -1.0 - 1e-12:
-        raise CapGeometryError(f"cap depth {D} outside the disc of radius {R}")
-    phi = math.acos(min(1.0, max(-1.0, t)))
-    return R * R * phi - (R - D) * R * math.sin(phi)
-
-
-def segment_area_exact_tilted(d: float, r: float, delta: float) -> float:
-    """Exact doubled upper-half cap area when the cut line is tilted.
-
-    The line pivots about the point at depth D on the cap axis; positive
-    tilt leans the top of the line outward, shrinking the upper half.
-    Reduces to :func:`segment_area_exact` at delta = 0.
-    """
-    if abs(delta) >= math.pi / 2:
-        raise CapGeometryError(f"tilt {delta} out of range")
-    w_c = croft_constants().w_c
-    R = 1.0 + r
-    if R <= 0.0:
-        raise CapGeometryError(f"non-positive disc radius {R}")
-    D = w_c + d
-    t = (R - D) / R * math.cos(delta)
-    if t > 1.0 + 1e-12 or t < -1.0 - 1e-12:
-        raise CapGeometryError(f"tilted cut misses the disc (cos {t})")
-    phi = math.acos(min(1.0, max(-1.0, t))) - delta
-    return R * R * phi - (R - D) * R * math.sin(phi)
 
 
 # ---------------------------------------------------------------------------

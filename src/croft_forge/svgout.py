@@ -16,12 +16,14 @@ import numpy as np
 from .body import ArcBody, build_body
 from .lattice import (
     COLORS,
+    LATTICE_CONSTANT,
     PATCH_SITES,
     LatticeConfig,
     collect_patch_cuts,
     color_index,
     default_config,
     place_body,
+    site_position,
 )
 from .stepfn import StepFunction
 
@@ -101,7 +103,7 @@ def render_tortoise_svg(
     """One body with the six cut lines of its incident stripes."""
     if config is None:
         config = default_config()
-    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes, config, 2.0)
+    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
     body = place_body(build_body(q, eps), 0, 0, config)
     elements = [
         f'<path d="{body_path_d(body)}" fill="{FILL_BY_COLOR["red"]}" '
@@ -122,7 +124,7 @@ def render_lattice_svg(
     """The 3x3 patch of colored bodies with every stripe's two cut lines."""
     if config is None:
         config = default_config()
-    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes, config, 2.0)
+    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
     body = build_body(q, eps)
     elements = []
     for s in PATCH_SITES:
@@ -132,10 +134,9 @@ def render_lattice_svg(
             f'stroke="{STROKE}" stroke-width="0.01"/>'
         )
         for n, c in cuts[s]:
-            elements.append(_line_segment(n, c, config.position(*s)))
-    L = config.lattice_constant
-    lo = -1.6 * L
-    hi = 2.2 * L
+            elements.append(_line_segment(n, c, site_position(*s)))
+    lo = -1.6 * LATTICE_CONSTANT
+    hi = 2.2 * LATTICE_CONSTANT
     return svg_document(elements, (lo, lo, hi, hi))
 
 

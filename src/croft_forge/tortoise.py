@@ -32,6 +32,7 @@ import numpy as np
 from .body import ArcBody, body_area, build_body, croft_constants
 from .clip import Clip, halfplane_clip_area
 from .lattice import (
+    LATTICE_CONSTANT,
     PSI,
     LatticeConfig,
     cut_parameters,
@@ -51,7 +52,8 @@ from .segments import (
 )
 from .stepfn import BREAK_SNAP_TOL, StepFunction, reference_step_function
 
-MODES = ("series1", "series2", "exact1", "exact2")
+SERIES_MODES = ("series1", "series2")
+MODES = SERIES_MODES + ("exact1", "exact2")
 
 
 # Exact-mode Newton solver: stop once every step component is below the
@@ -230,9 +232,9 @@ def tortoise_area(
 
     The body area minus the three minimized stripe-pair areas; the cell
     is a rhombus of side one lattice constant.  ``config`` carries the
-    lattice constant and the pre-rotation shift of every copy (default:
-    ``default_config()``).  The body is built once and every copy is its
-    rigid motion; the series modes first ``require_single_arc_caps``.
+    pre-rotation shift of every copy (default: ``default_config()``).
+    The body is built once and every copy is its rigid motion; the
+    series modes first ``require_single_arc_caps``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -241,7 +243,7 @@ def tortoise_area(
     if config is None:
         config = default_config()
 
-    if mode in ("series1", "series2"):
+    if mode in SERIES_MODES:
         require_single_arc_caps(q)
     body = build_body(q, eps)
     a_body = body_area(body)
@@ -262,7 +264,7 @@ def tortoise_area(
 
     a_cut = sum(e.area for e in per_edge)
     a_t = a_body - a_cut
-    cell = config.lattice_constant**2 * math.sqrt(3.0) / 2.0
+    cell = LATTICE_CONSTANT**2 * math.sqrt(3.0) / 2.0
     return DensityRecord(
         eps=eps,
         mode=mode,
@@ -316,7 +318,7 @@ def series_cut_coefficients(
     """
     if q is None:
         q = reference_step_function()
-    if mode not in ("series1", "series2"):
+    if mode not in SERIES_MODES:
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
     require_single_arc_caps(q)
     pair_area = pair_area_series_shift if mode == "series1" else pair_area_series_shift_tilt

@@ -1,7 +1,8 @@
-"""Exact disc-cap pair objectives and their SciPy minimizers.
+"""Exact disc-cap areas, pair objectives and their SciPy minimizers.
 
 The reference the series closed forms of ``croft_forge.segments`` are
-checked against: the two-cap area summed from exact cap areas, minimized
+checked against: the closed-form exact cap area (plain and with a tilted
+cut line), the two-cap area summed from those, minimized
 numerically over the stripe shift (bounded scalar search) or over shift
 and tilt (Nelder-Mead), and an exact-vs-series difference grid.  Only
 the tests use it, so SciPy stays a test dependency.
@@ -14,15 +15,53 @@ import math
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from croft_forge.body import croft_constants
 from croft_forge.segments import (
     PairCut,
-    segment_area_exact,
-    segment_area_exact_tilted,
     segment_area_series,
     segment_area_series_tilted,
     series_shift_minimizer,
     series_tilt_minimizer,
 )
+
+
+class CapGeometryError(ValueError):
+    """Cut line misses the disc (cap depth outside the valid range)."""
+
+
+def segment_area_exact(d: float, r: float) -> float:
+    """Exact cap area at depth perturbation ``d``, radius perturbation ``r``."""
+    w_c = croft_constants().w_c
+    R = 1.0 + r
+    if R <= 0.0:
+        raise CapGeometryError(f"non-positive disc radius {R}")
+    D = w_c + d
+    t = (R - D) / R
+    if t > 1.0 + 1e-12 or t < -1.0 - 1e-12:
+        raise CapGeometryError(f"cap depth {D} outside the disc of radius {R}")
+    phi = math.acos(min(1.0, max(-1.0, t)))
+    return R * R * phi - (R - D) * R * math.sin(phi)
+
+
+def segment_area_exact_tilted(d: float, r: float, delta: float) -> float:
+    """Exact doubled upper-half cap area when the cut line is tilted.
+
+    The line pivots about the point at depth D on the cap axis; positive
+    tilt leans the top of the line outward, shrinking the upper half.
+    Reduces to :func:`segment_area_exact` at delta = 0.
+    """
+    if abs(delta) >= math.pi / 2:
+        raise CapGeometryError(f"tilt {delta} out of range")
+    w_c = croft_constants().w_c
+    R = 1.0 + r
+    if R <= 0.0:
+        raise CapGeometryError(f"non-positive disc radius {R}")
+    D = w_c + d
+    t = (R - D) / R * math.cos(delta)
+    if t > 1.0 + 1e-12 or t < -1.0 - 1e-12:
+        raise CapGeometryError(f"tilted cut misses the disc (cos {t})")
+    phi = math.acos(min(1.0, max(-1.0, t))) - delta
+    return R * R * phi - (R - D) * R * math.sin(phi)
 
 
 def _pair_objective_shift(cut: PairCut, s: float) -> float:

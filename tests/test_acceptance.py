@@ -29,7 +29,6 @@ from croft_forge.lattice import verify_avoidance
 from croft_forge.segments import (
     PairCut,
     minimize_pair_shift_tilt,
-    segment_area_exact_tilted,
     series_coefficients,
 )
 from croft_forge.stepfn import reference_step_function
@@ -45,6 +44,7 @@ from disc_reference import (
     minimize_pair_shift_exact,
     minimize_pair_shift_tilt_exact,
     pair_objective_shift_tilt,
+    segment_area_exact_tilted,
 )
 
 Q = reference_step_function()

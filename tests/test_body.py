@@ -10,7 +10,6 @@ from croft_forge import reference
 from croft_forge.body import (
     BodyError,
     body_area,
-    body_to_dict,
     boundary_point,
     build_body,
     center_offsets,
@@ -124,12 +123,6 @@ def test_boundary_lookup_on_rotated_body(rotation):
     c, s = math.cos(rotation), math.sin(rotation)
     expect = boundary_point(b, phi) @ np.array([[c, s], [-s, c]])
     assert np.max(np.abs(boundary_point(t, phi + rotation) - expect)) <= 1e-12
-
-
-def test_body_to_dict():
-    d = body_to_dict(build_body(Q, 0.1))
-    assert len(d["arcs"]) == 24
-    assert d["epsilon"] == 0.1
 
 
 def test_croft_constants_against_quadrature_free_scan():

@@ -140,7 +140,7 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
     eps = 0.07
     body = build_body(REF, eps)
     stripes = tortoise.tortoise_area(eps, "exact2").stripes()
-    cuts, _ = lattice.collect_patch_cuts(sites, stripes, CONFIG, width)
+    cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
     for s in sites:
         _assert_same_trim(lattice.place_body(body, *s, CONFIG), cuts[s])
 

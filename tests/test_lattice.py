@@ -9,6 +9,7 @@ from croft_forge import ansatz, lattice, reference, tortoise
 from croft_forge.body import build_body, boundary_point, transform
 from croft_forge.clip import boundary_line_crossings
 from croft_forge.lattice import (
+    LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
     LatticeConfig,
     PSI,
@@ -18,13 +19,12 @@ from croft_forge.lattice import (
     color_of,
     cut_parameters,
     default_config,
-    edge_class,
     farthest_pair,
     halfplane_excess,
     left_color_of_class,
     place_body,
-    rotated_frame,
     rotation_of_color,
+    site_position,
     trim_body,
     verify_avoidance,
 )
@@ -48,38 +48,52 @@ def test_color_names():
 
 def test_neighbor_distances():
     for di, dj in NEIGHBOR_STEPS:
-        p = CONFIG.position(di, dj)
-        assert np.hypot(*p) == pytest.approx(CONFIG.lattice_constant, abs=1e-12)
+        p = site_position(di, dj)
+        assert np.hypot(*p) == pytest.approx(LATTICE_CONSTANT, abs=1e-12)
+
+
+def _class_of_direction(c_left, beta):
+    """Class of an edge leaving a color-c site at angle ``beta``: its
+    direction is 2*c*psi + 2*k*psi (mod 2*pi)."""
+    t = (beta - 2 * c_left * PSI) / (2 * PSI)
+    assert abs(t - round(t)) <= 1e-9  # a class direction
+    return round(t) % 3
 
 
 def test_edge_class_round_trip():
-    # every color-to-next-color edge angle maps to a unique class
+    # the forward steps m = 0, 2, 4 of each color have the three classes
+    # (m/2 - c) mod 3, the classes their directions give
     seen = set()
     for c_l in range(3):
-        for m in range(3):
-            beta = 2 * (c_l + m) * PSI
-            k = edge_class(c_l, beta)
+        for m in (0, 2, 4):
+            k = (m // 2 - c_l) % 3
+            assert k == _class_of_direction(c_l, m * PSI)
             assert left_color_of_class(k) in range(3)
             seen.add((c_l, k))
     assert len(seen) == 9
-    with pytest.raises(ValueError):
-        edge_class(0, PSI)  # odd multiple is not a class direction
+    # the representative edge along +x starts at the class's left color
+    for k in range(3):
+        assert _class_of_direction(left_color_of_class(k), 0.0) == k
 
 
-def test_rotated_frame_linear_in_eps():
-    f1 = rotated_frame(build_body(Q, 0.05), 0.8)
-    f2 = rotated_frame(build_body(Q, 0.10), 0.8)
-    assert f2[0] == pytest.approx(2 * f1[0], abs=1e-13)
-    assert f2[1] == pytest.approx(2 * f1[1], abs=1e-13)
+def _displacement(body, phi):
+    """Boundary point at angle ``phi`` minus the unit disc's."""
+    return boundary_point(body, phi) - np.array([math.cos(phi), math.sin(phi)])
 
 
-def test_rotated_frame_antisymmetry():
+def test_boundary_displacement_linear_in_eps():
+    f1 = _displacement(build_body(Q, 0.05), 0.8)
+    f2 = _displacement(build_body(Q, 0.10), 0.8)
+    assert f2 == pytest.approx(2 * f1, abs=1e-13)
+
+
+def test_boundary_antipodes_are_two_apart():
+    # p(phi) - p(phi + pi) = 2 u(phi): the displacements flip sign
     b = build_body(Q, 0.2)
     for phi in (0.0, 0.3, PSI, 1.9, 4.0):
-        x1, y1 = rotated_frame(b, phi)
-        x2, y2 = rotated_frame(b, phi + math.pi)
-        assert x2 == pytest.approx(-x1, abs=1e-12)
-        assert y2 == pytest.approx(-y1, abs=1e-12)
+        u = np.array([math.cos(phi), math.sin(phi)])
+        gap = boundary_point(b, phi) - boundary_point(b, phi + math.pi)
+        assert gap == pytest.approx(2 * u, abs=1e-12)
 
 
 def test_cut_parameters_linear_in_eps():
@@ -111,9 +125,9 @@ def test_cut_parameters_match_placed_geometry():
             c_a, c_b = color_index(i, j), color_index(*other)
             if (c_a + 1) % 3 != c_b:
                 continue
-            pa, pb = CONFIG.position(i, j), CONFIG.position(*other)
+            pa, pb = site_position(i, j), site_position(*other)
             beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
-            k = edge_class(c_a, beta)
+            k = _class_of_direction(c_a, beta)
             u = np.array([math.cos(beta), math.sin(beta)])
             t = np.array([-u[1], u[0]])
             pl = boundary_point(bodies[(i, j)], beta)
@@ -129,8 +143,8 @@ def test_cut_parameters_match_placed_geometry():
 
 def test_shift_contribution_is_rotation_of_shift():
     body = build_body(Q, 0.5)
-    base = cut_parameters(Q, body, 2, LatticeConfig(CONFIG.lattice_constant))
-    shifted = cut_parameters(Q, body, 2, LatticeConfig(CONFIG.lattice_constant, (0.3, -0.2)))
+    base = cut_parameters(Q, body, 2, LatticeConfig())
+    shifted = cut_parameters(Q, body, 2, LatticeConfig((0.3, -0.2)))
     expect = np.zeros(2)
     for phi in (4 * PSI, 5 * PSI):
         c, s = math.cos(-phi), math.sin(-phi)
@@ -171,12 +185,22 @@ def test_avoidance_catches_narrow_stripe():
 def test_collect_patch_cuts_structure():
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     stripes = {k: (0.0, 0.0) for k in range(3)}
-    cuts, edges = collect_patch_cuts(sites, stripes, CONFIG)
+    cuts, edges = collect_patch_cuts(sites, stripes)
     # interior site sees all six incident stripes
     assert len(cuts[(0, 0)]) == 6
+    # the edges are the neighbor pairs from color c to c+1, each once
+    forward = {
+        ((i, j), (i + di, j + dj))
+        for (i, j) in sites for di, dj in NEIGHBOR_STEPS
+        if (i + di, j + dj) in sites
+        and color_index(i + di, j + dj) == (color_index(i, j) + 1) % 3
+    }
+    assert len(edges) == len(forward) == 16
+    assert {(a, b) for a, b, _ in edges} == forward
     for a, b, k in edges:
-        assert (color_index(*a) + 1) % 3 == color_index(*b)
-        assert k in (0, 1, 2)
+        pa, pb = site_position(*a), site_position(*b)
+        beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
+        assert k == _class_of_direction(color_index(*a), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +261,7 @@ def _patch(q, eps, stripes, width):
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     body = build_body(q, eps)
     bodies = {s: place_body(body, *s, CONFIG) for s in sites}
-    cuts, edges = collect_patch_cuts(sites, stripes, CONFIG, width)
+    cuts, edges = collect_patch_cuts(sites, stripes, width)
     return bodies, cuts, edges
 
 

@@ -8,12 +8,9 @@ from scipy.integrate import quad
 
 from croft_forge.body import croft_constants
 from croft_forge.segments import (
-    CapGeometryError,
     PairCut,
     minimize_pair_shift_tilt,
     pair_area_series_shift,
-    segment_area_exact,
-    segment_area_exact_tilted,
     segment_area_series,
     segment_area_series_tilted,
     series_coefficients,
@@ -21,10 +18,13 @@ from croft_forge.segments import (
     series_tilt_minimizer,
 )
 from disc_reference import (
+    CapGeometryError,
     difference_grid,
     minimize_pair_shift_exact,
     minimize_pair_shift_tilt_exact,
     pair_objective_shift_tilt,
+    segment_area_exact,
+    segment_area_exact_tilted,
 )
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ from croft_forge.lattice import (
     default_config,
     edge_copies,
     place_body,
+    site_position,
     stripe_caps,
     verify_avoidance,
 )
@@ -79,8 +81,7 @@ def test_clip_area_against_segment_formula():
 
 def test_pair_clip_area_symmetric_discs():
     disc = build_body(zero_step_function(), 0.0)
-    config = default_config()
-    right = transform(disc, 0.0, (config.lattice_constant, 0.0))
+    right = transform(disc, 0.0, (CROFT.lattice_constant, 0.0))
     a = pair_clip_area(disc, right, 0.0, 0.0).area
     assert a == pytest.approx(2 * CROFT.a_c, abs=1e-12)
 
@@ -128,6 +129,23 @@ def test_printed_coefficients_not_reproduced():
     net2 = series_net_coefficient(mode="series2")
     assert abs(net2 - reference.PRINTED_NET_COEFF_SHIFT_TILT) > 1e-3
     assert net2 < 0  # no improvement over the disc construction
+
+
+def test_printed_coefficients_drop_d_y_from_the_tilt(monkeypatch):
+    """The printed values are this series2 model with the vertical cap-point
+    displacement d_y dropped from the tilt term: zeroing d_y in the unit
+    cuts reproduces the printed cut and net c2.  The printed shift-only
+    value is the eps-linear cut coefficient, which vanishes."""
+    lin, _ = series_cut_coefficients(mode="series1")
+    assert abs(lin - reference.PRINTED_NET_COEFF_SHIFT_ONLY) <= 1e-14
+    unit_cuts = tortoise._unit_cuts
+    monkeypatch.setattr(tortoise, "_unit_cuts", lambda q, config=None: [
+        dataclasses.replace(c, d_y=0.0) for c in unit_cuts(q, config)
+    ])
+    _, cut2 = series_cut_coefficients(mode="series2")
+    assert cut2 == pytest.approx(reference.PRINTED_CUT_COEFF_SHIFT_TILT, abs=1e-10)
+    net2 = series_net_coefficient(mode="series2")
+    assert net2 == pytest.approx(reference.PRINTED_NET_COEFF_SHIFT_TILT, abs=1e-10)
 
 
 def test_fit_matches_series_closed_form():
@@ -187,7 +205,7 @@ def test_unknown_mode_rejected():
 def test_shift_matters():
     with_shift = series_net_coefficient(mode="series1")
     without = series_net_coefficient(
-        mode="series1", config=LatticeConfig(croft_constants().lattice_constant)
+        mode="series1", config=LatticeConfig()
     )
     assert with_shift > without + 0.1  # the shift recovers most of the loss
 
@@ -204,14 +222,14 @@ def test_edge_pair_bodies_are_the_patch_copies():
     rng = np.random.default_rng(5)
     stripes = {k: (float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.05, 0.05)))
                for k in range(3)}
-    cuts, edges = collect_patch_cuts(PATCH_SITES, stripes, config, 2.0)
+    cuts, edges = collect_patch_cuts(PATCH_SITES, stripes, 2.0)
     # an edge's two cuts are appended to its sites as the edge is listed
     unread = {site: iter(site_cuts) for site, site_cuts in cuts.items()}
     phi = np.linspace(0.0, 2.0 * math.pi, 721)
     built = build_body(Q, eps)
     for a, b, k in edges:
-        pos_a = config.position(*a)
-        d = config.position(*b) - pos_a
+        pos_a = site_position(*a)
+        d = site_position(*b) - pos_a
         beta = math.atan2(d[1], d[0])
         back = np.array([[math.cos(beta), math.sin(beta)],
                          [-math.sin(beta), math.cos(beta)]])  # rotation by -beta
@@ -365,7 +383,7 @@ def test_probe_eps_scales_with_the_profile():
     q = reference_step_function()
     big = q.scaled(5.0)
     config = default_config()
-    big_config = LatticeConfig(config.lattice_constant, tuple(5.0 * v for v in config.shift))
+    big_config = LatticeConfig(tuple(5.0 * v for v in config.shift))
     assert body_area_coefficient(big) == pytest.approx(
         25.0 * body_area_coefficient(q), rel=1e-13
     )
