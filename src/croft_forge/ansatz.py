@@ -4,23 +4,33 @@ A candidate profile on n intervals (24 on the reference profile) is n/2
 free step values (the other n/2 follow by half-turn antisymmetry) plus
 the 2 shift components, subject to the two linear closure constraints of
 the arc chain.  The eps^2 coefficient of the cut-body area is an exactly
-quadratic function of these variables in the series modes; this module
-assembles its matrix on the constraint subspace by polarization and
-diagonalizes it with a self-contained Jacobi sweep, so the best direction
-and the signature do not depend on a library eigensolver.
+quadratic function of these variables in the series modes, where this
+module reads its matrix on the constraint subspace off the linear cut
+data (one body per basis column); the exact modes assemble it by
+polarization.  A self-contained Jacobi sweep diagonalizes it, so the
+best direction and the signature do not depend on a library
+eigensolver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .body import body_area_gram
 from .lattice import LatticeConfig
+from .segments import pair_area_gram
 from .stepfn import StepFunction, make_step_function, reference_step_function
-from .tortoise import SERIES_MODES, fit_net_coefficient, series_net_coefficient
+from .tortoise import (
+    SERIES_MODES,
+    _unit_cuts,
+    fit_net_coefficient,
+    require_single_arc_caps,
+    series_net_coefficient,
+)
 
 # Sizes on the reference profile; the form takes its own from the template.
 N_FREE = 12
@@ -131,39 +141,44 @@ class QuadraticForm:
         return float(u @ self.hessian @ u) / 2.0
 
 
-# Polarization probe length t.  c2 is homogeneous of degree two (a profile
-# scaled by t is the family at t*eps), so t cancels in the series modes,
-# whose absolute area rounding is smallest relative to c2 at t = 1.  The
-# exact-mode fit trades eps^4 truncation against rounding: exact2 differs
-# from series2 by 6e-5 at t = 0.1, 7e-9 at 1e-2, 9e-7 at 1e-3, and at t = 1
-# the shift probes move cut lines off the body.
-POLARIZATION_SCALE = {"series1": 1.0, "series2": 1.0, "exact1": 1e-2, "exact2": 1e-2}
+# Polarization probe length t of the exact modes.  c2 is homogeneous of
+# degree two (a profile scaled by t is the family at t*eps), so t cancels
+# but for the fit: exact2 differs from series2 by 6e-5 at t = 0.1, 7e-9 at
+# 1e-2, 9e-7 at 1e-3, and at t = 1 the shift probes move cut lines off the
+# body.
+POLARIZATION_SCALE = {"exact1": 1e-2, "exact2": 1e-2}
 
 
-def assemble_quadratic_form(
-    mode: str = "series2", *, template: StepFunction | None = None
-) -> QuadraticForm:
-    """Build the form by polarization of the c2 functional on its basis.
+def _series_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.ndarray:
+    """Series form on ``basis``, read off the linear cut data.
 
-    With f = ``c2_net`` and orthonormal basis columns b_i, the form is
-    matrix[i, i] = f(t b_i) / t^2 and
-    matrix[i, j] = (f(t (b_i + b_j)) - f(t b_i) - f(t b_j)) / (2 t^2),
-    78 evaluations for 12 columns.  f is exactly quadratic in the series
-    modes, so there the form is exact up to rounding.
+    c2_net is the body-area coefficient minus the summed even parts of the
+    three pair areas at the unit cuts c_k, and c_k is linear in (v, shift):
+    with J_k the (6, n_free) cuts of the basis columns and M the pair-area
+    Gram, the form is the body-area Gram of the column profiles minus
+    sum_k J_k^T M J_k.  One body per column.
     """
-    if template is None:
-        template = reference_step_function()
+    n_free = basis.shape[1]
+    profiles = [step_from_halfvalues(b[:n_free], template) for b in basis.T]
+    cuts = np.array([
+        [astuple(c) for c in _unit_cuts(q, LatticeConfig(tuple(b[n_free:])))]
+        for q, b in zip(profiles, basis.T)
+    ])  # (column, class, cut coordinate)
+    gram = pair_area_gram(mode == "series2")
+    matrix = body_area_gram(profiles)
+    for jac in cuts.transpose(1, 2, 0):
+        matrix -= jac.T @ gram @ jac
+    return 0.5 * (matrix + matrix.T)
+
+
+def _polarized_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.ndarray:
+    """Form on ``basis`` by polarization of ``c2_net`` at probe length t."""
     t = POLARIZATION_SCALE[mode]
-    n_free = template.n_intervals // 2
+    n_free = basis.shape[1]
 
     def f(u):
         return c2_net(t * u[:n_free], t * u[n_free:], mode, template=template) / (t * t)
 
-    null = closure_nullspace(template)  # (n_free, n_free - 2)
-    basis = np.zeros((n_free + 2, n_free))
-    basis[:n_free, : n_free - 2] = null
-    basis[n_free, n_free - 2] = 1.0
-    basis[n_free + 1, n_free - 1] = 1.0
     diag = [f(b) for b in basis.T]
     matrix = np.diag(diag)
     for i in range(n_free):
@@ -171,6 +186,34 @@ def assemble_quadratic_form(
             matrix[i, j] = matrix[j, i] = 0.5 * (
                 f(basis[:, i] + basis[:, j]) - diag[i] - diag[j]
             )
+    return matrix
+
+
+def assemble_quadratic_form(
+    mode: str = "series2", *, template: StepFunction | None = None
+) -> QuadraticForm:
+    """The c2 form of ``mode`` on the closure subspace plus the shifts.
+
+    The series modes read it off the linear cut data: one probe per basis
+    column, exact up to rounding (``require_single_arc_caps`` first).  The
+    exact modes polarize ``c2_net`` at probe length t, with orthonormal
+    basis columns b_i and f = ``c2_net``:
+    matrix[i, i] = f(t b_i) / t^2 and
+    matrix[i, j] = (f(t (b_i + b_j)) - f(t b_i) - f(t b_j)) / (2 t^2),
+    78 evaluations for 12 columns.
+    """
+    if template is None:
+        template = reference_step_function()
+    n_free = template.n_intervals // 2
+    basis = np.zeros((n_free + 2, n_free))
+    basis[:n_free, : n_free - 2] = closure_nullspace(template)
+    basis[n_free, n_free - 2] = 1.0
+    basis[n_free + 1, n_free - 1] = 1.0
+    if mode in SERIES_MODES:
+        require_single_arc_caps(template)
+        matrix = _series_matrix(basis, mode, template)
+    else:
+        matrix = _polarized_matrix(basis, mode, template)
     hessian = 2.0 * basis @ matrix @ basis.T
     hessian = 0.5 * (hessian + hessian.T)
     return QuadraticForm(matrix=matrix, basis=basis, hessian=hessian, mode=mode)

@@ -132,6 +132,19 @@ def boundary_point(b: ArcBody, phi) -> np.ndarray:
     return b.centers[idx] + b.radii[idx][..., None] * u
 
 
+def _arc_sweeps(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arc angle dphi_i and unit chord u(phi_{i+1}) - u(phi_i)."""
+    phi0 = breaks[:-1]
+    phi1 = breaks[1:]
+    u0 = np.stack([np.cos(phi0), np.sin(phi0)], axis=-1)
+    u1 = np.stack([np.cos(phi1), np.sin(phi1)], axis=-1)
+    return phi1 - phi0, u1 - u0
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
 def body_area(b: ArcBody) -> float:
     """Exact area from the per-arc sector-minus-triangle closed form.
 
@@ -139,14 +152,26 @@ def body_area(b: ArcBody) -> float:
     rho^2 * dphi / 2 plus half the cross product of its center with the
     chord vector; no numeric quadrature is involved.
     """
-    phi0 = b.breaks[:-1]
-    phi1 = b.breaks[1:]
-    dphi = phi1 - phi0
-    u0 = np.stack([np.cos(phi0), np.sin(phi0)], axis=-1)
-    u1 = np.stack([np.cos(phi1), np.sin(phi1)], axis=-1)
-    du = u1 - u0
-    cross = b.centers[:, 0] * du[:, 1] - b.centers[:, 1] * du[:, 0]
+    dphi, du = _arc_sweeps(b.breaks)
+    cross = _cross(b.centers, du)
     return float(0.5 * np.sum(b.radii**2 * dphi + b.radii * cross))
+
+
+def body_area_gram(profiles: list[StepFunction]) -> np.ndarray:
+    """Gram matrix of the eps^2 coefficient of ``body_area`` over profiles
+    on one break set.
+
+    With rho = 1 - eps*q and centers eps*offs (``center_offsets``), the
+    Green sum of ``body_area`` has the eps^2 coefficient
+    1/2 sum_i (q_i^2 dphi_i - q_i offs_i x du_i), exactly, since the area
+    is quadratic in eps.  Entry [a, b] is its bilinear form at profiles a
+    and b, so the diagonal holds each profile's coefficient.
+    """
+    dphi, du = _arc_sweeps(profiles[0].breaks)
+    q = np.stack([p.values for p in profiles], axis=1)  # (n, m)
+    w = np.stack([_cross(center_offsets(p), du) for p in profiles], axis=1)
+    qw = q.T @ w
+    return 0.5 * (q.T @ (dphi[:, None] * q)) - 0.25 * (qw + qw.T)
 
 
 def diameter_profile(b: ArcBody) -> tuple[float, float]:

@@ -138,7 +138,14 @@ def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
     return (c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
-def cut_parameters(q: StepFunction, body: ArcBody, k: int, config: LatticeConfig) -> PairCut:
+def cut_parameters(
+    q: StepFunction,
+    body: ArcBody,
+    k: int,
+    config: LatticeConfig,
+    *,
+    copies: tuple[ArcBody, ArcBody] | None = None,
+) -> PairCut:
     """Stripe-cut geometry of edge class ``k`` for ``body``, the body of ``q``.
 
     The displacements are read off the two ``edge_copies``: the left
@@ -146,11 +153,12 @@ def cut_parameters(q: StepFunction, body: ArcBody, k: int, config: LatticeConfig
     at angle pi measured from (L - 1, 0), summed in the edge frame, where
     x points along the edge.  The radius perturbations are the one-sided
     profile values at the cap angles 2k*psi and (2k+1)*psi of the
-    unrotated body.
+    unrotated body.  ``copies`` is ``edge_copies(body, k, config)`` when
+    the caller has placed them already.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"edge class must be 0, 1 or 2, got {k}")
-    left, right = edge_copies(body, k, config)
+    left, right = edge_copies(body, k, config) if copies is None else copies
     xl, yl = boundary_point(left, 0.0)
     xr, yr = boundary_point(right, math.pi)
     eps = body.epsilon

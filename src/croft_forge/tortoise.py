@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, build_body, croft_constants
+from .body import ArcBody, body_area, body_area_gram, build_body, croft_constants
 from .clip import Clip, halfplane_clip_area
 from .lattice import (
     LATTICE_CONSTANT,
@@ -44,9 +44,7 @@ from .segments import (
     PairCut,
     minimize_pair_shift,
     minimize_pair_shift_tilt,
-    pair_area_series_shift,
-    pair_area_series_shift_tilt,
-    series_coefficients,
+    pair_area_parts,
     series_shift_minimizer,
     series_tilt_minimizer,
 )
@@ -171,9 +169,10 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 def _minimize_pair_clip(
-    body: ArcBody, k: int, config: LatticeConfig, cut: PairCut, with_tilt: bool
+    left: ArcBody, right: ArcBody, k: int, cut: PairCut, with_tilt: bool
 ) -> EdgeCut:
-    """Safeguarded Newton on the exact pair area, from the series minimizer.
+    """Safeguarded Newton on the exact pair area of the class-``k``
+    ``edge_copies``, from the series minimizer.
 
     Works on s alone (exact1) or on (s, delta) (exact2).  A step that
     raises the area beyond rounding is halved until it does not.  The
@@ -181,8 +180,7 @@ def _minimize_pair_clip(
     every component and reports the iterations and the gradient norm at
     the returned point.
     """
-    left, right = edge_copies(body, k, config)
-    eps = body.epsilon
+    eps = left.epsilon
     if with_tilt:
         x = np.array(series_tilt_minimizer(cut))
     else:
@@ -233,8 +231,8 @@ def tortoise_area(
     The body area minus the three minimized stripe-pair areas; the cell
     is a rhombus of side one lattice constant.  ``config`` carries the
     pre-rotation shift of every copy (default: ``default_config()``).
-    The body is built once and every copy is its rigid motion; the
-    series modes first ``require_single_arc_caps``.
+    The body is built once and every copy is its rigid motion, each edge
+    pair placed once; the series modes first ``require_single_arc_caps``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -250,7 +248,8 @@ def tortoise_area(
 
     per_edge = []
     for k in range(3):
-        cut = cut_parameters(q, body, k, config)
+        copies = edge_copies(body, k, config)
+        cut = cut_parameters(q, body, k, config, copies=copies)
         if mode == "series1":
             s, area = minimize_pair_shift(cut)
             per_edge.append(EdgeCut(k=k, s=s, delta=0.0, area=area))
@@ -259,7 +258,7 @@ def tortoise_area(
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
         else:
             per_edge.append(
-                _minimize_pair_clip(body, k, config, cut, with_tilt=(mode == "exact2"))
+                _minimize_pair_clip(*copies, k, cut, with_tilt=(mode == "exact2"))
             )
 
     a_cut = sum(e.area for e in per_edge)
@@ -289,17 +288,15 @@ def scan(
 # Closed-form second-order coefficients (series modes)
 
 
-def _probe_eps(q: StepFunction, h: float) -> float:
-    """Probe eps ``h / max(1, max|q|)``: every radius 1 - eps*q stays at
-    least 1 - h at +-eps, and a profile with max|q| <= 1 keeps ``h``."""
-    return h / max(1.0, float(np.max(np.abs(q.values))))
-
-
 def _unit_cuts(q: StepFunction, config: LatticeConfig | None = None) -> list[PairCut]:
-    """Per-class cut geometry at unit eps (all entries are linear in eps)."""
+    """Per-class cut geometry at unit eps (all entries are linear in eps).
+
+    Probed at eps = 0.125 / max(1, max|q|), so every radius 1 - eps*q stays
+    at least 7/8.
+    """
     if config is None:
         config = default_config()
-    h = _probe_eps(q, 0.125)
+    h = 0.125 / max(1.0, float(np.max(np.abs(q.values))))
     body = build_body(q, h)
     return [cut_parameters(q, body, k, config).scaled(1.0 / h) for k in range(3)]
 
@@ -321,23 +318,18 @@ def series_cut_coefficients(
     if mode not in SERIES_MODES:
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
     require_single_arc_caps(q)
-    pair_area = pair_area_series_shift if mode == "series1" else pair_area_series_shift_tilt
-    a0 = series_coefficients().a0
-    cuts = _unit_cuts(q, config)
-    areas = [(pair_area(c), pair_area(c.scaled(-1.0))) for c in cuts]
-    linear = sum(0.5 * (plus - minus) for plus, minus in areas)
-    quad = sum(0.5 * (plus + minus) - 2.0 * a0 for plus, minus in areas)
+    parts = [pair_area_parts(c, mode == "series2") for c in _unit_cuts(q, config)]
+    linear = sum(odd for odd, _ in parts)
+    quad = sum(even for _, even in parts)
     return linear, quad
 
 
 def body_area_coefficient(q: StepFunction | None = None) -> float:
-    """c2 in area(eps) = pi + c2 * eps**2 (exact: the area is quadratic)."""
+    """c2 in area(eps) = pi + c2 * eps**2, read off ``body_area``'s Green sum
+    in closed form (``body_area_gram``); no body is built."""
     if q is None:
         q = reference_step_function()
-    h = _probe_eps(q, 0.25)
-    a_plus = body_area(build_body(q, h))
-    a_minus = body_area(build_body(q, -h))
-    return (a_plus + a_minus - 2.0 * math.pi) / (2.0 * h * h)
+    return float(body_area_gram([q])[0, 0])
 
 
 def series_net_coefficient(

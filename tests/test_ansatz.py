@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from croft_forge import ansatz
+from croft_forge import body as body_module
 from croft_forge.ansatz import (
     N_FREE,
     N_VARS,
@@ -20,11 +21,13 @@ from croft_forge.ansatz import (
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
 from croft_forge.stepfn import make_step_function, reference_step_function
 from croft_forge.tortoise import series_net_coefficient
+from call_counts import count_calls
 
 FD_STEP = 1e-3  # step of the test-only central-difference reference
 
 RNG = np.random.default_rng(7)
 REF_V = np.array(Q_VALUES[:N_FREE])
+UNIFORM_12 = make_step_function([Fraction(i, 6) for i in range(13)], np.zeros(12))
 
 
 @pytest.fixture(scope="module")
@@ -107,17 +110,20 @@ def test_form_reproduces_functional(form):
         assert form.value(v, shifts) == pytest.approx(direct, abs=1e-8)
 
 
-def test_form_makes_78_polarization_calls(monkeypatch):
-    calls = []
-    real = ansatz.c2_net
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ansatz, "c2_net", counted)
-    assemble_quadratic_form("series2")
-    assert len(calls) == 12 + 12 * 11 // 2
+@pytest.mark.parametrize("mode", ["series1", "series2"])
+@pytest.mark.parametrize("template", [None, UNIFORM_12], ids=["reference", "uniform12"])
+def test_series_form_builds_one_body_per_column(monkeypatch, mode, template):
+    """The series form reads the linear cut data of each basis column once:
+    no c2_net call, one body and its six edge copies per column."""
+    polarized = count_calls(monkeypatch, ansatz, "c2_net")
+    bodies = count_calls(monkeypatch, body_module, "build_body")
+    copies = count_calls(monkeypatch, body_module, "transform")
+    form = assemble_quadratic_form(mode, template=template)
+    n_free = form.matrix.shape[0]
+    assert n_free == (12 if template is None else 6)
+    assert polarized == []
+    assert len(bodies) == n_free
+    assert len(copies) == 6 * n_free
 
 
 def test_form_reproduces_functional_to_rounding(form):

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ from scipy.optimize import minimize
 
 from croft_forge import ansatz, reference, tortoise
 from croft_forge import body as body_module
-from croft_forge.body import boundary_point, build_body, croft_constants, transform
+from croft_forge.body import body_area, boundary_point, build_body, croft_constants, transform
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PATCH_SITES,
@@ -46,6 +45,7 @@ from croft_forge.tortoise import (
     write_scan_csv,
     write_scan_json,
 )
+from call_counts import count_calls
 
 Q = reference_step_function()
 CROFT = croft_constants()
@@ -118,6 +118,24 @@ def test_series_modes_second_improves():
 
 def test_body_area_coefficient_matches_reference():
     assert body_area_coefficient() == pytest.approx(-reference.AREA_COEFF, abs=1e-12)
+
+
+UNIFORM_12 = make_step_function([Fraction(i, 6) for i in range(13)], np.zeros(12))
+
+
+@pytest.mark.parametrize("template", [Q, UNIFORM_12], ids=["reference", "uniform12"])
+def test_body_area_coefficient_matches_the_area_probe(template):
+    """Oracle: the area is exactly quadratic in eps, so the symmetric probe
+    (A(h) + A(-h) - 2 pi) / (2 h^2) of built bodies gives the closed form,
+    on seeded closure-projected profiles with max|q| = 1."""
+    rng = np.random.default_rng(13)
+    h = 0.25
+    for _ in range(10):
+        v = ansatz.closure_project(rng.normal(size=template.n_intervals // 2), template)
+        q = ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
+        probe = (body_area(build_body(q, h)) + body_area(build_body(q, -h))
+                 - 2.0 * math.pi) / (2.0 * h * h)
+        assert abs(body_area_coefficient(q) - probe) <= 1e-13
 
 
 def test_printed_coefficients_not_reproduced():
@@ -252,31 +270,23 @@ def test_edge_pair_bodies_are_the_patch_copies():
     assert {k for _, _, k in edges} == {0, 1, 2}
 
 
-def _count_build_body(monkeypatch) -> list:
-    """Record each ``build_body`` call, under every name croft_forge binds it to."""
-    calls = []
-    original = body_module.build_body
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "croft_forge" or name.startswith("croft_forge."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 def test_one_body_per_profile_and_eps(monkeypatch):
     """Every copy is a rigid motion of one body: an exact2 evaluation and
     a 3x3 patch check each build it once."""
-    calls = _count_build_body(monkeypatch)
+    calls = count_calls(monkeypatch, body_module, "build_body")
     rec = tortoise_area(0.05, "exact2")
     assert len(calls) == 1
     assert verify_avoidance(Q, 0.05, rec.stripes()).ok
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact1", "exact2"])
+def test_each_edge_pair_is_placed_once(monkeypatch, mode):
+    """An exact evaluation places the two copies of each of the three edge
+    classes once: the series start point and the Newton clips share them."""
+    calls = count_calls(monkeypatch, body_module, "transform")
+    tortoise_area(0.05, mode)
+    assert len(calls) == 6
 
 
 NARROW = make_step_function(
@@ -288,12 +298,13 @@ NARROW = make_step_function(
 def test_series_modes_refuse_narrow_caps(monkeypatch):
     """A break pi/24 from the cut angle 0 lies inside the cap (phi_c =
     0.2633): the series modes refuse the profile before building a body."""
-    calls = _count_build_body(monkeypatch)
+    calls = count_calls(monkeypatch, body_module, "build_body")
     for mode in ("series1", "series2"):
         for evaluate in (
             lambda: tortoise_area(0.05, mode, q=NARROW),
             lambda: series_cut_coefficients(NARROW, mode),
             lambda: series_net_coefficient(NARROW, mode),
+            lambda: ansatz.assemble_quadratic_form(mode, template=NARROW),
         ):
             with pytest.raises(NarrowCapError, match=r"break 1/24\*pi"):
                 evaluate()
