@@ -18,7 +18,6 @@ from .body import (
     diameter_profile,
 )
 from .lattice import (
-    LatticeConfig,
     color_of,
     cut_parameters,
     default_config,
@@ -77,7 +76,6 @@ __all__ = [
     "BodyError",
     "ConvergenceError",
     "DensityRecord",
-    "LatticeConfig",
     "NarrowCapError",
     "PairCut",
     "QuadraticForm",

@@ -1,15 +1,17 @@
 """Quadratic form of the second-order density gain over profile space.
 
 A candidate profile on n intervals (24 on the reference profile) is n/2
-free step values (the other n/2 follow by half-turn antisymmetry) plus
-the 2 shift components, subject to the two linear closure constraints of
-the arc chain.  The eps^2 coefficient of the cut-body area is an exactly
-quadratic function of these variables in the series modes, where this
-module reads its matrix on the constraint subspace off the linear cut
-data (one body per basis column); the exact modes assemble it by
-polarization.  A self-contained Jacobi sweep diagonalizes it, so the
-best direction and the signature do not depend on a library
-eigensolver.
+free step values v (the other n/2 follow by half-turn antisymmetry) plus
+the 2 shift components, a plain pair.  The arc chain closes iff A v = 0,
+with A read off the arc chords of ``body`` (``closure_matrix``); the form
+lives on the null space of A plus the shifts, so its size is the
+null-space dimension + 2 (10 + 2 on the reference, 0 + 2 on {0, pi}).
+The eps^2 coefficient of the cut-body area is an exactly quadratic
+function of these variables in the series modes, where this module reads
+its matrix on the constraint subspace off the linear cut data (one body
+per basis column); the exact modes assemble it by polarization.  A
+self-contained Jacobi sweep diagonalizes it, so the best direction and
+the signature do not depend on a library eigensolver.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .body import body_area_gram
-from .lattice import LatticeConfig
+from .body import _arc_sweeps, body_area_gram
 from .segments import pair_area_gram
 from .stepfn import StepFunction, make_step_function, reference_step_function
 from .tortoise import (
@@ -59,7 +60,9 @@ def step_from_halfvalues(v, template: StepFunction | None = None) -> StepFunctio
 def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
     """(2, n/2) matrix A with A v = 0 iff the arc chain closes.
 
-    Built once per break set and returned read-only.
+    The chain's gap is -du^T q (``body.chain_closure_residual``), and the
+    antipodal arc of arc i has chord -du_i, so A = -2 du[:n/2]^T.  Built
+    once per break set and returned read-only.
     """
     if template is None:
         template = reference_step_function()
@@ -68,35 +71,35 @@ def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=64)  # bounded for sweeps over many break sets
 def _closure_matrix(breaks: tuple[float, ...]) -> np.ndarray:
-    n = len(breaks) - 1
-    half = n // 2
-    A = np.zeros((2, half))
-    for m in range(half):
-        q = np.zeros(n)
-        q[m], q[m + half] = 1.0, -1.0
-        res = np.zeros(2)
-        for i in range(n):
-            phi = breaks[(i + 1) % n]
-            dq = q[(i + 1) % n] - q[i]
-            res += dq * np.array([math.cos(phi), math.sin(phi)])
-        A[:, m] = res
+    _, du = _arc_sweeps(np.array(breaks))
+    A = -2.0 * du[: len(du) // 2].T
     A.setflags(write=False)
     return A
 
 
-def closure_project(v, template: StepFunction | None = None) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto the closure subspace A v = 0."""
-    A = closure_matrix(template)
-    v = np.asarray(v, dtype=float)
-    lam = np.linalg.solve(A @ A.T, A @ v)
-    return v - A.T @ lam
-
-
 def closure_nullspace(template: StepFunction | None = None) -> np.ndarray:
-    """Orthonormal basis (n/2, n/2 - 2) of the closure subspace."""
-    A = closure_matrix(template)
-    _, s, vt = np.linalg.svd(A)
-    return vt[len(s):].T
+    """Orthonormal basis (n/2, n/2 - rank A) of the closure subspace.
+
+    The rank is 2 on every break set with at least four intervals and 1 on
+    {0, pi}.  Built once per break set and returned read-only.
+    """
+    if template is None:
+        template = reference_step_function()
+    return _closure_nullspace(tuple(template.breaks))
+
+
+@lru_cache(maxsize=64)
+def _closure_nullspace(breaks: tuple[float, ...]) -> np.ndarray:
+    A = _closure_matrix(breaks)
+    N = np.linalg.svd(A)[2][np.linalg.matrix_rank(A) :].T.copy()
+    N.setflags(write=False)
+    return N
+
+
+def closure_project(v, template: StepFunction | None = None) -> np.ndarray:
+    """Orthogonal projection N N^T v of ``v`` onto the closure subspace."""
+    N = closure_nullspace(template)
+    return N @ (N.T @ np.asarray(v, dtype=float))
 
 
 def c2_net(
@@ -112,22 +115,22 @@ def c2_net(
     the functional is defined (and exactly quadratic, in series modes)
     on all of R^(n/2) x R^2.
     """
-    vp = closure_project(v, template)
-    q = step_from_halfvalues(vp, template)
-    config = LatticeConfig((float(shifts[0]), float(shifts[1])))
+    q = step_from_halfvalues(closure_project(v, template), template)
     if mode in SERIES_MODES:
-        return series_net_coefficient(q, mode, config=config)
-    return fit_net_coefficient(mode, q=q, config=config).c2
+        return series_net_coefficient(q, mode, shifts)
+    return fit_net_coefficient(mode, q=q, shift=shifts).c2
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
     """The density-gain form restricted to the constraint subspace.
 
-    ``basis`` has orthonormal columns spanning the closure subspace plus
-    the shifts; ``matrix`` is the (n/2, n/2) form on those columns, whose
-    values are the c2 coefficients; ``hessian`` = 2 basis matrix basis^T
-    is the (n/2 + 2, n/2 + 2) second-derivative matrix over (v, shifts).
+    ``basis`` is the (n/2 + 2, m) block diagonal diag(N, I_2) of the closure
+    null space N and the two shifts, so m = N.shape[1] + 2 (12 on the
+    reference); its rows are (v, shift).  ``matrix`` is the (m, m) form on
+    those columns, whose values are the c2 coefficients; ``hessian`` =
+    2 basis matrix basis^T is the (n/2 + 2, n/2 + 2) second-derivative
+    matrix over (v, shifts).
     """
 
     matrix: np.ndarray
@@ -154,15 +157,13 @@ def _series_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.n
 
     c2_net is the body-area coefficient minus the summed even parts of the
     three pair areas at the unit cuts c_k, and c_k is linear in (v, shift):
-    with J_k the (6, n_free) cuts of the basis columns and M the pair-area
+    with J_k the (6, m) cuts of the m basis columns and M the pair-area
     Gram, the form is the body-area Gram of the column profiles minus
     sum_k J_k^T M J_k.  One body per column.
     """
-    n_free = basis.shape[1]
-    profiles = [step_from_halfvalues(b[:n_free], template) for b in basis.T]
+    profiles = [step_from_halfvalues(b[:-2], template) for b in basis.T]
     cuts = np.array([
-        [astuple(c) for c in _unit_cuts(q, LatticeConfig(tuple(b[n_free:])))]
-        for q, b in zip(profiles, basis.T)
+        [astuple(c) for c in _unit_cuts(q, b[-2:])] for q, b in zip(profiles, basis.T)
     ])  # (column, class, cut coordinate)
     gram = pair_area_gram(mode == "series2")
     matrix = body_area_gram(profiles)
@@ -174,15 +175,15 @@ def _series_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.n
 def _polarized_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.ndarray:
     """Form on ``basis`` by polarization of ``c2_net`` at probe length t."""
     t = POLARIZATION_SCALE[mode]
-    n_free = basis.shape[1]
 
     def f(u):
-        return c2_net(t * u[:n_free], t * u[n_free:], mode, template=template) / (t * t)
+        return c2_net(t * u[:-2], t * u[-2:], mode, template=template) / (t * t)
 
     diag = [f(b) for b in basis.T]
     matrix = np.diag(diag)
-    for i in range(n_free):
-        for j in range(i + 1, n_free):
+    m = len(diag)
+    for i in range(m):
+        for j in range(i + 1, m):
             matrix[i, j] = matrix[j, i] = 0.5 * (
                 f(basis[:, i] + basis[:, j]) - diag[i] - diag[j]
             )
@@ -200,15 +201,16 @@ def assemble_quadratic_form(
     basis columns b_i and f = ``c2_net``:
     matrix[i, i] = f(t b_i) / t^2 and
     matrix[i, j] = (f(t (b_i + b_j)) - f(t b_i) - f(t b_j)) / (2 t^2),
-    78 evaluations for 12 columns.
+    78 evaluations for 12 columns.  The columns are the closure null space
+    and the two shifts, so the form is 2 x 2 on the break set {0, pi}.
     """
     if template is None:
         template = reference_step_function()
-    n_free = template.n_intervals // 2
-    basis = np.zeros((n_free + 2, n_free))
-    basis[:n_free, : n_free - 2] = closure_nullspace(template)
-    basis[n_free, n_free - 2] = 1.0
-    basis[n_free + 1, n_free - 1] = 1.0
+    N = closure_nullspace(template)
+    n_half, n_null = N.shape
+    basis = np.zeros((n_half + 2, n_null + 2))
+    basis[:n_half, :n_null] = N
+    basis[n_half:, n_null:] = np.eye(2)
     if mode in SERIES_MODES:
         require_single_arc_caps(template)
         matrix = _series_matrix(basis, mode, template)

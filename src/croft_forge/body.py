@@ -3,7 +3,11 @@
 Each interval of the radius profile q contributes one arc of radius
 1 - eps*q_i about a center M_i; consecutive centers are chained so the
 boundary is continuous, and antipodal intervals share their center, which
-makes every antipodal boundary distance exactly 2.
+makes every antipodal boundary distance exactly 2 (``diameter_profile``
+checks it in closed form).  The chain closes iff sum_i q_i du_i = 0, with
+du_i = u(phi_{i+1}) - u(phi_i) the unit chord of arc i (``_arc_sweeps``,
+which ``body_area`` also uses): two linear constraints on q, stated once
+here and read off by ``ansatz.closure_matrix``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .stepfn import TWO_PI, StepFunction
 
 CLOSURE_TOL = 1e-9
 RADIUS_TOL = 1e-12
-DIAMETER_SAMPLES = 10_000  # evenly spaced angles in [0, pi) of diameter_profile
 
 
 class BodyError(ValueError):
@@ -61,31 +64,24 @@ def center_offsets(q: StepFunction) -> np.ndarray:
     The anchor convention puts the boundary point at phi = 0 at (1, 0),
     so the first offset is (q_0, 0).  Returns an (n, 2) array.
     """
-    vals = q.values
-    n = len(vals)
-    offs = np.empty((n, 2))
-    offs[0] = (vals[0], 0.0)
-    for i in range(n - 1):
-        phi = q.breaks[i + 1]
-        dq = vals[i + 1] - vals[i]
-        offs[i + 1, 0] = offs[i, 0] + dq * math.cos(phi)
-        offs[i + 1, 1] = offs[i, 1] + dq * math.sin(phi)
-    return offs
+    x, y = float(q.values[0]), 0.0
+    offs = [(x, y)]
+    for dq, phi in zip(np.diff(q.values).tolist(), q.breaks[1:-1].tolist()):
+        x += dq * math.cos(phi)
+        y += dq * math.sin(phi)
+        offs.append((x, y))
+    return np.array(offs)
 
 
-def chain_closure_residual(q: StepFunction, offs: np.ndarray | None = None) -> float:
+def chain_closure_residual(q: StepFunction) -> float:
     """Gap when chaining the center offsets once around the full turn.
 
-    ``offs`` is ``center_offsets(q)`` when the caller already has it.
+    The chain adds (q_{i+1} - q_i) u(phi_{i+1}) per break; summed by parts,
+    the gap is -sum_i q_i du_i with the arc chords du of ``_arc_sweeps``,
+    so its length is |du^T q|.
     """
-    vals = q.values
-    phi0 = q.breaks[0]
-    dq0 = vals[0] - vals[-1]
-    if offs is None:
-        offs = center_offsets(q)
-    end_x = offs[-1, 0] + dq0 * math.cos(phi0)
-    end_y = offs[-1, 1] + dq0 * math.sin(phi0)
-    return math.hypot(end_x - offs[0, 0], end_y - offs[0, 1])
+    _, du = _arc_sweeps(q.breaks)
+    return math.hypot(*(du.T @ q.values).tolist())
 
 
 def build_body(q: StepFunction, eps: float) -> ArcBody:
@@ -108,14 +104,13 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
             f"non-positive radius {radii.min():.3g}: eps={eps} outside the "
             "valid range for this profile"
         )
-    offs = center_offsets(q)
-    residual = abs(eps) * chain_closure_residual(q, offs)
+    residual = abs(eps) * chain_closure_residual(q)
     if residual > CLOSURE_TOL:
         raise BodyError(
             f"arc chain does not close (residual {residual:.3g}): the "
             "profile violates the closure constraints"
         )
-    centers = eps * offs
+    centers = eps * center_offsets(q)
     return ArcBody(
         centers=centers,
         radii=np.maximum(radii, 0.0),
@@ -128,17 +123,18 @@ def boundary_point(b: ArcBody, phi) -> np.ndarray:
     """Boundary point(s) at angle(s) ``phi``: M_i + rho_i * (cos, sin)."""
     phi = np.asarray(phi, dtype=float)
     idx = b.interval_of(phi)
-    u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return b.centers[idx] + b.radii[idx][..., None] * u
+    return b.centers[idx] + b.radii[idx][..., None] * _unit(phi)
+
+
+def _unit(phi) -> np.ndarray:
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
 def _arc_sweeps(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-arc angle dphi_i and unit chord u(phi_{i+1}) - u(phi_i)."""
     phi0 = breaks[:-1]
     phi1 = breaks[1:]
-    u0 = np.stack([np.cos(phi0), np.sin(phi0)], axis=-1)
-    u1 = np.stack([np.cos(phi1), np.sin(phi1)], axis=-1)
-    return phi1 - phi0, u1 - u0
+    return phi1 - phi0, _unit(phi1) - _unit(phi0)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,19 +171,25 @@ def body_area_gram(profiles: list[StepFunction]) -> np.ndarray:
 
 
 def diameter_profile(b: ArcBody) -> tuple[float, float]:
-    """(max, min) antipodal boundary distance over DIAMETER_SAMPLES angles.
+    """(max, min) antipodal boundary distance |p(phi) - p(phi + pi)|, exactly.
 
-    Break angles are included (sampled just inside each adjacent
-    interval) so corner points are covered.
+    For phi on arc i, phi + pi lies on the antipodal arc j = i + n/2, so
+    p(phi) - p(phi + pi) = D + R u(phi) with D = M_i - M_j, R = r_i + r_j,
+    and its squared length |D|^2 + R^2 + 2R D.u(phi) takes its extremes on
+    the arc at its two ends or at u = +-D/|D| where that lies inside.
     """
-    phis = np.linspace(0.0, math.pi, DIAMETER_SAMPLES, endpoint=False)
-    eps_in = 1e-9
-    extra = np.concatenate([b.breaks[:-1] + eps_in, b.breaks[:-1] - eps_in])
-    phis = np.concatenate([phis, extra % TWO_PI])
-    p = boundary_point(b, phis)
-    q = boundary_point(b, phis + math.pi)
-    d = np.hypot(*(p - q).T)
-    return float(d.max()), float(d.min())
+    half = b.n_arcs // 2
+    D = b.centers[:half] - b.centers[half:]
+    R = b.radii[:half] + b.radii[half:]
+    lo, hi = b.breaks[:half], b.breaks[1 : half + 1]
+    ends = np.stack([np.sum(_unit(a) * D, axis=1) for a in (lo, hi)])
+    norm = np.hypot(D[:, 0], D[:, 1])
+    theta = np.arctan2(D[:, 1], D[:, 0])  # D.u(phi) = |D| cos(phi - theta)
+    top = np.where((theta - lo) % TWO_PI <= hi - lo, norm, ends.max(axis=0))
+    bottom = np.where((theta + math.pi - lo) % TWO_PI <= hi - lo, -norm, ends.min(axis=0))
+    d2 = norm**2 + R**2 + 2.0 * R * np.stack([top, bottom])
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    return float(dist.max()), float(dist.min())
 
 
 def transform(b: ArcBody, rotation: float = 0.0, translation=(0.0, 0.0)) -> ArcBody:

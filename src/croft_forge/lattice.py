@@ -4,7 +4,9 @@ Copies of one body sit on a triangular lattice; each site gets one of
 three colors, and its copy is the body rotated by color * 2*pi/3 and
 moved to the site plus the rotated eps * shift (``place_copy``).  The
 lattice constant and the basis are fixed by the cut-disc optimum and
-stated once below; ``LatticeConfig`` carries only the shift.  Every
+stated once below; the shift is a plain pair (sx, sy), None for the
+reference shift ``default_config()``, and only ``place_copy`` reads it.
+Every
 nearest-neighbor edge then joins colors c and c+1 and falls into one of
 three classes by direction, read off its neighbor step by an integer
 rule (``collect_patch_cuts``); the geometry of the stripe cut across an
@@ -63,22 +65,15 @@ OMEGA1 = np.array([LATTICE_CONSTANT, 0.0])
 OMEGA2 = np.array([LATTICE_CONSTANT * math.cos(PSI), LATTICE_CONSTANT * math.sin(PSI)])
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    """The per-unit-eps shift of every copy, in the copy's own frame."""
-
-    shift: tuple[float, float] = (0.0, 0.0)
-
-
 def site_position(i: int, j: int) -> np.ndarray:
     return i * OMEGA1 + j * OMEGA2
 
 
-def default_config() -> LatticeConfig:
-    """The reference shift; an unshifted lattice is ``LatticeConfig()``."""
+def default_config() -> tuple[float, float]:
+    """The reference shift (sx, sy); an unshifted lattice is (0, 0)."""
     from . import reference
 
-    return LatticeConfig((reference.SHIFT_X, reference.SHIFT_Y))
+    return (reference.SHIFT_X, reference.SHIFT_Y)
 
 
 def color_index(i: int, j: int) -> int:
@@ -99,27 +94,30 @@ def left_color_of_class(k: int) -> int:
     return (3 - k) % 3
 
 
-def place_copy(body: ArcBody, color: int, position, config: LatticeConfig) -> ArcBody:
+def place_copy(body: ArcBody, color: int, position, shift=None) -> ArcBody:
     """Copy of ``body`` for ``color`` at ``position``: the body rotated by
     the color angle and translated by position + R(color) * eps * shift.
 
-    This is the one placement rule and the only reader of ``config.shift``.
+    This is the one placement rule and the only reader of ``shift``, the
+    per-unit-eps pair (sx, sy); None is the reference ``default_config()``.
     The shift acts on every copy in its own pre-rotation frame; only this
     convention makes the cut geometry depend on the edge class alone and
     not on which colors the edge happens to join.
     """
+    if shift is None:
+        shift = default_config()
     angle = rotation_of_color(color)
     eps = body.epsilon
-    sx, sy = _rot(angle, (eps * config.shift[0], eps * config.shift[1]))
+    sx, sy = _rot(angle, (eps * shift[0], eps * shift[1]))
     return transform(body, angle, (position[0] + sx, position[1] + sy))
 
 
-def place_body(body: ArcBody, i: int, j: int, config: LatticeConfig) -> ArcBody:
+def place_body(body: ArcBody, i: int, j: int, shift=None) -> ArcBody:
     """Copy of ``body`` at lattice site (i, j), placed by ``place_copy``."""
-    return place_copy(body, color_index(i, j), site_position(i, j), config)
+    return place_copy(body, color_index(i, j), site_position(i, j), shift)
 
 
-def edge_copies(body: ArcBody, k: int, config: LatticeConfig) -> tuple[ArcBody, ArcBody]:
+def edge_copies(body: ArcBody, k: int, shift=None) -> tuple[ArcBody, ArcBody]:
     """The two copies of ``body`` across the representative class-k edge.
 
     The edge runs along +x from the left copy at the origin to the right
@@ -128,8 +126,8 @@ def edge_copies(body: ArcBody, k: int, config: LatticeConfig) -> tuple[ArcBody, 
     """
     c_l = left_color_of_class(k)
     return (
-        place_copy(body, c_l, (0.0, 0.0), config),
-        place_copy(body, (c_l + 1) % 3, (LATTICE_CONSTANT, 0.0), config),
+        place_copy(body, c_l, (0.0, 0.0), shift),
+        place_copy(body, (c_l + 1) % 3, (LATTICE_CONSTANT, 0.0), shift),
     )
 
 
@@ -138,30 +136,22 @@ def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
     return (c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
-def cut_parameters(
-    q: StepFunction,
-    body: ArcBody,
-    k: int,
-    config: LatticeConfig,
-    *,
-    copies: tuple[ArcBody, ArcBody] | None = None,
-) -> PairCut:
-    """Stripe-cut geometry of edge class ``k`` for ``body``, the body of ``q``.
+def cut_parameters(q: StepFunction, k: int, copies: tuple[ArcBody, ArcBody]) -> PairCut:
+    """Stripe-cut geometry of edge class ``k`` for the body of ``q``.
 
-    The displacements are read off the two ``edge_copies``: the left
-    copy's cap point at angle 0 measured from (1, 0) and the right copy's
-    at angle pi measured from (L - 1, 0), summed in the edge frame, where
-    x points along the edge.  The radius perturbations are the one-sided
-    profile values at the cap angles 2k*psi and (2k+1)*psi of the
-    unrotated body.  ``copies`` is ``edge_copies(body, k, config)`` when
-    the caller has placed them already.
+    ``copies`` are the two ``edge_copies`` of that body for class ``k``.
+    The displacements are read off them: the left copy's cap point at
+    angle 0 measured from (1, 0) and the right copy's at angle pi measured
+    from (L - 1, 0), summed in the edge frame, where x points along the
+    edge.  The radius perturbations are the one-sided profile values at
+    the cap angles 2k*psi and (2k+1)*psi of the unrotated body.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"edge class must be 0, 1 or 2, got {k}")
-    left, right = edge_copies(body, k, config) if copies is None else copies
+    left, right = copies
     xl, yl = boundary_point(left, 0.0)
     xr, yr = boundary_point(right, math.pi)
-    eps = body.epsilon
+    eps = left.epsilon
     phi_l = 2.0 * k * PSI
     phi_r = (2.0 * k + 1.0) * PSI
     return PairCut(
@@ -544,13 +534,14 @@ def verify_avoidance(
     eps: float,
     stripes: dict[int, tuple[float, float]],
     *,
-    config: LatticeConfig | None = None,
+    shift=None,
     stripe_width: float = 2.0,
     tol: float = 1e-9,
 ) -> AvoidanceReport:
     """Check exactly that stripe-cut copies on a lattice patch stay 2 apart.
 
-    ``stripes`` maps each edge class k to its (shift, tilt).  For every
+    ``stripes`` maps each edge class k to its (shift, tilt); ``shift`` is
+    the copies' shift pair of ``place_copy`` (None: the reference).  For every
     site of the 3x3 patch ``PATCH_SITES`` and every nearest-neighbor edge, the
     two cut lines are laid across the edge and each body is trimmed to
     its exact boundary (``trim_body``).  The checks assert that
@@ -576,11 +567,9 @@ def verify_avoidance(
     """
     if not stripe_width > 0.0:
         raise ValueError(f"stripe width must be positive, got {stripe_width}")
-    if config is None:
-        config = default_config()
     sites = PATCH_SITES
     body = build_body(q, eps)
-    bodies = {s: place_body(body, *s, config) for s in sites}
+    bodies = {s: place_body(body, *s, shift) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in sites}
     nonempty = {s for s in sites if len(trimmed[s].vertices)}

@@ -128,9 +128,10 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
     to the nearest small rational multiple of pi).  The first break must
     be 0 and the last 2*pi.  Validation enforces strict monotonicity, the
     pairing of every break with its antipode (checked once per break set,
-    ``_break_set``), the value/interval count, and the antisymmetry of the
-    values.  The returned breaks are read-only and shared by every profile
-    on the same break set.
+    ``_break_set``), the value/interval count, finite values (NaN would
+    pass every comparison below) and the antisymmetry of the values.  The
+    returned breaks are read-only and shared by every profile on the same
+    break set.
     """
     fracs = tuple(_to_fraction(b) for b in breaks)
     brk, antipode = _break_set(fracs)
@@ -139,6 +140,9 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
         raise StepFunctionError(
             f"{len(fracs) - 1} intervals but {len(vals)} values"
         )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise StepFunctionError(f"value[{bad[0]}]={float(vals[bad[0]])!r} is not finite")
     # Value-by-value antisymmetry on paired intervals.
     bad = np.flatnonzero(np.abs(vals[antipode] + vals) > ANTISYMMETRY_TOL)
     if len(bad):

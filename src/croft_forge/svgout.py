@@ -18,10 +18,8 @@ from .lattice import (
     COLORS,
     LATTICE_CONSTANT,
     PATCH_SITES,
-    LatticeConfig,
     collect_patch_cuts,
     color_index,
-    default_config,
     place_body,
     site_position,
 )
@@ -98,13 +96,11 @@ def render_tortoise_svg(
     q: StepFunction,
     eps: float,
     stripes: dict[int, tuple[float, float]],
-    config: LatticeConfig | None = None,
+    shift=None,
 ) -> str:
     """One body with the six cut lines of its incident stripes."""
-    if config is None:
-        config = default_config()
     cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
-    body = place_body(build_body(q, eps), 0, 0, config)
+    body = place_body(build_body(q, eps), 0, 0, shift)
     elements = [
         f'<path d="{body_path_d(body)}" fill="{FILL_BY_COLOR["red"]}" '
         f'stroke="{STROKE}" stroke-width="0.01"/>'
@@ -119,18 +115,16 @@ def render_lattice_svg(
     q: StepFunction,
     eps: float,
     stripes: dict[int, tuple[float, float]],
-    config: LatticeConfig | None = None,
+    shift=None,
 ) -> str:
     """The 3x3 patch of colored bodies with every stripe's two cut lines."""
-    if config is None:
-        config = default_config()
     cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
     body = build_body(q, eps)
     elements = []
     for s in PATCH_SITES:
         fill = FILL_BY_COLOR[COLORS[color_index(*s)]]
         elements.append(
-            f'<path d="{body_path_d(place_body(body, *s, config))}" fill="{fill}" '
+            f'<path d="{body_path_d(place_body(body, *s, shift))}" fill="{fill}" '
             f'stroke="{STROKE}" stroke-width="0.01"/>'
         )
         for n, c in cuts[s]:

@@ -34,9 +34,7 @@ from .clip import Clip, halfplane_clip_area
 from .lattice import (
     LATTICE_CONSTANT,
     PSI,
-    LatticeConfig,
     cut_parameters,
-    default_config,
     edge_copies,
     stripe_caps,
 )
@@ -224,13 +222,13 @@ def tortoise_area(
     mode: str = "series2",
     *,
     q: StepFunction | None = None,
-    config: LatticeConfig | None = None,
+    shift=None,
 ) -> DensityRecord:
     """Area and density of the cut body at family parameter ``eps``.
 
     The body area minus the three minimized stripe-pair areas; the cell
-    is a rhombus of side one lattice constant.  ``config`` carries the
-    pre-rotation shift of every copy (default: ``default_config()``).
+    is a rhombus of side one lattice constant.  ``shift`` is the
+    pre-rotation shift pair of every copy (None: the reference shift).
     The body is built once and every copy is its rigid motion, each edge
     pair placed once; the series modes first ``require_single_arc_caps``.
     """
@@ -238,8 +236,6 @@ def tortoise_area(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if q is None:
         q = reference_step_function()
-    if config is None:
-        config = default_config()
 
     if mode in SERIES_MODES:
         require_single_arc_caps(q)
@@ -248,8 +244,8 @@ def tortoise_area(
 
     per_edge = []
     for k in range(3):
-        copies = edge_copies(body, k, config)
-        cut = cut_parameters(q, body, k, config, copies=copies)
+        copies = edge_copies(body, k, shift)
+        cut = cut_parameters(q, k, copies)
         if mode == "series1":
             s, area = minimize_pair_shift(cut)
             per_edge.append(EdgeCut(k=k, s=s, delta=0.0, area=area))
@@ -288,23 +284,24 @@ def scan(
 # Closed-form second-order coefficients (series modes)
 
 
-def _unit_cuts(q: StepFunction, config: LatticeConfig | None = None) -> list[PairCut]:
-    """Per-class cut geometry at unit eps (all entries are linear in eps).
+def _unit_cuts(q: StepFunction, shift=None) -> list[PairCut]:
+    """Per-class cut geometry at unit eps (all entries are linear in eps,
+    and jointly in (q, shift); None is the reference shift).
 
     Probed at eps = 0.125 / max(1, max|q|), so every radius 1 - eps*q stays
     at least 7/8.
     """
-    if config is None:
-        config = default_config()
     h = 0.125 / max(1.0, float(np.max(np.abs(q.values))))
     body = build_body(q, h)
-    return [cut_parameters(q, body, k, config).scaled(1.0 / h) for k in range(3)]
+    return [
+        cut_parameters(q, k, edge_copies(body, k, shift)).scaled(1.0 / h) for k in range(3)
+    ]
 
 
 def series_cut_coefficients(
     q: StepFunction | None = None,
     mode: str = "series2",
-    config: LatticeConfig | None = None,
+    shift=None,
 ) -> tuple[float, float]:
     """(linear, quadratic) eps-coefficients of the minimized cut-area sum.
 
@@ -318,7 +315,7 @@ def series_cut_coefficients(
     if mode not in SERIES_MODES:
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
     require_single_arc_caps(q)
-    parts = [pair_area_parts(c, mode == "series2") for c in _unit_cuts(q, config)]
+    parts = [pair_area_parts(c, mode == "series2") for c in _unit_cuts(q, shift)]
     linear = sum(odd for odd, _ in parts)
     quad = sum(even for _, even in parts)
     return linear, quad
@@ -335,13 +332,13 @@ def body_area_coefficient(q: StepFunction | None = None) -> float:
 def series_net_coefficient(
     q: StepFunction | None = None,
     mode: str = "series2",
-    config: LatticeConfig | None = None,
+    shift=None,
 ) -> float:
     """Second-order coefficient of the cut-body area, series closed form.
 
     Positive means the family improves on the disc-based construction.
     """
-    _, quad = series_cut_coefficients(q, mode, config)
+    _, quad = series_cut_coefficients(q, mode, shift)
     return body_area_coefficient(q) - quad
 
 

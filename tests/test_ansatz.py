@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from croft_forge.ansatz import (
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
 from croft_forge.stepfn import make_step_function, reference_step_function
 from croft_forge.tortoise import series_net_coefficient
+from break_sets import seeded_profile
 from call_counts import count_calls
 
 FD_STEP = 1e-3  # step of the test-only central-difference reference
@@ -28,6 +30,8 @@ FD_STEP = 1e-3  # step of the test-only central-difference reference
 RNG = np.random.default_rng(7)
 REF_V = np.array(Q_VALUES[:N_FREE])
 UNIFORM_12 = make_step_function([Fraction(i, 6) for i in range(13)], np.zeros(12))
+TWO = make_step_function([Fraction(0), Fraction(1), Fraction(2)], np.zeros(2))
+FOUR = make_step_function([Fraction(i, 2) for i in range(5)], np.zeros(4))
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,47 @@ def test_closure_matrix_is_cached_and_read_only():
     assert np.array_equal(A, fresh)
     with pytest.raises(ValueError):
         A[0, 0] = 1.0
+
+
+def looped_closure_matrix(template):
+    """Test-only oracle: chain the closure gap of each half-value's
+    antisymmetric unit profile around the full turn, break by break."""
+    breaks = template.breaks
+    n = template.n_intervals
+    half = n // 2
+    A = np.zeros((2, half))
+    for m in range(half):
+        q = np.zeros(n)
+        q[m], q[m + half] = 1.0, -1.0
+        for i in range(n):
+            phi = breaks[(i + 1) % n]
+            A[:, m] += (q[(i + 1) % n] - q[i]) * np.array([math.cos(phi), math.sin(phi)])
+    return A
+
+
+def test_closure_matrix_is_the_looped_chain():
+    """-2 du[:n/2]^T equals the chained gaps of the unit half-value profiles,
+    to two ulps of the largest entry an |A| can have, 4."""
+    rng = np.random.default_rng(19)
+    templates = [reference_step_function(), UNIFORM_12, TWO, FOUR]
+    for template in templates + [seeded_profile(rng) for _ in range(30)]:
+        gap = np.max(np.abs(closure_matrix(template) - looped_closure_matrix(template)))
+        assert gap <= 8.0 * np.finfo(float).eps
+
+
+def test_nullspace_is_sized_by_the_rank():
+    """Rank 2 from four intervals on, rank 1 on {0, pi}: the null space has
+    n/2 - rank orthonormal columns, cached per break set and read-only."""
+    rng = np.random.default_rng(29)
+    for template in [UNIFORM_12, TWO, FOUR] + [seeded_profile(rng) for _ in range(30)]:
+        half = template.n_intervals // 2
+        N = closure_nullspace(template)
+        assert N.shape == (half, half - (1 if half == 1 else 2))
+        assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-13)
+        assert np.max(np.abs(closure_matrix(template) @ N), initial=0.0) <= 1e-13
+        assert closure_nullspace(template) is N
+        assert not N.flags.writeable
+    assert np.array_equal(closure_project([0.7], TWO), [0.0])
 
 
 def test_projection_is_idempotent_and_feasible():
@@ -158,6 +203,27 @@ def test_form_sizes_come_from_the_template():
         direct = c2_net(v, shifts, "series2", template=template)
         scale = norm * (v @ v + shifts @ shifts)
         assert abs(form.value(v, shifts) - direct) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("template", [TWO, FOUR], ids=["two", "four"])
+def test_small_break_sets_give_the_shift_form(template):
+    """On two and four intervals the closure null space is empty: every mode
+    gives a 2 x 2 form on the shifts, and the series forms are c2_net."""
+    rng = np.random.default_rng(5)
+    for mode in ("series1", "series2"):
+        form = assemble_quadratic_form(mode, template=template)
+        assert form.matrix.shape == (2, 2)
+        assert form.basis.shape == (template.n_intervals // 2 + 2, 2)
+        norm = np.linalg.norm(form.hessian / 2.0, 2)
+        for _ in range(10):
+            v = rng.normal(size=template.n_intervals // 2)
+            shifts = rng.normal(scale=0.2, size=2)
+            direct = c2_net(v, shifts, mode, template=template)
+            assert abs(form.value(closure_project(v, template), shifts) - direct) <= (
+                1e-13 * norm * (shifts @ shifts)
+            )
+        assert eigen_signature(form).signature == (0, 0, 2)
+    assert assemble_quadratic_form("exact2", template=template).matrix.shape == (2, 2)
 
 
 def fd_form_matrix(form):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from croft_forge import reference
+from croft_forge import ansatz, reference
 from croft_forge.body import (
     BodyError,
     body_area,
@@ -20,6 +21,7 @@ from croft_forge.body import (
     transform,
 )
 from croft_forge.stepfn import make_step_function, reference_step_function
+from break_sets import seeded_profile
 
 Q = reference_step_function()
 
@@ -32,6 +34,27 @@ def test_center_offsets_match_reference_tables():
 
 def test_chain_closes():
     assert chain_closure_residual(Q) <= 1e-12
+
+
+def chained_closure_residual(q):
+    """Test-only oracle: chain the center offsets once around the full turn
+    and measure how far the chain ends from where it started."""
+    offs = center_offsets(q)
+    dq0 = q.values[0] - q.values[-1]
+    end = offs[-1] + dq0 * np.array([math.cos(q.breaks[0]), math.sin(q.breaks[0])])
+    return math.hypot(*(end - offs[0]))
+
+
+def test_closure_residual_is_the_chained_gap():
+    """Summed by parts, the chain's gap is -du^T q: the closed form agrees
+    with chaining the offsets on seeded (open) profiles, to rounding of the
+    n terms |q_i du_i| <= 2|q_i| of the sum."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        q = seeded_profile(rng)
+        gap = abs(chain_closure_residual(q) - chained_closure_residual(q))
+        assert gap <= 1e-15 * np.sum(np.abs(q.values))
+    assert abs(chain_closure_residual(Q) - chained_closure_residual(Q)) <= 1e-15
 
 
 def test_anchor_convention_boundary_starts_at_unit_x():
@@ -75,6 +98,42 @@ def test_diameter_profile():
     dmax, dmin = diameter_profile(build_body(Q, 0.25))
     assert abs(dmax - 2.0) <= 1e-9
     assert abs(dmin - 2.0) <= 1e-9
+
+
+def sampled_diameter_profile(b, samples=10_000):
+    """Test-only oracle: (max, min) antipodal distance over evenly spaced
+    angles in [0, pi), plus each break sampled 1e-9 inside both of its arcs."""
+    phis = np.linspace(0.0, math.pi, samples, endpoint=False)
+    extra = np.concatenate([b.breaks[:-1] + 1e-9, b.breaks[:-1] - 1e-9])
+    phis = np.concatenate([phis, extra % (2.0 * math.pi)])
+    d = np.hypot(*(boundary_point(b, phis) - boundary_point(b, phis + math.pi)).T)
+    return float(d.max()), float(d.min())
+
+
+def test_diameter_profile_matches_the_sampled_oracle():
+    bodies = [build_body(Q, eps) for eps in (0.1, 0.25, -0.3)]
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        v = ansatz.closure_project(rng.standard_normal(ansatz.N_FREE))
+        bodies.append(build_body(ansatz.step_from_halfvalues(v / np.max(np.abs(v))), 0.4))
+    for b in bodies:
+        gap = np.subtract(diameter_profile(b), sampled_diameter_profile(b))
+        assert np.max(np.abs(gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_diameter_profile_sees_a_centre_nudge_of_1e_7(sign):
+    """Moving one centre by 1e-7 along its arc's middle direction moves the
+    antipodal distance there by exactly that, at a point inside the arc."""
+    b = build_body(Q, 0.1)
+    arc = 3
+    mid = 0.5 * (b.breaks[arc] + b.breaks[arc + 1])
+    centers = b.centers.copy()
+    centers[arc] += sign * 1e-7 * np.array([math.cos(mid), math.sin(mid)])
+    dmax, dmin = diameter_profile(dataclasses.replace(b, centers=centers))
+    moved, kept = (dmax, dmin) if sign > 0 else (dmin, dmax)
+    assert moved - 2.0 == pytest.approx(sign * 1e-7, abs=1e-14)
+    assert kept == pytest.approx(2.0, abs=1e-14)
 
 
 def test_area_closed_form_against_polygon_oracle():

@@ -21,7 +21,7 @@ from croft_forge.clip import boundary_line_crossings, cap_arcs, halfplane_clip_a
 from croft_forge.lattice import default_config, place_copy, trim_body
 from croft_forge.stepfn import make_step_function, reference_step_function
 
-CONFIG = default_config()
+SHIFT = default_config()
 REF = reference_step_function()
 UNIFORM_36 = make_step_function([Fraction(i, 18) for i in range(37)], np.zeros(36))
 AREA_TOL = 1e-14
@@ -37,7 +37,7 @@ def _placed_bodies(seed):
             v = ansatz.closure_project(rng.standard_normal(template.n_intervals // 2), template)
             q = ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
             body = build_body(q, float(rng.uniform(-0.1, 0.1)))
-            bodies.append(place_copy(body, color, rng.uniform(-3.0, 3.0, 2), CONFIG))
+            bodies.append(place_copy(body, color, rng.uniform(-3.0, 3.0, 2), SHIFT))
     return bodies
 
 
@@ -142,7 +142,7 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
     stripes = tortoise.tortoise_area(eps, "exact2").stripes()
     cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
     for s in sites:
-        _assert_same_trim(lattice.place_body(body, *s, CONFIG), cuts[s])
+        _assert_same_trim(lattice.place_body(body, *s, SHIFT), cuts[s])
 
 
 def _counted(fn, counts, key):

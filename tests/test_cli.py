@@ -286,6 +286,37 @@ def test_eigen_series_mode_refuses_a_narrow_cap_break_set(capsys, tmp_path):
     assert err.startswith("error: ") and "inside the cap half-angle" in err
 
 
+@pytest.mark.parametrize("mode", ["series1", "series2", "exact1", "exact2"])
+def test_eigen_on_the_two_interval_break_set(capsys, tmp_path, mode):
+    """On {0, pi} the closure null space is empty: the form is the 2 x 2
+    shift form, negative definite, and no mode hits a singular solve."""
+    code, out, err = run(
+        capsys, "eigen", "--mode", mode, "--q-spec", str(_uniform_qspec(tmp_path, 2)),
+        "--format", "json",
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["signature"] == {"positive": 0, "zero": 0, "negative": 2}
+    assert len(data["eigenvalues"]) == 2 and len(data["top_shift"]) == 2
+
+
+@pytest.mark.parametrize("values", ["NaN, NaN", "Infinity, -Infinity"])
+def test_fit_on_a_non_finite_profile_is_usage_error(capsys, tmp_path, values):
+    """JSON reads NaN and Infinity; an antipodal pair of them must not reach
+    the fit, which printed c2,nan for NaN."""
+    path = tmp_path / "q.json"
+    path.write_text(
+        '{"breaks": [{"num": 0, "den": 1}, {"num": 1, "den": 1}, {"num": 2, "den": 1}], '
+        f'"values": [{values}]}}'
+    )
+    code = _exit_code(["fit", "--q-spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: --q-spec") and "is not finite" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("mode", ["series2", "exact2"])
 def test_fit_on_a_large_profile(capsys, tmp_path, mode):
     """max|q| = 5: the closed-form probes shrink with the profile, so a fit

@@ -13,7 +13,7 @@ from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import ConvergenceError, _pair_derivatives, pair_clip_area
 
 Q = reference_step_function()
-CONFIG = default_config()
+SHIFT = default_config()
 H_GRAD = 1e-6  # central-difference step for first derivatives
 H_HESS = 1e-4  # second differences of the area need a wider step
 
@@ -54,8 +54,8 @@ def fd_hessian(f, x, h):
 def stripe_clips(eps, k):
     """The two (body, c, theta) clips of class k's stripe at its series seed."""
     body = build_body(Q, eps)
-    left, right = edge_copies(body, k, CONFIG)
-    cut = cut_parameters(Q, body, k, CONFIG)
+    left, right = edge_copies(body, k, SHIFT)
+    cut = cut_parameters(Q, k, (left, right))
     s, delta = series_tilt_minimizer(cut)
     return [(body, c, math.atan2(n[1], n[0]))
             for body, (n, c, _, _) in zip((left, right), stripe_caps(s, delta))]
@@ -138,8 +138,8 @@ def test_pair_derivatives_match_finite_differences(eps, k):
     """The chain rule through the ``stripe_caps`` derivatives against
     differences of pair_clip_area."""
     body = build_body(Q, eps)
-    left, right = edge_copies(body, k, CONFIG)
-    s, delta = series_tilt_minimizer(cut_parameters(Q, body, k, CONFIG))
+    left, right = edge_copies(body, k, SHIFT)
+    s, delta = series_tilt_minimizer(cut_parameters(Q, k, (left, right)))
     s, delta = s + 3e-3, delta - 5e-3  # off the minimum, where the gradient is not 0
     grad, hess = _pair_derivatives(pair_clip_area(left, right, s, delta), s, delta)
 
@@ -155,7 +155,7 @@ def test_pair_derivatives_raise_when_a_line_misses():
     """Far out both stripe lines miss their copies: the area is still given
     (the whole right copy lies on its removed side), and only asking for
     the derivatives raises."""
-    left, right = edge_copies(build_body(Q, 0.05), 0, CONFIG)
+    left, right = edge_copies(build_body(Q, 0.05), 0, SHIFT)
     pair = pair_clip_area(left, right, 5.0, 0.0)
     assert pair.grad is None
     assert pair.area == pytest.approx(body_area(right), abs=1e-14)

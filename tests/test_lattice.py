@@ -11,7 +11,6 @@ from croft_forge.clip import boundary_line_crossings
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
-    LatticeConfig,
     PSI,
     closest_pair,
     collect_patch_cuts,
@@ -19,6 +18,7 @@ from croft_forge.lattice import (
     color_of,
     cut_parameters,
     default_config,
+    edge_copies,
     farthest_pair,
     halfplane_excess,
     left_color_of_class,
@@ -31,7 +31,12 @@ from croft_forge.lattice import (
 from croft_forge.stepfn import reference_step_function
 
 Q = reference_step_function()
-CONFIG = default_config()
+SHIFT = default_config()
+
+
+def _cut(eps, k, shift=SHIFT):
+    body = build_body(Q, eps)
+    return cut_parameters(Q, k, edge_copies(body, k, shift))
 
 
 def test_coloring_is_proper():
@@ -97,8 +102,8 @@ def test_boundary_antipodes_are_two_apart():
 
 
 def test_cut_parameters_linear_in_eps():
-    c1 = cut_parameters(Q, build_body(Q, 0.04), 1, CONFIG)
-    c2 = cut_parameters(Q, build_body(Q, 0.08), 1, CONFIG)
+    c1 = _cut(0.04, 1)
+    c2 = _cut(0.08, 1)
     for field in ("d_x", "d_y", "r_lu", "r_ll", "r_ru", "r_rl"):
         assert getattr(c2, field) == pytest.approx(2 * getattr(c1, field), abs=1e-13)
 
@@ -114,8 +119,8 @@ def test_cut_parameters_match_placed_geometry():
     eps = 0.03
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     body = build_body(Q, eps)
-    bodies = {s: place_body(body, *s, CONFIG) for s in sites}
-    per_class = {k: cut_parameters(Q, body, k, CONFIG) for k in range(3)}
+    bodies = {s: place_body(body, *s, SHIFT) for s in sites}
+    per_class = {k: cut_parameters(Q, k, edge_copies(body, k, SHIFT)) for k in range(3)}
     checked = set()
     for (i, j) in sites:
         for di, dj in NEIGHBOR_STEPS:
@@ -142,9 +147,8 @@ def test_cut_parameters_match_placed_geometry():
 
 
 def test_shift_contribution_is_rotation_of_shift():
-    body = build_body(Q, 0.5)
-    base = cut_parameters(Q, body, 2, LatticeConfig())
-    shifted = cut_parameters(Q, body, 2, LatticeConfig((0.3, -0.2)))
+    base = _cut(0.5, 2, (0.0, 0.0))
+    shifted = _cut(0.5, 2, (0.3, -0.2))
     expect = np.zeros(2)
     for phi in (4 * PSI, 5 * PSI):
         c, s = math.cos(-phi), math.sin(-phi)
@@ -155,14 +159,15 @@ def test_shift_contribution_is_rotation_of_shift():
 
 def test_place_body_red_is_unrotated():
     body = build_body(Q, 0.1)
-    b = place_body(body, 0, 0, CONFIG)
-    direct = body.centers + 0.1 * np.asarray(CONFIG.shift)
+    b = place_body(body, 0, 0, SHIFT)
+    direct = body.centers + 0.1 * np.asarray(SHIFT)
     assert np.allclose(b.centers, direct, atol=1e-15)
+    assert np.array_equal(place_body(body, 0, 0).centers, b.centers)  # None: the reference
     assert b.breaks[0] == 0.0
 
 
 def test_place_body_rotation():
-    b = place_body(build_body(Q, 0.1), 1, 0, CONFIG)  # green: rotated by 2*pi/3
+    b = place_body(build_body(Q, 0.1), 1, 0, SHIFT)  # green: rotated by 2*pi/3
     assert b.breaks[0] == pytest.approx(rotation_of_color(1), abs=0)
 
 
@@ -260,7 +265,7 @@ def _random_profile(seed):
 def _patch(q, eps, stripes, width):
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     body = build_body(q, eps)
-    bodies = {s: place_body(body, *s, CONFIG) for s in sites}
+    bodies = {s: place_body(body, *s, SHIFT) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, width)
     return bodies, cuts, edges
 
@@ -337,8 +342,8 @@ def test_arc_fault_of_1e_7_is_caught(monkeypatch, fault):
     place = lattice.place_body
     arc = 2  # spans [2, 2.93]*pi/12, between the caps at 0 and pi/3
 
-    def faulty(body, i, j, config):
-        copy = place(body, i, j, config)
+    def faulty(body, i, j, shift):
+        copy = place(body, i, j, shift)
         return fault(copy, arc) if (i, j) == (0, 0) else copy
 
     monkeypatch.setattr(lattice, "place_body", faulty)

@@ -55,6 +55,21 @@ def test_antisymmetry_enforced():
         make_step_function(SIMPLE_BREAKS, [0.5, -0.25, -0.5, 0.3])
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.5, math.nan, -0.5, math.nan], r"value\[1\]=nan is not finite"),
+        ([math.inf, -0.25, -math.inf, 0.25], r"value\[0\]=inf is not finite"),
+        ([0.5, -math.inf, -0.5, math.inf], r"value\[1\]=-inf is not finite"),
+    ],
+)
+def test_non_finite_values_rejected(values, message):
+    """NaN passes the antisymmetry test (NaN + NaN > tol is false) and so
+    does an antipodal pair inf, -inf; both are refused."""
+    with pytest.raises(StepFunctionError, match=message):
+        make_step_function(SIMPLE_BREAKS, values)
+
+
 def test_monotone_breaks_enforced():
     with pytest.raises(StepFunctionError, match="increasing"):
         make_step_function(

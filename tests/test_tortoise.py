@@ -15,7 +15,6 @@ from croft_forge.body import body_area, boundary_point, build_body, croft_consta
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PATCH_SITES,
-    LatticeConfig,
     collect_patch_cuts,
     cut_parameters,
     default_config,
@@ -157,8 +156,8 @@ def test_printed_coefficients_drop_d_y_from_the_tilt(monkeypatch):
     lin, _ = series_cut_coefficients(mode="series1")
     assert abs(lin - reference.PRINTED_NET_COEFF_SHIFT_ONLY) <= 1e-14
     unit_cuts = tortoise._unit_cuts
-    monkeypatch.setattr(tortoise, "_unit_cuts", lambda q, config=None: [
-        dataclasses.replace(c, d_y=0.0) for c in unit_cuts(q, config)
+    monkeypatch.setattr(tortoise, "_unit_cuts", lambda q, shift=None: [
+        dataclasses.replace(c, d_y=0.0) for c in unit_cuts(q, shift)
     ])
     _, cut2 = series_cut_coefficients(mode="series2")
     assert cut2 == pytest.approx(reference.PRINTED_CUT_COEFF_SHIFT_TILT, abs=1e-10)
@@ -222,9 +221,7 @@ def test_unknown_mode_rejected():
 
 def test_shift_matters():
     with_shift = series_net_coefficient(mode="series1")
-    without = series_net_coefficient(
-        mode="series1", config=LatticeConfig()
-    )
+    without = series_net_coefficient(mode="series1", shift=(0.0, 0.0))
     assert with_shift > without + 0.1  # the shift recovers most of the loss
 
 
@@ -236,7 +233,7 @@ def test_edge_pair_bodies_are_the_patch_copies():
     ``stripe_caps``, and each copy loses to its cut that side's term of
     ``pair_clip_area``."""
     eps = 0.07
-    config = default_config()
+    shift = default_config()
     rng = np.random.default_rng(5)
     stripes = {k: (float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.05, 0.05)))
                for k in range(3)}
@@ -251,10 +248,10 @@ def test_edge_pair_bodies_are_the_patch_copies():
         beta = math.atan2(d[1], d[0])
         back = np.array([[math.cos(beta), math.sin(beta)],
                          [-math.sin(beta), math.cos(beta)]])  # rotation by -beta
-        expected = edge_copies(built, k, config)
+        expected = edge_copies(built, k, shift)
         caps = stripe_caps(*stripes[k], 2.0)
         for site, body, (n, c, _, _) in zip((a, b), expected, caps):
-            placed = place_body(built, *site, config)
+            placed = place_body(built, *site, shift)
             moved = transform(transform(placed, 0.0, -pos_a), -beta)
             assert np.max(np.abs(boundary_point(moved, phi) - boundary_point(body, phi))) <= 1e-12
             n_patch, c_patch = next(unread[site])
@@ -363,13 +360,13 @@ def test_newton_matches_nelder_mead_reference(seed):
     rng = np.random.default_rng(seed)
     q = random_profile(rng)
     eps = float(rng.uniform(-0.1, 0.1))
-    config = default_config()
+    shift = default_config()
     body = build_body(q, eps)
     for mode in ("exact1", "exact2"):
         rec = tortoise_area(eps, mode, q=q)
         for e in rec.per_edge:
-            left, right = edge_copies(body, e.k, config)
-            s0, delta0 = series_tilt_minimizer(cut_parameters(q, body, e.k, config))
+            left, right = edge_copies(body, e.k, shift)
+            s0, delta0 = series_tilt_minimizer(cut_parameters(q, e.k, (left, right)))
             if mode == "exact1":
                 x0 = [s0]
                 f = lambda x: pair_clip_area(left, right, x[0], 0.0).area
@@ -393,12 +390,11 @@ def test_probe_eps_scales_with_the_profile():
     exactly 25 times the reference body-area and cut coefficients."""
     q = reference_step_function()
     big = q.scaled(5.0)
-    config = default_config()
-    big_config = LatticeConfig(tuple(5.0 * v for v in config.shift))
+    big_shift = tuple(5.0 * v for v in default_config())
     assert body_area_coefficient(big) == pytest.approx(
         25.0 * body_area_coefficient(q), rel=1e-13
     )
     for mode in ("series1", "series2"):
-        _, quad = series_cut_coefficients(big, mode, big_config)
+        _, quad = series_cut_coefficients(big, mode, big_shift)
         _, ref_quad = series_cut_coefficients(q, mode)
         assert quad == pytest.approx(25.0 * ref_quad, rel=1e-12)
