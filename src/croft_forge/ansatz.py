@@ -7,9 +7,10 @@ with A read off the arc chords of ``body`` (``closure_matrix``); the form
 lives on the null space of A plus the shifts, so its size is the
 null-space dimension + 2 (10 + 2 on the reference, 0 + 2 on {0, pi}).
 The eps^2 coefficient of the cut-body area is an exactly quadratic
-function of these variables in the series modes, where this module reads
-its matrix on the constraint subspace off the linear cut data (one body
-per basis column); the exact modes assemble it by polarization.  A
+function of these variables in every mode.  ``assemble_quadratic_form``
+reads its matrix on the constraint subspace off the six caps of the body
+at eps = 0, in one closed form for every mode and break set
+(``cut_area_gram``); the mode decides only the stripe tilt.  A
 self-contained Jacobi sweep diagonalizes it, so the best direction and
 the signature do not depend on a library eigensolver.
 """
@@ -17,21 +18,16 @@ the signature do not depend on a library eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .body import _arc_sweeps, body_area_gram
-from .segments import pair_area_gram
-from .stepfn import StepFunction, make_step_function, reference_step_function
-from .tortoise import (
-    SERIES_MODES,
-    _unit_cuts,
-    fit_net_coefficient,
-    require_single_arc_caps,
-    series_net_coefficient,
-)
+from .body import _arc_sweeps, _cross, body_area_gram, center_offsets, croft_constants
+from .lattice import PSI, stripe_caps
+from .segments import series_coefficients
+from .stepfn import TWO_PI, StepFunction, make_step_function, reference_step_function
+from .tortoise import MODES, SERIES_MODES, fit_net_coefficient, series_net_coefficient
 
 # Sizes on the reference profile; the form takes its own from the template.
 N_FREE = 12
@@ -144,50 +140,79 @@ class QuadraticForm:
         return float(u @ self.hessian @ u) / 2.0
 
 
-# Polarization probe length t of the exact modes.  c2 is homogeneous of
-# degree two (a profile scaled by t is the family at t*eps), so t cancels
-# but for the fit: exact2 differs from series2 by 6e-5 at t = 0.1, 7e-9 at
-# 1e-2, 9e-7 at 1e-3, and at t = 1 the shift probes move cut lines off the
-# body.
-POLARIZATION_SCALE = {"exact1": 1e-2, "exact2": 1e-2}
+@lru_cache(maxsize=64)
+def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
+    """Per cap j = 0..5, which covers the normal angles j*psi +- phi_c:
+    (arcs, dphi, du, ends), the arcs under it in boundary order, the angle
+    and unit chord of each one's part there (``_arc_sweeps`` on the cap's
+    own breaks) and the two cap ends."""
+    phi_c = croft_constants().phi_c
+    # arc starts over the turn before and this turn: cap 0 starts at -phi_c
+    starts = np.concatenate([np.array(breaks[:-1]) - TWO_PI, breaks[:-1]])
+    caps = []
+    for j in range(6):
+        ends = (j * PSI - phi_c, j * PSI + phi_c)
+        first = int(np.searchsorted(starts, ends[0], side="right")) - 1
+        last = int(np.searchsorted(starts, ends[1], side="left")) - 1
+        cuts = np.concatenate([[ends[0]], starts[first + 1 : last + 1], [ends[1]]])
+        dphi, du = _arc_sweeps(cuts)
+        caps.append((np.arange(first, last + 1) % (len(breaks) - 1), dphi, du, ends))
+    return tuple(caps)
 
 
-def _series_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.ndarray:
-    """Series form on ``basis``, read off the linear cut data.
+def cap_area_derivatives(profiles: list[StepFunction], shifts):
+    """eps = 0 derivatives of the six cap areas over columns (profile, shift).
 
-    c2_net is the body-area coefficient minus the summed even parts of the
-    three pair areas at the unit cuts c_k, and c_k is linear in (v, shift):
-    with J_k the (6, m) cuts of the m basis columns and M the pair-area
-    Gram, the form is the body-area Gram of the column profiles minus
-    sum_k J_k^T M J_k.  One body per column.
+    Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi; class k
+    clips cap 2k off its left copy and cap 2k + 1 off its right one.  A
+    column moves the support function by h1 = (m_i + shift).u(phi) - q_i on
+    arc i (m = ``center_offsets``), C^1 across breaks.  With s = sin(phi_c),
+    cot = cot(phi_c) and cap ends phi_1 < phi_2, the derivatives in eps,
+    the line offset c and the normal angle theta are
+    A_ee = -int q h1 + h1(phi_2) (h1(phi_2) cot - h1'(phi_2))
+    + h1(phi_1) (h1(phi_1) cot + h1'(phi_1)), A_ec = -(h1(phi_1) + h1(phi_2))/s
+    and A_et = h1(phi_2) - h1(phi_1), where int h1 over an arc part is
+    (m_i + shift) x du - q_i dphi, ``body_area``'s Green term.  Returns
+    A_ee (6, m, m) as bilinear forms, A_ec and A_et (6, m); no body is built.
     """
-    profiles = [step_from_halfvalues(b[:-2], template) for b in basis.T]
-    cuts = np.array([
-        [astuple(c) for c in _unit_cuts(q, b[-2:])] for q, b in zip(profiles, basis.T)
-    ])  # (column, class, cut coordinate)
-    gram = pair_area_gram(mode == "series2")
-    matrix = body_area_gram(profiles)
-    for jac in cuts.transpose(1, 2, 0):
-        matrix -= jac.T @ gram @ jac
-    return 0.5 * (matrix + matrix.T)
+    phi_c = croft_constants().phi_c
+    cot = 1.0 / math.tan(phi_c)
+    q = np.stack([p.values for p in profiles], axis=1)  # (n, m)
+    centers = np.stack([center_offsets(p) for p in profiles], axis=1) + shifts
+    a_ee, a_ec, a_et = [], [], []
+    for arcs, dphi, du, ends in _cap_sub_arcs(tuple(profiles[0].breaks)):
+        qa = q[arcs]
+        qh = qa.T @ (_cross(centers[arcs], du[:, None, :]) - qa * dphi[:, None])
+        (c1, s1), (c2, s2) = ((math.cos(phi), math.sin(phi)) for phi in ends)
+        m1, m2 = centers[arcs[0]], centers[arcs[-1]]  # the arcs holding the ends
+        h1, h2 = m1 @ (c1, s1) - q[arcs[0]], m2 @ (c2, s2) - q[arcs[-1]]
+        dh1, dh2 = m1 @ (-s1, c1), m2 @ (-s2, c2)
+        a = np.outer(h1, cot * h1 + dh1) + np.outer(h2, cot * h2 - dh2)
+        a_ee.append(0.5 * (a + a.T) - 0.5 * (qh + qh.T))
+        a_ec.append(-(h1 + h2) / math.sin(phi_c))
+        a_et.append(h2 - h1)
+    return np.array(a_ee), np.array(a_ec), np.array(a_et)
 
 
-def _polarized_matrix(basis: np.ndarray, mode: str, template: StepFunction) -> np.ndarray:
-    """Form on ``basis`` by polarization of ``c2_net`` at probe length t."""
-    t = POLARIZATION_SCALE[mode]
+def cut_area_gram(profiles: list[StepFunction], shifts, with_tilt: bool) -> np.ndarray:
+    """Gram of the eps^2 coefficient of the three minimized pair areas.
 
-    def f(u):
-        return c2_net(t * u[:-2], t * u[-2:], mode, template=template) / (t * t)
-
-    diag = [f(b) for b in basis.T]
-    matrix = np.diag(diag)
-    m = len(diag)
-    for i in range(m):
-        for j in range(i + 1, m):
-            matrix[i, j] = matrix[j, i] = 0.5 * (
-                f(basis[:, i] + basis[:, j]) - diag[i] - diag[j]
-            )
-    return matrix
+    At eps = 0 pair k (caps 2k, 2k + 1) has its minimum at x = 0, x = s or
+    (s, delta), so by the envelope theorem the coefficient is
+    1/2 (P_ee - P_ex^T P_xx^-1 P_ex): P_ee sums the caps' A_ee, P_ex chains
+    their (A_ec, A_et) through the jacobians of ``stripe_caps`` at (0, 0),
+    and P_xx = diag(2d, 2(l + b)) is the pair Hessian on two unit discs.
+    """
+    a_ee, a_ec, a_et = cap_area_derivatives(profiles, shifts)
+    sc = series_coefficients()
+    curvature = (2.0 * sc.d, 2.0 * (sc.l + sc.b))[: 2 if with_tilt else 1]
+    gram = 0.5 * (a_ee[0::2] + a_ee[1::2]).sum(axis=0)
+    for pair in ((0, 1), (2, 3), (4, 5)):
+        p_ex = sum(jac.T @ np.stack([a_ec[j], a_et[j]])
+                   for j, (_, _, jac, _) in zip(pair, stripe_caps(0.0, 0.0)))
+        for row, p_xx in zip(p_ex, curvature):
+            gram -= 0.5 * np.outer(row, row) / p_xx
+    return gram
 
 
 def assemble_quadratic_form(
@@ -195,15 +220,13 @@ def assemble_quadratic_form(
 ) -> QuadraticForm:
     """The c2 form of ``mode`` on the closure subspace plus the shifts.
 
-    The series modes read it off the linear cut data: one probe per basis
-    column, exact up to rounding (``require_single_arc_caps`` first).  The
-    exact modes polarize ``c2_net`` at probe length t, with orthonormal
-    basis columns b_i and f = ``c2_net``:
-    matrix[i, i] = f(t b_i) / t^2 and
-    matrix[i, j] = (f(t (b_i + b_j)) - f(t b_i) - f(t b_j)) / (2 t^2),
-    78 evaluations for 12 columns.  The columns are the closure null space
-    and the two shifts, so the form is 2 x 2 on the break set {0, pi}.
+    The body-area Gram of the basis columns minus the cut-area Gram read off
+    the six caps (``cut_area_gram``): no body is built, no ``c2_net`` is
+    called, and the mode decides only the stripe tilt.  The columns are the
+    closure null space and the two shifts, so the form is 2 x 2 on {0, pi}.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if template is None:
         template = reference_step_function()
     N = closure_nullspace(template)
@@ -211,11 +234,10 @@ def assemble_quadratic_form(
     basis = np.zeros((n_half + 2, n_null + 2))
     basis[:n_half, :n_null] = N
     basis[n_half:, n_null:] = np.eye(2)
-    if mode in SERIES_MODES:
-        require_single_arc_caps(template)
-        matrix = _series_matrix(basis, mode, template)
-    else:
-        matrix = _polarized_matrix(basis, mode, template)
+    profiles = [step_from_halfvalues(b[:-2], template) for b in basis.T]
+    with_tilt = mode in ("series2", "exact2")
+    matrix = body_area_gram(profiles) - cut_area_gram(profiles, basis[-2:].T, with_tilt)
+    matrix = 0.5 * (matrix + matrix.T)
     hessian = 2.0 * basis @ matrix @ basis.T
     hessian = 0.5 * (hessian + hessian.T)
     return QuadraticForm(matrix=matrix, basis=basis, hessian=hessian, mode=mode)

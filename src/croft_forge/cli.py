@@ -280,6 +280,7 @@ def cmd_eigen(args) -> int:
             if on_reference:
                 row += f",{_fmt(float(ref_v[i]))},{_fmt(float(rep.top_v[i] - ref_v[i]))}"
             lines.append(row)
+        lines.append("top_shift," + ",".join(_fmt(float(x)) for x in rep.top_shift))
         lines.append(f"signature,{rep.signature[0]},{rep.signature[1]},{rep.signature[2]}")
         _emit("\n".join(lines) + "\n", args)
     return 0

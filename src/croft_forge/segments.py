@@ -36,10 +36,8 @@ reference unit cuts scaled by 0.02, 0.01 and 0.005 by at most 7.6e-12,
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .body import croft_constants
 
@@ -208,26 +206,3 @@ def pair_area_parts(cut: PairCut, with_tilt: bool) -> tuple[float, float]:
     area = pair_area_series_shift_tilt if with_tilt else pair_area_series_shift
     plus, minus = area(cut), area(cut.scaled(-1.0))
     return 0.5 * (plus - minus), 0.5 * (plus + minus) - 2.0 * series_coefficients().a0
-
-
-@lru_cache(maxsize=2)
-def pair_area_gram(with_tilt: bool) -> np.ndarray:
-    """(6, 6) matrix M with c^T M c the even part of ``pair_area_parts`` at
-    c = (d_x, d_y, r_lu, r_ll, r_ru, r_rl), the ``PairCut`` fields.
-
-    Polarized from the pair-area closed forms on the unit cut coordinates,
-    so they stay the one statement of the pair area.  Read-only.
-    """
-    n = len(astuple(PairCut()))
-    unit = np.eye(n)
-
-    def even(c: np.ndarray) -> float:
-        return pair_area_parts(PairCut(*c), with_tilt)[1]
-
-    diag = [even(e) for e in unit]
-    gram = np.diag(diag)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gram[i, j] = gram[j, i] = 0.5 * (even(unit[i] + unit[j]) - diag[i] - diag[j])
-    gram.setflags(write=False)
-    return gram

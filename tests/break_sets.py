@@ -4,7 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 
+from croft_forge import ansatz
 from croft_forge.stepfn import make_step_function
+
+
+def uniform_zero_profile(n: int):
+    """The zero profile on n uniform intervals."""
+    return make_step_function([Fraction(2 * i, n) for i in range(n + 1)], np.zeros(n))
+
+
+def q36_profile():
+    """A seeded closure-projected profile on 36 uniform intervals, scaled to
+    max |q| = 1.  Breaks lie pi/18 from each cut angle, so every cap covers
+    four arcs; the cap ends stay 0.086 from every break."""
+    template = uniform_zero_profile(36)
+    v = ansatz.closure_project(np.random.default_rng(1).standard_normal(18), template)
+    return ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
 
 
 def seeded_profile(rng: np.random.Generator, max_den: int = 24):

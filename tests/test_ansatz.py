@@ -9,9 +9,11 @@ from croft_forge import body as body_module
 from croft_forge.ansatz import (
     N_FREE,
     N_VARS,
+    ZERO_EIGENVALUE_TOL,
     EigenReport,
     assemble_quadratic_form,
     c2_net,
+    cap_area_derivatives,
     closure_matrix,
     closure_nullspace,
     closure_project,
@@ -19,10 +21,24 @@ from croft_forge.ansatz import (
     jacobi_eigh,
     step_from_halfvalues,
 )
+from croft_forge.body import build_body, croft_constants
+from croft_forge.clip import halfplane_clip_area
+from croft_forge.lattice import PSI, default_config, edge_copies, stripe_caps
+from croft_forge.segments import series_coefficients
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
-from croft_forge.stepfn import make_step_function, reference_step_function
-from croft_forge.tortoise import series_net_coefficient
-from break_sets import seeded_profile
+from croft_forge.stepfn import (
+    make_step_function,
+    reference_step_function,
+    zero_step_function,
+)
+from croft_forge.tortoise import (
+    DEFAULT_FIT_EPS,
+    MODES,
+    fit_net_coefficient,
+    pair_clip_area,
+    series_net_coefficient,
+)
+from break_sets import q36_profile, seeded_profile, uniform_zero_profile
 from call_counts import count_calls
 
 FD_STEP = 1e-3  # step of the test-only central-difference reference
@@ -155,25 +171,27 @@ def test_form_reproduces_functional(form):
         assert form.value(v, shifts) == pytest.approx(direct, abs=1e-8)
 
 
-@pytest.mark.parametrize("mode", ["series1", "series2"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("template", [None, UNIFORM_12], ids=["reference", "uniform12"])
-def test_series_form_builds_one_body_per_column(monkeypatch, mode, template):
-    """The series form reads the linear cut data of each basis column once:
-    no c2_net call, one body and its six edge copies per column."""
-    polarized = count_calls(monkeypatch, ansatz, "c2_net")
+def test_form_builds_no_body(monkeypatch, mode, template):
+    """Every mode reads the form off the cap terms in closed form: no
+    c2_net call, and no body is built or moved."""
+    c2_calls = count_calls(monkeypatch, ansatz, "c2_net")
     bodies = count_calls(monkeypatch, body_module, "build_body")
     copies = count_calls(monkeypatch, body_module, "transform")
     form = assemble_quadratic_form(mode, template=template)
-    n_free = form.matrix.shape[0]
-    assert n_free == (12 if template is None else 6)
-    assert polarized == []
-    assert len(bodies) == n_free
-    assert len(copies) == 6 * n_free
+    assert form.matrix.shape[0] == (12 if template is None else 6)
+    assert c2_calls == bodies == copies == []
+
+
+def test_unknown_form_mode_is_rejected():
+    with pytest.raises(ValueError, match=r"mode must be one of \('series1'"):
+        assemble_quadratic_form("bogus")
 
 
 def test_form_reproduces_functional_to_rounding(form):
-    """Polarization of an exactly quadratic functional is exact: the form
-    matches direct evaluation to rounding of its largest value there."""
+    """The series functional is exactly quadratic and the form is its closed
+    form: they match to rounding of the form's largest value there."""
     rng = np.random.default_rng(11)
     norm = np.linalg.norm(form.hessian / 2.0, 2)
     for _ in range(20):
@@ -253,11 +271,110 @@ def test_form_hessian_is_the_matrix_on_the_basis(form):
 
 
 def test_exact2_form_agrees_with_series2(form):
-    exact = assemble_quadratic_form("exact2")
-    report = eigen_signature(exact)
-    assert report.signature == (0, 0, N_VARS - 2)
-    series_vals = eigen_signature(form).eigenvalues
-    assert np.max(np.abs(report.eigenvalues - series_vals)) <= 1e-7
+    """The mode decides only the tilt: exact1/exact2 give the series1/series2
+    form on every break set, narrow caps included."""
+    assert np.array_equal(assemble_quadratic_form("exact2").matrix, form.matrix)
+    rng = np.random.default_rng(23)
+    seeded = [seeded_profile(rng) for _ in range(10)]
+    for template in [UNIFORM_12, TWO, FOUR, q36_profile()] + seeded:
+        for tilt in "12":
+            series = assemble_quadratic_form("series" + tilt, template=template)
+            exact = assemble_quadratic_form("exact" + tilt, template=template)
+            assert np.array_equal(exact.matrix, series.matrix)
+
+
+@pytest.mark.parametrize("mode", ["exact1", "exact2"])
+def test_exact_form_is_the_refined_fit_on_q36(mode):
+    """Oracle where every cap covers four arcs: the form value at the q36
+    profile and the reference shift against the exact fit on the grid
+    DEFAULT_FIT_EPS / 8, which is within 5.1e-9 of it (the full grid is
+    2.2e-5 off, and the gap shrinks as h^4)."""
+    q = q36_profile()
+    form = assemble_quadratic_form(mode, template=q)
+    got = form.value(q.values[: q.n_intervals // 2], default_config())
+    fit = fit_net_coefficient(mode, [e / 8 for e in DEFAULT_FIT_EPS], q=q)
+    assert abs(got - fit.c2) <= 1e-8
+
+
+def test_uniform_48_null_directions_hide_under_the_caps():
+    """Uniform 48 reads (0, 6, 18): 12 arcs of the half-turn lie wholly
+    under a cap, and each null direction changes the profile only there
+    (with the shift that cancels the translation it causes)."""
+    template = uniform_zero_profile(48)
+    form = assemble_quadratic_form("exact2", template=template)
+    assert eigen_signature(form).signature == (0, 6, 18)
+    vals, vecs = jacobi_eigh(form.matrix)
+    null_v = (form.basis @ vecs[:, np.abs(vals) <= ZERO_EIGENVALUE_TOL])[:-2]
+    phi_c = croft_constants().phi_c
+    lo, hi = template.breaks[:24], template.breaks[1:25]
+    cut = PSI * np.round(0.5 * (lo + hi) / PSI)  # the nearest cut angle
+    under = (lo >= cut - phi_c) & (hi <= cut + phi_c)
+    assert np.count_nonzero(under) == 12
+    assert np.max(np.abs(null_v[~under])) <= 1e-10
+    assert np.min(np.max(np.abs(null_v[under]), axis=0)) > 0.1
+
+
+def _cap_differences(q, shift, h):
+    """Test-only reference: per cap j, central differences in eps of the
+    area, c-derivative and theta-derivative of ``halfplane_clip_area`` on
+    the placed copy showing it, at the cap line of ``stripe_caps(0, 0)``."""
+    clips = {}
+    for eps in (-h, 0.0, h):
+        body = build_body(q, eps)
+        for k in range(3):
+            caps = stripe_caps(0.0, 0.0)
+            copies = edge_copies(body, k, shift)
+            for side, (copy, (n, c, _, _)) in enumerate(zip(copies, caps)):
+                clips[eps, 2 * k + side] = halfplane_clip_area(copy, n, c)
+    out = []
+    for j in range(6):
+        lo, mid, hi = clips[-h, j], clips[0.0, j], clips[h, j]
+        out.append([
+            (hi.area - 2.0 * mid.area + lo.area) / h**2,
+            (hi.grad[0] - lo.grad[0]) / (2.0 * h),
+            (hi.grad[1] - lo.grad[1]) / (2.0 * h),
+        ])
+    return np.array(out)
+
+
+def _wide_cap_profiles(count):
+    """Seeded closure-projected profiles, each with a seeded shift, whose
+    breaks all lie at least 0.01 from every cap end j*pi/3 +- phi_c."""
+    rng = np.random.default_rng(13)
+    phi_c = croft_constants().phi_c
+    ends = np.array([j * PSI + side * phi_c for j in range(7) for side in (-1, 1)])
+    out = []
+    while len(out) < count:
+        p = seeded_profile(rng)
+        if np.min(np.abs(p.breaks[:, None] - ends)) < 0.01:
+            continue
+        v = closure_project(p.values[: p.n_intervals // 2], p)
+        out.append((step_from_halfvalues(v, p), tuple(rng.normal(size=2))))
+    return out
+
+
+def test_cap_derivatives_match_clip_differences():
+    """Every cap's A_ee, A_ec and A_et against the Richardson limit of
+    central differences at eps = 1e-3 and 5e-4, to 1e-6 of the largest cap
+    term: the reference, q36 (caps over four arcs) and seeded profiles."""
+    profiles = [(reference_step_function(), default_config()),
+                (q36_profile(), default_config())] + _wide_cap_profiles(4)
+    for q, shift in profiles:
+        a_ee, a_ec, a_et = cap_area_derivatives([q], [shift])
+        closed = np.stack([a_ee[:, 0, 0], a_ec[:, 0], a_et[:, 0]], axis=1)
+        fine, coarse = (_cap_differences(q, shift, h) for h in (5e-4, 1e-3))
+        limit = (4.0 * fine - coarse) / 3.0
+        assert np.max(np.abs(limit - closed)) <= 1e-6 * np.max(np.abs(closed))
+
+
+def test_pair_curvature_is_the_unit_disc_clip_hessian():
+    """P_xx = diag(2d, 2(l + b)) of the cut-area Gram is ``pair_clip_area``'s
+    Hessian in (s, delta) on two unit discs at (0, 0)."""
+    sc = series_coefficients()
+    left, right = edge_copies(build_body(zero_step_function(), 0.0), 0, (0.0, 0.0))
+    hess = pair_clip_area(left, right, 0.0, 0.0).hess
+    want = np.diag([2.0 * sc.d, 2.0 * (sc.l + sc.b)])
+    assert np.allclose(hess, want, rtol=0, atol=1e-12)
 
 
 def test_jacobi_matches_library_solver():

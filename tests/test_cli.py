@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import croft_forge
 from croft_forge import ansatz, tortoise
 from croft_forge.cli import main
+from break_sets import q36_profile, uniform_zero_profile
 
 
 def run(capsys, *argv):
@@ -165,15 +166,11 @@ def test_custom_profile_round_trip(capsys, tmp_path):
 
 
 def _q36_profile(tmp_path):
-    """A seeded uniform 36-interval profile, written as a q-spec file."""
-    from fractions import Fraction
+    """The seeded uniform 36-interval profile, written as a q-spec file."""
+    from croft_forge.stepfn import dump_qspec
 
-    from croft_forge.stepfn import dump_qspec, make_step_function
-
-    template = make_step_function([Fraction(i, 18) for i in range(37)], np.zeros(36))
-    v = ansatz.closure_project(np.random.default_rng(1).standard_normal(18), template)
     path = tmp_path / "q36.json"
-    dump_qspec(ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template), path)
+    dump_qspec(q36_profile(), path)
     return path
 
 
@@ -197,20 +194,22 @@ def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
 
 
 def test_verify_skips_series_checks_on_a_narrow_cap_profile(capsys, tmp_path):
-    """The three series-only checks (cancellation, series-vs-exact and the
-    series2 form of eigen) are skipped, not failed, on the q36 profile; the
-    avoidance check runs on exact2 stripes, passes at width 2 and still
-    catches the width-1.9 fault (closest pair 1.9655 at eps 0)."""
+    """The two series-only checks (cancellation and series-vs-exact) are
+    skipped, not failed, on the q36 profile; the eigen check reads the
+    closed-form series2 form and passes; the avoidance check runs on exact2
+    stripes, passes at width 2 and still catches the width-1.9 fault
+    (closest pair 1.9655 at eps 0)."""
     path = _q36_profile(tmp_path)
     code, out, _ = run(capsys, "verify", "--q-spec", str(path))
     assert code == 0
     skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
     assert [line.split(":")[0] for line in skipped] == [
-        "SKIP cancellation", "SKIP series-vs-exact", "SKIP eigen"
+        "SKIP cancellation", "SKIP series-vs-exact"
     ]
     assert all("inside the cap half-angle" in line for line in skipped)
+    assert "PASS eigen" in out
     assert "PASS avoidance" in out and "FAIL" not in out
-    assert "4/4 checks passed, 3 skipped" in out
+    assert "5/5 checks passed, 2 skipped" in out
     code, out, _ = run(
         capsys, "verify", "--q-spec", str(path), "--checks", "avoidance",
         "--inject", "stripe-width=1.9",
@@ -221,12 +220,10 @@ def test_verify_skips_series_checks_on_a_narrow_cap_profile(capsys, tmp_path):
 
 def _uniform_qspec(tmp_path, n):
     """The zero profile on n uniform intervals, written as a q-spec file."""
-    from fractions import Fraction
-
-    from croft_forge.stepfn import dump_qspec, make_step_function
+    from croft_forge.stepfn import dump_qspec
 
     path = tmp_path / f"u{n}.json"
-    dump_qspec(make_step_function([Fraction(2 * i, n) for i in range(n + 1)], np.zeros(n)), path)
+    dump_qspec(uniform_zero_profile(n), path)
     return path
 
 
@@ -245,7 +242,9 @@ def test_eigen_on_a_q_spec_break_set(capsys, tmp_path):
     code, out, _ = run(capsys, "eigen", "--mode", "exact2", "--q-spec", str(path))
     lines = out.splitlines()
     assert lines[0] == "index,top_eigenvector"
-    assert [line.split(",")[0] for line in lines[1:]] == [*map(str, range(6)), "signature"]
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        *map(str, range(6)), "top_shift", "signature"
+    ]
     assert lines[-1] == "signature,0,0,6"
 
 
@@ -280,10 +279,15 @@ def test_eigen_on_the_reference_q_spec_is_unchanged(capsys, tmp_path):
     assert "max_vector_deviation" in out
 
 
-def test_eigen_series_mode_refuses_a_narrow_cap_break_set(capsys, tmp_path):
-    code, out, err = run(capsys, "eigen", "--q-spec", str(_uniform_qspec(tmp_path, 36)))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "inside the cap half-angle" in err
+@pytest.mark.parametrize("mode", ["series1", "series2", "exact1", "exact2"])
+def test_eigen_reads_a_narrow_cap_break_set(capsys, tmp_path, mode):
+    """On the uniform 36 intervals every cap covers four arcs; the closed
+    form reads it in every mode, negative definite."""
+    code, out, err = run(
+        capsys, "eigen", "--mode", mode, "--q-spec", str(_uniform_qspec(tmp_path, 36))
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "signature,0,0,18"
 
 
 @pytest.mark.parametrize("mode", ["series1", "series2", "exact1", "exact2"])
@@ -298,6 +302,21 @@ def test_eigen_on_the_two_interval_break_set(capsys, tmp_path, mode):
     data = json.loads(out)
     assert data["signature"] == {"positive": 0, "zero": 0, "negative": 2}
     assert len(data["eigenvalues"]) == 2 and len(data["top_shift"]) == 2
+
+
+def test_eigen_csv_prints_the_top_shift(capsys, tmp_path):
+    """On {0, pi} the top direction is all shift: the CSV prints its two
+    components, as the JSON output does, before the signature."""
+    path = str(_uniform_qspec(tmp_path, 2))
+    code, out, _ = run(capsys, "eigen", "--q-spec", path, "--format", "json")
+    assert code == 0
+    shift = json.loads(out)["top_shift"]
+    assert max(map(abs, shift)) > 0.5
+    code, out, _ = run(capsys, "eigen", "--q-spec", path)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "top_shift," + ",".join(f"{x:.15g}" for x in shift), "signature,0,0,2"
+    ]
 
 
 @pytest.mark.parametrize("values", ["NaN, NaN", "Infinity, -Infinity"])

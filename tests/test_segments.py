@@ -10,9 +10,7 @@ from croft_forge.body import croft_constants
 from croft_forge.segments import (
     PairCut,
     minimize_pair_shift_tilt,
-    pair_area_gram,
     pair_area_series_shift,
-    pair_area_series_shift_tilt,
     segment_area_series,
     segment_area_series_tilted,
     series_coefficients,
@@ -201,25 +199,6 @@ def test_pair_series_shift_value():
 
     brute = min(series_pair(s) for s in s_grid)
     assert closed == pytest.approx(brute, abs=1e-10)
-
-
-@pytest.mark.parametrize("with_tilt", [False, True], ids=["series1", "series2"])
-def test_pair_area_gram_is_the_even_part(with_tilt):
-    """Oracle: c^T M c is the a0-free even part 1/2 (P(c) + P(-c)) - 2 a0 of
-    the closed-form pair area at seeded cuts, to 1e-15 of the largest value
-    M takes at |c|."""
-    area = pair_area_series_shift_tilt if with_tilt else pair_area_series_shift
-    a0 = series_coefficients().a0
-    gram = pair_area_gram(with_tilt)
-    assert gram.shape == (6, 6) and not gram.flags.writeable
-    assert np.array_equal(gram, gram.T)
-    norm = np.linalg.norm(gram, 2)
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        c = rng.normal(scale=0.3, size=6)
-        cut = PairCut(*c)
-        even = 0.5 * (area(cut) + area(cut.scaled(-1.0))) - 2.0 * a0
-        assert abs(c @ gram @ c - even) <= 1e-15 * norm * (c @ c)
 
 
 @settings(max_examples=40, deadline=None)

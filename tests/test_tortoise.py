@@ -301,7 +301,6 @@ def test_series_modes_refuse_narrow_caps(monkeypatch):
             lambda: tortoise_area(0.05, mode, q=NARROW),
             lambda: series_cut_coefficients(NARROW, mode),
             lambda: series_net_coefficient(NARROW, mode),
-            lambda: ansatz.assemble_quadratic_form(mode, template=NARROW),
         ):
             with pytest.raises(NarrowCapError, match=r"break 1/24\*pi"):
                 evaluate()
