@@ -28,8 +28,6 @@ from .segments import (
     PairCut,
     minimize_pair_shift,
     minimize_pair_shift_tilt,
-    segment_area_series,
-    segment_area_series_tilted,
     series_coefficients,
 )
 from .stepfn import (
@@ -49,7 +47,6 @@ from .svgout import (
 from .tortoise import (
     ConvergenceError,
     DensityRecord,
-    NarrowCapError,
     body_area_coefficient,
     fit_eps2_coefficient,
     fit_net_coefficient,
@@ -76,7 +73,6 @@ __all__ = [
     "BodyError",
     "ConvergenceError",
     "DensityRecord",
-    "NarrowCapError",
     "PairCut",
     "QuadraticForm",
     "StepFunction",
@@ -108,8 +104,6 @@ __all__ = [
     "render_lattice_svg",
     "render_tortoise_svg",
     "scan",
-    "segment_area_series",
-    "segment_area_series_tilted",
     "series_coefficients",
     "series_cut_coefficients",
     "series_net_coefficient",

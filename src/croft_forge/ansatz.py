@@ -9,10 +9,12 @@ null-space dimension + 2 (10 + 2 on the reference, 0 + 2 on {0, pi}).
 The eps^2 coefficient of the cut-body area is an exactly quadratic
 function of these variables in every mode.  ``assemble_quadratic_form``
 reads its matrix on the constraint subspace off the six caps of the body
-at eps = 0, in one closed form for every mode and break set
-(``cut_area_gram``); the mode decides only the stripe tilt.  A
+at eps = 0 (``lattice.cap_area_derivatives``), in one closed form for
+every mode and break set (``cut_area_gram``), the same cut model the
+series modes minimize; the mode decides only the stripe tilt.  A
 self-contained Jacobi sweep diagonalizes it, so the best direction and
-the signature do not depend on a library eigensolver.
+the signature do not depend on a library eigensolver; the best direction
+skips null directions, which change c2 by nothing.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .body import _arc_sweeps, _cross, body_area_gram, center_offsets, croft_constants
-from .lattice import PSI, stripe_caps
-from .segments import series_coefficients
-from .stepfn import TWO_PI, StepFunction, make_step_function, reference_step_function
+from .body import _unit_chords, body_area_gram
+from .lattice import cap_area_derivatives, class_slopes
+from .segments import pair_envelope
+from .stepfn import StepFunction, make_step_function, reference_step_function
 from .tortoise import MODES, SERIES_MODES, fit_net_coefficient, series_net_coefficient
 
 # Sizes on the reference profile; the form takes its own from the template.
@@ -67,7 +69,7 @@ def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=64)  # bounded for sweeps over many break sets
 def _closure_matrix(breaks: tuple[float, ...]) -> np.ndarray:
-    _, du = _arc_sweeps(np.array(breaks))
+    du = _unit_chords(breaks)
     A = -2.0 * du[: len(du) // 2].T
     A.setflags(write=False)
     return A
@@ -140,79 +142,16 @@ class QuadraticForm:
         return float(u @ self.hessian @ u) / 2.0
 
 
-@lru_cache(maxsize=64)
-def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
-    """Per cap j = 0..5, which covers the normal angles j*psi +- phi_c:
-    (arcs, dphi, du, ends), the arcs under it in boundary order, the angle
-    and unit chord of each one's part there (``_arc_sweeps`` on the cap's
-    own breaks) and the two cap ends."""
-    phi_c = croft_constants().phi_c
-    # arc starts over the turn before and this turn: cap 0 starts at -phi_c
-    starts = np.concatenate([np.array(breaks[:-1]) - TWO_PI, breaks[:-1]])
-    caps = []
-    for j in range(6):
-        ends = (j * PSI - phi_c, j * PSI + phi_c)
-        first = int(np.searchsorted(starts, ends[0], side="right")) - 1
-        last = int(np.searchsorted(starts, ends[1], side="left")) - 1
-        cuts = np.concatenate([[ends[0]], starts[first + 1 : last + 1], [ends[1]]])
-        dphi, du = _arc_sweeps(cuts)
-        caps.append((np.arange(first, last + 1) % (len(breaks) - 1), dphi, du, ends))
-    return tuple(caps)
-
-
-def cap_area_derivatives(profiles: list[StepFunction], shifts):
-    """eps = 0 derivatives of the six cap areas over columns (profile, shift).
-
-    Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi; class k
-    clips cap 2k off its left copy and cap 2k + 1 off its right one.  A
-    column moves the support function by h1 = (m_i + shift).u(phi) - q_i on
-    arc i (m = ``center_offsets``), C^1 across breaks.  With s = sin(phi_c),
-    cot = cot(phi_c) and cap ends phi_1 < phi_2, the derivatives in eps,
-    the line offset c and the normal angle theta are
-    A_ee = -int q h1 + h1(phi_2) (h1(phi_2) cot - h1'(phi_2))
-    + h1(phi_1) (h1(phi_1) cot + h1'(phi_1)), A_ec = -(h1(phi_1) + h1(phi_2))/s
-    and A_et = h1(phi_2) - h1(phi_1), where int h1 over an arc part is
-    (m_i + shift) x du - q_i dphi, ``body_area``'s Green term.  Returns
-    A_ee (6, m, m) as bilinear forms, A_ec and A_et (6, m); no body is built.
-    """
-    phi_c = croft_constants().phi_c
-    cot = 1.0 / math.tan(phi_c)
-    q = np.stack([p.values for p in profiles], axis=1)  # (n, m)
-    centers = np.stack([center_offsets(p) for p in profiles], axis=1) + shifts
-    a_ee, a_ec, a_et = [], [], []
-    for arcs, dphi, du, ends in _cap_sub_arcs(tuple(profiles[0].breaks)):
-        qa = q[arcs]
-        qh = qa.T @ (_cross(centers[arcs], du[:, None, :]) - qa * dphi[:, None])
-        (c1, s1), (c2, s2) = ((math.cos(phi), math.sin(phi)) for phi in ends)
-        m1, m2 = centers[arcs[0]], centers[arcs[-1]]  # the arcs holding the ends
-        h1, h2 = m1 @ (c1, s1) - q[arcs[0]], m2 @ (c2, s2) - q[arcs[-1]]
-        dh1, dh2 = m1 @ (-s1, c1), m2 @ (-s2, c2)
-        a = np.outer(h1, cot * h1 + dh1) + np.outer(h2, cot * h2 - dh2)
-        a_ee.append(0.5 * (a + a.T) - 0.5 * (qh + qh.T))
-        a_ec.append(-(h1 + h2) / math.sin(phi_c))
-        a_et.append(h2 - h1)
-    return np.array(a_ee), np.array(a_ec), np.array(a_et)
-
-
 def cut_area_gram(profiles: list[StepFunction], shifts, with_tilt: bool) -> np.ndarray:
     """Gram of the eps^2 coefficient of the three minimized pair areas.
 
     At eps = 0 pair k (caps 2k, 2k + 1) has its minimum at x = 0, x = s or
-    (s, delta), so by the envelope theorem the coefficient is
-    1/2 (P_ee - P_ex^T P_xx^-1 P_ex): P_ee sums the caps' A_ee, P_ex chains
-    their (A_ec, A_et) through the jacobians of ``stripe_caps`` at (0, 0),
-    and P_xx = diag(2d, 2(l + b)) is the pair Hessian on two unit discs.
+    (s, delta), so by the envelope theorem (``segments.pair_envelope``) the
+    coefficient is 1/2 (P_ee - P_ex^T P_xx^-1 P_ex), with P_ee summed over the
+    caps' A_ee and P_ex their ``lattice.class_slopes``.
     """
-    a_ee, a_ec, a_et = cap_area_derivatives(profiles, shifts)
-    sc = series_coefficients()
-    curvature = (2.0 * sc.d, 2.0 * (sc.l + sc.b))[: 2 if with_tilt else 1]
-    gram = 0.5 * (a_ee[0::2] + a_ee[1::2]).sum(axis=0)
-    for pair in ((0, 1), (2, 3), (4, 5)):
-        p_ex = sum(jac.T @ np.stack([a_ec[j], a_et[j]])
-                   for j, (_, _, jac, _) in zip(pair, stripe_caps(0.0, 0.0)))
-        for row, p_xx in zip(p_ex, curvature):
-            gram -= 0.5 * np.outer(row, row) / p_xx
-    return gram
+    _, a_ee, a_ec, a_et = cap_area_derivatives(profiles, shifts)
+    return pair_envelope(class_slopes(a_ec, a_et), a_ee[0::2] + a_ee[1::2], with_tilt)[1]
 
 
 def assemble_quadratic_form(
@@ -315,12 +254,19 @@ class EigenReport:
 
 
 def eigen_signature(form: QuadraticForm) -> EigenReport:
-    """Diagonalize the form and extract the best candidate direction."""
+    """Diagonalize the form and extract the best candidate direction.
+
+    The top direction is that of the largest eigenvalue outside
+    +-ZERO_EIGENVALUE_TOL: a null direction changes c2 by nothing, so it is
+    no candidate.  Only when every eigenvalue is zero is it the first one.
+    """
     vals, vecs = jacobi_eigh(form.matrix)
     n_pos = int(np.sum(vals > ZERO_EIGENVALUE_TOL))
     n_neg = int(np.sum(vals < -ZERO_EIGENVALUE_TOL))
     n_zero = len(vals) - n_pos - n_neg
-    top = form.basis @ vecs[:, 0]
+    nonzero = np.flatnonzero(np.abs(vals) > ZERO_EIGENVALUE_TOL)
+    i = int(nonzero[0]) if len(nonzero) else 0  # vals descend
+    top = form.basis @ vecs[:, i]
     v, shift = top[:-2], top[-2:]  # the last two basis rows are the shifts
     pivot = v[np.argmax(np.abs(v))]
     if pivot != 0.0:
@@ -329,7 +275,7 @@ def eigen_signature(form: QuadraticForm) -> EigenReport:
     return EigenReport(
         eigenvalues=vals,
         signature=(n_pos, n_zero, n_neg),
-        top_value=float(vals[0]),
+        top_value=float(vals[i]),
         top_v=v,
         top_shift=shift,
     )

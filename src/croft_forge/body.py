@@ -80,8 +80,20 @@ def chain_closure_residual(q: StepFunction) -> float:
     the gap is -sum_i q_i du_i with the arc chords du of ``_arc_sweeps``,
     so its length is |du^T q|.
     """
-    _, du = _arc_sweeps(q.breaks)
-    return math.hypot(*(du.T @ q.values).tolist())
+    return math.hypot(*(_unit_chords(tuple(q.breaks)).T @ q.values).tolist())
+
+
+def require_closure(q: StepFunction, eps: float = 1.0) -> None:
+    """Raise :class:`BodyError` when the arc chain of ``q`` at ``eps`` does
+    not close to CLOSURE_TOL: the profile violates the two linear closure
+    constraints.  The closed forms at unit eps (``lattice.cut_parameters``,
+    ``tortoise.body_area_coefficient``) check it as ``build_body`` does."""
+    residual = abs(eps) * chain_closure_residual(q)
+    if residual > CLOSURE_TOL:
+        raise BodyError(
+            f"arc chain does not close (residual {residual:.3g}): the "
+            "profile violates the closure constraints"
+        )
 
 
 def build_body(q: StepFunction, eps: float) -> ArcBody:
@@ -104,12 +116,7 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
             f"non-positive radius {radii.min():.3g}: eps={eps} outside the "
             "valid range for this profile"
         )
-    residual = abs(eps) * chain_closure_residual(q)
-    if residual > CLOSURE_TOL:
-        raise BodyError(
-            f"arc chain does not close (residual {residual:.3g}): the "
-            "profile violates the closure constraints"
-        )
+    require_closure(q, eps)
     centers = eps * center_offsets(q)
     return ArcBody(
         centers=centers,
@@ -135,6 +142,14 @@ def _arc_sweeps(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi0 = breaks[:-1]
     phi1 = breaks[1:]
     return phi1 - phi0, _unit(phi1) - _unit(phi0)
+
+
+@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
+def _unit_chords(breaks: tuple[float, ...]) -> np.ndarray:
+    """The unit chords du of ``_arc_sweeps`` for one break set, read-only."""
+    du = _arc_sweeps(np.array(breaks))[1]
+    du.setflags(write=False)
+    return du
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,14 +5,20 @@ three colors, and its copy is the body rotated by color * 2*pi/3 and
 moved to the site plus the rotated eps * shift (``place_copy``).  The
 lattice constant and the basis are fixed by the cut-disc optimum and
 stated once below; the shift is a plain pair (sx, sy), None for the
-reference shift ``default_config()``, and only ``place_copy`` reads it.
-Every
+reference shift ``default_config()``; ``place_copy`` places the copies
+with it and the cap reads add it to the arc centres.  Every
 nearest-neighbor edge then joins colors c and c+1 and falls into one of
 three classes by direction, read off its neighbor step by an integer
 rule (``collect_patch_cuts``); the geometry of the stripe cut across an
 edge depends only on its class, and ``edge_copies`` places the two
-copies across the representative edge of each class.  The series cut
-data (``cut_parameters``) and the exact clips read those same copies.
+copies across the representative edge of each class for the exact clips.
+
+The second-order cut model is read off the six caps of the unplaced body
+at eps = 0 (``cap_area_derivatives``): class k clips cap 2k off its left
+copy and cap 2k + 1 off its right one.  ``cut_parameters`` gives each
+class's unit-eps cut data for one profile and the form (``ansatz``) the
+Gram over many; either is exact on any number of arcs under a cap, and
+neither places a copy.
 
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
@@ -38,13 +44,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .body import ArcBody, boundary_point, build_body, croft_constants, transform
+from .body import (
+    ArcBody,
+    _arc_sweeps,
+    build_body,
+    center_offsets,
+    croft_constants,
+    require_closure,
+    transform,
+)
 from .clip import arc_line_crossings, cap_arcs
-from .stepfn import StepFunction
 from .segments import PairCut
+from .stepfn import TWO_PI, StepFunction
 
 PSI = math.pi / 3.0
 
@@ -136,34 +151,6 @@ def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
     return (c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
-def cut_parameters(q: StepFunction, k: int, copies: tuple[ArcBody, ArcBody]) -> PairCut:
-    """Stripe-cut geometry of edge class ``k`` for the body of ``q``.
-
-    ``copies`` are the two ``edge_copies`` of that body for class ``k``.
-    The displacements are read off them: the left copy's cap point at
-    angle 0 measured from (1, 0) and the right copy's at angle pi measured
-    from (L - 1, 0), summed in the edge frame, where x points along the
-    edge.  The radius perturbations are the one-sided profile values at
-    the cap angles 2k*psi and (2k+1)*psi of the unrotated body.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"edge class must be 0, 1 or 2, got {k}")
-    left, right = copies
-    xl, yl = boundary_point(left, 0.0)
-    xr, yr = boundary_point(right, math.pi)
-    eps = left.epsilon
-    phi_l = 2.0 * k * PSI
-    phi_r = (2.0 * k + 1.0) * PSI
-    return PairCut(
-        d_x=(xl - 1.0) + (LATTICE_CONSTANT - 1.0 - xr),
-        d_y=yl - yr,
-        r_lu=-eps * q(phi_l, side="right"),
-        r_ll=-eps * q(phi_l, side="left"),
-        r_ru=-eps * q(phi_r, side="right"),
-        r_rl=-eps * q(phi_r, side="left"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stripe caps
 
@@ -192,6 +179,114 @@ def stripe_caps(s: float, delta: float, stripe_width: float = 2.0):
     return (
         (n, c, np.stack([c_grad, theta_grad]), c_hess),
         (-n, -c - stripe_width, np.stack([-c_grad, theta_grad]), -c_hess),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cut data read off the six caps at eps = 0
+
+
+@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
+def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
+    """The arcs under the six caps of a break set, cap j covering the normal
+    angles j*psi +- phi_c: (arcs, dphi, du, u, du_dphi).
+
+    Row j of ``arcs`` lists cap j's arcs in boundary order, padded with its
+    last arc, so the two ends lie on arcs[j, 0] and arcs[j, -1]; ``dphi``
+    and ``du`` are the angle and unit chord
+    of each arc's part under the cap (``_arc_sweeps`` on the cap's own
+    breaks), zero on the padding.  ``u`` and ``du_dphi`` are the unit
+    normal and its phi-derivative at the two cap ends, shaped (6, 2, 2).
+    Built once per break set and returned read-only.
+    """
+    phi_c = croft_constants().phi_c
+    n = len(breaks) - 1
+    # arc starts over the turn before and this turn: cap 0 starts at -phi_c
+    starts = np.concatenate([np.array(breaks[:-1]) - TWO_PI, breaks[:-1]])
+    caps = []
+    for j in range(6):
+        lo, hi = j * PSI - phi_c, j * PSI + phi_c
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        last = int(np.searchsorted(starts, hi, side="left")) - 1
+        cuts = np.concatenate([[lo], starts[first + 1 : last + 1], [hi]])
+        caps.append((np.arange(first, last + 1) % n, *_arc_sweeps(cuts)))
+    width = max(len(arcs) for arcs, _, _ in caps)
+    arcs = np.array([np.pad(a, (0, width - len(a)), mode="edge") for a, _, _ in caps])
+    dphi = np.array([np.pad(d, (0, width - len(d))) for _, d, _ in caps])
+    du = np.array([np.pad(d, ((0, width - len(d)), (0, 0))) for _, _, d in caps])
+    ends = PSI * np.arange(6)[:, None] + np.array([-phi_c, phi_c])
+    u = np.stack([np.cos(ends), np.sin(ends)], axis=-1)
+    du_dphi = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    out = (arcs, dphi, du, u, du_dphi)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def cap_area_derivatives(profiles: list[StepFunction], shifts):
+    """eps = 0 derivatives of the six cap areas over columns (profile, shift).
+
+    Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi; class k
+    clips cap 2k off its left copy and cap 2k + 1 off its right one.  A
+    column moves the support function by h1 = (m_i + shift).u(phi) - q_i on
+    arc i (m = ``center_offsets``), C^1 across breaks.  With s = sin(phi_c),
+    cot = cot(phi_c) and cap ends phi_1 < phi_2, the derivatives in eps,
+    the line offset c and the normal angle theta are A_e = int h1,
+    A_ee = -int q h1 + h1(phi_2) (h1(phi_2) cot - h1'(phi_2))
+    + h1(phi_1) (h1(phi_1) cot + h1'(phi_1)), A_ec = -(h1(phi_1) + h1(phi_2))/s
+    and A_et = h1(phi_2) - h1(phi_1), where int h1 over an arc part is
+    (m_i + shift) x du - q_i dphi, ``body_area``'s Green term.  Returns A_e,
+    A_ec and A_et (6, m) and A_ee (6, m, m) as bilinear forms; no body is
+    built and no copy placed.
+    """
+    phi_c = croft_constants().phi_c
+    cot = 1.0 / math.tan(phi_c)
+    arcs, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(profiles[0].breaks))
+    q = np.stack([p.values for p in profiles], axis=1)  # (n, m)
+    centers = np.stack([center_offsets(p) for p in profiles], axis=1) + shifts  # (n, m, 2)
+    qa = q[arcs]  # (6, width, m)
+    h1_int = _cross(centers[arcs], du[:, :, None, :]) - qa * dphi[..., None]
+    qh = np.swapaxes(qa, 1, 2) @ h1_int  # (6, m, m): int q h1 per cap
+    ends = arcs[:, [0, -1]]  # (6, 2): the arcs holding the cap ends
+    m_ends = centers[ends]  # (6, 2, m, 2)
+    h = (m_ends @ u[..., None])[..., 0] - q[ends]  # (6, 2, m)
+    dh = (m_ends @ du_dphi[..., None])[..., 0]
+    h1, h2, dh1, dh2 = h[:, 0], h[:, 1], dh[:, 0], dh[:, 1]
+    a = (h1[:, :, None] * (cot * h1 + dh1)[:, None, :]
+         + h2[:, :, None] * (cot * h2 - dh2)[:, None, :])
+    a_ee = 0.5 * (a + np.swapaxes(a, 1, 2)) - 0.5 * (qh + np.swapaxes(qh, 1, 2))
+    return h1_int.sum(axis=1), a_ee, -(h1 + h2) / math.sin(phi_c), h2 - h1
+
+
+def class_slopes(a_ec: np.ndarray, a_et: np.ndarray) -> np.ndarray:
+    """P_ex (3, 2, m) per edge class: the (s, delta)-derivatives of the eps-rate
+    of its pair area, each cap's (A_ec, A_et) chained through the jacobian of
+    ``stripe_caps`` at (0, 0)."""
+    jacs = np.stack([jac for _, _, jac, _ in stripe_caps(0.0, 0.0)])  # (side, (c, theta), x)
+    rates = np.stack([a_ec, a_et], axis=1).reshape((3, 2, 2) + a_ec.shape[1:])
+    return np.einsum("sri,ksr...->ki...", jacs, rates)
+
+
+def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
+    """Unit-eps cut data of the three edge classes for the body of ``q``.
+
+    Class k's ``PairCut`` holds P_e = A_e summed over its caps 2k and 2k + 1,
+    P_ex of ``class_slopes`` and P_ee = A_ee summed over the two caps, all
+    from ``cap_area_derivatives`` of (q, shift) (None: the reference shift).
+    Every cut is linear in (q, shift) and read exactly at eps = 0, for any
+    number of arcs under a cap.  Raises ``BodyError`` when ``q`` violates
+    closure (``body.require_closure``).
+    """
+    require_closure(q)
+    if shift is None:
+        shift = default_config()
+    a_e, a_ee, a_ec, a_et = cap_area_derivatives([q], [shift])
+    p_ex = class_slopes(a_ec, a_et)[..., 0]
+    p_e = (a_e[0::2] + a_e[1::2])[:, 0]
+    p_ee = (a_ee[0::2] + a_ee[1::2])[:, 0, 0]
+    return tuple(
+        PairCut(float(p_e[k]), (float(p_ex[k, 0]), float(p_ex[k, 1])), float(p_ee[k]))
+        for k in range(3)
     )
 
 

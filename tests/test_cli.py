@@ -174,42 +174,47 @@ def _q36_profile(tmp_path):
     return path
 
 
-def test_series_modes_refuse_a_narrow_cap_profile(capsys, tmp_path):
+def test_series_modes_read_a_narrow_cap_profile(capsys, tmp_path):
     """On a uniform 36-interval profile a break lies pi/18 from each cut
-    angle, inside the cap: series scan and fit exit 2 with the reason and
-    print no rows; an exact2 fit still runs and marks its series fields."""
+    angle, inside the cap: series scan and fit read it like any profile, and
+    the series fields of an exact2 fit are numbers, the series2 net c2 that
+    of the form."""
     path = _q36_profile(tmp_path)
-    for argv in (["scan", "--eps", "0.05"], ["fit"]):
-        code, out, err = run(capsys, *argv, "--mode", "series2", "--q-spec", str(path))
-        assert (code, out) == (2, "")
-        assert "inside the cap half-angle" in err
+    code, out, err = run(capsys, "scan", "--eps", "0.05", "--mode", "series2",
+                         "--q-spec", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert "error" not in json.loads(out)[0]
+    code, out, err = run(capsys, "fit", "--mode", "series2", "--q-spec", str(path))
+    assert (code, err) == (0, "")
+    assert "refused" not in out
     code, out, _ = run(
         capsys, "fit", "--mode", "exact2", "--q-spec", str(path), "--format", "json"
     )
     assert code == 0
     data = json.loads(out)
-    assert isinstance(data["c2"], float)
-    assert data["series2_net_c2"] == data["series1_cut_c2"] == "refused"
-    assert "inside the cap half-angle" in data["series_refused"]
+    assert "series_refused" not in data
+    q = q36_profile()
+    form = ansatz.assemble_quadratic_form("series2", template=q)
+    want = form.value(q.values[:18], croft_forge.default_config())
+    assert abs(data["series2_net_c2"] - want) <= 1e-13
+    assert abs(data["c2"] - want) <= 1e-4  # the fit grid's eps^4 error
+    assert all(isinstance(data[f"{m}_cut_{f}"], float)
+               for m in ("series1", "series2") for f in ("linear", "c2"))
 
 
-def test_verify_skips_series_checks_on_a_narrow_cap_profile(capsys, tmp_path):
-    """The two series-only checks (cancellation and series-vs-exact) are
-    skipped, not failed, on the q36 profile; the eigen check reads the
-    closed-form series2 form and passes; the avoidance check runs on exact2
-    stripes, passes at width 2 and still catches the width-1.9 fault
-    (closest pair 1.9655 at eps 0)."""
+def test_verify_runs_every_check_on_a_narrow_cap_profile(capsys, tmp_path):
+    """All seven checks run and pass on the q36 profile: the cancellation
+    and series-vs-exact checks read the caps (halving ratio <= 0.3), the
+    eigen check reads the closed-form series2 form, and the avoidance check
+    runs on exact2 stripes, passes at width 2 and still catches the
+    width-1.9 fault (closest pair 1.9655 at eps 0)."""
     path = _q36_profile(tmp_path)
     code, out, _ = run(capsys, "verify", "--q-spec", str(path))
     assert code == 0
-    skipped = [line for line in out.splitlines() if line.startswith("SKIP")]
-    assert [line.split(":")[0] for line in skipped] == [
-        "SKIP cancellation", "SKIP series-vs-exact"
-    ]
-    assert all("inside the cap half-angle" in line for line in skipped)
-    assert "PASS eigen" in out
-    assert "PASS avoidance" in out and "FAIL" not in out
-    assert "5/5 checks passed, 2 skipped" in out
+    assert "SKIP" not in out and "FAIL" not in out
+    assert "PASS cancellation" in out and "PASS series-vs-exact" in out
+    assert "PASS eigen" in out and "PASS avoidance" in out
+    assert out.splitlines()[-1] == "7/7 checks passed"
     code, out, _ = run(
         capsys, "verify", "--q-spec", str(path), "--checks", "avoidance",
         "--inject", "stripe-width=1.9",

@@ -8,7 +8,7 @@ import pytest
 from croft_forge.body import body_area, build_body
 from croft_forge.clip import arc_line_crossings, boundary_line_crossings, halfplane_clip_area
 from croft_forge.lattice import cut_parameters, default_config, edge_copies, stripe_caps
-from croft_forge.segments import series_tilt_minimizer
+from croft_forge.segments import minimize_pair_shift_tilt
 from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import ConvergenceError, _pair_derivatives, pair_clip_area
 
@@ -55,8 +55,7 @@ def stripe_clips(eps, k):
     """The two (body, c, theta) clips of class k's stripe at its series seed."""
     body = build_body(Q, eps)
     left, right = edge_copies(body, k, SHIFT)
-    cut = cut_parameters(Q, k, (left, right))
-    s, delta = series_tilt_minimizer(cut)
+    s, delta, _ = minimize_pair_shift_tilt(cut_parameters(Q, SHIFT)[k].scaled(eps))
     return [(body, c, math.atan2(n[1], n[0]))
             for body, (n, c, _, _) in zip((left, right), stripe_caps(s, delta))]
 
@@ -139,7 +138,7 @@ def test_pair_derivatives_match_finite_differences(eps, k):
     differences of pair_clip_area."""
     body = build_body(Q, eps)
     left, right = edge_copies(body, k, SHIFT)
-    s, delta = series_tilt_minimizer(cut_parameters(Q, k, (left, right)))
+    s, delta, _ = minimize_pair_shift_tilt(cut_parameters(Q, SHIFT)[k].scaled(eps))
     s, delta = s + 3e-3, delta - 5e-3  # off the minimum, where the gradient is not 0
     grad, hess = _pair_derivatives(pair_clip_area(left, right, s, delta), s, delta)
 

@@ -16,9 +16,7 @@ from croft_forge.lattice import (
     collect_patch_cuts,
     color_index,
     color_of,
-    cut_parameters,
     default_config,
-    edge_copies,
     farthest_pair,
     halfplane_excess,
     left_color_of_class,
@@ -29,14 +27,15 @@ from croft_forge.lattice import (
     verify_avoidance,
 )
 from croft_forge.stepfn import reference_step_function
+from disc_reference import disc_cuts
 
 Q = reference_step_function()
 SHIFT = default_config()
 
 
 def _cut(eps, k, shift=SHIFT):
-    body = build_body(Q, eps)
-    return cut_parameters(Q, k, edge_copies(body, k, shift))
+    """The disc-cap oracle's boundary-point read of class ``k``."""
+    return disc_cuts(Q, eps, shift)[k]
 
 
 def test_coloring_is_proper():
@@ -120,7 +119,7 @@ def test_cut_parameters_match_placed_geometry():
     sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
     body = build_body(Q, eps)
     bodies = {s: place_body(body, *s, SHIFT) for s in sites}
-    per_class = {k: cut_parameters(Q, k, edge_copies(body, k, SHIFT)) for k in range(3)}
+    per_class = dict(enumerate(disc_cuts(Q, eps, SHIFT)))
     checked = set()
     for (i, j) in sites:
         for di, dj in NEIGHBOR_STEPS:

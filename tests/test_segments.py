@@ -7,24 +7,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from croft_forge.body import croft_constants
-from croft_forge.segments import (
-    PairCut,
-    minimize_pair_shift_tilt,
-    pair_area_series_shift,
-    segment_area_series,
-    segment_area_series_tilted,
-    series_coefficients,
-    series_shift_minimizer,
-    series_tilt_minimizer,
-)
+from croft_forge.segments import series_coefficients
 from disc_reference import (
     CapGeometryError,
+    DiscCut,
     difference_grid,
     minimize_pair_shift_exact,
     minimize_pair_shift_tilt_exact,
+    minimize_pair_shift_tilt_series,
+    pair_area_series_shift,
     pair_objective_shift_tilt,
     segment_area_exact,
     segment_area_exact_tilted,
+    segment_area_series,
+    segment_area_series_tilted,
+    series_shift_minimizer,
+    series_tilt_minimizer,
 )
 
 
@@ -116,7 +114,7 @@ def random_cuts(n, scale=0.02, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         vals = rng.uniform(-scale, scale, size=6)
-        yield PairCut(*vals)
+        yield DiscCut(*vals)
 
 
 def test_minimization_never_increases():
@@ -129,19 +127,19 @@ def test_minimization_never_increases():
 
 
 def test_series_matches_exact_minimum_to_cubic_order():
-    base = PairCut(0.013, -0.007, 0.011, -0.009, 0.006, -0.012)
+    base = DiscCut(0.013, -0.007, 0.011, -0.009, 0.006, -0.012)
     diffs = {}
     for t in (0.5, 1.0):
         cut = base.scaled(t)
         _, _, exact = minimize_pair_shift_tilt_exact(cut)
-        _, _, series = minimize_pair_shift_tilt(cut)
+        _, _, series = minimize_pair_shift_tilt_series(cut)
         diffs[t] = abs(exact - series)
     assert diffs[1.0] <= 2e-5
     assert diffs[0.5] <= 0.2 * diffs[1.0]  # cubic remainder: factor ~1/8
 
 
 def test_series_minimizer_near_exact_minimizer():
-    cut = PairCut(0.008, -0.004, 0.006, -0.005, 0.003, -0.007)
+    cut = DiscCut(0.008, -0.004, 0.006, -0.005, 0.003, -0.007)
     s0, d0 = series_tilt_minimizer(cut)
     s_star, d_star, _ = minimize_pair_shift_tilt_exact(cut)
     assert abs(s_star - s0) <= 5e-4
@@ -152,7 +150,7 @@ def test_hessian_at_exact_minimum():
     # the stated (d, 0, l+b) curvature is the limit at vanishing cut size,
     # so probe it on a very small cut where the drift is below 1e-4 relative
     sc = series_coefficients()
-    cut = PairCut(0.006, -0.003, 0.004, -0.002, 0.005, -0.004).scaled(1e-3)
+    cut = DiscCut(0.006, -0.003, 0.004, -0.002, 0.005, -0.004).scaled(1e-3)
     s_star, d_star, _ = minimize_pair_shift_tilt_exact(cut)
     h = 1e-4
 
@@ -174,7 +172,7 @@ def test_hessian_at_exact_minimum():
 
 def test_shift_minimizer_closed_form():
     sc = series_coefficients()
-    cut = PairCut(0.004, 0.0, 0.009, 0.007, -0.006, -0.004)
+    cut = DiscCut(0.004, 0.0, 0.009, 0.007, -0.006, -0.004)
     assert series_shift_minimizer(cut) == pytest.approx(
         -sc.e * cut.r_l / (4 * sc.d), abs=0
     )
@@ -184,7 +182,7 @@ def test_shift_minimizer_closed_form():
 
 def test_pair_series_shift_value():
     # closed form equals brute-force minimization of the series objective
-    cut = PairCut(0.006, 0.0, 0.005, -0.008, 0.002, 0.007)
+    cut = DiscCut(0.006, 0.0, 0.005, -0.008, 0.002, 0.007)
     closed = pair_area_series_shift(cut)
     s_grid = np.linspace(-0.01, 0.01, 20001)
     half = cut.d_x / 2

@@ -11,11 +11,19 @@ from scipy.optimize import minimize
 
 from croft_forge import ansatz, reference, tortoise
 from croft_forge import body as body_module
-from croft_forge.body import body_area, boundary_point, build_body, croft_constants, transform
+from croft_forge.body import (
+    BodyError,
+    body_area,
+    boundary_point,
+    build_body,
+    croft_constants,
+    transform,
+)
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PATCH_SITES,
     collect_patch_cuts,
+    PSI,
     cut_parameters,
     default_config,
     edge_copies,
@@ -24,19 +32,17 @@ from croft_forge.lattice import (
     stripe_caps,
     verify_avoidance,
 )
-from croft_forge.segments import series_tilt_minimizer
+from croft_forge.segments import minimize_pair_shift_tilt
 from croft_forge.stepfn import make_step_function, reference_step_function, zero_step_function
 from croft_forge.tortoise import (
     DEFAULT_FIT_EPS,
     MODES,
     SCAN_FIELDS,
     ConvergenceError,
-    NarrowCapError,
     body_area_coefficient,
     fit_eps2_coefficient,
     fit_net_coefficient,
     pair_clip_area,
-    require_single_arc_caps,
     scan,
     series_cut_coefficients,
     series_net_coefficient,
@@ -44,7 +50,13 @@ from croft_forge.tortoise import (
     write_scan_csv,
     write_scan_json,
 )
+from break_sets import q36_profile, seeded_profile
 from call_counts import count_calls
+from disc_reference import (
+    disc_cut_coefficients,
+    disc_tortoise_area,
+    unit_disc_cuts,
+)
 
 Q = reference_step_function()
 CROFT = croft_constants()
@@ -148,21 +160,91 @@ def test_printed_coefficients_not_reproduced():
     assert net2 < 0  # no improvement over the disc construction
 
 
-def test_printed_coefficients_drop_d_y_from_the_tilt(monkeypatch):
-    """The printed values are this series2 model with the vertical cap-point
-    displacement d_y dropped from the tilt term: zeroing d_y in the unit
-    cuts reproduces the printed cut and net c2.  The printed shift-only
-    value is the eps-linear cut coefficient, which vanishes."""
+def test_printed_coefficients_drop_d_y_from_the_tilt():
+    """The printed values are the disc-cap series2 model with the vertical
+    cap-point displacement d_y dropped from the tilt term: zeroing d_y in
+    the oracle's unit cuts reproduces the printed cut and net c2.  The
+    printed shift-only value is the eps-linear cut coefficient, which
+    vanishes."""
     lin, _ = series_cut_coefficients(mode="series1")
     assert abs(lin - reference.PRINTED_NET_COEFF_SHIFT_ONLY) <= 1e-14
-    unit_cuts = tortoise._unit_cuts
-    monkeypatch.setattr(tortoise, "_unit_cuts", lambda q, shift=None: [
-        dataclasses.replace(c, d_y=0.0) for c in unit_cuts(q, shift)
-    ])
-    _, cut2 = series_cut_coefficients(mode="series2")
+    cuts = [dataclasses.replace(c, d_y=0.0) for c in unit_disc_cuts(Q)]
+    _, cut2 = disc_cut_coefficients(cuts, with_tilt=True)
     assert cut2 == pytest.approx(reference.PRINTED_CUT_COEFF_SHIFT_TILT, abs=1e-10)
-    net2 = series_net_coefficient(mode="series2")
+    net2 = body_area_coefficient(Q) - cut2
     assert net2 == pytest.approx(reference.PRINTED_NET_COEFF_SHIFT_TILT, abs=1e-10)
+
+
+def _single_arc_cap_profiles():
+    """The reference, uniform 12 with seeded closure-projected values and two
+    seeded profiles whose caps lie on one arc per side: every break is a cut
+    angle j*pi/3 or at least phi_c from one."""
+    rng = np.random.default_rng(29)
+    phi_c = CROFT.phi_c
+    out = [Q]
+    while len(out) < 4:
+        p = UNIFORM_12 if len(out) == 1 else seeded_profile(rng)
+        off = np.abs(p.breaks - PSI * np.round(p.breaks / PSI))
+        if np.any((off > 1e-12) & (off < phi_c)) or ansatz.closure_nullspace(p).size == 0:
+            continue
+        v = ansatz.closure_project(rng.standard_normal(p.n_intervals // 2), p)
+        out.append(ansatz.step_from_halfvalues(v / np.max(np.abs(v)), p))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["series1", "series2"])
+def test_cap_read_series_is_the_disc_cap_model_on_single_arc_caps(mode):
+    """Where each side of a cap lies on one arc, the cap read and the paper's
+    disc-cap model (the test oracle) agree: cut-body areas, stripe tilts and
+    the cut and net c2 within 1e-13.  The stripe shifts do not: the oracle
+    measures s from the midpoint of the two cap points."""
+    with_tilt = mode == "series2"
+    for q in _single_arc_cap_profiles():
+        shift = (0.3, -0.2)
+        for eps in (-0.08, 0.01, 0.08):
+            rec = tortoise_area(eps, mode, q=q, shift=shift)
+            area, stripes = disc_tortoise_area(q, eps, with_tilt, shift)
+            assert abs(rec.tortoise_area - area) <= 1e-13
+            for e, (_, delta) in zip(rec.per_edge, stripes):
+                assert abs(e.delta - delta) <= 1e-13
+        lin, quad = series_cut_coefficients(q, mode, shift)
+        want_lin, want_quad = disc_cut_coefficients(unit_disc_cuts(q, shift), with_tilt)
+        assert abs(lin - want_lin) <= 1e-13
+        assert abs(quad - want_quad) <= 1e-13
+        net = series_net_coefficient(q, mode, shift)
+        assert abs(net - (body_area_coefficient(q) - want_quad)) <= 1e-13
+
+
+# A shift at which the disc-cap start put a stripe line off its copy.
+FAR_SHIFT = (-0.08652130762749417, 0.3322999516644883)
+
+
+@pytest.mark.parametrize("shift", [None, FAR_SHIFT], ids=["reference", "far"])
+def test_series_shift_is_the_exact_shift_limit(shift):
+    """s/eps of the series modes is the eps -> 0 limit of the exact s/eps,
+    per class, in the edge frame the exact clip uses: within 1e-6 of the
+    central difference (s(h) - s(-h)) / 2h at h = 1e-3.  The disc-cap
+    model's midpoint frame reads -1.39e-3 on class 0 of the reference,
+    against 1.69e-5."""
+    h = 1e-3
+    for series, exact in (("series1", "exact1"), ("series2", "exact2")):
+        got = tortoise_area(h, series, shift=shift).per_edge
+        plus, minus = (tortoise_area(e, exact, shift=shift).per_edge for e in (h, -h))
+        for a, b, c in zip(got, plus, minus):
+            assert abs(a.s / h - (b.s - c.s) / (2.0 * h)) <= 1e-6
+            assert abs(a.delta / h - (b.delta - c.delta) / (2.0 * h)) <= 1e-6
+
+
+def test_exact2_fit_converges_at_a_far_shift():
+    """At FAR_SHIFT the disc-cap start put a line off its copy at eps = +-0.08
+    (``ConvergenceError``); the cap-read start converges on the whole fit
+    grid.  There the eps^4 term is large: the fit on the grid / 8 is within
+    1e-5 of the series2 closed form."""
+    for rec in scan(DEFAULT_FIT_EPS, "exact2", shift=FAR_SHIFT):
+        assert all(e.grad_norm <= 1e-10 for e in rec.per_edge)
+    fine = fit_net_coefficient("exact2", [e / 8 for e in DEFAULT_FIT_EPS], shift=FAR_SHIFT)
+    want = series_net_coefficient(mode="series2", shift=FAR_SHIFT)
+    assert abs(fine.c2 - want) <= 1e-5
 
 
 def test_fit_matches_series_closed_form():
@@ -280,37 +362,49 @@ def test_one_body_per_profile_and_eps(monkeypatch):
 @pytest.mark.parametrize("mode", ["exact1", "exact2"])
 def test_each_edge_pair_is_placed_once(monkeypatch, mode):
     """An exact evaluation places the two copies of each of the three edge
-    classes once: the series start point and the Newton clips share them."""
+    classes once, for the Newton clips; the start point reads no copy."""
     calls = count_calls(monkeypatch, body_module, "transform")
     tortoise_area(0.05, mode)
     assert len(calls) == 6
 
 
-NARROW = make_step_function(
-    [Fraction(0), Fraction(1, 24), Fraction(1), Fraction(25, 24), Fraction(2)],
-    [0.5, -0.25, -0.5, 0.25],
-)
+@pytest.mark.parametrize("mode", ["series1", "series2"])
+def test_series_modes_read_narrow_caps(mode):
+    """On q36 every cap covers four arcs.  The series modes read it like any
+    other profile: the series net c2 is the form's value there, the cut-body
+    area is that c2 in eps^2 (the linear term cancels), and its gap to the
+    exact area shrinks by a cubic ratio (~1/8) as eps halves."""
+    q = q36_profile()
+    shift = default_config()
+    form = ansatz.assemble_quadratic_form(mode, template=q)
+    c2 = series_net_coefficient(q, mode)
+    assert abs(c2 - form.value(q.values[: q.n_intervals // 2], shift)) <= 1e-13
+    a0 = math.pi - 6.0 * CROFT.a_c
+    for eps in (-0.05, 0.05):
+        rec = tortoise_area(eps, mode, q=q)
+        assert abs(rec.tortoise_area - a0 - c2 * eps * eps) <= 1e-14
+    exact = "exact2" if mode == "series2" else "exact1"
+    gap = {eps: abs(tortoise_area(eps, mode, q=q).tortoise_area
+                    - tortoise_area(eps, exact, q=q).tortoise_area) for eps in (0.05, 0.1)}
+    assert gap[0.1] <= 1e-4
+    assert gap[0.05] <= 0.2 * gap[0.1]
 
 
-def test_series_modes_refuse_narrow_caps(monkeypatch):
-    """A break pi/24 from the cut angle 0 lies inside the cap (phi_c =
-    0.2633): the series modes refuse the profile before building a body."""
-    calls = count_calls(monkeypatch, body_module, "build_body")
-    for mode in ("series1", "series2"):
-        for evaluate in (
-            lambda: tortoise_area(0.05, mode, q=NARROW),
-            lambda: series_cut_coefficients(NARROW, mode),
-            lambda: series_net_coefficient(NARROW, mode),
-        ):
-            with pytest.raises(NarrowCapError, match=r"break 1/24\*pi"):
-                evaluate()
-    assert calls == []
-    wide = make_step_function(
+def test_closure_is_checked_without_a_body():
+    """The closed forms at unit eps build no body, and still refuse a profile
+    whose arc chain does not close, as ``build_body`` does."""
+    q = make_step_function(
         [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3), Fraction(2)],
         [0.5, -0.25, -0.5, 0.25],
     )
-    for q in (wide, Q):  # Q's nearest off-cut break is 4*pi/45 = 0.2793 away
-        require_single_arc_caps(q)
+    for evaluate in (
+        lambda: body_area_coefficient(q),
+        lambda: series_cut_coefficients(q, "series2"),
+        lambda: series_net_coefficient(q, "series1"),
+        lambda: build_body(q, 0.05),
+    ):
+        with pytest.raises(BodyError, match="does not close"):
+            evaluate()
 
 
 def test_write_scan_csv_of_no_records_writes_header(tmp_path):
@@ -365,7 +459,7 @@ def test_newton_matches_nelder_mead_reference(seed):
         rec = tortoise_area(eps, mode, q=q)
         for e in rec.per_edge:
             left, right = edge_copies(body, e.k, shift)
-            s0, delta0 = series_tilt_minimizer(cut_parameters(q, e.k, (left, right)))
+            s0, delta0, _ = minimize_pair_shift_tilt(cut_parameters(q, shift)[e.k].scaled(eps))
             if mode == "exact1":
                 x0 = [s0]
                 f = lambda x: pair_clip_area(left, right, x[0], 0.0).area
