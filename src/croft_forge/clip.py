@@ -14,17 +14,23 @@ bisection on the breaks.  On a convex boundary n.x falls monotonically
 away from that point on both sides, so a walk out from the support arc
 that stops at the first shared endpoint below the line finds every arc
 that can meet it: one to three arcs for a stripe cap instead of all n.
+
+``trim_body`` keeps what several half-planes leave of a body as arc
+pieces, chords and vertices, for the exact distances of the patch check
+in ``lattice``; ``halfplane_excess`` is the support function of the
+result.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .body import ArcBody
+from .body import ArcBody, _cross, _unit
 from .stepfn import TWO_PI
 
 TANGENCY_TOL = 1e-12
@@ -189,3 +195,131 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
         for phi in arc_line_crossings(center, radius, a, b, n, c):
             pts.append(np.array(_arc_point(center, radius, phi)))
     return pts
+
+
+# ---------------------------------------------------------------------------
+# A body trimmed by several half-planes
+
+KEEP_TOL = 1e-12
+ANGLE_TOL = 1e-12  # narrowest arc piece kept as an arc
+
+
+@dataclass(frozen=True)
+class TrimmedBody:
+    """Boundary of a body cut by half-planes: arc pieces, chords, vertices.
+
+    Arc piece i is centers[i] + radii[i] * u for the unit vectors u from
+    ``u0[i]`` counter-clockwise to ``u1[i]``; it spans at most pi, because
+    every break of a profile has its antipode, so pi is a break.  Chord j
+    runs from chord_a[j] to chord_b[j]; ``vertices`` holds every piece
+    endpoint.
+    """
+
+    centers: np.ndarray   # (k, 2)
+    radii: np.ndarray     # (k,)
+    u0: np.ndarray        # (k, 2)
+    u1: np.ndarray        # (k, 2)
+    chord_a: np.ndarray   # (m, 2)
+    chord_b: np.ndarray   # (m, 2)
+    vertices: np.ndarray  # (v, 2)
+
+
+def _in_arc(d, u0, u1):
+    """Whether direction ``d`` lies in the arc range from ``u0``
+    counter-clockwise to ``u1``, a range of width in (0, pi]."""
+    return (_cross(u0, d) >= 0.0) & (_cross(d, u1) >= 0.0)
+
+
+def trim_body(body: ArcBody, cuts) -> TrimmedBody:
+    """Exact boundary of ``body`` with its cut half-planes removed.
+
+    ``cuts`` holds (n, c) pairs, each the removed half-plane {x : n.x >= c},
+    as from ``lattice.collect_patch_cuts``.  Each arc is split where it
+    crosses a cut line, trying only the arcs under the cap each cut removes
+    (``cap_arcs``), and the pieces whose midpoints satisfy
+    n.x <= c for every cut are kept.  Each cut line adds the chord
+    between its two boundary crossings, clipped as an interval by the
+    other cuts.
+    """
+    normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
+    offsets = np.array([c for _, c in cuts], dtype=float)
+    hits: list[list[np.ndarray]] = [[] for _ in cuts]
+    # the cuts whose line can cross each arc: only arcs under the removed cap
+    arc_cuts: list[list[int]] = [[] for _ in range(body.n_arcs)]
+    for j, (n, c) in enumerate(cuts):
+        for i in cap_arcs(body, n, c):
+            arc_cuts[i].append(j)
+    pieces = []  # (arc index, start angle, end angle)
+    for i in range(body.n_arcs):
+        center, radius = body.centers[i], body.radii[i]
+        a, b = body.breaks[i], body.breaks[i + 1]
+        angles = [a, b]
+        for j in arc_cuts[i]:  # ascending, as the cuts are listed
+            n, c = cuts[j]
+            for phi in arc_line_crossings(center, radius, a, b, n, c):
+                angles.append(phi)
+                hits[j].append(center + radius * _unit(phi))
+        angles.sort()
+        pieces.extend((i, lo, hi) for lo, hi in zip(angles, angles[1:]))
+    idx = np.array([p[0] for p in pieces], dtype=int)
+    lo = np.array([p[1] for p in pieces], dtype=float)
+    hi = np.array([p[2] for p in pieces], dtype=float)
+    centers, radii = body.centers[idx], body.radii[idx]
+    mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
+    kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
+    centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
+
+    chords = []
+    for j, pts in enumerate(hits):
+        if len(pts) < 2:
+            continue
+        n = normals[j]
+        pts = np.array(pts)
+        along = pts @ np.array([-n[1], n[0]])
+        p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
+        # the chord p0 + u*(p1 - p0), u in [0, 1], kept where
+        # g0 + u*g1 <= 0 for every other cut
+        g0 = normals @ p0 - offsets
+        g1 = normals @ (p1 - p0)
+        u_lo, u_hi = 0.0, 1.0
+        for k in range(len(cuts)):
+            if k == j:
+                continue
+            if g1[k] > 0.0:
+                u_hi = min(u_hi, -g0[k] / g1[k])
+            elif g1[k] < 0.0:
+                u_lo = max(u_lo, -g0[k] / g1[k])
+            elif g0[k] > KEEP_TOL:
+                u_hi = -1.0
+        if u_lo <= u_hi:
+            chords.append((p0 + u_lo * (p1 - p0), p0 + u_hi * (p1 - p0)))
+    chord_a = np.array([c[0] for c in chords], dtype=float).reshape(-1, 2)
+    chord_b = np.array([c[1] for c in chords], dtype=float).reshape(-1, 2)
+
+    u0, u1 = _unit(lo), _unit(hi)
+    vertices = np.concatenate([
+        centers + radii[:, None] * u0,
+        centers + radii[:, None] * u1,
+        chord_a,
+        chord_b,
+    ])
+    # A narrower piece may have u0 == u1 after rounding, and _in_arc would
+    # then admit -u0 too.  Its points lie within ANGLE_TOL * r of its
+    # endpoints, which stay vertices.
+    arc = hi - lo > ANGLE_TOL
+    return TrimmedBody(
+        centers[arc], radii[arc], u0[arc], u1[arc], chord_a, chord_b, vertices
+    )
+
+
+def halfplane_excess(t: TrimmedBody, cuts) -> np.ndarray:
+    """max of n.x - c over the trimmed body, one per cut (n, c).
+
+    A linear function n.x peaks on an arc piece at an endpoint or at
+    M + r*n, and on a chord at an endpoint; every endpoint is a vertex.
+    """
+    dirs = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
+    on_arc = _in_arc(dirs[None], t.u0[:, None], t.u1[:, None])
+    peaks = np.where(on_arc, t.centers @ dirs.T + t.radii[:, None], -math.inf)
+    top = np.max(np.vstack([peaks, t.vertices @ dirs.T]), axis=0, initial=-math.inf)
+    return top - np.array([c for _, c in cuts], dtype=float)

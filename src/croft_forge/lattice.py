@@ -28,21 +28,25 @@ clip (``clip.halfplane_clip_area``), the trimming and the drawings take
 the pairs as they are.
 
 Patch verification is exact.  Each copy is trimmed by its stripe
-half-planes to a boundary of arc pieces and chords (``trim_body``), and
-distances are closed forms over pairs of pieces, vectorised with NumPy.
-Every candidate is a distance between two points of the trimmed bodies,
-and the list is complete: an extreme pair either has an endpoint of a
-piece (a vertex) as one point, or is an interior critical pair of two
-pieces, which lies on the line of centres of two arcs or at the arc
+half-planes to a boundary of arc pieces and chords (``clip.trim_body``),
+and distances are closed forms over pairs of pieces, vectorised with
+NumPy.  Every candidate is a distance between two points of the trimmed
+bodies, and the list is complete: an extreme pair either has an endpoint
+of a piece (a vertex) as one point, or is an interior critical pair of
+two pieces, which lies on the line of centres of two arcs or at the arc
 point whose normal is a chord's normal (concentric arcs have no isolated
 critical pair and reach their extremes at an endpoint).  A stripe of
 width w > 0 puts the two bodies of an edge in disjoint half-planes, so
-they never meet and their nearest pair is such a boundary pair.
+they never meet and their nearest pair is such a boundary pair.  The
+strip also bounds every pair from below, |P - Q| >= n.Q - n.P, so
+``closest_pairs`` first drops the pieces too far from it to hold the
+nearest pair and then takes all edges of a patch in one batched pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,13 +55,14 @@ import numpy as np
 from .body import (
     ArcBody,
     _arc_sweeps,
+    _cross,
     build_body,
     center_offsets,
     croft_constants,
     require_closure,
     transform,
 )
-from .clip import arc_line_crossings, cap_arcs
+from .clip import TrimmedBody, _in_arc, halfplane_excess, trim_body
 from .segments import PairCut
 from .stepfn import TWO_PI, StepFunction
 
@@ -302,7 +307,8 @@ def collect_patch_cuts(
     ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
     by m*pi/3 for neighbor step m, then a shift to the edge's origin);
     ``edges`` lists (site_a, site_b, class) with the edge oriented from
-    color c to color c+1, each edge once.
+    color c to color c+1, each edge once.  Each edge adds one cut to each
+    of its two sites, so a site's cuts follow the order of its edges.
 
     The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
     back), and the edge of step m has class k = (m/2 - c) mod 3: its
@@ -333,9 +339,7 @@ def collect_patch_cuts(
 # ---------------------------------------------------------------------------
 # Overlap-avoidance verification on the exact trimmed boundary
 
-KEEP_TOL = 1e-12
 CONCENTRIC_TOL = 1e-12
-ANGLE_TOL = 1e-12  # narrowest arc piece kept as an arc
 
 Witness = tuple[np.ndarray, np.ndarray]
 
@@ -359,166 +363,97 @@ class AvoidanceReport:
     diameter_witness: Witness | None = None
 
     def summary(self) -> str:
+        """One line; a value no check measured (no copy left) reads "none"."""
         status = "PASS" if self.ok else "FAIL"
         return (
             f"{status}: {self.n_edges} edges, "
-            f"max half-plane violation {self.max_halfplane_violation:.3e}, "
-            f"min cross-body distance {self.min_cross_distance:.12f}, "
-            f"max same-body diameter {self.max_same_body_diameter:.12f}"
+            f"max half-plane violation {_measured(self.max_halfplane_violation, '.3e')}, "
+            f"min cross-body distance {_measured(self.min_cross_distance, '.12f')}, "
+            f"max same-body diameter {_measured(self.max_same_body_diameter, '.12f')}"
         )
 
 
-@dataclass(frozen=True)
-class TrimmedBody:
-    """Boundary of a body cut by half-planes: arc pieces, chords, vertices.
-
-    Arc piece i is centers[i] + radii[i] * u for the unit vectors u from
-    ``u0[i]`` counter-clockwise to ``u1[i]``; it spans at most pi, because
-    every break of a profile has its antipode, so pi is a break.  Chord j
-    runs from chord_a[j] to chord_b[j]; ``vertices`` holds every piece
-    endpoint.
-    """
-
-    centers: np.ndarray   # (k, 2)
-    radii: np.ndarray     # (k,)
-    u0: np.ndarray        # (k, 2)
-    u1: np.ndarray        # (k, 2)
-    chord_a: np.ndarray   # (m, 2)
-    chord_b: np.ndarray   # (m, 2)
-    vertices: np.ndarray  # (v, 2)
+def _measured(x: float, spec: str) -> str:
+    return format(x, spec) if math.isfinite(x) else "none"
 
 
-def _unit(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+# Candidate point pairs, batched.  ``_stack`` pads trimmed bodies to common
+# piece counts, one row each, with masks of the real pieces.  Each helper
+# returns points P on the first and Q on the second piece set and whether
+# the candidate exists, indexed by row and then by piece in the order a
+# walk over one pair's pieces lists them.  Range tests use cross products
+# of direction vectors, so no angle is computed.
+
+PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
+# Bodies per diameter pass: three take within a few percent of the time of
+# one pass over a patch's nine, at about a third of its peak memory.
+DIAMETER_BATCH = 3
+_GROUPS = (("centers", "radii", "u0", "u1"), ("chord_a", "chord_b"), ("vertices",))
+_Padded = namedtuple(
+    "_Padded", "centers radii u0 u1 arc_ok chord_a chord_b chord_ok vertices vertex_ok"
+)
 
 
-def _cross(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _padded(sizes, *flat):
+    """Rows of ``sizes`` entries taken in turn from each array of ``flat``,
+    zero-padded to the longest row, and the mask of real entries."""
+    ok = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    out = []
+    for f in flat:
+        out.append(np.zeros(ok.shape + f.shape[1:]))
+        out[-1][ok] = f
+    return (*out, ok)
 
 
-def _in_arc(d, u0, u1):
-    """Whether direction ``d`` lies in the arc range from ``u0``
-    counter-clockwise to ``u1``, a range of width in (0, pi]."""
-    return (_cross(u0, d) >= 0.0) & (_cross(d, u1) >= 0.0)
+def _stack(ts) -> _Padded:
+    return _Padded(*(x for g in _GROUPS for x in _padded(
+        np.array([len(getattr(t, g[0])) for t in ts]),
+        *(np.concatenate([getattr(t, f) for t in ts]) for f in g))))
 
 
-def trim_body(body: ArcBody, cuts) -> TrimmedBody:
-    """Exact boundary of ``body`` with its cut half-planes removed.
-
-    ``cuts`` holds (n, c) pairs, each the removed half-plane {x : n.x >= c},
-    as from ``collect_patch_cuts``.  Each arc is split where it crosses a
-    cut line, trying only the arcs under the cap each cut removes
-    (``clip.cap_arcs``), and the pieces whose midpoints satisfy
-    n.x <= c for every cut are kept.  Each cut line adds the chord
-    between its two boundary crossings, clipped as an interval by the
-    other cuts.
-    """
-    normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
-    offsets = np.array([c for _, c in cuts], dtype=float)
-    hits: list[list[np.ndarray]] = [[] for _ in cuts]
-    # the cuts whose line can cross each arc: only arcs under the removed cap
-    arc_cuts: list[list[int]] = [[] for _ in range(body.n_arcs)]
-    for j, (n, c) in enumerate(cuts):
-        for i in cap_arcs(body, n, c):
-            arc_cuts[i].append(j)
-    pieces = []  # (arc index, start angle, end angle)
-    for i in range(body.n_arcs):
-        center, radius = body.centers[i], body.radii[i]
-        a, b = body.breaks[i], body.breaks[i + 1]
-        angles = [a, b]
-        for j in arc_cuts[i]:  # ascending, as the cuts are listed
-            n, c = cuts[j]
-            for phi in arc_line_crossings(center, radius, a, b, n, c):
-                angles.append(phi)
-                hits[j].append(center + radius * _unit(phi))
-        angles.sort()
-        pieces.extend((i, lo, hi) for lo, hi in zip(angles, angles[1:]))
-    idx = np.array([p[0] for p in pieces], dtype=int)
-    lo = np.array([p[1] for p in pieces], dtype=float)
-    hi = np.array([p[2] for p in pieces], dtype=float)
-    centers, radii = body.centers[idx], body.radii[idx]
-    mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
-    kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
-    centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
-
-    chords = []
-    for j, pts in enumerate(hits):
-        if len(pts) < 2:
-            continue
-        n = normals[j]
-        pts = np.array(pts)
-        along = pts @ np.array([-n[1], n[0]])
-        p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
-        # the chord p0 + u*(p1 - p0), u in [0, 1], kept where
-        # g0 + u*g1 <= 0 for every other cut
-        g0 = normals @ p0 - offsets
-        g1 = normals @ (p1 - p0)
-        u_lo, u_hi = 0.0, 1.0
-        for k in range(len(cuts)):
-            if k == j:
-                continue
-            if g1[k] > 0.0:
-                u_hi = min(u_hi, -g0[k] / g1[k])
-            elif g1[k] < 0.0:
-                u_lo = max(u_lo, -g0[k] / g1[k])
-            elif g0[k] > KEEP_TOL:
-                u_hi = -1.0
-        if u_lo <= u_hi:
-            chords.append((p0 + u_lo * (p1 - p0), p0 + u_hi * (p1 - p0)))
-    chord_a = np.array([c[0] for c in chords], dtype=float).reshape(-1, 2)
-    chord_b = np.array([c[1] for c in chords], dtype=float).reshape(-1, 2)
-
-    u0, u1 = _unit(lo), _unit(hi)
-    vertices = np.concatenate([
-        centers + radii[:, None] * u0,
-        centers + radii[:, None] * u1,
-        chord_a,
-        chord_b,
-    ])
-    # A narrower piece may have u0 == u1 after rounding, and _in_arc would
-    # then admit -u0 too.  Its points lie within ANGLE_TOL * r of its
-    # endpoints, which stay vertices.
-    arc = hi - lo > ANGLE_TOL
-    return TrimmedBody(
-        centers[arc], radii[arc], u0[arc], u1[arc], chord_a, chord_b, vertices
-    )
+def _keep(p: _Padded, *keeps) -> _Padded:
+    """The arc pieces, chords and vertices the three masks keep, in order."""
+    return _Padded(*(x for keep, g in zip(keeps, _GROUPS) for x in _padded(
+        keep.sum(axis=1), *(getattr(p, f)[keep] for f in g))))
 
 
-# Candidate point pairs.  Each helper returns (P, Q): rows of points on the
-# first and on the second piece set, one row per candidate that lies on
-# both pieces.  Range tests use cross products of direction vectors, so no
-# angle is computed.
+def _dot(x, n):
+    return x[..., 0] * n[..., 0] + x[..., 1] * n[..., 1]
 
 
-def _vertex_vertex(v, w):
-    return np.repeat(v, len(w), axis=0), np.tile(w, (len(v), 1))
+def _swap(candidates):
+    P, Q, ok = candidates
+    return Q, P, ok
 
 
-def _vertex_arc(v, t: TrimmedBody, sign: float):
+def _vertex_vertex(a: _Padded, b: _Padded):
+    shape = a.vertices.shape[:2] + b.vertices.shape[1:]
+    return (np.broadcast_to(a.vertices[:, :, None], shape),
+            np.broadcast_to(b.vertices[:, None], shape),
+            a.vertex_ok[:, :, None] & b.vertex_ok[:, None])
+
+
+def _vertex_arc(v: _Padded, t: _Padded, sign: float):
     """Nearest (sign +1) or farthest (sign -1) circle point of each arc
-    piece of ``t`` from each vertex, where it lies on the piece."""
-    d = sign * (v[:, None, :] - t.centers[None, :, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d /= np.hypot(d[..., 0], d[..., 1])[..., None]
-    ok = _in_arc(d, t.u0, t.u1)
-    Q = t.centers + t.radii[:, None] * d
-    P = np.broadcast_to(v[:, None, :], Q.shape)
-    return P[ok], Q[ok]
+    piece of ``t`` from each vertex of ``v``, where it lies on the piece."""
+    d = sign * (v.vertices[:, :, None] - t.centers[:, None])
+    d /= np.hypot(d[..., 0], d[..., 1])[..., None]
+    ok = _in_arc(d, t.u0[:, None], t.u1[:, None]) & v.vertex_ok[:, :, None] & t.arc_ok[:, None]
+    Q = t.centers[:, None] + t.radii[:, None, :, None] * d
+    return np.broadcast_to(v.vertices[:, :, None], Q.shape), Q, ok
 
 
-def _vertex_chord(v, t: TrimmedBody):
-    """Foot of each vertex on each chord of ``t``, inside the chord."""
+def _vertex_chord(v: _Padded, t: _Padded):
+    """Foot of each vertex of ``v`` on each chord of ``t``, inside the chord."""
     e = t.chord_b - t.chord_a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum((v[:, None, :] - t.chord_a) * e, axis=-1) / np.sum(e * e, axis=-1)
-    ok = (s > 0.0) & (s < 1.0)
-    Q = t.chord_a + s[..., None] * e
-    P = np.broadcast_to(v[:, None, :], Q.shape)
-    return P[ok], Q[ok]
+    s = (np.sum((v.vertices[:, :, None] - t.chord_a[:, None]) * e[:, None], axis=-1)
+         / np.sum(e * e, axis=-1)[:, None])
+    ok = (s > 0.0) & (s < 1.0) & v.vertex_ok[:, :, None] & t.chord_ok[:, None]
+    Q = t.chord_a[:, None] + s[..., None] * e[:, None]
+    return np.broadcast_to(v.vertices[:, :, None], Q.shape), Q, ok
 
 
-def _arc_arc(a: TrimmedBody, b: TrimmedBody):
+def _arc_arc(a: _Padded, b: _Padded):
     """Interior critical pairs of two arc-piece sets: P = M_a + s1*r_a*u and
     Q = M_b + s2*r_b*u on the line of centres (unit vector u), s1, s2 = +-1.
 
@@ -527,97 +462,151 @@ def _arc_arc(a: TrimmedBody, b: TrimmedBody):
     so its extremes over two ranges are reached with one point at a piece
     endpoint, among the vertex-arc candidates.
     """
-    D = b.centers[None, :, :] - a.centers[:, None, :]
+    D = b.centers[:, None] - a.centers[:, :, None]  # (row, arc of a, arc of b)
     dist = np.hypot(D[..., 0], D[..., 1])
     concentric = dist <= CONCENTRIC_TOL
     dirs = np.array([1.0, -1.0])[:, None, None, None] * (
-        D / np.where(concentric, 1.0, dist)[..., None]
-    )
-    on_a = ~concentric & _in_arc(dirs, a.u0[:, None], a.u1[:, None])
-    on_b = _in_arc(dirs, b.u0[None], b.u1[None])
-    ok = on_a[:, None] & on_b[None]  # (s1, s2, arc of a, arc of b)
-    P = a.centers[:, None, :] + a.radii[:, None, None] * dirs
-    Q = b.centers[None, :, :] + b.radii[None, :, None] * dirs
+        D / np.where(concentric, 1.0, dist)[..., None])[:, None]
+    on_a = (~concentric[:, None] & a.arc_ok[:, None, :, None]
+            & _in_arc(dirs, a.u0[:, None, :, None], a.u1[:, None, :, None]))
+    on_b = b.arc_ok[:, None, None] & _in_arc(dirs, b.u0[:, None, None], b.u1[:, None, None])
+    ok = on_a[:, :, None] & on_b[:, None]  # (row, s1, s2, arc of a, arc of b)
+    P = a.centers[:, None, :, None] + a.radii[:, None, :, None, None] * dirs
+    Q = b.centers[:, None, None] + b.radii[:, None, None, :, None] * dirs
     shape = ok.shape + (2,)
-    return (np.broadcast_to(P[:, None], shape)[ok],
-            np.broadcast_to(Q[None, :], shape)[ok])
+    return np.broadcast_to(P[:, :, None], shape), np.broadcast_to(Q[:, None], shape), ok
 
 
-def _arc_chord(a: TrimmedBody, b: TrimmedBody):
+def _arc_chord(a: _Padded, b: _Padded):
     """Arc points M +- r*m of ``a``, m a chord normal of ``b``, paired with
     their feet on that chord, where both lie on their pieces."""
     e = b.chord_b - b.chord_a
     length2 = np.sum(e * e, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.stack([-e[:, 1], e[:, 0]], axis=-1) / np.sqrt(length2)[:, None]
-    Ps, Qs = [], []
-    for sign in (1.0, -1.0):
-        X = a.centers[:, None, :] + (sign * a.radii)[:, None, None] * m[None, :, :]
-        with np.errstate(invalid="ignore"):
-            s = np.sum((X - b.chord_a) * e, axis=-1) / length2
-        on_arc = _in_arc(sign * m[None], a.u0[:, None], a.u1[:, None])
-        ok = on_arc & (s >= 0.0) & (s <= 1.0)
-        Ps.append(X[ok])
-        Qs.append((b.chord_a + s[..., None] * e)[ok])
-    return np.concatenate(Ps), np.concatenate(Qs)
+    sign = np.array([1.0, -1.0])[:, None]
+    m = np.stack([-e[..., 1], e[..., 0]], axis=-1) / np.sqrt(length2)[..., None]
+    m, e, start = m[:, None, None], e[:, None, None], b.chord_a[:, None, None]
+    # (row, sign, arc of a, chord of b)
+    X = a.centers[:, None, :, None] + (sign * a.radii[:, None])[..., None, None] * m
+    s = np.sum((X - start) * e, axis=-1) / length2[:, None, None]
+    ok = (_in_arc(sign[..., None, None] * m, a.u0[:, None, :, None], a.u1[:, None, :, None])
+          & (s >= 0.0) & (s <= 1.0) & a.arc_ok[:, None, :, None] & b.chord_ok[:, None, None])
+    return X, start + s[..., None] * e, ok
 
 
-def _extreme(pick, candidates) -> tuple[float, Witness]:
-    P = np.concatenate([c[0] for c in candidates])
-    Q = np.concatenate([c[1] for c in candidates])
-    d = np.hypot(*(P - Q).T)
-    i = int(pick(d))
-    return float(d[i]), (P[i].copy(), Q[i].copy())
+def _extreme(pick, fill: float, blocks) -> list[tuple[float, Witness]]:
+    """Per row, the distance and witness of the candidate ``pick`` (argmin
+    or argmax) selects first among the existing ones.  ``blocks`` lists
+    the helper calls in candidate order; each block is reduced to its row
+    extremes before the next is built."""
+    best = []
+    for block in blocks:
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on padding, bad pieces
+            P, Q, ok = block()
+        if ok[0].size:  # a block over no pieces (no chords, say) has nothing to pick
+            d = np.hypot(P[..., 0] - Q[..., 0], P[..., 1] - Q[..., 1])
+            d[~ok] = fill
+            at = (np.arange(len(ok)),
+                  *np.unravel_index(pick(d.reshape(len(ok), -1), axis=1), ok.shape[1:]))
+            best.append((d[at], P[at], Q[at]))
+    d, P, Q = (np.stack(x, axis=1) for x in zip(*best))
+    return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(pick(d, axis=1))]
 
 
-def closest_pair(a: TrimmedBody, b: TrimmedBody) -> tuple[float, Witness]:
-    """Exact distance between two disjoint trimmed bodies and its witness.
+def _strip_prune(p: _Padded, strips) -> _Padded:
+    """Drop from the first bodies (rows 0..e-1) and the second bodies (rows
+    e..2e-1) of e pairs every piece that cannot hold the nearest pair.
+
+    A strip (n, c_a, c_b), n a unit normal, puts body a in n.x <= c_a and
+    body b in n.x >= c_b, so every pair has |P - Q| >= n.Q - n.P.  Each
+    line moves out to its body's measured extreme of n.x where that lies
+    beyond it, so the bound holds however the bodies were trimmed.  A piece
+    of a then has no pair nearer than c_b minus its largest n.x (an arc
+    piece peaks at M + r*n when n is in its range, else at an end), and the
+    mirror for b.  U is the distance from the vertex of a nearest the strip
+    to the nearest vertex of b, an achieved distance; a piece whose bound
+    exceeds U + PRUNE_SLACK holds no candidate that can attain the minimum.
+    """
+    e = len(strips)
+    n = np.array([s[0] for s in strips], dtype=float)
+    n = np.concatenate([n, -n])[:, None]  # each side's normal, away from the other side
+    c = np.concatenate([[s[1] for s in strips], [-s[2] for s in strips]])
+    # the largest n.x of each piece, -inf on padding
+    reach = np.where(_in_arc(n, p.u0, p.u1), 1.0, np.maximum(_dot(p.u0, n), _dot(p.u1, n)))
+    arc_top = np.where(p.arc_ok, _dot(p.centers, n) + p.radii * reach, -math.inf)
+    chord_top = np.where(p.chord_ok, np.maximum(_dot(p.chord_a, n), _dot(p.chord_b, n)),
+                         -math.inf)
+    vertex_top = np.where(p.vertex_ok, _dot(p.vertices, n), -math.inf)
+    side = np.maximum(c, np.max(np.concatenate([arc_top, vertex_top], axis=1), axis=1))
+    nearest = vertex_top[:e].argmax(axis=1)[:, None, None]
+    gap = p.vertices[e:] - np.take_along_axis(p.vertices[:e], nearest, axis=1)
+    gap = np.where(p.vertex_ok[e:], np.hypot(gap[..., 0], gap[..., 1]), math.inf)
+    # keep a piece unless the other side's line minus its top exceeds U + slack
+    low = -np.roll(side, e)[:, None] - np.tile(gap.min(axis=1), 2)[:, None] - PRUNE_SLACK
+    return _keep(p, arc_top >= low, chord_top >= low, vertex_top >= low)
+
+
+def closest_pairs(pairs, strips=None) -> list[tuple[float, Witness]]:
+    """Exact distance between the two disjoint trimmed bodies of each pair
+    and its witness, all pairs in one batched pass.
 
     The nearest pair of disjoint convex sets lies on their boundaries; on a
     pair of pieces it is either a vertex with a vertex or with the nearest
     interior point of a piece, or an interior critical pair (arc-arc on the
     line of centres, arc-chord at the arc point whose normal is the chord
-    normal); two chords have no isolated interior critical pair.
+    normal); two chords have no isolated interior critical pair.  Given one
+    strip (n, c_a, c_b) per pair, ``_strip_prune`` first drops the pieces
+    that cannot hold the nearest pair.  It keeps every candidate that can
+    attain the minimum, in order, so the distance and the witness are those
+    of the full list.  Without strips every piece is tried.
     """
-    return _extreme(np.argmin, [
-        _vertex_vertex(a.vertices, b.vertices),
-        _vertex_arc(a.vertices, b, 1.0),
-        _vertex_arc(b.vertices, a, 1.0)[::-1],
-        _vertex_chord(a.vertices, b),
-        _vertex_chord(b.vertices, a)[::-1],
-        _arc_arc(a, b),
-        _arc_chord(a, b),
-        _arc_chord(b, a)[::-1],
+    if not pairs:
+        return []
+    p = _stack([a for a, _ in pairs] + [b for _, b in pairs])
+    if strips is not None:
+        p = _strip_prune(p, strips)
+    a, b = _Padded(*(x[: len(pairs)] for x in p)), _Padded(*(x[len(pairs):] for x in p))
+    return _extreme(np.argmin, math.inf, [
+        lambda: _vertex_vertex(a, b),
+        lambda: _vertex_arc(a, b, 1.0),
+        lambda: _swap(_vertex_arc(b, a, 1.0)),
+        lambda: _vertex_chord(a, b),
+        lambda: _swap(_vertex_chord(b, a)),
+        lambda: _arc_arc(a, b),
+        lambda: _arc_chord(a, b),
+        lambda: _swap(_arc_chord(b, a)),
     ])
 
 
-def farthest_pair(t: TrimmedBody) -> tuple[float, Witness]:
-    """Exact diameter of a trimmed body and its witness.
+def closest_pair(a: TrimmedBody, b: TrimmedBody, strip=None) -> tuple[float, Witness]:
+    return closest_pairs([(a, b)], None if strip is None else [strip])[0]
+
+
+def farthest_pairs(ts) -> list[tuple[float, Witness]]:
+    """Exact diameter of each trimmed body and its witness, DIAMETER_BATCH
+    bodies to a batched pass.
 
     A distance is convex along a chord, so chords attain their maximum at
     vertices; what remains is vertex-vertex, vertex to the farthest point
     of an arc, and arc-arc pairs on the line of centres.  Antipodal arcs
     share their centre; their farthest pairs (r_1 + r_2 wherever one range
     overlaps the other turned by pi) include one with a piece endpoint.
+    No strip prunes a diameter: a body of constant width 2 has a pair 2
+    apart through every boundary point, so each body brings all its
+    vertex pairs.
     """
-    return _extreme(np.argmax, [
-        _vertex_vertex(t.vertices, t.vertices),
-        _vertex_arc(t.vertices, t, -1.0),
-        _arc_arc(t, t),
-    ])
+    out = []
+    for i in range(0, len(ts), DIAMETER_BATCH):
+        t = _stack(ts[i : i + DIAMETER_BATCH])
+        out += _extreme(np.argmax, -math.inf, [
+            lambda: _vertex_vertex(t, t),
+            lambda: _vertex_arc(t, t, -1.0),
+            lambda: _arc_arc(t, t),
+        ])
+    return out
 
 
-def halfplane_excess(t: TrimmedBody, cuts) -> np.ndarray:
-    """max of n.x - c over the trimmed body, one per cut (n, c).
-
-    A linear function n.x peaks on an arc piece at an endpoint or at
-    M + r*n, and on a chord at an endpoint; every endpoint is a vertex.
-    """
-    dirs = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
-    on_arc = _in_arc(dirs[None], t.u0[:, None], t.u1[:, None])
-    peaks = np.where(on_arc, t.centers @ dirs.T + t.radii[:, None], -math.inf)
-    top = np.max(np.vstack([peaks, t.vertices @ dirs.T]), axis=0, initial=-math.inf)
-    return top - np.array([c for _, c in cuts], dtype=float)
+def farthest_pair(t: TrimmedBody) -> tuple[float, Witness]:
+    return farthest_pairs([t])[0]
 
 
 def _point(p) -> str:
@@ -651,7 +640,21 @@ def verify_avoidance(
     for width > 0 the two bodies lie in the disjoint half-planes n.x <= c
     and n.x >= c + width.  (c) is the exact maximum over vertex-vertex,
     vertex to farthest arc point and arc-arc candidates (chords peak at
-    their vertices).  (b) and (c) come with witness points.
+    their vertices).  (b) and (c) come with witness points.  A copy its
+    cut lines remove entirely is a violation of its own: no distance of
+    it can be measured.
+
+    The strip of an edge also bounds its pairs: with body a in n.x <= c_a
+    and body b in n.x >= c_b, every pair has |P - Q| >= n.Q - n.P.  A
+    piece whose bound exceeds an achieved distance U therefore holds no
+    candidate that can attain the minimum, and dropping it changes neither
+    the minimum nor, since the order of the rest is kept, its witness
+    (``_strip_prune``; the lines move out to each body's measured extreme,
+    so the bound holds even if the trimming is wrong).  What is left, at
+    width 2 two arc pieces, one chord and four vertices a side, goes
+    through the candidate helpers once for all 16 edges
+    (``closest_pairs``), and the nine diameters go three bodies to a pass
+    (``farthest_pairs``).
 
     What the checks guard: (a) holds by construction of the trimming, and
     the strip bounds the distance in (b) below by the stripe width, so at
@@ -664,43 +667,36 @@ def verify_avoidance(
         raise ValueError(f"stripe width must be positive, got {stripe_width}")
     sites = PATCH_SITES
     body = build_body(q, eps)
-    bodies = {s: place_body(body, *s, shift) for s in sites}
     cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
-    trimmed = {s: trim_body(bodies[s], cuts[s]) for s in sites}
-    nonempty = {s for s in sites if len(trimmed[s].vertices)}
+    trimmed = {s: trim_body(place_body(body, *s, shift), cuts[s]) for s in sites}
+    live = [s for s in sites if len(trimmed[s].vertices)]
+    violations = [f"site {s}: its cut lines leave nothing of its copy"
+                  for s in sites if s not in live]
 
-    violations: list[str] = []
     max_hp = -math.inf
-    for s in sites:
-        if s not in nonempty:
-            continue
+    for s in live:
         for v in halfplane_excess(trimmed[s], cuts[s]):
             max_hp = max(max_hp, v)
             if v > tol:
-                violations.append(
-                    f"site {s}: trimmed body crosses a cut line by {v:.3e}"
-                )
+                violations.append(f"site {s}: trimmed body crosses a cut line by {v:.3e}")
 
-    min_cross, cross_witness = math.inf, None
-    for a, b, k in edges:
-        if a not in nonempty or b not in nonempty:
-            continue
-        d, w = closest_pair(trimmed[a], trimmed[b])
-        if d < min_cross:
-            min_cross, cross_witness = d, w
+    # each edge adds the next cut of each of its sites; the two make its strip
+    walk = {s: iter(cuts[s]) for s in sites}
+    strips = [(*next(walk[a]), -next(walk[b])[1]) for a, b, _ in edges]
+    checked = [(e, st) for e, st in zip(edges, strips) if e[0] in live and e[1] in live]
+    found = closest_pairs([(trimmed[a], trimmed[b]) for (a, b, _), _ in checked],
+                          [st for _, st in checked])
+    min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
+    for ((a, b, k), _), (d, w) in zip(checked, found):
         if d < 2.0 - tol:
             violations.append(
                 f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "
                 f"at {_point(w[0])} and {_point(w[1])}"
             )
 
-    max_diam, diameter_witness = -math.inf, None
-    for s in sites:
-        if s not in nonempty:
-            continue
-        d, w = farthest_pair(trimmed[s])
-        if d > max_diam:
-            max_diam, diameter_witness = d, w
+    diameters = farthest_pairs([trimmed[s] for s in live])
+    max_diam, diameter_witness = max(diameters, key=lambda f: f[0], default=(-math.inf, None))
+    for s, (d, w) in zip(live, diameters):
         if d > 2.0 + tol:
             violations.append(
                 f"site {s}: trimmed body has diameter {d:.12f} > 2, "

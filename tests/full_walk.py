@@ -1,23 +1,32 @@
-"""Clip, crossings and trim by trying every arc of the boundary.
+"""Clip, crossings and trim by trying every arc of the boundary, and
+distances by trying every pair of pieces.
 
 The reference the cap walk of ``croft_forge.clip.cap_arcs`` is checked
 against: the same closed forms as ``croft_forge.clip`` and
-``croft_forge.lattice.trim_body``, but each line is intersected with all n
-arcs instead of the one to three arcs under its cap.  Only the tests use it.
+``croft_forge.clip.trim_body``, but each line is intersected with all n
+arcs instead of the one to three arcs under its cap.  ``closest_pair`` and
+``farthest_pair`` are the reference for the batched, strip-pruned
+``croft_forge.lattice.closest_pairs`` and ``farthest_pairs``: the same
+candidates, one body pair at a time, every piece against every piece.
+Only the tests use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from croft_forge.body import ArcBody
+from croft_forge.body import ArcBody, _unit
 from croft_forge.clip import (
+    ANGLE_TOL,
+    KEEP_TOL,
+    TrimmedBody,
     _arc_piece_area,
     _arc_point,
     _chord_derivatives,
+    _in_arc,
     arc_line_crossings,
 )
-from croft_forge.lattice import ANGLE_TOL, KEEP_TOL, TrimmedBody, _unit
+from croft_forge.lattice import CONCENTRIC_TOL, Witness
 
 
 def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
@@ -84,7 +93,7 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
 
 
 def trim_body(body: ArcBody, cuts) -> TrimmedBody:
-    """``lattice.trim_body`` with every cut line tried on every arc; each
+    """``clip.trim_body`` with every cut line tried on every arc; each
     cut (n, c) removes {x : n.x >= c}."""
     normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
     offsets = np.array([c for _, c in cuts], dtype=float)
@@ -144,3 +153,125 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     return TrimmedBody(
         centers[arc], radii[arc], u0[arc], u1[arc], chord_a, chord_b, vertices
     )
+
+
+# Candidate point pairs.  Each helper returns (P, Q): rows of points on the
+# first and on the second piece set, one row per candidate that lies on
+# both pieces.  Range tests use cross products of direction vectors, so no
+# angle is computed.
+
+
+def _vertex_vertex(v, w):
+    return np.repeat(v, len(w), axis=0), np.tile(w, (len(v), 1))
+
+
+def _vertex_arc(v, t: TrimmedBody, sign: float):
+    """Nearest (sign +1) or farthest (sign -1) circle point of each arc
+    piece of ``t`` from each vertex, where it lies on the piece."""
+    d = sign * (v[:, None, :] - t.centers[None, :, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d /= np.hypot(d[..., 0], d[..., 1])[..., None]
+    ok = _in_arc(d, t.u0, t.u1)
+    Q = t.centers + t.radii[:, None] * d
+    P = np.broadcast_to(v[:, None, :], Q.shape)
+    return P[ok], Q[ok]
+
+
+def _vertex_chord(v, t: TrimmedBody):
+    """Foot of each vertex on each chord of ``t``, inside the chord."""
+    e = t.chord_b - t.chord_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum((v[:, None, :] - t.chord_a) * e, axis=-1) / np.sum(e * e, axis=-1)
+    ok = (s > 0.0) & (s < 1.0)
+    Q = t.chord_a + s[..., None] * e
+    P = np.broadcast_to(v[:, None, :], Q.shape)
+    return P[ok], Q[ok]
+
+
+def _arc_arc(a: TrimmedBody, b: TrimmedBody):
+    """Interior critical pairs of two arc-piece sets: P = M_a + s1*r_a*u and
+    Q = M_b + s2*r_b*u on the line of centres (unit vector u), s1, s2 = +-1.
+
+    Concentric arcs (|dM| <= CONCENTRIC_TOL) have no isolated critical
+    pair: their distance depends only on the angle between the two points,
+    so its extremes over two ranges are reached with one point at a piece
+    endpoint, among the vertex-arc candidates.
+    """
+    D = b.centers[None, :, :] - a.centers[:, None, :]
+    dist = np.hypot(D[..., 0], D[..., 1])
+    concentric = dist <= CONCENTRIC_TOL
+    dirs = np.array([1.0, -1.0])[:, None, None, None] * (
+        D / np.where(concentric, 1.0, dist)[..., None]
+    )
+    on_a = ~concentric & _in_arc(dirs, a.u0[:, None], a.u1[:, None])
+    on_b = _in_arc(dirs, b.u0[None], b.u1[None])
+    ok = on_a[:, None] & on_b[None]  # (s1, s2, arc of a, arc of b)
+    P = a.centers[:, None, :] + a.radii[:, None, None] * dirs
+    Q = b.centers[None, :, :] + b.radii[None, :, None] * dirs
+    shape = ok.shape + (2,)
+    return (np.broadcast_to(P[:, None], shape)[ok],
+            np.broadcast_to(Q[None, :], shape)[ok])
+
+
+def _arc_chord(a: TrimmedBody, b: TrimmedBody):
+    """Arc points M +- r*m of ``a``, m a chord normal of ``b``, paired with
+    their feet on that chord, where both lie on their pieces."""
+    e = b.chord_b - b.chord_a
+    length2 = np.sum(e * e, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.stack([-e[:, 1], e[:, 0]], axis=-1) / np.sqrt(length2)[:, None]
+    Ps, Qs = [], []
+    for sign in (1.0, -1.0):
+        X = a.centers[:, None, :] + (sign * a.radii)[:, None, None] * m[None, :, :]
+        with np.errstate(invalid="ignore"):
+            s = np.sum((X - b.chord_a) * e, axis=-1) / length2
+        on_arc = _in_arc(sign * m[None], a.u0[:, None], a.u1[:, None])
+        ok = on_arc & (s >= 0.0) & (s <= 1.0)
+        Ps.append(X[ok])
+        Qs.append((b.chord_a + s[..., None] * e)[ok])
+    return np.concatenate(Ps), np.concatenate(Qs)
+
+
+def _extreme(pick, candidates) -> tuple[float, Witness]:
+    P = np.concatenate([c[0] for c in candidates])
+    Q = np.concatenate([c[1] for c in candidates])
+    d = np.hypot(*(P - Q).T)
+    i = int(pick(d))
+    return float(d[i]), (P[i].copy(), Q[i].copy())
+
+
+def closest_pair(a: TrimmedBody, b: TrimmedBody) -> tuple[float, Witness]:
+    """Exact distance between two disjoint trimmed bodies and its witness.
+
+    The nearest pair of disjoint convex sets lies on their boundaries; on a
+    pair of pieces it is either a vertex with a vertex or with the nearest
+    interior point of a piece, or an interior critical pair (arc-arc on the
+    line of centres, arc-chord at the arc point whose normal is the chord
+    normal); two chords have no isolated interior critical pair.
+    """
+    return _extreme(np.argmin, [
+        _vertex_vertex(a.vertices, b.vertices),
+        _vertex_arc(a.vertices, b, 1.0),
+        _vertex_arc(b.vertices, a, 1.0)[::-1],
+        _vertex_chord(a.vertices, b),
+        _vertex_chord(b.vertices, a)[::-1],
+        _arc_arc(a, b),
+        _arc_chord(a, b),
+        _arc_chord(b, a)[::-1],
+    ])
+
+
+def farthest_pair(t: TrimmedBody) -> tuple[float, Witness]:
+    """Exact diameter of a trimmed body and its witness.
+
+    A distance is convex along a chord, so chords attain their maximum at
+    vertices; what remains is vertex-vertex, vertex to the farthest point
+    of an arc, and arc-arc pairs on the line of centres.  Antipodal arcs
+    share their centre; their farthest pairs (r_1 + r_2 wherever one range
+    overlaps the other turned by pi) include one with a piece endpoint.
+    """
+    return _extreme(np.argmax, [
+        _vertex_vertex(t.vertices, t.vertices),
+        _vertex_arc(t.vertices, t, -1.0),
+        _arc_arc(t, t),
+    ])

@@ -17,8 +17,8 @@ import pytest
 import full_walk
 from croft_forge import ansatz, clip, lattice, tortoise
 from croft_forge.body import boundary_point, build_body
-from croft_forge.clip import boundary_line_crossings, cap_arcs, halfplane_clip_area
-from croft_forge.lattice import default_config, place_copy, trim_body
+from croft_forge.clip import boundary_line_crossings, cap_arcs, halfplane_clip_area, trim_body
+from croft_forge.lattice import default_config, place_copy
 from croft_forge.stepfn import make_step_function, reference_step_function
 
 SHIFT = default_config()

@@ -129,6 +129,15 @@ def test_verify_catches_injected_narrow_stripe(capsys):
     assert "FAIL avoidance" in out
 
 
+def test_verify_fails_when_the_stripes_leave_no_copy(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--checks", "avoidance", "--inject", "stripe-width=4"
+    )
+    assert code == 1
+    assert "FAIL avoidance" in out and "leave nothing of its copy" in out
+    assert "inf" not in out
+
+
 def test_verify_tolerance_env_loosens(capsys, monkeypatch):
     # the width-1.9 fault leaves a separation shortfall of ~0.035; a loose
     # enough environment tolerance must accept it, a default one must not

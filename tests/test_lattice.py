@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
+import full_walk
+from break_sets import q36_profile, uniform_zero_profile
 from croft_forge import ansatz, lattice, reference, tortoise
 from croft_forge.body import build_body, boundary_point, transform
-from croft_forge.clip import boundary_line_crossings
+from croft_forge.clip import boundary_line_crossings, halfplane_excess, trim_body
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
@@ -18,12 +21,10 @@ from croft_forge.lattice import (
     color_of,
     default_config,
     farthest_pair,
-    halfplane_excess,
     left_color_of_class,
     place_body,
     rotation_of_color,
     site_position,
-    trim_body,
     verify_avoidance,
 )
 from croft_forge.stepfn import reference_step_function
@@ -280,18 +281,16 @@ def test_exact_distances_match_dense_sampling(name, q, eps, mode, width):
     stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
     bodies, cuts, edges = _patch(q, eps, stripes, width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
+    samples = {s: _dense_samples(bodies[s], cuts[s], 4000, 200) for s in bodies}
     for a, b, _ in edges:
         exact, _ = closest_pair(trimmed[a], trimmed[b])
-        pa = _dense_samples(bodies[a], cuts[a], 4000, 200)
-        pb = _dense_samples(bodies[b], cuts[b], 4000, 200)
-        sampled = float(np.min(cKDTree(pa).query(pb)[0]))
+        sampled = float(np.min(cKDTree(samples[a]).query(samples[b])[0]))
         assert exact <= sampled + 1e-12
         assert sampled - exact <= 1e-5
     for s in bodies:
         exact, _ = farthest_pair(trimmed[s])
         pts = _dense_samples(bodies[s], cuts[s], 1000, 2)
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        assert exact == pytest.approx(math.sqrt(d2.max()), abs=1e-6)
+        assert exact == pytest.approx(pdist(pts).max(), abs=1e-6)
     report = verify_avoidance(q, eps, stripes, stripe_width=width)
     assert report.ok == (width == 2.0)
 
@@ -332,20 +331,25 @@ def _shift_centre(body, arc):
     return dataclasses.replace(body, centers=centers)
 
 
+def _fault_at_origin(monkeypatch, fault):
+    """Apply ``fault`` to arc 2 of the copy at site (0, 0); arc 2 spans
+    [2, 2.93]*pi/12, between the caps at 0 and pi/3."""
+    place = lattice.place_body
+
+    def faulty(body, i, j, shift):
+        copy = place(body, i, j, shift)
+        return fault(copy, 2) if (i, j) == (0, 0) else copy
+
+    monkeypatch.setattr(lattice, "place_body", faulty)
+
+
 @pytest.mark.parametrize("fault", [_bulge_radius, _shift_centre])
 def test_arc_fault_of_1e_7_is_caught(monkeypatch, fault):
     """A 1e-7 fault on one uncut arc makes the body exactly 1e-7 wider than 2."""
     eps = 0.05
     stripes = tortoise.tortoise_area(eps, "series2", q=Q).stripes()
     assert verify_avoidance(Q, eps, stripes).ok
-    place = lattice.place_body
-    arc = 2  # spans [2, 2.93]*pi/12, between the caps at 0 and pi/3
-
-    def faulty(body, i, j, shift):
-        copy = place(body, i, j, shift)
-        return fault(copy, arc) if (i, j) == (0, 0) else copy
-
-    monkeypatch.setattr(lattice, "place_body", faulty)
+    _fault_at_origin(monkeypatch, fault)
     report = verify_avoidance(Q, eps, stripes)
     assert not report.ok
     assert report.max_same_body_diameter == pytest.approx(2.0 + 1e-7, abs=1e-12)
@@ -427,3 +431,86 @@ def test_halfplane_excess_is_the_support_function():
 def test_nonpositive_stripe_width_rejected(width):
     with pytest.raises(ValueError, match="stripe width"):
         verify_avoidance(Q, 0.05, {k: (0.0, 0.0) for k in range(3)}, stripe_width=width)
+
+
+# ---------------------------------------------------------------------------
+# The batched, strip-pruned distances against the per-pair walk
+
+
+def _bits(report):
+    """Every value of a report, each float as its exact hex string."""
+    def hexed(w):
+        return None if w is None else [float(x).hex() for point in w for x in point]
+
+    return (report.ok, report.n_edges, float(report.max_halfplane_violation).hex(),
+            float(report.min_cross_distance).hex(), float(report.max_same_body_diameter).hex(),
+            report.violations, hexed(report.cross_witness), hexed(report.diameter_witness))
+
+
+def _per_pair_report(monkeypatch, *args, **kwargs):
+    """``verify_avoidance`` with every distance taken by ``full_walk``, one
+    body pair at a time over all pieces."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "closest_pairs", lambda pairs, strips=None: [
+            full_walk.closest_pair(a, b) for a, b in pairs])
+        m.setattr(lattice, "farthest_pairs", lambda ts: [full_walk.farthest_pair(t) for t in ts])
+        return verify_avoidance(*args, **kwargs)
+
+
+ORACLE_CASES = [
+    (f"{name}-{width}", q, eps, mode, width, None)
+    for name, q, eps, mode in PATCHES for width in (2.0, 1.9, 2.1)
+] + [
+    (fault.__name__, Q, 0.05, "series2", 2.0, fault) for fault in (_bulge_radius, _shift_centre)
+] + [
+    ("uniform36", uniform_zero_profile(36), 0.05, "series2", 2.0, None),
+    ("q36", q36_profile(), 0.05, "series2", 2.0, None),
+]
+
+
+@pytest.mark.parametrize("name, q, eps, mode, width, fault", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_batched_report_is_the_per_pair_report(monkeypatch, name, q, eps, mode, width, fault):
+    """Pruning and batching change no value: distances, witnesses and
+    every violation string equal the per-pair walk's to the bit."""
+    stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+    if fault is not None:
+        _fault_at_origin(monkeypatch, fault)
+    report = verify_avoidance(q, eps, stripes, stripe_width=width)
+    assert report.ok == (width >= 2.0 and fault is None)
+    assert _bits(report) == _bits(_per_pair_report(monkeypatch, q, eps, stripes,
+                                                   stripe_width=width))
+
+
+def test_strip_bound_adds_the_measured_excess():
+    """A strip moved 1e-3 into body a, which then crosses it: the bound
+    widens by the crossing, so the pruned nearest pair is still exact."""
+    eps = 0.05
+    stripes = tortoise.tortoise_area(eps, "series2", q=Q).stripes()
+    bodies, cuts, edges = _patch(Q, eps, stripes, 2.0)
+    a, b, _ = edges[0]  # the first edge adds the first cut of both its sites
+    (n, c_a), (_, c_b) = cuts[a][0], cuts[b][0]
+    ta, tb = trim_body(bodies[a], cuts[a]), trim_body(bodies[b], cuts[b])
+    strip = (n, c_a - 1e-3, -c_b)
+    assert halfplane_excess(ta, [(n, strip[1])])[0] >= 1e-3 - 1e-12
+    d, (p, r) = closest_pair(ta, tb, strip)
+    want, (p0, r0) = full_walk.closest_pair(ta, tb)
+    assert (d.hex(), p.tolist(), r.tolist()) == (want.hex(), p0.tolist(), r0.tolist())
+    assert closest_pair(ta, tb, (n, c_a, -c_b))[0] == want
+
+
+def test_an_empty_copy_is_a_violation():
+    """Width 4 cuts every copy away: no distance is measured, and that is a
+    failure naming the sites, not a pass at inf."""
+    stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
+    report = verify_avoidance(Q, 0.05, stripes, stripe_width=4.0)
+    assert not report.ok
+    assert report.violations == [
+        f"site {s}: its cut lines leave nothing of its copy" for s in lattice.PATCH_SITES
+    ]
+    assert report.cross_witness is None and report.diameter_witness is None
+    assert "inf" not in report.summary()
+    # width 3.2 leaves only the centre copy empty; the rest is still measured
+    report = verify_avoidance(Q, 0.05, stripes, stripe_width=3.2)
+    assert report.violations == ["site (0, 0): its cut lines leave nothing of its copy"]
+    assert math.isfinite(report.min_cross_distance)
