@@ -31,9 +31,7 @@ from .segments import pair_envelope
 from .stepfn import StepFunction, make_step_function, reference_step_function
 from .tortoise import MODES, SERIES_MODES, fit_net_coefficient, series_net_coefficient
 
-# Sizes on the reference profile; the form takes its own from the template.
-N_FREE = 12
-N_VARS = 14  # 12 step values + 2 shift components
+N_FREE = 12  # free step values on the reference profile; a form sizes from its template
 ZERO_EIGENVALUE_TOL = 1e-10
 # Jacobi stops once the off-diagonal norm is below JACOBI_OFF_TOL times the
 # matrix norm and fails after JACOBI_MAX_SWEEPS sweeps.

@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,19 +35,6 @@ MAX_EPS_GRID = 100_000
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
-
-
-def _tolerance(default: float = DEFAULT_TOL) -> float:
-    env = os.environ.get("CROFT_FORGE_TOL")
-    if not env:
-        return default
-    try:
-        tol = float(env)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0.0):
-        _usage_error(f"CROFT_FORGE_TOL must be a finite number >= 0, got {env!r}")
-    return tol
 
 
 def _finite_float(text: str) -> float:
@@ -295,7 +281,7 @@ ALL_CHECKS = (
 )
 
 
-def _check_constants(q, inject, tol):
+def _check_constants(q, inject):
     c = croft_constants()
     s = segments.series_coefficients()
     bad = [
@@ -308,24 +294,24 @@ def _check_constants(q, inject, tol):
     return True, "all baseline/series constants within tolerance"
 
 
-def _check_closure(q, inject, tol):
+def _check_closure(q, inject):
     res = chain_closure_residual(q)
-    return res <= max(tol, 1e-12), f"arc-chain closure residual {res:.3e}"
+    return res <= DEFAULT_TOL, f"arc-chain closure residual {res:.3e}"
 
 
-def _check_antipodal(q, inject, tol):
+def _check_antipodal(q, inject):
     eps = inject.get("eps", 0.1)
     dmax, dmin = diameter_profile(build_body(q, eps))
     worst = max(abs(dmax - 2.0), abs(dmin - 2.0))
-    return worst <= max(tol, 1e-9), f"antipodal distance deviation {worst:.3e} at eps={eps}"
+    return worst <= DEFAULT_TOL, f"antipodal distance deviation {worst:.3e} at eps={eps}"
 
 
-def _check_cancellation(q, inject, tol):
+def _check_cancellation(q, inject):
     lin, _ = tortoise.series_cut_coefficients(q, "series1")
-    return abs(lin) <= max(tol, 1e-12), f"summed first-order cut coefficient {lin:.3e}"
+    return abs(lin) <= DEFAULT_TOL, f"summed first-order cut coefficient {lin:.3e}"
 
 
-def _check_series_vs_exact(q, inject, tol):
+def _check_series_vs_exact(q, inject):
     diffs = {}
     for eps in (0.05, 0.1):
         a_series = tortoise.tortoise_area(eps, "series2", q=q).tortoise_area
@@ -340,14 +326,12 @@ def _check_series_vs_exact(q, inject, tol):
     )
 
 
-def _check_avoidance(q, inject, tol):
+def _check_avoidance(q, inject):
     width = inject.get("stripe-width", 2.0)
     worst: list[str] = []
     for eps in (0.0, 0.05, 0.1):
         rec = tortoise.tortoise_area(eps, "exact2", q=q)
-        report = verify_avoidance(
-            q, eps, rec.stripes(), stripe_width=width, tol=max(tol, 1e-9)
-        )
+        report = verify_avoidance(q, eps, rec.stripes(), stripe_width=width)
         if not report.ok:
             worst.extend(f"eps={eps}: {v}" for v in report.violations[:3])
     if worst:
@@ -355,7 +339,7 @@ def _check_avoidance(q, inject, tol):
     return True, f"patch separation holds at eps in (0, 0.05, 0.1), width {width}"
 
 
-def _check_eigen(q, inject, tol):
+def _check_eigen(q, inject):
     form = ansatz.assemble_quadratic_form("series2", template=q)
     asym = float(np.max(np.abs(form.matrix - form.matrix.T)))
     vals, vecs = ansatz.jacobi_eigh(form.matrix)
@@ -384,7 +368,6 @@ CHECK_FUNCS = {
 
 def cmd_verify(args) -> int:
     q = _load_profile(args)
-    tol = _tolerance()
     inject = {}
     for item in args.inject or []:
         key, _, val = item.partition("=")
@@ -393,9 +376,11 @@ def cmd_verify(args) -> int:
                 f"--inject key must be one of {', '.join(INJECT_KEYS)}, got {item!r}"
             )
         try:
-            inject[key] = float(val)
-        except ValueError:
-            _usage_error(f"--inject needs KEY=NUMBER, got {item!r}")
+            inject[key] = _finite_float(val)
+        except argparse.ArgumentTypeError:
+            _usage_error(f"--inject needs KEY=NUMBER, a finite number, got {item!r}")
+        if key == "stripe-width" and inject[key] <= 0.0:
+            _usage_error(f"--inject stripe-width must be positive, got {item!r}")
     names = (
         [c.strip() for c in args.checks.split(",")] if args.checks else list(ALL_CHECKS)
     )
@@ -406,7 +391,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for name in names:
         try:
-            ok, detail = CHECK_FUNCS[name](q, inject, tol)
+            ok, detail = CHECK_FUNCS[name](q, inject)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -234,47 +234,45 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     """Exact boundary of ``body`` with its cut half-planes removed.
 
     ``cuts`` holds (n, c) pairs, each the removed half-plane {x : n.x >= c},
-    as from ``lattice.collect_patch_cuts``.  Each arc is split where it
-    crosses a cut line, trying only the arcs under the cap each cut removes
-    (``cap_arcs``), and the pieces whose midpoints satisfy
-    n.x <= c for every cut are kept.  Each cut line adds the chord
-    between its two boundary crossings, clipped as an interval by the
-    other cuts.
+    as from ``lattice.collect_patch_cuts``.  Each cut line is crossed with
+    the arcs under the cap it removes (``cap_arcs``); one sort of every
+    crossing and every arc end by (arc, angle) splits all arcs at once,
+    and the pieces whose midpoints satisfy n.x <= c for every cut are
+    kept.  Each cut line adds the chord between its two boundary
+    crossings, clipped as an interval by the other cuts.
     """
     normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
     offsets = np.array([c for _, c in cuts], dtype=float)
-    hits: list[list[np.ndarray]] = [[] for _ in cuts]
-    # the cuts whose line can cross each arc: only arcs under the removed cap
-    arc_cuts: list[list[int]] = [[] for _ in range(body.n_arcs)]
-    for j, (n, c) in enumerate(cuts):
-        for i in cap_arcs(body, n, c):
-            arc_cuts[i].append(j)
-    pieces = []  # (arc index, start angle, end angle)
-    for i in range(body.n_arcs):
-        center, radius = body.centers[i], body.radii[i]
-        a, b = body.breaks[i], body.breaks[i + 1]
-        angles = [a, b]
-        for j in arc_cuts[i]:  # ascending, as the cuts are listed
-            n, c = cuts[j]
-            for phi in arc_line_crossings(center, radius, a, b, n, c):
-                angles.append(phi)
-                hits[j].append(center + radius * _unit(phi))
-        angles.sort()
-        pieces.extend((i, lo, hi) for lo, hi in zip(angles, angles[1:]))
-    idx = np.array([p[0] for p in pieces], dtype=int)
-    lo = np.array([p[1] for p in pieces], dtype=float)
-    hi = np.array([p[2] for p in pieces], dtype=float)
+    centers, radii, breaks = body.arc_lists
+    # every crossing (arc, angle, cut) of a cut line with an arc under its
+    # cap, then both ends of every arc (cut -1), sorted by arc and angle
+    arc, angle, cut = np.array([
+        (i, phi, j) for j, (n, c) in enumerate(cuts) for i in cap_arcs(body, n, c)
+        for phi in arc_line_crossings(centers[i], radii[i], breaks[i], breaks[i + 1], n, c)
+    ], dtype=float).reshape(-1, 3).T
+    ends = np.arange(body.n_arcs)
+    arc = np.concatenate([arc, ends, ends])
+    angle = np.concatenate([angle, body.breaks[:-1], body.breaks[1:]])
+    cut = np.concatenate([cut, np.full(2 * body.n_arcs, -1.0)])
+    order = np.lexsort((angle, arc))
+    arc, angle, cut = arc[order].astype(int), angle[order], cut[order]
+    # consecutive angles on one arc bound a piece
+    same = arc[1:] == arc[:-1]
+    idx, lo, hi = arc[:-1][same], angle[:-1][same], angle[1:][same]
     centers, radii = body.centers[idx], body.radii[idx]
     mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
     kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
     centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
+    hit = cut >= 0
+    points = body.centers[arc[hit]] + body.radii[arc[hit]][:, None] * _unit(angle[hit])
+    cut = cut[hit]
 
     chords = []
-    for j, pts in enumerate(hits):
+    for j in range(len(cuts)):
+        pts = points[cut == j]
         if len(pts) < 2:
             continue
         n = normals[j]
-        pts = np.array(pts)
         along = pts @ np.array([-n[1], n[0]])
         p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
         # the chord p0 + u*(p1 - p0), u in [0, 1], kept where

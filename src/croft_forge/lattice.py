@@ -37,10 +37,11 @@ two pieces, which lies on the line of centres of two arcs or at the arc
 point whose normal is a chord's normal (concentric arcs have no isolated
 critical pair and reach their extremes at an endpoint).  A stripe of
 width w > 0 puts the two bodies of an edge in disjoint half-planes, so
-they never meet and their nearest pair is such a boundary pair.  The
-strip also bounds every pair from below, |P - Q| >= n.Q - n.P, so
-``closest_pairs`` first drops the pieces too far from it to hold the
-nearest pair and then takes all edges of a patch in one batched pass.
+they never meet and their nearest pair is such a boundary pair.  Each
+edge carries that strip (``collect_patch_cuts``), which also bounds every
+pair from below, |P - Q| >= n.Q - n.P, so ``closest_pairs`` first drops
+the pieces too far from it to hold the nearest pair and then takes all
+edges of a patch in one batched pass.
 """
 
 from __future__ import annotations
@@ -306,9 +307,10 @@ def collect_patch_cuts(
     {x : n.x >= c} of the site's copy as (n, c) pairs, the caps of
     ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
     by m*pi/3 for neighbor step m, then a shift to the edge's origin);
-    ``edges`` lists (site_a, site_b, class) with the edge oriented from
-    color c to color c+1, each edge once.  Each edge adds one cut to each
-    of its two sites, so a site's cuts follow the order of its edges.
+    ``edges`` lists (site_a, site_b, class, strip) with the edge oriented
+    from color c to color c+1, each edge once.  The strip (n, c_a, c_b)
+    holds the two caps the edge places: copy a lies in n.x <= c_a, its
+    cut is (n, c_a), and copy b in n.x >= c_b, its cut (-n, -c_b).
 
     The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
     back), and the edge of step m has class k = (m/2 - c) mod 3: its
@@ -320,19 +322,21 @@ def collect_patch_cuts(
     cuts: dict[tuple[int, int], list] = {s: [] for s in sites}
     edges = []
     for (i, j) in sites:
-        c_a = color_index(i, j)
+        color = color_index(i, j)
         origin = site_position(i, j)
         for m in (0, 2, 4):
             di, dj = NEIGHBOR_STEPS[m]
             other = (i + di, j + dj)
             if other not in site_set:
                 continue
-            k = (m // 2 - c_a) % 3
+            k = (m // 2 - color) % 3
             beta = m * PSI
             for site, (n, c, _, _) in zip(((i, j), other), caps[k]):
                 n = np.array(_rot(beta, n))
                 cuts[site].append((n, c + float(n @ origin)))
-            edges.append(((i, j), other, k))
+            # the strip: a keeps n.x <= c_a, and b, cut by (-n, c), n.x >= -c
+            (n, c_a), (_, c) = cuts[(i, j)][-1], cuts[other][-1]
+            edges.append(((i, j), other, k, (n, c_a, -c)))
     return cuts, edges
 
 
@@ -340,6 +344,7 @@ def collect_patch_cuts(
 # Overlap-avoidance verification on the exact trimmed boundary
 
 CONCENTRIC_TOL = 1e-12
+VERIFY_TOL = 1e-9  # slack of the three patch checks of verify_avoidance
 
 Witness = tuple[np.ndarray, np.ndarray]
 
@@ -620,7 +625,6 @@ def verify_avoidance(
     *,
     shift=None,
     stripe_width: float = 2.0,
-    tol: float = 1e-9,
 ) -> AvoidanceReport:
     """Check exactly that stripe-cut copies on a lattice patch stay 2 apart.
 
@@ -629,9 +633,10 @@ def verify_avoidance(
     site of the 3x3 patch ``PATCH_SITES`` and every nearest-neighbor edge, the
     two cut lines are laid across the edge and each body is trimmed to
     its exact boundary (``trim_body``).  The checks assert that
-    (a) each trimmed body stays on its side of its cut lines to ``tol``,
-    (b) trimmed bodies across an edge are at least 2 - tol apart, and
-    (c) no trimmed body has two points more than 2 + tol apart.
+    (a) each trimmed body stays on its side of its cut lines to
+    ``VERIFY_TOL``, (b) trimmed bodies across an edge are at least
+    2 - VERIFY_TOL apart, and (c) no trimmed body has two points more than
+    2 + VERIFY_TOL apart.
 
     No value is sampled.  (a) is the exact maximum of each cut's linear
     function over the pieces.  (b) is the exact minimum over vertex-vertex,
@@ -644,9 +649,9 @@ def verify_avoidance(
     cut lines remove entirely is a violation of its own: no distance of
     it can be measured.
 
-    The strip of an edge also bounds its pairs: with body a in n.x <= c_a
-    and body b in n.x >= c_b, every pair has |P - Q| >= n.Q - n.P.  A
-    piece whose bound exceeds an achieved distance U therefore holds no
+    Each edge carries its strip (``collect_patch_cuts``), which also
+    bounds its pairs: with body a in n.x <= c_a and body b in n.x >= c_b,
+    every pair has |P - Q| >= n.Q - n.P.  A piece whose bound exceeds an achieved distance U therefore holds no
     candidate that can attain the minimum, and dropping it changes neither
     the minimum nor, since the order of the rest is kept, its witness
     (``_strip_prune``; the lines move out to each body's measured extreme,
@@ -677,18 +682,15 @@ def verify_avoidance(
     for s in live:
         for v in halfplane_excess(trimmed[s], cuts[s]):
             max_hp = max(max_hp, v)
-            if v > tol:
+            if v > VERIFY_TOL:
                 violations.append(f"site {s}: trimmed body crosses a cut line by {v:.3e}")
 
-    # each edge adds the next cut of each of its sites; the two make its strip
-    walk = {s: iter(cuts[s]) for s in sites}
-    strips = [(*next(walk[a]), -next(walk[b])[1]) for a, b, _ in edges]
-    checked = [(e, st) for e, st in zip(edges, strips) if e[0] in live and e[1] in live]
-    found = closest_pairs([(trimmed[a], trimmed[b]) for (a, b, _), _ in checked],
-                          [st for _, st in checked])
+    checked = [e for e in edges if e[0] in live and e[1] in live]
+    found = closest_pairs([(trimmed[a], trimmed[b]) for a, b, _, _ in checked],
+                          [strip for *_, strip in checked])
     min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
-    for ((a, b, k), _), (d, w) in zip(checked, found):
-        if d < 2.0 - tol:
+    for (a, b, k, _), (d, w) in zip(checked, found):
+        if d < 2.0 - VERIFY_TOL:
             violations.append(
                 f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "
                 f"at {_point(w[0])} and {_point(w[1])}"
@@ -697,7 +699,7 @@ def verify_avoidance(
     diameters = farthest_pairs([trimmed[s] for s in live])
     max_diam, diameter_witness = max(diameters, key=lambda f: f[0], default=(-math.inf, None))
     for s, (d, w) in zip(live, diameters):
-        if d > 2.0 + tol:
+        if d > 2.0 + VERIFY_TOL:
             violations.append(
                 f"site {s}: trimmed body has diameter {d:.12f} > 2, "
                 f"between {_point(w[0])} and {_point(w[1])}"

@@ -92,23 +92,32 @@ def render_body_svg(b: ArcBody) -> str:
     )
 
 
+def _patch_svg(q, eps, stripes, shift, sites, bounds) -> str:
+    """The patch copies at ``sites``, each filled in its color with its cut
+    lines, in a document of ``bounds``."""
+    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
+    body = build_body(q, eps)
+    elements = []
+    for s in sites:
+        fill = FILL_BY_COLOR[COLORS[color_index(*s)]]
+        elements.append(
+            f'<path d="{body_path_d(place_body(body, *s, shift))}" fill="{fill}" '
+            f'stroke="{STROKE}" stroke-width="0.01"/>'
+        )
+        for n, c in cuts[s]:
+            elements.append(_line_segment(n, c, site_position(*s)))
+    return svg_document(elements, bounds)
+
+
 def render_tortoise_svg(
     q: StepFunction,
     eps: float,
     stripes: dict[int, tuple[float, float]],
     shift=None,
 ) -> str:
-    """One body with the six cut lines of its incident stripes."""
-    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
-    body = place_body(build_body(q, eps), 0, 0, shift)
-    elements = [
-        f'<path d="{body_path_d(body)}" fill="{FILL_BY_COLOR["red"]}" '
-        f'stroke="{STROKE}" stroke-width="0.01"/>'
-    ]
-    for n, c in cuts[(0, 0)]:
-        elements.append(_line_segment(n, c, (0.0, 0.0)))
-    pad = 1.6
-    return svg_document(elements, (-pad, -pad, pad, pad))
+    """One body with the six cut lines of its incident stripes: the centre
+    copy of the patch."""
+    return _patch_svg(q, eps, stripes, shift, [(0, 0)], (-1.6, -1.6, 1.6, 1.6))
 
 
 def render_lattice_svg(
@@ -118,20 +127,8 @@ def render_lattice_svg(
     shift=None,
 ) -> str:
     """The 3x3 patch of colored bodies with every stripe's two cut lines."""
-    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
-    body = build_body(q, eps)
-    elements = []
-    for s in PATCH_SITES:
-        fill = FILL_BY_COLOR[COLORS[color_index(*s)]]
-        elements.append(
-            f'<path d="{body_path_d(place_body(body, *s, shift))}" fill="{fill}" '
-            f'stroke="{STROKE}" stroke-width="0.01"/>'
-        )
-        for n, c in cuts[s]:
-            elements.append(_line_segment(n, c, site_position(*s)))
-    lo = -1.6 * LATTICE_CONSTANT
-    hi = 2.2 * LATTICE_CONSTANT
-    return svg_document(elements, (lo, lo, hi, hi))
+    lo, hi = -1.6 * LATTICE_CONSTANT, 2.2 * LATTICE_CONSTANT
+    return _patch_svg(q, eps, stripes, shift, PATCH_SITES, (lo, lo, hi, hi))
 
 
 def write_svg(svg: str, path: str | Path) -> None:

@@ -8,7 +8,6 @@ from croft_forge import ansatz
 from croft_forge import body as body_module
 from croft_forge.ansatz import (
     N_FREE,
-    N_VARS,
     ZERO_EIGENVALUE_TOL,
     EigenReport,
     assemble_quadratic_form,
@@ -47,6 +46,7 @@ from break_sets import q36_profile, seeded_profile, uniform_zero_profile
 from call_counts import count_calls
 
 FD_STEP = 1e-3  # step of the test-only central-difference reference
+N_VARS = closure_nullspace().shape[0] + 2  # reference step values and the shift pair
 
 RNG = np.random.default_rng(7)
 REF_V = np.array(Q_VALUES[:N_FREE])

@@ -16,7 +16,7 @@ import pytest
 
 import full_walk
 from croft_forge import ansatz, clip, lattice, tortoise
-from croft_forge.body import boundary_point, build_body
+from croft_forge.body import boundary_point, build_body, transform
 from croft_forge.clip import boundary_line_crossings, cap_arcs, halfplane_clip_area, trim_body
 from croft_forge.lattice import default_config, place_copy
 from croft_forge.stepfn import make_step_function, reference_step_function
@@ -143,6 +143,29 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
     cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
     for s in sites:
         _assert_same_trim(lattice.place_body(body, *s, SHIFT), cuts[s])
+
+
+def test_trim_drops_a_chord_a_parallel_cut_removes():
+    """The unit disc cut by x >= 0.5 and x >= 0.3: the line x = 0.5 lies
+    wholly in the removed x >= 0.3, so its chord goes, and one chord is
+    left, on x = 0.3 from (0.3, -sqrt(0.91)) to (0.3, sqrt(0.91)).
+
+    The disc is turned by pi so that its breaks run from -pi to pi and the
+    line x = c crosses it at the angles +-acos(c): the two ends of each
+    chord then have the same x to the bit, and the chord of x = 0.5 meets
+    the other cut as an exact parallel (g1 == 0), not through a rounded
+    slope."""
+    disc = transform(build_body(REF, 0.0), -math.pi)
+    x = np.array([1.0, 0.0])
+    ends = boundary_line_crossings(disc, x, 0.5)
+    assert len(ends) == 2 and x @ (ends[1] - ends[0]) == 0.0
+    cuts = [(x, 0.5), (x, 0.3)]
+    t = trim_body(disc, cuts)
+    assert len(t.chord_a) == 1
+    root = math.sqrt(0.91)
+    assert np.allclose(t.chord_a[0], [0.3, -root], rtol=0, atol=1e-15)
+    assert np.allclose(t.chord_b[0], [0.3, root], rtol=0, atol=1e-15)
+    _assert_same_trim(disc, cuts)
 
 
 def _counted(fn, counts, key):

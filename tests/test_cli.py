@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import croft_forge
-from croft_forge import ansatz, tortoise
+from croft_forge import ansatz, svgout, tortoise
 from croft_forge.cli import main
+from croft_forge.lattice import PATCH_SITES
+from croft_forge.stepfn import reference_step_function
 from break_sets import q36_profile, uniform_zero_profile
 
 
@@ -138,16 +140,14 @@ def test_verify_fails_when_the_stripes_leave_no_copy(capsys):
     assert "inf" not in out
 
 
-def test_verify_tolerance_env_loosens(capsys, monkeypatch):
-    # the width-1.9 fault leaves a separation shortfall of ~0.035; a loose
-    # enough environment tolerance must accept it, a default one must not
+def test_verify_reads_no_tolerance_env(capsys, monkeypatch):
+    # the width-1.9 fault leaves a separation shortfall of ~0.035; no
+    # environment variable loosens the checks enough to accept it
     argv = ("verify", "--checks", "avoidance", "--inject", "stripe-width=1.9")
-    code, out, _ = run(capsys, *argv)
-    assert code == 1
     monkeypatch.setenv("CROFT_FORGE_TOL", "0.1")
     code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert "PASS avoidance" in out
+    assert code == 1
+    assert "FAIL avoidance" in out
 
 
 @pytest.mark.parametrize("target", ["body", "tortoise", "lattice"])
@@ -159,6 +159,29 @@ def test_render_valid_svg(capsys, tmp_path, target):
     assert code == 0
     root = ET.parse(out_path).getroot()
     assert root.tag.endswith("svg")
+
+
+def _drawn_copies(svg):
+    """The drawn copies of a picture, each its path and then its cut lines,
+    as lists of (tag, attributes)."""
+    copies = []
+    for e in ET.fromstring(svg)[0]:
+        if e.tag.endswith("path"):
+            copies.append([])
+        copies[-1].append((e.tag, e.attrib))
+    return copies
+
+
+def test_tortoise_drawing_is_the_lattice_centre_copy():
+    """The tortoise picture is the patch's centre copy: its path and its six
+    cut lines are the lattice picture's elements for site (0, 0)."""
+    q = reference_step_function()
+    stripes = tortoise.tortoise_area(0.05, "exact2", q=q).stripes()
+    (centre,) = _drawn_copies(svgout.render_tortoise_svg(q, 0.05, stripes))
+    assert [tag.rsplit("}", 1)[-1] for tag, _ in centre] == ["path"] + ["line"] * 6
+    copies = _drawn_copies(svgout.render_lattice_svg(q, 0.05, stripes))
+    assert len(copies) == len(PATCH_SITES)
+    assert copies[PATCH_SITES.index((0, 0))] == centre
 
 
 def test_custom_profile_round_trip(capsys, tmp_path):
@@ -431,13 +454,14 @@ def test_fit_convergence_error_is_exit_2(capsys, monkeypatch):
 @pytest.mark.parametrize("mode", ["series1", "exact1", "exact2"])
 def test_eigen_runs_the_requested_mode(capsys, monkeypatch, mode):
     seen = []
+    n_vars = ansatz.closure_nullspace().shape[0] + 2  # step values and the shift pair
 
     def fake_form(mode_arg="series2", **kwargs):
         seen.append(mode_arg)
         return ansatz.QuadraticForm(
-            matrix=-np.eye(ansatz.N_VARS - 2),
-            basis=np.eye(ansatz.N_VARS)[:, : ansatz.N_VARS - 2],
-            hessian=-2.0 * np.eye(ansatz.N_VARS),
+            matrix=-np.eye(n_vars - 2),
+            basis=np.eye(n_vars)[:, : n_vars - 2],
+            hessian=-2.0 * np.eye(n_vars),
             mode=mode_arg,
         )
 
@@ -475,17 +499,6 @@ def test_bad_eps_is_usage_error(capsys, argv, message):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9"])
-def test_bad_tolerance_env_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("CROFT_FORGE_TOL", value)
-    code = _exit_code(["verify", "--checks", "closure"])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert err.startswith("error: CROFT_FORGE_TOL")
-    assert "Traceback" not in err
-    assert out == ""
-
-
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -514,6 +527,12 @@ def test_bad_profile_file_is_usage_error(capsys, tmp_path, content, message):
         ("verify", "--checks", "avoidance", "--inject", "stripe-width"),
         ("scan", "--eps", "0.0", "--q-spec", "."),
         ("constants", "--out", "."),
+        # a value no check can run on: caught before any check runs
+        ("verify", "--inject", "eps=nan"),
+        ("verify", "--inject", "eps=inf"),
+        ("verify", "--inject", "stripe-width=-1"),
+        ("verify", "--inject", "stripe-width=0"),
+        ("verify", "--inject", "stripe-width=nan"),
     ],
 )
 def test_bad_inject_or_path_is_usage_error(capsys, argv):
@@ -521,6 +540,8 @@ def test_bad_inject_or_path_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error: ")
+    if "--inject" in argv:
+        assert err.startswith("error: --inject")
     assert out == ""
 
 

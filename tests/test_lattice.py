@@ -201,11 +201,14 @@ def test_collect_patch_cuts_structure():
         and color_index(i + di, j + dj) == (color_index(i, j) + 1) % 3
     }
     assert len(edges) == len(forward) == 16
-    assert {(a, b) for a, b, _ in edges} == forward
-    for a, b, k in edges:
+    assert {(a, b) for a, b, _, _ in edges} == forward
+    for a, b, k, (n, c_a, c_b) in edges:
         pa, pb = site_position(*a), site_position(*b)
         beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
         assert k == _class_of_direction(color_index(*a), beta)
+        # the strip is a's cut for this edge, and b's cut is its mirror
+        assert any(np.array_equal(m, n) and c == c_a for m, c in cuts[a])
+        assert any(np.array_equal(m, -n) and c == -c_b for m, c in cuts[b])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +285,7 @@ def test_exact_distances_match_dense_sampling(name, q, eps, mode, width):
     bodies, cuts, edges = _patch(q, eps, stripes, width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
     samples = {s: _dense_samples(bodies[s], cuts[s], 4000, 200) for s in bodies}
-    for a, b, _ in edges:
+    for a, b, _, _ in edges:
         exact, _ = closest_pair(trimmed[a], trimmed[b])
         sampled = float(np.min(cKDTree(samples[a]).query(samples[b])[0]))
         assert exact <= sampled + 1e-12
@@ -300,7 +303,7 @@ def test_witnesses_lie_on_the_trimmed_bodies(name, q, eps, mode):
     stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
     bodies, cuts, edges = _patch(q, eps, stripes, 2.0)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
-    for a, b, _ in edges:
+    for a, b, _, _ in edges:
         d, (p, r) = closest_pair(trimmed[a], trimmed[b])
         assert _on_trimmed_body(bodies[a], cuts[a], p)
         assert _on_trimmed_body(bodies[b], cuts[b], r)
@@ -488,7 +491,7 @@ def test_strip_bound_adds_the_measured_excess():
     eps = 0.05
     stripes = tortoise.tortoise_area(eps, "series2", q=Q).stripes()
     bodies, cuts, edges = _patch(Q, eps, stripes, 2.0)
-    a, b, _ = edges[0]  # the first edge adds the first cut of both its sites
+    a, b, _, _ = edges[0]  # the first edge adds the first cut of both its sites
     (n, c_a), (_, c_b) = cuts[a][0], cuts[b][0]
     ta, tb = trim_body(bodies[a], cuts[a]), trim_body(bodies[b], cuts[b])
     strip = (n, c_a - 1e-3, -c_b)
