@@ -140,7 +140,7 @@ class QuadraticForm:
         return float(u @ self.hessian @ u) / 2.0
 
 
-def cut_area_gram(profiles: list[StepFunction], shifts, with_tilt: bool) -> np.ndarray:
+def cut_area_gram(breaks: np.ndarray, q: np.ndarray, shifts, with_tilt: bool) -> np.ndarray:
     """Gram of the eps^2 coefficient of the three minimized pair areas.
 
     At eps = 0 pair k (caps 2k, 2k + 1) has its minimum at x = 0, x = s or
@@ -148,7 +148,7 @@ def cut_area_gram(profiles: list[StepFunction], shifts, with_tilt: bool) -> np.n
     coefficient is 1/2 (P_ee - P_ex^T P_xx^-1 P_ex), with P_ee summed over the
     caps' A_ee and P_ex their ``lattice.class_slopes``.
     """
-    _, a_ee, a_ec, a_et = cap_area_derivatives(profiles, shifts)
+    _, a_ee, a_ec, a_et = cap_area_derivatives(breaks, q, shifts)
     return pair_envelope(class_slopes(a_ec, a_et), a_ee[0::2] + a_ee[1::2], with_tilt)[1]
 
 
@@ -160,7 +160,8 @@ def assemble_quadratic_form(
     The body-area Gram of the basis columns minus the cut-area Gram read off
     the six caps (``cut_area_gram``): no body is built, no ``c2_net`` is
     called, and the mode decides only the stripe tilt.  The columns are the
-    closure null space and the two shifts, so the form is 2 x 2 on {0, pi}.
+    closure null space and the two shifts, so the form is 2 x 2 on {0, pi};
+    their step values are one value matrix, with no profile built per column.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -171,9 +172,10 @@ def assemble_quadratic_form(
     basis = np.zeros((n_half + 2, n_null + 2))
     basis[:n_half, :n_null] = N
     basis[n_half:, n_null:] = np.eye(2)
-    profiles = [step_from_halfvalues(b[:-2], template) for b in basis.T]
+    breaks = template.breaks
+    q = np.concatenate([basis[:-2], -basis[:-2]])  # (n, m): column j's step values
     with_tilt = mode in ("series2", "exact2")
-    matrix = body_area_gram(profiles) - cut_area_gram(profiles, basis[-2:].T, with_tilt)
+    matrix = body_area_gram(breaks, q) - cut_area_gram(breaks, q, basis[-2:].T, with_tilt)
     matrix = 0.5 * (matrix + matrix.T)
     hessian = 2.0 * basis @ matrix @ basis.T
     hessian = 0.5 * (hessian + hessian.T)

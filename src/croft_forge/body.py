@@ -58,19 +58,19 @@ class ArcBody:
         return np.minimum(np.searchsorted(self.breaks, phi, side="right") - 1, self.n_arcs - 1)
 
 
-def center_offsets(q: StepFunction) -> np.ndarray:
+def center_offsets(breaks: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per-interval center offsets at unit eps, chained from the anchor.
 
-    The anchor convention puts the boundary point at phi = 0 at (1, 0),
-    so the first offset is (q_0, 0).  Returns an (n, 2) array.
+    Center i is the sum over j <= i of (q_j - q_{j-1}) u(phi_j) with
+    q_{-1} = 0: since phi_0 = 0, the first term is the anchor (q_0, 0),
+    which puts the boundary point at phi = 0 at (1, 0).  ``values`` holds
+    one profile (n,) or one per column (n, m); returns (n, 2) or (n, m, 2).
     """
-    x, y = float(q.values[0]), 0.0
-    offs = [(x, y)]
-    for dq, phi in zip(np.diff(q.values).tolist(), q.breaks[1:-1].tolist()):
-        x += dq * math.cos(phi)
-        y += dq * math.sin(phi)
-        offs.append((x, y))
-    return np.array(offs)
+    dq = np.array(values, dtype=float)
+    dq[1:] -= values[:-1]  # q_j - q_{j-1}, with q_{-1} = 0
+    # einsum adds each product to +0.0, so the anchor's y is +0.0 even where
+    # q_0 sin(0) would be -0.0
+    return np.cumsum(np.einsum("i...,ik->i...k", dq, _unit(breaks[:-1])), axis=0)
 
 
 def chain_closure_residual(q: StepFunction) -> float:
@@ -117,7 +117,7 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
             "valid range for this profile"
         )
     require_closure(q, eps)
-    centers = eps * center_offsets(q)
+    centers = eps * center_offsets(q.breaks, q.values)
     return ArcBody(
         centers=centers,
         radii=np.maximum(radii, 0.0),
@@ -168,19 +168,18 @@ def body_area(b: ArcBody) -> float:
     return float(0.5 * np.sum(b.radii**2 * dphi + b.radii * cross))
 
 
-def body_area_gram(profiles: list[StepFunction]) -> np.ndarray:
-    """Gram matrix of the eps^2 coefficient of ``body_area`` over profiles
-    on one break set.
+def body_area_gram(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Gram matrix of the eps^2 coefficient of ``body_area`` over the
+    profiles in the columns of ``q`` (n, m), all on ``breaks``.
 
     With rho = 1 - eps*q and centers eps*offs (``center_offsets``), the
     Green sum of ``body_area`` has the eps^2 coefficient
     1/2 sum_i (q_i^2 dphi_i - q_i offs_i x du_i), exactly, since the area
-    is quadratic in eps.  Entry [a, b] is its bilinear form at profiles a
+    is quadratic in eps.  Entry [a, b] is its bilinear form at columns a
     and b, so the diagonal holds each profile's coefficient.
     """
-    dphi, du = _arc_sweeps(profiles[0].breaks)
-    q = np.stack([p.values for p in profiles], axis=1)  # (n, m)
-    w = np.stack([_cross(center_offsets(p), du) for p in profiles], axis=1)
+    dphi, du = _arc_sweeps(breaks)
+    w = _cross(center_offsets(breaks, q), du[:, None, :])  # (n, m)
     qw = q.T @ w
     return 0.5 * (q.T @ (dphi[:, None] * q)) - 0.25 * (qw + qw.T)
 

@@ -229,8 +229,8 @@ def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
     return out
 
 
-def cap_area_derivatives(profiles: list[StepFunction], shifts):
-    """eps = 0 derivatives of the six cap areas over columns (profile, shift).
+def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts):
+    """eps = 0 derivatives of the six cap areas over columns (q[:, a], shifts[a]).
 
     Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi; class k
     clips cap 2k off its left copy and cap 2k + 1 off its right one.  A
@@ -242,14 +242,13 @@ def cap_area_derivatives(profiles: list[StepFunction], shifts):
     + h1(phi_1) (h1(phi_1) cot + h1'(phi_1)), A_ec = -(h1(phi_1) + h1(phi_2))/s
     and A_et = h1(phi_2) - h1(phi_1), where int h1 over an arc part is
     (m_i + shift) x du - q_i dphi, ``body_area``'s Green term.  Returns A_e,
-    A_ec and A_et (6, m) and A_ee (6, m, m) as bilinear forms; no body is
-    built and no copy placed.
+    A_ec and A_et (6, m) and A_ee (6, m, m) as bilinear forms over the m
+    columns of ``q`` (n, m) and ``shifts`` (m, 2); no body is built and no copy placed.
     """
     phi_c = croft_constants().phi_c
     cot = 1.0 / math.tan(phi_c)
-    arcs, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(profiles[0].breaks))
-    q = np.stack([p.values for p in profiles], axis=1)  # (n, m)
-    centers = np.stack([center_offsets(p) for p in profiles], axis=1) + shifts  # (n, m, 2)
+    arcs, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(breaks))
+    centers = center_offsets(breaks, q) + shifts  # (n, m, 2)
     qa = q[arcs]  # (6, width, m)
     h1_int = _cross(centers[arcs], du[:, :, None, :]) - qa * dphi[..., None]
     qh = np.swapaxes(qa, 1, 2) @ h1_int  # (6, m, m): int q h1 per cap
@@ -286,7 +285,7 @@ def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairC
     require_closure(q)
     if shift is None:
         shift = default_config()
-    a_e, a_ee, a_ec, a_et = cap_area_derivatives([q], [shift])
+    a_e, a_ee, a_ec, a_et = cap_area_derivatives(q.breaks, q.values[:, None], [shift])
     p_ex = class_slopes(a_ec, a_et)[..., 0]
     p_e = (a_e[0::2] + a_e[1::2])[:, 0]
     p_ee = (a_ee[0::2] + a_ee[1::2])[:, 0, 0]

@@ -47,7 +47,8 @@ class StepFunction:
         return len(self.values)
 
     def __call__(self, phi: float, side: str = "right") -> float:
-        return eval_step(self, phi, side)
+        """Value at ``phi``; ``side`` picks the limit at a break."""
+        return float(self.values[self.interval_of(phi, side)])
 
     def interval_of(self, phi: float, side: str = "right") -> int:
         """Index of the interval containing phi (reduced mod 2*pi).
@@ -80,14 +81,18 @@ class StepFunction:
 
 
 def _to_fraction(b) -> Fraction:
-    if isinstance(b, Fraction):
-        return b
-    if isinstance(b, tuple):
-        return Fraction(b[0], b[1])
-    if isinstance(b, dict):
-        return Fraction(b["num"], b["den"])
-    if isinstance(b, (int, float)):
-        return Fraction(float(b) / math.pi).limit_denominator(10**6)
+    """A break as a Fraction of pi; StepFunctionError names one it cannot read."""
+    try:
+        if isinstance(b, Fraction):
+            return b
+        if isinstance(b, tuple):
+            return Fraction(b[0], b[1])
+        if isinstance(b, dict):
+            return Fraction(b["num"], b["den"])
+        if isinstance(b, (int, float)):
+            return Fraction(float(b) / math.pi).limit_denominator(10**6)
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise StepFunctionError(f"cannot interpret break {b!r}: {exc}") from None
     raise StepFunctionError(f"cannot interpret break {b!r}")
 
 
@@ -153,11 +158,6 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
             f"value[{j}]={float(vals[j])!r} on the antipodal interval"
         )
     return StepFunction(breaks=brk, values=vals, break_fractions=fracs)
-
-
-def eval_step(f: StepFunction, phi: float, side: str = "right") -> float:
-    """Value of ``f`` at ``phi``; ``side`` picks the limit at a break."""
-    return float(f.values[f.interval_of(phi, side)])
 
 
 def zero_step_function() -> StepFunction:

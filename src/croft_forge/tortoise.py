@@ -268,7 +268,7 @@ def body_area_coefficient(q: StepFunction | None = None) -> float:
     if q is None:
         q = reference_step_function()
     require_closure(q)
-    return float(body_area_gram([q])[0, 0])
+    return float(body_area_gram(q.breaks, q.values[:, None])[0, 0])
 
 
 def series_net_coefficient(

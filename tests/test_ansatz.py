@@ -6,6 +6,7 @@ import pytest
 
 from croft_forge import ansatz
 from croft_forge import body as body_module
+from croft_forge import stepfn
 from croft_forge.ansatz import (
     N_FREE,
     ZERO_EIGENVALUE_TOL,
@@ -41,8 +42,15 @@ from croft_forge.tortoise import (
     fit_net_coefficient,
     pair_clip_area,
     series_net_coefficient,
+    tortoise_area,
 )
-from break_sets import q36_profile, seeded_profile, uniform_zero_profile
+from break_sets import (
+    arcs_under_caps,
+    q36_profile,
+    seeded_break_set,
+    seeded_profile,
+    uniform_zero_profile,
+)
 from call_counts import count_calls
 
 FD_STEP = 1e-3  # step of the test-only central-difference reference
@@ -180,13 +188,15 @@ def test_form_reproduces_functional(form):
 @pytest.mark.parametrize("template", [None, UNIFORM_12], ids=["reference", "uniform12"])
 def test_form_builds_no_body(monkeypatch, mode, template):
     """Every mode reads the form off the cap terms in closed form: no
-    c2_net call, and no body is built or moved."""
+    c2_net call, no body is built or moved, and no profile is built per
+    column; the columns are one value matrix."""
     c2_calls = count_calls(monkeypatch, ansatz, "c2_net")
     bodies = count_calls(monkeypatch, body_module, "build_body")
     copies = count_calls(monkeypatch, body_module, "transform")
+    profiles = count_calls(monkeypatch, stepfn, "make_step_function")
     form = assemble_quadratic_form(mode, template=template)
     assert form.matrix.shape[0] == (12 if template is None else 6)
-    assert c2_calls == bodies == copies == []
+    assert c2_calls == bodies == copies == profiles == []
 
 
 def test_unknown_form_mode_is_rejected():
@@ -319,6 +329,43 @@ def test_uniform_48_null_directions_hide_under_the_caps():
     assert np.min(np.max(np.abs(null_v[under]), axis=0)) > 0.1
 
 
+def test_null_count_is_the_arcs_under_each_cap_less_two():
+    """On 120 seeded break sets (n = 24, 48, 96, seeds 0-39) the exact2 form
+    has sum_c max(0, m_c - 2) null eigenvalues, m_c the arcs wholly under cap
+    c of a half-turn.  Seed 0 on 24 intervals covers (0, 3, 2) arcs and has
+    one null, where "covered arcs less six" would give none."""
+    assert arcs_under_caps(seeded_break_set(24, 0)) == [0, 3, 2]
+    for n in (24, 48, 96):
+        for seed in range(40):
+            template = seeded_break_set(n, seed)
+            vals = np.linalg.eigvalsh(assemble_quadratic_form("exact2", template=template).matrix)
+            nulls = int(np.count_nonzero(np.abs(vals) <= ZERO_EIGENVALUE_TOL))
+            expected = sum(max(0, m - 2) for m in arcs_under_caps(template))
+            assert nulls == expected, (n, seed)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [uniform_zero_profile(48), seeded_break_set(24, 0)],
+    ids=["uniform48", "seeded24"],
+)
+def test_null_direction_is_neutral_at_finite_eps(template):
+    """A null direction of the exact2 form, scaled to max |v| = 1 with its
+    shift, leaves the exact2 cut-body area at its eps = 0 value to rounding
+    up to eps = 0.15, while the body area moves: the caps take the whole
+    change, so a null direction gains nothing at higher order either."""
+    form = assemble_quadratic_form("exact2", template=template)
+    vals, vecs = np.linalg.eigh(form.matrix)
+    null = form.basis @ vecs[:, np.flatnonzero(np.abs(vals) <= ZERO_EIGENVALUE_TOL)[0]]
+    null /= np.max(np.abs(null[:-2]))
+    q, shift = step_from_halfvalues(null[:-2], template), null[-2:]
+    base = tortoise_area(0.0, "exact2", q=q, shift=shift)
+    for eps in (0.01, 0.05, 0.1, 0.15):
+        rec = tortoise_area(eps, "exact2", q=q, shift=shift)
+        assert abs(rec.tortoise_area - base.tortoise_area) <= 1e-15
+    assert abs(rec.body_area - base.body_area) > 1e-6
+
+
 def _cap_differences(q, shift, h):
     """Test-only reference: per cap j, central first and second differences
     in eps of the area and first differences of its c- and theta-derivative,
@@ -367,7 +414,7 @@ def test_cap_derivatives_match_clip_differences():
     profiles = [(reference_step_function(), default_config()),
                 (q36_profile(), default_config())] + _wide_cap_profiles(4)
     for q, shift in profiles:
-        a_e, a_ee, a_ec, a_et = cap_area_derivatives([q], [shift])
+        a_e, a_ee, a_ec, a_et = cap_area_derivatives(q.breaks, q.values[:, None], [shift])
         closed = np.stack([a_e[:, 0], a_ee[:, 0, 0], a_ec[:, 0], a_et[:, 0]], axis=1)
         fine, coarse = (_cap_differences(q, shift, h) for h in (5e-4, 1e-3))
         limit = (4.0 * fine - coarse) / 3.0

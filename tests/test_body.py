@@ -27,9 +27,23 @@ Q = reference_step_function()
 
 
 def test_center_offsets_match_reference_tables():
-    offs = center_offsets(Q)
+    offs = center_offsets(Q.breaks, Q.values)
     assert np.max(np.abs(offs[:, 0] - reference.X_OFFSETS)) <= 1e-12
     assert np.max(np.abs(offs[:, 1] - reference.Y_OFFSETS)) <= 1e-12
+
+
+def test_center_offsets_of_a_value_matrix_are_its_columns():
+    """One cumulative sum serves a value matrix: each column's offsets equal
+    those of that column alone, bit for bit, and the anchor is (q_0, +0.0)
+    also where q_0 < 0, as chaining from (q_0, 0) gives."""
+    q = np.random.default_rng(3).standard_normal((Q.n_intervals, 5))
+    q[0, 0] = -1.0
+    offs = center_offsets(Q.breaks, q)
+    assert offs.shape == (Q.n_intervals, 5, 2)
+    for a in range(5):
+        assert offs[:, a].tobytes() == center_offsets(Q.breaks, q[:, a]).tobytes()
+    assert np.array_equal(offs[0, :, 0], q[0])
+    assert not np.any(np.signbit(offs[0, :, 1])) and not np.any(offs[0, :, 1])
 
 
 def test_chain_closes():
@@ -39,7 +53,7 @@ def test_chain_closes():
 def chained_closure_residual(q):
     """Test-only oracle: chain the center offsets once around the full turn
     and measure how far the chain ends from where it started."""
-    offs = center_offsets(q)
+    offs = center_offsets(q.breaks, q.values)
     dq0 = q.values[0] - q.values[-1]
     end = offs[-1] + dq0 * np.array([math.cos(q.breaks[0]), math.sin(q.breaks[0])])
     return math.hypot(*(end - offs[0]))

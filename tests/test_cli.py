@@ -504,6 +504,18 @@ def test_bad_eps_is_usage_error(capsys, argv, message):
     [
         ("{bad", "JSONDecodeError"),
         ('{"breaks": [0, 1], "values": [1]}', "StepFunctionError"),
+        # a zero denominator and an infinite radian break name the break
+        pytest.param(
+            '{"breaks": [{"num": 0, "den": 1}, {"num": 0, "den": 0}, {"num": 2, "den": 1}],'
+            ' "values": [0, 0]}',
+            "StepFunctionError: cannot interpret break {'num': 0, 'den': 0}",
+            id="zero-denominator",
+        ),
+        pytest.param(
+            '{"breaks": [0, Infinity, 6.283185307179586], "values": [0, 0]}',
+            "StepFunctionError: cannot interpret break inf",
+            id="infinite-break",
+        ),
         ('{"breaks": [0, 2]}', "KeyError"),
         ("[1]", "TypeError"),
     ],

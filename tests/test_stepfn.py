@@ -91,6 +91,24 @@ def test_value_count_enforced():
         make_step_function(SIMPLE_BREAKS, [0.1, -0.1])
 
 
+@pytest.mark.parametrize(
+    "brk, message",
+    [
+        ({"num": 0, "den": 0}, r"break \{'num': 0, 'den': 0\}"),
+        ((1, 0), r"break \(1, 0\)"),
+        (math.inf, "break inf"),
+        (math.nan, "break nan"),
+        ({"num": 1}, "break {'num': 1}"),
+    ],
+    ids=["zero-den-dict", "zero-den-tuple", "inf", "nan", "no-den"],
+)
+def test_malformed_break_rejected(brk, message):
+    """A zero denominator or a non-finite radian break names the break
+    instead of escaping as ZeroDivisionError or OverflowError."""
+    with pytest.raises(StepFunctionError, match=message):
+        make_step_function([Fraction(0), brk, Fraction(2)], [0.0, 0.0])
+
+
 def test_endpoints_enforced():
     with pytest.raises(StepFunctionError, match="must start"):
         make_step_function([Fraction(0), Fraction(1)], [0.0])
