@@ -3,9 +3,10 @@
 In the series modes the second-order density-gain coefficient is an
 exactly quadratic function of the 12 free step values and the 2 shift
 components, restricted to the two-dimensional closure constraint.  This
-script assembles that quadratic form, diagonalizes it with the built-in
-Jacobi solver, and reports the spectrum: a positive eigenvalue anywhere
-would mean some profile improves on the trimmed disc.
+script assembles that quadratic form, diagonalizes it with LAPACK
+(``numpy.linalg.eigh``; ``verify`` checks it against the built-in Jacobi
+solver), and reports the spectrum: a positive eigenvalue anywhere would
+mean some profile improves on the trimmed disc.
 """
 
 import numpy as np

@@ -11,10 +11,10 @@ function of these variables in every mode.  ``assemble_quadratic_form``
 reads its matrix on the constraint subspace off the six caps of the body
 at eps = 0 (``lattice.cap_area_derivatives``), in one closed form for
 every mode and break set (``cut_area_gram``), the same cut model the
-series modes minimize; the mode decides only the stripe tilt.  A
-self-contained Jacobi sweep diagonalizes it, so the best direction and
-the signature do not depend on a library eigensolver; the best direction
-skips null directions, which change c2 by nothing.
+series modes minimize; the mode decides only the stripe tilt.  LAPACK
+(``numpy.linalg.eigh``) diagonalizes it, checked against the reference
+``jacobi_eigh``; the best direction skips null directions, which change
+c2 by nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .body import _unit_chords, body_area_gram
 from .lattice import cap_area_derivatives, class_slopes
 from .segments import pair_envelope
-from .stepfn import StepFunction, make_step_function, reference_step_function
+from .stepfn import StepFunction, reference_step_function, require_finite
 from .tortoise import MODES, SERIES_MODES, fit_net_coefficient, series_net_coefficient
 
 N_FREE = 12  # free step values on the reference profile; a form sizes from its template
@@ -37,20 +37,19 @@ ZERO_EIGENVALUE_TOL = 1e-10
 # matrix norm and fails after JACOBI_MAX_SWEEPS sweeps.
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+EIGEN_REFERENCE_TOL = 1e-13  # |LAPACK - Jacobi| per eigenvalue, times ||F||_F
 
 
 def step_from_halfvalues(v, template: StepFunction | None = None) -> StepFunction:
-    """Profile with first-half values ``v`` and the antipodal negation."""
+    """Profile with first-half values ``v`` and the antipodal negation, on
+    the template's already checked break set; ``v`` needs only checking."""
     if template is None:
         template = reference_step_function()
     v = np.asarray(v, dtype=float)
     if len(v) * 2 != template.n_intervals:
-        raise ValueError(
-            f"expected {template.n_intervals // 2} values, got {len(v)}"
-        )
-    return make_step_function(
-        template.break_fractions, np.concatenate([v, -v])
-    )
+        raise ValueError(f"expected {template.n_intervals // 2} values, got {len(v)}")
+    require_finite(v)
+    return StepFunction(template.breaks, np.concatenate([v, -v]), template.break_fractions)
 
 
 def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
@@ -237,14 +236,18 @@ def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class EigenReport:
     """Diagonalization of the density-gain form.
 
-    ``signature`` counts (positive, zero, negative) eigenvalues; the top
+    ``eigenvalues`` descend, ``eigenvectors`` are the matching columns and
+    ``signature`` counts (positive, zero, negative) eigenvalues.  The top
     direction is mapped back to full coordinates and normalized so its
-    largest step-value entry is +1.
+    largest step-value entry is +1.  Rounding turns it by about eps ||F|| /
+    ``top_gap``, the distance from its eigenvalue to the nearest other one.
     """
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     signature: tuple[int, int, int]
     top_value: float
+    top_gap: float
     top_v: np.ndarray
     top_shift: np.ndarray
 
@@ -253,17 +256,21 @@ class EigenReport:
         return self.signature[0] > 0
 
 
+def signature_of(vals: np.ndarray) -> tuple[int, int, int]:
+    """(positive, zero, negative) counts; zero is within ZERO_EIGENVALUE_TOL."""
+    pos, neg = (int(np.sum(sign * vals > ZERO_EIGENVALUE_TOL)) for sign in (1, -1))
+    return pos, len(vals) - pos - neg, neg
+
+
 def eigen_signature(form: QuadraticForm) -> EigenReport:
-    """Diagonalize the form and extract the best candidate direction.
+    """Diagonalize the form (``numpy.linalg.eigh``) and extract the best direction.
 
     The top direction is that of the largest eigenvalue outside
     +-ZERO_EIGENVALUE_TOL: a null direction changes c2 by nothing, so it is
     no candidate.  Only when every eigenvalue is zero is it the first one.
     """
-    vals, vecs = jacobi_eigh(form.matrix)
-    n_pos = int(np.sum(vals > ZERO_EIGENVALUE_TOL))
-    n_neg = int(np.sum(vals < -ZERO_EIGENVALUE_TOL))
-    n_zero = len(vals) - n_pos - n_neg
+    vals, vecs = np.linalg.eigh(form.matrix)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending, as jacobi_eigh
     nonzero = np.flatnonzero(np.abs(vals) > ZERO_EIGENVALUE_TOL)
     i = int(nonzero[0]) if len(nonzero) else 0  # vals descend
     top = form.basis @ vecs[:, i]
@@ -274,8 +281,10 @@ def eigen_signature(form: QuadraticForm) -> EigenReport:
         shift = shift / pivot
     return EigenReport(
         eigenvalues=vals,
-        signature=(n_pos, n_zero, n_neg),
+        eigenvectors=vecs,
+        signature=signature_of(vals),
         top_value=float(vals[i]),
+        top_gap=float(np.min(np.abs(np.delete(vals, i) - vals[i]), initial=math.inf)),
         top_v=v,
         top_shift=shift,
     )

@@ -243,6 +243,7 @@ def cmd_eigen(args) -> int:
         },
         "top_eigenvector": [float(v) for v in rep.top_v],
         "top_shift": [float(v) for v in rep.top_shift],
+        "top_gap": rep.top_gap,
     }
     # the published vector lives on the reference break set only
     on_reference = q.break_fractions == reference_step_function().break_fractions
@@ -261,6 +262,7 @@ def cmd_eigen(args) -> int:
                 row += f",{_fmt(float(ref_v[i]))},{_fmt(float(rep.top_v[i] - ref_v[i]))}"
             lines.append(row)
         lines.append("top_shift," + ",".join(_fmt(float(x)) for x in rep.top_shift))
+        lines.append(f"top_gap,{_fmt(rep.top_gap)}")
         lines.append(f"signature,{rep.signature[0]},{rep.signature[1]},{rep.signature[2]}")
         _emit("\n".join(lines) + "\n", args)
     return 0
@@ -342,14 +344,17 @@ def _check_avoidance(q, inject):
 def _check_eigen(q, inject):
     form = ansatz.assemble_quadratic_form("series2", template=q)
     asym = float(np.max(np.abs(form.matrix - form.matrix.T)))
-    vals, vecs = ansatz.jacobi_eigh(form.matrix)
+    rep = ansatz.eigen_signature(form)
+    vals, vecs = rep.eigenvalues, rep.eigenvectors
     norm = float(np.linalg.norm(form.matrix, 2))
-    resid = max(
-        float(np.linalg.norm(form.matrix @ vecs[:, i] - vals[i] * vecs[:, i]))
-        for i in range(len(vals))
-    )
-    ok = asym <= 1e-12 and resid <= 1e-10 * max(norm, 1e-300)
-    return ok, f"form asymmetry {asym:.1e}, eigen residual {resid:.1e} (norm {norm:.1e})"
+    resid = float(np.max(np.linalg.norm(form.matrix @ vecs - vecs * vals, axis=0)))
+    ref_vals = ansatz.jacobi_eigh(form.matrix)[0]
+    dlam = float(np.max(np.abs(vals - ref_vals)))
+    ok = (asym <= 1e-12 and resid <= 1e-10 * max(norm, 1e-300)
+          and rep.signature == ansatz.signature_of(ref_vals)
+          and dlam <= ansatz.EIGEN_REFERENCE_TOL * float(np.linalg.norm(form.matrix)))
+    return ok, (f"form asymmetry {asym:.1e}, eigen residual {resid:.1e} (norm {norm:.1e}), "
+                f"largest |dlambda| vs Jacobi {dlam:.1e}, signature {rep.signature}")
 
 
 # the fault-injection settings the checks read

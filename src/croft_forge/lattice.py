@@ -267,9 +267,16 @@ def class_slopes(a_ec: np.ndarray, a_et: np.ndarray) -> np.ndarray:
     """P_ex (3, 2, m) per edge class: the (s, delta)-derivatives of the eps-rate
     of its pair area, each cap's (A_ec, A_et) chained through the jacobian of
     ``stripe_caps`` at (0, 0)."""
-    jacs = np.stack([jac for _, _, jac, _ in stripe_caps(0.0, 0.0)])  # (side, (c, theta), x)
     rates = np.stack([a_ec, a_et], axis=1).reshape((3, 2, 2) + a_ec.shape[1:])
-    return np.einsum("sri,ksr...->ki...", jacs, rates)
+    return np.einsum("sri,ksr...->ki...", _cap_jacobians(), rates)
+
+
+@lru_cache(maxsize=1)
+def _cap_jacobians() -> np.ndarray:
+    """``stripe_caps(0, 0)``'s jacobians (side, (c, theta), x), read-only."""
+    jacs = np.stack([jac for _, _, jac, _ in stripe_caps(0.0, 0.0)])
+    jacs.setflags(write=False)
+    return jacs
 
 
 def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:

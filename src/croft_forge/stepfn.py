@@ -125,6 +125,13 @@ def _break_set(fracs: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndarray]:
     return brk, antipode
 
 
+def require_finite(vals: np.ndarray) -> None:
+    """Raise StepFunctionError naming the first non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise StepFunctionError(f"value[{bad[0]}]={float(vals[bad[0]])!r} is not finite")
+
+
 def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunction:
     """Validate and build a :class:`StepFunction`.
 
@@ -145,9 +152,7 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
         raise StepFunctionError(
             f"{len(fracs) - 1} intervals but {len(vals)} values"
         )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        raise StepFunctionError(f"value[{bad[0]}]={float(vals[bad[0]])!r} is not finite")
+    require_finite(vals)
     # Value-by-value antisymmetry on paired intervals.
     bad = np.flatnonzero(np.abs(vals[antipode] + vals) > ANTISYMMETRY_TOL)
     if len(bad):

@@ -8,6 +8,7 @@ from croft_forge import ansatz
 from croft_forge import body as body_module
 from croft_forge import stepfn
 from croft_forge.ansatz import (
+    EIGEN_REFERENCE_TOL,
     N_FREE,
     ZERO_EIGENVALUE_TOL,
     EigenReport,
@@ -32,6 +33,7 @@ from croft_forge.lattice import (
 from croft_forge.segments import series_coefficients
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
 from croft_forge.stepfn import (
+    StepFunctionError,
     make_step_function,
     reference_step_function,
     zero_step_function,
@@ -150,6 +152,30 @@ def test_step_from_halfvalues_reference_identity():
     assert np.allclose(q.values, ref.values, atol=0)
     with pytest.raises(ValueError, match="values"):
         step_from_halfvalues(REF_V[:5])
+    with pytest.raises(StepFunctionError, match=r"value\[3\]=nan is not finite"):
+        step_from_halfvalues(np.where(np.arange(N_FREE) == 3, np.nan, REF_V))
+
+
+def test_c2_net_builds_no_validated_profile(monkeypatch):
+    """c2_net puts the probe on its template's break set without
+    ``make_step_function``, and its value is bit-identical to that of the
+    validated profile: 48 seeded probes on the reference and uniform
+    12/36/48 intervals, series1 and series2."""
+    rng = np.random.default_rng(5)
+    probes = []
+    for template in (None, UNIFORM_12, uniform_zero_profile(36), uniform_zero_profile(48)):
+        n_free = (template or reference_step_function()).n_intervals // 2
+        for mode in ("series1", "series2"):
+            probes += [(rng.standard_normal(n_free), rng.standard_normal(2), mode, template)
+                       for _ in range(6)]
+    profiles = count_calls(monkeypatch, stepfn, "make_step_function")
+    got = [c2_net(v, shift, mode, template=template) for v, shift, mode, template in probes]
+    assert profiles == []
+    for (v, shift, mode, template), c2 in zip(probes, got):
+        vp = closure_project(v, template)
+        fracs = (template or reference_step_function()).break_fractions
+        q = make_step_function(fracs, np.concatenate([vp, -vp]))
+        assert c2 == series_net_coefficient(q, mode, shift)
 
 
 def test_c2_net_reference_point():
@@ -504,9 +530,49 @@ def test_top_direction_of_a_zero_form_is_the_first():
 
 
 def test_eigenvalue_residual(form):
-    vals, vecs = jacobi_eigh(form.matrix)
-    resid = np.max(np.abs(form.matrix @ vecs - vecs @ np.diag(vals)))
-    assert resid <= 1e-10 * np.linalg.norm(form.matrix)
+    report = eigen_signature(form)
+    for vals, vecs in (jacobi_eigh(form.matrix), (report.eigenvalues, report.eigenvectors)):
+        resid = np.max(np.abs(form.matrix @ vecs - vecs @ np.diag(vals)))
+        assert resid <= 1e-10 * np.linalg.norm(form.matrix)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [None, TWO] + [uniform_zero_profile(n) for n in (36, 48, 96)]
+    + [seeded_break_set(n, seed) for n in (24, 48) for seed in range(5)],
+    ids=["reference", "two", "uniform36", "uniform48", "uniform96"]
+    + [f"seeded{n}-{seed}" for n in (24, 48) for seed in range(5)],
+)
+def test_eigen_signature_agrees_with_jacobi(template):
+    """LAPACK's eigenvalues are Jacobi's to EIGEN_REFERENCE_TOL of the form's
+    Frobenius norm, with the same signature, null count included."""
+    form = assemble_quadratic_form("series2", template=template)
+    report = eigen_signature(form)
+    vals, _ = jacobi_eigh(form.matrix)
+    assert np.max(np.abs(report.eigenvalues - vals)) <= (
+        EIGEN_REFERENCE_TOL * np.linalg.norm(form.matrix)
+    )
+    assert report.signature == ansatz.signature_of(vals)
+
+
+def test_eigen_signature_runs_no_jacobi_sweep(monkeypatch):
+    """Uniform 288 reads (0, 66, 78) with ``jacobi_eigh`` unavailable."""
+
+    def no_jacobi(A):
+        raise AssertionError("jacobi_eigh called")
+
+    monkeypatch.setattr(ansatz, "jacobi_eigh", no_jacobi)
+    form = assemble_quadratic_form("series2", template=uniform_zero_profile(288))
+    assert eigen_signature(form).signature == (0, 66, 78)
+
+
+def test_top_gap_is_the_distance_to_the_nearest_eigenvalue(form):
+    """3.83e-6 on the reference; a zero form's top eigenvalue has a twin."""
+    report = eigen_signature(form)
+    assert report.top_gap == pytest.approx(3.83e-6, rel=1e-3)
+    assert report.top_gap == report.eigenvalues[0] - report.eigenvalues[1]
+    zero = ansatz.QuadraticForm(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), "series2")
+    assert eigen_signature(zero).top_gap == 0.0
 
 
 def test_top_direction_cannot_improve(form):

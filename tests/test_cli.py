@@ -102,6 +102,7 @@ def test_eigen_json(capsys):
     assert data["signature"] == {"positive": 0, "zero": 0, "negative": 12}
     assert len(data["eigenvalues"]) == 12
     assert max(data["eigenvalues"]) < 0
+    assert data["top_gap"] == pytest.approx(3.83e-6, rel=1e-3)
 
 
 def test_verify_passes(capsys):
@@ -280,7 +281,7 @@ def test_eigen_on_a_q_spec_break_set(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "index,top_eigenvector"
     assert [line.split(",")[0] for line in lines[1:]] == [
-        *map(str, range(6)), "top_shift", "signature"
+        *map(str, range(6)), "top_shift", "top_gap", "signature"
     ]
     assert lines[-1] == "signature,0,0,6"
 
@@ -300,6 +301,17 @@ def test_verify_eigen_checks_the_q_spec_form(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--checks", "eigen")
     assert code == 0
     assert "(norm 8.4e+00)" in out and norm not in out
+
+
+def test_verify_eigen_cross_checks_jacobi(capsys, monkeypatch):
+    """The eigen check holds the reported eigenvalues to the Jacobi
+    reference: one 1e-11 off (above 1e-13 of the form's Frobenius norm,
+    11.7) fails it, and the message names the largest difference."""
+    jacobi = ansatz.jacobi_eigh
+    monkeypatch.setattr(ansatz, "jacobi_eigh", lambda A: (jacobi(A)[0] + 1e-11, None))
+    code, out, _ = run(capsys, "verify", "--checks", "eigen")
+    assert code == 1
+    assert out.startswith("FAIL eigen: ") and "largest |dlambda| vs Jacobi 1.0e-11" in out
 
 
 def test_eigen_on_the_reference_q_spec_is_unchanged(capsys, tmp_path):
@@ -343,16 +355,21 @@ def test_eigen_on_the_two_interval_break_set(capsys, tmp_path, mode):
 
 def test_eigen_csv_prints_the_top_shift(capsys, tmp_path):
     """On {0, pi} the top direction is all shift: the CSV prints its two
-    components, as the JSON output does, before the signature."""
+    components and the top gap, as the JSON output does, before the
+    signature.  The shift form is a multiple of the identity to rounding,
+    so the gap is rounding and the direction any unit shift."""
     path = str(_uniform_qspec(tmp_path, 2))
     code, out, _ = run(capsys, "eigen", "--q-spec", path, "--format", "json")
     assert code == 0
-    shift = json.loads(out)["top_shift"]
-    assert max(map(abs, shift)) > 0.5
+    data = json.loads(out)
+    shift = data["top_shift"]
+    assert np.hypot(*shift) == pytest.approx(1.0, abs=1e-12)
+    assert data["top_gap"] <= 1e-13
     code, out, _ = run(capsys, "eigen", "--q-spec", path)
     assert code == 0
-    assert out.splitlines()[-2:] == [
-        "top_shift," + ",".join(f"{x:.15g}" for x in shift), "signature,0,0,2"
+    assert out.splitlines()[-3:] == [
+        "top_shift," + ",".join(f"{x:.15g}" for x in shift),
+        f"top_gap,{data['top_gap']:.15g}", "signature,0,0,2"
     ]
 
 
