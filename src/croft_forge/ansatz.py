@@ -9,9 +9,9 @@ null-space dimension + 2 (10 + 2 on the reference, 0 + 2 on {0, pi}).
 The eps^2 coefficient of the cut-body area is an exactly quadratic
 function of these variables in every mode.  ``assemble_quadratic_form``
 reads its matrix on the constraint subspace off the six caps of the body
-at eps = 0 (``lattice.cap_area_derivatives``), in one closed form for
-every mode and break set (``cut_area_gram``), the same cut model the
-series modes minimize; the mode decides only the stripe tilt.  LAPACK
+at eps = 0, in one closed form for every mode and break set: the class cut
+data of ``lattice.class_cuts``, the same cut model the series modes
+minimize; the mode decides only the stripe tilt.  LAPACK
 (``numpy.linalg.eigh``) diagonalizes it, checked against the reference
 ``jacobi_eigh``; the best direction skips null directions, which change
 c2 by nothing.
@@ -26,10 +26,10 @@ from functools import lru_cache
 import numpy as np
 
 from .body import _unit_chords, body_area_gram
-from .lattice import cap_area_derivatives, class_slopes
+from .lattice import class_cuts
 from .segments import pair_envelope
 from .stepfn import StepFunction, reference_step_function, require_finite
-from .tortoise import MODES, SERIES_MODES, fit_net_coefficient, series_net_coefficient
+from .tortoise import MODES, SERIES_MODES, TILT_MODES, fit_net_coefficient, series_net_coefficient
 
 N_FREE = 12  # free step values on the reference profile; a form sizes from its template
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -131,7 +131,6 @@ class QuadraticForm:
     matrix: np.ndarray
     basis: np.ndarray
     hessian: np.ndarray
-    mode: str
 
     def value(self, v, shifts=(0.0, 0.0)) -> float:
         """Form value u^T (H/2) u at a full-coordinate point."""
@@ -139,28 +138,18 @@ class QuadraticForm:
         return float(u @ self.hessian @ u) / 2.0
 
 
-def cut_area_gram(breaks: np.ndarray, q: np.ndarray, shifts, with_tilt: bool) -> np.ndarray:
-    """Gram of the eps^2 coefficient of the three minimized pair areas.
-
-    At eps = 0 pair k (caps 2k, 2k + 1) has its minimum at x = 0, x = s or
-    (s, delta), so by the envelope theorem (``segments.pair_envelope``) the
-    coefficient is 1/2 (P_ee - P_ex^T P_xx^-1 P_ex), with P_ee summed over the
-    caps' A_ee and P_ex their ``lattice.class_slopes``.
-    """
-    _, a_ee, a_ec, a_et = cap_area_derivatives(breaks, q, shifts)
-    return pair_envelope(class_slopes(a_ec, a_et), a_ee[0::2] + a_ee[1::2], with_tilt)[1]
-
-
 def assemble_quadratic_form(
     mode: str = "series2", *, template: StepFunction | None = None
 ) -> QuadraticForm:
     """The c2 form of ``mode`` on the closure subspace plus the shifts.
 
-    The body-area Gram of the basis columns minus the cut-area Gram read off
-    the six caps (``cut_area_gram``): no body is built, no ``c2_net`` is
-    called, and the mode decides only the stripe tilt.  The columns are the
-    closure null space and the two shifts, so the form is 2 x 2 on {0, pi};
-    their step values are one value matrix, with no profile built per column.
+    The body-area Gram of the basis columns minus the cut-area Gram, the
+    eps^2 term 1/2 (P_ee - P_ex^T P_xx^-1 P_ex) of ``segments.pair_envelope``
+    on the ``lattice.class_cuts`` of the columns: no body is built, no
+    ``c2_net`` is called, and the mode decides only the stripe tilt
+    (``TILT_MODES``).  The columns are the closure null space and the two
+    shifts, so the form is 2 x 2 on {0, pi}; their step values are one
+    value matrix, with no profile built per column.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -173,12 +162,12 @@ def assemble_quadratic_form(
     basis[n_half:, n_null:] = np.eye(2)
     breaks = template.breaks
     q = np.concatenate([basis[:-2], -basis[:-2]])  # (n, m): column j's step values
-    with_tilt = mode in ("series2", "exact2")
-    matrix = body_area_gram(breaks, q) - cut_area_gram(breaks, q, basis[-2:].T, with_tilt)
+    _, p_ex, p_ee = class_cuts(breaks, q, basis[-2:].T)
+    matrix = body_area_gram(breaks, q) - pair_envelope(p_ex, p_ee, mode in TILT_MODES)[1]
     matrix = 0.5 * (matrix + matrix.T)
     hessian = 2.0 * basis @ matrix @ basis.T
     hessian = 0.5 * (hessian + hessian.T)
-    return QuadraticForm(matrix=matrix, basis=basis, hessian=hessian, mode=mode)
+    return QuadraticForm(matrix=matrix, basis=basis, hessian=hessian)
 
 
 # ---------------------------------------------------------------------------

@@ -96,18 +96,10 @@ def require_closure(q: StepFunction, eps: float = 1.0) -> None:
         )
 
 
-def build_body(q: StepFunction, eps: float) -> ArcBody:
-    """Assemble the constant-diameter-2 body for profile ``q`` at ``eps``.
-
-    The boundary point at phi = 0 is (1, 0) (``center_offsets``); the
-    lattice copies are rigid motions of this one body (``lattice.place_copy``).
-
-    Raises :class:`BodyError` when eps is not finite, when the chained
-    centers do not close (the profile violates the two linear closure
-    constraints) or when some radius 1 - eps*q would be negative.  A zero
-    radius is allowed: the arc degenerates to a corner point of the
-    boundary.
-    """
+def family_radii(q: StepFunction, eps: float) -> np.ndarray:
+    """Arc radii 1 - eps*q; raises :class:`BodyError` when eps is not finite
+    or some radius is below -RADIUS_TOL.  A zero radius is allowed: the arc
+    degenerates to a corner point of the boundary."""
     if not math.isfinite(eps):
         raise BodyError(f"eps must be finite, got {eps}")
     radii = 1.0 - eps * q.values
@@ -116,6 +108,18 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
             f"non-positive radius {radii.min():.3g}: eps={eps} outside the "
             "valid range for this profile"
         )
+    return radii
+
+
+def build_body(q: StepFunction, eps: float) -> ArcBody:
+    """Assemble the constant-diameter-2 body for profile ``q`` at ``eps``.
+
+    The boundary point at phi = 0 is (1, 0) (``center_offsets``); the
+    lattice copies are rigid motions of this one body (``lattice.place_copy``).
+
+    Raises :class:`BodyError` as ``family_radii`` and ``require_closure`` do.
+    """
+    radii = family_radii(q, eps)
     require_closure(q, eps)
     centers = eps * center_offsets(q.breaks, q.values)
     return ArcBody(

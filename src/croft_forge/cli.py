@@ -20,6 +20,7 @@ import numpy as np
 
 from . import ansatz, reference, segments, svgout, tortoise
 from .body import (
+    CLOSURE_TOL,
     BodyError,
     build_body,
     chain_closure_residual,
@@ -163,11 +164,10 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args)
     else:
-        fields = list(rows[0].keys())
-        for r in rows:
-            for key in r:
-                if key not in fields:
-                    fields.append(key)
+        # record columns in record order, then any error: one fixed order
+        fields = list(dict.fromkeys(f for r in rows for f in r if f != "error"))
+        if any("error" in r for r in rows):
+            fields.append("error")
         lines = [",".join(fields)]
         for r in rows:
             lines.append(
@@ -298,7 +298,7 @@ def _check_constants(q, inject):
 
 def _check_closure(q, inject):
     res = chain_closure_residual(q)
-    return res <= DEFAULT_TOL, f"arc-chain closure residual {res:.3e}"
+    return res <= CLOSURE_TOL, f"arc-chain closure residual {res:.3e}"
 
 
 def _check_antipodal(q, inject):

@@ -14,11 +14,10 @@ edge depends only on its class, and ``edge_copies`` places the two
 copies across the representative edge of each class for the exact clips.
 
 The second-order cut model is read off the six caps of the unplaced body
-at eps = 0 (``cap_area_derivatives``): class k clips cap 2k off its left
-copy and cap 2k + 1 off its right one.  ``cut_parameters`` gives each
-class's unit-eps cut data for one profile and the form (``ansatz``) the
-Gram over many; either is exact on any number of arcs under a cap, and
-neither places a copy.
+at eps = 0 (``cap_area_derivatives``) and paired into each class's
+unit-eps cut data over value columns by ``class_cuts``: ``cut_parameters``
+reads it at one profile and the form (``ansatz``) at many; either is
+exact on any number of arcs under a cap, and neither places a copy.
 
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
@@ -232,8 +231,7 @@ def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
 def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts):
     """eps = 0 derivatives of the six cap areas over columns (q[:, a], shifts[a]).
 
-    Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi; class k
-    clips cap 2k off its left copy and cap 2k + 1 off its right one.  A
+    Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi.  A
     column moves the support function by h1 = (m_i + shift).u(phi) - q_i on
     arc i (m = ``center_offsets``), C^1 across breaks.  With s = sin(phi_c),
     cot = cot(phi_c) and cap ends phi_1 < phi_2, the derivatives in eps,
@@ -263,14 +261,6 @@ def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts):
     return h1_int.sum(axis=1), a_ee, -(h1 + h2) / math.sin(phi_c), h2 - h1
 
 
-def class_slopes(a_ec: np.ndarray, a_et: np.ndarray) -> np.ndarray:
-    """P_ex (3, 2, m) per edge class: the (s, delta)-derivatives of the eps-rate
-    of its pair area, each cap's (A_ec, A_et) chained through the jacobian of
-    ``stripe_caps`` at (0, 0)."""
-    rates = np.stack([a_ec, a_et], axis=1).reshape((3, 2, 2) + a_ec.shape[1:])
-    return np.einsum("sri,ksr...->ki...", _cap_jacobians(), rates)
-
-
 @lru_cache(maxsize=1)
 def _cap_jacobians() -> np.ndarray:
     """``stripe_caps(0, 0)``'s jacobians (side, (c, theta), x), read-only."""
@@ -279,12 +269,24 @@ def _cap_jacobians() -> np.ndarray:
     return jacs
 
 
-def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
-    """Unit-eps cut data of the three edge classes for the body of ``q``.
+def class_cuts(breaks: np.ndarray, q: np.ndarray, shifts):
+    """Unit-eps cut data of the three edge classes over the columns of
+    ``cap_area_derivatives``: P_e (3, m), P_ex (3, 2, m) and P_ee (3, m, m).
 
-    Class k's ``PairCut`` holds P_e = A_e summed over its caps 2k and 2k + 1,
-    P_ex of ``class_slopes`` and P_ee = A_ee summed over the two caps, all
-    from ``cap_area_derivatives`` of (q, shift) (None: the reference shift).
+    Class k clips cap 2k off its left copy and cap 2k + 1 off its right one:
+    it sums their A_e and A_ee and chains their (A_ec, A_et) through the
+    jacobians of ``stripe_caps`` at (0, 0) into the (s, delta)-rows of P_ex.
+    """
+    a_e, a_ee, a_ec, a_et = cap_area_derivatives(breaks, q, shifts)
+    rates = np.stack([a_ec, a_et], axis=1).reshape((3, 2, 2) + a_ec.shape[1:])
+    p_ex = np.einsum("sri,ksr...->ki...", _cap_jacobians(), rates)
+    return a_e[0::2] + a_e[1::2], p_ex, a_ee[0::2] + a_ee[1::2]
+
+
+def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
+    """Unit-eps cut data of the three edge classes for the body of ``q``:
+    ``class_cuts`` at the one column (q, shift) (None: the reference shift).
+
     Every cut is linear in (q, shift) and read exactly at eps = 0, for any
     number of arcs under a cap.  Raises ``BodyError`` when ``q`` violates
     closure (``body.require_closure``).
@@ -292,12 +294,10 @@ def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairC
     require_closure(q)
     if shift is None:
         shift = default_config()
-    a_e, a_ee, a_ec, a_et = cap_area_derivatives(q.breaks, q.values[:, None], [shift])
-    p_ex = class_slopes(a_ec, a_et)[..., 0]
-    p_e = (a_e[0::2] + a_e[1::2])[:, 0]
-    p_ee = (a_ee[0::2] + a_ee[1::2])[:, 0, 0]
+    p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
     return tuple(
-        PairCut(float(p_e[k]), (float(p_ex[k, 0]), float(p_ex[k, 1])), float(p_ee[k]))
+        PairCut(float(p_e[k, 0]), (float(p_ex[k, 0, 0]), float(p_ex[k, 1, 0])),
+                float(p_ee[k, 0, 0]))
         for k in range(3)
     )
 

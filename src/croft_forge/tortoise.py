@@ -5,7 +5,8 @@ the plane with one copy per lattice cell; its area over the cell area is
 the packing density.  Four evaluation modes are provided: second-order
 series with shift-only or shift+tilt stripe minimization ("series1",
 "series2"), and exact clipped-arc areas with the same two minimizations
-("exact1", "exact2").
+("exact1", "exact2"); the series modes build no body (closed forms at
+unit eps: ``body_area_coefficient``, ``lattice.cut_parameters``).
 
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, body_area_gram, build_body, require_closure
+from .body import ArcBody, body_area, body_area_gram, build_body, family_radii, require_closure
 from .clip import Clip, halfplane_clip_area
 from .lattice import LATTICE_CONSTANT, cut_parameters, edge_copies, stripe_caps
 from .segments import minimize_pair_shift, minimize_pair_shift_tilt, pair_envelope
@@ -38,6 +39,7 @@ from .stepfn import StepFunction, reference_step_function
 
 SERIES_MODES = ("series1", "series2")
 MODES = SERIES_MODES + ("exact1", "exact2")
+TILT_MODES = ("series2", "exact2")  # the modes that minimize over the tilt too
 
 
 # Exact-mode Newton solver: stop once every step component is below the
@@ -190,18 +192,23 @@ def tortoise_area(
     is a rhombus of side one lattice constant.  ``shift`` is the
     pre-rotation shift pair of every copy (None: the reference shift).
     Every mode minimizes the second-order pair area on the unit cut data of
-    ``cut_parameters`` scaled by eps; the series modes place no copies, and
-    the exact modes start Newton there, on the two ``edge_copies`` of each
-    class, rigid motions of the one body.
+    ``cut_parameters`` scaled by eps, and the exact modes start Newton at
+    that minimizer, on the two ``edge_copies`` of each class.  The series
+    modes build no body: their area is pi + B eps^2, B of
+    ``body_area_coefficient``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if q is None:
         q = reference_step_function()
 
-    body = build_body(q, eps)
-    a_body = body_area(body)
-    with_tilt = mode in ("series2", "exact2")
+    if mode in SERIES_MODES:
+        family_radii(q, eps)
+        a_body = math.pi + body_area_coefficient(q) * eps * eps
+    else:
+        body = build_body(q, eps)
+        a_body = body_area(body)
+    with_tilt = mode in TILT_MODES
     per_edge = []
     for k, cut in enumerate(cut_parameters(q, shift)):
         if with_tilt:
@@ -258,7 +265,7 @@ def series_cut_coefficients(
     if mode not in SERIES_MODES:
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
     cuts = cut_parameters(q, shift)
-    _, quad = pair_envelope([c.p_ex for c in cuts], [c.p_ee for c in cuts], mode == "series2")
+    _, quad = pair_envelope([c.p_ex for c in cuts], [c.p_ee for c in cuts], mode in TILT_MODES)
     return sum(c.linear for c in cuts), float(quad)
 
 

@@ -522,7 +522,7 @@ def test_top_direction_skips_null_directions(n, top):
 
 
 def test_top_direction_of_a_zero_form_is_the_first():
-    zero = ansatz.QuadraticForm(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), "series2")
+    zero = ansatz.QuadraticForm(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)))
     report = eigen_signature(zero)
     assert report.signature == (0, 3, 0)
     assert report.top_value == 0.0
@@ -571,7 +571,7 @@ def test_top_gap_is_the_distance_to_the_nearest_eigenvalue(form):
     report = eigen_signature(form)
     assert report.top_gap == pytest.approx(3.83e-6, rel=1e-3)
     assert report.top_gap == report.eigenvalues[0] - report.eigenvalues[1]
-    zero = ansatz.QuadraticForm(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), "series2")
+    zero = ansatz.QuadraticForm(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)))
     assert eigen_signature(zero).top_gap == 0.0
 
 

@@ -43,6 +43,17 @@ def test_scan_csv(capsys):
     assert float(lines[1].split(",")[5]) == pytest.approx(0.2293647, abs=1e-6)
 
 
+def test_scan_csv_columns_do_not_depend_on_row_order(capsys):
+    """An error row first or last, the record columns keep their order and
+    the error column comes last."""
+    _, record, _ = run(capsys, "scan", "--eps", "0.05")
+    header = record.splitlines()[0]
+    for argv in (("--eps", "5", "--eps", "0.05"), ("--eps", "0.05", "--eps", "5")):
+        code, out, _ = run(capsys, "scan", *argv)
+        assert code == 0
+        assert out.splitlines()[0] == header + ",error"
+
+
 def test_scan_json_with_eps_range(capsys, tmp_path):
     out_path = tmp_path / "scan.json"
     code, _, _ = run(
@@ -479,7 +490,6 @@ def test_eigen_runs_the_requested_mode(capsys, monkeypatch, mode):
             matrix=-np.eye(n_vars - 2),
             basis=np.eye(n_vars)[:, : n_vars - 2],
             hessian=-2.0 * np.eye(n_vars),
-            mode=mode_arg,
         )
 
     monkeypatch.setattr(ansatz, "assemble_quadratic_form", fake_form)

@@ -359,6 +359,34 @@ def test_one_body_per_profile_and_eps(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("mode", ["series1", "series2"])
+def test_series_modes_build_no_body(monkeypatch, mode):
+    """A series evaluation takes the body area in closed form, pi + B eps^2
+    with B of ``body_area_coefficient``, bit for bit, and builds no body: on
+    the reference, q36 and a seeded uniform-12 profile."""
+    calls = count_calls(monkeypatch, body_module, "build_body")
+    v = ansatz.closure_project(np.random.default_rng(13).normal(size=6), UNIFORM_12)
+    u12 = ansatz.step_from_halfvalues(v / np.max(np.abs(v)), UNIFORM_12)
+    for q in (Q, q36_profile(), u12):
+        for eps in (-0.08, 0.01, 0.08):
+            rec = tortoise_area(eps, mode, q=q)
+            assert rec.body_area == math.pi + body_area_coefficient(q) * eps * eps
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["series1", "series2"])
+def test_series_modes_check_eps_as_build_body_does(mode):
+    """Without a body, a series evaluation still refuses a non-finite eps
+    and a negative radius, with ``build_body``'s messages."""
+    for eps, match in ((math.nan, "finite"), (math.inf, "finite"),
+                       (-math.inf, "finite"), (3.0, "non-positive radius")):
+        with pytest.raises(BodyError, match=match) as built:
+            build_body(Q, eps)
+        with pytest.raises(BodyError, match=match) as series:
+            tortoise_area(eps, mode)
+        assert str(series.value) == str(built.value)
+
+
 @pytest.mark.parametrize("mode", ["exact1", "exact2"])
 def test_each_edge_pair_is_placed_once(monkeypatch, mode):
     """An exact evaluation places the two copies of each of the three edge
@@ -401,6 +429,8 @@ def test_closure_is_checked_without_a_body():
         lambda: body_area_coefficient(q),
         lambda: series_cut_coefficients(q, "series2"),
         lambda: series_net_coefficient(q, "series1"),
+        lambda: tortoise_area(0.05, "series1", q=q),
+        lambda: tortoise_area(0.05, "series2", q=q),
         lambda: build_body(q, 0.05),
     ):
         with pytest.raises(BodyError, match="does not close"):
