@@ -87,12 +87,14 @@ def require_closure(q: StepFunction, eps: float = 1.0) -> None:
     """Raise :class:`BodyError` when the arc chain of ``q`` at ``eps`` does
     not close to CLOSURE_TOL: the profile violates the two linear closure
     constraints.  The closed forms at unit eps (``lattice.cut_parameters``,
-    ``tortoise.body_area_coefficient``) check it as ``build_body`` does."""
-    residual = abs(eps) * chain_closure_residual(q)
-    if residual > CLOSURE_TOL:
+    ``tortoise.body_area_coefficient``) check it as ``build_body`` does.
+    The message names the unit-eps residual, the profile's own, so every
+    mode and every eps report one violation alike."""
+    residual = chain_closure_residual(q)
+    if abs(eps) * residual > CLOSURE_TOL:
         raise BodyError(
-            f"arc chain does not close (residual {residual:.3g}): the "
-            "profile violates the closure constraints"
+            f"arc chain does not close (residual {residual:.3g} at unit eps): "
+            "the profile violates the closure constraints"
         )
 
 

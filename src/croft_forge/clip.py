@@ -40,11 +40,10 @@ TANGENCY_TOL = 1e-12
 CAP_MARGIN = 1e-8
 
 
-def _arc_piece_area(center, radius, a, b) -> float:
-    # Green's theorem contribution of one arc piece plus its center chord term.
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    cross = center[0] * (sb - sa) - center[1] * (cb - ca)
+def _arc_piece_area(center, radius, a, b, ua, ub) -> float:
+    # Green's theorem contribution of one arc piece plus its center chord
+    # term; ua and ub are (cos, sin) of its end angles a and b.
+    cross = center[0] * (ub[1] - ua[1]) - center[1] * (ub[0] - ua[0])
     return 0.5 * (radius * radius * (b - a) + radius * cross)
 
 
@@ -107,17 +106,18 @@ def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
 
 
 class Clip(NamedTuple):
-    """A clipped area with its gradient and Hessian in two line parameters,
-    both None where a line does not cross its boundary in exactly two points."""
+    """A clipped area with its gradient (a pair of floats) and Hessian (a
+    symmetric pair of pairs) in two line parameters, both None where a
+    line does not cross its boundary in exactly two points."""
 
     area: float
-    grad: np.ndarray | None = None
-    hess: np.ndarray | None = None
+    grad: tuple[float, float] | None = None
+    hess: tuple[tuple[float, float], tuple[float, float]] | None = None
 
 
 def _chord_derivatives(hits, n, c):
     """(grad, hess) of the clipped area in (c, theta) from the crossings
-    (center, radius, phi) of the line n.x = c; (None, None) unless two.
+    (center, point) of the line n.x = c; (None, None) unless two.
 
     theta is the angle of the unit normal, n = (cos theta, sin theta), and
     t = (-sin theta, cos theta) runs along the line.  The line meets the
@@ -132,8 +132,7 @@ def _chord_derivatives(hits, n, c):
         return None, None
     t0, t1 = -n[1], n[0]
     slides = []  # (u, u_c, u_theta) per crossing
-    for center, radius, phi in hits:
-        x0, x1 = _arc_point(center, radius, phi)
+    for center, (x0, x1) in hits:
         w0, w1 = x0 - center[0], x1 - center[1]
         wt = w0 * t0 + w1 * t1
         u = x0 * t0 + x1 * t1
@@ -142,8 +141,8 @@ def _chord_derivatives(hits, n, c):
         slides.append((u, u_c, u_t))
     (u1, u1_c, u1_t), (u2, u2_c, u2_t) = sorted(slides)
     a_ct = -(u2_t - u1_t)
-    grad = np.array([-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1)])
-    hess = np.array([[-(u2_c - u1_c), a_ct], [a_ct, u2 * u2_t - u1 * u1_t]])
+    grad = (-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1))
+    hess = ((-(u2_c - u1_c), a_ct), (a_ct, u2 * u2_t - u1 * u1_t))
     return grad, hess
 
 
@@ -153,27 +152,31 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
 
     The walk keeps the sub-arcs under the cap that lie inside the
     half-plane, in boundary order, closes every excursion outside with a
-    chord, and keeps the crossings it finds for the derivatives.
+    chord, and keeps the crossing points it finds for the derivatives.
+    cos and sin are taken once per piece end, for its Green term and its
+    point alike.
     """
     n = (float(n[0]), float(n[1]))
     centers, radii, breaks = body.arc_lists
     pieces = []  # (area contribution, start point, end point)
-    hits = []  # (center, radius, angle) per crossing
+    hits = []  # (center, point) per crossing
     for i in cap_arcs(body, n, c):
         center, radius = centers[i], radii[i]
         a, b = breaks[i], breaks[i + 1]
         if radius <= 0.0 or b - a <= 0.0:
             continue
-        crossings = arc_line_crossings(center, radius, a, b, n, c)
-        hits += [(center, radius, phi) for phi in crossings]
-        cuts = [a] + crossings + [b]
-        for lo, hi in zip(cuts, cuts[1:]):
+        cuts = [a] + arc_line_crossings(center, radius, a, b, n, c) + [b]
+        units = [(math.cos(phi), math.sin(phi)) for phi in cuts]
+        points = [(center[0] + radius * u0, center[1] + radius * u1) for u0, u1 in units]
+        hits += [(center, p) for p in points[1:-1]]
+        for j in range(len(cuts) - 1):
+            lo, hi = cuts[j], cuts[j + 1]
             if lo == hi:  # a crossing at the start break
                 continue
             p_mid = _arc_point(center, radius, 0.5 * (lo + hi))
             if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
-                pieces.append((_arc_piece_area(center, radius, lo, hi),
-                               _arc_point(center, radius, lo), _arc_point(center, radius, hi)))
+                pieces.append((_arc_piece_area(center, radius, lo, hi, units[j], units[j + 1]),
+                               points[j], points[j + 1]))
     area = sum(p[0] for p in pieces)
     # chords from each piece end to the next piece start (cyclically);
     # contiguous pieces contribute zero because the points coincide.

@@ -172,18 +172,18 @@ def stripe_caps(s: float, delta: float, stripe_width: float = 2.0):
 
     ``jac`` holds the (s, delta)-gradients of c and theta as rows and
     ``c_hess`` the Hessian of c (theta is linear); the width drops out of
-    both.  This is the one place that states where a stripe's lines sit.
+    both.  All are floats and nested pairs, read in the exact modes' Newton
+    loop.  This is the one place that states where a stripe's lines sit.
     """
     p = math.cos(croft_constants().phi_c) + s
     cd, sd = math.cos(delta), math.sin(delta)
-    n = np.array([cd, -sd])
     c = cd * p
-    c_grad = np.array([cd, -sd * p])
-    c_hess = np.array([[0.0, -sd], [-sd, -cd * p]])
-    theta_grad = np.array([0.0, -1.0])
+    theta_grad = (0.0, -1.0)
+    # the right cap negates n, c's gradient and c's Hessian
     return (
-        (n, c, np.stack([c_grad, theta_grad]), c_hess),
-        (-n, -c - stripe_width, np.stack([-c_grad, theta_grad]), -c_hess),
+        ((cd, -sd), c, ((cd, -sd * p), theta_grad), ((0.0, -sd), (-sd, -cd * p))),
+        ((-cd, sd), -c - stripe_width, ((-cd, sd * p), theta_grad),
+         ((-0.0, sd), (sd, cd * p))),
     )
 
 

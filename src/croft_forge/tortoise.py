@@ -15,9 +15,12 @@ its area and derivatives, chained through the caps of ``lattice.stripe_caps``.
 Newton starts at the series minimizer of the cap-read cut data
 (``lattice.cut_parameters``), halves any step that raises the
 area, and stops after a full step below NEWTON_STEP_TOL; each ``EdgeCut``
-records its iterations and the final gradient norm as a stationarity
-certificate.  A line that misses a body where Newton needs derivatives
-(the start and each accepted step), or no convergence within
+records its iterations, its pair-area evaluations (about 3.2 per edge on
+the reference fit) and the final gradient norm as a stationarity
+certificate.  The loop runs on plain floats: the caps, the chain rule and
+the 1 x 1 or 2 x 2 step (``_newton_step``, closed-form eigenvalues and
+solve) touch no NumPy.  A line that misses a body where Newton needs
+derivatives (the start and each accepted step), or no convergence within
 NEWTON_MAX_ITER steps, raises ``ConvergenceError``.
 """
 
@@ -62,9 +65,10 @@ class ConvergenceError(RuntimeError):
 class EdgeCut:
     """Minimized stripe cut of one edge class.
 
-    In the exact modes ``iterations`` counts Newton iterations and
-    ``grad_norm`` is the area gradient norm at (s, delta), the
-    stationarity certificate; both are 0 in the series modes.
+    In the exact modes ``iterations`` counts Newton iterations,
+    ``evaluations`` the pair-area evaluations (``pair_clip_area`` calls)
+    and ``grad_norm`` is the area gradient norm at (s, delta), the
+    stationarity certificate; all are 0 in the series modes.
     """
 
     k: int
@@ -72,6 +76,7 @@ class EdgeCut:
     delta: float
     area: float
     iterations: int = 0
+    evaluations: int = 0
     grad_norm: float = 0.0
 
 
@@ -98,18 +103,30 @@ class DensityRecord:
 
 def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> Clip:
     """Exact area removed from both copies by the stripe at (s, delta), with its
-    gradient and Hessian in (s, delta) chained from each copy's (c, theta) ones."""
+    gradient and Hessian in (s, delta) chained from each copy's (c, theta) ones.
+
+    Per copy, with jac = (grad c, grad theta) and c_hess of ``stripe_caps``:
+    grad = jac^T (A_c, A_theta) and hess = jac^T H jac + A_c c_hess, in
+    float arithmetic."""
     caps = stripe_caps(s, delta)
     clips = [halfplane_clip_area(body, n, c)
              for body, (n, c, _, _) in zip((left, right), caps)]
     area = clips[0].area + clips[1].area
     if clips[0].grad is None or clips[1].grad is None:
         return Clip(area)
-    grad, hess = np.zeros(2), np.zeros((2, 2))
-    for clip, (_, _, jac, c_hess) in zip(clips, caps):
-        grad += jac.T @ clip.grad
-        hess += jac.T @ clip.hess @ jac + clip.grad[0] * c_hess
-    return Clip(area, grad, hess)
+    g_s = g_d = h_ss = h_sd = h_dd = 0.0
+    for clip, (_, _, ((c_s, c_d), (t_s, t_d)), ((c_ss, c_sd), (_, c_dd))) in zip(clips, caps):
+        a_c, a_t = clip.grad
+        (a_cc, a_ct), (_, a_tt) = clip.hess
+        # the s- and delta-rows of jac^T H
+        m_sc, m_st = c_s * a_cc + t_s * a_ct, c_s * a_ct + t_s * a_tt
+        m_dc, m_dt = c_d * a_cc + t_d * a_ct, c_d * a_ct + t_d * a_tt
+        g_s += c_s * a_c + t_s * a_t
+        g_d += c_d * a_c + t_d * a_t
+        h_ss += m_sc * c_s + m_st * t_s + a_c * c_ss
+        h_sd += m_sc * c_d + m_st * t_d + a_c * c_sd
+        h_dd += m_dc * c_d + m_dt * t_d + a_c * c_dd
+    return Clip(area, (g_s, g_d), ((h_ss, h_sd), (h_sd, h_dd)))
 
 
 def _pair_derivatives(pair: Clip, s: float, delta: float):
@@ -122,13 +139,30 @@ def _pair_derivatives(pair: Clip, s: float, delta: float):
     return pair.grad, pair.hess
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Newton step, with the Hessian shifted to positive definite if it is not."""
-    lam = np.linalg.eigvalsh(hess)
-    floor = HESSIAN_FLOOR * max(abs(lam[-1]), 1.0)
-    if lam[0] < floor:
-        hess = hess + (floor - lam[0]) * np.eye(len(grad))
-    return -np.linalg.solve(hess, grad)
+def _newton_step(grad, hess) -> tuple[float, ...]:
+    """Newton step -H^-1 g in the first ``len(grad)`` (1 or 2) variables.
+
+    Where the smallest eigenvalue lam_min of that block of ``hess`` is below
+    floor = HESSIAN_FLOOR * max(|lam_max|, 1), the block is shifted by
+    (floor - lam_min) I to positive definite.  Closed forms: the eigenvalues
+    of [[a, b], [b, d]] are m -+ hypot((a - d)/2, b) with m = (a + d)/2, and
+    the step solves the 2 x 2 system by its determinant.
+    """
+    if len(grad) == 1:
+        h = hess[0][0]
+        floor = HESSIAN_FLOOR * max(abs(h), 1.0)
+        if h < floor:
+            h = h + (floor - h)
+        return (-grad[0] / h,)
+    (a, _), (b, d) = hess
+    m, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    lam_min, lam_max = m - r, m + r
+    floor = HESSIAN_FLOOR * max(abs(lam_max), 1.0)
+    if lam_min < floor:
+        a, d = a + (floor - lam_min), d + (floor - lam_min)
+    g_0, g_1 = grad
+    det = a * d - b * b
+    return ((b * g_1 - d * g_0) / det, (b * g_0 - a * g_1) / det)
 
 
 def _minimize_pair_clip(
@@ -137,38 +171,42 @@ def _minimize_pair_clip(
     """Safeguarded Newton on the exact pair area of the class-``k``
     ``edge_copies``, from ``start`` = (s, delta), the series minimizer.
 
-    Works on s alone (exact1) or on (s, delta) (exact2).  A step that
-    raises the area beyond rounding is halved until it does not.  The
-    loop stops after taking a full Newton step below NEWTON_STEP_TOL in
-    every component and reports the iterations and the gradient norm at
-    the returned point.
+    Works on s alone (exact1) or on (s, delta) (exact2), in floats.  A
+    step that raises the area beyond rounding is halved until it does not.
+    The loop stops after taking a full Newton step below NEWTON_STEP_TOL in
+    every component and reports the iterations, the pair-area evaluations
+    and the gradient norm at the returned point.
     """
     eps = left.epsilon
-    x = np.array(start, dtype=float)
+    s, delta = start
     dim = 2 if with_tilt else 1
-    pair = pair_clip_area(left, right, x[0], x[1])
-    grad, hess = _pair_derivatives(pair, x[0], x[1])
+    pair = pair_clip_area(left, right, s, delta)
+    evaluations = 1
+    grad, hess = _pair_derivatives(pair, s, delta)
     for iteration in range(1, NEWTON_MAX_ITER + 1):
-        step = np.zeros(2)
-        step[:dim] = _newton_step(grad[:dim], hess[:dim, :dim])
-        converged = np.max(np.abs(step)) < NEWTON_STEP_TOL
+        if with_tilt:
+            ds, dd = _newton_step(grad, hess)
+        else:
+            (ds,), dd = _newton_step(grad[:1], hess), 0.0
+        converged = max(abs(ds), abs(dd)) < NEWTON_STEP_TOL
         while True:
-            trial = x + step
-            trial_pair = pair_clip_area(left, right, trial[0], trial[1])
+            trial_s, trial_delta = s + ds, delta + dd
+            trial_pair = pair_clip_area(left, right, trial_s, trial_delta)
+            evaluations += 1
             if trial_pair.area <= pair.area + AREA_ROUNDING:
                 break
-            step *= 0.5
-            if np.max(np.abs(step)) < NEWTON_STEP_TOL:
+            ds, dd = 0.5 * ds, 0.5 * dd
+            if max(abs(ds), abs(dd)) < NEWTON_STEP_TOL:
                 raise ConvergenceError(
                     f"class {k} at eps={eps}: no area decrease along the Newton "
-                    f"step from s={x[0]}, delta={x[1]}"
+                    f"step from s={s}, delta={delta}"
                 )
-        x, pair = trial, trial_pair
-        grad, hess = _pair_derivatives(pair, x[0], x[1])
+        s, delta, pair = trial_s, trial_delta, trial_pair
+        grad, hess = _pair_derivatives(pair, s, delta)
         if converged:
             return EdgeCut(
-                k=k, s=float(x[0]), delta=float(x[1]), area=float(pair.area),
-                iterations=iteration, grad_norm=float(np.linalg.norm(grad[:dim])),
+                k=k, s=s, delta=delta, area=pair.area, iterations=iteration,
+                evaluations=evaluations, grad_norm=math.hypot(*grad[:dim]),
             )
     raise ConvergenceError(
         f"class {k} at eps={eps}: no convergence in {NEWTON_MAX_ITER} Newton steps"
@@ -203,8 +241,8 @@ def tortoise_area(
         q = reference_step_function()
 
     if mode in SERIES_MODES:
-        family_radii(q, eps)
-        a_body = math.pi + body_area_coefficient(q) * eps * eps
+        family_radii(q, eps)  # closure: cut_parameters below checks it
+        a_body = math.pi + _body_area_c2(q) * eps * eps
     else:
         body = build_body(q, eps)
         a_body = body_area(body)
@@ -275,6 +313,11 @@ def body_area_coefficient(q: StepFunction | None = None) -> float:
     if q is None:
         q = reference_step_function()
     require_closure(q)
+    return _body_area_c2(q)
+
+
+def _body_area_c2(q: StepFunction) -> float:
+    # body_area_coefficient for callers whose cut_parameters checks closure
     return float(body_area_gram(q.breaks, q.values[:, None])[0, 0])
 
 
@@ -286,9 +329,12 @@ def series_net_coefficient(
     """Second-order coefficient of the cut-body area, series closed form.
 
     Positive means the family improves on the disc-based construction.
+    Closure is checked once, by the ``cut_parameters`` the cut sum reads.
     """
+    if q is None:
+        q = reference_step_function()
     _, quad = series_cut_coefficients(q, mode, shift)
-    return body_area_coefficient(q) - quad
+    return _body_area_c2(q) - quad
 
 
 # ---------------------------------------------------------------------------

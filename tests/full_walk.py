@@ -13,6 +13,8 @@ Only the tests use it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from croft_forge.body import ArcBody, _unit
@@ -48,7 +50,9 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
             if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
                 pieces.append(
                     (
-                        _arc_piece_area(center, radius, lo, hi),
+                        _arc_piece_area(center, radius, lo, hi,
+                                        (math.cos(lo), math.sin(lo)),
+                                        (math.cos(hi), math.sin(hi))),
                         _arc_point(center, radius, lo),
                         _arc_point(center, radius, hi),
                     )
@@ -72,7 +76,7 @@ def halfplane_clip_derivatives(body: ArcBody, n, c: float):
         center = body.centers[i]
         radius = body.radii[i]
         a, b = body.breaks[i], body.breaks[i + 1]
-        hits += [(center, radius, phi)
+        hits += [(center, _arc_point(center, radius, phi))
                  for phi in arc_line_crossings(center, radius, a, b, n, c)]
     return _chord_derivatives(hits, n, c)
 

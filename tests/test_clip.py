@@ -10,7 +10,13 @@ from croft_forge.clip import arc_line_crossings, boundary_line_crossings, halfpl
 from croft_forge.lattice import cut_parameters, default_config, edge_copies, stripe_caps
 from croft_forge.segments import minimize_pair_shift_tilt
 from croft_forge.stepfn import reference_step_function, zero_step_function
-from croft_forge.tortoise import ConvergenceError, _pair_derivatives, pair_clip_area
+from croft_forge.tortoise import (
+    DEFAULT_FIT_EPS,
+    ConvergenceError,
+    _pair_derivatives,
+    pair_clip_area,
+    tortoise_area,
+)
 
 Q = reference_step_function()
 SHIFT = default_config()
@@ -74,7 +80,7 @@ def test_clip_derivatives_match_finite_differences(eps, k):
 
         # tighter: central differences of the (just checked) gradient
         def g(c_, t_):
-            return halfplane_clip_area(body, (math.cos(t_), math.sin(t_)), c_).grad
+            return np.array(halfplane_clip_area(body, (math.cos(t_), math.sin(t_)), c_).grad)
 
         fd = np.stack(
             [(g(c + H_GRAD, theta) - g(c - H_GRAD, theta)) / (2 * H_GRAD),
@@ -93,8 +99,8 @@ def test_unit_disc_clip_derivatives(c, theta):
     root = math.sqrt(1.0 - c * c)
     assert grad[0] == pytest.approx(-2.0 * root, abs=1e-12)
     assert grad[1] == pytest.approx(0.0, abs=1e-12)
-    assert hess[0, 0] == pytest.approx(2.0 * c / root, abs=1e-10)
-    assert np.max(np.abs([hess[0, 1], hess[1, 0], hess[1, 1]])) <= 1e-10
+    assert hess[0][0] == pytest.approx(2.0 * c / root, abs=1e-10)
+    assert np.max(np.abs([hess[0][1], hess[1][0], hess[1][1]])) <= 1e-10
 
 
 def test_line_through_a_break_crosses_twice():
@@ -109,7 +115,7 @@ def test_line_through_a_break_crosses_twice():
     area, grad, hess = halfplane_clip_area(disc, (1.0, 0.0), 0.5)
     assert grad[0] == pytest.approx(-math.sqrt(3.0), abs=1e-14)
     assert grad[1] == pytest.approx(0.0, abs=1e-14)
-    assert hess[0, 0] == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
+    assert hess[0][0] == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
     assert area == pytest.approx(
         math.pi / 3 - math.sqrt(3.0) / 4, abs=1e-14
     )
@@ -148,6 +154,25 @@ def test_pair_derivatives_match_finite_differences(eps, k):
     assert np.max(np.abs(grad)) > 1e-3
     assert np.max(np.abs(grad - fd_gradient(f, (s, delta), H_GRAD))) <= 1e-8
     assert np.max(np.abs(hess - fd_hessian(f, (s, delta), H_HESS))) <= hess_tol(hess)
+
+
+def test_pair_chain_rule_matches_the_numpy_chain():
+    """``pair_clip_area``'s float chain rule against jac^T H jac + A_c c_hess
+    in NumPy, both copies summed, on the reference fit's exact2 edges."""
+    for eps in DEFAULT_FIT_EPS:
+        rec = tortoise_area(eps, "exact2")
+        body = build_body(Q, eps)
+        for e in rec.per_edge:
+            left, right = edge_copies(body, e.k, SHIFT)
+            grad, hess = np.zeros(2), np.zeros((2, 2))
+            for copy, (n, c, jac, c_hess) in zip((left, right), stripe_caps(e.s, e.delta)):
+                clip = halfplane_clip_area(copy, n, c)
+                jac, clip_hess = np.array(jac), np.array(clip.hess)
+                grad += jac.T @ np.array(clip.grad)
+                hess += jac.T @ clip_hess @ jac + clip.grad[0] * np.array(c_hess)
+            pair = pair_clip_area(left, right, e.s, e.delta)
+            assert np.max(np.abs(np.array(pair.grad) - grad)) <= 1e-14
+            assert np.max(np.abs(np.array(pair.hess) - hess)) <= 1e-14
 
 
 def test_pair_derivatives_raise_when_a_line_misses():

@@ -437,6 +437,45 @@ def test_closure_is_checked_without_a_body():
             evaluate()
 
 
+def test_open_chain_error_names_the_unit_eps_residual():
+    """Every mode, ``build_body`` and ``cut_parameters`` refuse the open
+    profile with one message, which names its unit-eps residual |du^T q|
+    (about 1.32), not the eps-scaled gap of the built body."""
+    q = make_step_function(
+        [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3), Fraction(2)],
+        [0.5, -0.25, -0.5, 0.25],
+    )
+    messages = set()
+    for evaluate in [lambda mode=mode: tortoise_area(0.05, mode, q=q) for mode in MODES] + [
+        lambda: build_body(q, 0.05),
+        lambda: cut_parameters(q),
+        lambda: series_net_coefficient(q, "series2"),
+    ]:
+        with pytest.raises(BodyError) as err:
+            evaluate()
+        messages.add(str(err.value))
+    assert messages == {
+        "arc chain does not close (residual 1.32 at unit eps): "
+        "the profile violates the closure constraints"
+    }
+
+
+def test_closure_is_checked_once_per_series_evaluation(monkeypatch):
+    """A series ``tortoise_area``, ``series_net_coefficient`` and a series
+    ``c2_net`` probe compute the closure residual once each."""
+    calls = count_calls(monkeypatch, body_module, "chain_closure_residual")
+    v = ansatz.closure_project(np.random.default_rng(3).normal(size=ansatz.N_FREE))
+    for mode in ("series1", "series2"):
+        for evaluate in (
+            lambda: tortoise_area(0.05, mode),
+            lambda: series_net_coefficient(Q, mode),
+            lambda: ansatz.c2_net(v, (0.1, -0.2), mode),
+        ):
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1
+
+
 def test_write_scan_csv_of_no_records_writes_header(tmp_path):
     path = tmp_path / "empty.csv"
     write_scan_csv([], path)
@@ -454,15 +493,76 @@ def test_exact2_fit_edges_are_certified():
             assert 1 <= e.iterations <= 6
 
 
+# Newton iterations per edge on the reference fit grid, eps by eps and
+# class by class; no step is halved there, so each edge evaluates the
+# pair area once more than it iterates.
+REFERENCE_ITERATIONS = {
+    "exact1": [2] * 24,
+    "exact2": [2, 3, 3, 2, 2, 3] + [2] * 16 + [3, 3],
+}
+
+
+@pytest.mark.parametrize("mode", ["exact1", "exact2"])
+def test_reference_fit_work_is_pinned(monkeypatch, mode):
+    """Iterations and pair-area evaluations per edge of the reference fit
+    grid, exactly: exact2 evaluates 77 pair areas over its 24 edges (3.21
+    per edge), each one ``pair_clip_area`` call."""
+    calls = count_calls(monkeypatch, tortoise, "pair_clip_area")
+    edges = [e for rec in scan(DEFAULT_FIT_EPS, mode) for e in rec.per_edge]
+    assert [e.iterations for e in edges] == REFERENCE_ITERATIONS[mode]
+    assert [e.evaluations for e in edges] == [i + 1 for i in REFERENCE_ITERATIONS[mode]]
+    assert sum(e.evaluations for e in edges) == len(calls) == {"exact1": 72, "exact2": 77}[mode]
+
+
 def test_series_edges_carry_no_certificate():
-    for e in tortoise_area(0.05, "series2").per_edge:
-        assert (e.iterations, e.grad_norm) == (0, 0.0)
+    for mode in ("series1", "series2"):
+        for e in tortoise_area(0.05, mode).per_edge:
+            assert (e.iterations, e.evaluations, e.grad_norm) == (0, 0, 0.0)
 
 
 def test_newton_step_descends_on_indefinite_hessian():
     grad = np.array([0.3, -0.2])
     for hess in (np.diag([2.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
         assert grad @ tortoise._newton_step(grad, hess) < 0
+
+
+def lapack_newton_step(grad, hess):
+    """Test-only reference: the same floor rule on ``np.linalg.eigvalsh``
+    and ``solve``; returns the step and the shifted block's condition."""
+    lam = np.linalg.eigvalsh(hess)
+    floor = tortoise.HESSIAN_FLOOR * max(abs(lam[-1]), 1.0)
+    if lam[0] < floor:
+        hess = hess + (floor - lam[0]) * np.eye(len(grad))
+    return -np.linalg.solve(hess, grad), np.linalg.cond(hess)
+
+
+def test_newton_step_closed_form_matches_lapack():
+    """The closed-form 1 x 1 and 2 x 2 steps against the LAPACK reference on
+    seeded positive, indefinite, negative and near-singular blocks at
+    scales 1e-3 to 1e3: within 1e-12 relative where the (shifted) block has
+    condition up to 100, and within 1e-14 times the condition beyond, the
+    forward error any backward-stable solve leaves.  A shift to the floor
+    makes that condition up to 1e6 or more, and there the two eigenvalue
+    routines' rounding of lam_min alone moves the step by ~1e-10."""
+    rng = np.random.default_rng(17)
+    kinds = {"positive": (1.0, 1.0), "indefinite": (1.0, -1.0), "negative": (-1.0, -1.0)}
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        blocks = [np.array([[scale * rng.normal()]])]
+        turn = rng.uniform(0.0, math.pi)
+        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        for signs in kinds.values():
+            lam = scale * np.array(signs) * np.abs(rng.normal(size=2))
+            blocks.append(rot @ np.diag(lam) @ rot.T)
+        u = rng.normal(size=2)  # near-singular: rank one plus 1e-9
+        blocks.append(scale * (np.outer(u, u) + 1e-9 * np.diag(rng.normal(size=2))))
+        for hess in blocks:
+            hess = 0.5 * (hess + hess.T)
+            grad = rng.normal(size=len(hess))
+            want, cond = lapack_newton_step(grad, hess)
+            got = np.array(tortoise._newton_step(grad, hess))
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-14 * max(cond, 100.0)
 
 
 def test_iteration_cap_raises(monkeypatch):
