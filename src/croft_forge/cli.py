@@ -95,6 +95,18 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _emit_table(rows, obj, args) -> None:
+    """Write ``obj`` as JSON with ``--format json``, else ``rows`` as CSV
+    lines: floats through ``_fmt``, every other value through ``str``."""
+    if args.format == "json":
+        _emit(json.dumps(obj, indent=2) + "\n", args)
+    else:
+        _emit("".join(
+            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        ), args)
+
+
 # ---------------------------------------------------------------------------
 # constants
 
@@ -130,18 +142,23 @@ CONSTANT_TARGETS = [
 ]
 
 
-def cmd_constants(args) -> int:
+def constant_checks():
+    """(name, value, target, delta, within tolerance) per CONSTANT_TARGETS row."""
     c = croft_constants()
     s = segments.series_coefficients()
-    ok = True
-    lines = [f"{'name':<22} {'value':>22} {'reference':>20} {'delta':>10}"]
     for name, getter, target, tol in CONSTANT_TARGETS:
-        val = getter(c, s)
-        delta = abs(val - target)
-        good = delta <= tol
+        value = getter(c, s)
+        delta = abs(value - target)
+        yield name, value, target, delta, delta <= tol
+
+
+def cmd_constants(args) -> int:
+    lines = [f"{'name':<22} {'value':>22} {'reference':>20} {'delta':>10}"]
+    ok = True
+    for name, value, target, delta, good in constant_checks():
         ok = ok and good
         lines.append(
-            f"{name:<22} {_fmt(val):>22} {_fmt(target):>20} {delta:>10.1e}"
+            f"{name:<22} {_fmt(value):>22} {_fmt(target):>20} {delta:>10.1e}"
             + ("" if good else "  MISMATCH")
         )
     _emit("\n".join(lines) + "\n", args)
@@ -161,22 +178,11 @@ def cmd_scan(args) -> int:
             rows.append(tortoise.record_row(rec))
         except (BodyError, tortoise.ConvergenceError) as exc:
             rows.append({"eps": eps, "mode": args.mode, "error": str(exc)})
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args)
-    else:
-        # record columns in record order, then any error: one fixed order
-        fields = list(dict.fromkeys(f for r in rows for f in r if f != "error"))
-        if any("error" in r for r in rows):
-            fields.append("error")
-        lines = [",".join(fields)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    _fmt(r[f]) if isinstance(r.get(f), float) else str(r.get(f, ""))
-                    for f in fields
-                )
-            )
-        _emit("\n".join(lines) + "\n", args)
+    # record columns in record order, then any error: one fixed order
+    fields = list(dict.fromkeys(f for r in rows for f in r if f != "error"))
+    if any("error" in r for r in rows):
+        fields.append("error")
+    _emit_table([fields] + [[r.get(f, "") for f in fields] for r in rows], rows, args)
     return 0
 
 
@@ -187,13 +193,11 @@ def cmd_scan(args) -> int:
 def cmd_fit(args) -> int:
     q = _load_profile(args)
     eps_values = _eps_list(args, default=tortoise.DEFAULT_FIT_EPS)
-    distinct = len(set(eps_values))
-    if distinct < tortoise.FIT_MIN_SAMPLES:
-        _usage_error(
-            f"fit needs at least {tortoise.FIT_MIN_SAMPLES} distinct eps values, "
-            f"got {distinct}"
-        )
-    fit = tortoise.fit_net_coefficient(args.mode, eps_values=eps_values, q=q)
+    try:
+        fit = tortoise.fit_net_coefficient(args.mode, eps_values=eps_values, q=q)
+    except ValueError as exc:  # too few distinct eps values, or a BodyError
+        _usage_error(str(exc))
+    body_c2 = tortoise.body_area_coefficient(q)
     out = {
         "mode": args.mode,
         "eps_values": list(eps_values),
@@ -201,26 +205,18 @@ def cmd_fit(args) -> int:
         "c2": fit.c2,
         "c4": fit.c4,
         "max_residual": fit.max_residual,
-        "body_area_c2": tortoise.body_area_coefficient(q),
+        "body_area_c2": body_c2,
         "reference_body_area_c2": -reference.AREA_COEFF,
     }
     for mode in tortoise.SERIES_MODES:
         lin, quad = tortoise.series_cut_coefficients(q, mode)
         out[f"{mode}_cut_linear"] = lin
         out[f"{mode}_cut_c2"] = quad
-        out[f"{mode}_net_c2"] = tortoise.series_net_coefficient(q, mode)
+        out[f"{mode}_net_c2"] = body_c2 - quad  # series_net_coefficient's formula
     out["reference_cut_c2_shift_tilt"] = reference.PRINTED_CUT_COEFF_SHIFT_TILT
     out["reference_net_c2_shift_tilt"] = reference.PRINTED_NET_COEFF_SHIFT_TILT
     out["reference_net_c2_shift_only"] = reference.PRINTED_NET_COEFF_SHIFT_ONLY
-    if args.format == "json":
-        _emit(json.dumps(out, indent=2) + "\n", args)
-    else:
-        _emit(
-            "".join(
-                f"{k},{_fmt(v) if isinstance(v, float) else v}\n" for k, v in out.items()
-            ),
-            args,
-        )
+    _emit_table(out.items(), out, args)
     return 0
 
 
@@ -232,7 +228,6 @@ def cmd_eigen(args) -> int:
     q = _load_profile(args)  # only its break set is read
     form = ansatz.assemble_quadratic_form(args.mode, template=q)
     rep = ansatz.eigen_signature(form)
-    n_free = q.n_intervals // 2
     out = {
         "mode": args.mode,
         "eigenvalues": [float(v) for v in rep.eigenvalues],
@@ -247,24 +242,17 @@ def cmd_eigen(args) -> int:
     }
     # the published vector lives on the reference break set only
     on_reference = q.break_fractions == reference_step_function().break_fractions
+    header = ["index", "top_eigenvector"]
+    rows = [[i, v] for i, v in enumerate(out["top_eigenvector"])]
     if on_reference:
-        ref_v = reference.Q_VALUES[:n_free]
+        ref_v = reference.Q_VALUES[:len(rep.top_v)]
         out["reference_vector"] = [float(v) for v in ref_v]
         out["reference_shift"] = [reference.SHIFT_X, reference.SHIFT_Y]
         out["max_vector_deviation"] = float(np.max(np.abs(rep.top_v - ref_v)))
-    if args.format == "json":
-        _emit(json.dumps(out, indent=2) + "\n", args)
-    else:
-        lines = ["index,top_eigenvector" + (",reference,delta" if on_reference else "")]
-        for i in range(n_free):
-            row = f"{i},{_fmt(float(rep.top_v[i]))}"
-            if on_reference:
-                row += f",{_fmt(float(ref_v[i]))},{_fmt(float(rep.top_v[i] - ref_v[i]))}"
-            lines.append(row)
-        lines.append("top_shift," + ",".join(_fmt(float(x)) for x in rep.top_shift))
-        lines.append(f"top_gap,{_fmt(rep.top_gap)}")
-        lines.append(f"signature,{rep.signature[0]},{rep.signature[1]},{rep.signature[2]}")
-        _emit("\n".join(lines) + "\n", args)
+        header += ["reference", "delta"]
+        rows = [[i, v, r, v - r] for (i, v), r in zip(rows, out["reference_vector"])]
+    _emit_table([header, *rows, ["top_shift", *out["top_shift"]], ["top_gap", rep.top_gap],
+                 ["signature", *rep.signature]], out, args)
     return 0
 
 
@@ -272,25 +260,8 @@ def cmd_eigen(args) -> int:
 # verify
 
 
-ALL_CHECKS = (
-    "constants",
-    "closure",
-    "antipodal",
-    "cancellation",
-    "series-vs-exact",
-    "avoidance",
-    "eigen",
-)
-
-
 def _check_constants(q, inject):
-    c = croft_constants()
-    s = segments.series_coefficients()
-    bad = [
-        name
-        for name, getter, target, tol_i in CONSTANT_TARGETS
-        if abs(getter(c, s) - target) > tol_i
-    ]
+    bad = [name for name, *_, good in constant_checks() if not good]
     if bad:
         return False, f"constants outside tolerance: {', '.join(bad)}"
     return True, "all baseline/series constants within tolerance"
@@ -360,6 +331,7 @@ def _check_eigen(q, inject):
 # the fault-injection settings the checks read
 INJECT_KEYS = ("eps", "stripe-width")
 
+# every check, in the order a plain ``verify`` runs them
 CHECK_FUNCS = {
     "constants": _check_constants,
     "closure": _check_closure,
@@ -386,13 +358,10 @@ def cmd_verify(args) -> int:
             _usage_error(f"--inject needs KEY=NUMBER, a finite number, got {item!r}")
         if key == "stripe-width" and inject[key] <= 0.0:
             _usage_error(f"--inject stripe-width must be positive, got {item!r}")
-    names = (
-        [c.strip() for c in args.checks.split(",")] if args.checks else list(ALL_CHECKS)
-    )
+    names = [c.strip() for c in args.checks.split(",")] if args.checks else list(CHECK_FUNCS)
     bad = [n for n in names if n not in CHECK_FUNCS]
     if bad:
-        print(f"unknown checks: {', '.join(bad)}", file=sys.stderr)
-        return 2
+        _usage_error(f"unknown checks: {', '.join(bad)}")
     failures = 0
     for name in names:
         try:

@@ -153,13 +153,16 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
     The walk keeps the sub-arcs under the cap that lie inside the
     half-plane, in boundary order, closes every excursion outside with a
     chord, and keeps the crossing points it finds for the derivatives.
-    cos and sin are taken once per piece end, for its Green term and its
-    point alike.
+    The side is that of the walk's start point, which lies outside unless
+    the walk covers every arc (``cap_arcs`` stops below c - CAP_MARGIN),
+    and flips at each crossing.  cos and sin are taken once per piece end,
+    for its Green term and its point alike.
     """
     n = (float(n[0]), float(n[1]))
     centers, radii, breaks = body.arc_lists
     pieces = []  # (area contribution, start point, end point)
     hits = []  # (center, point) per crossing
+    inside = None
     for i in cap_arcs(body, n, c):
         center, radius = centers[i], radii[i]
         a, b = breaks[i], breaks[i + 1]
@@ -169,12 +172,14 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
         units = [(math.cos(phi), math.sin(phi)) for phi in cuts]
         points = [(center[0] + radius * u0, center[1] + radius * u1) for u0, u1 in units]
         hits += [(center, p) for p in points[1:-1]]
+        if inside is None:
+            inside = n[0] * points[0][0] + n[1] * points[0][1] >= c
         for j in range(len(cuts) - 1):
+            if j:
+                inside = not inside
             lo, hi = cuts[j], cuts[j + 1]
-            if lo == hi:  # a crossing at the start break
-                continue
-            p_mid = _arc_point(center, radius, 0.5 * (lo + hi))
-            if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
+            # lo == hi: a crossing at the start break
+            if inside and lo < hi:
                 pieces.append((_arc_piece_area(center, radius, lo, hi, units[j], units[j + 1]),
                                points[j], points[j + 1]))
     area = sum(p[0] for p in pieces)

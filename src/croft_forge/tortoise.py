@@ -357,18 +357,28 @@ FIT_MIN_SAMPLES = len(FIT_POWERS)
 DEFAULT_FIT_EPS = (-0.08, -0.04, -0.02, -0.01, 0.01, 0.02, 0.04, 0.08)
 
 
+def _require_fit_samples(eps_values) -> None:
+    # a repeated eps repeats a design row: count distinct values, since
+    # lstsq would return a rank-deficient system's minimum-norm answer
+    distinct = len(set(eps_values))
+    if distinct < FIT_MIN_SAMPLES:
+        raise ValueError(
+            f"fit needs at least {FIT_MIN_SAMPLES} distinct eps values, got {distinct}"
+        )
+
+
 def fit_eps2_coefficient(eps_values, areas) -> QuadraticFit:
     """Fit a0 + c2*eps^2 + c4*eps^4 to (eps, area) samples.
 
     The exactly-clipped areas are not even functions of eps (the series
     areas are), so cubic and quintic nuisance terms are included; on a
     symmetric sample grid they leave a0, c2, c4 unchanged and only keep
-    genuine odd content out of the residual.
+    genuine odd content out of the residual.  Raises ``ValueError`` for
+    fewer than FIT_MIN_SAMPLES distinct eps values.
     """
     eps_arr = np.asarray(list(eps_values), dtype=float)
     y = np.asarray(list(areas), dtype=float)
-    if len(eps_arr) < FIT_MIN_SAMPLES:
-        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples for this fit")
+    _require_fit_samples(eps_arr)
     design = np.stack([eps_arr**p for p in FIT_POWERS], axis=-1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.max(np.abs(design @ coef - y)))
@@ -381,7 +391,9 @@ def fit_net_coefficient(
     eps_values=DEFAULT_FIT_EPS,
     **kwargs,
 ) -> QuadraticFit:
-    """Fit the eps^2 coefficient of the cut-body area in any mode."""
+    """Fit the eps^2 coefficient of the cut-body area in any mode; the
+    sample count is checked before any area is evaluated."""
+    _require_fit_samples(eps_values)
     records = scan(eps_values, mode, **kwargs)
     return fit_eps2_coefficient(eps_values, [r.tortoise_area for r in records])
 

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import croft_forge
-from croft_forge import ansatz, svgout, tortoise
-from croft_forge.cli import main
+from croft_forge import ansatz, lattice, svgout, tortoise
+from croft_forge import body as body_module
+from croft_forge.cli import _fmt, main
 from croft_forge.lattice import PATCH_SITES
 from croft_forge.stepfn import reference_step_function
 from break_sets import q36_profile, uniform_zero_profile
+from call_counts import count_calls
 
 
 def run(capsys, *argv):
@@ -106,6 +108,68 @@ def test_fit_json(capsys):
     assert data["c2"] < 0  # the family does not beat the baseline density
 
 
+def _cell(value):
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _csv_and_json(capsys, *argv):
+    """The CSV lines and the parsed JSON of one command."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, data, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return out.splitlines(), json.loads(data)
+
+
+def test_scan_csv_cells_are_the_json_values(capsys):
+    """One emitter: each CSV cell of a scan, an error row among them, is
+    the matching JSON value through ``_fmt`` (floats) or ``str``, and a
+    field a row lacks is empty."""
+    lines, rows = _csv_and_json(capsys, "scan", "--eps", "5", "--eps", "0.05")
+    header = lines[0].split(",")
+    assert header[-1] == "error" and "error" in rows[0] and "error" not in rows[1]
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        assert line.split(",") == [_cell(row.get(f, "")) for f in header]
+
+
+def test_fit_csv_cells_are_the_json_values(capsys):
+    """Each fit CSV line is a JSON key and its value, in the JSON order, and
+    each net c2 is the body-area c2 minus that mode's cut c2."""
+    lines, data = _csv_and_json(capsys, "fit", "--mode", "series2")
+    assert [line.split(",", 1) for line in lines] == [[k, _cell(v)] for k, v in data.items()]
+    for mode in tortoise.SERIES_MODES:
+        assert data[f"{mode}_net_c2"] == data["body_area_c2"] - data[f"{mode}_cut_c2"]
+        assert data[f"{mode}_net_c2"] == tortoise.series_net_coefficient(mode=mode)
+
+
+def test_fit_reads_each_series_coefficient_once(capsys, monkeypatch):
+    """An exact2 fit reads the cut data once per grid eps and once per
+    series mode (8 + 2), and the body-area c2 once."""
+    cuts = count_calls(monkeypatch, lattice, "cut_parameters")
+    grams = count_calls(monkeypatch, body_module, "body_area_gram")
+    code, _, _ = run(capsys, "fit", "--mode", "exact2")
+    assert code == 0
+    assert (len(cuts), len(grams)) == (10, 1)
+
+
+@pytest.mark.parametrize("n", [None, 2])
+def test_eigen_csv_cells_are_the_json_values(capsys, tmp_path, n):
+    """On the reference and on {0, pi}: each CSV cell of ``eigen`` is a JSON
+    value through ``_fmt`` or ``str``; delta is top minus reference."""
+    q_spec = () if n is None else ("--q-spec", str(_uniform_qspec(tmp_path, n)))
+    lines, data = _csv_and_json(capsys, "eigen", *q_spec)
+    top = data["top_eigenvector"]
+    ref = data.get("reference_vector")
+    want = [["index", "top_eigenvector"] + (["reference", "delta"] if ref else [])]
+    for i, v in enumerate(top):
+        want.append([str(i), _fmt(v)] + ([_fmt(ref[i]), _fmt(v - ref[i])] if ref else []))
+    want += [["top_shift", *map(_fmt, data["top_shift"])], ["top_gap", _fmt(data["top_gap"])],
+             ["signature", *map(str, data["signature"].values())]]
+    assert [line.split(",") for line in lines] == want
+    assert (ref is None) == (n is not None)
+
+
 def test_eigen_json(capsys):
     code, out, _ = run(capsys, "eigen", "--format", "json")
     assert code == 0
@@ -117,10 +181,15 @@ def test_eigen_json(capsys):
 
 
 def test_verify_passes(capsys):
+    """A plain verify runs every check, in the order of ``CHECK_FUNCS``."""
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "7/7 checks passed" in out
     assert "FAIL" not in out
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+        f"PASS {name}" for name in ("constants", "closure", "antipodal", "cancellation",
+                                    "series-vs-exact", "avoidance", "eigen")
+    ]
 
 
 def test_verify_subset(capsys):
@@ -130,9 +199,11 @@ def test_verify_subset(capsys):
 
 
 def test_verify_unknown_check(capsys):
-    code, _, err = run(capsys, "verify", "--checks", "nonsense")
+    code = _exit_code(["verify", "--checks", "closure,nonsense,foo"])
+    out, err = capsys.readouterr()
     assert code == 2
-    assert "unknown checks" in err
+    assert err == "error: unknown checks: nonsense, foo\n"
+    assert out == ""
 
 
 def test_verify_catches_injected_narrow_stripe(capsys):

@@ -274,9 +274,20 @@ def test_fit_recovers_synthetic_polynomial():
     assert fit.max_residual <= 1e-12
 
 
-def test_fit_requires_enough_samples():
-    with pytest.raises(ValueError, match="samples"):
+def test_fit_requires_enough_samples(monkeypatch):
+    """The fit counts distinct eps values: a repeated one repeats a row of
+    the five-column design, which lstsq would solve by its minimum-norm
+    answer.  ``fit_net_coefficient`` refuses before it evaluates an area."""
+    with pytest.raises(ValueError, match="at least 5 distinct eps values, got 2"):
         fit_eps2_coefficient([0.0, 0.1], [1.0, 1.0])
+    repeated = (0.01, 0.01, 0.02, 0.04, 0.08)
+    areas = [tortoise_area(e, "series2").tortoise_area for e in repeated]
+    with pytest.raises(ValueError, match="at least 5 distinct eps values, got 4"):
+        fit_eps2_coefficient(repeated, areas)
+    calls = count_calls(monkeypatch, tortoise, "tortoise_area")
+    with pytest.raises(ValueError, match="at least 5 distinct eps values, got 4"):
+        fit_net_coefficient("exact2", eps_values=repeated)
+    assert calls == []
 
 
 def test_scan_and_csv_json_round_trip(tmp_path):
