@@ -306,7 +306,11 @@ def _check_avoidance(q, inject):
         rec = tortoise.tortoise_area(eps, "exact2", q=q)
         report = verify_avoidance(q, eps, rec.stripes(), stripe_width=width)
         if not report.ok:
-            worst.extend(f"eps={eps}: {v}" for v in report.violations[:3])
+            # the first three violations per eps, and how many more there are
+            shown = [f"eps={eps}: {v}" for v in report.violations[:3]]
+            if len(report.violations) > 3:
+                shown[-1] += f" (+{len(report.violations) - 3} more)"
+            worst.extend(shown)
     if worst:
         return False, "; ".join(worst)
     return True, f"patch separation holds at eps in (0, 0.05, 0.1), width {width}"

@@ -15,10 +15,11 @@ away from that point on both sides, so a walk out from the support arc
 that stops at the first shared endpoint below the line finds every arc
 that can meet it: one to three arcs for a stripe cap instead of all n.
 
-``trim_body`` keeps what several half-planes leave of a body as arc
-pieces, chords and vertices, for the exact distances of the patch check
-in ``lattice``; ``halfplane_excess`` is the support function of the
-result.
+``trim_bodies`` keeps what several half-planes leave of each of several
+bodies as arc pieces, chords and vertices, for the exact checks of the
+patch in ``lattice``.  It walks each cut's cap as above, then splits the
+arcs of every body with one sort and clips every chord with one array
+pass; ``trim_body`` is the case of one body.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -238,94 +240,132 @@ def _in_arc(d, u0, u1):
     return (_cross(u0, d) >= 0.0) & (_cross(d, u1) >= 0.0)
 
 
-def trim_body(body: ArcBody, cuts) -> TrimmedBody:
-    """Exact boundary of ``body`` with its cut half-planes removed.
+def _padded(sizes, *flat):
+    """Rows of ``sizes`` entries taken in turn from each array of ``flat``,
+    zero-padded to the longest row and at least one entry wide (so a
+    reduction along rows works on no rows too), and the mask of real
+    entries."""
+    ok = np.arange(sizes.max(initial=1)) < sizes[:, None]
+    out = []
+    for f in flat:
+        out.append(np.zeros(ok.shape + f.shape[1:]))
+        out[-1][ok] = f
+    return (*out, ok)
 
-    ``cuts`` holds (n, c) pairs, each the removed half-plane {x : n.x >= c},
-    as from ``lattice.collect_patch_cuts``.  Each cut line is crossed with
-    the arcs under the cap it removes (``cap_arcs``); one sort of every
-    crossing and every arc end by (arc, angle) splits all arcs at once,
-    and the pieces whose midpoints satisfy n.x <= c for every cut are
-    kept.  Each cut line adds the chord between its two boundary
-    crossings, clipped as an interval by the other cuts.
+
+def cut_table(cuts_per_body) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, c) cuts of several bodies as arrays (body, cut, 2) of normals
+    and (body, cut) of offsets, zero-padded by ``_padded``.  A padded cut
+    (0, 0) removes nothing: 0.x - 0 is never above a tolerance."""
+    flat = [cut for cuts in cuts_per_body for cut in cuts]
+    normals, offsets, _ = _padded(np.array([len(cuts) for cuts in cuts_per_body]),
+                                  np.array([n for n, _ in flat], dtype=float).reshape(-1, 2),
+                                  np.array([c for _, c in flat], dtype=float))
+    return normals, offsets
+
+
+def trim_bodies(bodies, cuts_per_body) -> list[TrimmedBody]:
+    """Exact boundary of each body with its cut half-planes removed.
+
+    ``cuts_per_body[i]`` holds body i's (n, c) pairs, each the removed
+    half-plane {x : n.x >= c}, as from ``lattice.collect_patch_cuts``.
+    Each cut line is crossed with the arcs under the cap it removes
+    (``cap_arcs``, ``arc_line_crossings``); one sort of every crossing
+    and every arc end of every body by (body, arc, angle) splits all arcs
+    at once, and the pieces whose midpoints satisfy n.x <= c for every cut
+    of their body are kept.  Each cut line adds the chord between its two
+    extreme boundary crossings, clipped as an interval by the other cuts
+    of its body; all chords are clipped in one pass.
+
+    Every dot product is a matrix product of one body's rows with its own
+    cut normals, padded to common counts (``cut_table``), so each body's
+    result is bit for bit the one it gets trimmed alone.
     """
-    normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
-    offsets = np.array([c for _, c in cuts], dtype=float)
-    centers, radii, breaks = body.arc_lists
-    # every crossing (arc, angle, cut) of a cut line with an arc under its
-    # cap, then both ends of every arc (cut -1), sorted by arc and angle
+    count = len(bodies)
+    normals, offsets = cut_table(cuts_per_body)
+    width = normals.shape[1]
+    # the arcs of all bodies are numbered in turn: body k's from first[k]
+    first = list(accumulate((b.n_arcs for b in bodies), initial=0))
+    centers = np.concatenate([b.centers for b in bodies]).reshape(-1, 2)
+    radii = np.concatenate([b.radii for b in bodies])
+    # every crossing (arc, angle, body * width + cut) of a cut line with an
+    # arc under its cap, then both ends of every arc (cut -1), sorted by arc
+    # number and angle
     arc, angle, cut = np.array([
-        (i, phi, j) for j, (n, c) in enumerate(cuts) for i in cap_arcs(body, n, c)
-        for phi in arc_line_crossings(centers[i], radii[i], breaks[i], breaks[i + 1], n, c)
+        (first[k] + i, phi, k * width + j)
+        for k, (body, cuts) in enumerate(zip(bodies, cuts_per_body))
+        for j, (n, c) in enumerate(cuts) for i in cap_arcs(body, n, c)
+        for phi in arc_line_crossings(*_arc_of(body, i), n, c)
     ], dtype=float).reshape(-1, 3).T
-    ends = np.arange(body.n_arcs)
+    ends = np.arange(first[-1])
     arc = np.concatenate([arc, ends, ends])
-    angle = np.concatenate([angle, body.breaks[:-1], body.breaks[1:]])
-    cut = np.concatenate([cut, np.full(2 * body.n_arcs, -1.0)])
+    angle = np.concatenate([angle, *(b.breaks[:-1] for b in bodies),
+                            *(b.breaks[1:] for b in bodies)])
+    cut = np.concatenate([cut, np.full(2 * first[-1], -1.0)])
     order = np.lexsort((angle, arc))
     arc, angle, cut = arc[order].astype(int), angle[order], cut[order]
     # consecutive angles on one arc bound a piece
     same = arc[1:] == arc[:-1]
     idx, lo, hi = arc[:-1][same], angle[:-1][same], angle[1:][same]
-    centers, radii = body.centers[idx], body.radii[idx]
-    mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
-    kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
-    centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
+    piece_body = np.searchsorted(first, idx, side="right") - 1
+    mid, slot = _padded(np.bincount(piece_body, minlength=count),
+                        centers[idx] + radii[idx][:, None] * _unit(0.5 * (lo + hi)))
+    kept = np.all(mid @ np.swapaxes(normals, 1, 2) - offsets[:, None] <= KEEP_TOL, axis=2)[slot]
+    idx, piece_body, lo, hi = idx[kept], piece_body[kept], lo[kept], hi[kept]
     hit = cut >= 0
-    points = body.centers[arc[hit]] + body.radii[arc[hit]][:, None] * _unit(angle[hit])
-    cut = cut[hit]
+    points = centers[arc[hit]] + radii[arc[hit]][:, None] * _unit(angle[hit])
+    cut = cut[hit].astype(int)
 
-    chords = []
-    for j in range(len(cuts)):
-        pts = points[cut == j]
-        if len(pts) < 2:
-            continue
-        n = normals[j]
-        along = pts @ np.array([-n[1], n[0]])
-        p0, p1 = pts[np.argmin(along)], pts[np.argmax(along)]
-        # the chord p0 + u*(p1 - p0), u in [0, 1], kept where
-        # g0 + u*g1 <= 0 for every other cut
-        g0 = normals @ p0 - offsets
-        g1 = normals @ (p1 - p0)
-        u_lo, u_hi = 0.0, 1.0
-        for k in range(len(cuts)):
-            if k == j:
-                continue
-            if g1[k] > 0.0:
-                u_hi = min(u_hi, -g0[k] / g1[k])
-            elif g1[k] < 0.0:
-                u_lo = max(u_lo, -g0[k] / g1[k])
-            elif g0[k] > KEEP_TOL:
-                u_hi = -1.0
-        if u_lo <= u_hi:
-            chords.append((p0 + u_lo * (p1 - p0), p0 + u_hi * (p1 - p0)))
-    chord_a = np.array([c[0] for c in chords], dtype=float).reshape(-1, 2)
-    chord_b = np.array([c[1] for c in chords], dtype=float).reshape(-1, 2)
+    # the crossings of each line that meets its body twice, in boundary
+    # order, one row per line: the chord runs between the extreme two
+    sizes = np.bincount(cut, minlength=count * width)
+    line = np.flatnonzero(sizes >= 2)
+    order = np.argsort(cut, kind="stable")
+    pts, ok = _padded(sizes[line], points[order][sizes[cut[order]] >= 2])
+    normal = normals.reshape(-1, 2)[line]
+    along = (pts @ np.stack([-normal[:, 1], normal[:, 0]], axis=-1)[:, :, None])[..., 0]
+    rows = np.arange(len(line))
+    p0 = pts[rows, np.where(ok, along, math.inf).argmin(axis=1)]
+    p1 = pts[rows, np.where(ok, along, -math.inf).argmax(axis=1)]
+    chord_body, j = line // width, line % width
+    # the chord p0 + u*(p1 - p0), u in [0, 1], kept where g0 + u*g1 <= 0
+    # for every other cut of its body
+    g0 = (normals[chord_body] @ p0[:, :, None])[..., 0] - offsets[chord_body]
+    g1 = (normals[chord_body] @ (p1 - p0)[:, :, None])[..., 0]
+    other = np.arange(width) != j[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = -g0 / g1
+    u_hi = np.min(np.where(other & (g1 > 0.0), u, 1.0), axis=1, initial=1.0)
+    u_lo = np.max(np.where(other & (g1 < 0.0), u, 0.0), axis=1, initial=0.0)
+    left = (u_lo <= u_hi) & ~np.any(other & (g1 == 0.0) & (g0 > KEEP_TOL), axis=1)
+    p0, p1, chord_body = p0[left], p1[left], chord_body[left]
+    u_lo, u_hi = u_lo[left], u_hi[left]
+    chord_a = p0 + u_lo[:, None] * (p1 - p0)
+    chord_b = p0 + u_hi[:, None] * (p1 - p0)
 
+    centers, radii = centers[idx], radii[idx]
     u0, u1 = _unit(lo), _unit(hi)
-    vertices = np.concatenate([
-        centers + radii[:, None] * u0,
-        centers + radii[:, None] * u1,
-        chord_a,
-        chord_b,
-    ])
+    start, stop = centers + radii[:, None] * u0, centers + radii[:, None] * u1
     # A narrower piece may have u0 == u1 after rounding, and _in_arc would
     # then admit -u0 too.  Its points lie within ANGLE_TOL * r of its
     # endpoints, which stay vertices.
-    arc = hi - lo > ANGLE_TOL
-    return TrimmedBody(
-        centers[arc], radii[arc], u0[arc], u1[arc], chord_a, chord_b, vertices
-    )
+    wide = hi - lo > ANGLE_TOL
+    pieces = np.cumsum(np.bincount(piece_body, minlength=count))[:-1]
+    chords = np.cumsum(np.bincount(chord_body, minlength=count))[:-1]
+    return [
+        TrimmedBody(c[w], r[w], a[w], b[w], ca, cb, np.concatenate([s0, s1, ca, cb]))
+        for c, r, a, b, w, s0, s1, ca, cb in zip(
+            *(np.split(x, pieces) for x in (centers, radii, u0, u1, wide, start, stop)),
+            *(np.split(x, chords) for x in (chord_a, chord_b)))
+    ]
 
 
-def halfplane_excess(t: TrimmedBody, cuts) -> np.ndarray:
-    """max of n.x - c over the trimmed body, one per cut (n, c).
+def _arc_of(body: ArcBody, i: int):
+    """(center, radius, start, end) of arc i, from the body's lists."""
+    centers, radii, breaks = body.arc_lists
+    return centers[i], radii[i], breaks[i], breaks[i + 1]
 
-    A linear function n.x peaks on an arc piece at an endpoint or at
-    M + r*n, and on a chord at an endpoint; every endpoint is a vertex.
-    """
-    dirs = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
-    on_arc = _in_arc(dirs[None], t.u0[:, None], t.u1[:, None])
-    peaks = np.where(on_arc, t.centers @ dirs.T + t.radii[:, None], -math.inf)
-    top = np.max(np.vstack([peaks, t.vertices @ dirs.T]), axis=0, initial=-math.inf)
-    return top - np.array([c for _, c in cuts], dtype=float)
+
+def trim_body(body: ArcBody, cuts) -> TrimmedBody:
+    """``trim_bodies`` of the one body."""
+    return trim_bodies([body], [cuts])[0]

@@ -26,9 +26,11 @@ states where a stripe's two caps sit across an edge along +x, and
 clip (``clip.halfplane_clip_area``), the trimming and the drawings take
 the pairs as they are.
 
-Patch verification is exact.  Each copy is trimmed by its stripe
-half-planes to a boundary of arc pieces and chords (``clip.trim_body``),
-and distances are closed forms over pairs of pieces, vectorised with
+Patch verification is exact.  The copies are trimmed by their stripe
+half-planes, all in one pass, to boundaries of arc pieces and chords
+(``clip.trim_bodies``) and stacked once into one padded table; the
+crossing check, the distances and the diameters all read rows of it.
+Distances are closed forms over pairs of pieces, vectorised with
 NumPy.  Every candidate is a distance between two points of the trimmed
 bodies, and the list is complete: an extreme pair either has an endpoint
 of a piece (a vertex) as one point, or is an interior critical pair of
@@ -40,7 +42,9 @@ they never meet and their nearest pair is such a boundary pair.  Each
 edge carries that strip (``collect_patch_cuts``), which also bounds every
 pair from below, |P - Q| >= n.Q - n.P, so ``closest_pairs`` first drops
 the pieces too far from it to hold the nearest pair and then takes all
-edges of a patch in one batched pass.
+edges of a patch in one batched pass.  The strip's lines are cut lines
+of the edge's copies, so the extremes that make the bound safe are the
+crossing check's support values, measured once.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .body import (
     require_closure,
     transform,
 )
-from .clip import TrimmedBody, _in_arc, halfplane_excess, trim_body
+from .clip import _in_arc, _padded, cut_table, trim_bodies
 from .segments import PairCut
 from .stepfn import TWO_PI, StepFunction
 
@@ -316,7 +320,9 @@ def collect_patch_cuts(
     ``edges`` lists (site_a, site_b, class, strip) with the edge oriented
     from color c to color c+1, each edge once.  The strip (n, c_a, c_b)
     holds the two caps the edge places: copy a lies in n.x <= c_a, its
-    cut is (n, c_a), and copy b in n.x >= c_b, its cut (-n, -c_b).
+    cut is (n, c_a), and copy b in n.x >= c_b, its cut (-n, -c_b).  Each
+    edge appends these two cuts, in the order of ``edges``, so a site's
+    cuts follow the order of its edges.
 
     The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
     back), and the edge of step m has class k = (m/2 - c) mod 3: its
@@ -388,8 +394,9 @@ def _measured(x: float, spec: str) -> str:
     return format(x, spec) if math.isfinite(x) else "none"
 
 
-# Candidate point pairs, batched.  ``_stack`` pads trimmed bodies to common
-# piece counts, one row each, with masks of the real pieces.  Each helper
+# The table of a patch and candidate point pairs, batched.  ``_stack`` pads
+# trimmed bodies to common piece counts, one row each, with masks of the
+# real pieces; all three checks read rows of that one table.  Each helper
 # returns points P on the first and Q on the second piece set and whether
 # the candidate exists, indexed by row and then by piece in the order a
 # walk over one pair's pieces lists them.  Range tests use cross products
@@ -405,21 +412,28 @@ _Padded = namedtuple(
 )
 
 
-def _padded(sizes, *flat):
-    """Rows of ``sizes`` entries taken in turn from each array of ``flat``,
-    zero-padded to the longest row, and the mask of real entries."""
-    ok = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    out = []
-    for f in flat:
-        out.append(np.zeros(ok.shape + f.shape[1:]))
-        out[-1][ok] = f
-    return (*out, ok)
-
-
 def _stack(ts) -> _Padded:
     return _Padded(*(x for g in _GROUPS for x in _padded(
         np.array([len(getattr(t, g[0])) for t in ts]),
         *(np.concatenate([getattr(t, f) for t in ts]) for f in g))))
+
+
+def _take(p: _Padded, rows) -> _Padded:
+    return _Padded(*(x[rows] for x in p))
+
+
+def _support(p: _Padded, dirs) -> np.ndarray:
+    """max of d.x over each row's pieces for each of its directions d:
+    ``dirs`` (row, k, 2) gives (row, k), -inf on a row with no pieces.
+
+    A linear function peaks on an arc piece at an endpoint or at M + r*d,
+    and on a chord at an endpoint; every endpoint is a vertex.
+    """
+    across = np.swapaxes(dirs, 1, 2)
+    on_arc = p.arc_ok[..., None] & _in_arc(dirs[:, None], p.u0[:, :, None], p.u1[:, :, None])
+    peaks = np.where(on_arc, p.centers @ across + p.radii[..., None], -math.inf)
+    ends = np.where(p.vertex_ok[..., None], p.vertices @ across, -math.inf)
+    return np.max(np.concatenate([peaks, ends], axis=1), axis=1, initial=-math.inf)
 
 
 def _keep(p: _Padded, *keeps) -> _Padded:
@@ -513,29 +527,30 @@ def _extreme(pick, fill: float, blocks) -> list[tuple[float, Witness]]:
     for block in blocks:
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on padding, bad pieces
             P, Q, ok = block()
-        if ok[0].size:  # a block over no pieces (no chords, say) has nothing to pick
-            d = np.hypot(P[..., 0] - Q[..., 0], P[..., 1] - Q[..., 1])
-            d[~ok] = fill
-            at = (np.arange(len(ok)),
-                  *np.unravel_index(pick(d.reshape(len(ok), -1), axis=1), ok.shape[1:]))
-            best.append((d[at], P[at], Q[at]))
+        d = np.hypot(P[..., 0] - Q[..., 0], P[..., 1] - Q[..., 1])
+        d[~ok] = fill  # a block over no pieces (no chords, say) is all fill
+        at = (np.arange(len(ok)),
+              *np.unravel_index(pick(d.reshape(len(ok), -1), axis=1), ok.shape[1:]))
+        best.append((d[at], P[at], Q[at]))
     d, P, Q = (np.stack(x, axis=1) for x in zip(*best))
     return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(pick(d, axis=1))]
 
 
-def _strip_prune(p: _Padded, strips) -> _Padded:
+def _strip_prune(p: _Padded, strips, tops) -> _Padded:
     """Drop from the first bodies (rows 0..e-1) and the second bodies (rows
     e..2e-1) of e pairs every piece that cannot hold the nearest pair.
 
     A strip (n, c_a, c_b), n a unit normal, puts body a in n.x <= c_a and
     body b in n.x >= c_b, so every pair has |P - Q| >= n.Q - n.P.  Each
-    line moves out to its body's measured extreme of n.x where that lies
-    beyond it, so the bound holds however the bodies were trimmed.  A piece
-    of a then has no pair nearer than c_b minus its largest n.x (an arc
-    piece peaks at M + r*n when n is in its range, else at an end), and the
-    mirror for b.  U is the distance from the vertex of a nearest the strip
-    to the nearest vertex of b, an achieved distance; a piece whose bound
-    exceeds U + PRUNE_SLACK holds no candidate that can attain the minimum.
+    line moves out to its body's measured extreme where that lies beyond
+    it: ``tops`` holds per pair max n.x over a and max -n.x over b
+    (``_support``), so the bound holds however the bodies were trimmed.
+    A piece of a then has no pair nearer than c_b minus its largest n.x
+    (an arc piece peaks at M + r*n when n is in its range, else at an
+    end), and the mirror for b.  U is the distance from the vertex of a
+    nearest the strip to the nearest vertex of b, an achieved distance; a
+    piece whose bound exceeds U + PRUNE_SLACK holds no candidate that can
+    attain the minimum.
     """
     e = len(strips)
     n = np.array([s[0] for s in strips], dtype=float)
@@ -547,7 +562,7 @@ def _strip_prune(p: _Padded, strips) -> _Padded:
     chord_top = np.where(p.chord_ok, np.maximum(_dot(p.chord_a, n), _dot(p.chord_b, n)),
                          -math.inf)
     vertex_top = np.where(p.vertex_ok, _dot(p.vertices, n), -math.inf)
-    side = np.maximum(c, np.max(np.concatenate([arc_top, vertex_top], axis=1), axis=1))
+    side = np.maximum(c, np.array(tops, dtype=float).T.ravel())
     nearest = vertex_top[:e].argmax(axis=1)[:, None, None]
     gap = p.vertices[e:] - np.take_along_axis(p.vertices[:e], nearest, axis=1)
     gap = np.where(p.vertex_ok[e:], np.hypot(gap[..., 0], gap[..., 1]), math.inf)
@@ -556,26 +571,28 @@ def _strip_prune(p: _Padded, strips) -> _Padded:
     return _keep(p, arc_top >= low, chord_top >= low, vertex_top >= low)
 
 
-def closest_pairs(pairs, strips=None) -> list[tuple[float, Witness]]:
+def closest_pairs(table: _Padded, pairs, strips=None, tops=None) -> list[tuple[float, Witness]]:
     """Exact distance between the two disjoint trimmed bodies of each pair
-    and its witness, all pairs in one batched pass.
+    (row_a, row_b) of ``table`` and its witness, all pairs in one batched
+    pass.
 
     The nearest pair of disjoint convex sets lies on their boundaries; on a
     pair of pieces it is either a vertex with a vertex or with the nearest
     interior point of a piece, or an interior critical pair (arc-arc on the
     line of centres, arc-chord at the arc point whose normal is the chord
     normal); two chords have no isolated interior critical pair.  Given one
-    strip (n, c_a, c_b) per pair, ``_strip_prune`` first drops the pieces
-    that cannot hold the nearest pair.  It keeps every candidate that can
-    attain the minimum, in order, so the distance and the witness are those
-    of the full list.  Without strips every piece is tried.
+    strip (n, c_a, c_b) and one pair of measured extremes ``tops`` per
+    pair, ``_strip_prune`` first drops the pieces that cannot hold the
+    nearest pair.  It keeps every candidate that can attain the minimum, in
+    order, so the distance and the witness are those of the full list.
+    Without strips every piece is tried.
     """
     if not pairs:
         return []
-    p = _stack([a for a, _ in pairs] + [b for _, b in pairs])
+    p = _take(table, [a for a, _ in pairs] + [b for _, b in pairs])
     if strips is not None:
-        p = _strip_prune(p, strips)
-    a, b = _Padded(*(x[: len(pairs)] for x in p)), _Padded(*(x[len(pairs):] for x in p))
+        p = _strip_prune(p, strips, tops)
+    a, b = _take(p, slice(len(pairs))), _take(p, slice(len(pairs), None))
     return _extreme(np.argmin, math.inf, [
         lambda: _vertex_vertex(a, b),
         lambda: _vertex_arc(a, b, 1.0),
@@ -588,13 +605,9 @@ def closest_pairs(pairs, strips=None) -> list[tuple[float, Witness]]:
     ])
 
 
-def closest_pair(a: TrimmedBody, b: TrimmedBody, strip=None) -> tuple[float, Witness]:
-    return closest_pairs([(a, b)], None if strip is None else [strip])[0]
-
-
-def farthest_pairs(ts) -> list[tuple[float, Witness]]:
-    """Exact diameter of each trimmed body and its witness, DIAMETER_BATCH
-    bodies to a batched pass.
+def farthest_pairs(table: _Padded, rows) -> list[tuple[float, Witness]]:
+    """Exact diameter of the trimmed body in each of the ``rows`` of
+    ``table`` and its witness, DIAMETER_BATCH rows to a batched pass.
 
     A distance is convex along a chord, so chords attain their maximum at
     vertices; what remains is vertex-vertex, vertex to the farthest point
@@ -606,18 +619,14 @@ def farthest_pairs(ts) -> list[tuple[float, Witness]]:
     vertex pairs.
     """
     out = []
-    for i in range(0, len(ts), DIAMETER_BATCH):
-        t = _stack(ts[i : i + DIAMETER_BATCH])
+    for i in range(0, len(rows), DIAMETER_BATCH):
+        t = _take(table, rows[i : i + DIAMETER_BATCH])
         out += _extreme(np.argmax, -math.inf, [
             lambda: _vertex_vertex(t, t),
             lambda: _vertex_arc(t, t, -1.0),
             lambda: _arc_arc(t, t),
         ])
     return out
-
-
-def farthest_pair(t: TrimmedBody) -> tuple[float, Witness]:
-    return farthest_pairs([t])[0]
 
 
 def _point(p) -> str:
@@ -638,7 +647,7 @@ def verify_avoidance(
     the copies' shift pair of ``place_copy`` (None: the reference).  For every
     site of the 3x3 patch ``PATCH_SITES`` and every nearest-neighbor edge, the
     two cut lines are laid across the edge and each body is trimmed to
-    its exact boundary (``trim_body``).  The checks assert that
+    its exact boundary.  The checks assert that
     (a) each trimmed body stays on its side of its cut lines to
     ``VERIFY_TOL``, (b) trimmed bodies across an edge are at least
     2 - VERIFY_TOL apart, and (c) no trimmed body has two points more than
@@ -655,16 +664,22 @@ def verify_avoidance(
     cut lines remove entirely is a violation of its own: no distance of
     it can be measured.
 
-    Each edge carries its strip (``collect_patch_cuts``), which also
-    bounds its pairs: with body a in n.x <= c_a and body b in n.x >= c_b,
-    every pair has |P - Q| >= n.Q - n.P.  A piece whose bound exceeds an achieved distance U therefore holds no
-    candidate that can attain the minimum, and dropping it changes neither
-    the minimum nor, since the order of the rest is kept, its witness
-    (``_strip_prune``; the lines move out to each body's measured extreme,
-    so the bound holds even if the trimming is wrong).  What is left, at
+    The nine copies are trimmed in one call (``trim_bodies``) and stacked
+    once into one padded table, a row per site, and all three checks read
+    rows of it: (a) is one batched support-function pass (``_support``)
+    over every copy and cut.  Each edge carries its strip
+    (``collect_patch_cuts``), which also bounds its pairs: with body a in
+    n.x <= c_a and body b in n.x >= c_b, every pair has
+    |P - Q| >= n.Q - n.P.  A piece whose bound exceeds an achieved
+    distance U therefore holds no candidate that can attain the minimum,
+    and dropping it changes neither the minimum nor, since the order of
+    the rest is kept, its witness (``_strip_prune``).  The lines first
+    move out to each body's measured extreme, so the bound holds even if
+    the trimming is wrong; the strip's lines are cut lines of the two
+    copies, so those extremes are (a)'s support values.  What is left, at
     width 2 two arc pieces, one chord and four vertices a side, goes
-    through the candidate helpers once for all 16 edges
-    (``closest_pairs``), and the nine diameters go three bodies to a pass
+    through the candidate helpers once for the 16 edges' rows
+    (``closest_pairs``), and the nine diameters go three rows to a pass
     (``farthest_pairs``).
 
     What the checks guard: (a) holds by construction of the trimming, and
@@ -679,21 +694,35 @@ def verify_avoidance(
     sites = PATCH_SITES
     body = build_body(q, eps)
     cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
-    trimmed = {s: trim_body(place_body(body, *s, shift), cuts[s]) for s in sites}
-    live = [s for s in sites if len(trimmed[s].vertices)]
+    # row r of the table holds the trimmed copy of sites[r]
+    table = _stack(trim_bodies([place_body(body, *s, shift) for s in sites],
+                               [cuts[s] for s in sites]))
+    live = np.flatnonzero(table.vertex_ok.any(axis=1)).tolist()
     violations = [f"site {s}: its cut lines leave nothing of its copy"
-                  for s in sites if s not in live]
+                  for r, s in enumerate(sites) if r not in live]
 
+    normals, offsets = cut_table([cuts[s] for s in sites])
+    top = _support(table, normals)  # max n.x over each copy, per cut; -inf on an empty one
     max_hp = -math.inf
-    for s in live:
-        for v in halfplane_excess(trimmed[s], cuts[s]):
+    for s, excess in zip(sites, top - offsets):
+        for v in excess[: len(cuts[s])]:  # the site's cuts, not the padding
             max_hp = max(max_hp, v)
             if v > VERIFY_TOL:
                 violations.append(f"site {s}: trimmed body crosses a cut line by {v:.3e}")
 
-    checked = [e for e in edges if e[0] in live and e[1] in live]
-    found = closest_pairs([(trimmed[a], trimmed[b]) for a, b, _, _ in checked],
-                          [strip for *_, strip in checked])
+    # an edge appends its cut to a's list and then to b's, in the order of
+    # ``edges``, so its cuts are the slot-th of its sites
+    row = {s: r for r, s in enumerate(sites)}
+    slot = dict.fromkeys(sites, 0)
+    checked, rows, tops = [], [], []
+    for a, b, k, strip in edges:
+        if row[a] in live and row[b] in live:
+            checked.append((a, b, k, strip))
+            rows.append((row[a], row[b]))
+            tops.append((top[row[a], slot[a]], top[row[b], slot[b]]))
+        slot[a] += 1
+        slot[b] += 1
+    found = closest_pairs(table, rows, [e[3] for e in checked], tops)
     min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
     for (a, b, k, _), (d, w) in zip(checked, found):
         if d < 2.0 - VERIFY_TOL:
@@ -702,12 +731,12 @@ def verify_avoidance(
                 f"at {_point(w[0])} and {_point(w[1])}"
             )
 
-    diameters = farthest_pairs([trimmed[s] for s in live])
+    diameters = farthest_pairs(table, live)
     max_diam, diameter_witness = max(diameters, key=lambda f: f[0], default=(-math.inf, None))
-    for s, (d, w) in zip(live, diameters):
+    for r, (d, w) in zip(live, diameters):
         if d > 2.0 + VERIFY_TOL:
             violations.append(
-                f"site {s}: trimmed body has diameter {d:.12f} > 2, "
+                f"site {sites[r]}: trimmed body has diameter {d:.12f} > 2, "
                 f"between {_point(w[0])} and {_point(w[1])}"
             )
 

@@ -15,9 +15,16 @@ import numpy as np
 import pytest
 
 import full_walk
+from break_sets import q36_profile
 from croft_forge import ansatz, clip, lattice, tortoise
 from croft_forge.body import boundary_point, build_body, transform
-from croft_forge.clip import boundary_line_crossings, cap_arcs, halfplane_clip_area, trim_body
+from croft_forge.clip import (
+    boundary_line_crossings,
+    cap_arcs,
+    halfplane_clip_area,
+    trim_bodies,
+    trim_body,
+)
 from croft_forge.lattice import default_config, place_copy
 from croft_forge.stepfn import make_step_function, reference_step_function
 
@@ -120,8 +127,10 @@ def _random_cuts(rng, body, count):
     return cuts
 
 
-def _assert_same_trim(body, cuts):
-    got, want = trim_body(body, cuts), full_walk.trim_body(body, cuts)
+def _assert_same_trim(body, cuts, got=None):
+    """``got`` (default: ``trim_body``) equals the full walk's trim to the bit."""
+    got = trim_body(body, cuts) if got is None else got
+    want = full_walk.trim_body(body, cuts)
     for field in ("centers", "radii", "u0", "u1", "chord_a", "chord_b", "vertices"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
@@ -134,15 +143,24 @@ def test_trim_matches_the_full_walk(seed):
             _assert_same_trim(body, _random_cuts(rng, body, count))
 
 
-@pytest.mark.parametrize("width", [2.0, 1.9])
+@pytest.mark.parametrize("width", [2.0, 1.9, 3.2, 4.0])
 def test_trim_matches_the_full_walk_on_a_patch(width):
-    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
+    """The nine copies of a patch trimmed in one call, each equal to the
+    full walk's trim of it alone; width 3.2 empties the centre copy, and
+    width 4 every copy."""
+    sites = lattice.PATCH_SITES
     eps = 0.07
-    body = build_body(REF, eps)
-    stripes = tortoise.tortoise_area(eps, "exact2").stripes()
-    cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
-    for s in sites:
-        _assert_same_trim(lattice.place_body(body, *s, SHIFT), cuts[s])
+    for q, mode in ((REF, "exact2"), (q36_profile(), "series2"), (UNIFORM_36, "series2")):
+        body = build_body(q, eps)
+        stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+        cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
+        bodies = [lattice.place_body(body, *s, SHIFT) for s in sites]
+        got = trim_bodies(bodies, [cuts[s] for s in sites])
+        assert len(got) == len(sites)
+        for b, s, t in zip(bodies, sites, got):
+            _assert_same_trim(b, cuts[s], t)
+        empty = [s for s, t in zip(sites, got) if not len(t.vertices)]
+        assert empty == {2.0: [], 1.9: [], 3.2: [(0, 0)], 4.0: list(sites)}[width]
 
 
 def test_trim_drops_a_chord_a_parallel_cut_removes():

@@ -221,6 +221,11 @@ def test_verify_fails_when_the_stripes_leave_no_copy(capsys):
     assert code == 1
     assert "FAIL avoidance" in out and "leave nothing of its copy" in out
     assert "inf" not in out
+    # all nine sites are empty at each eps: three are named, six counted
+    for eps in ("0.0", "0.05", "0.1"):
+        assert (f"eps={eps}: site (-1, 1): its cut lines leave nothing of its copy (+6 more)"
+                in out)
+    assert out.count("more)") == 3
 
 
 def test_verify_reads_no_tolerance_env(capsys, monkeypatch):

@@ -8,19 +8,18 @@ from scipy.spatial.distance import pdist
 
 import full_walk
 from break_sets import q36_profile, uniform_zero_profile
-from croft_forge import ansatz, lattice, reference, tortoise
+from call_counts import count_calls
+from croft_forge import ansatz, clip, lattice, reference, tortoise
 from croft_forge.body import build_body, boundary_point, transform
-from croft_forge.clip import boundary_line_crossings, halfplane_excess, trim_body
+from croft_forge.clip import TrimmedBody, boundary_line_crossings, cut_table, trim_body
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
     PSI,
-    closest_pair,
     collect_patch_cuts,
     color_index,
     color_of,
     default_config,
-    farthest_pair,
     left_color_of_class,
     place_body,
     rotation_of_color,
@@ -32,6 +31,29 @@ from disc_reference import disc_cuts
 
 Q = reference_step_function()
 SHIFT = default_config()
+
+
+def closest_pair(a, b, strip=None):
+    """``lattice.closest_pairs`` of the one pair (a, b); a strip (n, c_a, c_b)
+    prunes it with both lines moved out to the bodies' measured extremes,
+    as in ``verify_avoidance``."""
+    table = lattice._stack([a, b])
+    if strip is None:
+        return lattice.closest_pairs(table, [(0, 1)])[0]
+    n = np.asarray(strip[0], dtype=float)
+    tops = lattice._support(table, np.array([[n], [-n]]))[:, 0]
+    return lattice.closest_pairs(table, [(0, 1)], [strip], [tuple(tops)])[0]
+
+
+def farthest_pair(t):
+    """``lattice.farthest_pairs`` of the one body."""
+    return lattice.farthest_pairs(lattice._stack([t]), [0])[0]
+
+
+def halfplane_excess(t, cuts):
+    """max of n.x - c over the trimmed body, one per cut (n, c)."""
+    normals, offsets = cut_table([cuts])
+    return (lattice._support(lattice._stack([t]), normals) - offsets)[0]
 
 
 def _cut(eps, k, shift=SHIFT):
@@ -202,6 +224,7 @@ def test_collect_patch_cuts_structure():
     }
     assert len(edges) == len(forward) == 16
     assert {(a, b) for a, b, _, _ in edges} == forward
+    slot = dict.fromkeys(sites, 0)
     for a, b, k, (n, c_a, c_b) in edges:
         pa, pb = site_position(*a), site_position(*b)
         beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
@@ -209,6 +232,13 @@ def test_collect_patch_cuts_structure():
         # the strip is a's cut for this edge, and b's cut is its mirror
         assert any(np.array_equal(m, n) and c == c_a for m, c in cuts[a])
         assert any(np.array_equal(m, -n) and c == -c_b for m, c in cuts[b])
+        # each site's cuts come in the order of its edges
+        (m_a, d_a), (m_b, d_b) = cuts[a][slot[a]], cuts[b][slot[b]]
+        assert np.array_equal(m_a, n) and d_a == c_a
+        assert np.array_equal(m_b, -n) and d_b == -c_b
+        slot[a] += 1
+        slot[b] += 1
+    assert slot == {s: len(cuts[s]) for s in sites}
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +480,24 @@ def _bits(report):
             report.violations, hexed(report.cross_witness), hexed(report.diameter_witness))
 
 
+def _body_of_row(table, r) -> TrimmedBody:
+    """Row r of a ``lattice._stack`` table as the trimmed body it was."""
+    arcs, chords, vertices = table.arc_ok[r], table.chord_ok[r], table.vertex_ok[r]
+    return TrimmedBody(table.centers[r][arcs], table.radii[r][arcs], table.u0[r][arcs],
+                       table.u1[r][arcs], table.chord_a[r][chords], table.chord_b[r][chords],
+                       table.vertices[r][vertices])
+
+
 def _per_pair_report(monkeypatch, *args, **kwargs):
     """``verify_avoidance`` with every distance taken by ``full_walk``, one
-    body pair at a time over all pieces."""
+    body pair at a time over all pieces, each body read back from its row
+    of the patch table."""
     with monkeypatch.context() as m:
-        m.setattr(lattice, "closest_pairs", lambda pairs, strips=None: [
-            full_walk.closest_pair(a, b) for a, b in pairs])
-        m.setattr(lattice, "farthest_pairs", lambda ts: [full_walk.farthest_pair(t) for t in ts])
+        m.setattr(lattice, "closest_pairs", lambda table, pairs, strips=None, tops=None: [
+            full_walk.closest_pair(_body_of_row(table, a), _body_of_row(table, b))
+            for a, b in pairs])
+        m.setattr(lattice, "farthest_pairs", lambda table, rows: [
+            full_walk.farthest_pair(_body_of_row(table, r)) for r in rows])
         return verify_avoidance(*args, **kwargs)
 
 
@@ -500,6 +541,45 @@ def test_strip_bound_adds_the_measured_excess():
     want, (p0, r0) = full_walk.closest_pair(ta, tb)
     assert (d.hex(), p.tolist(), r.tolist()) == (want.hex(), p0.tolist(), r0.tolist())
     assert closest_pair(ta, tb, (n, c_a, -c_b))[0] == want
+
+
+def test_a_copy_trimmed_past_its_lines_keeps_the_nearest_pairs_exact(monkeypatch):
+    """The centre copy trimmed with its six lines moved out by 1e-3 to
+    6e-3, one amount each, crosses each by that much.  Check (a) names
+    each crossing, and the six edges at the centre still measure their
+    nearest pairs to the bit of the per-pair walk: each strip line moves
+    out by its own cut's support value, read from check (a)'s table."""
+    stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
+    trim = lattice.trim_bodies
+
+    def loose(bodies, cuts_per_body):
+        centre = lattice.PATCH_SITES.index((0, 0))
+        cuts_per_body = list(cuts_per_body)
+        cuts_per_body[centre] = [(n, c + 1e-3 * (j + 1))
+                                 for j, (n, c) in enumerate(cuts_per_body[centre])]
+        return trim(bodies, cuts_per_body)
+
+    monkeypatch.setattr(lattice, "trim_bodies", loose)
+    report = verify_avoidance(Q, 0.05, stripes)
+    crossings = [v for v in report.violations if v.startswith("site (0, 0): trimmed body crosses")]
+    assert len(crossings) == 6
+    assert report.max_halfplane_violation == pytest.approx(6e-3, abs=1e-12)
+    assert report.min_cross_distance < 2.0 - 6e-3 + 1e-9
+    assert _bits(report) == _bits(_per_pair_report(monkeypatch, Q, 0.05, stripes))
+
+
+@pytest.mark.parametrize("width", [2.0, 3.2])
+def test_one_trim_and_one_table_per_verification(monkeypatch, width):
+    """The nine copies are trimmed in one call and stacked once; the three
+    checks read that table and stack nothing of their own."""
+    stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
+    batched = count_calls(monkeypatch, clip, "trim_bodies")
+    single = count_calls(monkeypatch, clip, "trim_body")
+    stacks = count_calls(monkeypatch, lattice, "_stack")
+    verify_avoidance(Q, 0.05, stripes, stripe_width=width)
+    assert len(batched) == 1 and len(batched[0][0]) == len(lattice.PATCH_SITES)
+    assert single == []
+    assert len(stacks) <= 1
 
 
 def test_an_empty_copy_is_a_violation():
