@@ -34,10 +34,6 @@ DEFAULT_TOL = 1e-9
 MAX_EPS_GRID = 100_000
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither NaN nor infinite."""
     try:
@@ -97,14 +93,11 @@ def _emit(text: str, args) -> None:
 
 def _emit_table(rows, obj, args) -> None:
     """Write ``obj`` as JSON with ``--format json``, else ``rows`` as CSV
-    lines: floats through ``_fmt``, every other value through ``str``."""
+    lines (``tortoise.csv_text``)."""
     if args.format == "json":
         _emit(json.dumps(obj, indent=2) + "\n", args)
     else:
-        _emit("".join(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-            for row in rows
-        ), args)
+        _emit(tortoise.csv_text(rows), args)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +148,11 @@ def constant_checks():
 def cmd_constants(args) -> int:
     lines = [f"{'name':<22} {'value':>22} {'reference':>20} {'delta':>10}"]
     ok = True
+    fmt = tortoise.format_float
     for name, value, target, delta, good in constant_checks():
         ok = ok and good
         lines.append(
-            f"{name:<22} {_fmt(value):>22} {_fmt(target):>20} {delta:>10.1e}"
+            f"{name:<22} {fmt(value):>22} {fmt(target):>20} {delta:>10.1e}"
             + ("" if good else "  MISMATCH")
         )
     _emit("\n".join(lines) + "\n", args)
@@ -178,11 +172,7 @@ def cmd_scan(args) -> int:
             rows.append(tortoise.record_row(rec))
         except (BodyError, tortoise.ConvergenceError) as exc:
             rows.append({"eps": eps, "mode": args.mode, "error": str(exc)})
-    # record columns in record order, then any error: one fixed order
-    fields = list(dict.fromkeys(f for r in rows for f in r if f != "error"))
-    if any("error" in r for r in rows):
-        fields.append("error")
-    _emit_table([fields] + [[r.get(f, "") for f in fields] for r in rows], rows, args)
+    _emit_table(tortoise.scan_table(rows), rows, args)
     return 0
 
 

@@ -28,8 +28,9 @@ the pairs as they are.
 
 Patch verification is exact.  The copies are trimmed by their stripe
 half-planes, all in one pass, to boundaries of arc pieces and chords
-(``clip.trim_bodies``) and stacked once into one padded table; the
-crossing check, the distances and the diameters all read rows of it.
+(``clip.trim_bodies``), each vertex listed once, and stacked once into
+one padded table; the crossing check, the distances and the diameters
+all read rows of it.
 Distances are closed forms over pairs of pieces, vectorised with
 NumPy.  Every candidate is a distance between two points of the trimmed
 bodies, and the list is complete: an extreme pair either has an endpoint
@@ -44,7 +45,13 @@ pair from below, |P - Q| >= n.Q - n.P, so ``closest_pairs`` first drops
 the pieces too far from it to hold the nearest pair and then takes all
 edges of a patch in one batched pass.  The strip's lines are cut lines
 of the edge's copies, so the extremes that make the bound safe are the
-crossing check's support values, measured once.
+crossing check's support values, measured once.  No strip bounds a
+diameter, so ``farthest_pairs`` cuts the work another way: it tries each
+unordered vertex pair once, keeps on the line of centres only the two
+sign pairs with the points on opposite sides (the lemma in its
+docstring), lists only the arc candidates whose direction the arc's
+range can hold, and takes as many rows to a pass as a fixed budget of
+candidate pairs allows.
 """
 
 from __future__ import annotations
@@ -400,12 +407,16 @@ def _measured(x: float, spec: str) -> str:
 # returns points P on the first and Q on the second piece set and whether
 # the candidate exists, indexed by row and then by piece in the order a
 # walk over one pair's pieces lists them.  Range tests use cross products
-# of direction vectors, so no angle is computed.
+# of direction vectors; only the diameter pass's prefilters compare
+# angles, with RANGE_SLACK to spare.
 
 PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
-# Bodies per diameter pass: three take within a few percent of the time of
-# one pass over a patch's nine, at about a third of its peak memory.
-DIAMETER_BATCH = 3
+# Candidate pairs per diameter pass, per row V * max(V, A) for V vertices
+# and A arc pieces: the nine rows of a 24-arc patch take one pass, and a
+# copy of a uniform 288-interval body one pass alone, so the pass arrays
+# stay a few MB.
+DIAMETER_PAIRS = 1 << 15
+RANGE_SLACK = 1e-9  # room for rounding when two arc ranges are matched
 _GROUPS = (("centers", "radii", "u0", "u1"), ("chord_a", "chord_b"), ("vertices",))
 _Padded = namedtuple(
     "_Padded", "centers radii u0 u1 arc_ok chord_a chord_b chord_ok vertices vertex_ok"
@@ -458,10 +469,17 @@ def _vertex_vertex(a: _Padded, b: _Padded):
             a.vertex_ok[:, :, None] & b.vertex_ok[:, None])
 
 
-def _vertex_arc(v: _Padded, t: _Padded, sign: float):
-    """Nearest (sign +1) or farthest (sign -1) circle point of each arc
-    piece of ``t`` from each vertex of ``v``, where it lies on the piece."""
-    d = sign * (v.vertices[:, :, None] - t.centers[:, None])
+def _vertex_pairs(t: _Padded):
+    """Each unordered pair of a row's vertices once, i <= j in row-major
+    order; the diagonal gives a one-vertex copy its diameter 0."""
+    i, j = np.triu_indices(t.vertices.shape[1])
+    return t.vertices[:, i], t.vertices[:, j], t.vertex_ok[:, i] & t.vertex_ok[:, j]
+
+
+def _vertex_arc(v: _Padded, t: _Padded):
+    """Nearest circle point of each arc piece of ``t`` from each vertex of
+    ``v``, where it lies on the piece."""
+    d = v.vertices[:, :, None] - t.centers[:, None]
     d /= np.hypot(d[..., 0], d[..., 1])[..., None]
     ok = _in_arc(d, t.u0[:, None], t.u1[:, None]) & v.vertex_ok[:, :, None] & t.arc_ok[:, None]
     Q = t.centers[:, None] + t.radii[:, None, :, None] * d
@@ -500,6 +518,80 @@ def _arc_arc(a: _Padded, b: _Padded):
     Q = b.centers[:, None, None] + b.radii[:, None, None, :, None] * dirs
     shape = ok.shape + (2,)
     return np.broadcast_to(P[:, :, None], shape), np.broadcast_to(Q[:, None], shape), ok
+
+
+def _ranges(t: _Padded):
+    """Start angle and width of each arc piece's range, (row, arc) each."""
+    lo = np.arctan2(t.u0[..., 1], t.u0[..., 0])
+    return lo, (np.arctan2(t.u1[..., 1], t.u1[..., 0]) - lo) % TWO_PI
+
+
+def _within(angle, lo, span, slack):
+    """Whether ``angle`` lies in [lo - slack, lo + span + slack] mod 2 pi."""
+    off = (angle - lo) % TWO_PI
+    return (off <= span + slack) | (off >= TWO_PI - slack)
+
+
+def _listed(keep):
+    """The entries (i, j) where ``keep`` (row, i, j) holds, in row-major
+    order and padded per row: index tuples that gather them from arrays
+    shaped (row, i) and (row, j), and the mask of listed entries."""
+    row, i, j = np.nonzero(keep)
+    i, j, listed = _padded(np.bincount(row, minlength=len(keep)), i, j)
+    rows = np.arange(len(keep))[:, None]
+    return (rows, i), (rows, j), listed
+
+
+def _far_vertex_arc(t: _Padded, lo, span):
+    """Farthest circle point of each arc piece of a row from each of its
+    vertices, where it lies on the piece, over only the (vertex, arc)
+    pairs whose range can hold the direction from the vertex to the arc's
+    centre, padded per row: (P, Q, ok) shaped (row, pair).
+
+    For any point c of the row, that direction M - v lies within
+    asin(|M - c| / |c - v|) of c - v, and anywhere once |M - c| >= |c - v|;
+    RANGE_SLACK covers the rounding of the range test.
+    """
+    # c: the mean of the row's arc centres
+    c = (np.sum(t.centers * t.arc_ok[..., None], axis=1)
+         / np.maximum(t.arc_ok.sum(axis=1), 1)[:, None])[:, None]
+    w, m = c - t.vertices, t.centers - c
+    ratio = np.hypot(m[..., 0], m[..., 1])[:, None] / np.hypot(w[..., 0], w[..., 1])[..., None]
+    slack = np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), math.pi) + RANGE_SLACK
+    facing = _within(np.arctan2(w[..., 1], w[..., 0])[..., None], lo[:, None], span[:, None],
+                     slack)  # (row, vertex, arc)
+    v, a, listed = _listed(t.vertex_ok[..., None] & t.arc_ok[:, None] & facing)
+    d = -1.0 * (t.vertices[v] - t.centers[a])  # rounded as the full candidate list rounds it
+    d /= np.hypot(d[..., 0], d[..., 1])[..., None]
+    ok = listed & _in_arc(d, t.u0[a], t.u1[a])
+    return t.vertices[v], t.centers[a] + t.radii[a][..., None] * d, ok
+
+
+def _opposite_arc_pairs(t: _Padded, lo, span):
+    """The (+,-) and then the (-,+) pairs of ``_arc_arc(t, t)``,
+    P = M_a + s*r_a*u and Q = M_b - s*r_b*u for s = +1, -1, over the
+    unordered pairs a < b of a row's arc pieces in row-major order, padded
+    per row: (P, Q, ok) shaped (row, s, pair).
+
+    Swapping a and b swaps P and Q to the bit (u turns into -u exactly),
+    so the first maximum of either sign block has a < b.  Both points lie
+    on their pieces only if b's range meets a's turned by pi, so only such
+    pairs are listed; RANGE_SLACK covers the rounding of the range test.
+    """
+    turned = lo[:, :, None] + math.pi
+    meet = (_within(lo[:, None], turned, span[:, :, None], RANGE_SLACK)
+            | _within(turned, lo[:, None], span[:, None], RANGE_SLACK))
+    a, b, listed = _listed(meet & np.triu(t.arc_ok[:, :, None] & t.arc_ok[:, None], 1))
+    D = t.centers[b] - t.centers[a]  # (row, pair)
+    dist = np.hypot(D[..., 0], D[..., 1])
+    concentric = dist <= CONCENTRIC_TOL
+    dirs = np.array([1.0, -1.0])[:, None, None] * (
+        D / np.where(concentric, 1.0, dist)[..., None])[:, None]  # (row, s, pair)
+    ok = ((listed & ~concentric)[:, None]
+          & _in_arc(dirs, t.u0[a][:, None], t.u1[a][:, None])
+          & _in_arc(-dirs, t.u0[b][:, None], t.u1[b][:, None]))
+    return (t.centers[a][:, None] + t.radii[a][:, None, :, None] * dirs,
+            t.centers[b][:, None] - t.radii[b][:, None, :, None] * dirs, ok)
 
 
 def _arc_chord(a: _Padded, b: _Padded):
@@ -595,8 +687,8 @@ def closest_pairs(table: _Padded, pairs, strips=None, tops=None) -> list[tuple[f
     a, b = _take(p, slice(len(pairs))), _take(p, slice(len(pairs), None))
     return _extreme(np.argmin, math.inf, [
         lambda: _vertex_vertex(a, b),
-        lambda: _vertex_arc(a, b, 1.0),
-        lambda: _swap(_vertex_arc(b, a, 1.0)),
+        lambda: _vertex_arc(a, b),
+        lambda: _swap(_vertex_arc(b, a)),
         lambda: _vertex_chord(a, b),
         lambda: _swap(_vertex_chord(b, a)),
         lambda: _arc_arc(a, b),
@@ -607,24 +699,57 @@ def closest_pairs(table: _Padded, pairs, strips=None, tops=None) -> list[tuple[f
 
 def farthest_pairs(table: _Padded, rows) -> list[tuple[float, Witness]]:
     """Exact diameter of the trimmed body in each of the ``rows`` of
-    ``table`` and its witness, DIAMETER_BATCH rows to a batched pass.
+    ``table`` and its witness, as many rows to a batched pass as
+    DIAMETER_PAIRS candidate pairs allow (at least one).
 
     A distance is convex along a chord, so chords attain their maximum at
     vertices; what remains is vertex-vertex, vertex to the farthest point
-    of an arc, and arc-arc pairs on the line of centres.  Antipodal arcs
-    share their centre; their farthest pairs (r_1 + r_2 wherever one range
+    of an arc, and arc-arc pairs on the line of centres.  The distance is
+    symmetric, so each unordered vertex pair is tried once: the first
+    maximum of the full V x V list in row-major order has i <= j, and the
+    triangle lists those pairs in the same order.  Antipodal arcs share
+    their centre; their farthest pairs (r_1 + r_2 wherever one range
     overlaps the other turned by pi) include one with a piece endpoint.
+
+    Of the four sign pairs on the line of centres only P = M_a - r_a*u,
+    Q = M_b + r_b*u can be an interior maximum (u the unit vector from M_a
+    to M_b, D = M_b - M_a).  At a maximum over two arc ranges with both
+    points interior, each point is the farthest point of its circle from
+    the other: P - M_a points away from Q and Q - M_b away from P.  That
+    rules out (+,+) and (-,-), where P - M_a and Q - M_b point the same
+    way.  (+,-) meets it only when |D| < min(r_a, r_b), and then it is a
+    saddle: turning both points by t about their centres gives
+    |P - Q|^2 = |D|^2 + (r_a + r_b)^2 - 2(r_a + r_b)|D| cos t, which grows
+    with t.  A maximum on a range end is a vertex candidate.  (+,-) is
+    tried all the same: on two range ends it is the antipodal pair through
+    a break, the points of a vertex candidate rounded another way, and on
+    some patches it reads an ulp more, so dropping it would move the
+    reported diameter by an ulp.  Each unordered arc pair is tried once
+    instead: two sign pairs over a < b are a quarter of the four over all
+    ordered pairs.
+
     No strip prunes a diameter: a body of constant width 2 has a pair 2
     apart through every boundary point, so each body brings all its
-    vertex pairs.
+    vertex pairs.  The arc candidates are pruned by direction instead.
+    A vertex's farthest point on an arc lies along the direction from the
+    vertex to the arc's centre, and a line-of-centres pair along +-u, so
+    only the (vertex, arc) pairs whose range can hold that direction
+    (``_far_vertex_arc``) and the arc pairs whose ranges face each other
+    (``_opposite_arc_pairs``) are listed: about a tenth of each list on a
+    24-arc patch.  Every pair left out has no candidate on its pieces, and
+    the rest keep their order, so the diameters and witnesses are those
+    of the full list to the bit.
     """
+    width = table.vertices.shape[1]
+    step = max(1, DIAMETER_PAIRS // (width * max(width, table.centers.shape[1])))
     out = []
-    for i in range(0, len(rows), DIAMETER_BATCH):
-        t = _take(table, rows[i : i + DIAMETER_BATCH])
+    for i in range(0, len(rows), step):
+        t = _take(table, rows[i : i + step])
+        lo, span = _ranges(t)
         out += _extreme(np.argmax, -math.inf, [
-            lambda: _vertex_vertex(t, t),
-            lambda: _vertex_arc(t, t, -1.0),
-            lambda: _arc_arc(t, t),
+            lambda: _vertex_pairs(t),
+            lambda: _far_vertex_arc(t, lo, span),
+            lambda: _opposite_arc_pairs(t, lo, span),
         ])
     return out
 
@@ -679,8 +804,8 @@ def verify_avoidance(
     copies, so those extremes are (a)'s support values.  What is left, at
     width 2 two arc pieces, one chord and four vertices a side, goes
     through the candidate helpers once for the 16 edges' rows
-    (``closest_pairs``), and the nine diameters go three rows to a pass
-    (``farthest_pairs``).
+    (``closest_pairs``), and the nine diameters go as many rows to a pass
+    as DIAMETER_PAIRS candidate pairs allow (``farthest_pairs``).
 
     What the checks guard: (a) holds by construction of the trimming, and
     the strip bounds the distance in (b) below by the stripe width, so at

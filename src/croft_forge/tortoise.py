@@ -26,7 +26,6 @@ NEWTON_MAX_ITER steps, raises ``ConvergenceError``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -414,13 +413,34 @@ def record_row(r: DensityRecord) -> dict:
     return row
 
 
+def format_float(x: float) -> str:
+    """A float as every CSV of the package prints it: 15 significant digits."""
+    return f"{x:.15g}"
+
+
+def csv_text(rows) -> str:
+    """CSV lines of ``rows``: floats through ``format_float``, every other
+    value through ``str``."""
+    return "".join(
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+
+
+def scan_table(rows: list[dict]) -> list[list]:
+    """Header and cells of scan rows (``record_row`` dicts, or dicts with
+    an ``error``): the record columns in the order first seen
+    (``SCAN_FIELDS`` without rows), then ``error`` if any row has one; a
+    cell a row lacks is empty."""
+    fields = list(dict.fromkeys(f for r in rows for f in r if f != "error")) or list(SCAN_FIELDS)
+    if any("error" in r for r in rows):
+        fields.append("error")
+    return [fields] + [[r.get(f, "") for f in fields] for r in rows]
+
+
 def write_scan_csv(records: list[DensityRecord], path: str | Path) -> None:
-    rows = [record_row(r) for r in records]
-    fields = list(rows[0].keys()) if rows else list(SCAN_FIELDS)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    """The CSV ``croft-forge scan`` prints for these records."""
+    Path(path).write_text(csv_text(scan_table([record_row(r) for r in records])))
 
 
 def write_scan_json(records: list[DensityRecord], path: str | Path) -> None:

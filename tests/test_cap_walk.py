@@ -8,6 +8,7 @@ arc n-1 to arc 0; normals point at every angle, and offsets run from the
 whole body kept, through tangency, to a line that misses the body.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from croft_forge.clip import (
     cap_arcs,
     halfplane_clip_area,
     trim_bodies,
-    trim_body,
 )
 from croft_forge.lattice import default_config, place_copy
 from croft_forge.stepfn import make_step_function, reference_step_function
@@ -127,12 +127,24 @@ def _random_cuts(rng, body, count):
     return cuts
 
 
+def _first_copies(points):
+    """``points`` with each bit pattern once, first copies in order."""
+    seen, keep = set(), []
+    for i, p in enumerate(points):
+        if p.tobytes() not in seen:
+            seen.add(p.tobytes())
+            keep.append(i)
+    return points[keep]
+
+
 def _assert_same_trim(body, cuts, got=None):
-    """``got`` (default: ``trim_body``) equals the full walk's trim to the bit."""
-    got = trim_body(body, cuts) if got is None else got
+    """``got`` (default: ``trim_bodies`` of the one body) equals the full
+    walk's trim to the bit, its vertices with exact repeats removed."""
+    got = trim_bodies([body], [cuts])[0] if got is None else got
     want = full_walk.trim_body(body, cuts)
-    for field in ("centers", "radii", "u0", "u1", "chord_a", "chord_b", "vertices"):
+    for field in ("centers", "radii", "u0", "u1", "chord_a", "chord_b"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(got.vertices, _first_copies(want.vertices))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -163,6 +175,44 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
         assert empty == {2.0: [], 1.9: [], 3.2: [(0, 0)], 4.0: list(sites)}[width]
 
 
+@pytest.mark.parametrize("width", [2.0, 1.9, 3.2])
+def test_trimmed_vertices_are_listed_once(width):
+    """Each trimmed copy of a patch lists every piece end of the full
+    walk's trim and no bit pattern twice; -0.0 and 0.0 count as two.  The
+    full walk lists the shared end of two pieces of one arc twice."""
+    eps = 0.07
+    repeats = 0
+    for q, mode in ((REF, "exact2"), (UNIFORM_36, "series2")):
+        body = build_body(q, eps)
+        stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+        cuts, _ = lattice.collect_patch_cuts(lattice.PATCH_SITES, stripes, width)
+        bodies = [lattice.place_body(body, *s, SHIFT) for s in lattice.PATCH_SITES]
+        got = trim_bodies(bodies, [cuts[s] for s in lattice.PATCH_SITES])
+        for b, s, t in zip(bodies, lattice.PATCH_SITES, got):
+            listed = [v.tobytes() for v in t.vertices]
+            assert len(set(listed)) == len(listed)
+            want = full_walk.trim_body(b, cuts[s]).vertices
+            assert {v.tobytes() for v in want} == set(listed)
+            repeats += len(want) - len(listed)
+    assert repeats > 0
+
+
+def test_a_signed_zero_vertex_pair_stays_two_vertices():
+    """The unit disc with its centres at (0, -0.0) and its first break at
+    -0.0, cut by y >= 0: a piece ends at (1, -0.0) and the chord starts at
+    (1, 0.0).  The two compare equal as numbers but are two bit patterns,
+    and both stay vertices."""
+    disc = build_body(REF, 0.0)
+    breaks = disc.breaks.copy()
+    breaks[0] = -0.0
+    body = dataclasses.replace(disc, centers=np.array([[0.0, -0.0]] * disc.n_arcs),
+                               breaks=breaks)
+    cuts = [(np.array([0.0, 1.0]), 0.0)]
+    _assert_same_trim(body, cuts)
+    listed = {v.tobytes() for v in trim_bodies([body], [cuts])[0].vertices}
+    assert {np.array([1.0, 0.0]).tobytes(), np.array([1.0, -0.0]).tobytes()} <= listed
+
+
 def test_trim_drops_a_chord_a_parallel_cut_removes():
     """The unit disc cut by x >= 0.5 and x >= 0.3: the line x = 0.5 lies
     wholly in the removed x >= 0.3, so its chord goes, and one chord is
@@ -178,7 +228,7 @@ def test_trim_drops_a_chord_a_parallel_cut_removes():
     ends = boundary_line_crossings(disc, x, 0.5)
     assert len(ends) == 2 and x @ (ends[1] - ends[0]) == 0.0
     cuts = [(x, 0.5), (x, 0.3)]
-    t = trim_body(disc, cuts)
+    t = trim_bodies([disc], [cuts])[0]
     assert len(t.chord_a) == 1
     root = math.sqrt(0.91)
     assert np.allclose(t.chord_a[0], [0.3, -root], rtol=0, atol=1e-15)

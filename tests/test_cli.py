@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import croft_forge
 from croft_forge import ansatz, lattice, svgout, tortoise
 from croft_forge import body as body_module
-from croft_forge.cli import _fmt, main
+from croft_forge.cli import main
 from croft_forge.lattice import PATCH_SITES
 from croft_forge.stepfn import reference_step_function
+from croft_forge.tortoise import format_float
 from break_sets import q36_profile, uniform_zero_profile
 from call_counts import count_calls
 
@@ -109,7 +110,7 @@ def test_fit_json(capsys):
 
 
 def _cell(value):
-    return _fmt(value) if isinstance(value, float) else str(value)
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def _csv_and_json(capsys, *argv):
@@ -123,8 +124,8 @@ def _csv_and_json(capsys, *argv):
 
 def test_scan_csv_cells_are_the_json_values(capsys):
     """One emitter: each CSV cell of a scan, an error row among them, is
-    the matching JSON value through ``_fmt`` (floats) or ``str``, and a
-    field a row lacks is empty."""
+    the matching JSON value through ``format_float`` (floats) or ``str``,
+    and a field a row lacks is empty."""
     lines, rows = _csv_and_json(capsys, "scan", "--eps", "5", "--eps", "0.05")
     header = lines[0].split(",")
     assert header[-1] == "error" and "error" in rows[0] and "error" not in rows[1]
@@ -156,15 +157,17 @@ def test_fit_reads_each_series_coefficient_once(capsys, monkeypatch):
 @pytest.mark.parametrize("n", [None, 2])
 def test_eigen_csv_cells_are_the_json_values(capsys, tmp_path, n):
     """On the reference and on {0, pi}: each CSV cell of ``eigen`` is a JSON
-    value through ``_fmt`` or ``str``; delta is top minus reference."""
+    value through ``format_float`` or ``str``; delta is top minus reference."""
     q_spec = () if n is None else ("--q-spec", str(_uniform_qspec(tmp_path, n)))
     lines, data = _csv_and_json(capsys, "eigen", *q_spec)
     top = data["top_eigenvector"]
     ref = data.get("reference_vector")
     want = [["index", "top_eigenvector"] + (["reference", "delta"] if ref else [])]
     for i, v in enumerate(top):
-        want.append([str(i), _fmt(v)] + ([_fmt(ref[i]), _fmt(v - ref[i])] if ref else []))
-    want += [["top_shift", *map(_fmt, data["top_shift"])], ["top_gap", _fmt(data["top_gap"])],
+        want.append([str(i), format_float(v)]
+                    + ([format_float(ref[i]), format_float(v - ref[i])] if ref else []))
+    want += [["top_shift", *map(format_float, data["top_shift"])],
+             ["top_gap", format_float(data["top_gap"])],
              ["signature", *map(str, data["signature"].values())]]
     assert [line.split(",") for line in lines] == want
     assert (ref is None) == (n is not None)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
@@ -11,7 +12,7 @@ from break_sets import q36_profile, uniform_zero_profile
 from call_counts import count_calls
 from croft_forge import ansatz, clip, lattice, reference, tortoise
 from croft_forge.body import build_body, boundary_point, transform
-from croft_forge.clip import TrimmedBody, boundary_line_crossings, cut_table, trim_body
+from croft_forge.clip import TrimmedBody, boundary_line_crossings, cut_table, trim_bodies
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
@@ -31,6 +32,11 @@ from disc_reference import disc_cuts
 
 Q = reference_step_function()
 SHIFT = default_config()
+
+
+def trim_body(body, cuts):
+    """``clip.trim_bodies`` of the one body."""
+    return trim_bodies([body], [cuts])[0]
 
 
 def closest_pair(a, b, strip=None):
@@ -303,6 +309,16 @@ def _patch(q, eps, stripes, width):
     return bodies, cuts, edges
 
 
+def _break_antipode_profile():
+    """A seeded random profile and eps on whose patch a copy's largest
+    diameter candidate is the (+,-) line-of-centres pair through a break:
+    the points of a vertex candidate, rounded an ulp higher."""
+    rng = np.random.default_rng(11)
+    rng.uniform()
+    v = ansatz.closure_project(rng.standard_normal(ansatz.N_FREE))
+    return ansatz.step_from_halfvalues(v / np.max(np.abs(v))), float(rng.uniform(-0.1, 0.1))
+
+
 PATCHES = [("reference", Q, 0.05, "series2")] + [
     (f"random-{seed}", *_random_profile(seed), "series1") for seed in (1, 2, 3)
 ]
@@ -509,6 +525,11 @@ ORACLE_CASES = [
 ] + [
     ("uniform36", uniform_zero_profile(36), 0.05, "series2", 2.0, None),
     ("q36", q36_profile(), 0.05, "series2", 2.0, None),
+    ("break-antipode-2.0", *_break_antipode_profile(), "series1", 2.0, None),
+    ("break-antipode-2.1", *_break_antipode_profile(), "series1", 2.1, None),
+    # diameters in passes of 4, 4 and 1 rows, and of one row each
+    ("uniform96", uniform_zero_profile(96), 0.05, "series2", 2.0, None),
+    ("uniform288", uniform_zero_profile(288), 0.05, "series2", 2.0, None),
 ]
 
 
@@ -524,6 +545,89 @@ def test_batched_report_is_the_per_pair_report(monkeypatch, name, q, eps, mode, 
     assert report.ok == (width >= 2.0 and fault is None)
     assert _bits(report) == _bits(_per_pair_report(monkeypatch, q, eps, stripes,
                                                    stripe_width=width))
+
+
+@pytest.mark.parametrize("q, passes", [(Q, 1), (uniform_zero_profile(96), 3),
+                                       (uniform_zero_profile(288), 9)],
+                         ids=["reference", "uniform96", "uniform288"])
+def test_diameter_passes_are_bounded_by_size(monkeypatch, q, passes):
+    """The nine diameters of a 24-arc patch take one candidate pass, those
+    of the uniform 96-interval patch (86 vertices and 84 arc pieces wide)
+    passes of four rows, and those of uniform 288 (246 vertices) one pass
+    a row."""
+    stripes = tortoise.tortoise_area(0.05, "series2", q=q).stripes()
+    calls = count_calls(monkeypatch, lattice, "_extreme")
+    verify_avoidance(q, 0.05, stripes)
+    assert len(calls) == 1 + passes  # one for the nearest pairs of all edges
+
+
+def _arc_pair(rng) -> TrimmedBody:
+    """Two random non-concentric arc pieces, each spanning up to pi, as one
+    trimmed body with their four ends as vertices."""
+    centers = rng.uniform(-0.5, 0.5, (2, 2))
+    radii = rng.uniform(0.3, 1.5, 2)
+    lo = rng.uniform(0.0, 2.0 * math.pi, 2)
+    hi = lo + rng.uniform(0.05, math.pi, 2)
+    u0 = np.stack([np.cos(lo), np.sin(lo)], axis=-1)
+    u1 = np.stack([np.cos(hi), np.sin(hi)], axis=-1)
+    ends = np.concatenate([centers + radii[:, None] * u0, centers + radii[:, None] * u1])
+    return TrimmedBody(centers, radii, u0, u1, np.zeros((0, 2)), np.zeros((0, 2)), ends)
+
+
+def _sampled_diameter(t: TrimmedBody) -> float:
+    """The diameter of two arcs from their parametrisation: each arc's chord
+    between its ends, and the largest |P - X| over X on arc 1 for P on arc
+    0 (the circle's far point where it lies in range, else an end),
+    sampled densely and refined at each sampled local maximum."""
+    lo = np.arctan2(t.u0[:, 1], t.u0[:, 0])
+    span = (np.arctan2(t.u1[:, 1], t.u1[:, 0]) - lo) % (2.0 * math.pi)
+
+    def far(phi):
+        P = t.centers[0] + t.radii[0] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        w = t.centers[1] - P
+        in_range = (np.arctan2(w[..., 1], w[..., 0]) - lo[1]) % (2.0 * math.pi) <= span[1]
+        ends = [np.hypot(*(P - t.vertices[k]).T) for k in (1, 3)]
+        return np.where(in_range, np.hypot(w[..., 0], w[..., 1]) + t.radii[1], np.maximum(*ends))
+
+    phi = np.linspace(lo[0], lo[0] + span[0], 2001)
+    g = far(phi)
+    best = [float(g.max())]
+    for i in np.flatnonzero((g[1:-1] >= g[:-2]) & (g[1:-1] >= g[2:])) + 1:
+        res = minimize_scalar(lambda x: -far(np.array([x]))[0], bounds=(phi[i - 1], phi[i + 1]),
+                              method="bounded", options={"xatol": 1e-13})
+        best.append(-res.fun)
+    chords = np.hypot(*(t.vertices[:2] - t.vertices[2:]).T)
+    return max(*best, *chords)
+
+
+def test_only_one_sign_pair_on_the_line_of_centres_can_be_a_maximum():
+    """The line-of-centres lemma of ``farthest_pairs`` on random arc pairs:
+    with the end candidates, P = M_a - r_a*u, Q = M_b + r_b*u alone reach
+    the maximum of all four sign pairs, the one the batched pass and the
+    full walk report, and a dense sample agrees to 1e-12."""
+    rng = np.random.default_rng(24)
+    interior = other_signs = 0
+    for _ in range(200):
+        t = _arc_pair(rng)
+        table = lattice._stack([t])
+
+        def minus_plus():  # sign index 0 is +1, index 1 is -1
+            P, Q, ok = lattice._arc_arc(table, table)
+            return P[:, 1, 0], Q[:, 1, 0], ok[:, 1, 0]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d, (p, _) = lattice._extreme(np.argmax, -math.inf, [
+                lambda: lattice._vertex_pairs(table),
+                lambda: lattice._far_vertex_arc(table, *lattice._ranges(table)),
+                minus_plus,
+            ])[0]
+            ok = lattice._arc_arc(table, table)[2][0]
+        assert d == farthest_pair(t)[0] == full_walk.farthest_pair(t)[0]
+        assert abs(d - _sampled_diameter(t)) <= 1e-12
+        interior += not any(np.array_equal(p, v) for v in t.vertices)
+        other_signs += bool(ok[0, 0].any() or ok[1, 1].any() or ok[0, 1].any())
+    # some maxima lie inside both arcs, and the other sign pairs do occur
+    assert interior > 0 and other_signs > 0
 
 
 def test_strip_bound_adds_the_measured_excess():
@@ -570,15 +674,14 @@ def test_a_copy_trimmed_past_its_lines_keeps_the_nearest_pairs_exact(monkeypatch
 
 @pytest.mark.parametrize("width", [2.0, 3.2])
 def test_one_trim_and_one_table_per_verification(monkeypatch, width):
-    """The nine copies are trimmed in one call and stacked once; the three
-    checks read that table and stack nothing of their own."""
+    """The nine copies are trimmed in one call, not one call each, and
+    stacked once; the three checks read that table and stack nothing of
+    their own."""
     stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
     batched = count_calls(monkeypatch, clip, "trim_bodies")
-    single = count_calls(monkeypatch, clip, "trim_body")
     stacks = count_calls(monkeypatch, lattice, "_stack")
     verify_avoidance(Q, 0.05, stripes, stripe_width=width)
     assert len(batched) == 1 and len(batched[0][0]) == len(lattice.PATCH_SITES)
-    assert single == []
     assert len(stacks) <= 1
 
 

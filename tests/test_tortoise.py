@@ -19,6 +19,7 @@ from croft_forge.body import (
     croft_constants,
     transform,
 )
+from croft_forge.cli import main
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PATCH_SITES,
@@ -485,6 +486,17 @@ def test_closure_is_checked_once_per_series_evaluation(monkeypatch):
             calls.clear()
             evaluate()
             assert len(calls) == 1
+
+
+def test_write_scan_csv_prints_floats_as_the_cli_does(tmp_path, capsys):
+    """One CSV format: ``write_scan_csv`` writes 15 significant digits, the
+    bytes ``croft-forge scan`` prints for the same eps."""
+    path = tmp_path / "scan.csv"
+    write_scan_csv(scan([0.05]), path)
+    header, row = path.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["body_area"] == "3.14156646682611"
+    assert main(["scan", "--eps", "0.05"]) == 0
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_write_scan_csv_of_no_records_writes_header(tmp_path):
