@@ -299,13 +299,29 @@ def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairC
     ``class_cuts`` at the one column (q, shift) (None: the reference shift).
 
     Every cut is linear in (q, shift) and read exactly at eps = 0, for any
-    number of arcs under a cap.  Raises ``BodyError`` when ``q`` violates
-    closure (``body.require_closure``).
+    number of arcs under a cap.  The read is computed once per (break set,
+    values, shift), keyed by their bits and bounded at 64 entries, while
+    closure is still checked on every call: raises ``BodyError`` when ``q``
+    violates it (``body.require_closure``).
     """
     require_closure(q)
     if shift is None:
         shift = default_config()
-    p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
+    return _profile_cuts(
+        np.asarray(q.breaks, dtype=float).tobytes(),
+        np.asarray(q.values, dtype=float).tobytes(),
+        np.asarray(shift, dtype=float).tobytes(),
+    )
+
+
+@lru_cache(maxsize=64)  # bounded for sweeps over many profiles
+def _profile_cuts(breaks: bytes, values: bytes, shift: bytes) -> tuple[PairCut, PairCut, PairCut]:
+    """``cut_parameters``' one-column ``class_cuts`` read, keyed by the bit
+    patterns of the float arrays: -0.0 and 0.0 are two keys, and a values
+    array changed in place is a new one.  The frozen ``PairCut``s are shared."""
+    p_e, p_ex, p_ee = class_cuts(
+        np.frombuffer(breaks), np.frombuffer(values)[:, None], np.frombuffer(shift)[None, :]
+    )
     return tuple(
         PairCut(float(p_e[k, 0]), (float(p_ex[k, 0, 0]), float(p_ex[k, 1, 0])),
                 float(p_ee[k, 0, 0]))

@@ -6,7 +6,10 @@ the packing density.  Four evaluation modes are provided: second-order
 series with shift-only or shift+tilt stripe minimization ("series1",
 "series2"), and exact clipped-arc areas with the same two minimizations
 ("exact1", "exact2"); the series modes build no body (closed forms at
-unit eps: ``body_area_coefficient``, ``lattice.cut_parameters``).
+unit eps: ``body_area_coefficient``, ``lattice.cut_parameters``).  That
+cut data is computed once per (break set, values, shift), keyed by bits
+and bounded at 64 entries, so the records of one fit or scan share it;
+closure is still checked on every call.
 
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and

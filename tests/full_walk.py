@@ -3,7 +3,7 @@ distances by trying every pair of pieces.
 
 The reference the cap walk of ``croft_forge.clip.cap_arcs`` is checked
 against: the same closed forms as ``croft_forge.clip`` and
-``croft_forge.clip.trim_body``, but each line is intersected with all n
+``croft_forge.clip.trim_bodies``, but each line is intersected with all n
 arcs instead of the one to three arcs under its cap.  ``closest_pair`` and
 ``farthest_pair`` are the reference for the batched, strip-pruned
 ``croft_forge.lattice.closest_pairs`` and ``farthest_pairs``: the same
@@ -97,8 +97,8 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
 
 
 def trim_body(body: ArcBody, cuts) -> TrimmedBody:
-    """``clip.trim_body`` with every cut line tried on every arc; each
-    cut (n, c) removes {x : n.x >= c}."""
+    """``clip.trim_bodies`` of one body with every cut line tried on every
+    arc; each cut (n, c) removes {x : n.x >= c}."""
     normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
     offsets = np.array([c for _, c in cuts], dtype=float)
     hits: list[list[np.ndarray]] = [[] for _ in cuts]

@@ -146,12 +146,14 @@ def test_fit_csv_cells_are_the_json_values(capsys):
 
 def test_fit_reads_each_series_coefficient_once(capsys, monkeypatch):
     """An exact2 fit reads the cut data once per grid eps and once per
-    series mode (8 + 2), and the body-area c2 once."""
+    series mode (8 + 2), computes it once, and the body-area c2 once."""
+    lattice._profile_cuts.cache_clear()
     cuts = count_calls(monkeypatch, lattice, "cut_parameters")
+    reads = count_calls(monkeypatch, lattice, "class_cuts")
     grams = count_calls(monkeypatch, body_module, "body_area_gram")
     code, _, _ = run(capsys, "fit", "--mode", "exact2")
     assert code == 0
-    assert (len(cuts), len(grams)) == (10, 1)
+    assert (len(cuts), len(reads), len(grams)) == (10, 1, 1)
 
 
 @pytest.mark.parametrize("n", [None, 2])

@@ -9,7 +9,7 @@ import pytest
 
 from scipy.optimize import minimize
 
-from croft_forge import ansatz, reference, tortoise
+from croft_forge import ansatz, lattice, reference, tortoise
 from croft_forge import body as body_module
 from croft_forge.body import (
     BodyError,
@@ -25,6 +25,7 @@ from croft_forge.lattice import (
     PATCH_SITES,
     collect_patch_cuts,
     PSI,
+    class_cuts,
     cut_parameters,
     default_config,
     edge_copies,
@@ -51,7 +52,7 @@ from croft_forge.tortoise import (
     write_scan_csv,
     write_scan_json,
 )
-from break_sets import q36_profile, seeded_profile
+from break_sets import q36_profile, seeded_profile, uniform_zero_profile
 from call_counts import count_calls
 from disc_reference import (
     disc_cut_coefficients,
@@ -246,6 +247,97 @@ def test_exact2_fit_converges_at_a_far_shift():
     fine = fit_net_coefficient("exact2", [e / 8 for e in DEFAULT_FIT_EPS], shift=FAR_SHIFT)
     want = series_net_coefficient(mode="series2", shift=FAR_SHIFT)
     assert abs(fine.c2 - want) <= 1e-5
+
+
+def _uniform_48_profile():
+    """A seeded closure-projected profile on 48 uniform intervals; its values
+    are writable, as ``step_from_halfvalues`` builds them."""
+    template = uniform_zero_profile(48)
+    v = ansatz.closure_project(np.random.default_rng(48).standard_normal(24), template)
+    return ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
+
+
+def _cut_bits(cuts):
+    """Every field of three ``PairCut``s under ``float.hex``."""
+    return [(c.linear.hex(), c.p_ex[0].hex(), c.p_ex[1].hex(), c.p_ee.hex()) for c in cuts]
+
+
+def _direct_cut_bits(q, shift):
+    """A direct one-column ``class_cuts`` read of (q, shift), as hex; the
+    name bound here is not the one ``count_calls`` counts."""
+    shift = default_config() if shift is None else shift
+    p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
+    return [
+        tuple(float(x).hex() for x in (p_e[k, 0], p_ex[k, 0, 0], p_ex[k, 1, 0], p_ee[k, 0, 0]))
+        for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "shift", [None, (0.0, 0.0), (-0.0, 0.0), FAR_SHIFT], ids=["reference", "zero", "minus-zero", "far"]
+)
+def test_cached_cut_parameters_are_the_direct_read(shift):
+    """``cut_parameters`` equals a direct ``class_cuts`` read bit for bit, on
+    the first call (a cache miss) and the second (a hit): the reference,
+    q36 and a seeded uniform-48 profile."""
+    lattice._profile_cuts.cache_clear()
+    for q in (Q, q36_profile(), _uniform_48_profile()):
+        want = _direct_cut_bits(q, shift)
+        assert _cut_bits(cut_parameters(q, shift)) == want
+        assert _cut_bits(cut_parameters(q, shift)) == want
+
+
+def test_cut_cache_keys_are_bit_patterns(monkeypatch):
+    """A profile or a shift that differs only in the sign of a zero is read
+    on its own, and values changed in place after a call are read afresh."""
+    lattice._profile_cuts.cache_clear()
+    reads = count_calls(monkeypatch, lattice, "class_cuts")
+    zero = uniform_zero_profile(48)
+    signed = ansatz.step_from_halfvalues(np.zeros(24), zero)  # -0.0 on the second half
+    assert np.array_equal(signed.values, zero.values)
+    for q, shift in ((zero, (0.0, 0.0)), (signed, (0.0, 0.0)), (zero, (-0.0, 0.0)),
+                     (zero, (0.0, 0.0)), (signed, (0.0, 0.0))):
+        assert _cut_bits(cut_parameters(q, shift)) == _direct_cut_bits(q, shift)
+    assert len(reads) == 3
+    q = _uniform_48_profile()
+    before = _cut_bits(cut_parameters(q))
+    q.values[:] *= 2.0  # closure is linear, so the doubled profile closes too
+    assert _cut_bits(cut_parameters(q)) == _direct_cut_bits(q, None) != before
+    assert len(reads) == 5
+
+
+def test_exact2_fit_and_scan_read_the_cut_data_once_per_profile_and_shift(monkeypatch):
+    """Each exact2 record calls ``cut_parameters``, which checks closure at
+    unit eps every time, but ``class_cuts`` runs once per (profile, shift)."""
+    lattice._profile_cuts.cache_clear()
+    cuts = count_calls(monkeypatch, lattice, "cut_parameters")
+    reads = count_calls(monkeypatch, lattice, "class_cuts")
+    closures = count_calls(monkeypatch, body_module, "require_closure")
+    for run, n_reads in (
+        (lambda: fit_net_coefficient("exact2"), 1),
+        (lambda: scan(DEFAULT_FIT_EPS, "exact2"), 1),
+        (lambda: scan(DEFAULT_FIT_EPS, "exact2", shift=FAR_SHIFT), 2),
+    ):
+        cuts.clear()
+        closures.clear()
+        run()
+        assert (len(cuts), len(reads)) == (len(DEFAULT_FIT_EPS), n_reads)
+        # build_body checks closure at its eps, cut_parameters at unit eps
+        assert sum(len(args) == 1 for args in closures) == len(cuts)
+
+
+def test_open_profile_is_refused_on_every_cut_read():
+    """No failure is cached and no check is skipped: an open profile raises
+    on each call, also one that was read while it closed and then changed
+    in place."""
+    lattice._profile_cuts.cache_clear()
+    q = _uniform_48_profile()
+    cut_parameters(q)
+    q.values[0] += 0.5
+    q.values[24] -= 0.5  # its antipode: still antisymmetric, no longer closed
+    for _ in range(3):
+        with pytest.raises(BodyError, match="does not close"):
+            cut_parameters(q)
 
 
 def test_fit_matches_series_closed_form():
