@@ -83,15 +83,15 @@ def chain_closure_residual(q: StepFunction) -> float:
     return math.hypot(*(_unit_chords(tuple(q.breaks)).T @ q.values).tolist())
 
 
-def require_closure(q: StepFunction, eps: float = 1.0) -> None:
-    """Raise :class:`BodyError` when the arc chain of ``q`` at ``eps`` does
+def require_closure(q: StepFunction) -> None:
+    """Raise :class:`BodyError` when the arc chain of ``q`` at unit eps does
     not close to CLOSURE_TOL: the profile violates the two linear closure
-    constraints.  The closed forms at unit eps (``lattice.cut_parameters``,
-    ``tortoise.body_area_coefficient``) check it as ``build_body`` does.
-    The message names the unit-eps residual, the profile's own, so every
-    mode and every eps report one violation alike."""
+    constraints.  The residual is the profile's own, whatever eps a body
+    is built at, so ``build_body`` and the closed forms at unit eps
+    (``lattice.cut_parameters``, ``tortoise.body_area_coefficient``) accept
+    and refuse the same profiles, in every mode and at every eps."""
     residual = chain_closure_residual(q)
-    if abs(eps) * residual > CLOSURE_TOL:
+    if residual > CLOSURE_TOL:
         raise BodyError(
             f"arc chain does not close (residual {residual:.3g} at unit eps): "
             "the profile violates the closure constraints"
@@ -122,7 +122,7 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
     Raises :class:`BodyError` as ``family_radii`` and ``require_closure`` do.
     """
     radii = family_radii(q, eps)
-    require_closure(q, eps)
+    require_closure(q)
     centers = eps * center_offsets(q.breaks, q.values)
     return ArcBody(
         centers=centers,

@@ -16,17 +16,19 @@ that stops at the first shared endpoint below the line finds every arc
 that can meet it: one to three arcs for a stripe cap instead of all n.
 
 ``trim_bodies`` keeps what several half-planes leave of each of several
-bodies as arc pieces, chords and vertices, for the exact checks of the
-patch in ``lattice``.  It walks each cut's cap as above, then splits the
-arcs of every body with one sort, clips every chord with one array pass
-and lists each body's vertices once with one more sort.
+bodies as arc pieces, chords and vertices, in one padded table with a
+row per body (``TrimTable``): the table the exact checks of the patch in
+``lattice`` read.  It walks each cut's cap as above, then splits the arcs
+of every body with one sort, clips every chord with one array pass, lists
+each body's vertices once with one more sort and pads each group into
+its rows.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -214,25 +216,19 @@ KEEP_TOL = 1e-12
 ANGLE_TOL = 1e-12  # narrowest arc piece kept as an arc
 
 
-@dataclass(frozen=True)
-class TrimmedBody:
-    """Boundary of a body cut by half-planes: arc pieces, chords, vertices.
-
-    Arc piece i is centers[i] + radii[i] * u for the unit vectors u from
-    ``u0[i]`` counter-clockwise to ``u1[i]``; it spans at most pi, because
-    every break of a profile has its antipode, so pi is a break.  Chord j
-    runs from chord_a[j] to chord_b[j]; ``vertices`` holds every piece
-    endpoint once: each bit pattern once (so -0.0 and 0.0 differ), the
-    first copy in the order arc starts, arc ends, chord starts, chord ends.
-    """
-
-    centers: np.ndarray   # (k, 2)
-    radii: np.ndarray     # (k,)
-    u0: np.ndarray        # (k, 2)
-    u1: np.ndarray        # (k, 2)
-    chord_a: np.ndarray   # (m, 2)
-    chord_b: np.ndarray   # (m, 2)
-    vertices: np.ndarray  # (v, 2)
+# Bodies cut by half-planes, a row each: arc pieces, chords and vertices,
+# each group (its fields in ``_GROUPS``) zero-padded by ``_padded`` and
+# followed by its ``*_ok`` mask.  Arc piece i of row r is centers[r, i] +
+# radii[r, i] * u for the unit vectors u from u0[r, i] counter-clockwise
+# to u1[r, i]; it spans at most pi, because every break of a profile has
+# its antipode, so pi is a break.  Chord j runs from chord_a[r, j] to
+# chord_b[r, j].  ``vertices`` holds every piece endpoint once: each bit
+# pattern once (so -0.0 and 0.0 differ), the first copy in the order arc
+# starts, arc ends, chord starts, chord ends.
+TrimTable = namedtuple(
+    "TrimTable", "centers radii u0 u1 arc_ok chord_a chord_b chord_ok vertices vertex_ok"
+)
+_GROUPS = (("centers", "radii", "u0", "u1"), ("chord_a", "chord_b"), ("vertices",))
 
 
 def _in_arc(d, u0, u1):
@@ -254,19 +250,21 @@ def _padded(sizes, *flat):
     return (*out, ok)
 
 
-def cut_table(cuts_per_body) -> tuple[np.ndarray, np.ndarray]:
+def cut_table(cuts_per_body) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (n, c) cuts of several bodies as arrays (body, cut, 2) of normals
-    and (body, cut) of offsets, zero-padded by ``_padded``.  A padded cut
-    (0, 0) removes nothing: 0.x - 0 is never above a tolerance."""
+    and (body, cut) of offsets, zero-padded by ``_padded``, and the mask of
+    real cuts.  A padded cut (0, 0) removes nothing: 0.x - 0 is never above
+    a tolerance."""
     flat = [cut for cuts in cuts_per_body for cut in cuts]
-    normals, offsets, _ = _padded(np.array([len(cuts) for cuts in cuts_per_body]),
-                                  np.array([n for n, _ in flat], dtype=float).reshape(-1, 2),
-                                  np.array([c for _, c in flat], dtype=float))
-    return normals, offsets
+    return _padded(np.array([len(cuts) for cuts in cuts_per_body]),
+                   np.array([n for n, _ in flat], dtype=float).reshape(-1, 2),
+                   np.array([c for _, c in flat], dtype=float))
 
 
-def trim_bodies(bodies, cuts_per_body) -> list[TrimmedBody]:
-    """Exact boundary of each body with its cut half-planes removed.
+def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact boundary of each body with its cut half-planes removed, as a
+    ``TrimTable`` with a row per body, and the ``cut_table`` it trimmed by:
+    (table, normals, offsets, cut mask).
 
     ``cuts_per_body[i]`` holds body i's (n, c) pairs, each the removed
     half-plane {x : n.x >= c}, as from ``lattice.collect_patch_cuts``.
@@ -279,14 +277,14 @@ def trim_bodies(bodies, cuts_per_body) -> list[TrimmedBody]:
     of its body; all chords are clipped in one pass.
 
     Every dot product is a matrix product of one body's rows with its own
-    cut normals, padded to common counts (``cut_table``), so each body's
-    result is bit for bit the one it gets trimmed alone.  A piece ends
-    where the next on its arc starts, so of the 52-60 piece ends of a
-    reference copy at width 2 only 31-47 differ; one stable sort of every
-    body's ends by (body, bit pattern) keeps the first copy of each.
+    cut normals, padded to common counts, so each body's row is bit for
+    bit the one it gets trimmed alone.  A piece ends where the next on its
+    arc starts, so of the 52-60 piece ends of a reference copy at width 2
+    only 31-47 differ; one stable sort of every body's ends by (body, bit
+    pattern) keeps the first copy of each.
     """
     count = len(bodies)
-    normals, offsets = cut_table(cuts_per_body)
+    normals, offsets, cut_ok = cut_table(cuts_per_body)
     width = normals.shape[1]
     # the arcs of all bodies are numbered in turn: body k's from first[k]
     first = list(accumulate((b.n_arcs for b in bodies), initial=0))
@@ -365,15 +363,12 @@ def trim_bodies(bodies, cuts_per_body) -> list[TrimmedBody]:
     repeat[order[1:]] = np.all(key[order[1:]] == key[order[:-1]], axis=1)
     once = np.flatnonzero(~repeat)
     once = once[np.argsort(vertex_body[once], kind="stable")]
-    splits = [np.cumsum(np.bincount(b, minlength=count))[:-1]
-              for b in (piece_body, chord_body, vertex_body[once])]
-    return [
-        TrimmedBody(c[w], r[w], a[w], b[w], ca, cb, v)
-        for c, r, a, b, w, ca, cb, v in zip(
-            *(np.split(x, splits[0]) for x in (centers, radii, u0, u1, wide)),
-            *(np.split(x, splits[1]) for x in (chord_a, chord_b)),
-            np.split(vertices[once], splits[2]))
-    ]
+    # every group is sorted by body, so each pads into its rows as it is
+    groups = ((piece_body[wide], centers[wide], radii[wide], u0[wide], u1[wide]),
+              (chord_body, chord_a, chord_b), (vertex_body[once], vertices[once]))
+    table = TrimTable(*(x for rows, *flat in groups
+                        for x in _padded(np.bincount(rows, minlength=count), *flat)))
+    return table, normals, offsets, cut_ok
 
 
 def _arc_of(body: ArcBody, i: int):

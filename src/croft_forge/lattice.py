@@ -26,38 +26,28 @@ states where a stripe's two caps sit across an edge along +x, and
 clip (``clip.halfplane_clip_area``), the trimming and the drawings take
 the pairs as they are.
 
-Patch verification is exact.  The copies are trimmed by their stripe
-half-planes, all in one pass, to boundaries of arc pieces and chords
-(``clip.trim_bodies``), each vertex listed once, and stacked once into
-one padded table; the crossing check, the distances and the diameters
-all read rows of it.
-Distances are closed forms over pairs of pieces, vectorised with
-NumPy.  Every candidate is a distance between two points of the trimmed
-bodies, and the list is complete: an extreme pair either has an endpoint
-of a piece (a vertex) as one point, or is an interior critical pair of
-two pieces, which lies on the line of centres of two arcs or at the arc
-point whose normal is a chord's normal (concentric arcs have no isolated
-critical pair and reach their extremes at an endpoint).  A stripe of
-width w > 0 puts the two bodies of an edge in disjoint half-planes, so
-they never meet and their nearest pair is such a boundary pair.  Each
-edge carries that strip (``collect_patch_cuts``), which also bounds every
-pair from below, |P - Q| >= n.Q - n.P, so ``closest_pairs`` first drops
-the pieces too far from it to hold the nearest pair and then takes all
-edges of a patch in one batched pass.  The strip's lines are cut lines
-of the edge's copies, so the extremes that make the bound safe are the
-crossing check's support values, measured once.  No strip bounds a
-diameter, so ``farthest_pairs`` cuts the work another way: it tries each
-unordered vertex pair once, keeps on the line of centres only the two
-sign pairs with the points on opposite sides (the lemma in its
-docstring), lists only the arc candidates whose direction the arc's
-range can hold, and takes as many rows to a pass as a fixed budget of
-candidate pairs allows.
+Patch verification is exact (``verify_avoidance``).  The copies are
+trimmed by their stripe half-planes, all in one pass, straight into one
+padded table of arc pieces, chords and vertices, a row per copy
+(``clip.trim_bodies``); the crossing check, the distances and the
+diameters all read rows of it.  Distances are closed forms over pairs of
+pieces, vectorised with NumPy, and the candidate list is complete: an
+extreme pair either has an endpoint of a piece (a vertex) as one point,
+or is an interior critical pair of two pieces, on the line of centres of
+two arcs or at the arc point whose normal is a chord's normal (concentric
+arcs have no isolated critical pair and reach their extremes at an
+endpoint).  A stripe of width w > 0 puts the two bodies of an edge in
+disjoint half-planes, so their nearest pair is such a boundary pair, and
+its strip bounds every pair from below: ``closest_pairs`` drops the
+pieces too far from it to hold the nearest pair (``_strip_prune``).  No
+strip bounds a diameter, so ``farthest_pairs`` lists only the candidates
+whose directions the arc ranges can hold.  Both keep the order of what
+is left, so every value and witness is that of the full list.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,7 +63,7 @@ from .body import (
     require_closure,
     transform,
 )
-from .clip import _in_arc, _padded, cut_table, trim_bodies
+from .clip import _GROUPS, TrimTable, _in_arc, _padded, trim_bodies
 from .segments import PairCut
 from .stepfn import TWO_PI, StepFunction
 
@@ -340,12 +330,12 @@ def collect_patch_cuts(
     {x : n.x >= c} of the site's copy as (n, c) pairs, the caps of
     ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
     by m*pi/3 for neighbor step m, then a shift to the edge's origin);
-    ``edges`` lists (site_a, site_b, class, strip) with the edge oriented
-    from color c to color c+1, each edge once.  The strip (n, c_a, c_b)
-    holds the two caps the edge places: copy a lies in n.x <= c_a, its
-    cut is (n, c_a), and copy b in n.x >= c_b, its cut (-n, -c_b).  Each
-    edge appends these two cuts, in the order of ``edges``, so a site's
-    cuts follow the order of its edges.
+    ``edges`` lists (site_a, site_b, class, strip, slots) with the edge
+    oriented from color c to color c+1, each edge once.  The strip
+    (n, c_a, c_b) holds the two caps the edge places: copy a lies in
+    n.x <= c_a, its cut is (n, c_a), and copy b in n.x >= c_b, its cut
+    (-n, -c_b).  ``slots`` (i_a, i_b) names them: they are cuts[site_a][i_a]
+    and cuts[site_b][i_b].
 
     The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
     back), and the edge of step m has class k = (m/2 - c) mod 3: its
@@ -371,7 +361,8 @@ def collect_patch_cuts(
                 cuts[site].append((n, c + float(n @ origin)))
             # the strip: a keeps n.x <= c_a, and b, cut by (-n, c), n.x >= -c
             (n, c_a), (_, c) = cuts[(i, j)][-1], cuts[other][-1]
-            edges.append(((i, j), other, k, (n, c_a, -c)))
+            slots = (len(cuts[(i, j)]) - 1, len(cuts[other]) - 1)
+            edges.append(((i, j), other, k, (n, c_a, -c), slots))
     return cuts, edges
 
 
@@ -417,9 +408,8 @@ def _measured(x: float, spec: str) -> str:
     return format(x, spec) if math.isfinite(x) else "none"
 
 
-# The table of a patch and candidate point pairs, batched.  ``_stack`` pads
-# trimmed bodies to common piece counts, one row each, with masks of the
-# real pieces; all three checks read rows of that one table.  Each helper
+# Candidate point pairs over rows of the one ``clip.TrimTable`` of a
+# patch, batched; all three checks read rows of that table.  Each helper
 # returns points P on the first and Q on the second piece set and whether
 # the candidate exists, indexed by row and then by piece in the order a
 # walk over one pair's pieces lists them.  Range tests use cross products
@@ -433,23 +423,13 @@ PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
 # stay a few MB.
 DIAMETER_PAIRS = 1 << 15
 RANGE_SLACK = 1e-9  # room for rounding when two arc ranges are matched
-_GROUPS = (("centers", "radii", "u0", "u1"), ("chord_a", "chord_b"), ("vertices",))
-_Padded = namedtuple(
-    "_Padded", "centers radii u0 u1 arc_ok chord_a chord_b chord_ok vertices vertex_ok"
-)
 
 
-def _stack(ts) -> _Padded:
-    return _Padded(*(x for g in _GROUPS for x in _padded(
-        np.array([len(getattr(t, g[0])) for t in ts]),
-        *(np.concatenate([getattr(t, f) for t in ts]) for f in g))))
+def _take(p: TrimTable, rows) -> TrimTable:
+    return TrimTable(*(x[rows] for x in p))
 
 
-def _take(p: _Padded, rows) -> _Padded:
-    return _Padded(*(x[rows] for x in p))
-
-
-def _support(p: _Padded, dirs) -> np.ndarray:
+def _support(p: TrimTable, dirs) -> np.ndarray:
     """max of d.x over each row's pieces for each of its directions d:
     ``dirs`` (row, k, 2) gives (row, k), -inf on a row with no pieces.
 
@@ -463,9 +443,9 @@ def _support(p: _Padded, dirs) -> np.ndarray:
     return np.max(np.concatenate([peaks, ends], axis=1), axis=1, initial=-math.inf)
 
 
-def _keep(p: _Padded, *keeps) -> _Padded:
+def _keep(p: TrimTable, *keeps) -> TrimTable:
     """The arc pieces, chords and vertices the three masks keep, in order."""
-    return _Padded(*(x for keep, g in zip(keeps, _GROUPS) for x in _padded(
+    return TrimTable(*(x for keep, g in zip(keeps, _GROUPS) for x in _padded(
         keep.sum(axis=1), *(getattr(p, f)[keep] for f in g))))
 
 
@@ -478,21 +458,21 @@ def _swap(candidates):
     return Q, P, ok
 
 
-def _vertex_vertex(a: _Padded, b: _Padded):
+def _vertex_vertex(a: TrimTable, b: TrimTable):
     shape = a.vertices.shape[:2] + b.vertices.shape[1:]
     return (np.broadcast_to(a.vertices[:, :, None], shape),
             np.broadcast_to(b.vertices[:, None], shape),
             a.vertex_ok[:, :, None] & b.vertex_ok[:, None])
 
 
-def _vertex_pairs(t: _Padded):
+def _vertex_pairs(t: TrimTable):
     """Each unordered pair of a row's vertices once, i <= j in row-major
     order; the diagonal gives a one-vertex copy its diameter 0."""
     i, j = np.triu_indices(t.vertices.shape[1])
     return t.vertices[:, i], t.vertices[:, j], t.vertex_ok[:, i] & t.vertex_ok[:, j]
 
 
-def _vertex_arc(v: _Padded, t: _Padded):
+def _vertex_arc(v: TrimTable, t: TrimTable):
     """Nearest circle point of each arc piece of ``t`` from each vertex of
     ``v``, where it lies on the piece."""
     d = v.vertices[:, :, None] - t.centers[:, None]
@@ -502,7 +482,7 @@ def _vertex_arc(v: _Padded, t: _Padded):
     return np.broadcast_to(v.vertices[:, :, None], Q.shape), Q, ok
 
 
-def _vertex_chord(v: _Padded, t: _Padded):
+def _vertex_chord(v: TrimTable, t: TrimTable):
     """Foot of each vertex of ``v`` on each chord of ``t``, inside the chord."""
     e = t.chord_b - t.chord_a
     s = (np.sum((v.vertices[:, :, None] - t.chord_a[:, None]) * e[:, None], axis=-1)
@@ -512,7 +492,7 @@ def _vertex_chord(v: _Padded, t: _Padded):
     return np.broadcast_to(v.vertices[:, :, None], Q.shape), Q, ok
 
 
-def _arc_arc(a: _Padded, b: _Padded):
+def _arc_arc(a: TrimTable, b: TrimTable):
     """Interior critical pairs of two arc-piece sets: P = M_a + s1*r_a*u and
     Q = M_b + s2*r_b*u on the line of centres (unit vector u), s1, s2 = +-1.
 
@@ -536,7 +516,7 @@ def _arc_arc(a: _Padded, b: _Padded):
     return np.broadcast_to(P[:, :, None], shape), np.broadcast_to(Q[:, None], shape), ok
 
 
-def _ranges(t: _Padded):
+def _ranges(t: TrimTable):
     """Start angle and width of each arc piece's range, (row, arc) each."""
     lo = np.arctan2(t.u0[..., 1], t.u0[..., 0])
     return lo, (np.arctan2(t.u1[..., 1], t.u1[..., 0]) - lo) % TWO_PI
@@ -558,7 +538,7 @@ def _listed(keep):
     return (rows, i), (rows, j), listed
 
 
-def _far_vertex_arc(t: _Padded, lo, span):
+def _far_vertex_arc(t: TrimTable, lo, span):
     """Farthest circle point of each arc piece of a row from each of its
     vertices, where it lies on the piece, over only the (vertex, arc)
     pairs whose range can hold the direction from the vertex to the arc's
@@ -583,7 +563,7 @@ def _far_vertex_arc(t: _Padded, lo, span):
     return t.vertices[v], t.centers[a] + t.radii[a][..., None] * d, ok
 
 
-def _opposite_arc_pairs(t: _Padded, lo, span):
+def _opposite_arc_pairs(t: TrimTable, lo, span):
     """The (+,-) and then the (-,+) pairs of ``_arc_arc(t, t)``,
     P = M_a + s*r_a*u and Q = M_b - s*r_b*u for s = +1, -1, over the
     unordered pairs a < b of a row's arc pieces in row-major order, padded
@@ -610,7 +590,7 @@ def _opposite_arc_pairs(t: _Padded, lo, span):
             t.centers[b][:, None] - t.radii[b][:, None, :, None] * dirs, ok)
 
 
-def _arc_chord(a: _Padded, b: _Padded):
+def _arc_chord(a: TrimTable, b: TrimTable):
     """Arc points M +- r*m of ``a``, m a chord normal of ``b``, paired with
     their feet on that chord, where both lie on their pieces."""
     e = b.chord_b - b.chord_a
@@ -644,7 +624,7 @@ def _extreme(pick, fill: float, blocks) -> list[tuple[float, Witness]]:
     return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(pick(d, axis=1))]
 
 
-def _strip_prune(p: _Padded, strips, tops) -> _Padded:
+def _strip_prune(p: TrimTable, strips, tops) -> TrimTable:
     """Drop from the first bodies (rows 0..e-1) and the second bodies (rows
     e..2e-1) of e pairs every piece that cannot hold the nearest pair.
 
@@ -679,7 +659,7 @@ def _strip_prune(p: _Padded, strips, tops) -> _Padded:
     return _keep(p, arc_top >= low, chord_top >= low, vertex_top >= low)
 
 
-def closest_pairs(table: _Padded, pairs, strips=None, tops=None) -> list[tuple[float, Witness]]:
+def closest_pairs(table: TrimTable, pairs, strips, tops) -> list[tuple[float, Witness]]:
     """Exact distance between the two disjoint trimmed bodies of each pair
     (row_a, row_b) of ``table`` and its witness, all pairs in one batched
     pass.
@@ -693,13 +673,10 @@ def closest_pairs(table: _Padded, pairs, strips=None, tops=None) -> list[tuple[f
     pair, ``_strip_prune`` first drops the pieces that cannot hold the
     nearest pair.  It keeps every candidate that can attain the minimum, in
     order, so the distance and the witness are those of the full list.
-    Without strips every piece is tried.
     """
     if not pairs:
         return []
-    p = _take(table, [a for a, _ in pairs] + [b for _, b in pairs])
-    if strips is not None:
-        p = _strip_prune(p, strips, tops)
+    p = _strip_prune(_take(table, [a for a, _ in pairs] + [b for _, b in pairs]), strips, tops)
     a, b = _take(p, slice(len(pairs))), _take(p, slice(len(pairs), None))
     return _extreme(np.argmin, math.inf, [
         lambda: _vertex_vertex(a, b),
@@ -713,7 +690,7 @@ def closest_pairs(table: _Padded, pairs, strips=None, tops=None) -> list[tuple[f
     ])
 
 
-def farthest_pairs(table: _Padded, rows) -> list[tuple[float, Witness]]:
+def farthest_pairs(table: TrimTable, rows) -> list[tuple[float, Witness]]:
     """Exact diameter of the trimmed body in each of the ``rows`` of
     ``table`` and its witness, as many rows to a batched pass as
     DIAMETER_PAIRS candidate pairs allow (at least one).
@@ -805,21 +782,16 @@ def verify_avoidance(
     cut lines remove entirely is a violation of its own: no distance of
     it can be measured.
 
-    The nine copies are trimmed in one call (``trim_bodies``) and stacked
-    once into one padded table, a row per site, and all three checks read
-    rows of it: (a) is one batched support-function pass (``_support``)
-    over every copy and cut.  Each edge carries its strip
-    (``collect_patch_cuts``), which also bounds its pairs: with body a in
-    n.x <= c_a and body b in n.x >= c_b, every pair has
-    |P - Q| >= n.Q - n.P.  A piece whose bound exceeds an achieved
-    distance U therefore holds no candidate that can attain the minimum,
-    and dropping it changes neither the minimum nor, since the order of
-    the rest is kept, its witness (``_strip_prune``).  The lines first
-    move out to each body's measured extreme, so the bound holds even if
-    the trimming is wrong; the strip's lines are cut lines of the two
-    copies, so those extremes are (a)'s support values.  What is left, at
-    width 2 two arc pieces, one chord and four vertices a side, goes
-    through the candidate helpers once for the 16 edges' rows
+    The nine copies are trimmed in one call (``trim_bodies``) straight
+    into one padded table, a row per site, beside the padded table of the
+    cuts it trimmed by; all three checks read rows of it.  (a) is one
+    batched support-function pass (``_support``) over every copy and cut,
+    read through the cut mask.  Each edge carries its strip and names its
+    two cuts (``collect_patch_cuts``).  The strip's lines are those cuts,
+    so (a)'s support values are the measured extremes ``_strip_prune``
+    moves them out to, and its bound holds even if the trimming is wrong.
+    What the bound leaves, at width 2 two arc pieces, one chord and four
+    vertices a side, goes through the candidate helpers once for the 16 edges' rows
     (``closest_pairs``), and the nine diameters go as many rows to a pass
     as DIAMETER_PAIRS candidate pairs allow (``farthest_pairs``).
 
@@ -836,36 +808,25 @@ def verify_avoidance(
     body = build_body(q, eps)
     cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
     # row r of the table holds the trimmed copy of sites[r]
-    table = _stack(trim_bodies([place_body(body, *s, shift) for s in sites],
-                               [cuts[s] for s in sites]))
+    table, normals, offsets, cut_ok = trim_bodies([place_body(body, *s, shift) for s in sites],
+                                                  [cuts[s] for s in sites])
     live = np.flatnonzero(table.vertex_ok.any(axis=1)).tolist()
     violations = [f"site {s}: its cut lines leave nothing of its copy"
                   for r, s in enumerate(sites) if r not in live]
 
-    normals, offsets = cut_table([cuts[s] for s in sites])
     top = _support(table, normals)  # max n.x over each copy, per cut; -inf on an empty one
-    max_hp = -math.inf
-    for s, excess in zip(sites, top - offsets):
-        for v in excess[: len(cuts[s])]:  # the site's cuts, not the padding
-            max_hp = max(max_hp, v)
-            if v > VERIFY_TOL:
-                violations.append(f"site {s}: trimmed body crosses a cut line by {v:.3e}")
+    excess = np.where(cut_ok, top - offsets, -math.inf)  # the padding is no cut
+    max_hp = float(excess.max())
+    violations += [f"site {sites[r]}: trimmed body crosses a cut line by {excess[r, j]:.3e}"
+                   for r, j in zip(*np.nonzero(excess > VERIFY_TOL))]
 
-    # an edge appends its cut to a's list and then to b's, in the order of
-    # ``edges``, so its cuts are the slot-th of its sites
     row = {s: r for r, s in enumerate(sites)}
-    slot = dict.fromkeys(sites, 0)
-    checked, rows, tops = [], [], []
-    for a, b, k, strip in edges:
-        if row[a] in live and row[b] in live:
-            checked.append((a, b, k, strip))
-            rows.append((row[a], row[b]))
-            tops.append((top[row[a], slot[a]], top[row[b], slot[b]]))
-        slot[a] += 1
-        slot[b] += 1
-    found = closest_pairs(table, rows, [e[3] for e in checked], tops)
+    checked = [e for e in edges if row[e[0]] in live and row[e[1]] in live]
+    found = closest_pairs(table, [(row[a], row[b]) for a, b, *_ in checked],
+                          [e[3] for e in checked],
+                          [(top[row[a], i], top[row[b], j]) for a, b, _, _, (i, j) in checked])
     min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
-    for (a, b, k, _), (d, w) in zip(checked, found):
+    for (a, b, k, _, _), (d, w) in zip(checked, found):
         if d < 2.0 - VERIFY_TOL:
             violations.append(
                 f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "

@@ -447,5 +447,5 @@ def write_scan_csv(records: list[DensityRecord], path: str | Path) -> None:
 
 
 def write_scan_json(records: list[DensityRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump([record_row(r) for r in records], fh, indent=2)
+    """The JSON ``croft-forge scan --format json`` prints for these records."""
+    Path(path).write_text(json.dumps([record_row(r) for r in records], indent=2) + "\n")

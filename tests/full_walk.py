@@ -8,12 +8,15 @@ arcs instead of the one to three arcs under its cap.  ``closest_pair`` and
 ``farthest_pair`` are the reference for the batched, strip-pruned
 ``croft_forge.lattice.closest_pairs`` and ``farthest_pairs``: the same
 candidates, one body pair at a time, every piece against every piece.
-Only the tests use it.
+The reference keeps one record per trimmed body (``TrimmedBody``);
+``body_of_row`` reads a row of a ``croft_forge.clip.TrimTable`` back into
+one, and ``table_of`` stacks records into a table.  Only the tests use it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +24,52 @@ from croft_forge.body import ArcBody, _unit
 from croft_forge.clip import (
     ANGLE_TOL,
     KEEP_TOL,
-    TrimmedBody,
+    _GROUPS,
+    TrimTable,
     _arc_piece_area,
     _arc_point,
     _chord_derivatives,
     _in_arc,
+    _padded,
     arc_line_crossings,
 )
 from croft_forge.lattice import CONCENTRIC_TOL, Witness
+
+
+@dataclass(frozen=True)
+class TrimmedBody:
+    """Boundary of one body cut by half-planes: arc pieces, chords, vertices.
+
+    Arc piece i is centers[i] + radii[i] * u for the unit vectors u from
+    ``u0[i]`` counter-clockwise to ``u1[i]``; chord j runs from chord_a[j]
+    to chord_b[j]; ``vertices`` holds the piece endpoints.  One row of a
+    ``croft_forge.clip.TrimTable`` without its padding.
+    """
+
+    centers: np.ndarray   # (k, 2)
+    radii: np.ndarray     # (k,)
+    u0: np.ndarray        # (k, 2)
+    u1: np.ndarray        # (k, 2)
+    chord_a: np.ndarray   # (m, 2)
+    chord_b: np.ndarray   # (m, 2)
+    vertices: np.ndarray  # (v, 2)
+
+
+def body_of_row(table: TrimTable, r: int) -> TrimmedBody:
+    """Row r of ``table`` as the trimmed body it holds: its real entries,
+    in order."""
+    arcs, chords, vertices = table.arc_ok[r], table.chord_ok[r], table.vertex_ok[r]
+    return TrimmedBody(table.centers[r][arcs], table.radii[r][arcs], table.u0[r][arcs],
+                       table.u1[r][arcs], table.chord_a[r][chords], table.chord_b[r][chords],
+                       table.vertices[r][vertices])
+
+
+def table_of(bodies) -> TrimTable:
+    """Trimmed bodies as the rows of one ``TrimTable``, padded by
+    ``clip._padded`` as ``trim_bodies`` pads its own rows."""
+    return TrimTable(*(x for g in _GROUPS for x in _padded(
+        np.array([len(getattr(t, g[0])) for t in bodies]),
+        *(np.concatenate([getattr(t, f) for t in bodies]) for f in g))))
 
 
 def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
@@ -98,7 +139,8 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
 
 def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     """``clip.trim_bodies`` of one body with every cut line tried on every
-    arc; each cut (n, c) removes {x : n.x >= c}."""
+    arc, as one record; each cut (n, c) removes {x : n.x >= c}.  Its
+    vertices are every piece end, repeats included."""
     normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
     offsets = np.array([c for _, c in cuts], dtype=float)
     hits: list[list[np.ndarray]] = [[] for _ in cuts]

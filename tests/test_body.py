@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from croft_forge import ansatz, reference
+from croft_forge import ansatz, reference, tortoise
 from croft_forge.body import (
     BodyError,
     body_area,
@@ -90,6 +90,24 @@ def test_open_chain_rejected():
     )
     with pytest.raises(BodyError, match="close"):
         build_body(bad, 0.1)
+
+
+def test_closure_is_one_rule_at_every_eps():
+    """``build_body`` refuses a profile by its unit-eps residual, as
+    ``cut_parameters`` does, not by the eps-scaled gap of the built chain:
+    a residual of 5e-9, whose gap at eps 0.05 is 2.5e-10, is refused at
+    every eps, and each mode refuses it alike."""
+    # raising q_0 by d lowers q_{n/2} by d: the residual is 2 d |du_0|
+    half = Q.values[: Q.n_intervals // 2].copy()
+    half[0] += 2.5e-9 / np.hypot(math.cos(Q.breaks[1]) - 1.0, math.sin(Q.breaks[1]))
+    q = ansatz.step_from_halfvalues(half, Q)
+    assert 4e-9 <= chain_closure_residual(q) <= 6e-9
+    for eps in (0.0, 0.05, 0.1):
+        with pytest.raises(BodyError, match="close"):
+            build_body(q, eps)
+    for mode in ("series2", "exact2"):
+        with pytest.raises(BodyError, match="close"):
+            tortoise.tortoise_area(0.05, mode, q=q)
 
 
 def test_negative_radius_rejected_zero_radius_allowed():

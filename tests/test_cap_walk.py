@@ -137,10 +137,17 @@ def _first_copies(points):
     return points[keep]
 
 
-def _assert_same_trim(body, cuts, got=None):
-    """``got`` (default: ``trim_bodies`` of the one body) equals the full
-    walk's trim to the bit, its vertices with exact repeats removed."""
-    got = trim_bodies([body], [cuts])[0] if got is None else got
+def _assert_same_trim(body, cuts, table=None, row=0):
+    """Row ``row`` of ``table`` (default: the one row of ``trim_bodies`` of
+    the one body) equals the full walk's trim to the bit, its vertices
+    with exact repeats removed: each group's real entries come first, in
+    order, and its padding is zero."""
+    table = trim_bodies([body], [cuts])[0] if table is None else table
+    for fields, ok in zip(clip._GROUPS, ("arc_ok", "chord_ok", "vertex_ok")):
+        mask = getattr(table, ok)[row]
+        assert np.array_equal(mask, np.arange(len(mask)) < mask.sum())
+        assert not any(getattr(table, f)[row][~mask].any() for f in fields)
+    got = full_walk.body_of_row(table, row)
     want = full_walk.trim_body(body, cuts)
     for field in ("centers", "radii", "u0", "u1", "chord_a", "chord_b"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -167,11 +174,14 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
         stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
         cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
         bodies = [lattice.place_body(body, *s, SHIFT) for s in sites]
-        got = trim_bodies(bodies, [cuts[s] for s in sites])
-        assert len(got) == len(sites)
-        for b, s, t in zip(bodies, sites, got):
-            _assert_same_trim(b, cuts[s], t)
-        empty = [s for s, t in zip(sites, got) if not len(t.vertices)]
+        table, normals, offsets, cut_ok = trim_bodies(bodies, [cuts[s] for s in sites])
+        assert all(len(x) == len(sites) for x in table)
+        for r, (b, s) in enumerate(zip(bodies, sites)):
+            _assert_same_trim(b, cuts[s], table, r)
+            # the cut table it trimmed by: the site's cuts, then padding
+            assert np.array_equal(normals[r][cut_ok[r]], [n for n, _ in cuts[s]])
+            assert np.array_equal(offsets[r][cut_ok[r]], [c for _, c in cuts[s]])
+        empty = [s for r, s in enumerate(sites) if not table.vertex_ok[r].any()]
         assert empty == {2.0: [], 1.9: [], 3.2: [(0, 0)], 4.0: list(sites)}[width]
 
 
@@ -187,9 +197,9 @@ def test_trimmed_vertices_are_listed_once(width):
         stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
         cuts, _ = lattice.collect_patch_cuts(lattice.PATCH_SITES, stripes, width)
         bodies = [lattice.place_body(body, *s, SHIFT) for s in lattice.PATCH_SITES]
-        got = trim_bodies(bodies, [cuts[s] for s in lattice.PATCH_SITES])
-        for b, s, t in zip(bodies, lattice.PATCH_SITES, got):
-            listed = [v.tobytes() for v in t.vertices]
+        table = trim_bodies(bodies, [cuts[s] for s in lattice.PATCH_SITES])[0]
+        for r, (b, s) in enumerate(zip(bodies, lattice.PATCH_SITES)):
+            listed = [v.tobytes() for v in table.vertices[r][table.vertex_ok[r]]]
             assert len(set(listed)) == len(listed)
             want = full_walk.trim_body(b, cuts[s]).vertices
             assert {v.tobytes() for v in want} == set(listed)
@@ -209,7 +219,8 @@ def test_a_signed_zero_vertex_pair_stays_two_vertices():
                                breaks=breaks)
     cuts = [(np.array([0.0, 1.0]), 0.0)]
     _assert_same_trim(body, cuts)
-    listed = {v.tobytes() for v in trim_bodies([body], [cuts])[0].vertices}
+    table = trim_bodies([body], [cuts])[0]
+    listed = {v.tobytes() for v in table.vertices[0][table.vertex_ok[0]]}
     assert {np.array([1.0, 0.0]).tobytes(), np.array([1.0, -0.0]).tobytes()} <= listed
 
 
@@ -229,10 +240,10 @@ def test_trim_drops_a_chord_a_parallel_cut_removes():
     assert len(ends) == 2 and x @ (ends[1] - ends[0]) == 0.0
     cuts = [(x, 0.5), (x, 0.3)]
     t = trim_bodies([disc], [cuts])[0]
-    assert len(t.chord_a) == 1
+    assert t.chord_ok[0].sum() == 1
     root = math.sqrt(0.91)
-    assert np.allclose(t.chord_a[0], [0.3, -root], rtol=0, atol=1e-15)
-    assert np.allclose(t.chord_b[0], [0.3, root], rtol=0, atol=1e-15)
+    assert np.allclose(t.chord_a[0, 0], [0.3, -root], rtol=0, atol=1e-15)
+    assert np.allclose(t.chord_b[0, 0], [0.3, root], rtol=0, atol=1e-15)
     _assert_same_trim(disc, cuts)
 
 

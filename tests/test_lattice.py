@@ -12,7 +12,7 @@ from break_sets import q36_profile, uniform_zero_profile
 from call_counts import count_calls
 from croft_forge import ansatz, clip, lattice, reference, tortoise
 from croft_forge.body import build_body, boundary_point, transform
-from croft_forge.clip import TrimmedBody, boundary_line_crossings, cut_table, trim_bodies
+from croft_forge.clip import boundary_line_crossings, cut_table, trim_bodies
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
@@ -35,17 +35,15 @@ SHIFT = default_config()
 
 
 def trim_body(body, cuts):
-    """``clip.trim_bodies`` of the one body."""
-    return trim_bodies([body], [cuts])[0]
+    """The one row of ``clip.trim_bodies`` of the one body, read back."""
+    return full_walk.body_of_row(trim_bodies([body], [cuts])[0], 0)
 
 
-def closest_pair(a, b, strip=None):
-    """``lattice.closest_pairs`` of the one pair (a, b); a strip (n, c_a, c_b)
-    prunes it with both lines moved out to the bodies' measured extremes,
-    as in ``verify_avoidance``."""
-    table = lattice._stack([a, b])
-    if strip is None:
-        return lattice.closest_pairs(table, [(0, 1)])[0]
+def closest_pair(a, b, strip):
+    """``lattice.closest_pairs`` of the one pair (a, b), pruned by the strip
+    (n, c_a, c_b) with both lines moved out to the bodies' measured
+    extremes, as in ``verify_avoidance``."""
+    table = full_walk.table_of([a, b])
     n = np.asarray(strip[0], dtype=float)
     tops = lattice._support(table, np.array([[n], [-n]]))[:, 0]
     return lattice.closest_pairs(table, [(0, 1)], [strip], [tuple(tops)])[0]
@@ -53,13 +51,13 @@ def closest_pair(a, b, strip=None):
 
 def farthest_pair(t):
     """``lattice.farthest_pairs`` of the one body."""
-    return lattice.farthest_pairs(lattice._stack([t]), [0])[0]
+    return lattice.farthest_pairs(full_walk.table_of([t]), [0])[0]
 
 
 def halfplane_excess(t, cuts):
     """max of n.x - c over the trimmed body, one per cut (n, c)."""
-    normals, offsets = cut_table([cuts])
-    return (lattice._support(lattice._stack([t]), normals) - offsets)[0]
+    normals, offsets, _ = cut_table([cuts])
+    return (lattice._support(full_walk.table_of([t]), normals) - offsets)[0]
 
 
 def _cut(eps, k, shift=SHIFT):
@@ -229,16 +227,18 @@ def test_collect_patch_cuts_structure():
         and color_index(i + di, j + dj) == (color_index(i, j) + 1) % 3
     }
     assert len(edges) == len(forward) == 16
-    assert {(a, b) for a, b, _, _ in edges} == forward
+    assert {(a, b) for a, b, _, _, _ in edges} == forward
     slot = dict.fromkeys(sites, 0)
-    for a, b, k, (n, c_a, c_b) in edges:
+    for a, b, k, (n, c_a, c_b), slots in edges:
         pa, pb = site_position(*a), site_position(*b)
         beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
         assert k == _class_of_direction(color_index(*a), beta)
         # the strip is a's cut for this edge, and b's cut is its mirror
         assert any(np.array_equal(m, n) and c == c_a for m, c in cuts[a])
         assert any(np.array_equal(m, -n) and c == -c_b for m, c in cuts[b])
-        # each site's cuts come in the order of its edges
+        # each site's cuts come in the order of its edges, and the edge
+        # names its two
+        assert slots == (slot[a], slot[b])
         (m_a, d_a), (m_b, d_b) = cuts[a][slot[a]], cuts[b][slot[b]]
         assert np.array_equal(m_a, n) and d_a == c_a
         assert np.array_equal(m_b, -n) and d_b == -c_b
@@ -331,8 +331,8 @@ def test_exact_distances_match_dense_sampling(name, q, eps, mode, width):
     bodies, cuts, edges = _patch(q, eps, stripes, width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
     samples = {s: _dense_samples(bodies[s], cuts[s], 4000, 200) for s in bodies}
-    for a, b, _, _ in edges:
-        exact, _ = closest_pair(trimmed[a], trimmed[b])
+    for a, b, _, strip, _ in edges:
+        exact, _ = closest_pair(trimmed[a], trimmed[b], strip)
         sampled = float(np.min(cKDTree(samples[a]).query(samples[b])[0]))
         assert exact <= sampled + 1e-12
         assert sampled - exact <= 1e-5
@@ -349,8 +349,8 @@ def test_witnesses_lie_on_the_trimmed_bodies(name, q, eps, mode):
     stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
     bodies, cuts, edges = _patch(q, eps, stripes, 2.0)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
-    for a, b, _, _ in edges:
-        d, (p, r) = closest_pair(trimmed[a], trimmed[b])
+    for a, b, _, strip, _ in edges:
+        d, (p, r) = closest_pair(trimmed[a], trimmed[b], strip)
         assert _on_trimmed_body(bodies[a], cuts[a], p)
         assert _on_trimmed_body(bodies[b], cuts[b], r)
         assert abs(math.dist(p, r) - d) <= 1e-12
@@ -411,7 +411,7 @@ DISC = build_body(Q, 0.0)  # the unit disc as 24 concentric arcs
 def test_closest_pair_of_discs_is_on_the_line_of_centres():
     a = trim_body(DISC, [])
     b = trim_body(transform(DISC, 0.0, (3.0, 0.1)), [])
-    d, (p, r) = closest_pair(a, b)
+    d, (p, r) = closest_pair(a, b, (np.array([1.0, 0.0]), 1.0, 2.0))  # x <= 1 and x >= 2
     assert d == pytest.approx(math.hypot(3.0, 0.1) - 2.0, abs=1e-12)
     assert np.allclose(p, np.array([3.0, 0.1]) / math.hypot(3.0, 0.1), atol=1e-12)
 
@@ -424,7 +424,8 @@ def test_trimmed_corner_against_known_distances():
     assert len(t.chord_a) == 2
     corner = np.array([0.5, 0.5])
     assert np.min(np.hypot(*(t.vertices - corner).T)) <= 1e-15
-    d, (p, r) = closest_pair(t, trim_body(transform(DISC, 0.0, (3.0, 3.0)), []))
+    d, (p, r) = closest_pair(t, trim_body(transform(DISC, 0.0, (3.0, 3.0)), []),
+                             (np.array([1.0, 0.0]), 0.5, 2.0))  # x <= 0.5 and x >= 2
     assert d == pytest.approx(math.hypot(2.5, 2.5) - 1.0, abs=1e-12)
     assert np.allclose(p, corner, atol=1e-12)
     # what is left of the circle spans 150 to 300 degrees
@@ -496,24 +497,17 @@ def _bits(report):
             report.violations, hexed(report.cross_witness), hexed(report.diameter_witness))
 
 
-def _body_of_row(table, r) -> TrimmedBody:
-    """Row r of a ``lattice._stack`` table as the trimmed body it was."""
-    arcs, chords, vertices = table.arc_ok[r], table.chord_ok[r], table.vertex_ok[r]
-    return TrimmedBody(table.centers[r][arcs], table.radii[r][arcs], table.u0[r][arcs],
-                       table.u1[r][arcs], table.chord_a[r][chords], table.chord_b[r][chords],
-                       table.vertices[r][vertices])
-
-
 def _per_pair_report(monkeypatch, *args, **kwargs):
     """``verify_avoidance`` with every distance taken by ``full_walk``, one
     body pair at a time over all pieces, each body read back from its row
     of the patch table."""
     with monkeypatch.context() as m:
-        m.setattr(lattice, "closest_pairs", lambda table, pairs, strips=None, tops=None: [
-            full_walk.closest_pair(_body_of_row(table, a), _body_of_row(table, b))
+        m.setattr(lattice, "closest_pairs", lambda table, pairs, strips, tops: [
+            full_walk.closest_pair(full_walk.body_of_row(table, a),
+                                   full_walk.body_of_row(table, b))
             for a, b in pairs])
         m.setattr(lattice, "farthest_pairs", lambda table, rows: [
-            full_walk.farthest_pair(_body_of_row(table, r)) for r in rows])
+            full_walk.farthest_pair(full_walk.body_of_row(table, r)) for r in rows])
         return verify_avoidance(*args, **kwargs)
 
 
@@ -561,7 +555,7 @@ def test_diameter_passes_are_bounded_by_size(monkeypatch, q, passes):
     assert len(calls) == 1 + passes  # one for the nearest pairs of all edges
 
 
-def _arc_pair(rng) -> TrimmedBody:
+def _arc_pair(rng) -> full_walk.TrimmedBody:
     """Two random non-concentric arc pieces, each spanning up to pi, as one
     trimmed body with their four ends as vertices."""
     centers = rng.uniform(-0.5, 0.5, (2, 2))
@@ -571,10 +565,11 @@ def _arc_pair(rng) -> TrimmedBody:
     u0 = np.stack([np.cos(lo), np.sin(lo)], axis=-1)
     u1 = np.stack([np.cos(hi), np.sin(hi)], axis=-1)
     ends = np.concatenate([centers + radii[:, None] * u0, centers + radii[:, None] * u1])
-    return TrimmedBody(centers, radii, u0, u1, np.zeros((0, 2)), np.zeros((0, 2)), ends)
+    return full_walk.TrimmedBody(centers, radii, u0, u1, np.zeros((0, 2)), np.zeros((0, 2)),
+                                 ends)
 
 
-def _sampled_diameter(t: TrimmedBody) -> float:
+def _sampled_diameter(t: full_walk.TrimmedBody) -> float:
     """The diameter of two arcs from their parametrisation: each arc's chord
     between its ends, and the largest |P - X| over X on arc 1 for P on arc
     0 (the circle's far point where it lies in range, else an end),
@@ -609,7 +604,7 @@ def test_only_one_sign_pair_on_the_line_of_centres_can_be_a_maximum():
     interior = other_signs = 0
     for _ in range(200):
         t = _arc_pair(rng)
-        table = lattice._stack([t])
+        table = full_walk.table_of([t])
 
         def minus_plus():  # sign index 0 is +1, index 1 is -1
             P, Q, ok = lattice._arc_arc(table, table)
@@ -636,8 +631,8 @@ def test_strip_bound_adds_the_measured_excess():
     eps = 0.05
     stripes = tortoise.tortoise_area(eps, "series2", q=Q).stripes()
     bodies, cuts, edges = _patch(Q, eps, stripes, 2.0)
-    a, b, _, _ = edges[0]  # the first edge adds the first cut of both its sites
-    (n, c_a), (_, c_b) = cuts[a][0], cuts[b][0]
+    a, b, _, _, (i, j) = edges[0]
+    (n, c_a), (_, c_b) = cuts[a][i], cuts[b][j]
     ta, tb = trim_body(bodies[a], cuts[a]), trim_body(bodies[b], cuts[b])
     strip = (n, c_a - 1e-3, -c_b)
     assert halfplane_excess(ta, [(n, strip[1])])[0] >= 1e-3 - 1e-12
@@ -658,10 +653,11 @@ def test_a_copy_trimmed_past_its_lines_keeps_the_nearest_pairs_exact(monkeypatch
 
     def loose(bodies, cuts_per_body):
         centre = lattice.PATCH_SITES.index((0, 0))
-        cuts_per_body = list(cuts_per_body)
-        cuts_per_body[centre] = [(n, c + 1e-3 * (j + 1))
-                                 for j, (n, c) in enumerate(cuts_per_body[centre])]
-        return trim(bodies, cuts_per_body)
+        moved = list(cuts_per_body)
+        moved[centre] = [(n, c + 1e-3 * (j + 1)) for j, (n, c) in enumerate(moved[centre])]
+        # a faulty trim: the copies are trimmed by the moved lines, and the
+        # cut table it hands back holds the lines it was given
+        return (trim(bodies, moved)[0], *cut_table(cuts_per_body))
 
     monkeypatch.setattr(lattice, "trim_bodies", loose)
     report = verify_avoidance(Q, 0.05, stripes)
@@ -675,14 +671,14 @@ def test_a_copy_trimmed_past_its_lines_keeps_the_nearest_pairs_exact(monkeypatch
 @pytest.mark.parametrize("width", [2.0, 3.2])
 def test_one_trim_and_one_table_per_verification(monkeypatch, width):
     """The nine copies are trimmed in one call, not one call each, and
-    stacked once; the three checks read that table and stack nothing of
-    their own."""
+    their cut table is built once, by that call; the three checks read
+    the table it returns and build no cut table of their own."""
     stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
     batched = count_calls(monkeypatch, clip, "trim_bodies")
-    stacks = count_calls(monkeypatch, lattice, "_stack")
+    tables = count_calls(monkeypatch, clip, "cut_table")
     verify_avoidance(Q, 0.05, stripes, stripe_width=width)
     assert len(batched) == 1 and len(batched[0][0]) == len(lattice.PATCH_SITES)
-    assert len(stacks) <= 1
+    assert len(tables) == 1 and len(tables[0][0]) == len(lattice.PATCH_SITES)
 
 
 def test_an_empty_copy_is_a_violation():

@@ -322,8 +322,10 @@ def test_exact2_fit_and_scan_read_the_cut_data_once_per_profile_and_shift(monkey
         closures.clear()
         run()
         assert (len(cuts), len(reads)) == (len(DEFAULT_FIT_EPS), n_reads)
-        # build_body checks closure at its eps, cut_parameters at unit eps
-        assert sum(len(args) == 1 for args in closures) == len(cuts)
+        # build_body and cut_parameters check closure at unit eps, once
+        # each per record
+        assert all(len(args) == 1 for args in closures)
+        assert len(closures) == 2 * len(cuts)
 
 
 def test_open_profile_is_refused_on_every_cut_read():
@@ -428,7 +430,7 @@ def test_edge_pair_bodies_are_the_patch_copies():
     unread = {site: iter(site_cuts) for site, site_cuts in cuts.items()}
     phi = np.linspace(0.0, 2.0 * math.pi, 721)
     built = build_body(Q, eps)
-    for a, b, k, _ in edges:
+    for a, b, k, _, _ in edges:
         pos_a = site_position(*a)
         d = site_position(*b) - pos_a
         beta = math.atan2(d[1], d[0])
@@ -450,7 +452,7 @@ def test_edge_pair_bodies_are_the_patch_copies():
         assert abs(pair - sum(halfplane_clip_area(body, n, c).area
                               for body, (n, c, _, _) in zip(expected, caps))) <= 1e-14
     assert all(next(rest, None) is None for rest in unread.values())
-    assert {k for _, _, k, _ in edges} == {0, 1, 2}
+    assert {k for _, _, k, _, _ in edges} == {0, 1, 2}
 
 
 def test_one_body_per_profile_and_eps(monkeypatch):
@@ -588,6 +590,16 @@ def test_write_scan_csv_prints_floats_as_the_cli_does(tmp_path, capsys):
     header, row = path.read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["body_area"] == "3.14156646682611"
     assert main(["scan", "--eps", "0.05"]) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+def test_write_scan_json_prints_as_the_cli_does(tmp_path, capsys):
+    """One JSON format: ``write_scan_json`` writes the bytes ``croft-forge
+    scan --format json`` prints for the same eps, final newline included."""
+    path = tmp_path / "scan.json"
+    write_scan_json(scan([0.05]), path)
+    assert path.read_text().endswith("}\n]\n")
+    assert main(["scan", "--eps", "0.05", "--format", "json"]) == 0
     assert capsys.readouterr().out == path.read_text()
 
 
