@@ -28,7 +28,7 @@ from .body import (
     diameter_profile,
 )
 from .lattice import verify_avoidance
-from .stepfn import load_qspec, reference_step_function
+from .stepfn import read_qspec, reference_step_function
 
 DEFAULT_TOL = 1e-9
 MAX_EPS_GRID = 100_000
@@ -46,13 +46,15 @@ def _finite_float(text: str) -> float:
 
 
 def _load_profile(args):
+    """The profile and the shift of ``--q-spec`` (None: the reference
+    shift), or the reference profile and shift."""
     if args.q_spec:
         try:
-            return load_qspec(args.q_spec)
+            return read_qspec(args.q_spec)
         except (ValueError, KeyError, TypeError) as exc:
-            # malformed JSON, a missing key or an invalid profile
+            # malformed JSON, a missing key, an invalid profile or shift
             _usage_error(f"--q-spec {args.q_spec}: {type(exc).__name__}: {exc}")
-    return reference_step_function()
+    return reference_step_function(), None
 
 
 def _usage_error(message: str):
@@ -164,11 +166,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    q = _load_profile(args)
+    q, shift = _load_profile(args)
     rows = []
     for eps in _eps_list(args):
         try:
-            rec = tortoise.tortoise_area(eps, args.mode, q=q)
+            rec = tortoise.tortoise_area(eps, args.mode, q=q, shift=shift)
             rows.append(tortoise.record_row(rec))
         except (BodyError, tortoise.ConvergenceError) as exc:
             rows.append({"eps": eps, "mode": args.mode, "error": str(exc)})
@@ -181,10 +183,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    q = _load_profile(args)
+    q, shift = _load_profile(args)
     eps_values = _eps_list(args, default=tortoise.DEFAULT_FIT_EPS)
     try:
-        fit = tortoise.fit_net_coefficient(args.mode, eps_values=eps_values, q=q)
+        fit = tortoise.fit_net_coefficient(args.mode, eps_values=eps_values, q=q, shift=shift)
     except ValueError as exc:  # too few distinct eps values, or a BodyError
         _usage_error(str(exc))
     body_c2 = tortoise.body_area_coefficient(q)
@@ -199,7 +201,7 @@ def cmd_fit(args) -> int:
         "reference_body_area_c2": -reference.AREA_COEFF,
     }
     for mode in tortoise.SERIES_MODES:
-        lin, quad = tortoise.series_cut_coefficients(q, mode)
+        lin, quad = tortoise.series_cut_coefficients(q, mode, shift)
         out[f"{mode}_cut_linear"] = lin
         out[f"{mode}_cut_c2"] = quad
         out[f"{mode}_net_c2"] = body_c2 - quad  # series_net_coefficient's formula
@@ -215,7 +217,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    q = _load_profile(args)  # only its break set is read
+    q, _ = _load_profile(args)  # only its break set is read
     form = ansatz.assemble_quadratic_form(args.mode, template=q)
     rep = ansatz.eigen_signature(form)
     out = {
@@ -250,35 +252,35 @@ def cmd_eigen(args) -> int:
 # verify
 
 
-def _check_constants(q, inject):
+def _check_constants(q, shift, inject):
     bad = [name for name, *_, good in constant_checks() if not good]
     if bad:
         return False, f"constants outside tolerance: {', '.join(bad)}"
     return True, "all baseline/series constants within tolerance"
 
 
-def _check_closure(q, inject):
+def _check_closure(q, shift, inject):
     res = chain_closure_residual(q)
     return res <= CLOSURE_TOL, f"arc-chain closure residual {res:.3e}"
 
 
-def _check_antipodal(q, inject):
+def _check_antipodal(q, shift, inject):
     eps = inject.get("eps", 0.1)
     dmax, dmin = diameter_profile(build_body(q, eps))
     worst = max(abs(dmax - 2.0), abs(dmin - 2.0))
     return worst <= DEFAULT_TOL, f"antipodal distance deviation {worst:.3e} at eps={eps}"
 
 
-def _check_cancellation(q, inject):
-    lin, _ = tortoise.series_cut_coefficients(q, "series1")
+def _check_cancellation(q, shift, inject):
+    lin, _ = tortoise.series_cut_coefficients(q, "series1", shift)
     return abs(lin) <= DEFAULT_TOL, f"summed first-order cut coefficient {lin:.3e}"
 
 
-def _check_series_vs_exact(q, inject):
+def _check_series_vs_exact(q, shift, inject):
     diffs = {}
     for eps in (0.05, 0.1):
-        a_series = tortoise.tortoise_area(eps, "series2", q=q).tortoise_area
-        a_exact = tortoise.tortoise_area(eps, "exact2", q=q).tortoise_area
+        a_series = tortoise.tortoise_area(eps, "series2", q=q, shift=shift).tortoise_area
+        a_exact = tortoise.tortoise_area(eps, "exact2", q=q, shift=shift).tortoise_area
         diffs[eps] = abs(a_series - a_exact)
     ratio = diffs[0.05] / diffs[0.1] if diffs[0.1] > 0 else 0.0
     # a cubic remainder should shrink by ~8 when eps halves
@@ -289,12 +291,12 @@ def _check_series_vs_exact(q, inject):
     )
 
 
-def _check_avoidance(q, inject):
+def _check_avoidance(q, shift, inject):
     width = inject.get("stripe-width", 2.0)
     worst: list[str] = []
     for eps in (0.0, 0.05, 0.1):
-        rec = tortoise.tortoise_area(eps, "exact2", q=q)
-        report = verify_avoidance(q, eps, rec.stripes(), stripe_width=width)
+        rec = tortoise.tortoise_area(eps, "exact2", q=q, shift=shift)
+        report = verify_avoidance(q, eps, rec.stripes(), shift=shift, stripe_width=width)
         if not report.ok:
             # the first three violations per eps, and how many more there are
             shown = [f"eps={eps}: {v}" for v in report.violations[:3]]
@@ -306,7 +308,7 @@ def _check_avoidance(q, inject):
     return True, f"patch separation holds at eps in (0, 0.05, 0.1), width {width}"
 
 
-def _check_eigen(q, inject):
+def _check_eigen(q, shift, inject):
     form = ansatz.assemble_quadratic_form("series2", template=q)
     asym = float(np.max(np.abs(form.matrix - form.matrix.T)))
     rep = ansatz.eigen_signature(form)
@@ -338,7 +340,7 @@ CHECK_FUNCS = {
 
 
 def cmd_verify(args) -> int:
-    q = _load_profile(args)
+    q, shift = _load_profile(args)
     inject = {}
     for item in args.inject or []:
         key, _, val = item.partition("=")
@@ -359,7 +361,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for name in names:
         try:
-            ok, detail = CHECK_FUNCS[name](q, inject)
+            ok, detail = CHECK_FUNCS[name](q, shift, inject)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -373,16 +375,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    q = _load_profile(args)
+    q, shift = _load_profile(args)
     eps = _eps_list(args, default=(0.0,))[0]
     if args.target == "body":
         svg = svgout.render_body_svg(build_body(q, eps))
     else:
-        rec = tortoise.tortoise_area(eps, args.mode, q=q)
+        rec = tortoise.tortoise_area(eps, args.mode, q=q, shift=shift)
         if args.target == "tortoise":
-            svg = svgout.render_tortoise_svg(q, eps, rec.stripes())
+            svg = svgout.render_tortoise_svg(q, eps, rec.stripes(), shift=shift)
         else:
-            svg = svgout.render_lattice_svg(q, eps, rec.stripes())
+            svg = svgout.render_lattice_svg(q, eps, rec.stripes(), shift=shift)
     _emit(svg, args)
     return 0
 
@@ -414,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if "q-spec" in names:
             p.add_argument(
-                "--q-spec", help="JSON step-function file (default: the reference profile)"
+                "--q-spec",
+                help="JSON step-function file, with an optional lattice shift "
+                "(default: the reference profile and shift)",
             )
         if "format" in names:
             p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -423,6 +423,7 @@ PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
 # stay a few MB.
 DIAMETER_PAIRS = 1 << 15
 RANGE_SLACK = 1e-9  # room for rounding when two arc ranges are matched
+DIAMETER_BAND = 1e-12  # relative d^2 below a row's top that a vertex pair may lie
 
 
 def _take(p: TrimTable, rows) -> TrimTable:
@@ -465,11 +466,40 @@ def _vertex_vertex(a: TrimTable, b: TrimTable):
             a.vertex_ok[:, :, None] & b.vertex_ok[:, None])
 
 
+@lru_cache(maxsize=8)
+def _upper(n: int) -> np.ndarray:
+    """The read-only n x n mask of i <= j."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def _vertex_pairs(t: TrimTable):
-    """Each unordered pair of a row's vertices once, i <= j in row-major
-    order; the diagonal gives a one-vertex copy its diameter 0."""
-    i, j = np.triu_indices(t.vertices.shape[1])
-    return t.vertices[:, i], t.vertices[:, j], t.vertex_ok[:, i] & t.vertex_ok[:, j]
+    """The unordered pairs i <= j of a row's vertices that can hold the
+    row's largest vertex distance, in row-major order and padded per row:
+    (P, Q, ok) shaped (row, pair).  The diagonal gives a one-vertex copy
+    its diameter 0.
+
+    d^2 = dx^2 + dy^2 is built in place over each row's V x V grid from
+    the dx, dy the hypot of ``_extreme`` rounds, and only the pairs with
+    d^2 >= (1 - DIAMETER_BAND) * (the row's largest d^2) are listed.  hypot
+    is within 1 ulp and d^2 within about 3 ulps (for squares in the normal
+    range), so a pair outside the band is shorter than the row's best by a
+    relative 5e-13 and can neither tie nor beat it after rounding.  The
+    first maximum in row-major order, and with it every diameter and
+    witness, is that of the full triangle.  A NaN distance stays listed,
+    as the full list's argmax would pick it.
+    """
+    x, y = t.vertices[..., 0], t.vertices[..., 1]
+    d2 = x[:, :, None] - x[:, None]
+    d2 *= d2
+    dy = y[:, :, None] - y[:, None]
+    d2 += np.multiply(dy, dy, out=dy)
+    keep = _upper(x.shape[1]) & t.vertex_ok[:, :, None] & t.vertex_ok[:, None]
+    d2 *= keep
+    keep &= ~(d2 < (1.0 - DIAMETER_BAND) * d2.max(axis=(1, 2), keepdims=True))
+    i, j, listed = _listed(keep)
+    return t.vertices[i], t.vertices[j], listed
 
 
 def _vertex_arc(v: TrimTable, t: TrimTable):
@@ -523,8 +553,22 @@ def _ranges(t: TrimTable):
 
 
 def _within(angle, lo, span, slack):
-    """Whether ``angle`` lies in [lo - slack, lo + span + slack] mod 2 pi."""
-    off = (angle - lo) % TWO_PI
+    """Whether ``angle`` lies in [lo - slack, lo + span + slack] mod 2 pi,
+    for angles of ``arctan2`` (``lo`` maybe turned by pi), so |angle - lo|
+    <= 3 pi.
+
+    The offset d - 2 pi floor(d / 2 pi) is several times faster than the
+    float ``%`` and is its value to the bit.  A d below a multiple k 2 pi
+    lies at least an ulp of d below it, which is at least 0.64 ulp of the
+    quotient, more than the half ulp the division rounds by, so the floor
+    is never one too high; TWO_PI times an integer up to 3 is exact, and
+    the subtraction is exact (Sterbenz) or rounds the value ``%`` rounds.
+    Only a negative d of a few subnormal ulps, whose quotient underflows
+    to -0, stays d where ``%`` gives 2 pi; the test takes both.  So the
+    prefilters list what ``%`` would list.
+    """
+    off = angle - lo
+    off -= TWO_PI * np.floor(off / TWO_PI)
     return (off <= span + slack) | (off >= TWO_PI - slack)
 
 
@@ -698,11 +742,16 @@ def farthest_pairs(table: TrimTable, rows) -> list[tuple[float, Witness]]:
     A distance is convex along a chord, so chords attain their maximum at
     vertices; what remains is vertex-vertex, vertex to the farthest point
     of an arc, and arc-arc pairs on the line of centres.  The distance is
-    symmetric, so each unordered vertex pair is tried once: the first
+    symmetric, so each unordered vertex pair is looked at once: the first
     maximum of the full V x V list in row-major order has i <= j, and the
-    triangle lists those pairs in the same order.  Antipodal arcs share
-    their centre; their farthest pairs (r_1 + r_2 wherever one range
-    overlaps the other turned by pi) include one with a piece endpoint.
+    triangle lists those pairs in the same order.  Of the triangle only
+    the pairs whose squared distance lies within DIAMETER_BAND of the
+    row's largest go to hypot (``_vertex_pairs``), about 200 of about
+    7,000 on a 24-arc patch: a pair outside the band cannot tie or beat
+    the row's best after rounding, so the first maximum is the
+    triangle's.  Antipodal arcs share their centre; their farthest pairs
+    (r_1 + r_2 wherever one range overlaps the other turned by pi)
+    include one with a piece endpoint.
 
     Of the four sign pairs on the line of centres only P = M_a - r_a*u,
     Q = M_b + r_b*u can be an interior maximum (u the unit vector from M_a
@@ -729,9 +778,10 @@ def farthest_pairs(table: TrimTable, rows) -> list[tuple[float, Witness]]:
     only the (vertex, arc) pairs whose range can hold that direction
     (``_far_vertex_arc``) and the arc pairs whose ranges face each other
     (``_opposite_arc_pairs``) are listed: about a tenth of each list on a
-    24-arc patch.  Every pair left out has no candidate on its pieces, and
-    the rest keep their order, so the diameters and witnesses are those
-    of the full list to the bit.
+    24-arc patch.  The range tests (``_within``) list what the float ``%``
+    would.  Every pair left out has no candidate on its
+    pieces, and the rest keep their order, so the diameters and witnesses
+    are those of the full list to the bit.
     """
     width = table.vertices.shape[1]
     step = max(1, DIAMETER_PAIRS // (width * max(width, table.centers.shape[1])))

@@ -172,24 +172,52 @@ def zero_step_function() -> StepFunction:
 
 # ---------------------------------------------------------------------------
 # JSON q-spec files: {"breaks": [{"num": int, "den": int}, ...], "values": [...]}
+# and optionally "shift": [sx, sy], the lattice shift of the copies
 
 
 def qspec_from_dict(spec: dict) -> StepFunction:
     return make_step_function(spec["breaks"], spec["values"])
 
 
-def load_qspec(path: str | Path) -> StepFunction:
+def qspec_shift(spec: dict) -> tuple[float, float] | None:
+    """The q-spec's ``"shift": [sx, sy]`` as a pair of floats, or None (the
+    reference shift) where the spec has none.  Raises StepFunctionError
+    unless it is a list of two finite numbers."""
+    if "shift" not in spec:
+        return None
+    shift = spec["shift"]
+    try:
+        ok = (isinstance(shift, list) and len(shift) == 2
+              and not any(isinstance(x, bool) for x in shift)
+              and all(math.isfinite(x) for x in shift))
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        ok = False
+    if not ok:
+        raise StepFunctionError(f"shift must be a list of two finite numbers, got {shift!r}")
+    return float(shift[0]), float(shift[1])
+
+
+def read_qspec(path: str | Path) -> tuple[StepFunction, tuple[float, float] | None]:
+    """The profile and the shift (``qspec_shift``) of a q-spec file."""
     with open(path) as fh:
-        return qspec_from_dict(json.load(fh))
+        spec = json.load(fh)
+    return qspec_from_dict(spec), qspec_shift(spec)
 
 
-def dump_qspec(f: StepFunction, path: str | Path) -> None:
+def load_qspec(path: str | Path) -> StepFunction:
+    return read_qspec(path)[0]
+
+
+def dump_qspec(f: StepFunction, path: str | Path, shift=None) -> None:
+    """Write ``f`` as a q-spec file, with ``shift`` unless it is None."""
     spec = {
         "breaks": [
             {"num": fr.numerator, "den": fr.denominator} for fr in f.break_fractions
         ],
         "values": [float(v) for v in f.values],
     }
+    if shift is not None:
+        spec["shift"] = [float(x) for x in shift]
     with open(path, "w") as fh:
         json.dump(spec, fh, indent=2)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import croft_forge
+import croft_forge.cli
 from croft_forge import ansatz, lattice, svgout, tortoise
 from croft_forge import body as body_module
 from croft_forge.cli import main
@@ -739,3 +740,78 @@ def test_generated_argv_never_crashes(argv):
         code = _exit_code(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the q-spec's optional lattice shift
+
+
+def _qspec_with_shift(tmp_path, shift, name="q.json"):
+    """The reference profile as a q-spec file, with ``shift`` unless None."""
+    from croft_forge.stepfn import dump_qspec
+
+    path = tmp_path / name
+    dump_qspec(reference_step_function(), path, shift=shift)
+    return str(path)
+
+
+SHIFT_ARGV = [
+    ("fit", "--mode", "series2"),
+    ("fit", "--mode", "exact1", "--format", "json"),
+    ("scan", "--eps", "0.05", "--mode", "exact2"),
+    ("verify", "--checks", "cancellation,series-vs-exact,avoidance"),
+    ("render", "lattice", "--eps", "0.08"),
+]
+
+
+@pytest.mark.parametrize("argv", SHIFT_ARGV, ids=[" ".join(a[:2]) for a in SHIFT_ARGV])
+def test_a_reference_shift_spec_prints_what_no_spec_prints(capsys, tmp_path, argv):
+    """Without a shift, or with the reference one, a q-spec of the
+    reference profile prints byte for byte what no q-spec prints; another
+    shift prints something else."""
+    code, want, _ = run(capsys, *argv)
+    for shift in (None, lattice.default_config()):
+        assert run(capsys, *argv, "--q-spec", _qspec_with_shift(tmp_path, shift)) == (
+            code, want, "")
+    _, other, _ = run(capsys, *argv, "--q-spec", _qspec_with_shift(tmp_path, (0.1, -0.2)))
+    assert other != want
+
+
+def test_fit_scan_and_verify_pass_the_shift_through(capsys, tmp_path, monkeypatch):
+    """A shifted q-spec reaches every read of a shift: the cut data of each
+    record and series coefficient of ``fit`` and ``scan``, and of each
+    stripe fit of ``verify``, and each of its patch checks."""
+    shift = (0.1, -0.2)
+    path = _qspec_with_shift(tmp_path, shift)
+    q = reference_step_function()
+    net = tortoise.series_net_coefficient(q, "series2", shift)
+    area = tortoise.tortoise_area(0.05, "series2", q=q, shift=shift).tortoise_area
+    seen = []
+    cuts, check = tortoise.cut_parameters, lattice.verify_avoidance
+    monkeypatch.setattr(tortoise, "cut_parameters",
+                        lambda q, shift=None: seen.append(shift) or cuts(q, shift))
+    monkeypatch.setattr(croft_forge.cli, "verify_avoidance",
+                        lambda *a, **kw: seen.append(kw["shift"]) or check(*a, **kw))
+    code, out, _ = run(capsys, "fit", "--mode", "series2", "--q-spec", path, "--format", "json")
+    assert code == 0 and json.loads(out)["series2_net_c2"] == net
+    code, out, _ = run(capsys, "scan", "--eps", "0.05", "--q-spec", path, "--format", "json")
+    assert code == 0 and json.loads(out)[0]["tortoise_area"] == area
+    code, _, _ = run(capsys, "verify", "--checks", "cancellation,series-vs-exact,avoidance",
+                     "--q-spec", path)
+    assert code == 0
+    assert len(seen) == (8 + 2) + 1 + (1 + 4 + 3 + 3) and all(s == shift for s in seen)
+
+
+@pytest.mark.parametrize("shift", ['[0.1]', '[0.1, "0.2"]', '[true, 0]', 'null', '"0, 0"',
+                                   '[NaN, 0]', '[1e400, 0]'])
+@pytest.mark.parametrize("command", [("fit",), ("scan", "--eps", "0.05"),
+                                     ("verify", "--checks", "avoidance")])
+def test_malformed_shift_is_usage_error(capsys, tmp_path, shift, command):
+    path = tmp_path / "q.json"
+    spec = json.loads(Path(_qspec_with_shift(tmp_path, None)).read_text())
+    path.write_text(json.dumps(spec)[:-1] + f', "shift": {shift}}}')
+    code = _exit_code([*command, "--q-spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith(f"error: --q-spec {path}: StepFunctionError: shift must be a list")
+    assert out == ""

@@ -12,6 +12,8 @@ from croft_forge.stepfn import (
     dump_qspec,
     load_qspec,
     make_step_function,
+    qspec_shift,
+    read_qspec,
     reference_step_function,
     zero_step_function,
 )
@@ -134,6 +136,28 @@ def test_json_round_trip(tmp_path):
     assert q.break_fractions == q2.break_fractions
     spec = json.loads(path.read_text())
     assert set(spec) == {"breaks", "values"}
+    assert read_qspec(path)[1] is None
+
+
+def test_json_round_trip_with_a_shift(tmp_path):
+    """A shift is written as a list and read back as the same two floats;
+    ``load_qspec`` reads the profile alone."""
+    q = reference_step_function()
+    path = tmp_path / "q.json"
+    dump_qspec(q, path, shift=(0.1, -0.0))
+    assert json.loads(path.read_text())["shift"] == [0.1, -0.0]
+    q2, shift = read_qspec(path)
+    assert [x.hex() for x in shift] == [(0.1).hex(), (-0.0).hex()]
+    assert np.array_equal(q2.values, q.values) and np.array_equal(load_qspec(path).values, q.values)
+    assert qspec_shift({"shift": [1, 2]}) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("shift", [[0.1], [0.1, 0.2, 0.3], [0.1, "0.2"], [True, 0.0], None,
+                                   "0.1,0.2", {"x": 0.1, "y": 0.2}, [math.nan, 0.0],
+                                   [0.0, math.inf], [10**400, 0]])
+def test_malformed_shift_is_refused(shift):
+    with pytest.raises(StepFunctionError, match="shift must be a list of two finite numbers"):
+        qspec_shift({"shift": shift})
 
 
 @settings(max_examples=30, deadline=None)
