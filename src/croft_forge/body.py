@@ -162,6 +162,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def _in_arc(d, u0, u1):
+    """Whether direction ``d`` lies in the arc range from ``u0``
+    counter-clockwise to ``u1``, a range of width in (0, pi]: the one
+    arc-range test of the package."""
+    return (_cross(u0, d) >= 0.0) & (_cross(d, u1) >= 0.0)
+
+
 def body_area(b: ArcBody) -> float:
     """Exact area from the per-arc sector-minus-triangle closed form.
 
@@ -196,17 +203,18 @@ def diameter_profile(b: ArcBody) -> tuple[float, float]:
     For phi on arc i, phi + pi lies on the antipodal arc j = i + n/2, so
     p(phi) - p(phi + pi) = D + R u(phi) with D = M_i - M_j, R = r_i + r_j,
     and its squared length |D|^2 + R^2 + 2R D.u(phi) takes its extremes on
-    the arc at its two ends or at u = +-D/|D| where that lies inside.
+    the arc at its two ends or at u = +-D/|D| where that lies inside
+    (``_in_arc``: an arc of the first half spans at most pi).  D = 0 lies
+    in every range, where every u gives 0.
     """
     half = b.n_arcs // 2
     D = b.centers[:half] - b.centers[half:]
     R = b.radii[:half] + b.radii[half:]
-    lo, hi = b.breaks[:half], b.breaks[1 : half + 1]
-    ends = np.stack([np.sum(_unit(a) * D, axis=1) for a in (lo, hi)])
+    u_lo, u_hi = _unit(b.breaks[:half]), _unit(b.breaks[1 : half + 1])
+    ends = np.stack([np.sum(u * D, axis=1) for u in (u_lo, u_hi)])
     norm = np.hypot(D[:, 0], D[:, 1])
-    theta = np.arctan2(D[:, 1], D[:, 0])  # D.u(phi) = |D| cos(phi - theta)
-    top = np.where((theta - lo) % TWO_PI <= hi - lo, norm, ends.max(axis=0))
-    bottom = np.where((theta + math.pi - lo) % TWO_PI <= hi - lo, -norm, ends.min(axis=0))
+    top = np.where(_in_arc(D, u_lo, u_hi), norm, ends.max(axis=0))
+    bottom = np.where(_in_arc(-D, u_lo, u_hi), -norm, ends.min(axis=0))
     d2 = norm**2 + R**2 + 2.0 * R * np.stack([top, bottom])
     dist = np.sqrt(np.maximum(d2, 0.0))
     return float(dist.max()), float(dist.min())

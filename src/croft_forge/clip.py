@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .body import ArcBody, _cross, _unit
+from .body import ArcBody, _unit
 from .stepfn import TWO_PI
 
 TANGENCY_TOL = 1e-12
@@ -229,12 +229,6 @@ TrimTable = namedtuple(
     "TrimTable", "centers radii u0 u1 arc_ok chord_a chord_b chord_ok vertices vertex_ok"
 )
 _GROUPS = (("centers", "radii", "u0", "u1"), ("chord_a", "chord_b"), ("vertices",))
-
-
-def _in_arc(d, u0, u1):
-    """Whether direction ``d`` lies in the arc range from ``u0``
-    counter-clockwise to ``u1``, a range of width in (0, pi]."""
-    return (_cross(u0, d) >= 0.0) & (_cross(d, u1) >= 0.0)
 
 
 def _padded(sizes, *flat):

@@ -57,13 +57,14 @@ from .body import (
     ArcBody,
     _arc_sweeps,
     _cross,
+    _in_arc,
     build_body,
     center_offsets,
     croft_constants,
     require_closure,
     transform,
 )
-from .clip import _GROUPS, TrimTable, _in_arc, _padded, trim_bodies
+from .clip import _GROUPS, TrimTable, _padded, trim_bodies
 from .segments import PairCut
 from .stepfn import TWO_PI, StepFunction
 
@@ -412,9 +413,9 @@ def _measured(x: float, spec: str) -> str:
 # patch, batched; all three checks read rows of that table.  Each helper
 # returns points P on the first and Q on the second piece set and whether
 # the candidate exists, indexed by row and then by piece in the order a
-# walk over one pair's pieces lists them.  Range tests use cross products
-# of direction vectors; only the diameter pass's prefilters compare
-# angles, with RANGE_SLACK to spare.
+# walk over one pair's pieces lists them.  Every range test is
+# ``_in_arc``'s cross products of direction vectors; the diameter pass's
+# prefilters take them with RANGE_SLACK to spare.
 
 PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
 # Candidate pairs per diameter pass, per row V * max(V, A) for V vertices
@@ -422,7 +423,7 @@ PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
 # copy of a uniform 288-interval body one pass alone, so the pass arrays
 # stay a few MB.
 DIAMETER_PAIRS = 1 << 15
-RANGE_SLACK = 1e-9  # room for rounding when two arc ranges are matched
+RANGE_SLACK = 1e-9  # room for rounding in a prefilter's cross products
 DIAMETER_BAND = 1e-12  # relative d^2 below a row's top that a vertex pair may lie
 
 
@@ -546,30 +547,10 @@ def _arc_arc(a: TrimTable, b: TrimTable):
     return np.broadcast_to(P[:, :, None], shape), np.broadcast_to(Q[:, None], shape), ok
 
 
-def _ranges(t: TrimTable):
-    """Start angle and width of each arc piece's range, (row, arc) each."""
-    lo = np.arctan2(t.u0[..., 1], t.u0[..., 0])
-    return lo, (np.arctan2(t.u1[..., 1], t.u1[..., 0]) - lo) % TWO_PI
-
-
-def _within(angle, lo, span, slack):
-    """Whether ``angle`` lies in [lo - slack, lo + span + slack] mod 2 pi,
-    for angles of ``arctan2`` (``lo`` maybe turned by pi), so |angle - lo|
-    <= 3 pi.
-
-    The offset d - 2 pi floor(d / 2 pi) is several times faster than the
-    float ``%`` and is its value to the bit.  A d below a multiple k 2 pi
-    lies at least an ulp of d below it, which is at least 0.64 ulp of the
-    quotient, more than the half ulp the division rounds by, so the floor
-    is never one too high; TWO_PI times an integer up to 3 is exact, and
-    the subtraction is exact (Sterbenz) or rounds the value ``%`` rounds.
-    Only a negative d of a few subnormal ulps, whose quotient underflows
-    to -0, stays d where ``%`` gives 2 pi; the test takes both.  So the
-    prefilters list what ``%`` would list.
-    """
-    off = angle - lo
-    off -= TWO_PI * np.floor(off / TWO_PI)
-    return (off <= span + slack) | (off >= TWO_PI - slack)
+def _turned(u):
+    """Directions u (row, k, 2) turned by -pi/2 and laid out (row, 2, k):
+    x @ _turned(u) holds cross(x_i, u_k) for each x_i of a row."""
+    return np.stack([u[..., 1], -u[..., 0]], axis=1)
 
 
 def _listed(keep):
@@ -582,24 +563,19 @@ def _listed(keep):
     return (rows, i), (rows, j), listed
 
 
-def _far_vertex_arc(t: TrimTable, lo, span):
+def _far_vertex_arc(t: TrimTable):
     """Farthest circle point of each arc piece of a row from each of its
     vertices, where it lies on the piece, over only the (vertex, arc)
-    pairs whose range can hold the direction from the vertex to the arc's
-    centre, padded per row: (P, Q, ok) shaped (row, pair).
+    pairs whose range holds the direction M - v from the vertex to the
+    arc's centre, padded per row: (P, Q, ok) shaped (row, pair).
 
-    For any point c of the row, that direction M - v lies within
-    asin(|M - c| / |c - v|) of c - v, and anywhere once |M - c| >= |c - v|;
-    RANGE_SLACK covers the rounding of the range test.
+    The range test is ``_in_arc``'s on M - v unnormalised, with
+    RANGE_SLACK to spare: it differs from the test on the rounded unit
+    direction, which decides ``ok``, by about 1e-16 (|M| + |v|).
     """
-    # c: the mean of the row's arc centres
-    c = (np.sum(t.centers * t.arc_ok[..., None], axis=1)
-         / np.maximum(t.arc_ok.sum(axis=1), 1)[:, None])[:, None]
-    w, m = c - t.vertices, t.centers - c
-    ratio = np.hypot(m[..., 0], m[..., 1])[:, None] / np.hypot(w[..., 0], w[..., 1])[..., None]
-    slack = np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), math.pi) + RANGE_SLACK
-    facing = _within(np.arctan2(w[..., 1], w[..., 0])[..., None], lo[:, None], span[:, None],
-                     slack)  # (row, vertex, arc)
+    # cross(u0, M - v) = cross(u0, M) + cross(v, u0), and the mirror for u1
+    facing = ((_cross(t.u0, t.centers)[:, None] + t.vertices @ _turned(t.u0) >= -RANGE_SLACK)
+              & (_cross(t.centers, t.u1)[:, None] - t.vertices @ _turned(t.u1) >= -RANGE_SLACK))
     v, a, listed = _listed(t.vertex_ok[..., None] & t.arc_ok[:, None] & facing)
     d = -1.0 * (t.vertices[v] - t.centers[a])  # rounded as the full candidate list rounds it
     d /= np.hypot(d[..., 0], d[..., 1])[..., None]
@@ -607,7 +583,7 @@ def _far_vertex_arc(t: TrimTable, lo, span):
     return t.vertices[v], t.centers[a] + t.radii[a][..., None] * d, ok
 
 
-def _opposite_arc_pairs(t: TrimTable, lo, span):
+def _opposite_arc_pairs(t: TrimTable):
     """The (+,-) and then the (-,+) pairs of ``_arc_arc(t, t)``,
     P = M_a + s*r_a*u and Q = M_b - s*r_b*u for s = +1, -1, over the
     unordered pairs a < b of a row's arc pieces in row-major order, padded
@@ -615,12 +591,15 @@ def _opposite_arc_pairs(t: TrimTable, lo, span):
 
     Swapping a and b swaps P and Q to the bit (u turns into -u exactly),
     so the first maximum of either sign block has a < b.  Both points lie
-    on their pieces only if b's range meets a's turned by pi, so only such
-    pairs are listed; RANGE_SLACK covers the rounding of the range test.
+    on their pieces only if b's range meets a's turned by pi, that is if
+    b's start lies in a's turned range or a's turned start in b's range,
+    so only such pairs are listed; RANGE_SLACK covers the rounding of the
+    cross products.
     """
-    turned = lo[:, :, None] + math.pi
-    meet = (_within(lo[:, None], turned, span[:, :, None], RANGE_SLACK)
-            | _within(turned, lo[:, None], span[:, None], RANGE_SLACK))
+    # cross(u0_a, u0_b), cross(u1_a, u0_b) and cross(u0_a, u1_b), (row, a, b)
+    X, Y, Z = t.u0 @ _turned(t.u0), t.u1 @ _turned(t.u0), t.u0 @ _turned(t.u1)
+    meet = (((X <= RANGE_SLACK) & (Y >= -RANGE_SLACK))
+            | ((X >= -RANGE_SLACK) & (Z <= RANGE_SLACK)))
     a, b, listed = _listed(meet & np.triu(t.arc_ok[:, :, None] & t.arc_ok[:, None], 1))
     D = t.centers[b] - t.centers[a]  # (row, pair)
     dist = np.hypot(D[..., 0], D[..., 1])
@@ -778,21 +757,21 @@ def farthest_pairs(table: TrimTable, rows) -> list[tuple[float, Witness]]:
     only the (vertex, arc) pairs whose range can hold that direction
     (``_far_vertex_arc``) and the arc pairs whose ranges face each other
     (``_opposite_arc_pairs``) are listed: about a tenth of each list on a
-    24-arc patch.  The range tests (``_within``) list what the float ``%``
-    would.  Every pair left out has no candidate on its
-    pieces, and the rest keep their order, so the diameters and witnesses
-    are those of the full list to the bit.
+    24-arc patch.  Both take ``_in_arc``'s cross products with
+    RANGE_SLACK to spare, on directions that round within about 1e-16 of
+    those the candidates test.  Every pair left out has no candidate on
+    its pieces, and the rest keep their order, so the diameters and
+    witnesses are those of the full list to the bit.
     """
     width = table.vertices.shape[1]
     step = max(1, DIAMETER_PAIRS // (width * max(width, table.centers.shape[1])))
     out = []
     for i in range(0, len(rows), step):
         t = _take(table, rows[i : i + step])
-        lo, span = _ranges(t)
         out += _extreme(np.argmax, -math.inf, [
             lambda: _vertex_pairs(t),
-            lambda: _far_vertex_arc(t, lo, span),
-            lambda: _opposite_arc_pairs(t, lo, span),
+            lambda: _far_vertex_arc(t),
+            lambda: _opposite_arc_pairs(t),
         ])
     return out
 

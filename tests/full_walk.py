@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from croft_forge.body import ArcBody, _unit
+from croft_forge.body import ArcBody, _in_arc, _unit
 from croft_forge.clip import (
     ANGLE_TOL,
     KEEP_TOL,
@@ -29,7 +29,6 @@ from croft_forge.clip import (
     _arc_piece_area,
     _arc_point,
     _chord_derivatives,
-    _in_arc,
     _padded,
     arc_line_crossings,
 )

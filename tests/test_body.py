@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from croft_forge import ansatz, reference, tortoise
 from croft_forge.body import (
     BodyError,
+    _unit,
     body_area,
     boundary_point,
     build_body,
@@ -21,7 +22,7 @@ from croft_forge.body import (
     transform,
 )
 from croft_forge.stepfn import make_step_function, reference_step_function
-from break_sets import seeded_profile
+from break_sets import seeded_profile, uniform_zero_profile
 
 Q = reference_step_function()
 
@@ -151,6 +152,47 @@ def test_diameter_profile_matches_the_sampled_oracle():
     for b in bodies:
         gap = np.subtract(diameter_profile(b), sampled_diameter_profile(b))
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+def _centres_moved(b, moves):
+    """``b`` with the centres of ``moves`` {arc: centre} put in place."""
+    centers = b.centers.copy()
+    for arc, centre in moves.items():
+        centers[arc] = centre
+    return dataclasses.replace(b, centers=centers)
+
+
+def _range_boundary_bodies():
+    """Bodies whose D = M_i - M_(i+n/2) sits on the range test's boundary:
+    D = 0, and D = +-K u exactly for u = u(lo) or u(hi) of arc i, on arc 3
+    of the reference body and on the width-pi arcs of the break set
+    {0, pi}, where D along the normal of the range's diameter is tried too.
+    K = 2^-20 is exact and small enough that the oracle's grid is within
+    1e-14 of an interior extreme."""
+    K = 2.0 ** -20
+    ref, two = build_body(Q, 0.1), build_body(uniform_zero_profile(2), 0.0)
+    half = ref.n_arcs // 2
+    bodies = {"disc": build_body(Q, 0.0), "two-discs": two,
+              "shared-centre": _centres_moved(ref, {3: ref.centers[3 + half]})}
+    for sign in (1.0, -1.0):
+        for end, phi in (("lo", ref.breaks[3]), ("hi", ref.breaks[4])):
+            D = sign * K * _unit(phi)
+            bodies[f"{sign:+.0f}u({end})"] = _centres_moved(ref, {3: D, 3 + half: (0.0, 0.0)})
+        for end, phi in (("lo", two.breaks[0]), ("hi", two.breaks[1]), ("normal", 0.5 * math.pi)):
+            bodies[f"two-{sign:+.0f}u({end})"] = _centres_moved(two, {0: sign * K * _unit(phi)})
+    return bodies
+
+
+RANGE_BOUNDARY_BODIES = _range_boundary_bodies()
+
+
+@pytest.mark.parametrize("name", list(RANGE_BOUNDARY_BODIES))
+def test_diameter_profile_on_the_range_boundaries(name):
+    """D = 0 and D exactly along an end of its arc's range, on arcs up to
+    pi wide, agree with the sampled oracle."""
+    b = RANGE_BOUNDARY_BODIES[name]
+    gap = np.subtract(diameter_profile(b), sampled_diameter_profile(b))
+    assert np.max(np.abs(gap)) <= 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

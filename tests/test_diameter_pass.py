@@ -1,23 +1,23 @@
 """The diameter pass's shortcuts against the full lists they replace.
 
 ``lattice._vertex_pairs`` lists only the vertex pairs within
-``DIAMETER_BAND`` of their row's largest squared distance, and
-``lattice._within`` reduces angles with a floor instead of the float
-``%``.  Here both meet the code they replaced: the full triangle of
-vertex pairs, bit for bit through ``farthest_pairs``, and the ``%``
-range test, entry by entry.
+``DIAMETER_BAND`` of their row's largest squared distance, and the
+prefilters ``_far_vertex_arc`` and ``_opposite_arc_pairs`` only the
+vertex-arc and arc pairs that pass a cross-product range test with
+``RANGE_SLACK`` to spare.  Here both meet the full lists, bit for bit
+through ``farthest_pairs``: the full triangle of vertex pairs, and every
+pair, which an infinite RANGE_SLACK lists.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import full_walk
+from break_sets import uniform_zero_profile
 from call_counts import count_calls
-from croft_forge import lattice, tortoise
+from croft_forge import ansatz, lattice, tortoise
 from croft_forge.stepfn import TWO_PI, reference_step_function
 
 
@@ -131,94 +131,78 @@ def test_band_lists_a_few_pairs_per_row(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the range test of the prefilters
+# the range tests of the prefilters
 
 
-def within_by_remainder(angle, lo, span, slack):
-    """``lattice._within`` as it was, reducing by the float ``%``."""
-    off = (angle - lo) % TWO_PI
-    return (off <= span + slack) | (off >= TWO_PI - slack)
+def form_verify_patches(seed):
+    """Two patches as a ``form-verify`` benchmark pass draws them: the
+    reference profile with series2 stripes and a closure-projected random
+    profile with series1 stripes, each at an eps drawn in [-0.1, 0.1]."""
+    rng = np.random.default_rng(seed)
+    v = ansatz.closure_project(rng.standard_normal(ansatz.N_FREE))
+    random = ansatz.step_from_halfvalues(v / np.max(np.abs(v)))
+    return [(reference_step_function(), float(rng.uniform(-0.1, 0.1)), "series2"),
+            (random, float(rng.uniform(-0.1, 0.1)), "series1")]
 
 
-def edge_distance(angle, lo, span, slack):
-    """How far the ``%`` offset lies from the nearer end of the range, on
-    the circle."""
-    off = (angle - lo) % TWO_PI
-    return min(abs((off - e + math.pi) % TWO_PI - math.pi) for e in (span + slack, -slack))
+def patch_tables(monkeypatch, patches, widths):
+    """Each (table, rows) that ``verify_avoidance`` hands ``farthest_pairs``
+    on the patches (q, eps, mode) at the stripe widths."""
+    with monkeypatch.context() as m:
+        calls = count_calls(m, lattice, "farthest_pairs")
+        for q, eps, mode in patches:
+            stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+            for width in widths:
+                lattice.verify_avoidance(q, eps, stripes, stripe_width=width)
+    return calls
 
 
-def ulps_off(x, n):
-    for _ in range(abs(n)):
-        x = np.nextafter(x, math.copysign(math.inf, n))
-    return float(x)
+def random_arcs(rng, k) -> full_walk.TrimmedBody:
+    """k random arc pieces with their ends as vertices, drawn as the line
+    of centres tests draw an arc pair: ranges up to pi wide, some exactly
+    lo + pi, some straddling the angle +-pi, and some turned by pi about
+    the centre of the piece before."""
+    centers = rng.uniform(-0.5, 0.5, (k, 2))
+    radii = rng.uniform(0.3, 1.5, k)
+    span = rng.uniform(0.05, math.pi, k)
+    lo = rng.uniform(0.0, TWO_PI, k)
+    kind = rng.integers(0, 4, k)
+    span[kind == 1] = math.pi
+    lo = np.where(kind == 2, math.pi - rng.uniform(0.1, 0.9, k) * span, lo)
+    for i in np.flatnonzero(kind[1:] == 3) + 1:
+        centers[i], span[i], lo[i] = centers[i - 1], span[i - 1], lo[i - 1] + math.pi
+    hi = lo + span
+    u0 = np.stack([np.cos(lo), np.sin(lo)], axis=-1)
+    u1 = np.stack([np.cos(hi), np.sin(hi)], axis=-1)
+    ends = np.concatenate([centers + radii[:, None] * u0, centers + radii[:, None] * u1])
+    none = np.zeros((0, 2))
+    return full_walk.TrimmedBody(centers, radii, u0, u1, none, none, ends)
 
 
-BOUND = 3.0 * math.pi
-angles = st.one_of(
-    st.floats(-BOUND, BOUND),
-    st.sampled_from([k * math.pi for k in range(-3, 4)]),
-)
+def random_arc_table():
+    """300 rows of one to five seeded random arc pieces."""
+    rng = np.random.default_rng(28)
+    return full_walk.table_of([random_arcs(rng, int(rng.integers(1, 6))) for _ in range(300)])
 
 
-@st.composite
-def range_tests(draw):
-    """(angle, lo, span, slack): angle and lo in [-3 pi, 3 pi], span in
-    [0, 2 pi), among them exact multiples of pi and angles a few ulps off
-    a wrap point lo + 2 pi k or off a range end."""
-    lo = draw(angles)
-    span = draw(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
-                          st.sampled_from([0.0, math.pi, np.nextafter(TWO_PI, 0.0)])))
-    slack = draw(st.sampled_from([0.0, lattice.RANGE_SLACK, 1e-15]))
-    pick = draw(st.integers(0, 2))
-    if pick == 0:
-        angle = draw(angles)
-    else:
-        base = lo + TWO_PI * draw(st.integers(-1, 1)) + (span + slack if pick == 2 else 0.0)
-        angle = ulps_off(base, draw(st.integers(-3, 3)))
-    return min(max(angle, -BOUND), BOUND), lo, span, slack
+LISTING_CASES = {
+    **{f"form-verify-{seed}": lambda mp, seed=seed: patch_tables(
+        mp, form_verify_patches(seed), (2.0, 1.9, 2.1)) for seed in (0, 1, 2)},
+    "uniform96-uniform288": lambda mp: patch_tables(
+        mp, [(uniform_zero_profile(n), 0.05, "series2") for n in (96, 288)], (2.0,)),
+    "random-arcs": lambda mp: [(random_arc_table(), list(range(300)))],
+}
 
 
-def check_within(angle, lo, span, slack):
-    """The floor reduction takes whatever ``%`` takes, and differs from it
-    only within 1e-12 of a range end."""
-    new = lattice._within(angle, lo, span, slack)
-    old = within_by_remainder(angle, lo, span, slack)
-    assert np.all(new | ~old)
-    differ = new != old
-    if np.ndim(differ) == 0:
-        assert not differ or edge_distance(angle, lo, span, slack) <= 1e-12
-    else:
-        for args in zip(*(np.broadcast_to(x, differ.shape)[differ]
-                          for x in (angle, lo, span, slack))):
-            assert edge_distance(*args) <= 1e-12
-
-
-@settings(max_examples=300, deadline=None)
-@given(range_tests())
-@example((-5e-324, 0.0, 0.0, 0.0))  # a quotient that underflows to -0
-@example((-0.0, 0.0, 0.0, 0.0))
-@example((float(np.nextafter(TWO_PI, 0.0)), 0.0, 0.0, 0.0))
-@example((-BOUND, BOUND, 0.0, 0.0))  # d = -6 pi
-@example((BOUND, -BOUND, math.pi, 0.0))  # d = 6 pi
-def test_within_takes_what_the_remainder_takes(case):
-    check_within(*case)
-
-
-def test_within_on_a_dense_batch():
-    """A million seeded entries, a third of them a few ulps off a wrap
-    point, through the array path the prefilters take: the floor
-    reduction gives ``%``'s offsets, so not one entry differs."""
-    rng = np.random.default_rng(27)
-    n = 1_000_000
-    lo = rng.uniform(-BOUND, BOUND, n)
-    angle = rng.uniform(-BOUND, BOUND, n)
-    wrap = rng.random(n) < 1 / 3
-    k = rng.integers(-1, 2, n)
-    near = lo + TWO_PI * k
-    for _ in range(2):
-        near = np.nextafter(near, near + rng.choice([-1.0, 1.0], n))
-    angle = np.where(wrap, np.clip(near, -BOUND, BOUND), angle)
-    span = rng.uniform(0.0, TWO_PI, n)
-    for slack in (0.0, lattice.RANGE_SLACK):
-        assert np.array_equal(lattice._within(angle, lo, span, slack),
-                              within_by_remainder(angle, lo, span, slack))
+@pytest.mark.parametrize("name", list(LISTING_CASES))
+def test_listing_every_pair_changes_no_diameter(monkeypatch, name):
+    """With RANGE_SLACK infinite both prefilters list every pair; the
+    diameters and witnesses must be the default pass's to the bit."""
+    for table, rows in LISTING_CASES[name](monkeypatch):
+        default = hexed(lattice.farthest_pairs(table, rows))
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "RANGE_SLACK", math.inf)
+            t = lattice._take(table, rows)
+            everything = t.vertex_ok[..., None] & t.arc_ok[:, None]
+            assert lattice._far_vertex_arc(t)[2].shape[1] == everything.sum(axis=(1, 2)).max()
+            assert hexed(lattice.farthest_pairs(table, rows)) == default

@@ -613,7 +613,7 @@ def test_only_one_sign_pair_on_the_line_of_centres_can_be_a_maximum():
         with np.errstate(divide="ignore", invalid="ignore"):
             d, (p, _) = lattice._extreme(np.argmax, -math.inf, [
                 lambda: lattice._vertex_pairs(table),
-                lambda: lattice._far_vertex_arc(table, *lattice._ranges(table)),
+                lambda: lattice._far_vertex_arc(table),
                 minus_plus,
             ])[0]
             ok = lattice._arc_arc(table, table)[2][0]
