@@ -1,11 +1,13 @@
 """Half-plane clipping of closed arc-chain boundaries.
 
-Areas are accumulated with the sector-minus-triangle closed form along
-the kept boundary pieces; gaps where the boundary leaves the half-plane
-are closed with straight chords.  Circle-line intersections are solved
-per arc from the cosine equation in the arc's own angle parameter.  The
-same walk gives the area's gradient and Hessian in the line's offset and
-angle from the two crossings it finds (``halfplane_clip_area``).
+Areas are accumulated in one pass along the boundary, adding the
+sector-minus-triangle closed form of each kept piece as it is found;
+gaps where the boundary leaves the half-plane are closed with straight
+chords, added after the pieces.  Circle-line intersections are solved
+per arc from the cosine equation in the arc's own angle parameter, with
+the normal's angle taken once per line (``_crossings``).  The same walk
+gives the area's gradient and Hessian in the line's offset and angle
+from the two crossings it finds (``halfplane_clip_area``).
 
 Only the arcs under the cap are tried (``cap_arcs``).  The boundary point
 at angle phi has outward normal (cos phi, sin phi), so the point farthest
@@ -44,13 +46,6 @@ TANGENCY_TOL = 1e-12
 CAP_MARGIN = 1e-8
 
 
-def _arc_piece_area(center, radius, a, b, ua, ub) -> float:
-    # Green's theorem contribution of one arc piece plus its center chord
-    # term; ua and ub are (cos, sin) of its end angles a and b.
-    cross = center[0] * (ub[1] - ua[1]) - center[1] * (ub[0] - ua[0])
-    return 0.5 * (radius * radius * (b - a) + radius * cross)
-
-
 def _arc_point(center, radius, phi) -> tuple[float, float]:
     return (center[0] + radius * math.cos(phi), center[1] + radius * math.sin(phi))
 
@@ -58,22 +53,29 @@ def _arc_point(center, radius, phi) -> tuple[float, float]:
 def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
     """Angles in [a, b) where the arc crosses the line n.x = c (n unit);
     a crossing within TANGENCY_TOL of a break belongs to the arc starting there."""
+    n0, n1 = float(n[0]), float(n[1])
+    return _crossings(center[0], center[1], radius, a, b, math.atan2(n1, n0), n0, n1, c)
+
+
+def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
+    # arc_line_crossings with the normal's angle alpha and components
+    # taken once per line by the caller
     if radius <= 0.0:
         return []
-    t = (c - float(n[0] * center[0] + n[1] * center[1])) / radius
+    t = (c - (n0 * cx + n1 * cy)) / radius
     if abs(t) >= 1.0 - TANGENCY_TOL:
         return []
-    alpha = math.atan2(n[1], n[0])
     base = math.acos(t)
     out = []
     for branch in (alpha + base, alpha - base):
         # bring the solution into (a, b) modulo 2*pi
-        k = math.floor((a - branch) / (2.0 * math.pi))
+        k = math.floor((a - branch) / TWO_PI)
         for m in (k, k + 1, k + 2):
-            phi = branch + 2.0 * math.pi * m
+            phi = branch + TWO_PI * m
             if a - TANGENCY_TOL <= phi < b - TANGENCY_TOL:
                 out.append(max(phi, a))
-    return sorted(out)
+    out.sort()
+    return out
 
 
 def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
@@ -90,8 +92,8 @@ def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
     floor = c - CAP_MARGIN
 
     def inside(i, phi):  # arc i at angle phi lies above the floor
-        x, y = _arc_point(centers[i], radii[i], phi)
-        return n0 * x + n1 * y >= floor
+        (x, y), r = centers[i], radii[i]
+        return n0 * (x + r * math.cos(phi)) + n1 * (y + r * math.sin(phi)) >= floor
 
     # the interval of the normal's angle, reduced as in ArcBody.interval_of
     phi = breaks[0] + (math.atan2(n1, n0) - breaks[0]) % TWO_PI
@@ -143,57 +145,88 @@ def _chord_derivatives(hits, n, c):
         u_c = -(w0 * n[0] + w1 * n[1]) / wt
         u_t = -(w0 * (c * t0 - u * n[0]) + w1 * (c * t1 - u * n[1])) / wt
         slides.append((u, u_c, u_t))
-    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = sorted(slides)
+    if slides[1] < slides[0]:  # sorted() of two
+        slides.reverse()
+    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = slides
     a_ct = -(u2_t - u1_t)
     grad = (-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1))
     hess = ((-(u2_c - u1_c), a_ct), (a_ct, u2 * u2_t - u1 * u1_t))
     return grad, hess
 
 
+def _side_past_corner(cx, cy, radius, a, cuts, n0, n1, c) -> bool:
+    """The side at the start of an arc past a corner (an arc of radius 0),
+    where a line through the corner point may touch the boundary, not
+    cross it: read off the midpoint of the arc's longest piece between
+    the ``cuts`` (its crossings, then its end), undoing the flips before."""
+    ends = [a] + cuts
+    j = max(range(len(cuts)), key=lambda j: ends[j + 1] - ends[j])
+    mid = 0.5 * (ends[j] + ends[j + 1])
+    above = n0 * (cx + radius * math.cos(mid)) + n1 * (cy + radius * math.sin(mid)) >= c
+    return above != (j % 2 == 1)
+
+
 def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
     """Area of body ∩ {x : n.x >= c} for a unit normal ``n``, with its
     derivatives in (c, theta) (``_chord_derivatives``), from one walk.
 
-    The walk keeps the sub-arcs under the cap that lie inside the
-    half-plane, in boundary order, closes every excursion outside with a
-    chord, and keeps the crossing points it finds for the derivatives.
-    The side is that of the walk's start point, which lies outside unless
-    the walk covers every arc (``cap_arcs`` stops below c - CAP_MARGIN),
-    and flips at each crossing.  cos and sin are taken once per piece end,
-    for its Green term and its point alike.
+    One pass over the arcs under the cap (``cap_arcs``) splits each at
+    its crossings with the line, adds the Green term of each sub-arc
+    inside the half-plane to the area as it is found and keeps the
+    crossing points for the derivatives.  Each excursion outside is
+    closed by a chord from one kept piece's end to the next one's start,
+    cyclically; the chord terms are added after the arc terms.  The side
+    is that of the walk's start point, which lies outside unless the walk
+    covers every arc (``cap_arcs`` stops below c - CAP_MARGIN), flips at
+    each crossing and is read afresh past a corner (``_side_past_corner``).
+    The normal's angle is taken once per line, and cos and sin once per
+    piece end, for its Green term and its point alike.
     """
-    n = (float(n[0]), float(n[1]))
+    n0, n1 = float(n[0]), float(n[1])
+    n = (n0, n1)
+    alpha = math.atan2(n1, n0)
     centers, radii, breaks = body.arc_lists
-    pieces = []  # (area contribution, start point, end point)
+    area = 0.0
+    chords = []  # from each kept piece's end to the next one's start
     hits = []  # (center, point) per crossing
-    inside = None
+    inside = first = end = None  # first start and last end of a kept piece
+    corner = False  # a corner skipped since the last arc walked
     for i in cap_arcs(body, n, c):
         center, radius = centers[i], radii[i]
         a, b = breaks[i], breaks[i + 1]
         if radius <= 0.0 or b - a <= 0.0:
+            corner = corner or radius <= 0.0
             continue
-        cuts = [a] + arc_line_crossings(center, radius, a, b, n, c) + [b]
-        units = [(math.cos(phi), math.sin(phi)) for phi in cuts]
-        points = [(center[0] + radius * u0, center[1] + radius * u1) for u0, u1 in units]
-        hits += [(center, p) for p in points[1:-1]]
+        cx, cy = center
+        cuts = _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) + [b]
+        lo, u0, u1 = a, math.cos(a), math.sin(a)
+        p = (cx + radius * u0, cy + radius * u1)
         if inside is None:
-            inside = n[0] * points[0][0] + n[1] * points[0][1] >= c
-        for j in range(len(cuts) - 1):
-            if j:
+            inside = n0 * p[0] + n1 * p[1] >= c
+        elif corner:
+            inside, corner = _side_past_corner(cx, cy, radius, a, cuts, n0, n1, c), False
+        for j, hi in enumerate(cuts):
+            if j:  # lo is a crossing
+                hits.append((center, p))
                 inside = not inside
-            lo, hi = cuts[j], cuts[j + 1]
+            v0, v1 = math.cos(hi), math.sin(hi)
+            q = (cx + radius * v0, cy + radius * v1)
             # lo == hi: a crossing at the start break
             if inside and lo < hi:
-                pieces.append((_arc_piece_area(center, radius, lo, hi, units[j], units[j + 1]),
-                               points[j], points[j + 1]))
-    area = sum(p[0] for p in pieces)
-    # chords from each piece end to the next piece start (cyclically);
-    # contiguous pieces contribute zero because the points coincide.
-    for j, piece in enumerate(pieces):
-        end = piece[2]
-        start = pieces[(j + 1) % len(pieces)][1]
-        area += 0.5 * (end[0] * start[1] - end[1] * start[0])
-    return Clip(float(area), *_chord_derivatives(hits, n, c))
+                # the Green term of the arc piece plus its center chord
+                cross = cx * (v1 - u1) - cy * (v0 - u0)
+                area += 0.5 * (radius * radius * (hi - lo) + radius * cross)
+                if end is None:
+                    first = p
+                else:
+                    chords.append(0.5 * (end[0] * p[1] - end[1] * p[0]))
+                end = q
+            lo, u0, u1, p = hi, v0, v1, q
+    if end is not None:
+        chords.append(0.5 * (end[0] * first[1] - end[1] * first[0]))
+    for chord in chords:
+        area += chord
+    return Clip(area, *_chord_derivatives(hits, n, c))
 
 
 def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
@@ -263,7 +296,7 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     ``cuts_per_body[i]`` holds body i's (n, c) pairs, each the removed
     half-plane {x : n.x >= c}, as from ``lattice.collect_patch_cuts``.
     Each cut line is crossed with the arcs under the cap it removes
-    (``cap_arcs``, ``arc_line_crossings``); one sort of every crossing
+    (``cap_arcs``, ``_crossings``); one sort of every crossing
     and every arc end of every body by (body, arc, angle) splits all arcs
     at once, and the pieces whose midpoints satisfy n.x <= c for every cut
     of their body are kept.  Each cut line adds the chord between its two
@@ -287,12 +320,16 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     # every crossing (arc, angle, body * width + cut) of a cut line with an
     # arc under its cap, then both ends of every arc (cut -1), sorted by arc
     # number and angle
-    arc, angle, cut = np.array([
-        (first[k] + i, phi, k * width + j)
-        for k, (body, cuts) in enumerate(zip(bodies, cuts_per_body))
-        for j, (n, c) in enumerate(cuts) for i in cap_arcs(body, n, c)
-        for phi in arc_line_crossings(*_arc_of(body, i), n, c)
-    ], dtype=float).reshape(-1, 3).T
+    found = []
+    for k, (body, cuts) in enumerate(zip(bodies, cuts_per_body)):
+        arc_centers, arc_radii, breaks = body.arc_lists
+        for j, (n, c) in enumerate(cuts):
+            n0, n1 = float(n[0]), float(n[1])
+            alpha = math.atan2(n1, n0)
+            for i in cap_arcs(body, n, c):
+                found += [(first[k] + i, phi, k * width + j) for phi in _crossings(
+                    *arc_centers[i], arc_radii[i], breaks[i], breaks[i + 1], alpha, n0, n1, c)]
+    arc, angle, cut = np.array(found, dtype=float).reshape(-1, 3).T
     ends = np.arange(first[-1])
     arc = np.concatenate([arc, ends, ends])
     angle = np.concatenate([angle, *(b.breaks[:-1] for b in bodies),
@@ -364,8 +401,3 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
                         for x in _padded(np.bincount(rows, minlength=count), *flat)))
     return table, normals, offsets, cut_ok
 
-
-def _arc_of(body: ArcBody, i: int):
-    """(center, radius, start, end) of arc i, from the body's lists."""
-    centers, radii, breaks = body.arc_lists
-    return centers[i], radii[i], breaks[i], breaks[i + 1]

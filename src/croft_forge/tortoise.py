@@ -70,7 +70,9 @@ class EdgeCut:
     In the exact modes ``iterations`` counts Newton iterations,
     ``evaluations`` the pair-area evaluations (``pair_clip_area`` calls)
     and ``grad_norm`` is the area gradient norm at (s, delta), the
-    stationarity certificate; all are 0 in the series modes.
+    stationarity certificate; ``series_gap`` is ``area`` minus the series
+    minimized area whose minimizer Newton started from.  All are 0 in
+    the series modes.
     """
 
     k: int
@@ -80,6 +82,7 @@ class EdgeCut:
     iterations: int = 0
     evaluations: int = 0
     grad_norm: float = 0.0
+    series_gap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,15 @@ def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> Cli
     Per copy, with jac = (grad c, grad theta) and c_hess of ``stripe_caps``:
     grad = jac^T (A_c, A_theta) and hess = jac^T H jac + A_c c_hess, in
     float arithmetic."""
-    caps = stripe_caps(s, delta)
-    clips = [halfplane_clip_area(body, n, c)
-             for body, (n, c, _, _) in zip((left, right), caps)]
-    area = clips[0].area + clips[1].area
-    if clips[0].grad is None or clips[1].grad is None:
+    (n_l, c_l, jac_l, hess_l), (n_r, c_r, jac_r, hess_r) = stripe_caps(s, delta)
+    clip_l = halfplane_clip_area(left, n_l, c_l)
+    clip_r = halfplane_clip_area(right, n_r, c_r)
+    area = clip_l.area + clip_r.area
+    if clip_l.grad is None or clip_r.grad is None:
         return Clip(area)
     g_s = g_d = h_ss = h_sd = h_dd = 0.0
-    for clip, (_, _, ((c_s, c_d), (t_s, t_d)), ((c_ss, c_sd), (_, c_dd))) in zip(clips, caps):
+    for clip, ((c_s, c_d), (t_s, t_d)), ((c_ss, c_sd), (_, c_dd)) in (
+            (clip_l, jac_l, hess_l), (clip_r, jac_r, hess_r)):
         a_c, a_t = clip.grad
         (a_cc, a_ct), (_, a_tt) = clip.hess
         # the s- and delta-rows of jac^T H
@@ -168,19 +172,20 @@ def _newton_step(grad, hess) -> tuple[float, ...]:
 
 
 def _minimize_pair_clip(
-    left: ArcBody, right: ArcBody, k: int, start: tuple[float, float], with_tilt: bool
+    left: ArcBody, right: ArcBody, k: int, start: tuple[float, float, float], with_tilt: bool
 ) -> EdgeCut:
     """Safeguarded Newton on the exact pair area of the class-``k``
-    ``edge_copies``, from ``start`` = (s, delta), the series minimizer.
+    ``edge_copies``, from ``start`` = (s, delta, area), the series
+    minimizer and its series area.
 
     Works on s alone (exact1) or on (s, delta) (exact2), in floats.  A
     step that raises the area beyond rounding is halved until it does not.
     The loop stops after taking a full Newton step below NEWTON_STEP_TOL in
-    every component and reports the iterations, the pair-area evaluations
-    and the gradient norm at the returned point.
+    every component and reports the iterations, the pair-area evaluations,
+    the gradient norm at the returned point and its gap to the series area.
     """
     eps = left.epsilon
-    s, delta = start
+    s, delta, series_area = start
     dim = 2 if with_tilt else 1
     pair = pair_clip_area(left, right, s, delta)
     evaluations = 1
@@ -209,6 +214,7 @@ def _minimize_pair_clip(
             return EdgeCut(
                 k=k, s=s, delta=delta, area=pair.area, iterations=iteration,
                 evaluations=evaluations, grad_norm=math.hypot(*grad[:dim]),
+                series_gap=pair.area - series_area,
             )
     raise ConvergenceError(
         f"class {k} at eps={eps}: no convergence in {NEWTON_MAX_ITER} Newton steps"
@@ -259,7 +265,7 @@ def tortoise_area(
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
         else:
             per_edge.append(
-                _minimize_pair_clip(*edge_copies(body, k, shift), k, (s, delta), with_tilt)
+                _minimize_pair_clip(*edge_copies(body, k, shift), k, (s, delta, area), with_tilt)
             )
 
     a_cut = sum(e.area for e in per_edge)

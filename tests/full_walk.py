@@ -26,7 +26,6 @@ from croft_forge.clip import (
     KEEP_TOL,
     _GROUPS,
     TrimTable,
-    _arc_piece_area,
     _arc_point,
     _chord_derivatives,
     _padded,
@@ -69,6 +68,13 @@ def table_of(bodies) -> TrimTable:
     return TrimTable(*(x for g in _GROUPS for x in _padded(
         np.array([len(getattr(t, g[0])) for t in bodies]),
         *(np.concatenate([getattr(t, f) for t in bodies]) for f in g))))
+
+
+def _arc_piece_area(center, radius, a, b, ua, ub) -> float:
+    # Green's theorem contribution of one arc piece plus its center chord
+    # term; ua and ub are (cos, sin) of its end angles a and b.
+    cross = center[0] * (ub[1] - ua[1]) - center[1] * (ub[0] - ua[0])
+    return 0.5 * (radius * radius * (b - a) + radius * cross)
 
 
 def halfplane_clip_area(body: ArcBody, n, c: float) -> float:

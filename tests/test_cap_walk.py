@@ -85,21 +85,69 @@ def test_clip_area_matches_the_full_walk(seed):
                    - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
 
 
+def _assert_clip_is_the_full_walk(body, n, c) -> int:
+    """The clip's crossings, and where there are two its derivatives, equal
+    the full walk's, and its area is within AREA_TOL of the full walk's
+    (the walk that gives the derivatives gives the area too, also where
+    the line misses the body or touches it once); returns the number of
+    crossings."""
+    got = boundary_line_crossings(body, n, c)
+    assert _key(got) == _key(full_walk.boundary_line_crossings(body, n, c))
+    clip_ = halfplane_clip_area(body, n, c)
+    assert abs(clip_.area - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
+    want_grad, want_hess = full_walk.halfplane_clip_derivatives(body, n, c)
+    if len(got) == 2:
+        assert np.array_equal(clip_.grad, want_grad)
+        assert np.array_equal(clip_.hess, want_hess)
+    else:
+        assert clip_.grad is clip_.hess is want_grad is want_hess is None
+    return len(got)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_crossings_and_derivatives_match_the_full_walk(seed):
     for body, n, c in _cases(seed):
-        got = boundary_line_crossings(body, n, c)
-        assert _key(got) == _key(full_walk.boundary_line_crossings(body, n, c))
-        clip_ = halfplane_clip_area(body, n, c)
-        # the walk that gives the derivatives gives the area too, also
-        # where the line misses the body or touches it once
-        assert abs(clip_.area - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
-        want_grad, want_hess = full_walk.halfplane_clip_derivatives(body, n, c)
-        if len(got) == 2:
-            assert np.array_equal(clip_.grad, want_grad)
-            assert np.array_equal(clip_.hess, want_hess)
-        else:
-            assert clip_.grad is clip_.hess is want_grad is want_hess is None
+        _assert_clip_is_the_full_walk(body, n, c)
+
+
+def _cornered_bodies(seed):
+    """Seeded profiles with max|v| = 1 at eps = +-1, each placed as a
+    random copy: the arcs of radius 1 - eps*q = 0 are corners, arcs the
+    clip walk skips."""
+    rng = np.random.default_rng(seed)
+    bodies = []
+    for template in (REF, UNIFORM_36):
+        for eps in (1.0, -1.0):
+            for _ in range(5):
+                v = ansatz.closure_project(rng.standard_normal(template.n_intervals // 2),
+                                           template)
+                q = ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
+                body = place_copy(build_body(q, eps), int(rng.integers(3)),
+                                  rng.uniform(-3.0, 3.0, 2), SHIFT)
+                bodies.append(body)
+    return bodies
+
+
+def test_clip_of_cornered_bodies_matches_the_full_walk():
+    """Lines through a corner point, 1e-13 to either side of it, and random
+    lines, on 20 bodies with a corner each.  The walk skips a zero-radius
+    arc, as the full walk does; a line through the corner point may touch
+    the boundary there without crossing it, so past the corner the walk
+    reads its side afresh."""
+    rng = np.random.default_rng(4)
+    corners = crossed_twice = 0
+    for body in _cornered_bodies(4):
+        for i in np.flatnonzero(body.radii == 0.0):
+            corners += 1
+            point = body.centers[i]
+            for n in _normals(rng, body, 6):
+                for dc in (0.0, 1e-13, -1e-13):
+                    crossed_twice += _assert_clip_is_the_full_walk(body, n, n @ point + dc) == 2
+        for n in _normals(rng, body, 3):
+            for c in _offsets(rng, body, n):
+                _assert_clip_is_the_full_walk(body, n, c)
+    assert corners >= 20
+    assert crossed_twice > 0
 
 
 def test_cap_walk_wraps_and_covers():
@@ -257,16 +305,16 @@ def _counted(fn, counts, key):
 
 def test_exact2_record_tries_few_arcs(monkeypatch):
     """Each clip of an exact2 record tries at most four arcs on average
-    (the full walk tried all 24)."""
+    (the full walk tried all 24); the arcs tried are the calls to the
+    crossing solver ``clip._crossings``."""
     counts = {"arcs": 0, "clips": 0}
-    monkeypatch.setattr(clip, "arc_line_crossings",
-                        _counted(clip.arc_line_crossings, counts, "arcs"))
+    monkeypatch.setattr(clip, "_crossings", _counted(clip._crossings, counts, "arcs"))
     wrapped = _counted(clip.halfplane_clip_area, counts, "clips")
     monkeypatch.setattr(clip, "halfplane_clip_area", wrapped)
     monkeypatch.setattr(tortoise, "halfplane_clip_area", wrapped)
     tortoise.tortoise_area(0.08, "exact2")
     assert counts["clips"] > 0
-    assert counts["arcs"] <= 4 * counts["clips"]
+    assert 0 < counts["arcs"] <= 4 * counts["clips"]
 
 
 def test_exact2_record_walks_each_cap_once(monkeypatch):

@@ -644,7 +644,22 @@ def test_reference_fit_work_is_pinned(monkeypatch, mode):
 def test_series_edges_carry_no_certificate():
     for mode in ("series1", "series2"):
         for e in tortoise_area(0.05, mode).per_edge:
-            assert (e.iterations, e.evaluations, e.grad_norm) == (0, 0, 0.0)
+            assert (e.iterations, e.evaluations, e.grad_norm, e.series_gap) == (0, 0, 0.0, 0.0)
+
+
+def test_exact2_series_gap_shrinks_with_eps():
+    """Each edge's series_gap is its exact minimized pair area minus the
+    series2 minimized area Newton started from, and on the reference
+    profile every |gap| shrinks at least 4x per halving of eps (about 8x:
+    the series is exact to second order)."""
+    gaps = []
+    for eps in (0.08, 0.04, 0.02):
+        exact, series = tortoise_area(eps, "exact2"), tortoise_area(eps, "series2")
+        for e, s in zip(exact.per_edge, series.per_edge):
+            assert e.series_gap == e.area - s.area
+        gaps.append([abs(e.series_gap) for e in exact.per_edge])
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert all(0.0 < g <= w / 4.0 for w, g in zip(wide, narrow))
 
 
 def test_newton_step_descends_on_indefinite_hessian():
