@@ -5,9 +5,10 @@ sector-minus-triangle closed form of each kept piece as it is found;
 gaps where the boundary leaves the half-plane are closed with straight
 chords, added after the pieces.  Circle-line intersections are solved
 per arc from the cosine equation in the arc's own angle parameter, with
-the normal's angle taken once per line (``_crossings``).  The same walk
-gives the area's gradient and Hessian in the line's offset and angle
-from the two crossings it finds (``halfplane_clip_area``).
+the normal's angle taken once per line (``_crossings``), and the clip
+and the trim alike keep each piece between them by its midpoint.  The
+same walk gives the area's gradient and Hessian in the line's offset
+and angle from the two crossings it finds (``halfplane_clip_area``).
 
 Only the arcs under the cap are tried (``cap_arcs``).  The boundary point
 at angle phi has outward normal (cos phi, sin phi), so the point farthest
@@ -78,15 +79,15 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
     return out
 
 
-def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
-    """Indices of the arcs that can meet {x : n.x >= c}, in boundary order.
+def cap_arcs(body: ArcBody, n0: float, n1: float, alpha: float, c: float) -> list[int]:
+    """Indices of the arcs that can meet {x : n.x >= c}, in boundary order,
+    for the unit normal n = (n0, n1) of angle ``alpha``.
 
-    Starts at the support arc, the one whose range holds the angle of the
-    unit normal ``n``, and walks out both ways while the shared endpoint
-    stays within CAP_MARGIN of the half-plane.  The support arc is always
-    returned, and every arc when the whole boundary is in the half-plane.
+    Starts at the support arc, the one whose range holds ``alpha``, and
+    walks out both ways while the shared endpoint stays within CAP_MARGIN
+    of the half-plane.  The support arc is always returned, and every arc
+    when the whole boundary is in the half-plane.
     """
-    n0, n1 = float(n[0]), float(n[1])
     centers, radii, breaks = body.arc_lists
     count = len(radii)
     floor = c - CAP_MARGIN
@@ -96,7 +97,7 @@ def cap_arcs(body: ArcBody, n, c: float) -> list[int]:
         return n0 * (x + r * math.cos(phi)) + n1 * (y + r * math.sin(phi)) >= floor
 
     # the interval of the normal's angle, reduced as in ArcBody.interval_of
-    phi = breaks[0] + (math.atan2(n1, n0) - breaks[0]) % TWO_PI
+    phi = breaks[0] + (alpha - breaks[0]) % TWO_PI
     support = min(bisect_right(breaks, phi) - 1, count - 1)
     after = []
     i = support
@@ -154,33 +155,24 @@ def _chord_derivatives(hits, n, c):
     return grad, hess
 
 
-def _side_past_corner(cx, cy, radius, a, cuts, n0, n1, c) -> bool:
-    """The side at the start of an arc past a corner (an arc of radius 0),
-    where a line through the corner point may touch the boundary, not
-    cross it: read off the midpoint of the arc's longest piece between
-    the ``cuts`` (its crossings, then its end), undoing the flips before."""
-    ends = [a] + cuts
-    j = max(range(len(cuts)), key=lambda j: ends[j + 1] - ends[j])
-    mid = 0.5 * (ends[j] + ends[j + 1])
-    above = n0 * (cx + radius * math.cos(mid)) + n1 * (cy + radius * math.sin(mid)) >= c
-    return above != (j % 2 == 1)
-
-
 def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
     """Area of body ∩ {x : n.x >= c} for a unit normal ``n``, with its
     derivatives in (c, theta) (``_chord_derivatives``), from one walk.
 
     One pass over the arcs under the cap (``cap_arcs``) splits each at
-    its crossings with the line, adds the Green term of each sub-arc
-    inside the half-plane to the area as it is found and keeps the
-    crossing points for the derivatives.  Each excursion outside is
-    closed by a chord from one kept piece's end to the next one's start,
-    cyclically; the chord terms are added after the arc terms.  The side
-    is that of the walk's start point, which lies outside unless the walk
-    covers every arc (``cap_arcs`` stops below c - CAP_MARGIN), flips at
-    each crossing and is read afresh past a corner (``_side_past_corner``).
-    The normal's angle is taken once per line, and cos and sin once per
-    piece end, for its Green term and its point alike.
+    its crossings with the line, adds the Green term of each piece inside
+    the half-plane to the area as it is found and keeps the crossing
+    points for the derivatives.  A piece [lo, hi] of the arc of centre M
+    and radius r is inside when its midpoint is: cos((lo + hi)/2 - alpha)
+    >= t, with alpha the normal's angle and t = (c - n.M)/r, the rule
+    ``trim_bodies`` keeps its pieces by.  A line within TANGENCY_TOL of
+    tangent (|t| >= 1 - TANGENCY_TOL) does not cross the circle, so the
+    whole arc is inside exactly when t < 0, wherever its midpoint falls.
+    Each excursion outside is closed by a chord from one kept piece's end
+    to the next one's start, cyclically; the chord terms are added after
+    the arc terms.  The normal's angle is taken once per line, cos and
+    sin once per piece end, for its Green term and its point alike, and
+    one more cos per piece for its side.
     """
     n0, n1 = float(n[0]), float(n[1])
     n = (n0, n1)
@@ -189,30 +181,26 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
     area = 0.0
     chords = []  # from each kept piece's end to the next one's start
     hits = []  # (center, point) per crossing
-    inside = first = end = None  # first start and last end of a kept piece
-    corner = False  # a corner skipped since the last arc walked
-    for i in cap_arcs(body, n, c):
+    first = end = None  # first start and last end of a kept piece
+    for i in cap_arcs(body, n0, n1, alpha, c):
         center, radius = centers[i], radii[i]
         a, b = breaks[i], breaks[i + 1]
         if radius <= 0.0 or b - a <= 0.0:
-            corner = corner or radius <= 0.0
             continue
         cx, cy = center
+        t = (c - (n0 * cx + n1 * cy)) / radius
+        if abs(t) >= 1.0 - TANGENCY_TOL:  # no crossing: the arc lies on one side
+            t = math.copysign(2.0, t)
         cuts = _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) + [b]
         lo, u0, u1 = a, math.cos(a), math.sin(a)
         p = (cx + radius * u0, cy + radius * u1)
-        if inside is None:
-            inside = n0 * p[0] + n1 * p[1] >= c
-        elif corner:
-            inside, corner = _side_past_corner(cx, cy, radius, a, cuts, n0, n1, c), False
         for j, hi in enumerate(cuts):
             if j:  # lo is a crossing
                 hits.append((center, p))
-                inside = not inside
             v0, v1 = math.cos(hi), math.sin(hi)
             q = (cx + radius * v0, cy + radius * v1)
             # lo == hi: a crossing at the start break
-            if inside and lo < hi:
+            if lo < hi and math.cos(0.5 * (lo + hi) - alpha) >= t:
                 # the Green term of the arc piece plus its center chord
                 cross = cx * (v1 - u1) - cy * (v0 - u0)
                 area += 0.5 * (radius * radius * (hi - lo) + radius * cross)
@@ -232,14 +220,13 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
 def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
     """All boundary points where the body boundary meets the line n.x = c,
     in boundary order from the first arc under the cap."""
+    n0, n1 = float(n[0]), float(n[1])
+    alpha = math.atan2(n1, n0)
     centers, radii, breaks = body.arc_lists
-    pts = []
-    for i in cap_arcs(body, n, c):
-        center, radius = centers[i], radii[i]
-        a, b = breaks[i], breaks[i + 1]
-        for phi in arc_line_crossings(center, radius, a, b, n, c):
-            pts.append(np.array(_arc_point(center, radius, phi)))
-    return pts
+    return [np.array(_arc_point(centers[i], radii[i], phi))
+            for i in cap_arcs(body, n0, n1, alpha, c)
+            for phi in _crossings(*centers[i], radii[i], breaks[i], breaks[i + 1],
+                                  alpha, n0, n1, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +313,7 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
         for j, (n, c) in enumerate(cuts):
             n0, n1 = float(n[0]), float(n[1])
             alpha = math.atan2(n1, n0)
-            for i in cap_arcs(body, n, c):
+            for i in cap_arcs(body, n0, n1, alpha, c):
                 found += [(first[k] + i, phi, k * width + j) for phi in _crossings(
                     *arc_centers[i], arc_radii[i], breaks[i], breaks[i + 1], alpha, n0, n1, c)]
     arc, angle, cut = np.array(found, dtype=float).reshape(-1, 3).T

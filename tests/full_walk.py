@@ -24,6 +24,7 @@ from croft_forge.body import ArcBody, _in_arc, _unit
 from croft_forge.clip import (
     ANGLE_TOL,
     KEEP_TOL,
+    TANGENCY_TOL,
     _GROUPS,
     TrimTable,
     _arc_point,
@@ -87,13 +88,17 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
         a, b = body.breaks[i], body.breaks[i + 1]
         if radius <= 0.0 or b - a <= 0.0:
             continue
+        # a line within TANGENCY_TOL of tangent does not cross the circle,
+        # and the whole arc is inside exactly when its centre is
+        t = (c - (n[0] * center[0] + n[1] * center[1])) / radius
+        tangent = abs(t) >= 1.0 - TANGENCY_TOL
         cuts = [a] + arc_line_crossings(center, radius, a, b, n, c) + [b]
         for lo, hi in zip(cuts, cuts[1:]):
             if lo == hi:  # a crossing at the start break
                 continue
             mid = 0.5 * (lo + hi)
             p_mid = _arc_point(center, radius, mid)
-            if n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
+            if t < 0.0 if tangent else n[0] * p_mid[0] + n[1] * p_mid[1] >= c:
                 pieces.append(
                     (
                         _arc_piece_area(center, radius, lo, hi,

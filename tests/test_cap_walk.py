@@ -131,9 +131,18 @@ def _cornered_bodies(seed):
 def test_clip_of_cornered_bodies_matches_the_full_walk():
     """Lines through a corner point, 1e-13 to either side of it, and random
     lines, on 20 bodies with a corner each.  The walk skips a zero-radius
-    arc, as the full walk does; a line through the corner point may touch
-    the boundary there without crossing it, so past the corner the walk
-    reads its side afresh."""
+    arc, as the full walk does, and a line through the corner point may
+    touch the boundary there without crossing it; each piece is kept by
+    its own midpoint, so no side carries past the corner.
+
+    Also one line 1e-13 below a corner point that passes as near a break
+    between arcs of radii 2.0 and 0.033 (body 2 of seed 103): the crossing
+    there falls in the window of neither arc and is lost, which inverted
+    a walk that flipped its side at each crossing."""
+    body = _cornered_bodies(103)[2]
+    point = body.centers[np.flatnonzero(body.radii == 0.0)[0]]
+    n = np.array([math.cos(0.5 * math.pi), math.sin(0.5 * math.pi)])
+    assert _assert_clip_is_the_full_walk(body, n, n @ point - 1e-13) == 1
     rng = np.random.default_rng(4)
     corners = crossed_twice = 0
     for body in _cornered_bodies(4):
@@ -150,18 +159,34 @@ def test_clip_of_cornered_bodies_matches_the_full_walk():
     assert crossed_twice > 0
 
 
+@pytest.mark.parametrize("gap", [5e-13, 1e-15, 0.0])
+def test_a_line_tangent_at_an_arc_midpoint_does_not_cross_it(gap):
+    """A line ``gap`` inside the unit disc, normal to the midpoint of one
+    of its arcs: within TANGENCY_TOL of tangent, so it does not cross the
+    arc, though the arc's midpoint lies on its far side.  The half-plane
+    beyond it holds none of the disc and the one behind it all of it."""
+    disc = build_body(REF, 0.0)
+    theta = 0.5 * (disc.breaks[5] + disc.breaks[6])
+    n = np.array([math.cos(theta), math.sin(theta)])
+    for side, want in ((1.0, 0.0), (-1.0, math.pi)):
+        line = (disc, side * n, side * (1.0 - gap))
+        assert abs(halfplane_clip_area(*line).area - want) <= AREA_TOL
+        assert abs(full_walk.halfplane_clip_area(*line) - want) <= AREA_TOL
+
+
 def test_cap_walk_wraps_and_covers():
     """The walk wraps past arc n-1 on a rotated copy, returns a contiguous
     run in boundary order, and every arc for a line below the body."""
     body = _placed_bodies(5)[1]  # a color-1 copy: breaks start at 2*pi/3
     count = body.n_arcs
-    n = np.array([math.cos(body.breaks[0]), math.sin(body.breaks[0])])
-    top = float(n @ boundary_point(body, body.breaks[0]))
-    arcs = cap_arcs(body, n, top - 0.05)
+    alpha = body.breaks[0]
+    n = np.array([math.cos(alpha), math.sin(alpha)])
+    top = float(n @ boundary_point(body, alpha))
+    arcs = cap_arcs(body, *n, alpha, top - 0.05)
     assert count - 1 in arcs and 0 in arcs
     assert all((b - a) % count == 1 for a, b in zip(arcs, arcs[1:]))
-    assert sorted(cap_arcs(body, n, -10.0)) == list(range(count))
-    assert len(cap_arcs(body, n, top + 0.1)) <= 2
+    assert sorted(cap_arcs(body, *n, alpha, -10.0)) == list(range(count))
+    assert len(cap_arcs(body, *n, alpha, top + 0.1)) <= 2
 
 
 def _random_cuts(rng, body, count):
@@ -327,3 +352,31 @@ def test_exact2_record_walks_each_cap_once(monkeypatch):
     tortoise.tortoise_area(0.08, "exact2")
     assert counts["points"] == 11
     assert counts["walks"] == 2 * counts["points"]
+
+
+@pytest.mark.parametrize("mode", ["exact1", "exact2"])
+@pytest.mark.parametrize("eps", [1.0, -1.0])
+def test_exact_records_past_a_corner_match_the_full_walk(monkeypatch, mode, eps):
+    """At eps = +-1 one arc of the reference body has radius 0, and 4-5 of
+    the 24-28 Newton clips of an exact record walk past that corner.  Each
+    edge's area is the full walk's pair area at its (s, delta), and the
+    stripes keep the copies of a patch 2 apart."""
+    body = build_body(REF, eps)
+    assert np.count_nonzero(body.radii == 0.0) == 1
+    walk = clip.cap_arcs
+    past = []
+
+    def cap_arcs(b, *line):
+        arcs = walk(b, *line)
+        past.append(any(b.radii[i] == 0.0 for i in arcs[1:-1]))
+        return arcs
+
+    monkeypatch.setattr(clip, "cap_arcs", cap_arcs)
+    record = tortoise.tortoise_area(eps, mode)
+    assert any(past)
+    for e in record.per_edge:
+        caps = lattice.stripe_caps(e.s, e.delta)
+        want = sum(full_walk.halfplane_clip_area(b, n, c)
+                   for b, (n, c, _, _) in zip(lattice.edge_copies(body, e.k), caps))
+        assert abs(e.area - want) <= AREA_TOL
+    assert lattice.verify_avoidance(REF, eps, record.stripes()).ok
