@@ -198,26 +198,42 @@ def body_area_gram(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def diameter_profile(b: ArcBody) -> tuple[float, float]:
-    """(max, min) antipodal boundary distance |p(phi) - p(phi + pi)|, exactly.
+    """(max, min) antipodal boundary distance |p(phi) - p(phi + pi)|, exactly
+    (``antipodal_extremes``)."""
+    dist = antipodal_extremes(b.centers, b.radii, b.breaks)[0]
+    return float(dist.max()), float(dist.min())
+
+
+def antipodal_extremes(centers, radii, breaks):
+    """(dist, P, Q): the largest and the smallest |p(phi) - p(phi + pi)|
+    for phi on each arc of the first half, shaped (2, ..., n/2) for bodies
+    stacked along the leading axes, and the pairs p(phi), p(phi + pi).
 
     For phi on arc i, phi + pi lies on the antipodal arc j = i + n/2, so
     p(phi) - p(phi + pi) = D + R u(phi) with D = M_i - M_j, R = r_i + r_j,
     and its squared length |D|^2 + R^2 + 2R D.u(phi) takes its extremes on
     the arc at its two ends or at u = +-D/|D| where that lies inside
     (``_in_arc``: an arc of the first half spans at most pi).  D = 0 lies
-    in every range, where every u gives 0.
+    in every range, where every u gives R (the pair at the arc's start).
     """
-    half = b.n_arcs // 2
-    D = b.centers[:half] - b.centers[half:]
-    R = b.radii[:half] + b.radii[half:]
-    u_lo, u_hi = _unit(b.breaks[:half]), _unit(b.breaks[1 : half + 1])
-    ends = np.stack([np.sum(u * D, axis=1) for u in (u_lo, u_hi)])
-    norm = np.hypot(D[:, 0], D[:, 1])
-    top = np.where(_in_arc(D, u_lo, u_hi), norm, ends.max(axis=0))
-    bottom = np.where(_in_arc(-D, u_lo, u_hi), -norm, ends.min(axis=0))
-    d2 = norm**2 + R**2 + 2.0 * R * np.stack([top, bottom])
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    return float(dist.max()), float(dist.min())
+    half = radii.shape[-1] // 2
+    D = centers[..., :half, :] - centers[..., half:, :]
+    R = radii[..., :half] + radii[..., half:]
+    u_lo, u_hi = _unit(breaks[..., :half]), _unit(breaks[..., 1 : half + 1])
+    ends = np.stack([np.sum(u * D, axis=-1) for u in (u_lo, u_hi)])
+    norm = np.hypot(D[..., 0], D[..., 1])
+    along = D / np.where(norm > 0.0, norm, 1.0)[..., None]
+    # each extreme of D.u lies at u = +-D/|D| where that is inside the arc,
+    # else at the end with the larger or the smaller D.u
+    inside = np.stack([_in_arc(D, u_lo, u_hi), _in_arc(-D, u_lo, u_hi)]) & (norm > 0.0)
+    at_hi = np.stack([ends[1] > ends[0], ends[1] < ends[0]])
+    d2 = norm**2 + R**2 + 2.0 * R * np.where(inside, np.stack([norm, -norm]),
+                                             np.where(at_hi, ends[1], ends[0]))
+    u = np.where(inside[..., None], np.stack([along, -along]),
+                 np.where(at_hi[..., None], u_hi, u_lo))
+    P = centers[..., :half, :] + radii[..., :half, None] * u
+    Q = centers[..., half:, :] - radii[..., half:, None] * u
+    return np.sqrt(np.maximum(d2, 0.0)), P, Q
 
 
 def transform(b: ArcBody, rotation: float = 0.0, translation=(0.0, 0.0)) -> ArcBody:

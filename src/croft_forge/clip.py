@@ -240,15 +240,15 @@ ANGLE_TOL = 1e-12  # narrowest arc piece kept as an arc
 # each group (its fields in ``_GROUPS``) zero-padded by ``_padded`` and
 # followed by its ``*_ok`` mask.  Arc piece i of row r is centers[r, i] +
 # radii[r, i] * u for the unit vectors u from u0[r, i] counter-clockwise
-# to u1[r, i]; it spans at most pi, because every break of a profile has
-# its antipode, so pi is a break.  Chord j runs from chord_a[r, j] to
-# chord_b[r, j].  ``vertices`` holds every piece endpoint once: each bit
-# pattern once (so -0.0 and 0.0 differ), the first copy in the order arc
-# starts, arc ends, chord starts, chord ends.
-TrimTable = namedtuple(
-    "TrimTable", "centers radii u0 u1 arc_ok chord_a chord_b chord_ok vertices vertex_ok"
-)
-_GROUPS = (("centers", "radii", "u0", "u1"), ("chord_a", "chord_b"), ("vertices",))
+# to u1[r, i] on its body's arc arc[r, i]; it spans at most pi, because
+# every break of a profile has its antipode, so pi is a break.  Chord j
+# runs from chord_a[r, j] to chord_b[r, j] on the line of cut cut[r, j].
+# ``vertices`` holds every piece endpoint once: each bit pattern once (so
+# -0.0 and 0.0 differ), the first copy in the order arc starts, arc ends,
+# chord starts, chord ends.
+TrimTable = namedtuple("TrimTable", "centers radii u0 u1 arc arc_ok chord_a chord_b cut chord_ok "
+                                    "vertices vertex_ok")
+_GROUPS = (("centers", "radii", "u0", "u1", "arc"), ("chord_a", "chord_b", "cut"), ("vertices",))
 
 
 def _padded(sizes, *flat):
@@ -286,9 +286,11 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     (``cap_arcs``, ``_crossings``); one sort of every crossing
     and every arc end of every body by (body, arc, angle) splits all arcs
     at once, and the pieces whose midpoints satisfy n.x <= c for every cut
-    of their body are kept.  Each cut line adds the chord between its two
-    extreme boundary crossings, clipped as an interval by the other cuts
-    of its body; all chords are clipped in one pass.
+    of their body are kept; a line within TANGENCY_TOL of tangent to an
+    arc's circle keeps or drops the whole arc by its centre's side, as the
+    clip does.  Each cut line adds the chord between its two extreme
+    boundary crossings, clipped as an interval by the other cuts of its
+    body; all chords are clipped in one pass.
 
     Every dot product is a matrix product of one body's rows with its own
     cut normals, padded to common counts, so each body's row is bit for
@@ -330,7 +332,13 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     piece_body = np.searchsorted(first, idx, side="right") - 1
     mid, slot = _padded(np.bincount(piece_body, minlength=count),
                         centers[idx] + radii[idx][:, None] * _unit(0.5 * (lo + hi)))
-    kept = np.all(mid @ np.swapaxes(normals, 1, 2) - offsets[:, None] <= KEEP_TOL, axis=2)[slot]
+    side = (mid @ np.swapaxes(normals, 1, 2) - offsets[:, None] <= KEEP_TOL)[slot]
+    # a line within TANGENCY_TOL of tangent does not cross the circle
+    # (``_crossings``): the clip's t = (c - n.M)/r keeps the arc if t > 0
+    n, r, m = normals[piece_body], radii[idx, None], centers[idx, None]
+    t = offsets[piece_body] - (n[..., 0] * m[..., 0] + n[..., 1] * m[..., 1])
+    t = np.divide(t, r, out=np.zeros_like(t), where=r > 0.0)  # a corner has no tangent
+    kept = np.all(np.where(np.abs(t) >= 1.0 - TANGENCY_TOL, t > 0.0, side), axis=1)
     idx, piece_body, lo, hi = idx[kept], piece_body[kept], lo[kept], hi[kept]
     hit = cut >= 0
     points = centers[arc[hit]] + radii[arc[hit]][:, None] * _unit(angle[hit])
@@ -358,7 +366,7 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     u_hi = np.min(np.where(other & (g1 > 0.0), u, 1.0), axis=1, initial=1.0)
     u_lo = np.max(np.where(other & (g1 < 0.0), u, 0.0), axis=1, initial=0.0)
     left = (u_lo <= u_hi) & ~np.any(other & (g1 == 0.0) & (g0 > KEEP_TOL), axis=1)
-    p0, p1, chord_body = p0[left], p1[left], chord_body[left]
+    p0, p1, chord_body, j = p0[left], p1[left], chord_body[left], j[left]
     u_lo, u_hi = u_lo[left], u_hi[left]
     chord_a = p0 + u_lo[:, None] * (p1 - p0)
     chord_b = p0 + u_hi[:, None] * (p1 - p0)
@@ -382,8 +390,9 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     once = np.flatnonzero(~repeat)
     once = once[np.argsort(vertex_body[once], kind="stable")]
     # every group is sorted by body, so each pads into its rows as it is
-    groups = ((piece_body[wide], centers[wide], radii[wide], u0[wide], u1[wide]),
-              (chord_body, chord_a, chord_b), (vertex_body[once], vertices[once]))
+    own = (idx - np.array(first)[piece_body])[wide]  # each piece's arc in its own body
+    groups = ((piece_body[wide], centers[wide], radii[wide], u0[wide], u1[wide], own),
+              (chord_body, chord_a, chord_b, j), (vertex_body[once], vertices[once]))
     table = TrimTable(*(x for rows, *flat in groups
                         for x in _padded(np.bincount(rows, minlength=count), *flat)))
     return table, normals, offsets, cut_ok

@@ -29,20 +29,18 @@ the pairs as they are.
 Patch verification is exact (``verify_avoidance``).  The copies are
 trimmed by their stripe half-planes, all in one pass, straight into one
 padded table of arc pieces, chords and vertices, a row per copy
-(``clip.trim_bodies``); the crossing check, the distances and the
-diameters all read rows of it.  Distances are closed forms over pairs of
-pieces, vectorised with NumPy, and the candidate list is complete: an
-extreme pair either has an endpoint of a piece (a vertex) as one point,
-or is an interior critical pair of two pieces, on the line of centres of
-two arcs or at the arc point whose normal is a chord's normal (concentric
-arcs have no isolated critical pair and reach their extremes at an
-endpoint).  A stripe of width w > 0 puts the two bodies of an edge in
-disjoint half-planes, so their nearest pair is such a boundary pair, and
-its strip bounds every pair from below: ``closest_pairs`` drops the
-pieces too far from it to hold the nearest pair (``_strip_prune``).  No
-strip bounds a diameter, so ``farthest_pairs`` lists only the candidates
-whose directions the arc ranges can hold.  Both keep the order of what
-is left, so every value and witness is that of the full list.
+(``clip.trim_bodies``); all three checks read rows of it.  Distances are
+closed forms over pairs of pieces, vectorised with NumPy, and the
+candidate list is complete: a nearest pair either has an endpoint of a
+piece (a vertex) as one point, or is an interior critical pair of two
+pieces, on the line of centres of two arcs or at the arc point whose
+normal is a chord's normal.  A stripe of width w > 0 puts the two bodies
+of an edge in disjoint half-planes, and its strip bounds every pair from
+below: ``closest_pairs`` drops the pieces too far from it to hold the
+nearest pair (``_strip_prune``) and keeps the order of the rest, so every
+value and witness is that of the full list.  No diameter is searched
+for: each trimmed copy lies on its rigid copy (``_off_copy``), whose
+diameter is a closed form (``_copy_diameters``).
 """
 
 from __future__ import annotations
@@ -58,6 +56,8 @@ from .body import (
     _arc_sweeps,
     _cross,
     _in_arc,
+    _unit,
+    antipodal_extremes,
     build_body,
     center_offsets,
     croft_constants,
@@ -380,9 +380,9 @@ Witness = tuple[np.ndarray, np.ndarray]
 class AvoidanceReport:
     """Outcome of the patch verification; ``ok`` aggregates all checks.
 
-    ``cross_witness`` and ``diameter_witness`` are the two points that
-    attain ``min_cross_distance`` and ``max_same_body_diameter`` (None
-    when the check did not run).
+    ``max_same_body_diameter`` is the largest diameter of a copy with
+    something left, a bound on its trimmed copy's.  The witnesses attain
+    it and ``min_cross_distance`` (None when the check did not run).
     """
 
     ok: bool
@@ -414,17 +414,9 @@ def _measured(x: float, spec: str) -> str:
 # returns points P on the first and Q on the second piece set and whether
 # the candidate exists, indexed by row and then by piece in the order a
 # walk over one pair's pieces lists them.  Every range test is
-# ``_in_arc``'s cross products of direction vectors; the diameter pass's
-# prefilters take them with RANGE_SLACK to spare.
+# ``_in_arc``'s cross products of direction vectors.
 
 PRUNE_SLACK = 1e-9  # room for rounding in the strip bound
-# Candidate pairs per diameter pass, per row V * max(V, A) for V vertices
-# and A arc pieces: the nine rows of a 24-arc patch take one pass, and a
-# copy of a uniform 288-interval body one pass alone, so the pass arrays
-# stay a few MB.
-DIAMETER_PAIRS = 1 << 15
-RANGE_SLACK = 1e-9  # room for rounding in a prefilter's cross products
-DIAMETER_BAND = 1e-12  # relative d^2 below a row's top that a vertex pair may lie
 
 
 def _take(p: TrimTable, rows) -> TrimTable:
@@ -465,42 +457,6 @@ def _vertex_vertex(a: TrimTable, b: TrimTable):
     return (np.broadcast_to(a.vertices[:, :, None], shape),
             np.broadcast_to(b.vertices[:, None], shape),
             a.vertex_ok[:, :, None] & b.vertex_ok[:, None])
-
-
-@lru_cache(maxsize=8)
-def _upper(n: int) -> np.ndarray:
-    """The read-only n x n mask of i <= j."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
-def _vertex_pairs(t: TrimTable):
-    """The unordered pairs i <= j of a row's vertices that can hold the
-    row's largest vertex distance, in row-major order and padded per row:
-    (P, Q, ok) shaped (row, pair).  The diagonal gives a one-vertex copy
-    its diameter 0.
-
-    d^2 = dx^2 + dy^2 is built in place over each row's V x V grid from
-    the dx, dy the hypot of ``_extreme`` rounds, and only the pairs with
-    d^2 >= (1 - DIAMETER_BAND) * (the row's largest d^2) are listed.  hypot
-    is within 1 ulp and d^2 within about 3 ulps (for squares in the normal
-    range), so a pair outside the band is shorter than the row's best by a
-    relative 5e-13 and can neither tie nor beat it after rounding.  The
-    first maximum in row-major order, and with it every diameter and
-    witness, is that of the full triangle.  A NaN distance stays listed,
-    as the full list's argmax would pick it.
-    """
-    x, y = t.vertices[..., 0], t.vertices[..., 1]
-    d2 = x[:, :, None] - x[:, None]
-    d2 *= d2
-    dy = y[:, :, None] - y[:, None]
-    d2 += np.multiply(dy, dy, out=dy)
-    keep = _upper(x.shape[1]) & t.vertex_ok[:, :, None] & t.vertex_ok[:, None]
-    d2 *= keep
-    keep &= ~(d2 < (1.0 - DIAMETER_BAND) * d2.max(axis=(1, 2), keepdims=True))
-    i, j, listed = _listed(keep)
-    return t.vertices[i], t.vertices[j], listed
 
 
 def _vertex_arc(v: TrimTable, t: TrimTable):
@@ -547,72 +503,6 @@ def _arc_arc(a: TrimTable, b: TrimTable):
     return np.broadcast_to(P[:, :, None], shape), np.broadcast_to(Q[:, None], shape), ok
 
 
-def _turned(u):
-    """Directions u (row, k, 2) turned by -pi/2 and laid out (row, 2, k):
-    x @ _turned(u) holds cross(x_i, u_k) for each x_i of a row."""
-    return np.stack([u[..., 1], -u[..., 0]], axis=1)
-
-
-def _listed(keep):
-    """The entries (i, j) where ``keep`` (row, i, j) holds, in row-major
-    order and padded per row: index tuples that gather them from arrays
-    shaped (row, i) and (row, j), and the mask of listed entries."""
-    row, i, j = np.nonzero(keep)
-    i, j, listed = _padded(np.bincount(row, minlength=len(keep)), i, j)
-    rows = np.arange(len(keep))[:, None]
-    return (rows, i), (rows, j), listed
-
-
-def _far_vertex_arc(t: TrimTable):
-    """Farthest circle point of each arc piece of a row from each of its
-    vertices, where it lies on the piece, over only the (vertex, arc)
-    pairs whose range holds the direction M - v from the vertex to the
-    arc's centre, padded per row: (P, Q, ok) shaped (row, pair).
-
-    The range test is ``_in_arc``'s on M - v unnormalised, with
-    RANGE_SLACK to spare: it differs from the test on the rounded unit
-    direction, which decides ``ok``, by about 1e-16 (|M| + |v|).
-    """
-    # cross(u0, M - v) = cross(u0, M) + cross(v, u0), and the mirror for u1
-    facing = ((_cross(t.u0, t.centers)[:, None] + t.vertices @ _turned(t.u0) >= -RANGE_SLACK)
-              & (_cross(t.centers, t.u1)[:, None] - t.vertices @ _turned(t.u1) >= -RANGE_SLACK))
-    v, a, listed = _listed(t.vertex_ok[..., None] & t.arc_ok[:, None] & facing)
-    d = -1.0 * (t.vertices[v] - t.centers[a])  # rounded as the full candidate list rounds it
-    d /= np.hypot(d[..., 0], d[..., 1])[..., None]
-    ok = listed & _in_arc(d, t.u0[a], t.u1[a])
-    return t.vertices[v], t.centers[a] + t.radii[a][..., None] * d, ok
-
-
-def _opposite_arc_pairs(t: TrimTable):
-    """The (+,-) and then the (-,+) pairs of ``_arc_arc(t, t)``,
-    P = M_a + s*r_a*u and Q = M_b - s*r_b*u for s = +1, -1, over the
-    unordered pairs a < b of a row's arc pieces in row-major order, padded
-    per row: (P, Q, ok) shaped (row, s, pair).
-
-    Swapping a and b swaps P and Q to the bit (u turns into -u exactly),
-    so the first maximum of either sign block has a < b.  Both points lie
-    on their pieces only if b's range meets a's turned by pi, that is if
-    b's start lies in a's turned range or a's turned start in b's range,
-    so only such pairs are listed; RANGE_SLACK covers the rounding of the
-    cross products.
-    """
-    # cross(u0_a, u0_b), cross(u1_a, u0_b) and cross(u0_a, u1_b), (row, a, b)
-    X, Y, Z = t.u0 @ _turned(t.u0), t.u1 @ _turned(t.u0), t.u0 @ _turned(t.u1)
-    meet = (((X <= RANGE_SLACK) & (Y >= -RANGE_SLACK))
-            | ((X >= -RANGE_SLACK) & (Z <= RANGE_SLACK)))
-    a, b, listed = _listed(meet & np.triu(t.arc_ok[:, :, None] & t.arc_ok[:, None], 1))
-    D = t.centers[b] - t.centers[a]  # (row, pair)
-    dist = np.hypot(D[..., 0], D[..., 1])
-    concentric = dist <= CONCENTRIC_TOL
-    dirs = np.array([1.0, -1.0])[:, None, None] * (
-        D / np.where(concentric, 1.0, dist)[..., None])[:, None]  # (row, s, pair)
-    ok = ((listed & ~concentric)[:, None]
-          & _in_arc(dirs, t.u0[a][:, None], t.u1[a][:, None])
-          & _in_arc(-dirs, t.u0[b][:, None], t.u1[b][:, None]))
-    return (t.centers[a][:, None] + t.radii[a][:, None, :, None] * dirs,
-            t.centers[b][:, None] - t.radii[b][:, None, :, None] * dirs, ok)
-
-
 def _arc_chord(a: TrimTable, b: TrimTable):
     """Arc points M +- r*m of ``a``, m a chord normal of ``b``, paired with
     their feet on that chord, where both lie on their pieces."""
@@ -629,22 +519,21 @@ def _arc_chord(a: TrimTable, b: TrimTable):
     return X, start + s[..., None] * e, ok
 
 
-def _extreme(pick, fill: float, blocks) -> list[tuple[float, Witness]]:
-    """Per row, the distance and witness of the candidate ``pick`` (argmin
-    or argmax) selects first among the existing ones.  ``blocks`` lists
-    the helper calls in candidate order; each block is reduced to its row
-    extremes before the next is built."""
+def _extreme(blocks) -> list[tuple[float, Witness]]:
+    """Per row, the distance and witness of the first nearest existing
+    candidate.  ``blocks`` lists the helper calls in candidate order; each
+    block is reduced to its row minima before the next is built."""
     best = []
     for block in blocks:
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on padding, bad pieces
             P, Q, ok = block()
         d = np.hypot(P[..., 0] - Q[..., 0], P[..., 1] - Q[..., 1])
-        d[~ok] = fill  # a block over no pieces (no chords, say) is all fill
+        d[~ok] = math.inf  # a block over no pieces (no chords, say) is all inf
         at = (np.arange(len(ok)),
-              *np.unravel_index(pick(d.reshape(len(ok), -1), axis=1), ok.shape[1:]))
+              *np.unravel_index(d.reshape(len(ok), -1).argmin(axis=1), ok.shape[1:]))
         best.append((d[at], P[at], Q[at]))
     d, P, Q = (np.stack(x, axis=1) for x in zip(*best))
-    return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(pick(d, axis=1))]
+    return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(d.argmin(axis=1))]
 
 
 def _strip_prune(p: TrimTable, strips, tops) -> TrimTable:
@@ -685,23 +574,18 @@ def _strip_prune(p: TrimTable, strips, tops) -> TrimTable:
 def closest_pairs(table: TrimTable, pairs, strips, tops) -> list[tuple[float, Witness]]:
     """Exact distance between the two disjoint trimmed bodies of each pair
     (row_a, row_b) of ``table`` and its witness, all pairs in one batched
-    pass.
-
-    The nearest pair of disjoint convex sets lies on their boundaries; on a
-    pair of pieces it is either a vertex with a vertex or with the nearest
-    interior point of a piece, or an interior critical pair (arc-arc on the
-    line of centres, arc-chord at the arc point whose normal is the chord
-    normal); two chords have no isolated interior critical pair.  Given one
-    strip (n, c_a, c_b) and one pair of measured extremes ``tops`` per
-    pair, ``_strip_prune`` first drops the pieces that cannot hold the
-    nearest pair.  It keeps every candidate that can attain the minimum, in
-    order, so the distance and the witness are those of the full list.
+    pass over the candidates the module docstring lists (two chords have
+    no isolated interior critical pair).  Given one strip (n, c_a, c_b) and
+    one pair of measured extremes ``tops`` per pair, ``_strip_prune`` first
+    drops the pieces that cannot hold the nearest pair, keeping every
+    candidate that can attain the minimum in order, so the distance and
+    the witness are those of the full list.
     """
     if not pairs:
         return []
     p = _strip_prune(_take(table, [a for a, _ in pairs] + [b for _, b in pairs]), strips, tops)
     a, b = _take(p, slice(len(pairs))), _take(p, slice(len(pairs), None))
-    return _extreme(np.argmin, math.inf, [
+    return _extreme([
         lambda: _vertex_vertex(a, b),
         lambda: _vertex_arc(a, b),
         lambda: _swap(_vertex_arc(b, a)),
@@ -713,67 +597,32 @@ def closest_pairs(table: TrimTable, pairs, strips, tops) -> list[tuple[float, Wi
     ])
 
 
-def farthest_pairs(table: TrimTable, rows) -> list[tuple[float, Witness]]:
-    """Exact diameter of the trimmed body in each of the ``rows`` of
-    ``table`` and its witness, as many rows to a batched pass as
-    DIAMETER_PAIRS candidate pairs allow (at least one).
+def _off_copy(table: TrimTable, copies, normals, offsets):
+    """Masks (row, piece) and (row, chord) of the pieces of ``table`` off
+    their copies (stacked centers, radii and breaks): an arc piece needs
+    its arc's centre and radius to the bit and both ends in its arc's range
+    (``_in_arc``'s test, VERIFY_TOL to spare for a crossing rounded past
+    the arc's start), a chord both ends on its cut's line to VERIFY_TOL."""
+    centers, radii, breaks = copies
+    rows = np.arange(len(radii))[:, None]
+    lo, hi = _unit(breaks[rows, table.arc]), _unit(breaks[rows, table.arc + 1])
+    on_arc = ((table.centers == centers[rows, table.arc]).all(axis=-1)
+              & (table.radii == radii[rows, table.arc]))
+    for u in (table.u0, table.u1):
+        on_arc &= (_cross(lo, u) >= -VERIFY_TOL) & (_cross(u, hi) >= -VERIFY_TOL)
+    n, c = normals[rows, table.cut], offsets[rows, table.cut]
+    off = np.maximum(np.abs(_dot(table.chord_a, n) - c), np.abs(_dot(table.chord_b, n) - c))
+    return table.arc_ok & ~on_arc, table.chord_ok & ~(off <= VERIFY_TOL)
 
-    A distance is convex along a chord, so chords attain their maximum at
-    vertices; what remains is vertex-vertex, vertex to the farthest point
-    of an arc, and arc-arc pairs on the line of centres.  The distance is
-    symmetric, so each unordered vertex pair is looked at once: the first
-    maximum of the full V x V list in row-major order has i <= j, and the
-    triangle lists those pairs in the same order.  Of the triangle only
-    the pairs whose squared distance lies within DIAMETER_BAND of the
-    row's largest go to hypot (``_vertex_pairs``), about 200 of about
-    7,000 on a 24-arc patch: a pair outside the band cannot tie or beat
-    the row's best after rounding, so the first maximum is the
-    triangle's.  Antipodal arcs share their centre; their farthest pairs
-    (r_1 + r_2 wherever one range overlaps the other turned by pi)
-    include one with a piece endpoint.
 
-    Of the four sign pairs on the line of centres only P = M_a - r_a*u,
-    Q = M_b + r_b*u can be an interior maximum (u the unit vector from M_a
-    to M_b, D = M_b - M_a).  At a maximum over two arc ranges with both
-    points interior, each point is the farthest point of its circle from
-    the other: P - M_a points away from Q and Q - M_b away from P.  That
-    rules out (+,+) and (-,-), where P - M_a and Q - M_b point the same
-    way.  (+,-) meets it only when |D| < min(r_a, r_b), and then it is a
-    saddle: turning both points by t about their centres gives
-    |P - Q|^2 = |D|^2 + (r_a + r_b)^2 - 2(r_a + r_b)|D| cos t, which grows
-    with t.  A maximum on a range end is a vertex candidate.  (+,-) is
-    tried all the same: on two range ends it is the antipodal pair through
-    a break, the points of a vertex candidate rounded another way, and on
-    some patches it reads an ulp more, so dropping it would move the
-    reported diameter by an ulp.  Each unordered arc pair is tried once
-    instead: two sign pairs over a < b are a quarter of the four over all
-    ordered pairs.
-
-    No strip prunes a diameter: a body of constant width 2 has a pair 2
-    apart through every boundary point, so each body brings all its
-    vertex pairs.  The arc candidates are pruned by direction instead.
-    A vertex's farthest point on an arc lies along the direction from the
-    vertex to the arc's centre, and a line-of-centres pair along +-u, so
-    only the (vertex, arc) pairs whose range can hold that direction
-    (``_far_vertex_arc``) and the arc pairs whose ranges face each other
-    (``_opposite_arc_pairs``) are listed: about a tenth of each list on a
-    24-arc patch.  Both take ``_in_arc``'s cross products with
-    RANGE_SLACK to spare, on directions that round within about 1e-16 of
-    those the candidates test.  Every pair left out has no candidate on
-    its pieces, and the rest keep their order, so the diameters and
-    witnesses are those of the full list to the bit.
-    """
-    width = table.vertices.shape[1]
-    step = max(1, DIAMETER_PAIRS // (width * max(width, table.centers.shape[1])))
-    out = []
-    for i in range(0, len(rows), step):
-        t = _take(table, rows[i : i + step])
-        out += _extreme(np.argmax, -math.inf, [
-            lambda: _vertex_pairs(t),
-            lambda: _far_vertex_arc(t),
-            lambda: _opposite_arc_pairs(t),
-        ])
-    return out
+def _copy_diameters(copies) -> list[tuple[float, Witness]]:
+    """Each copy's diameter, ``body.diameter_profile``'s max, and the first
+    antipodal pair that attains it, for all copies (stacked) in one call."""
+    dist, P, Q = antipodal_extremes(*copies)  # (2, copy, n/2): largest, then smallest
+    side, i = np.divmod(np.swapaxes(dist, 0, 1).reshape(dist.shape[1], -1).argmax(axis=1),
+                        dist.shape[2])
+    at = (side, np.arange(len(side)), i)
+    return list(zip(dist[at].tolist(), zip(P[at], Q[at])))
 
 
 def _point(p) -> str:
@@ -805,24 +654,26 @@ def verify_avoidance(
     vertex-arc, vertex-chord, arc-arc (line of centres) and arc-chord
     (arc normal = chord normal) candidates; the list is complete because
     for width > 0 the two bodies lie in the disjoint half-planes n.x <= c
-    and n.x >= c + width.  (c) is the exact maximum over vertex-vertex,
-    vertex to farthest arc point and arc-arc candidates (chords peak at
-    their vertices).  (b) and (c) come with witness points.  A copy its
-    cut lines remove entirely is a violation of its own: no distance of
-    it can be measured.
+    and n.x >= c + width.  (c) asserts that each trimmed body lies on its
+    copy: every arc piece on its arc, every chord's ends on its own cut
+    line (``_off_copy``; that they lie between the line's crossings holds
+    by construction).  A rigid copy has its body's diameter,
+    ``diameter_profile``'s max, read for the nine placed copies in one
+    batched closed form (``_copy_diameters``); it bounds the trimmed
+    copy's, and is it where the cuts leave an antipodal pair, as the uncut
+    half of the turn does at width 2.  (b) and (c) come with witness
+    points, (c)'s on the copy.  A copy its cut lines remove entirely is a
+    violation of its own: no distance of it can be measured.
 
-    The nine copies are trimmed in one call (``trim_bodies``) straight
-    into one padded table, a row per site, beside the padded table of the
-    cuts it trimmed by; all three checks read rows of it.  (a) is one
-    batched support-function pass (``_support``) over every copy and cut,
-    read through the cut mask.  Each edge carries its strip and names its
-    two cuts (``collect_patch_cuts``).  The strip's lines are those cuts,
-    so (a)'s support values are the measured extremes ``_strip_prune``
-    moves them out to, and its bound holds even if the trimming is wrong.
-    What the bound leaves, at width 2 two arc pieces, one chord and four
-    vertices a side, goes through the candidate helpers once for the 16 edges' rows
-    (``closest_pairs``), and the nine diameters go as many rows to a pass
-    as DIAMETER_PAIRS candidate pairs allow (``farthest_pairs``).
+    The nine copies are trimmed in one call (``trim_bodies``) into one
+    padded table, a row per site, beside the padded table of its cuts.
+    (a) is one batched support-function pass (``_support``) over every
+    copy and cut.  Each edge carries its strip and names its two cuts
+    (``collect_patch_cuts``), so (a)'s support values are the measured
+    extremes ``_strip_prune`` moves the strip's lines out to, and its
+    bound holds even if the trimming is wrong.  What the bound leaves
+    goes through the candidate helpers once for the 16 edges' rows
+    (``closest_pairs``).
 
     What the checks guard: (a) holds by construction of the trimming, and
     the strip bounds the distance in (b) below by the stripe width, so at
@@ -837,8 +688,8 @@ def verify_avoidance(
     body = build_body(q, eps)
     cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
     # row r of the table holds the trimmed copy of sites[r]
-    table, normals, offsets, cut_ok = trim_bodies([place_body(body, *s, shift) for s in sites],
-                                                  [cuts[s] for s in sites])
+    copies = [place_body(body, *s, shift) for s in sites]
+    table, normals, offsets, cut_ok = trim_bodies(copies, [cuts[s] for s in sites])
     live = np.flatnonzero(table.vertex_ok.any(axis=1)).tolist()
     violations = [f"site {s}: its cut lines leave nothing of its copy"
                   for r, s in enumerate(sites) if r not in live]
@@ -862,12 +713,16 @@ def verify_avoidance(
                 f"at {_point(w[0])} and {_point(w[1])}"
             )
 
-    diameters = farthest_pairs(table, live)
+    stacked = [np.stack([getattr(c, f) for c in copies]) for f in ("centers", "radii", "breaks")]
+    off = _off_copy(table, stacked, normals, offsets)
+    violations += [f"site {sites[r]}: trimmed {piece} {i} is off its copy" for piece, mask
+                   in zip(("arc piece", "chord"), off) for r, i in zip(*np.nonzero(mask))]
+    diameters = [d for r, d in enumerate(_copy_diameters(stacked)) if r in live]
     max_diam, diameter_witness = max(diameters, key=lambda f: f[0], default=(-math.inf, None))
     for r, (d, w) in zip(live, diameters):
         if d > 2.0 + VERIFY_TOL:
             violations.append(
-                f"site {sites[r]}: trimmed body has diameter {d:.12f} > 2, "
+                f"site {sites[r]}: its copy has diameter {d:.12f} > 2, "
                 f"between {_point(w[0])} and {_point(w[1])}"
             )
 

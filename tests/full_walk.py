@@ -4,11 +4,14 @@ distances by trying every pair of pieces.
 The reference the cap walk of ``croft_forge.clip.cap_arcs`` is checked
 against: the same closed forms as ``croft_forge.clip`` and
 ``croft_forge.clip.trim_bodies``, but each line is intersected with all n
-arcs instead of the one to three arcs under its cap.  ``closest_pair`` and
-``farthest_pair`` are the reference for the batched, strip-pruned
-``croft_forge.lattice.closest_pairs`` and ``farthest_pairs``: the same
-candidates, one body pair at a time, every piece against every piece.
-The reference keeps one record per trimmed body (``TrimmedBody``);
+arcs instead of the one to three arcs under its cap.  ``closest_pair`` is
+the reference for the batched, strip-pruned
+``croft_forge.lattice.closest_pairs``: the same candidates, one body pair
+at a time, every piece against every piece.  ``farthest_pair``, the exact
+diameter of a trimmed body, checks the bound check (c) of
+``croft_forge.lattice.verify_avoidance`` rests on: no trimmed copy is
+wider than its copy.  The reference keeps one record per trimmed body
+(``TrimmedBody``);
 ``body_of_row`` reads a row of a ``croft_forge.clip.TrimTable`` back into
 one, and ``table_of`` stacks records into a table.  Only the tests use it.
 """
@@ -40,8 +43,9 @@ class TrimmedBody:
     """Boundary of one body cut by half-planes: arc pieces, chords, vertices.
 
     Arc piece i is centers[i] + radii[i] * u for the unit vectors u from
-    ``u0[i]`` counter-clockwise to ``u1[i]``; chord j runs from chord_a[j]
-    to chord_b[j]; ``vertices`` holds the piece endpoints.  One row of a
+    ``u0[i]`` counter-clockwise to ``u1[i]``, on the body's arc arc[i];
+    chord j runs from chord_a[j] to chord_b[j] on the line of cut cut[j];
+    ``vertices`` holds the piece endpoints.  One row of a
     ``croft_forge.clip.TrimTable`` without its padding.
     """
 
@@ -49,8 +53,10 @@ class TrimmedBody:
     radii: np.ndarray     # (k,)
     u0: np.ndarray        # (k, 2)
     u1: np.ndarray        # (k, 2)
+    arc: np.ndarray       # (k,)
     chord_a: np.ndarray   # (m, 2)
     chord_b: np.ndarray   # (m, 2)
+    cut: np.ndarray       # (m,)
     vertices: np.ndarray  # (v, 2)
 
 
@@ -59,7 +65,8 @@ def body_of_row(table: TrimTable, r: int) -> TrimmedBody:
     in order."""
     arcs, chords, vertices = table.arc_ok[r], table.chord_ok[r], table.vertex_ok[r]
     return TrimmedBody(table.centers[r][arcs], table.radii[r][arcs], table.u0[r][arcs],
-                       table.u1[r][arcs], table.chord_a[r][chords], table.chord_b[r][chords],
+                       table.u1[r][arcs], table.arc[r][arcs], table.chord_a[r][chords],
+                       table.chord_b[r][chords], table.cut[r][chords],
                        table.vertices[r][vertices])
 
 
@@ -170,8 +177,14 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     hi = np.array([p[2] for p in pieces], dtype=float)
     centers, radii = body.centers[idx], body.radii[idx]
     mid = centers + radii[:, None] * _unit(0.5 * (lo + hi))
-    kept = np.all(mid @ normals.T - offsets <= KEEP_TOL, axis=1)
-    centers, radii, lo, hi = centers[kept], radii[kept], lo[kept], hi[kept]
+    # a line within TANGENCY_TOL of tangent does not cross the circle, and
+    # the whole arc is kept exactly when its centre is
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (offsets - (normals[:, 0] * centers[:, 0, None]
+                        + normals[:, 1] * centers[:, 1, None])) / radii[:, None]
+    tangent = (radii[:, None] > 0.0) & (np.abs(t) >= 1.0 - TANGENCY_TOL)  # not at a corner
+    kept = np.all(np.where(tangent, t > 0.0, mid @ normals.T - offsets <= KEEP_TOL), axis=1)
+    idx, centers, radii, lo, hi = idx[kept], centers[kept], radii[kept], lo[kept], hi[kept]
 
     chords = []
     for j, pts in enumerate(hits):
@@ -194,7 +207,7 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
             elif g0[k] > KEEP_TOL:
                 u_hi = -1.0
         if u_lo <= u_hi:
-            chords.append((p0 + u_lo * (p1 - p0), p0 + u_hi * (p1 - p0)))
+            chords.append((p0 + u_lo * (p1 - p0), p0 + u_hi * (p1 - p0), j))
     chord_a = np.array([c[0] for c in chords], dtype=float).reshape(-1, 2)
     chord_b = np.array([c[1] for c in chords], dtype=float).reshape(-1, 2)
 
@@ -206,9 +219,8 @@ def trim_body(body: ArcBody, cuts) -> TrimmedBody:
         chord_b,
     ])
     arc = hi - lo > ANGLE_TOL
-    return TrimmedBody(
-        centers[arc], radii[arc], u0[arc], u1[arc], chord_a, chord_b, vertices
-    )
+    return TrimmedBody(centers[arc], radii[arc], u0[arc], u1[arc], idx[arc], chord_a, chord_b,
+                       np.array([c[2] for c in chords], dtype=int), vertices)
 
 
 # Candidate point pairs.  Each helper returns (P, Q): rows of points on the

@@ -222,7 +222,7 @@ def _assert_same_trim(body, cuts, table=None, row=0):
         assert not any(getattr(table, f)[row][~mask].any() for f in fields)
     got = full_walk.body_of_row(table, row)
     want = full_walk.trim_body(body, cuts)
-    for field in ("centers", "radii", "u0", "u1", "chord_a", "chord_b"):
+    for field in ("centers", "radii", "u0", "u1", "arc", "chord_a", "chord_b", "cut"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert np.array_equal(got.vertices, _first_copies(want.vertices))
 
@@ -295,6 +295,37 @@ def test_a_signed_zero_vertex_pair_stays_two_vertices():
     table = trim_bodies([body], [cuts])[0]
     listed = {v.tobytes() for v in table.vertices[0][table.vertex_ok[0]]}
     assert {np.array([1.0, 0.0]).tobytes(), np.array([1.0, -0.0]).tobytes()} <= listed
+
+
+def test_trim_decides_an_arc_tangent_to_its_cut_by_its_centre():
+    """A line within TANGENCY_TOL of tangent to an arc's circle does not
+    cross it, and the trim keeps or drops the whole arc by its centre's
+    side, as the clip does, not by the arc's midpoint.
+
+    The unit disc cut by n = -u, c = -(1 - 5e-13), u the direction of the
+    midpoint of arc 5: the clip removes all of the disc, and the trim keeps
+    nothing, where a midpoint rule kept arc 5 whole.  Arc 3 of the body at
+    eps = -1 (radius 2) cut by n = u, c = n.M + 2(1 - 0.8e-12), u its
+    midpoint direction and M its centre: the clip removes nothing, and the
+    trim keeps the whole arc, where a midpoint rule dropped it."""
+    disc = build_body(REF, 0.0)
+    theta = 0.5 * (disc.breaks[5] + disc.breaks[6])
+    u = np.array([math.cos(theta), math.sin(theta)])
+    cuts = [(-u, -(1.0 - 5e-13))]
+    _assert_same_trim(disc, cuts)
+    assert not trim_bodies([disc], [cuts])[0].vertex_ok.any()
+    assert abs(halfplane_clip_area(disc, *cuts[0]).area - math.pi) <= AREA_TOL
+
+    body = build_body(REF, -1.0)
+    theta = 0.5 * (body.breaks[3] + body.breaks[4])
+    u = np.array([math.cos(theta), math.sin(theta)])
+    assert body.radii[3] == 2.0
+    cuts = [(u, float(u @ body.centers[3]) + 2.0 * (1.0 - 0.8e-12))]
+    _assert_same_trim(body, cuts)
+    table = trim_bodies([body], [cuts])[0]
+    assert 3 in table.arc[0][table.arc_ok[0]]
+    assert not table.chord_ok.any()
+    assert abs(halfplane_clip_area(body, *cuts[0]).area) <= AREA_TOL
 
 
 def test_trim_drops_a_chord_a_parallel_cut_removes():

@@ -11,7 +11,7 @@ import full_walk
 from break_sets import q36_profile, uniform_zero_profile
 from call_counts import count_calls
 from croft_forge import ansatz, clip, lattice, reference, tortoise
-from croft_forge.body import build_body, boundary_point, transform
+from croft_forge.body import boundary_point, build_body, diameter_profile, transform
 from croft_forge.clip import boundary_line_crossings, cut_table, trim_bodies
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
@@ -47,11 +47,6 @@ def closest_pair(a, b, strip):
     n = np.asarray(strip[0], dtype=float)
     tops = lattice._support(table, np.array([[n], [-n]]))[:, 0]
     return lattice.closest_pairs(table, [(0, 1)], [strip], [tuple(tops)])[0]
-
-
-def farthest_pair(t):
-    """``lattice.farthest_pairs`` of the one body."""
-    return lattice.farthest_pairs(full_walk.table_of([t]), [0])[0]
 
 
 def halfplane_excess(t, cuts):
@@ -337,7 +332,7 @@ def test_exact_distances_match_dense_sampling(name, q, eps, mode, width):
         assert exact <= sampled + 1e-12
         assert sampled - exact <= 1e-5
     for s in bodies:
-        exact, _ = farthest_pair(trimmed[s])
+        exact, _ = full_walk.farthest_pair(trimmed[s])
         pts = _dense_samples(bodies[s], cuts[s], 1000, 2)
         assert exact == pytest.approx(pdist(pts).max(), abs=1e-6)
     report = verify_avoidance(q, eps, stripes, stripe_width=width)
@@ -355,7 +350,7 @@ def test_witnesses_lie_on_the_trimmed_bodies(name, q, eps, mode):
         assert _on_trimmed_body(bodies[b], cuts[b], r)
         assert abs(math.dist(p, r) - d) <= 1e-12
     for s in bodies:
-        d, (p, r) = farthest_pair(trimmed[s])
+        d, (p, r) = full_walk.farthest_pair(trimmed[s])
         assert _on_trimmed_body(bodies[s], cuts[s], p)
         assert _on_trimmed_body(bodies[s], cuts[s], r)
         assert abs(math.dist(p, r) - d) <= 1e-12
@@ -363,6 +358,33 @@ def test_witnesses_lie_on_the_trimmed_bodies(name, q, eps, mode):
     for value, (p, r) in ((report.min_cross_distance, report.cross_witness),
                           (report.max_same_body_diameter, report.diameter_witness)):
         assert abs(math.dist(p, r) - value) <= 1e-12
+
+
+BOUND_CASES = [
+    (f"{name}-{width}", q, eps, mode, width)
+    for name, q, eps, mode in PATCHES for width in (2.0, 1.9, 2.1)
+] + [(f"uniform{n}", uniform_zero_profile(n), 0.05, "series2", 2.0) for n in (96, 288)]
+
+
+@pytest.mark.parametrize("name, q, eps, mode, width", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_no_trimmed_copy_is_wider_than_its_copy(name, q, eps, mode, width):
+    """The bound check (c) rests on: the exact diameter of each trimmed
+    copy (the full walk over all its pieces) is at most its copy's
+    closed-form diameter + 2e-15.  The report reads the largest copy
+    diameter to the bit, with a witness pair on that copy."""
+    stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+    bodies, cuts, _ = _patch(q, eps, stripes, width)
+    sites = lattice.PATCH_SITES
+    table = trim_bodies([bodies[s] for s in sites], [cuts[s] for s in sites])[0]
+    bounds = [diameter_profile(bodies[s])[0] for s in sites]
+    for r, bound in enumerate(bounds):
+        assert full_walk.farthest_pair(full_walk.body_of_row(table, r))[0] <= bound + 2e-15
+    report = verify_avoidance(q, eps, stripes, stripe_width=width)
+    assert report.max_same_body_diameter == max(bounds)
+    p, r = report.diameter_witness
+    assert abs(math.dist(p, r) - report.max_same_body_diameter) <= 1e-12
+    assert any(_on_trimmed_body(bodies[s], [], p) and _on_trimmed_body(bodies[s], [], r)
+               for s in sites)
 
 
 def _bulge_radius(body, arc):
@@ -405,6 +427,59 @@ def test_arc_fault_of_1e_7_is_caught(monkeypatch, fault):
     assert any("diameter" in v for v in report.violations)
 
 
+def _widen_piece(table, normals, r):
+    """The first arc piece of row r (a copy of the reference body at eps
+    0.05) that ends at its arc's end, turned on past it by 1e-6 rad."""
+    breaks = place_body(build_body(Q, 0.05), *lattice.PATCH_SITES[r], SHIFT).breaks
+    ends = np.stack([np.cos(breaks[table.arc[r] + 1]), np.sin(breaks[table.arc[r] + 1])], axis=-1)
+    i = int(np.flatnonzero(table.arc_ok[r] & np.all(np.abs(table.u1[r] - ends) <= 1e-15,
+                                                    axis=1))[0])
+    c, s = math.cos(1e-6), math.sin(1e-6)
+    u1 = table.u1.copy()
+    u1[r, i] = u1[r, i] @ np.array([[c, s], [-s, c]])
+    return table._replace(u1=u1), f"site (0, 0): trimmed arc piece {i} is off its copy"
+
+
+def _bulge_piece(table, normals, r):
+    """Arc piece 0 of row r with its radius 1e-7 larger than its arc's."""
+    radii = table.radii.copy()
+    radii[r, 0] += 1e-7
+    return table._replace(radii=radii), "site (0, 0): trimmed arc piece 0 is off its copy"
+
+
+def _move_chord(table, normals, r):
+    """Chord 0 of row r moved 1e-7 off its cut line, into the kept side."""
+    n = normals[r, table.cut[r, 0]]
+    chord_a, chord_b = table.chord_a.copy(), table.chord_b.copy()
+    chord_a[r, 0] -= 1e-7 * n
+    chord_b[r, 0] -= 1e-7 * n
+    return (table._replace(chord_a=chord_a, chord_b=chord_b),
+            "site (0, 0): trimmed chord 0 is off its copy")
+
+
+@pytest.mark.parametrize("fault", [_widen_piece, _bulge_piece, _move_chord])
+def test_a_trim_off_its_copy_is_caught(monkeypatch, fault):
+    """A trimmed piece that leaves its copy fails check (c), though the
+    copy is 2 wide, and no other check sees it: an arc piece turned 1e-6
+    rad past its arc's end, one 1e-7 wider than its arc, and a chord moved
+    1e-7 off its cut line into the kept side."""
+    stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
+    trim = lattice.trim_bodies
+    messages = []
+
+    def faulty(bodies, cuts_per_body):
+        table, normals, *rest = trim(bodies, cuts_per_body)
+        table, message = fault(table, normals, lattice.PATCH_SITES.index((0, 0)))
+        messages.append(message)
+        return (table, normals, *rest)
+
+    monkeypatch.setattr(lattice, "trim_bodies", faulty)
+    report = verify_avoidance(Q, 0.05, stripes)
+    assert not report.ok
+    assert report.violations == messages
+    assert report.max_same_body_diameter == pytest.approx(2.0, abs=1e-15)
+
+
 DISC = build_body(Q, 0.0)  # the unit disc as 24 concentric arcs
 
 
@@ -429,7 +504,8 @@ def test_trimmed_corner_against_known_distances():
     assert d == pytest.approx(math.hypot(2.5, 2.5) - 1.0, abs=1e-12)
     assert np.allclose(p, corner, atol=1e-12)
     # what is left of the circle spans 150 to 300 degrees
-    assert farthest_pair(t)[0] == pytest.approx(2.0 * math.sin(math.radians(75.0)), abs=1e-12)
+    assert full_walk.farthest_pair(t)[0] == pytest.approx(2.0 * math.sin(math.radians(75.0)),
+                                                          abs=1e-12)
     # the far side of a cut line that misses the body
     far = (np.array([1.0, 0.0]), 5.0)
     assert halfplane_excess(t, cuts + [far]) == pytest.approx([0.0, 0.0, -4.5], abs=1e-12)
@@ -442,7 +518,7 @@ def test_diameter_through_an_arc_interior():
     side and an arc interior on the other."""
     n = np.array([math.cos(math.radians(322.5)), math.sin(math.radians(322.5))])
     t = trim_body(DISC, [(n, math.cos(math.radians(87.5)))])
-    d, (p, r) = farthest_pair(t)
+    d, (p, r) = full_walk.farthest_pair(t)
     assert d == pytest.approx(2.0, abs=1e-12)
     assert np.min(np.hypot(*(t.vertices - p).T)) == 0.0
 
@@ -461,7 +537,7 @@ def test_trim_keeps_no_degenerate_arc_piece():
     assert np.all(t.u0[:, 0] * t.u1[:, 1] - t.u0[:, 1] * t.u1[:, 0] > 0.0)
     assert np.min(np.hypot(*(t.vertices - p).T)) <= 1e-15
     # what is left of the circle spans 180 to 380 degrees, plus the corner
-    assert farthest_pair(t)[0] == pytest.approx(2.0, abs=1e-12)
+    assert full_walk.farthest_pair(t)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_halfplane_excess_is_the_support_function():
@@ -498,16 +574,14 @@ def _bits(report):
 
 
 def _per_pair_report(monkeypatch, *args, **kwargs):
-    """``verify_avoidance`` with every distance taken by ``full_walk``, one
-    body pair at a time over all pieces, each body read back from its row
-    of the patch table."""
+    """``verify_avoidance`` with every nearest pair taken by ``full_walk``,
+    one body pair at a time over all pieces, each body read back from its
+    row of the patch table."""
     with monkeypatch.context() as m:
         m.setattr(lattice, "closest_pairs", lambda table, pairs, strips, tops: [
             full_walk.closest_pair(full_walk.body_of_row(table, a),
                                    full_walk.body_of_row(table, b))
             for a, b in pairs])
-        m.setattr(lattice, "farthest_pairs", lambda table, rows: [
-            full_walk.farthest_pair(full_walk.body_of_row(table, r)) for r in rows])
         return verify_avoidance(*args, **kwargs)
 
 
@@ -521,7 +595,6 @@ ORACLE_CASES = [
     ("q36", q36_profile(), 0.05, "series2", 2.0, None),
     ("break-antipode-2.0", *_break_antipode_profile(), "series1", 2.0, None),
     ("break-antipode-2.1", *_break_antipode_profile(), "series1", 2.1, None),
-    # diameters in passes of 4, 4 and 1 rows, and of one row each
     ("uniform96", uniform_zero_profile(96), 0.05, "series2", 2.0, None),
     ("uniform288", uniform_zero_profile(288), 0.05, "series2", 2.0, None),
 ]
@@ -530,8 +603,8 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("name, q, eps, mode, width, fault", ORACLE_CASES,
                          ids=[c[0] for c in ORACLE_CASES])
 def test_batched_report_is_the_per_pair_report(monkeypatch, name, q, eps, mode, width, fault):
-    """Pruning and batching change no value: distances, witnesses and
-    every violation string equal the per-pair walk's to the bit."""
+    """Pruning and batching change no nearest pair: distances, witnesses
+    and every violation string equal the per-pair walk's to the bit."""
     stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
     if fault is not None:
         _fault_at_origin(monkeypatch, fault)
@@ -541,18 +614,16 @@ def test_batched_report_is_the_per_pair_report(monkeypatch, name, q, eps, mode, 
                                                    stripe_width=width))
 
 
-@pytest.mark.parametrize("q, passes", [(Q, 1), (uniform_zero_profile(96), 3),
-                                       (uniform_zero_profile(288), 9)],
+@pytest.mark.parametrize("q", [Q, uniform_zero_profile(96), uniform_zero_profile(288)],
                          ids=["reference", "uniform96", "uniform288"])
-def test_diameter_passes_are_bounded_by_size(monkeypatch, q, passes):
-    """The nine diameters of a 24-arc patch take one candidate pass, those
-    of the uniform 96-interval patch (86 vertices and 84 arc pieces wide)
-    passes of four rows, and those of uniform 288 (246 vertices) one pass
-    a row."""
+def test_diameter_passes_are_bounded_by_size(monkeypatch, q):
+    """One candidate pass per verification, whatever the size of the
+    copies: the nearest pairs of all 16 edges.  The diameters are closed
+    forms and take no candidate pass."""
     stripes = tortoise.tortoise_area(0.05, "series2", q=q).stripes()
     calls = count_calls(monkeypatch, lattice, "_extreme")
     verify_avoidance(q, 0.05, stripes)
-    assert len(calls) == 1 + passes  # one for the nearest pairs of all edges
+    assert len(calls) == 1
 
 
 def _arc_pair(rng) -> full_walk.TrimmedBody:
@@ -565,8 +636,9 @@ def _arc_pair(rng) -> full_walk.TrimmedBody:
     u0 = np.stack([np.cos(lo), np.sin(lo)], axis=-1)
     u1 = np.stack([np.cos(hi), np.sin(hi)], axis=-1)
     ends = np.concatenate([centers + radii[:, None] * u0, centers + radii[:, None] * u1])
-    return full_walk.TrimmedBody(centers, radii, u0, u1, np.zeros((0, 2)), np.zeros((0, 2)),
-                                 ends)
+    none = np.zeros((0, 2))
+    return full_walk.TrimmedBody(centers, radii, u0, u1, np.arange(2), none, none,
+                                 np.zeros(0, dtype=int), ends)
 
 
 def _sampled_diameter(t: full_walk.TrimmedBody) -> float:
@@ -596,28 +668,25 @@ def _sampled_diameter(t: full_walk.TrimmedBody) -> float:
 
 
 def test_only_one_sign_pair_on_the_line_of_centres_can_be_a_maximum():
-    """The line-of-centres lemma of ``farthest_pairs`` on random arc pairs:
-    with the end candidates, P = M_a - r_a*u, Q = M_b + r_b*u alone reach
-    the maximum of all four sign pairs, the one the batched pass and the
-    full walk report, and a dense sample agrees to 1e-12."""
+    """The line-of-centres lemma on random arc pairs: with the end
+    candidates, P = M_a - r_a*u, Q = M_b + r_b*u alone reach the maximum of
+    all four sign pairs, the diameter the full walk reports, and a dense
+    sample agrees to 1e-12.  The full walk's diameter is the oracle of the
+    copy bound of ``verify_avoidance``'s check (c)."""
     rng = np.random.default_rng(24)
     interior = other_signs = 0
     for _ in range(200):
         t = _arc_pair(rng)
         table = full_walk.table_of([t])
-
-        def minus_plus():  # sign index 0 is +1, index 1 is -1
-            P, Q, ok = lattice._arc_arc(table, table)
-            return P[:, 1, 0], Q[:, 1, 0], ok[:, 1, 0]
-
         with np.errstate(divide="ignore", invalid="ignore"):
-            d, (p, _) = lattice._extreme(np.argmax, -math.inf, [
-                lambda: lattice._vertex_pairs(table),
-                lambda: lattice._far_vertex_arc(table),
-                minus_plus,
-            ])[0]
-            ok = lattice._arc_arc(table, table)[2][0]
-        assert d == farthest_pair(t)[0] == full_walk.farthest_pair(t)[0]
+            P, Q, ok = (x[0] for x in lattice._arc_arc(table, table))
+        minus_plus = ok[1, 0]  # sign index 0 is +1, index 1 is -1
+        d, (p, _) = full_walk._extreme(np.argmax, [
+            full_walk._vertex_vertex(t.vertices, t.vertices),
+            full_walk._vertex_arc(t.vertices, t, -1.0),
+            (P[1, 0][minus_plus], Q[1, 0][minus_plus]),
+        ])
+        assert d == full_walk.farthest_pair(t)[0]
         assert abs(d - _sampled_diameter(t)) <= 1e-12
         interior += not any(np.array_equal(p, v) for v in t.vertices)
         other_signs += bool(ok[0, 0].any() or ok[1, 1].any() or ok[0, 1].any())
