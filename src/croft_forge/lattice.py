@@ -53,7 +53,6 @@ import numpy as np
 
 from .body import (
     ArcBody,
-    _arc_sweeps,
     _cross,
     _in_arc,
     _unit,
@@ -196,37 +195,38 @@ def stripe_caps(s: float, delta: float, stripe_width: float = 2.0):
 @lru_cache(maxsize=64)  # bounded for sweeps over many break sets
 def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
     """The arcs under the six caps of a break set, cap j covering the normal
-    angles j*psi +- phi_c: (arcs, dphi, du, u, du_dphi).
+    angles j*psi +- phi_c: (arcs, ends, dphi, du, u, du_dphi).
 
-    Row j of ``arcs`` lists cap j's arcs in boundary order, padded with its
-    last arc, so the two ends lie on arcs[j, 0] and arcs[j, -1]; ``dphi``
-    and ``du`` are the angle and unit chord
-    of each arc's part under the cap (``_arc_sweeps`` on the cap's own
-    breaks), zero on the padding.  ``u`` and ``du_dphi`` are the unit
-    normal and its phi-derivative at the two cap ends, shaped (6, 2, 2).
-    Built once per break set and returned read-only.
+    Row j of ``arcs`` lists cap j's arcs in boundary order and ``ends``
+    (6, 2) the arcs holding its two ends; ``dphi`` and ``du`` are the angle
+    and unit chord of each arc's part under the cap, from max(start, lo) to
+    min(next start, hi).  The rows are zero-padded by ``_padded``, so a
+    padded entry is arc 0 with no part under the cap.  ``u`` and
+    ``du_dphi`` are the unit normal and its phi-derivative at the two cap
+    ends, shaped (6, 2, 2).  Built once per break set and returned
+    read-only.
     """
     phi_c = croft_constants().phi_c
     n = len(breaks) - 1
-    # arc starts over the turn before and this turn: cap 0 starts at -phi_c
-    starts = np.concatenate([np.array(breaks[:-1]) - TWO_PI, breaks[:-1]])
-    caps = []
-    for j in range(6):
-        lo, hi = j * PSI - phi_c, j * PSI + phi_c
-        first = int(np.searchsorted(starts, lo, side="right")) - 1
-        last = int(np.searchsorted(starts, hi, side="left")) - 1
-        cuts = np.concatenate([[lo], starts[first + 1 : last + 1], [hi]])
-        caps.append((np.arange(first, last + 1) % n, *_arc_sweeps(cuts)))
-    width = max(len(arcs) for arcs, _, _ in caps)
-    arcs = np.array([np.pad(a, (0, width - len(a)), mode="edge") for a, _, _ in caps])
-    dphi = np.array([np.pad(d, (0, width - len(d))) for _, d, _ in caps])
-    du = np.array([np.pad(d, ((0, width - len(d)), (0, 0))) for _, _, d in caps])
-    ends = PSI * np.arange(6)[:, None] + np.array([-phi_c, phi_c])
-    u = np.stack([np.cos(ends), np.sin(ends)], axis=-1)
+    # arc starts over the turn before and this turn, then 2*pi: cap 0
+    # starts at -phi_c
+    starts = np.concatenate([np.array(breaks[:-1]) - TWO_PI, breaks])
+    lo = PSI * np.arange(6) - phi_c
+    hi = PSI * np.arange(6) + phi_c
+    first = np.searchsorted(starts, lo, side="right") - 1
+    last = np.searchsorted(starts, hi, side="left") - 1
+    sizes = last - first + 1
+    cap = np.repeat(np.arange(6), sizes)
+    arc = first[cap] + np.arange(len(cap)) - (np.cumsum(sizes) - sizes)[cap]
+    a = np.maximum(starts[arc], lo[cap])
+    b = np.minimum(starts[arc + 1], hi[cap])
+    arcs, dphi, du, _ = _padded(sizes, arc % n, b - a, _unit(b) - _unit(a))
+    ends = np.stack([first, last], axis=1) % n
+    u = _unit(np.stack([lo, hi], axis=1))
     du_dphi = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    out = (arcs, dphi, du, u, du_dphi)
-    for a in out:
-        a.setflags(write=False)
+    out = (arcs, ends, dphi, du, u, du_dphi)
+    for x in out:
+        x.setflags(write=False)
     return out
 
 
@@ -247,12 +247,11 @@ def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts):
     """
     phi_c = croft_constants().phi_c
     cot = 1.0 / math.tan(phi_c)
-    arcs, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(breaks))
+    arcs, ends, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(breaks))
     centers = center_offsets(breaks, q) + shifts  # (n, m, 2)
     qa = q[arcs]  # (6, width, m)
     h1_int = _cross(centers[arcs], du[:, :, None, :]) - qa * dphi[..., None]
     qh = np.swapaxes(qa, 1, 2) @ h1_int  # (6, m, m): int q h1 per cap
-    ends = arcs[:, [0, -1]]  # (6, 2): the arcs holding the cap ends
     m_ends = centers[ends]  # (6, 2, m, 2)
     h = (m_ends @ u[..., None])[..., 0] - q[ends]  # (6, 2, m)
     dh = (m_ends @ du_dphi[..., None])[..., 0]

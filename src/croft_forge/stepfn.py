@@ -97,32 +97,28 @@ def _to_fraction(b) -> Fraction:
 
 
 @lru_cache(maxsize=64)  # bounded for sweeps over many break sets
-def _break_set(fracs: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Checked float breaks and antipode index of one break set.
+def _break_set(fracs: tuple[Fraction, ...]) -> np.ndarray:
+    """Checked float breaks of one break set, read-only.
 
     Enforces the endpoints 0 and 2*pi, strict monotonicity and the pairing
-    of every break with its antipode.  Returns read-only arrays: the breaks
-    in radians and, per interval i, the index of the interval starting at
-    the antipode of its start.
+    of every break with its antipode by position, the rule the package
+    reads antipodes by: n is even and break h + k is break k + 1 (in units
+    of pi) for k < h = n/2, so interval i + h is the antipode of interval i.
     """
     if len(fracs) < 2 or fracs[0] != 0 or fracs[-1] != 2:
         raise StepFunctionError("breaks must start at 0 and end at 2*pi")
     if any(b2 <= b1 for b1, b2 in zip(fracs, fracs[1:])):
         raise StepFunctionError("breaks must be strictly increasing")
-    inner = fracs[:-1]
-    index = {f: i for i, f in enumerate(inner)}
-    antipode = np.empty(len(inner), dtype=int)
-    for i, f in enumerate(inner):
-        j = index.get((f + 1) % 2)
-        if j is None:
-            raise StepFunctionError(f"break {f}*pi has no antipodal break")
-        antipode[i] = j
+    h, odd = divmod(len(fracs) - 1, 2)
+    if odd or any(fracs[h + k] - fracs[k] != 1 for k in range(h)):
+        inner = fracs[:-1]
+        f = next(f for f in inner if (f + 1) % 2 not in inner)
+        raise StepFunctionError(f"break {f}*pi has no antipodal break")
     brk = np.array([float(f) * math.pi for f in fracs])
     brk[0] = 0.0
     brk[-1] = TWO_PI
     brk.setflags(write=False)
-    antipode.setflags(write=False)
-    return brk, antipode
+    return brk
 
 
 def require_finite(vals: np.ndarray) -> None:
@@ -139,28 +135,28 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
     (num, den) tuples, {"num", "den"} dicts, or plain radians (converted
     to the nearest small rational multiple of pi).  The first break must
     be 0 and the last 2*pi.  Validation enforces strict monotonicity, the
-    pairing of every break with its antipode (checked once per break set,
-    ``_break_set``), the value/interval count, finite values (NaN would
+    pairing of break k with its antipode k + n/2 (checked once per break
+    set, ``_break_set``), the value/interval count, finite values (NaN would
     pass every comparison below) and the antisymmetry of the values.  The
     returned breaks are read-only and shared by every profile on the same
     break set.
     """
     fracs = tuple(_to_fraction(b) for b in breaks)
-    brk, antipode = _break_set(fracs)
+    brk = _break_set(fracs)
     vals = np.asarray(list(values), dtype=float)
     if len(vals) != len(fracs) - 1:
         raise StepFunctionError(
             f"{len(fracs) - 1} intervals but {len(vals)} values"
         )
     require_finite(vals)
-    # Value-by-value antisymmetry on paired intervals.
-    bad = np.flatnonzero(np.abs(vals[antipode] + vals) > ANTISYMMETRY_TOL)
+    # Value-by-value antisymmetry on paired intervals i and i + h.
+    h = len(vals) // 2
+    bad = np.flatnonzero(np.abs(vals[h:] + vals[:h]) > ANTISYMMETRY_TOL)
     if len(bad):
         i = int(bad[0])
-        j = int(antipode[i])
         raise StepFunctionError(
             f"antisymmetry violated: value[{i}]={float(vals[i])!r} vs "
-            f"value[{j}]={float(vals[j])!r} on the antipodal interval"
+            f"value[{i + h}]={float(vals[i + h])!r} on the antipodal interval"
         )
     return StepFunction(breaks=brk, values=vals, break_fractions=fracs)
 
