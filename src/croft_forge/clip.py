@@ -114,8 +114,9 @@ def cap_arcs(body: ArcBody, n0: float, n1: float, alpha: float, c: float) -> lis
 
 class Clip(NamedTuple):
     """A clipped area with its gradient (a pair of floats) and Hessian (a
-    symmetric pair of pairs) in two line parameters, both None where a
-    line does not cross its boundary in exactly two points."""
+    symmetric pair of pairs) in two line parameters: zero where a line
+    misses its boundary, None where it crosses it in one point or more
+    than two."""
 
     area: float
     grad: tuple[float, float] | None = None
@@ -124,7 +125,8 @@ class Clip(NamedTuple):
 
 def _chord_derivatives(hits, n, c):
     """(grad, hess) of the clipped area in (c, theta) from the crossings
-    (center, point) of the line n.x = c; (None, None) unless two.
+    (center, point) of the line n.x = c: zero where there are none (a line
+    that misses the boundary moves no area), (None, None) unless two.
 
     theta is the angle of the unit normal, n = (cos theta, sin theta), and
     t = (-sin theta, cos theta) runs along the line.  The line meets the
@@ -135,6 +137,8 @@ def _chord_derivatives(hits, n, c):
     A_cc = -(u_2,c - u_1,c), A_ctheta = -(u_2,theta - u_1,theta) and
     A_thetatheta = u_2*u_2,theta - u_1*u_1,theta.
     """
+    if not hits:
+        return (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))
     if len(hits) != 2:
         return None, None
     t0, t1 = -n[1], n[0]

@@ -216,7 +216,7 @@ def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
     first = np.searchsorted(starts, lo, side="right") - 1
     last = np.searchsorted(starts, hi, side="left") - 1
     sizes = last - first + 1
-    cap = np.repeat(np.arange(6), sizes)
+    cap = np.repeat(np.arange(6), sizes)  # arcs first..last of each cap, in turn
     arc = first[cap] + np.arange(len(cap)) - (np.cumsum(sizes) - sizes)[cap]
     a = np.maximum(starts[arc], lo[cap])
     b = np.minimum(starts[arc + 1], hi[cap])

@@ -22,9 +22,11 @@ records its iterations, its pair-area evaluations (about 3.2 per edge on
 the reference fit) and the final gradient norm as a stationarity
 certificate.  The loop runs on plain floats: the caps, the chain rule and
 the 1 x 1 or 2 x 2 step (``_newton_step``, closed-form eigenvalues and
-solve) touch no NumPy.  A line that misses a body where Newton needs
-derivatives (the start and each accepted step), or no convergence within
-NEWTON_MAX_ITER steps, raises ``ConvergenceError``.
+solve) touch no NumPy.  A line that misses its copy moves no area and
+gives zero derivatives.  A line that crosses its copy once, or more than
+twice, where Newton needs derivatives (the start and each accepted step),
+or no convergence within NEWTON_MAX_ITER steps, raises
+``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def _pair_derivatives(pair: Clip, s: float, delta: float):
     if pair.grad is None:
         raise ConvergenceError(
             f"stripe at s={s}, delta={delta}: the number of points where a line "
-            "crosses its copy is not 2"
+            "crosses its copy is neither 0 nor 2"
         )
     return pair.grad, pair.hess
 

@@ -127,7 +127,8 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> float:
 
 def halfplane_clip_derivatives(body: ArcBody, n, c: float):
     """(grad, hess) in (c, theta) by the closed form of ``croft_forge.clip``
-    from the crossings on all arcs; (None, None) unless there are two."""
+    from the crossings on all arcs: zero where there are none, (None, None)
+    unless there are two."""
     n = (float(n[0]), float(n[1]))
     hits = []
     for i in range(body.n_arcs):

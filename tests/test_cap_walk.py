@@ -86,21 +86,24 @@ def test_clip_area_matches_the_full_walk(seed):
 
 
 def _assert_clip_is_the_full_walk(body, n, c) -> int:
-    """The clip's crossings, and where there are two its derivatives, equal
-    the full walk's, and its area is within AREA_TOL of the full walk's
-    (the walk that gives the derivatives gives the area too, also where
-    the line misses the body or touches it once); returns the number of
+    """The clip's crossings and derivatives equal the full walk's, and its
+    area is within AREA_TOL of the full walk's (the walk that gives the
+    derivatives gives the area too, also where the line misses the body or
+    touches it once).  With two crossings the derivatives are the chord's,
+    with none they are zero, and otherwise None; returns the number of
     crossings."""
     got = boundary_line_crossings(body, n, c)
     assert _key(got) == _key(full_walk.boundary_line_crossings(body, n, c))
     clip_ = halfplane_clip_area(body, n, c)
     assert abs(clip_.area - full_walk.halfplane_clip_area(body, n, c)) <= AREA_TOL
     want_grad, want_hess = full_walk.halfplane_clip_derivatives(body, n, c)
-    if len(got) == 2:
+    if len(got) in (0, 2):
         assert np.array_equal(clip_.grad, want_grad)
         assert np.array_equal(clip_.hess, want_hess)
     else:
         assert clip_.grad is clip_.hess is want_grad is want_hess is None
+    if not got:
+        assert not np.any(clip_.grad) and not np.any(clip_.hess)
     return len(got)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -553,11 +554,14 @@ def test_scan_reports_convergence_error_as_row(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_fit_convergence_error_is_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(tortoise, "_minimize_pair_clip", _no_convergence)
-    code, out, err = run(capsys, "fit", "--mode", "exact1")
-    assert code == 2
-    assert err.startswith("error: no convergence (injected)")
+def test_fit_convergence_error_is_exit_1(capsys, monkeypatch):
+    """A solver that stops on a valid input is not a usage error: exit 1,
+    with the solver's message."""
+    monkeypatch.setattr(tortoise, "NEWTON_MAX_ITER", 1)
+    code, out, err = run(capsys, "fit", "--mode", "exact2")
+    assert code == 1
+    assert err.startswith("error: class 0 at eps=")
+    assert "no convergence in 1 Newton steps" in err
     assert out == ""
 
 
@@ -799,7 +803,32 @@ def test_fit_scan_and_verify_pass_the_shift_through(capsys, tmp_path, monkeypatc
     code, _, _ = run(capsys, "verify", "--checks", "cancellation,series-vs-exact,avoidance",
                      "--q-spec", path)
     assert code == 0
-    assert len(seen) == (8 + 2) + 1 + (1 + 4 + 3 + 3) and all(s == shift for s in seen)
+    assert len(seen) == (8 + 2) + 1 + (1 + 6 + 3 + 3) and all(s == shift for s in seen)
+
+
+def test_series_vs_exact_judges_the_last_halving(capsys, tmp_path, monkeypatch):
+    """Far from the reference shift the gap shrinks by 0.461 from eps 0.1 to
+    0.05, before its cubic term leads, and by 0.170 from 0.05 to 0.025: the
+    check passes on the last ratio and prints both.  A gap linear in eps
+    (ratio 0.5 at every halving) fails it."""
+    path = _qspec_with_shift(tmp_path, (0.3, -0.1))
+    argv = ("verify", "--checks", "series-vs-exact", "--q-spec", path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("PASS series-vs-exact: series2-vs-exact2 area gap 4.069e-05 at "
+                          "eps=0.1, halving ratios 0.461, 0.170\n")
+    area = tortoise.tortoise_area
+
+    def linear_gap(eps, mode="series2", **kw):
+        rec = area(eps, mode, **kw)
+        if mode != "exact2":
+            return rec
+        return dataclasses.replace(rec, tortoise_area=rec.tortoise_area + 1e-3 * eps)
+
+    monkeypatch.setattr(tortoise, "tortoise_area", linear_gap)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("FAIL series-vs-exact:")
 
 
 @pytest.mark.parametrize("shift", ['[0.1]', '[0.1, "0.2"]', '[true, 0]', 'null', '"0, 0"',

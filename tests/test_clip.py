@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from croft_forge.body import body_area, build_body
-from croft_forge.clip import arc_line_crossings, boundary_line_crossings, halfplane_clip_area
+from croft_forge.clip import (
+    Clip,
+    _chord_derivatives,
+    arc_line_crossings,
+    boundary_line_crossings,
+    halfplane_clip_area,
+)
 from croft_forge.lattice import cut_parameters, default_config, edge_copies, stripe_caps
 from croft_forge.segments import minimize_pair_shift_tilt
 from croft_forge.stepfn import reference_step_function, zero_step_function
@@ -129,12 +135,19 @@ def test_arc_crossing_at_its_ends():
     assert arc_line_crossings((0.0, 0.0), 1.0, 0.0, 0.5, (1.0, 0.0), math.cos(0.5)) == []
 
 
-def test_clip_derivatives_need_two_crossings():
-    """A line that misses the body gives its area (none kept) but no derivatives."""
+def test_clip_derivatives_are_zero_off_the_boundary():
+    """A line that misses the body moves no area: beyond the disc none is
+    kept, behind it all of it, and both give zero derivatives.  One
+    crossing, or three, gives none."""
     disc = build_body(zero_step_function(), 0.0)
-    clip = halfplane_clip_area(disc, (1.0, 0.0), 1.5)
-    assert clip.area == 0.0
-    assert clip.grad is None and clip.hess is None
+    zero = ((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
+    for c, area in ((1.5, 0.0), (-1.5, math.pi)):
+        clip = halfplane_clip_area(disc, (1.0, 0.0), c)
+        assert clip.area == pytest.approx(area, abs=1e-14)
+        assert (clip.grad, clip.hess) == zero
+    hit = ((0.0, 0.0), (0.5, 0.5))
+    for hits in ([hit], [hit] * 3):
+        assert _chord_derivatives(hits, (1.0, 0.0), 0.5) == (None, None)
 
 
 @pytest.mark.parametrize("eps", [-0.08, 0.08])
@@ -175,13 +188,15 @@ def test_pair_chain_rule_matches_the_numpy_chain():
             assert np.max(np.abs(np.array(pair.hess) - hess)) <= 1e-14
 
 
-def test_pair_derivatives_raise_when_a_line_misses():
-    """Far out both stripe lines miss their copies: the area is still given
-    (the whole right copy lies on its removed side), and only asking for
-    the derivatives raises."""
+def test_pair_derivatives_are_zero_when_both_lines_miss():
+    """Far out both stripe lines miss their copies: the whole right copy
+    lies on its removed side, and moving the stripe a little removes no
+    more and no less, so the derivatives are zero.  A pair clip without
+    derivatives (a line that crosses its copy once) still raises."""
     left, right = edge_copies(build_body(Q, 0.05), 0, SHIFT)
     pair = pair_clip_area(left, right, 5.0, 0.0)
-    assert pair.grad is None
     assert pair.area == pytest.approx(body_area(right), abs=1e-14)
-    with pytest.raises(ConvergenceError, match="not 2"):
-        _pair_derivatives(pair, 5.0, 0.0)
+    grad, hess = _pair_derivatives(pair, 5.0, 0.0)
+    assert grad == (0.0, 0.0) and hess == ((0.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ConvergenceError, match="neither 0 nor 2"):
+        _pair_derivatives(Clip(pair.area), 5.0, 0.0)

@@ -8,10 +8,16 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 import full_walk
-from break_sets import q36_profile, uniform_zero_profile
+from break_sets import q36_profile, seeded_break_set, uniform_zero_profile
 from call_counts import count_calls
 from croft_forge import ansatz, clip, lattice, reference, tortoise
-from croft_forge.body import boundary_point, build_body, diameter_profile, transform
+from croft_forge.body import (
+    boundary_point,
+    build_body,
+    croft_constants,
+    diameter_profile,
+    transform,
+)
 from croft_forge.clip import boundary_line_crossings, cut_table, trim_bodies
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
@@ -27,7 +33,7 @@ from croft_forge.lattice import (
     site_position,
     verify_avoidance,
 )
-from croft_forge.stepfn import reference_step_function
+from croft_forge.stepfn import TWO_PI, reference_step_function, zero_step_function
 from disc_reference import disc_cuts
 
 Q = reference_step_function()
@@ -165,6 +171,58 @@ def test_cut_parameters_match_placed_geometry():
             assert d_y == pytest.approx(cut.d_y, abs=1e-12)
             checked.add(k)
     assert checked == {0, 1, 2}
+
+
+def _cap_parts(breaks, j):
+    """Cap j's arcs (arc, a, b) by a walk over every arc of three turns: the
+    arcs whose range meets the normal angles j*psi +- phi_c in more than a
+    point, each cut to its part under the cap, in boundary order."""
+    phi_c = croft_constants().phi_c
+    lo, hi = j * PSI - phi_c, j * PSI + phi_c
+    parts = []
+    for turn in (-1, 0, 1):
+        for i in range(len(breaks) - 1):
+            a, b = breaks[i] + turn * TWO_PI, breaks[i + 1] + turn * TWO_PI
+            if a < hi and b > lo:
+                parts.append((i, max(a, lo), min(b, hi)))
+    return parts
+
+
+CAP_TABLE_SETS = {
+    "uniform": [uniform_zero_profile(n) for n in range(12, 289, 12)],
+    "two-q36": [zero_step_function(), q36_profile()],
+    **{f"seeded-{n}": [seeded_break_set(n, s) for s in range(1, 41)] for n in (24, 48, 96)},
+}
+
+
+@pytest.mark.parametrize("name", CAP_TABLE_SETS)
+def test_cap_table_is_the_per_cap_walk(name):
+    """``_cap_sub_arcs`` against a cap-by-cap walk: each row lists the cap's
+    arcs, its two end arcs are ``ends``, its parts' angles and unit chords
+    match, and the padding is arc 0 with no part."""
+    for template in CAP_TABLE_SETS[name]:
+        _assert_cap_table_is_the_walk(template.breaks)
+
+
+def _assert_cap_table_is_the_walk(breaks):
+    arcs, ends, dphi, du, u, du_dphi = lattice._cap_sub_arcs(tuple(breaks))
+    for j in range(6):
+        parts = _cap_parts(breaks, j)
+        size = len(parts)
+        idx = [i for i, _, _ in parts]
+        a = np.array([a for _, a, _ in parts])
+        b = np.array([b for _, _, b in parts])
+        assert list(arcs[j, :size]) == idx
+        assert list(ends[j]) == [idx[0], idx[-1]]
+        assert np.max(np.abs(dphi[j, :size] - (b - a))) <= 1e-15
+        chords = [(math.cos(y) - math.cos(x), math.sin(y) - math.sin(x)) for x, y in zip(a, b)]
+        assert np.max(np.abs(du[j, :size] - np.array(chords))) <= 1e-15
+        assert not np.any(arcs[j, size:]) and not np.any(dphi[j, size:])
+        assert not np.any(du[j, size:])
+        for k, x in enumerate((a[0], b[-1])):
+            assert np.max(np.abs(u[j, k] - (math.cos(x), math.sin(x)))) <= 1e-15
+            assert np.max(np.abs(du_dphi[j, k] - (-math.sin(x), math.cos(x)))) <= 1e-15
+    assert arcs.shape[1] == max(len(_cap_parts(breaks, j)) for j in range(6))
 
 
 def test_shift_contribution_is_rotation_of_shift():

@@ -88,6 +88,28 @@ def test_break_antipode_pairing_enforced():
         )
 
 
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "breaks, name",
+    [
+        ([F(0), F(1, 3), F(1), F(3, 2), F(2)], "1/3"),
+        ([F(0), F(1, 3), F(1), F(2)], "1/3"),
+        ([F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(2)], "2/3"),
+        ([F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(7, 4), F(2)], "7/4"),
+        ([F(0), F(1, 4), F(1), F(5, 4) + F(1, 100), F(2)], "1/4"),
+        ([F(0), F(1, 4), F(1, 2), F(11, 10), F(27, 20), F(8, 5), F(2)], "0"),
+    ],
+    ids=["four", "odd", "odd-five", "odd-seven", "one-moved", "half-shifted"],
+)
+def test_antipode_error_names_the_first_unpaired_break(breaks, name):
+    """Antipodes pair by position (break k with break k + n/2), and a set
+    that fails names the first break, in order, whose antipode is missing."""
+    with pytest.raises(StepFunctionError, match=rf"^break {name}\*pi has no antipodal break$"):
+        make_step_function(breaks, [0.0] * (len(breaks) - 1))
+
+
 def test_value_count_enforced():
     with pytest.raises(StepFunctionError, match="values"):
         make_step_function(SIMPLE_BREAKS, [0.1, -0.1])

@@ -524,6 +524,20 @@ def test_series_modes_read_narrow_caps(mode):
     assert gap[0.05] <= 0.2 * gap[0.1]
 
 
+@pytest.mark.parametrize("eps, area, missed", [(0.45, 3.01582796041145, (0, 1)),
+                                                (-0.25, 3.04821038063543, (2,))])
+def test_exact2_goes_on_where_a_stripe_line_misses_its_copy(eps, area, missed):
+    """Far enough out on q36 the series start's line of some classes misses
+    a copy: a missed copy loses no area wherever the line moves, so its
+    derivatives are zero and Newton goes on.  Those classes remove nothing
+    and the patch check passes on the stripes returned."""
+    q = q36_profile()
+    rec = tortoise_area(eps, "exact2", q=q)
+    assert float(f"{rec.tortoise_area:.15g}") == area
+    assert [e.k for e in rec.per_edge if e.area == 0.0] == list(missed)
+    assert verify_avoidance(q, eps, rec.stripes()).ok
+
+
 def test_closure_is_checked_without_a_body():
     """The closed forms at unit eps build no body, and still refuse a profile
     whose arc chain does not close, as ``build_body`` does."""
