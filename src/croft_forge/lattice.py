@@ -2,16 +2,18 @@
 
 Copies of one body sit on a triangular lattice; each site gets one of
 three colors, and its copy is the body rotated by color * 2*pi/3 and
-moved to the site plus the rotated eps * shift (``place_copy``).  The
+moved to the site plus the rotated eps * shift (``copy_motion``).  The
 lattice constant and the basis are fixed by the cut-disc optimum and
 stated once below; the shift is a plain pair (sx, sy), None for the
-reference shift ``default_config()``; ``place_copy`` places the copies
+reference shift ``default_config()``; ``copy_motion`` places the copies
 with it and the cap reads add it to the arc centres.  Every
 nearest-neighbor edge then joins colors c and c+1 and falls into one of
 three classes by direction, read off its neighbor step by an integer
 rule (``collect_patch_cuts``); the geometry of the stripe cut across an
-edge depends only on its class, and ``edge_copies`` places the two
-copies across the representative edge of each class for the exact clips.
+edge depends only on its class.  ``edge_ends`` names the two copies
+across the representative edge of each class and ``copy_motion`` the
+rigid motion of each: ``place_copy`` moves the body by it, and the exact
+clips move the caps back by its inverse onto the one unplaced body.
 
 The second-order cut model is read off the six caps of the unplaced body
 at eps = 0 (``cap_area_derivatives``) and paired into each class's
@@ -115,9 +117,10 @@ def left_color_of_class(k: int) -> int:
     return (3 - k) % 3
 
 
-def place_copy(body: ArcBody, color: int, position, shift=None) -> ArcBody:
-    """Copy of ``body`` for ``color`` at ``position``: the body rotated by
-    the color angle and translated by position + R(color) * eps * shift.
+def copy_motion(color: int, position, eps: float, shift=None) -> tuple[float, tuple[float, float]]:
+    """The rigid motion x -> R x + t of the copy for ``color`` at
+    ``position``, as the (rotation, translation) pair of ``body.transform``:
+    R rotates by the color angle and t = position + R * eps * shift.
 
     This is the one placement rule and the only reader of ``shift``, the
     per-unit-eps pair (sx, sy); None is the reference ``default_config()``.
@@ -128,9 +131,13 @@ def place_copy(body: ArcBody, color: int, position, shift=None) -> ArcBody:
     if shift is None:
         shift = default_config()
     angle = rotation_of_color(color)
-    eps = body.epsilon
     sx, sy = _rot(angle, (eps * shift[0], eps * shift[1]))
-    return transform(body, angle, (position[0] + sx, position[1] + sy))
+    return angle, (position[0] + sx, position[1] + sy)
+
+
+def place_copy(body: ArcBody, color: int, position, shift=None) -> ArcBody:
+    """Copy of ``body`` for ``color`` at ``position``, moved by ``copy_motion``."""
+    return transform(body, *copy_motion(color, position, body.epsilon, shift))
 
 
 def place_body(body: ArcBody, i: int, j: int, shift=None) -> ArcBody:
@@ -138,18 +145,15 @@ def place_body(body: ArcBody, i: int, j: int, shift=None) -> ArcBody:
     return place_copy(body, color_index(i, j), site_position(i, j), shift)
 
 
-def edge_copies(body: ArcBody, k: int, shift=None) -> tuple[ArcBody, ArcBody]:
-    """The two copies of ``body`` across the representative class-k edge.
-
-    The edge runs along +x from the left copy at the origin to the right
-    copy one lattice constant away; they are the lattice copies across any
-    class-k edge, moved so that the edge starts at the origin along +x.
+def edge_ends(k: int) -> tuple[tuple[int, tuple[float, float]], tuple[int, tuple[float, float]]]:
+    """(color, position) of the two copies across the representative
+    class-k edge: it runs along +x from the left copy at the origin to the
+    right copy one lattice constant away.  They are the lattice copies
+    across any class-k edge, moved so that the edge starts at the origin
+    along +x, where ``stripe_caps`` states the caps.
     """
     c_l = left_color_of_class(k)
-    return (
-        place_copy(body, c_l, (0.0, 0.0), shift),
-        place_copy(body, (c_l + 1) % 3, (LATTICE_CONSTANT, 0.0), shift),
-    )
+    return (c_l, (0.0, 0.0)), ((c_l + 1) % 3, (LATTICE_CONSTANT, 0.0))
 
 
 def _rot(angle: float, v: tuple[float, float]) -> tuple[float, float]:
@@ -295,6 +299,11 @@ def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairC
     violates it (``body.require_closure``).
     """
     require_closure(q)
+    return _closed_cuts(q, shift)
+
+
+def _closed_cuts(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
+    # cut_parameters for a caller that has checked closure (build_body does)
     if shift is None:
         shift = default_config()
     return _profile_cuts(

@@ -9,24 +9,27 @@ series with shift-only or shift+tilt stripe minimization ("series1",
 unit eps: ``body_area_coefficient``, ``lattice.cut_parameters``).  That
 cut data is computed once per (break set, values, shift), keyed by bits
 and bounded at 64 entries, so the records of one fit or scan share it;
-closure is still checked on every call.
+closure is still checked once per record.
 
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and
-second derivatives: one ``clip.halfplane_clip_area`` walk per copy gives
-its area and derivatives, chained through the caps of ``lattice.stripe_caps``.
-Newton starts at the series minimizer of the cap-read cut data
-(``lattice.cut_parameters``), halves any step that raises the
-area, and stops after a full step below NEWTON_STEP_TOL; each ``EdgeCut``
-records its iterations, its pair-area evaluations (about 3.2 per edge on
-the reference fit) and the final gradient norm as a stationarity
-certificate.  The loop runs on plain floats: the caps, the chain rule and
-the 1 x 1 or 2 x 2 step (``_newton_step``, closed-form eigenvalues and
-solve) touch no NumPy.  A line that misses its copy moves no area and
-gives zero derivatives.  A line that crosses its copy once, or more than
-twice, where Newton needs derivatives (the start and each accepted step),
-or no convergence within NEWTON_MAX_ITER steps, raises
-``ConvergenceError``.
+second derivatives.  No copy is placed: each cap of ``lattice.stripe_caps``
+moves into its copy's own frame by the inverse of the copy's
+``lattice.copy_motion`` (``unplaced_caps``), and one
+``clip.halfplane_clip_area`` walk of the one unplaced body per cap gives
+its area and derivatives, chained through the moved cap.  Newton starts
+at the series minimizer of the cap-read cut data (``lattice.cut_parameters``),
+halves any step that raises the area, and stops at the first point it
+has evaluated whose step is below NEWTON_STEP_TOL, without taking that
+step; each ``EdgeCut`` records its steps, its pair-area evaluations
+(about 2.6 per edge on the reference exact2 fit) and that point's
+gradient norm as a stationarity certificate.  The loop runs on plain
+floats: the caps, the chain rule and the 1 x 1 or 2 x 2 step
+(``_newton_step``, closed-form eigenvalues and solve) touch no NumPy.
+A line that misses its copy moves no area and gives zero derivatives.
+A line that crosses its copy once, or more than twice, where Newton
+needs derivatives (the start and each accepted step), or no convergence
+within NEWTON_MAX_ITER steps, raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,14 @@ import numpy as np
 
 from .body import ArcBody, body_area, body_area_gram, build_body, family_radii, require_closure
 from .clip import Clip, halfplane_clip_area
-from .lattice import LATTICE_CONSTANT, cut_parameters, edge_copies, stripe_caps
+from .lattice import (
+    LATTICE_CONSTANT,
+    _closed_cuts,
+    copy_motion,
+    cut_parameters,
+    edge_ends,
+    stripe_caps,
+)
 from .segments import minimize_pair_shift, minimize_pair_shift_tilt, pair_envelope
 from .stepfn import StepFunction, reference_step_function
 
@@ -49,9 +59,9 @@ MODES = SERIES_MODES + ("exact1", "exact2")
 TILT_MODES = ("series2", "exact2")  # the modes that minimize over the tilt too
 
 
-# Exact-mode Newton solver: stop once every step component is below the
-# tolerance; fail past the iteration cap.
-NEWTON_STEP_TOL = 1e-10
+# Exact-mode Newton solver: stop at a point whose step has every component
+# below the tolerance; fail past the iteration cap.
+NEWTON_STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 # Smallest Hessian eigenvalue kept, relative to the largest.
 HESSIAN_FLOOR = 1e-6
@@ -69,7 +79,7 @@ class ConvergenceError(RuntimeError):
 class EdgeCut:
     """Minimized stripe cut of one edge class.
 
-    In the exact modes ``iterations`` counts Newton iterations,
+    In the exact modes ``iterations`` counts the Newton steps taken,
     ``evaluations`` the pair-area evaluations (``pair_clip_area`` calls)
     and ``grad_norm`` is the area gradient norm at (s, delta), the
     stationarity certificate; ``series_gap`` is ``area`` minus the series
@@ -105,19 +115,47 @@ class DensityRecord:
 
 
 # ---------------------------------------------------------------------------
-# Exact pair objective: clip the two placed bodies against the stripe lines
+# Exact pair objective: clip the unplaced body by the caps moved onto it
 
 
-def pair_clip_area(left: ArcBody, right: ArcBody, s: float, delta: float) -> Clip:
-    """Exact area removed from both copies by the stripe at (s, delta), with its
-    gradient and Hessian in (s, delta) chained from each copy's (c, theta) ones.
+def unplaced_caps(s: float, delta: float, motions):
+    """The two caps of ``stripe_caps(s, delta)`` moved into the frames of
+    the copies they cut: cap i by the inverse of ``motions[i]``, the
+    (rotation, translation) of ``lattice.copy_motion``.
 
-    Per copy, with jac = (grad c, grad theta) and c_hess of ``stripe_caps``:
-    grad = jac^T (A_c, A_theta) and hess = jac^T H jac + A_c c_hess, in
-    float arithmetic."""
-    (n_l, c_l, jac_l, hess_l), (n_r, c_r, jac_r, hess_r) = stripe_caps(s, delta)
-    clip_l = halfplane_clip_area(left, n_l, c_l)
-    clip_r = halfplane_clip_area(right, n_r, c_r)
+    A copy x -> R x + t meets {y : n.y >= c} in the image of
+    {x : (R^T n).x >= c - n.t}.  With n' = (-n_1, n_0) = dn/dtheta and
+    theta's gradient unchanged, the offset's gradient takes
+    -(n'.t) grad theta and its Hessian (n.t) grad theta grad theta^T.
+    Each cap keeps the format (n, c, jac, c_hess) of ``stripe_caps``.
+    """
+    out = []
+    for (n, c, ((c_s, c_d), (t_s, t_d)), ((c_ss, c_sd), (_, c_dd))), (angle, (x, y)) in zip(
+            stripe_caps(s, delta), motions):
+        co, si = math.cos(angle), math.sin(angle)
+        n0, n1 = n
+        along, across = n0 * x + n1 * y, n0 * y - n1 * x  # n.t and n'.t
+        h_sd = c_sd + along * t_s * t_d
+        out.append((
+            (co * n0 + si * n1, co * n1 - si * n0), c - along,
+            ((c_s - across * t_s, c_d - across * t_d), (t_s, t_d)),
+            ((c_ss + along * t_s * t_s, h_sd), (h_sd, c_dd + along * t_d * t_d)),
+        ))
+    return out
+
+
+def pair_clip_area(body: ArcBody, motions, s: float, delta: float) -> Clip:
+    """Exact area the stripe at (s, delta) removes from the two copies of
+    ``body`` placed by ``motions``, with its gradient and Hessian in
+    (s, delta) chained from each clip's (c, theta) ones.
+
+    Each copy's clip is the unplaced body's by its cap of
+    ``unplaced_caps``: no copy is placed.  Per copy, with jac = (grad c,
+    grad theta) and c_hess of that cap: grad = jac^T (A_c, A_theta) and
+    hess = jac^T H jac + A_c c_hess, in float arithmetic."""
+    (n_l, c_l, jac_l, hess_l), (n_r, c_r, jac_r, hess_r) = unplaced_caps(s, delta, motions)
+    clip_l = halfplane_clip_area(body, n_l, c_l)
+    clip_r = halfplane_clip_area(body, n_r, c_r)
     area = clip_l.area + clip_r.area
     if clip_l.grad is None or clip_r.grad is None:
         return Clip(area)
@@ -174,53 +212,56 @@ def _newton_step(grad, hess) -> tuple[float, ...]:
 
 
 def _minimize_pair_clip(
-    left: ArcBody, right: ArcBody, k: int, start: tuple[float, float, float], with_tilt: bool
+    body: ArcBody, motions, k: int, start: tuple[float, float, float], with_tilt: bool
 ) -> EdgeCut:
-    """Safeguarded Newton on the exact pair area of the class-``k``
-    ``edge_copies``, from ``start`` = (s, delta, area), the series
+    """Safeguarded Newton on the exact pair area of the class-``k`` copies
+    placed by ``motions``, from ``start`` = (s, delta, area), the series
     minimizer and its series area.
 
     Works on s alone (exact1) or on (s, delta) (exact2), in floats.  A
     step that raises the area beyond rounding is halved until it does not.
-    The loop stops after taking a full Newton step below NEWTON_STEP_TOL in
-    every component and reports the iterations, the pair-area evaluations,
-    the gradient norm at the returned point and its gap to the series area.
+    The loop stops at the first evaluated point whose Newton step is below
+    NEWTON_STEP_TOL in every component, that step untaken, and reports the
+    steps taken, the pair-area evaluations, that point's area, gradient
+    norm and gap to the series area.  The point after the last of
+    NEWTON_MAX_ITER steps is checked too before ``ConvergenceError``.
     """
-    eps = left.epsilon
     s, delta, series_area = start
     dim = 2 if with_tilt else 1
-    pair = pair_clip_area(left, right, s, delta)
+    pair = pair_clip_area(body, motions, s, delta)
     evaluations = 1
-    grad, hess = _pair_derivatives(pair, s, delta)
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
+    iterations = 0
+    while True:
+        grad, hess = _pair_derivatives(pair, s, delta)
         if with_tilt:
             ds, dd = _newton_step(grad, hess)
         else:
             (ds,), dd = _newton_step(grad[:1], hess), 0.0
-        converged = max(abs(ds), abs(dd)) < NEWTON_STEP_TOL
+        if max(abs(ds), abs(dd)) < NEWTON_STEP_TOL:
+            return EdgeCut(
+                k=k, s=s, delta=delta, area=pair.area, iterations=iterations,
+                evaluations=evaluations, grad_norm=math.hypot(*grad[:dim]),
+                series_gap=pair.area - series_area,
+            )
+        if iterations == NEWTON_MAX_ITER:
+            raise ConvergenceError(
+                f"class {k} at eps={body.epsilon}: no convergence in "
+                f"{NEWTON_MAX_ITER} Newton steps"
+            )
+        iterations += 1
         while True:
             trial_s, trial_delta = s + ds, delta + dd
-            trial_pair = pair_clip_area(left, right, trial_s, trial_delta)
+            trial_pair = pair_clip_area(body, motions, trial_s, trial_delta)
             evaluations += 1
             if trial_pair.area <= pair.area + AREA_ROUNDING:
                 break
             ds, dd = 0.5 * ds, 0.5 * dd
             if max(abs(ds), abs(dd)) < NEWTON_STEP_TOL:
                 raise ConvergenceError(
-                    f"class {k} at eps={eps}: no area decrease along the Newton "
-                    f"step from s={s}, delta={delta}"
+                    f"class {k} at eps={body.epsilon}: no area decrease along the "
+                    f"Newton step from s={s}, delta={delta}"
                 )
         s, delta, pair = trial_s, trial_delta, trial_pair
-        grad, hess = _pair_derivatives(pair, s, delta)
-        if converged:
-            return EdgeCut(
-                k=k, s=s, delta=delta, area=pair.area, iterations=iteration,
-                evaluations=evaluations, grad_norm=math.hypot(*grad[:dim]),
-                series_gap=pair.area - series_area,
-            )
-    raise ConvergenceError(
-        f"class {k} at eps={eps}: no convergence in {NEWTON_MAX_ITER} Newton steps"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +282,8 @@ def tortoise_area(
     pre-rotation shift pair of every copy (None: the reference shift).
     Every mode minimizes the second-order pair area on the unit cut data of
     ``cut_parameters`` scaled by eps, and the exact modes start Newton at
-    that minimizer, on the two ``edge_copies`` of each class.  The series
+    that minimizer, on the caps of the two copies across each class's
+    edge (``lattice.edge_ends``) moved onto the one body.  The series
     modes build no body: their area is pi + B eps^2, B of
     ``body_area_coefficient``.
     """
@@ -253,12 +295,14 @@ def tortoise_area(
     if mode in SERIES_MODES:
         family_radii(q, eps)  # closure: cut_parameters below checks it
         a_body = math.pi + _body_area_c2(q) * eps * eps
+        cuts = cut_parameters(q, shift)
     else:
-        body = build_body(q, eps)
+        body = build_body(q, eps)  # checks closure, once per record
         a_body = body_area(body)
+        cuts = _closed_cuts(q, shift)
     with_tilt = mode in TILT_MODES
     per_edge = []
-    for k, cut in enumerate(cut_parameters(q, shift)):
+    for k, cut in enumerate(cuts):
         if with_tilt:
             s, delta, area = minimize_pair_shift_tilt(cut.scaled(eps))
         else:
@@ -266,9 +310,8 @@ def tortoise_area(
         if mode in SERIES_MODES:
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
         else:
-            per_edge.append(
-                _minimize_pair_clip(*edge_copies(body, k, shift), k, (s, delta, area), with_tilt)
-            )
+            motions = [copy_motion(c, p, eps, shift) for c, p in edge_ends(k)]
+            per_edge.append(_minimize_pair_clip(body, motions, k, (s, delta, area), with_tilt))
 
     a_cut = sum(e.area for e in per_edge)
     a_t = a_body - a_cut

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from croft_forge.body import body_area, boundary_point, build_body, croft_constants
-from croft_forge.lattice import LATTICE_CONSTANT, PSI, edge_copies
+from croft_forge.lattice import LATTICE_CONSTANT, PSI, edge_ends, place_copy
 from croft_forge.segments import series_coefficients
 
 
@@ -96,7 +96,8 @@ class DiscCut:
 def disc_cuts(q, eps: float, shift=None) -> list[DiscCut]:
     """Disc-cap geometry of the three edge classes for the body of ``q`` at ``eps``.
 
-    The displacements are read off the two ``edge_copies`` of each class:
+    The displacements are read off the two copies across each class's
+    representative edge (``edge_ends``, placed by ``place_copy``):
     the left copy's cap point at angle 0 measured from (1, 0) and the right
     copy's at angle pi measured from (L - 1, 0), summed in the edge frame,
     where x points along the edge.  The radius perturbations are the
@@ -106,7 +107,7 @@ def disc_cuts(q, eps: float, shift=None) -> list[DiscCut]:
     body = build_body(q, eps)
     cuts = []
     for k in range(3):
-        left, right = edge_copies(body, k, shift)
+        left, right = (place_copy(body, c, p, shift) for c, p in edge_ends(k))
         xl, yl = boundary_point(left, 0.0)
         xr, yr = boundary_point(right, math.pi)
         phi_l, phi_r = 2.0 * k * PSI, (2.0 * k + 1.0) * PSI

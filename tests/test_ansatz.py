@@ -26,8 +26,10 @@ from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PSI,
     cap_area_derivatives,
+    copy_motion,
     default_config,
-    edge_copies,
+    edge_ends,
+    place_copy,
     stripe_caps,
 )
 from croft_forge.segments import series_coefficients
@@ -402,7 +404,7 @@ def _cap_differences(q, shift, h):
         body = build_body(q, eps)
         for k in range(3):
             caps = stripe_caps(0.0, 0.0)
-            copies = edge_copies(body, k, shift)
+            copies = (place_copy(body, c, p, shift) for c, p in edge_ends(k))
             for side, (copy, (n, c, _, _)) in enumerate(zip(copies, caps)):
                 clips[eps, 2 * k + side] = halfplane_clip_area(copy, n, c)
     out = []
@@ -451,8 +453,9 @@ def test_pair_curvature_is_the_unit_disc_clip_hessian():
     """P_xx = diag(2d, 2(l + b)) of the cut-area Gram is ``pair_clip_area``'s
     Hessian in (s, delta) on two unit discs at (0, 0)."""
     sc = series_coefficients()
-    left, right = edge_copies(build_body(zero_step_function(), 0.0), 0, (0.0, 0.0))
-    hess = pair_clip_area(left, right, 0.0, 0.0).hess
+    disc = build_body(zero_step_function(), 0.0)
+    motions = [copy_motion(c, p, 0.0, (0.0, 0.0)) for c, p in edge_ends(0)]
+    hess = pair_clip_area(disc, motions, 0.0, 0.0).hess
     want = np.diag([2.0 * sc.d, 2.0 * (sc.l + sc.b)])
     assert np.allclose(hess, want, rtol=0, atol=1e-12)
 

@@ -384,17 +384,18 @@ def test_exact2_record_walks_each_cap_once(monkeypatch):
     monkeypatch.setattr(tortoise, "pair_clip_area",
                         _counted(tortoise.pair_clip_area, counts, "points"))
     tortoise.tortoise_area(0.08, "exact2")
-    assert counts["points"] == 11
+    assert counts["points"] == 9
     assert counts["walks"] == 2 * counts["points"]
 
 
 @pytest.mark.parametrize("mode", ["exact1", "exact2"])
 @pytest.mark.parametrize("eps", [1.0, -1.0])
 def test_exact_records_past_a_corner_match_the_full_walk(monkeypatch, mode, eps):
-    """At eps = +-1 one arc of the reference body has radius 0, and 4-5 of
-    the 24-28 Newton clips of an exact record walk past that corner.  Each
-    edge's area is the full walk's pair area at its (s, delta), and the
-    stripes keep the copies of a patch 2 apart."""
+    """At eps = +-1 one arc of the reference body has radius 0, and 3-4 of
+    the 22-24 Newton clips of an exact record walk past that corner.  Each
+    edge's area is the full walk's pair area at its (s, delta) on the
+    ``place_copy`` copies at ``edge_ends``, and the stripes keep the
+    copies of a patch 2 apart."""
     body = build_body(REF, eps)
     assert np.count_nonzero(body.radii == 0.0) == 1
     walk = clip.cap_arcs
@@ -408,9 +409,10 @@ def test_exact_records_past_a_corner_match_the_full_walk(monkeypatch, mode, eps)
     monkeypatch.setattr(clip, "cap_arcs", cap_arcs)
     record = tortoise.tortoise_area(eps, mode)
     assert any(past)
+    copies = [[place_copy(body, c, p, SHIFT) for c, p in lattice.edge_ends(k)] for k in range(3)]
     for e in record.per_edge:
         caps = lattice.stripe_caps(e.s, e.delta)
         want = sum(full_walk.halfplane_clip_area(b, n, c)
-                   for b, (n, c, _, _) in zip(lattice.edge_copies(body, e.k), caps))
+                   for b, (n, c, _, _) in zip(copies[e.k], caps))
         assert abs(e.area - want) <= AREA_TOL
     assert lattice.verify_avoidance(REF, eps, record.stripes()).ok

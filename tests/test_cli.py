@@ -147,10 +147,11 @@ def test_fit_csv_cells_are_the_json_values(capsys):
 
 
 def test_fit_reads_each_series_coefficient_once(capsys, monkeypatch):
-    """An exact2 fit reads the cut data once per grid eps and once per
-    series mode (8 + 2), computes it once, and the body-area c2 once."""
+    """An exact2 fit reads the cut data (``lattice._closed_cuts``) once per
+    grid eps and once per series mode (8 + 2), computes it once, and the
+    body-area c2 once."""
     lattice._profile_cuts.cache_clear()
-    cuts = count_calls(monkeypatch, lattice, "cut_parameters")
+    cuts = count_calls(monkeypatch, lattice, "_closed_cuts")
     reads = count_calls(monkeypatch, lattice, "class_cuts")
     grams = count_calls(monkeypatch, body_module, "body_area_gram")
     code, _, _ = run(capsys, "fit", "--mode", "exact2")
@@ -791,9 +792,12 @@ def test_fit_scan_and_verify_pass_the_shift_through(capsys, tmp_path, monkeypatc
     net = tortoise.series_net_coefficient(q, "series2", shift)
     area = tortoise.tortoise_area(0.05, "series2", q=q, shift=shift).tortoise_area
     seen = []
-    cuts, check = tortoise.cut_parameters, lattice.verify_avoidance
+    cuts, closed, check = tortoise.cut_parameters, tortoise._closed_cuts, lattice.verify_avoidance
     monkeypatch.setattr(tortoise, "cut_parameters",
                         lambda q, shift=None: seen.append(shift) or cuts(q, shift))
+    # an exact record reads the cut data after build_body's closure check
+    monkeypatch.setattr(tortoise, "_closed_cuts",
+                        lambda q, shift=None: seen.append(shift) or closed(q, shift))
     monkeypatch.setattr(croft_forge.cli, "verify_avoidance",
                         lambda *a, **kw: seen.append(kw["shift"]) or check(*a, **kw))
     code, out, _ = run(capsys, "fit", "--mode", "series2", "--q-spec", path, "--format", "json")

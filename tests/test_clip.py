@@ -13,7 +13,14 @@ from croft_forge.clip import (
     boundary_line_crossings,
     halfplane_clip_area,
 )
-from croft_forge.lattice import cut_parameters, default_config, edge_copies, stripe_caps
+from croft_forge.lattice import (
+    copy_motion,
+    cut_parameters,
+    default_config,
+    edge_ends,
+    place_copy,
+    stripe_caps,
+)
 from croft_forge.segments import minimize_pair_shift_tilt
 from croft_forge.stepfn import reference_step_function, zero_step_function
 from croft_forge.tortoise import (
@@ -22,6 +29,7 @@ from croft_forge.tortoise import (
     _pair_derivatives,
     pair_clip_area,
     tortoise_area,
+    unplaced_caps,
 )
 
 Q = reference_step_function()
@@ -66,7 +74,7 @@ def fd_hessian(f, x, h):
 def stripe_clips(eps, k):
     """The two (body, c, theta) clips of class k's stripe at its series seed."""
     body = build_body(Q, eps)
-    left, right = edge_copies(body, k, SHIFT)
+    left, right = (place_copy(body, c, p, SHIFT) for c, p in edge_ends(k))
     s, delta, _ = minimize_pair_shift_tilt(cut_parameters(Q, SHIFT)[k].scaled(eps))
     return [(body, c, math.atan2(n[1], n[0]))
             for body, (n, c, _, _) in zip((left, right), stripe_caps(s, delta))]
@@ -156,13 +164,13 @@ def test_pair_derivatives_match_finite_differences(eps, k):
     """The chain rule through the ``stripe_caps`` derivatives against
     differences of pair_clip_area."""
     body = build_body(Q, eps)
-    left, right = edge_copies(body, k, SHIFT)
+    motions = [copy_motion(c, p, eps, SHIFT) for c, p in edge_ends(k)]
     s, delta, _ = minimize_pair_shift_tilt(cut_parameters(Q, SHIFT)[k].scaled(eps))
     s, delta = s + 3e-3, delta - 5e-3  # off the minimum, where the gradient is not 0
-    grad, hess = _pair_derivatives(pair_clip_area(left, right, s, delta), s, delta)
+    grad, hess = _pair_derivatives(pair_clip_area(body, motions, s, delta), s, delta)
 
     def f(s_, d_):
-        return pair_clip_area(left, right, s_, d_).area
+        return pair_clip_area(body, motions, s_, d_).area
 
     assert np.max(np.abs(grad)) > 1e-3
     assert np.max(np.abs(grad - fd_gradient(f, (s, delta), H_GRAD))) <= 1e-8
@@ -171,21 +179,29 @@ def test_pair_derivatives_match_finite_differences(eps, k):
 
 def test_pair_chain_rule_matches_the_numpy_chain():
     """``pair_clip_area``'s float chain rule against jac^T H jac + A_c c_hess
-    in NumPy, both copies summed, on the reference fit's exact2 edges."""
+    in NumPy, both copies summed, on the reference fit's exact2 edges: on
+    the unplaced body through the caps of ``unplaced_caps``, and, to
+    rounding of the larger Hessian entries, on the placed copies through
+    the caps of ``stripe_caps``."""
     for eps in DEFAULT_FIT_EPS:
         rec = tortoise_area(eps, "exact2")
         body = build_body(Q, eps)
         for e in rec.per_edge:
-            left, right = edge_copies(body, e.k, SHIFT)
-            grad, hess = np.zeros(2), np.zeros((2, 2))
-            for copy, (n, c, jac, c_hess) in zip((left, right), stripe_caps(e.s, e.delta)):
-                clip = halfplane_clip_area(copy, n, c)
-                jac, clip_hess = np.array(jac), np.array(clip.hess)
-                grad += jac.T @ np.array(clip.grad)
-                hess += jac.T @ clip_hess @ jac + clip.grad[0] * np.array(c_hess)
-            pair = pair_clip_area(left, right, e.s, e.delta)
-            assert np.max(np.abs(np.array(pair.grad) - grad)) <= 1e-14
-            assert np.max(np.abs(np.array(pair.hess) - hess)) <= 1e-14
+            ends = edge_ends(e.k)
+            motions = [copy_motion(c, p, eps, SHIFT) for c, p in ends]
+            pair = pair_clip_area(body, motions, e.s, e.delta)
+            placed = [place_copy(body, c, p, SHIFT) for c, p in ends]
+            for copies, caps, tol in (
+                    ((body, body), unplaced_caps(e.s, e.delta, motions), 1e-14),
+                    (placed, stripe_caps(e.s, e.delta), 1e-14 * max(1.0, *map(abs, pair.hess[0])))):
+                grad, hess = np.zeros(2), np.zeros((2, 2))
+                for copy, (n, c, jac, c_hess) in zip(copies, caps):
+                    clip = halfplane_clip_area(copy, n, c)
+                    jac, clip_hess = np.array(jac), np.array(clip.hess)
+                    grad += jac.T @ np.array(clip.grad)
+                    hess += jac.T @ clip_hess @ jac + clip.grad[0] * np.array(c_hess)
+                assert np.max(np.abs(np.array(pair.grad) - grad)) <= 1e-14
+                assert np.max(np.abs(np.array(pair.hess) - hess)) <= tol
 
 
 def test_pair_derivatives_are_zero_when_both_lines_miss():
@@ -193,9 +209,10 @@ def test_pair_derivatives_are_zero_when_both_lines_miss():
     lies on its removed side, and moving the stripe a little removes no
     more and no less, so the derivatives are zero.  A pair clip without
     derivatives (a line that crosses its copy once) still raises."""
-    left, right = edge_copies(build_body(Q, 0.05), 0, SHIFT)
-    pair = pair_clip_area(left, right, 5.0, 0.0)
-    assert pair.area == pytest.approx(body_area(right), abs=1e-14)
+    body = build_body(Q, 0.05)
+    pair = pair_clip_area(body, [copy_motion(c, p, 0.05, SHIFT) for c, p in edge_ends(0)],
+                          5.0, 0.0)
+    assert pair.area == pytest.approx(body_area(body), abs=1e-14)
     grad, hess = _pair_derivatives(pair, 5.0, 0.0)
     assert grad == (0.0, 0.0) and hess == ((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(ConvergenceError, match="neither 0 nor 2"):

@@ -27,9 +27,11 @@ from croft_forge.lattice import (
     PSI,
     class_cuts,
     cut_parameters,
+    copy_motion,
     default_config,
-    edge_copies,
+    edge_ends,
     place_body,
+    place_copy,
     site_position,
     stripe_caps,
     verify_avoidance,
@@ -49,6 +51,7 @@ from croft_forge.tortoise import (
     series_cut_coefficients,
     series_net_coefficient,
     tortoise_area,
+    unplaced_caps,
     write_scan_csv,
     write_scan_json,
 )
@@ -94,8 +97,8 @@ def test_clip_area_against_segment_formula():
 
 def test_pair_clip_area_symmetric_discs():
     disc = build_body(zero_step_function(), 0.0)
-    right = transform(disc, 0.0, (CROFT.lattice_constant, 0.0))
-    a = pair_clip_area(disc, right, 0.0, 0.0).area
+    motions = [(0.0, (0.0, 0.0)), (0.0, (CROFT.lattice_constant, 0.0))]
+    a = pair_clip_area(disc, motions, 0.0, 0.0).area
     assert a == pytest.approx(2 * CROFT.a_c, abs=1e-12)
 
 
@@ -307,10 +310,11 @@ def test_cut_cache_keys_are_bit_patterns(monkeypatch):
 
 
 def test_exact2_fit_and_scan_read_the_cut_data_once_per_profile_and_shift(monkeypatch):
-    """Each exact2 record calls ``cut_parameters``, which checks closure at
-    unit eps every time, but ``class_cuts`` runs once per (profile, shift)."""
+    """Each exact2 record reads the cut data (``lattice._closed_cuts``, the
+    read ``cut_parameters`` makes after its closure check), but
+    ``class_cuts`` runs once per (profile, shift)."""
     lattice._profile_cuts.cache_clear()
-    cuts = count_calls(monkeypatch, lattice, "cut_parameters")
+    cuts = count_calls(monkeypatch, lattice, "_closed_cuts")
     reads = count_calls(monkeypatch, lattice, "class_cuts")
     closures = count_calls(monkeypatch, body_module, "require_closure")
     for run, n_reads in (
@@ -322,10 +326,9 @@ def test_exact2_fit_and_scan_read_the_cut_data_once_per_profile_and_shift(monkey
         closures.clear()
         run()
         assert (len(cuts), len(reads)) == (len(DEFAULT_FIT_EPS), n_reads)
-        # build_body and cut_parameters check closure at unit eps, once
-        # each per record
+        # build_body checks closure at unit eps, once per record
         assert all(len(args) == 1 for args in closures)
-        assert len(closures) == 2 * len(cuts)
+        assert len(closures) == len(cuts)
 
 
 def test_open_profile_is_refused_on_every_cut_read():
@@ -416,10 +419,11 @@ def test_shift_matters():
 def test_edge_pair_bodies_are_the_patch_copies():
     """The exact-mode cuts and ``verify_avoidance`` see the same copies and
     the same caps: across every edge of a 3x3 patch, the two ``place_body``
-    copies moved so that the edge starts at the origin along +x are
-    ``edge_copies``, their two patch cuts moved the same way are
-    ``stripe_caps``, and each copy loses to its cut that side's term of
-    ``pair_clip_area``."""
+    copies moved so that the edge starts at the origin along +x are the
+    ``place_copy`` copies at ``edge_ends``, and their two patch cuts moved
+    the same way are ``stripe_caps``.  Each copy loses to its cut what the
+    unplaced body loses to its cap of ``unplaced_caps``, moved back by the
+    copy's ``copy_motion``: that side's term of ``pair_clip_area``."""
     eps = 0.07
     shift = default_config()
     rng = np.random.default_rng(5)
@@ -436,9 +440,12 @@ def test_edge_pair_bodies_are_the_patch_copies():
         beta = math.atan2(d[1], d[0])
         back = np.array([[math.cos(beta), math.sin(beta)],
                          [-math.sin(beta), math.cos(beta)]])  # rotation by -beta
-        expected = edge_copies(built, k, shift)
+        ends = edge_ends(k)
+        expected = [place_copy(built, color, position, shift) for color, position in ends]
+        motions = [copy_motion(color, position, eps, shift) for color, position in ends]
         caps = stripe_caps(*stripes[k], 2.0)
-        for site, body, (n, c, _, _) in zip((a, b), expected, caps):
+        moved_caps = unplaced_caps(*stripes[k], motions)
+        for site, body, (n, c, _, _), (n_b, c_b, _, _) in zip((a, b), expected, caps, moved_caps):
             placed = place_body(built, *site, shift)
             moved = transform(transform(placed, 0.0, -pos_a), -beta)
             assert np.max(np.abs(boundary_point(moved, phi) - boundary_point(body, phi))) <= 1e-12
@@ -447,7 +454,8 @@ def test_edge_pair_bodies_are_the_patch_copies():
             assert abs(c_patch - n_patch @ pos_a - c) <= 1e-14
             lost = halfplane_clip_area(placed, n_patch, c_patch).area
             assert abs(lost - halfplane_clip_area(body, n, c).area) <= 1e-14
-        pair = pair_clip_area(*expected, *stripes[k]).area
+            assert abs(lost - halfplane_clip_area(built, n_b, c_b).area) <= 1e-14
+        pair = pair_clip_area(built, motions, *stripes[k]).area
         assert pair > 0.0
         assert abs(pair - sum(halfplane_clip_area(body, n, c).area
                               for body, (n, c, _, _) in zip(expected, caps))) <= 1e-14
@@ -495,11 +503,12 @@ def test_series_modes_check_eps_as_build_body_does(mode):
 
 @pytest.mark.parametrize("mode", ["exact1", "exact2"])
 def test_each_edge_pair_is_placed_once(monkeypatch, mode):
-    """An exact evaluation places the two copies of each of the three edge
-    classes once, for the Newton clips; the start point reads no copy."""
+    """An exact evaluation places no copy: the Newton clips cut the one
+    unplaced body by the caps moved onto it (``unplaced_caps``), and the
+    start point reads no copy either."""
     calls = count_calls(monkeypatch, body_module, "transform")
     tortoise_area(0.05, mode)
-    assert len(calls) == 6
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("mode", ["series1", "series2"])
@@ -596,6 +605,24 @@ def test_closure_is_checked_once_per_series_evaluation(monkeypatch):
             assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", ["exact1", "exact2"])
+def test_closure_is_checked_once_per_exact_record(monkeypatch, mode):
+    """An exact ``tortoise_area`` computes the closure residual once, in
+    ``build_body``, and starts Newton from the cut data of
+    ``cut_parameters`` read without a second check: each edge's series gap
+    is to the series record's pair area.  On the reference, q36 and the
+    reference with another shift."""
+    calls = count_calls(monkeypatch, body_module, "chain_closure_residual")
+    series = "series2" if mode == "exact2" else "series1"
+    for q, shift in ((Q, None), (q36_profile(), None), (Q, (0.1, -0.2))):
+        calls.clear()
+        rec = tortoise_area(0.05, mode, q=q, shift=shift)
+        assert len(calls) == 1
+        start = tortoise_area(0.05, series, q=q, shift=shift)
+        for e, s in zip(rec.per_edge, start.per_edge):
+            assert e.series_gap == e.area - s.area
+
+
 def test_write_scan_csv_prints_floats_as_the_cli_does(tmp_path, capsys):
     """One CSV format: ``write_scan_csv`` writes 15 significant digits, the
     bytes ``croft-forge scan`` prints for the same eps."""
@@ -634,25 +661,46 @@ def test_exact2_fit_edges_are_certified():
             assert 1 <= e.iterations <= 6
 
 
-# Newton iterations per edge on the reference fit grid, eps by eps and
-# class by class; no step is halved there, so each edge evaluates the
-# pair area once more than it iterates.
+# Newton steps per edge on the reference fit grid, eps by eps and class
+# by class; no step is halved there, so each edge evaluates the pair area
+# once more than it steps: at the start and after each step, the last
+# point the one whose own step is below NEWTON_STEP_TOL.
 REFERENCE_ITERATIONS = {
-    "exact1": [2] * 24,
-    "exact2": [2, 3, 3, 2, 2, 3] + [2] * 16 + [3, 3],
+    "exact1": [1, 2, 2] + [1] * 19 + [2, 2],
+    "exact2": [2, 2, 2, 1, 2, 2, 1, 2, 2] + [1] * 7 + [2, 2, 1] + [2] * 5,
 }
 
 
 @pytest.mark.parametrize("mode", ["exact1", "exact2"])
 def test_reference_fit_work_is_pinned(monkeypatch, mode):
     """Iterations and pair-area evaluations per edge of the reference fit
-    grid, exactly: exact2 evaluates 77 pair areas over its 24 edges (3.21
-    per edge), each one ``pair_clip_area`` call."""
+    grid, exactly: exact2 evaluates 62 pair areas over its 24 edges (2.58
+    per edge) and exact1 52, each one ``pair_clip_area`` call."""
     calls = count_calls(monkeypatch, tortoise, "pair_clip_area")
     edges = [e for rec in scan(DEFAULT_FIT_EPS, mode) for e in rec.per_edge]
     assert [e.iterations for e in edges] == REFERENCE_ITERATIONS[mode]
     assert [e.evaluations for e in edges] == [i + 1 for i in REFERENCE_ITERATIONS[mode]]
-    assert sum(e.evaluations for e in edges) == len(calls) == {"exact1": 72, "exact2": 77}[mode]
+    assert sum(e.evaluations for e in edges) == len(calls) == {"exact1": 52, "exact2": 62}[mode]
+
+
+@pytest.mark.parametrize("mode", ["exact1", "exact2"])
+def test_each_exact_edge_is_an_evaluated_point(mode):
+    """Newton stops at a point it has evaluated and reports that
+    evaluation: ``pair_clip_area`` re-run at each edge's (s, delta) gives
+    its area and grad_norm bit for bit, on the reference, q36 and a seeded
+    uniform-96 profile, from eps -0.5 to 0.45."""
+    u96 = uniform_zero_profile(96)
+    v = ansatz.closure_project(np.random.default_rng(96).standard_normal(48), u96)
+    u96 = ansatz.step_from_halfvalues(v / np.max(np.abs(v)), u96)
+    dim = 2 if mode == "exact2" else 1
+    for q in (Q, q36_profile(), u96):
+        for eps in (-0.5, -0.05, 0.02, 0.1, 0.45):
+            body = build_body(q, eps)
+            for e in tortoise_area(eps, mode, q=q).per_edge:
+                motions = [copy_motion(c, p, eps) for c, p in edge_ends(e.k)]
+                pair = pair_clip_area(body, motions, e.s, e.delta)
+                assert pair.area == e.area
+                assert math.hypot(*pair.grad[:dim]) == e.grad_norm
 
 
 def test_series_edges_carry_no_certificate():
@@ -744,14 +792,14 @@ def test_newton_matches_nelder_mead_reference(seed):
     for mode in ("exact1", "exact2"):
         rec = tortoise_area(eps, mode, q=q)
         for e in rec.per_edge:
-            left, right = edge_copies(body, e.k, shift)
+            motions = [copy_motion(c, p, eps, shift) for c, p in edge_ends(e.k)]
             s0, delta0, _ = minimize_pair_shift_tilt(cut_parameters(q, shift)[e.k].scaled(eps))
             if mode == "exact1":
                 x0 = [s0]
-                f = lambda x: pair_clip_area(left, right, x[0], 0.0).area
+                f = lambda x: pair_clip_area(body, motions, x[0], 0.0).area
             else:
                 x0 = [s0, delta0]
-                f = lambda x: pair_clip_area(left, right, x[0], x[1]).area
+                f = lambda x: pair_clip_area(body, motions, x[0], x[1]).area
             # a simplex of side 1e-3, far wider than the series-to-exact gap
             simplex = np.vstack([x0, np.add(x0, 1e-3 * np.eye(len(x0)))])
             ref = minimize(f, x0=x0, method="Nelder-Mead", options={
