@@ -377,7 +377,10 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     q, shift = _load_profile(args)
-    eps = _eps_list(args, default=(0.0,))[0]
+    eps_values = _eps_list(args, default=(0.0,))
+    if len(eps_values) != 1:
+        _usage_error(f"render draws one eps, got {len(eps_values)}")
+    (eps,) = eps_values
     if args.target == "body":
         svg = svgout.render_body_svg(build_body(q, eps))
     else:

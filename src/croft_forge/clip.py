@@ -23,8 +23,7 @@ bodies as arc pieces, chords and vertices, in one padded table with a
 row per body (``TrimTable``): the table the exact checks of the patch in
 ``lattice`` read.  It walks each cut's cap as above, then splits the arcs
 of every body with one sort, clips every chord with one array pass, lists
-each body's vertices once with one more sort and pads each group into
-its rows.
+every piece end as a vertex and pads each group into its rows.
 """
 
 from __future__ import annotations
@@ -247,9 +246,10 @@ ANGLE_TOL = 1e-12  # narrowest arc piece kept as an arc
 # to u1[r, i] on its body's arc arc[r, i]; it spans at most pi, because
 # every break of a profile has its antipode, so pi is a break.  Chord j
 # runs from chord_a[r, j] to chord_b[r, j] on the line of cut cut[r, j].
-# ``vertices`` holds every piece endpoint once: each bit pattern once (so
-# -0.0 and 0.0 differ), the first copy in the order arc starts, arc ends,
-# chord starts, chord ends.
+# ``vertices`` holds every piece end in the order arc starts, arc ends,
+# chord starts, chord ends, repeats included (two pieces of one arc share
+# an end); every reader takes a max, a min or a first arg-extreme over
+# them, which a repeat after its first copy leaves as it is.
 TrimTable = namedtuple("TrimTable", "centers radii u0 u1 arc arc_ok chord_a chord_b cut chord_ok "
                                     "vertices vertex_ok")
 _GROUPS = (("centers", "radii", "u0", "u1", "arc"), ("chord_a", "chord_b", "cut"), ("vertices",))
@@ -298,10 +298,8 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
 
     Every dot product is a matrix product of one body's rows with its own
     cut normals, padded to common counts, so each body's row is bit for
-    bit the one it gets trimmed alone.  A piece ends where the next on its
-    arc starts, so of the 52-60 piece ends of a reference copy at width 2
-    only 31-47 differ; one stable sort of every body's ends by (body, bit
-    pattern) keeps the first copy of each.
+    bit the one it gets trimmed alone.  Every piece end is a vertex, the
+    shared end of two pieces of one arc twice.
     """
     count = len(bodies)
     normals, offsets, cut_ok = cut_table(cuts_per_body)
@@ -382,21 +380,15 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     # then admit -u0 too.  Its points lie within ANGLE_TOL * r of its
     # endpoints, which stay vertices.
     wide = hi - lo > ANGLE_TOL
-    # every piece end of every body; within a body this order is its
-    # starts, ends, chord starts, chord ends, and a stable sort by (body,
-    # bit pattern) puts each first copy ahead of its repeats
-    vertices = np.concatenate([start, stop, chord_a, chord_b])
+    # every piece end of every body, a stable sort by body keeping within
+    # each its starts, ends, chord starts, chord ends
     vertex_body = np.concatenate([piece_body, piece_body, chord_body, chord_body])
-    key = np.column_stack([vertex_body, vertices.view(np.int64)])
-    order = np.lexsort(key.T[::-1])
-    repeat = np.zeros(len(key), dtype=bool)
-    repeat[order[1:]] = np.all(key[order[1:]] == key[order[:-1]], axis=1)
-    once = np.flatnonzero(~repeat)
-    once = once[np.argsort(vertex_body[once], kind="stable")]
+    order = np.argsort(vertex_body, kind="stable")
+    vertices = np.concatenate([start, stop, chord_a, chord_b])[order]
     # every group is sorted by body, so each pads into its rows as it is
     own = (idx - np.array(first)[piece_body])[wide]  # each piece's arc in its own body
     groups = ((piece_body[wide], centers[wide], radii[wide], u0[wide], u1[wide], own),
-              (chord_body, chord_a, chord_b, j), (vertex_body[once], vertices[once]))
+              (chord_body, chord_a, chord_b, j), (vertex_body[order], vertices))
     table = TrimTable(*(x for rows, *flat in groups
                         for x in _padded(np.bincount(rows, minlength=count), *flat)))
     return table, normals, offsets, cut_ok

@@ -37,12 +37,13 @@ candidate list is complete: a nearest pair either has an endpoint of a
 piece (a vertex) as one point, or is an interior critical pair of two
 pieces, on the line of centres of two arcs or at the arc point whose
 normal is a chord's normal.  A stripe of width w > 0 puts the two bodies
-of an edge in disjoint half-planes, and its strip bounds every pair from
-below: ``closest_pairs`` drops the pieces too far from it to hold the
-nearest pair (``_strip_prune``) and keeps the order of the rest, so every
-value and witness is that of the full list.  No diameter is searched
-for: each trimmed copy lies on its rigid copy (``_off_copy``), whose
-diameter is a closed form (``_copy_diameters``).
+of an edge in disjoint half-planes, n.x <= c_a under a's cut (n, c_a)
+and n.x >= c_b under b's cut (-n, -c_b), and the strip read off these two
+cuts bounds every pair from below: ``closest_pairs`` drops the pieces too
+far from it to hold the nearest pair (``_strip_prune``) and keeps the
+order of the rest, so every value and witness is that of the full list.
+No diameter is searched for: each trimmed copy lies on its rigid copy
+(``_off_copy``), whose diameter is a closed form (``_copy_diameters``).
 """
 
 from __future__ import annotations
@@ -339,12 +340,12 @@ def collect_patch_cuts(
     {x : n.x >= c} of the site's copy as (n, c) pairs, the caps of
     ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
     by m*pi/3 for neighbor step m, then a shift to the edge's origin);
-    ``edges`` lists (site_a, site_b, class, strip, slots) with the edge
-    oriented from color c to color c+1, each edge once.  The strip
-    (n, c_a, c_b) holds the two caps the edge places: copy a lies in
-    n.x <= c_a, its cut is (n, c_a), and copy b in n.x >= c_b, its cut
-    (-n, -c_b).  ``slots`` (i_a, i_b) names them: they are cuts[site_a][i_a]
-    and cuts[site_b][i_b].
+    ``edges`` lists (site_a, site_b, class, slots) with the edge oriented
+    from color c to color c+1, each edge once.  ``slots`` (i_a, i_b) names
+    the two caps the edge places, cuts[site_a][i_a] and cuts[site_b][i_b]:
+    copy a keeps n.x <= c_a under its cut (n, c_a), and copy b keeps
+    n.x >= c_b under its cut (-n, -c_b), so the two cuts state the strip
+    between them.
 
     The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
     back), and the edge of step m has class k = (m/2 - c) mod 3: its
@@ -368,10 +369,7 @@ def collect_patch_cuts(
             for site, (n, c, _, _) in zip(((i, j), other), caps[k]):
                 n = np.array(_rot(beta, n))
                 cuts[site].append((n, c + float(n @ origin)))
-            # the strip: a keeps n.x <= c_a, and b, cut by (-n, c), n.x >= -c
-            (n, c_a), (_, c) = cuts[(i, j)][-1], cuts[other][-1]
-            slots = (len(cuts[(i, j)]) - 1, len(cuts[other]) - 1)
-            edges.append(((i, j), other, k, (n, c_a, -c), slots))
+            edges.append(((i, j), other, k, (len(cuts[(i, j)]) - 1, len(cuts[other]) - 1)))
     return cuts, edges
 
 
@@ -544,33 +542,32 @@ def _extreme(blocks) -> list[tuple[float, Witness]]:
     return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(d.argmin(axis=1))]
 
 
-def _strip_prune(p: TrimTable, strips, tops) -> TrimTable:
+def _strip_prune(p: TrimTable, n, c, top) -> TrimTable:
     """Drop from the first bodies (rows 0..e-1) and the second bodies (rows
     e..2e-1) of e pairs every piece that cannot hold the nearest pair.
 
-    A strip (n, c_a, c_b), n a unit normal, puts body a in n.x <= c_a and
-    body b in n.x >= c_b, so every pair has |P - Q| >= n.Q - n.P.  Each
-    line moves out to its body's measured extreme where that lies beyond
-    it: ``tops`` holds per pair max n.x over a and max -n.x over b
-    (``_support``), so the bound holds however the bodies were trimmed.
-    A piece of a then has no pair nearer than c_b minus its largest n.x
-    (an arc piece peaks at M + r*n when n is in its range, else at an
-    end), and the mirror for b.  U is the distance from the vertex of a
-    nearest the strip to the nearest vertex of b, an achieved distance; a
-    piece whose bound exceeds U + PRUNE_SLACK holds no candidate that can
-    attain the minimum.
+    Row i comes with the cut (n[i], c[i]) its edge places on its body, n a
+    unit normal away from the other body: a's cut (n, c_a) and b's
+    (-n, -c_b) put body a in n.x <= c_a and body b in n.x >= c_b, so every
+    pair has |P - Q| >= n.Q - n.P.  Each line moves out to its body's
+    measured extreme where that lies beyond it: ``top[i]`` is max n[i].x
+    over row i's body (``_support``), so the bound holds however the
+    bodies were trimmed.  A piece of a then has no pair nearer than c_b
+    minus its largest n.x (an arc piece peaks at M + r*n when n is in its
+    range, else at an end), and the mirror for b.  U is the distance from
+    the vertex of a nearest the strip to the nearest vertex of b, an
+    achieved distance; a piece whose bound exceeds U + PRUNE_SLACK holds no
+    candidate that can attain the minimum.
     """
-    e = len(strips)
-    n = np.array([s[0] for s in strips], dtype=float)
-    n = np.concatenate([n, -n])[:, None]  # each side's normal, away from the other side
-    c = np.concatenate([[s[1] for s in strips], [-s[2] for s in strips]])
+    e = len(c) // 2
+    n = n[:, None]
     # the largest n.x of each piece, -inf on padding
     reach = np.where(_in_arc(n, p.u0, p.u1), 1.0, np.maximum(_dot(p.u0, n), _dot(p.u1, n)))
     arc_top = np.where(p.arc_ok, _dot(p.centers, n) + p.radii * reach, -math.inf)
     chord_top = np.where(p.chord_ok, np.maximum(_dot(p.chord_a, n), _dot(p.chord_b, n)),
                          -math.inf)
     vertex_top = np.where(p.vertex_ok, _dot(p.vertices, n), -math.inf)
-    side = np.maximum(c, np.array(tops, dtype=float).T.ravel())
+    side = np.maximum(c, top)
     nearest = vertex_top[:e].argmax(axis=1)[:, None, None]
     gap = p.vertices[e:] - np.take_along_axis(p.vertices[:e], nearest, axis=1)
     gap = np.where(p.vertex_ok[e:], np.hypot(gap[..., 0], gap[..., 1]), math.inf)
@@ -579,19 +576,23 @@ def _strip_prune(p: TrimTable, strips, tops) -> TrimTable:
     return _keep(p, arc_top >= low, chord_top >= low, vertex_top >= low)
 
 
-def closest_pairs(table: TrimTable, pairs, strips, tops) -> list[tuple[float, Witness]]:
+def closest_pairs(table: TrimTable, pairs, normals, offsets, top) -> list[tuple[float, Witness]]:
     """Exact distance between the two disjoint trimmed bodies of each pair
-    (row_a, row_b) of ``table`` and its witness, all pairs in one batched
-    pass over the candidates the module docstring lists (two chords have
-    no isolated interior critical pair).  Given one strip (n, c_a, c_b) and
-    one pair of measured extremes ``tops`` per pair, ``_strip_prune`` first
-    drops the pieces that cannot hold the nearest pair, keeping every
-    candidate that can attain the minimum in order, so the distance and
-    the witness are those of the full list.
+    ((row_a, slot_a), (row_b, slot_b)) of ``table`` and its witness, all
+    pairs in one batched pass over the candidates the module docstring
+    lists (two chords have no isolated interior critical pair).  Each side
+    names its body's row and the slot of its edge's cut in the cut table
+    ``normals``, ``offsets`` (``trim_bodies``) and in ``top``, its measured
+    extremes (``_support``); ``_strip_prune`` first drops the pieces that
+    cannot hold the nearest pair, keeping every candidate that can attain
+    the minimum in order, so the distance and the witness are those of the
+    full list.
     """
     if not pairs:
         return []
-    p = _strip_prune(_take(table, [a for a, _ in pairs] + [b for _, b in pairs]), strips, tops)
+    rows, slots = np.array([a for a, _ in pairs] + [b for _, b in pairs]).T
+    p = _strip_prune(_take(table, rows), normals[rows, slots], offsets[rows, slots],
+                     top[rows, slots])
     a, b = _take(p, slice(len(pairs))), _take(p, slice(len(pairs), None))
     return _extreme([
         lambda: _vertex_vertex(a, b),
@@ -676,9 +677,9 @@ def verify_avoidance(
     The nine copies are trimmed in one call (``trim_bodies``) into one
     padded table, a row per site, beside the padded table of its cuts.
     (a) is one batched support-function pass (``_support``) over every
-    copy and cut.  Each edge carries its strip and names its two cuts
-    (``collect_patch_cuts``), so (a)'s support values are the measured
-    extremes ``_strip_prune`` moves the strip's lines out to, and its
+    copy and cut.  Each edge names its two cuts (``collect_patch_cuts``),
+    the strip's two lines, so (a)'s support values at them are the
+    measured extremes ``_strip_prune`` moves the lines out to, and its
     bound holds even if the trimming is wrong.  What the bound leaves
     goes through the candidate helpers once for the 16 edges' rows
     (``closest_pairs``).
@@ -710,11 +711,10 @@ def verify_avoidance(
 
     row = {s: r for r, s in enumerate(sites)}
     checked = [e for e in edges if row[e[0]] in live and row[e[1]] in live]
-    found = closest_pairs(table, [(row[a], row[b]) for a, b, *_ in checked],
-                          [e[3] for e in checked],
-                          [(top[row[a], i], top[row[b], j]) for a, b, _, _, (i, j) in checked])
+    found = closest_pairs(table, [((row[a], i), (row[b], j)) for a, b, _, (i, j) in checked],
+                          normals, offsets, top)
     min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
-    for (a, b, k, _, _), (d, w) in zip(checked, found):
+    for (a, b, k, _), (d, w) in zip(checked, found):
         if d < 2.0 - VERIFY_TOL:
             violations.append(
                 f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "

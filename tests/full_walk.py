@@ -158,7 +158,8 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
 def trim_body(body: ArcBody, cuts) -> TrimmedBody:
     """``clip.trim_bodies`` of one body with every cut line tried on every
     arc, as one record; each cut (n, c) removes {x : n.x >= c}.  Its
-    vertices are every piece end, repeats included."""
+    vertices are every piece end in the order ``trim_bodies`` lists them:
+    arc starts, arc ends, chord starts, chord ends, repeats included."""
     normals = np.array([n for n, _ in cuts], dtype=float).reshape(-1, 2)
     offsets = np.array([c for _, c in cuts], dtype=float)
     hits: list[list[np.ndarray]] = [[] for _ in cuts]

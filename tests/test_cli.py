@@ -602,6 +602,9 @@ def _exit_code(argv):
         (("scan", "--mode", "exact2", "--eps", "nan"), "expected a finite number"),
         (("scan", "--mode", "exact2", "--eps", "inf"), "expected a finite number"),
         (("fit", "--mode", "series2", "--eps=-inf"), "expected a finite number"),
+        # render draws one picture, so it takes one eps
+        (("render", "body", "--eps", "0.1", "--eps", "0.9"), "render draws one eps, got 2"),
+        (("render", "lattice", "--eps-range", "-0.1:0.1:0.05"), "render draws one eps, got 5"),
     ],
 )
 def test_bad_eps_is_usage_error(capsys, argv, message):

@@ -47,12 +47,22 @@ def trim_body(body, cuts):
 
 def closest_pair(a, b, strip):
     """``lattice.closest_pairs`` of the one pair (a, b), pruned by the strip
-    (n, c_a, c_b) with both lines moved out to the bodies' measured
-    extremes, as in ``verify_avoidance``."""
+    (n, c_a, c_b): a's row has the one cut (n, c_a) and b's the one cut
+    (-n, -c_b), each line moved out to its body's measured extreme, as in
+    ``verify_avoidance``."""
     table = full_walk.table_of([a, b])
-    n = np.asarray(strip[0], dtype=float)
-    tops = lattice._support(table, np.array([[n], [-n]]))[:, 0]
-    return lattice.closest_pairs(table, [(0, 1)], [strip], [tuple(tops)])[0]
+    n, c_a, c_b = strip
+    n = np.asarray(n, dtype=float)
+    normals, offsets = np.array([[n], [-n]]), np.array([[c_a], [-c_b]], dtype=float)
+    top = lattice._support(table, normals)
+    return lattice.closest_pairs(table, [((0, 0), (1, 0))], normals, offsets, top)[0]
+
+
+def _strip(cut_a, cut_b):
+    """The strip (n, c_a, c_b) of an edge whose cuts are (n, c_a) on a and
+    (-n, -c_b) on b."""
+    (n, c_a), (_, c) = cut_a, cut_b
+    return n, c_a, -c
 
 
 def halfplane_excess(t, cuts):
@@ -280,21 +290,24 @@ def test_collect_patch_cuts_structure():
         and color_index(i + di, j + dj) == (color_index(i, j) + 1) % 3
     }
     assert len(edges) == len(forward) == 16
-    assert {(a, b) for a, b, _, _, _ in edges} == forward
+    assert {(a, b) for a, b, _, _ in edges} == forward
+    (_, c_l, _, _), (_, c_r, _, _) = lattice.stripe_caps(0.0, 0.0)
     slot = dict.fromkeys(sites, 0)
-    for a, b, k, (n, c_a, c_b), slots in edges:
+    for a, b, k, slots in edges:
         pa, pb = site_position(*a), site_position(*b)
         beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
         assert k == _class_of_direction(color_index(*a), beta)
-        # the strip is a's cut for this edge, and b's cut is its mirror
-        assert any(np.array_equal(m, n) and c == c_a for m, c in cuts[a])
-        assert any(np.array_equal(m, -n) and c == -c_b for m, c in cuts[b])
         # each site's cuts come in the order of its edges, and the edge
         # names its two
         assert slots == (slot[a], slot[b])
-        (m_a, d_a), (m_b, d_b) = cuts[a][slot[a]], cuts[b][slot[b]]
-        assert np.array_equal(m_a, n) and d_a == c_a
-        assert np.array_equal(m_b, -n) and d_b == -c_b
+        (n, c_a), (m, c) = cuts[a][slot[a]], cuts[b][slot[b]]
+        # a's cut (n, c_a) and b's (-n, -c_b): the caps of stripe_caps
+        # turned onto the edge and moved to its start, the strip between
+        # them a stripe width wide
+        assert np.array_equal(m, -n)
+        assert np.allclose(n, [math.cos(beta), math.sin(beta)], rtol=0.0, atol=1e-15)
+        assert c_a == c_l + float(n @ pa) and c == c_r + float(m @ pa)
+        assert -c - c_a == pytest.approx(2.0, abs=1e-12)
         slot[a] += 1
         slot[b] += 1
     assert slot == {s: len(cuts[s]) for s in sites}
@@ -384,8 +397,8 @@ def test_exact_distances_match_dense_sampling(name, q, eps, mode, width):
     bodies, cuts, edges = _patch(q, eps, stripes, width)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
     samples = {s: _dense_samples(bodies[s], cuts[s], 4000, 200) for s in bodies}
-    for a, b, _, strip, _ in edges:
-        exact, _ = closest_pair(trimmed[a], trimmed[b], strip)
+    for a, b, _, (i, j) in edges:
+        exact, _ = closest_pair(trimmed[a], trimmed[b], _strip(cuts[a][i], cuts[b][j]))
         sampled = float(np.min(cKDTree(samples[a]).query(samples[b])[0]))
         assert exact <= sampled + 1e-12
         assert sampled - exact <= 1e-5
@@ -402,8 +415,8 @@ def test_witnesses_lie_on_the_trimmed_bodies(name, q, eps, mode):
     stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
     bodies, cuts, edges = _patch(q, eps, stripes, 2.0)
     trimmed = {s: trim_body(bodies[s], cuts[s]) for s in bodies}
-    for a, b, _, strip, _ in edges:
-        d, (p, r) = closest_pair(trimmed[a], trimmed[b], strip)
+    for a, b, _, (i, j) in edges:
+        d, (p, r) = closest_pair(trimmed[a], trimmed[b], _strip(cuts[a][i], cuts[b][j]))
         assert _on_trimmed_body(bodies[a], cuts[a], p)
         assert _on_trimmed_body(bodies[b], cuts[b], r)
         assert abs(math.dist(p, r) - d) <= 1e-12
@@ -636,10 +649,10 @@ def _per_pair_report(monkeypatch, *args, **kwargs):
     one body pair at a time over all pieces, each body read back from its
     row of the patch table."""
     with monkeypatch.context() as m:
-        m.setattr(lattice, "closest_pairs", lambda table, pairs, strips, tops: [
+        m.setattr(lattice, "closest_pairs", lambda table, pairs, normals, offsets, top: [
             full_walk.closest_pair(full_walk.body_of_row(table, a),
                                    full_walk.body_of_row(table, b))
-            for a, b in pairs])
+            for (a, _), (b, _) in pairs])
         return verify_avoidance(*args, **kwargs)
 
 
@@ -670,6 +683,33 @@ def test_batched_report_is_the_per_pair_report(monkeypatch, name, q, eps, mode, 
     assert report.ok == (width >= 2.0 and fault is None)
     assert _bits(report) == _bits(_per_pair_report(monkeypatch, q, eps, stripes,
                                                    stripe_width=width))
+
+
+@pytest.mark.parametrize("width", [2.0, 1.9])
+@pytest.mark.parametrize("name, q, eps, mode", PATCHES, ids=[p[0] for p in PATCHES])
+def test_repeated_vertices_change_no_report(monkeypatch, name, q, eps, mode, width):
+    """``trim_bodies`` lists the shared end of two pieces of one arc twice.
+    Keeping only the first copy of each vertex (by bit pattern) in every
+    row changes no value, witness or violation string of the report."""
+    stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+    report = verify_avoidance(q, eps, stripes, stripe_width=width)
+    trim = lattice.trim_bodies
+    repeats = []
+
+    def first_copies(bodies, cuts_per_body):
+        table, *cuts = trim(bodies, cuts_per_body)
+        first = np.zeros_like(table.vertex_ok)
+        for r, (row, ok) in enumerate(zip(table.vertices, table.vertex_ok)):
+            seen = set()
+            for i in np.flatnonzero(ok):
+                first[r, i] = row[i].tobytes() not in seen
+                seen.add(row[i].tobytes())
+        repeats.append(int(table.vertex_ok.sum() - first.sum()))
+        return (lattice._keep(table, table.arc_ok, table.chord_ok, first), *cuts)
+
+    monkeypatch.setattr(lattice, "trim_bodies", first_copies)
+    assert _bits(verify_avoidance(q, eps, stripes, stripe_width=width)) == _bits(report)
+    assert repeats[0] > 0
 
 
 @pytest.mark.parametrize("q", [Q, uniform_zero_profile(96), uniform_zero_profile(288)],
@@ -758,7 +798,7 @@ def test_strip_bound_adds_the_measured_excess():
     eps = 0.05
     stripes = tortoise.tortoise_area(eps, "series2", q=Q).stripes()
     bodies, cuts, edges = _patch(Q, eps, stripes, 2.0)
-    a, b, _, _, (i, j) = edges[0]
+    a, b, _, (i, j) = edges[0]
     (n, c_a), (_, c_b) = cuts[a][i], cuts[b][j]
     ta, tb = trim_body(bodies[a], cuts[a]), trim_body(bodies[b], cuts[b])
     strip = (n, c_a - 1e-3, -c_b)

@@ -434,7 +434,7 @@ def test_edge_pair_bodies_are_the_patch_copies():
     unread = {site: iter(site_cuts) for site, site_cuts in cuts.items()}
     phi = np.linspace(0.0, 2.0 * math.pi, 721)
     built = build_body(Q, eps)
-    for a, b, k, _, _ in edges:
+    for a, b, k, _ in edges:
         pos_a = site_position(*a)
         d = site_position(*b) - pos_a
         beta = math.atan2(d[1], d[0])
@@ -460,7 +460,7 @@ def test_edge_pair_bodies_are_the_patch_copies():
         assert abs(pair - sum(halfplane_clip_area(body, n, c).area
                               for body, (n, c, _, _) in zip(expected, caps))) <= 1e-14
     assert all(next(rest, None) is None for rest in unread.values())
-    assert {k for _, _, k, _, _ in edges} == {0, 1, 2}
+    assert {k for _, _, k, _ in edges} == {0, 1, 2}
 
 
 def test_one_body_per_profile_and_eps(monkeypatch):
