@@ -33,7 +33,6 @@ from .segments import (
 from .stepfn import (
     StepFunction,
     StepFunctionError,
-    load_qspec,
     make_step_function,
     reference_step_function,
     zero_step_function,
@@ -94,7 +93,6 @@ __all__ = [
     "fit_eps2_coefficient",
     "fit_net_coefficient",
     "jacobi_eigh",
-    "load_qspec",
     "make_step_function",
     "minimize_pair_shift",
     "minimize_pair_shift_tilt",

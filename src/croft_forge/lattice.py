@@ -4,8 +4,9 @@ Copies of one body sit on a triangular lattice; each site gets one of
 three colors, and its copy is the body rotated by color * 2*pi/3 and
 moved to the site plus the rotated eps * shift (``copy_motion``).  The
 lattice constant and the basis are fixed by the cut-disc optimum and
-stated once below; the shift is a plain pair (sx, sy), None for the
-reference shift ``default_config()``; ``copy_motion`` places the copies
+stated once below; the shift is a plain pair (sx, sy) of finite numbers,
+None for the reference shift ``default_config()`` (``resolve_shift``
+states both); ``copy_motion`` places the copies
 with it and the cap reads add it to the arc centres.  Every
 nearest-neighbor edge then joins colors c and c+1 and falls into one of
 three classes by direction, read off its neighbor step by an integer
@@ -68,7 +69,7 @@ from .body import (
 )
 from .clip import _GROUPS, TrimTable, _padded, trim_bodies
 from .segments import PairCut
-from .stepfn import TWO_PI, StepFunction
+from .stepfn import TWO_PI, StepFunction, finite_shift
 
 PSI = math.pi / 3.0
 
@@ -100,6 +101,13 @@ def default_config() -> tuple[float, float]:
     return (reference.SHIFT_X, reference.SHIFT_Y)
 
 
+def resolve_shift(shift) -> tuple[float, float]:
+    """``shift``, or the reference shift ``default_config()`` where it is
+    None.  Raises ``StepFunctionError`` (a ValueError) unless it is two
+    finite numbers (``stepfn.finite_shift``)."""
+    return default_config() if shift is None else finite_shift(shift)
+
+
 def color_index(i: int, j: int) -> int:
     return (i - j) % 3
 
@@ -129,8 +137,7 @@ def copy_motion(color: int, position, eps: float, shift=None) -> tuple[float, tu
     convention makes the cut geometry depend on the edge class alone and
     not on which colors the edge happens to join.
     """
-    if shift is None:
-        shift = default_config()
+    shift = resolve_shift(shift)
     angle = rotation_of_color(color)
     sx, sy = _rot(angle, (eps * shift[0], eps * shift[1]))
     return angle, (position[0] + sx, position[1] + sy)
@@ -305,8 +312,7 @@ def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairC
 
 def _closed_cuts(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
     # cut_parameters for a caller that has checked closure (build_body does)
-    if shift is None:
-        shift = default_config()
+    shift = resolve_shift(shift)
     return _profile_cuts(
         np.asarray(q.breaks, dtype=float).tobytes(),
         np.asarray(q.values, dtype=float).tobytes(),
@@ -689,10 +695,11 @@ def verify_avoidance(
     width 2 they guard the trimming code and the body's constant width
     (a body wider than 2 fails (c)), not the stripe placement.  A width
     below 2 fails (b) by the shortfall.  Raises ``ValueError`` unless
-    ``stripe_width`` > 0.
+    ``stripe_width`` > 0 and ``shift`` is None or two finite numbers.
     """
     if not stripe_width > 0.0:
         raise ValueError(f"stripe width must be positive, got {stripe_width}")
+    shift = resolve_shift(shift)
     sites = PATCH_SITES
     body = build_body(q, eps)
     cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)

@@ -4,12 +4,11 @@ A :class:`StepFunction` holds the radius-perturbation profile q of the
 constant-diameter construction: constant on each interval of a partition
 of [0, 2*pi), with q(phi + pi) = -q(phi).  Break angles are kept both as
 floats and as exact rational multiples of pi so that the pairing of a
-break with its antipode, and lookups exactly at a break, are unambiguous.
+break with its antipode is unambiguous.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 ANTISYMMETRY_TOL = 1e-12
-BREAK_SNAP_TOL = 1e-12
 
 
 class StepFunctionError(ValueError):
@@ -35,7 +33,10 @@ class StepFunction:
     """Piecewise-constant function on [0, 2*pi) with antisymmetric values.
 
     ``breaks`` has one more entry than ``values``; interval i is
-    [breaks[i], breaks[i+1]) and carries values[i].
+    [breaks[i], breaks[i+1]) and carries values[i].  ``break_fractions``
+    are the same breaks as exact multiples of pi, read by
+    :func:`make_step_function` from Fractions, {"num", "den"} dicts or
+    plain radians.
     """
 
     breaks: np.ndarray
@@ -46,47 +47,12 @@ class StepFunction:
     def n_intervals(self) -> int:
         return len(self.values)
 
-    def __call__(self, phi: float, side: str = "right") -> float:
-        """Value at ``phi``; ``side`` picks the limit at a break."""
-        return float(self.values[self.interval_of(phi, side)])
-
-    def interval_of(self, phi: float, side: str = "right") -> int:
-        """Index of the interval containing phi (reduced mod 2*pi).
-
-        Exactly at a break, ``side='right'`` selects the interval starting
-        there and ``side='left'`` the one ending there.
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        phi = phi % TWO_PI
-        breaks = self.breaks
-        # Snap to a break if within tolerance (handles pi/3 vs (1/3)*pi).
-        j = bisect.bisect_left(breaks, phi)
-        for cand in (j - 1, j):
-            if 0 <= cand < len(breaks) and abs(breaks[cand] - phi) <= BREAK_SNAP_TOL:
-                if side == "right":
-                    return cand % self.n_intervals
-                return (cand - 1) % self.n_intervals
-        if phi >= TWO_PI - BREAK_SNAP_TOL:
-            return 0 if side == "right" else self.n_intervals - 1
-        return bisect.bisect_right(breaks, phi) - 1
-
-    def scaled(self, factor: float) -> "StepFunction":
-        """Same partition, values multiplied by ``factor``."""
-        return StepFunction(
-            breaks=self.breaks,
-            values=self.values * factor,
-            break_fractions=self.break_fractions,
-        )
-
 
 def _to_fraction(b) -> Fraction:
     """A break as a Fraction of pi; StepFunctionError names one it cannot read."""
     try:
         if isinstance(b, Fraction):
             return b
-        if isinstance(b, tuple):
-            return Fraction(b[0], b[1])
         if isinstance(b, dict):
             return Fraction(b["num"], b["den"])
         if isinstance(b, (int, float)):
@@ -132,8 +98,8 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
     """Validate and build a :class:`StepFunction`.
 
     ``breaks`` are rational multiples of pi, given as Fractions,
-    (num, den) tuples, {"num", "den"} dicts, or plain radians (converted
-    to the nearest small rational multiple of pi).  The first break must
+    {"num", "den"} dicts, or plain radians (converted to the nearest small
+    rational multiple of pi).  The first break must
     be 0 and the last 2*pi.  Validation enforces strict monotonicity, the
     pairing of break k with its antipode k + n/2 (checked once per break
     set, ``_break_set``), the value/interval count, finite values (NaN would
@@ -171,20 +137,11 @@ def zero_step_function() -> StepFunction:
 # and optionally "shift": [sx, sy], the lattice shift of the copies
 
 
-def qspec_from_dict(spec: dict) -> StepFunction:
-    return make_step_function(spec["breaks"], spec["values"])
-
-
-def qspec_shift(spec: dict) -> tuple[float, float] | None:
-    """The q-spec's ``"shift": [sx, sy]`` as a pair of floats, or None (the
-    reference shift) where the spec has none.  Raises StepFunctionError
-    unless it is a list of two finite numbers."""
-    if "shift" not in spec:
-        return None
-    shift = spec["shift"]
+def finite_shift(shift) -> tuple[float, float]:
+    """The lattice shift (sx, sy) as a pair of floats.  Raises
+    StepFunctionError unless it is two finite numbers (a bool is none)."""
     try:
-        ok = (isinstance(shift, list) and len(shift) == 2
-              and not any(isinstance(x, bool) for x in shift)
+        ok = (len(shift) == 2 and not any(isinstance(x, bool) for x in shift)
               and all(math.isfinite(x) for x in shift))
     except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
         ok = False
@@ -193,15 +150,17 @@ def qspec_shift(spec: dict) -> tuple[float, float] | None:
     return float(shift[0]), float(shift[1])
 
 
+def qspec_shift(spec: dict) -> tuple[float, float] | None:
+    """The q-spec's ``"shift": [sx, sy]`` read by ``finite_shift``, or None
+    (the reference shift) where the spec has none."""
+    return finite_shift(spec["shift"]) if "shift" in spec else None
+
+
 def read_qspec(path: str | Path) -> tuple[StepFunction, tuple[float, float] | None]:
     """The profile and the shift (``qspec_shift``) of a q-spec file."""
     with open(path) as fh:
         spec = json.load(fh)
-    return qspec_from_dict(spec), qspec_shift(spec)
-
-
-def load_qspec(path: str | Path) -> StepFunction:
-    return read_qspec(path)[0]
+    return make_step_function(spec["breaks"], spec["values"]), qspec_shift(spec)
 
 
 def dump_qspec(f: StepFunction, path: str | Path, shift=None) -> None:

@@ -445,7 +445,9 @@ def fit_net_coefficient(
     **kwargs,
 ) -> QuadraticFit:
     """Fit the eps^2 coefficient of the cut-body area in any mode; the
-    sample count is checked before any area is evaluated."""
+    sample count is checked before any area is evaluated.  ``eps_values``
+    is read once, so any iterable serves."""
+    eps_values = tuple(eps_values)
     _require_fit_samples(eps_values)
     records = scan(eps_values, mode, **kwargs)
     return fit_eps2_coefficient(eps_values, [r.tortoise_area for r in records])

@@ -9,7 +9,8 @@ cut line at depth D = w_c + d; tilting the line by delta keeps it through
 the same axis point.  Each class's cut (``DiscCut``) holds the summed
 horizontal and vertical displacements d_x, d_y of the two cap points, read
 off the placed copies by ``boundary_point`` (``disc_cuts``), and the four
-cap radii, one per side of each cap angle.  The second-order series of the
+cap radii, one per side of each cap angle, read exactly from the profile's
+``break_fractions`` (``one_sided_values``).  The second-order series of the
 cap area and the closed-form shift (and shift + tilt) minimization of two
 opposite caps follow; the shift minimizer is measured from the midpoint of
 the two cap points, not in the edge frame.  The model holds only where each
@@ -45,13 +46,15 @@ reference unit cuts scaled by 0.02, 0.01 and 0.005 by at most 7.6e-12,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from croft_forge.body import body_area, boundary_point, build_body, croft_constants
-from croft_forge.lattice import LATTICE_CONSTANT, PSI, edge_ends, place_copy
+from croft_forge.lattice import LATTICE_CONSTANT, edge_ends, place_copy
 from croft_forge.segments import series_coefficients
 
 
@@ -93,6 +96,16 @@ class DiscCut:
             self.d_x, self.d_y, self.r_lu, self.r_ll, self.r_ru, self.r_rl)))
 
 
+def one_sided_values(q, f: Fraction) -> tuple[float, float]:
+    """(right, left) limits of the profile ``q`` at the angle f*pi, for
+    0 <= f < 2, read exactly from ``q.break_fractions``: at a break they
+    are the values on either side, elsewhere they agree, and the left limit
+    at 0 wraps to the last interval."""
+    fracs = q.break_fractions
+    return (float(q.values[bisect_right(fracs, f) - 1]),
+            float(q.values[bisect_left(fracs, f) - 1]))
+
+
 def disc_cuts(q, eps: float, shift=None) -> list[DiscCut]:
     """Disc-cap geometry of the three edge classes for the body of ``q`` at ``eps``.
 
@@ -101,8 +114,8 @@ def disc_cuts(q, eps: float, shift=None) -> list[DiscCut]:
     the left copy's cap point at angle 0 measured from (1, 0) and the right
     copy's at angle pi measured from (L - 1, 0), summed in the edge frame,
     where x points along the edge.  The radius perturbations are the
-    one-sided profile values at the cap angles 2k*psi and (2k+1)*psi of the
-    unrotated body.
+    one-sided profile values (``one_sided_values``) at the cap angles
+    2k*psi and (2k+1)*psi of the unrotated body, psi = pi/3.
     """
     body = build_body(q, eps)
     cuts = []
@@ -110,14 +123,12 @@ def disc_cuts(q, eps: float, shift=None) -> list[DiscCut]:
         left, right = (place_copy(body, c, p, shift) for c, p in edge_ends(k))
         xl, yl = boundary_point(left, 0.0)
         xr, yr = boundary_point(right, math.pi)
-        phi_l, phi_r = 2.0 * k * PSI, (2.0 * k + 1.0) * PSI
+        lu, ll = one_sided_values(q, Fraction(2 * k, 3))
+        ru, rl = one_sided_values(q, Fraction(2 * k + 1, 3))
         cuts.append(DiscCut(
             d_x=(xl - 1.0) + (LATTICE_CONSTANT - 1.0 - xr),
             d_y=yl - yr,
-            r_lu=-eps * q(phi_l, side="right"),
-            r_ll=-eps * q(phi_l, side="left"),
-            r_ru=-eps * q(phi_r, side="right"),
-            r_rl=-eps * q(phi_r, side="left"),
+            r_lu=-eps * lu, r_ll=-eps * ll, r_ru=-eps * ru, r_rl=-eps * rl,
         ))
     return cuts
 

@@ -180,6 +180,16 @@ def test_c2_net_builds_no_validated_profile(monkeypatch):
         assert c2 == series_net_coefficient(q, mode, shift)
 
 
+@pytest.mark.parametrize("mode, shift", [("series2", (math.inf, 0.0)),
+                                         ("exact2", (math.nan, 0.0))])
+def test_c2_net_refuses_a_non_finite_shift(mode, shift):
+    """A non-finite shift is refused before any cut is read, in the closed
+    form and in the clipped-area fit."""
+    v = closure_project(np.ones(N_FREE))
+    with pytest.raises(ValueError, match="shift must be a list of two finite numbers"):
+        c2_net(v, shift, mode)
+
+
 def test_c2_net_reference_point():
     got = c2_net(REF_V, (SHIFT_X, SHIFT_Y), "series2")
     assert got == pytest.approx(series_net_coefficient(mode="series2"), abs=1e-12)

@@ -385,10 +385,10 @@ def test_verify_eigen_checks_the_q_spec_form(capsys, tmp_path):
     """``verify --checks eigen`` diagonalizes the series2 form on the
     q-spec's break set (norm 8.7 on the uniform 12 intervals), not the
     reference form (norm 8.4)."""
-    from croft_forge.stepfn import load_qspec
+    from croft_forge.stepfn import read_qspec
 
     path = _uniform_qspec(tmp_path, 12)
-    form = ansatz.assemble_quadratic_form("series2", template=load_qspec(path))
+    form = ansatz.assemble_quadratic_form("series2", template=read_qspec(path)[0])
     norm = f"(norm {np.linalg.norm(form.matrix, 2):.1e})"
     code, out, _ = run(capsys, "verify", "--q-spec", str(path), "--checks", "eigen")
     assert code == 0
@@ -489,10 +489,11 @@ def test_fit_on_a_non_finite_profile_is_usage_error(capsys, tmp_path, values):
 def test_fit_on_a_large_profile(capsys, tmp_path, mode):
     """max|q| = 5: the closed-form probes shrink with the profile, so a fit
     on small eps runs, and the body-area c2 is 25 times the reference."""
-    from croft_forge.stepfn import dump_qspec, reference_step_function
+    from croft_forge.stepfn import dump_qspec, make_step_function, reference_step_function
 
+    q = reference_step_function()
     path = tmp_path / "q5.json"
-    dump_qspec(reference_step_function().scaled(5.0), path)
+    dump_qspec(make_step_function(q.break_fractions, 5.0 * q.values), path)
     eps = ["--eps=-0.01", "--eps=-0.005", "--eps=0.0025", "--eps=0.005", "--eps=0.01"]
     code, out, err = run(
         capsys, "fit", "--mode", mode, "--q-spec", str(path), *eps, "--format", "json"

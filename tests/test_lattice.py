@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,8 +34,13 @@ from croft_forge.lattice import (
     site_position,
     verify_avoidance,
 )
-from croft_forge.stepfn import TWO_PI, reference_step_function, zero_step_function
-from disc_reference import disc_cuts
+from croft_forge.stepfn import (
+    TWO_PI,
+    make_step_function,
+    reference_step_function,
+    zero_step_function,
+)
+from disc_reference import disc_cuts, one_sided_values
 
 Q = reference_step_function()
 SHIFT = default_config()
@@ -136,6 +142,26 @@ def test_boundary_antipodes_are_two_apart():
         u = np.array([math.cos(phi), math.sin(phi)])
         gap = boundary_point(b, phi) - boundary_point(b, phi + math.pi)
         assert gap == pytest.approx(2 * u, abs=1e-12)
+
+
+def test_oracle_reads_one_sided_radii_exactly():
+    """The disc-cap oracle reads each cap radius from ``break_fractions``:
+    at a break (pi/3 on the reference) the right and left limits are the
+    values on either side, the left limit at 0 wraps to the last interval,
+    and off every break both limits are the value of the interval there."""
+    i = Q.break_fractions.index(Fraction(1, 3))
+    assert one_sided_values(Q, Fraction(1, 3)) == (Q.values[i], Q.values[i - 1])
+    assert Q.values[i] != Q.values[i - 1]
+    assert one_sided_values(Q, Fraction(0)) == (Q.values[0], Q.values[-1])
+    template = seeded_break_set(24, 7)  # breaks at 0, pi/3, pi and 4pi/3 only
+    h = template.n_intervals // 2
+    v = np.random.default_rng(7).standard_normal(h)
+    q = make_step_function(template.break_fractions, np.concatenate([v, -v]))
+    for m in (2, 5):
+        f = Fraction(m, 3)
+        assert f not in q.break_fractions
+        j = int(np.searchsorted(q.breaks, float(f) * math.pi)) - 1
+        assert one_sided_values(q, f) == (q.values[j], q.values[j])
 
 
 def test_cut_parameters_linear_in_eps():
@@ -274,6 +300,12 @@ def test_avoidance_catches_narrow_stripe():
     report = verify_avoidance(Q, 0.05, rec.stripes(), stripe_width=1.9)
     assert not report.ok
     assert report.min_cross_distance < 2.0 - 1e-3
+
+
+def test_avoidance_refuses_a_non_finite_shift():
+    stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
+    with pytest.raises(ValueError, match="shift must be a list of two finite numbers"):
+        verify_avoidance(Q, 0.05, stripes, shift=(math.nan, 0.0))
 
 
 def test_collect_patch_cuts_structure():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from croft_forge.stepfn import (
     StepFunctionError,
     dump_qspec,
-    load_qspec,
     make_step_function,
     qspec_shift,
     read_qspec,
@@ -30,26 +29,6 @@ def test_reference_profile_loads():
     assert q.n_intervals == 24
     assert q.breaks[0] == 0.0
     assert q.breaks[-1] == pytest.approx(2 * math.pi, abs=0)
-
-
-def test_values_lookup_and_sides():
-    q = simple()
-    assert q(0.1) == 0.5
-    assert q(math.pi / 3 + 0.01) == -0.25
-    # exactly at a break the side argument picks the limit
-    b = math.pi / 3
-    assert q(b, side="right") == -0.25
-    assert q(b, side="left") == 0.5
-    # wrap-around break at 0 / 2*pi
-    assert q(0.0, side="right") == 0.5
-    assert q(0.0, side="left") == 0.25
-
-
-def test_break_snap_tolerance():
-    q = simple()
-    b = math.pi / 3
-    assert q(b + 1e-14, side="left") == 0.5
-    assert q(b - 1e-14, side="right") == -0.25
 
 
 def test_antisymmetry_enforced():
@@ -128,7 +107,8 @@ def test_value_count_enforced():
 )
 def test_malformed_break_rejected(brk, message):
     """A zero denominator or a non-finite radian break names the break
-    instead of escaping as ZeroDivisionError or OverflowError."""
+    instead of escaping as ZeroDivisionError or OverflowError; so does a
+    (num, den) tuple, which is no break format."""
     with pytest.raises(StepFunctionError, match=message):
         make_step_function([Fraction(0), brk, Fraction(2)], [0.0, 0.0])
 
@@ -140,20 +120,25 @@ def test_endpoints_enforced():
 
 def test_zero_profile():
     z = zero_step_function()
-    assert z(1.0) == 0.0
     assert z.n_intervals == 2
+    assert list(z.values) == [0.0, 0.0]
 
 
-def test_scaled():
-    q = simple()
-    assert q.scaled(2.0)(0.1) == 1.0
+def test_plain_radian_breaks_read_as_multiples_of_pi():
+    """Plain radians k*pi/6 read as the Fractions k/6: the same exact and
+    float breaks."""
+    values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6]
+    rad = make_step_function([k * math.pi / 6 for k in range(13)], values)
+    exact = make_step_function([Fraction(k, 6) for k in range(13)], values)
+    assert rad.break_fractions == exact.break_fractions == tuple(Fraction(k, 6) for k in range(13))
+    assert np.array_equal(rad.breaks, exact.breaks)
 
 
 def test_json_round_trip(tmp_path):
     q = reference_step_function()
     path = tmp_path / "q.json"
     dump_qspec(q, path)
-    q2 = load_qspec(path)
+    q2 = read_qspec(path)[0]
     assert np.array_equal(q.values, q2.values)
     assert q.break_fractions == q2.break_fractions
     spec = json.loads(path.read_text())
@@ -162,15 +147,15 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_round_trip_with_a_shift(tmp_path):
-    """A shift is written as a list and read back as the same two floats;
-    ``load_qspec`` reads the profile alone."""
+    """A shift is written as a list and read back as the same two floats,
+    beside the profile."""
     q = reference_step_function()
     path = tmp_path / "q.json"
     dump_qspec(q, path, shift=(0.1, -0.0))
     assert json.loads(path.read_text())["shift"] == [0.1, -0.0]
     q2, shift = read_qspec(path)
     assert [x.hex() for x in shift] == [(0.1).hex(), (-0.0).hex()]
-    assert np.array_equal(q2.values, q.values) and np.array_equal(load_qspec(path).values, q.values)
+    assert np.array_equal(q2.values, q.values)
     assert qspec_shift({"shift": [1, 2]}) == (1.0, 2.0)
 
 
@@ -187,11 +172,12 @@ def test_malformed_shift_is_refused(shift):
     vals=st.lists(
         st.floats(-1, 1, allow_nan=False, width=32), min_size=2, max_size=2
     ),
-    phi=st.floats(0, 2 * math.pi - 1e-9, allow_nan=False),
 )
-def test_antisymmetry_property(vals, phi):
+def test_antisymmetry_property(vals):
+    """Interval i + n/2 is the antipode of interval i and carries -values[i]."""
     q = make_step_function(SIMPLE_BREAKS, [vals[0], vals[1], -vals[0], -vals[1]])
-    assert q((phi + math.pi) % (2 * math.pi)) == pytest.approx(-q(phi), abs=1e-12)
+    h = q.n_intervals // 2
+    assert np.array_equal(q.values[h:], -q.values[:h])
 
 
 def test_reference_profile_is_shared_and_read_only():

@@ -388,6 +388,31 @@ def test_fit_requires_enough_samples(monkeypatch):
     assert calls == []
 
 
+def test_fit_reads_its_eps_values_once():
+    """A generator of eps values fits as its tuple does: the values are
+    read once, before the sample count is checked."""
+    fit = fit_net_coefficient("series2", eps_values=(e for e in DEFAULT_FIT_EPS))
+    assert fit == fit_net_coefficient("series2", eps_values=DEFAULT_FIT_EPS)
+
+
+NON_FINITE_SHIFT = "shift must be a list of two finite numbers"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shift", [(math.nan, 0.0), (0.0, math.inf)])
+def test_a_record_refuses_a_non_finite_shift(mode, shift):
+    """A NaN or infinite shift is refused where None resolves to the
+    reference shift, not carried into a NaN area or a failed clip."""
+    with pytest.raises(ValueError, match=NON_FINITE_SHIFT):
+        tortoise_area(0.05, mode, shift=shift)
+
+
+@pytest.mark.parametrize("mode", ["series1", "series2"])
+def test_series_coefficients_refuse_a_non_finite_shift(mode):
+    with pytest.raises(ValueError, match=NON_FINITE_SHIFT):
+        series_net_coefficient(Q, mode, (math.nan, 0.0))
+
+
 def test_scan_and_csv_json_round_trip(tmp_path):
     records = scan([-0.02, 0.0, 0.02], "series2")
     csv_path = tmp_path / "scan.csv"
@@ -816,7 +841,7 @@ def test_probe_eps_scales_with_the_profile():
     with max|q| > 4: five times the reference profile (and its shift) gives
     exactly 25 times the reference body-area and cut coefficients."""
     q = reference_step_function()
-    big = q.scaled(5.0)
+    big = make_step_function(q.break_fractions, 5.0 * q.values)
     big_shift = tuple(5.0 * v for v in default_config())
     assert body_area_coefficient(big) == pytest.approx(
         25.0 * body_area_coefficient(q), rel=1e-13
