@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .body import _unit_chords, body_area_gram
+from .body import _unit_chords
 from .lattice import class_cuts
 from .segments import pair_envelope
 from .stepfn import StepFunction, reference_step_function, require_finite
@@ -143,11 +143,11 @@ def assemble_quadratic_form(
 ) -> QuadraticForm:
     """The c2 form of ``mode`` on the closure subspace plus the shifts.
 
-    The body-area Gram of the basis columns minus the cut-area Gram, the
-    eps^2 term 1/2 (P_ee - P_ex^T P_xx^-1 P_ex) of ``segments.pair_envelope``
-    on the ``lattice.class_cuts`` of the columns: no body is built, no
-    ``c2_net`` is called, and the mode decides only the stripe tilt
-    (``TILT_MODES``).  The columns are the closure null space and the two
+    The body-area Gram B of the basis columns minus the cut-area Gram, the
+    eps^2 term 1/2 (P_ee - P_ex^T P_xx^-1 P_ex) of ``segments.pair_envelope``,
+    both from one ``lattice.class_cuts`` read of the columns: no body is
+    built, no ``c2_net`` is called, and the mode decides only the stripe
+    tilt (``TILT_MODES``).  The columns are the closure null space and the two
     shifts, so the form is 2 x 2 on {0, pi}; their step values are one
     value matrix, with no profile built per column.
     """
@@ -160,10 +160,9 @@ def assemble_quadratic_form(
     basis = np.zeros((n_half + 2, n_null + 2))
     basis[:n_half, :n_null] = N
     basis[n_half:, n_null:] = np.eye(2)
-    breaks = template.breaks
     q = np.concatenate([basis[:-2], -basis[:-2]])  # (n, m): column j's step values
-    _, p_ex, p_ee = class_cuts(breaks, q, basis[-2:].T)
-    matrix = body_area_gram(breaks, q) - pair_envelope(p_ex, p_ee, mode in TILT_MODES)[1]
+    gram, _, p_ex, p_ee = class_cuts(template.breaks, q, basis[-2:].T)
+    matrix = gram - pair_envelope(p_ex, p_ee, mode in TILT_MODES)[1]
     matrix = 0.5 * (matrix + matrix.T)
     hessian = 2.0 * basis @ matrix @ basis.T
     hessian = 0.5 * (hessian + hessian.T)

@@ -5,9 +5,10 @@ Each interval of the radius profile q contributes one arc of radius
 boundary is continuous, and antipodal intervals share their center, which
 makes every antipodal boundary distance exactly 2 (``diameter_profile``
 checks it in closed form).  The chain closes iff sum_i q_i du_i = 0, with
-du_i = u(phi_{i+1}) - u(phi_i) the unit chord of arc i (``_arc_sweeps``,
-which ``body_area`` also uses): two linear constraints on q, stated once
-here and read off by ``ansatz.closure_matrix``.
+du_i = u(phi_{i+1}) - u(phi_i) the unit chord of arc i (``_unit_chords``,
+cached per break set, which ``body_area`` and ``body_area_gram`` also
+read): two linear constraints on q, stated once here and read off by
+``ansatz.closure_matrix``.
 """
 
 from __future__ import annotations
@@ -73,24 +74,24 @@ def center_offsets(breaks: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.einsum("i...,ik->i...k", dq, _unit(breaks[:-1])), axis=0)
 
 
-def chain_closure_residual(q: StepFunction) -> float:
+def chain_closure_residual(breaks, values) -> float:
     """Gap when chaining the center offsets once around the full turn.
 
     The chain adds (q_{i+1} - q_i) u(phi_{i+1}) per break; summed by parts,
-    the gap is -sum_i q_i du_i with the arc chords du of ``_arc_sweeps``,
+    the gap is -sum_i q_i du_i with the arc chords du of ``_unit_chords``,
     so its length is |du^T q|.
     """
-    return math.hypot(*(_unit_chords(tuple(q.breaks)).T @ q.values).tolist())
+    return math.hypot(*(_unit_chords(tuple(breaks)).T @ values).tolist())
 
 
-def require_closure(q: StepFunction) -> None:
-    """Raise :class:`BodyError` when the arc chain of ``q`` at unit eps does
-    not close to CLOSURE_TOL: the profile violates the two linear closure
-    constraints.  The residual is the profile's own, whatever eps a body
-    is built at, so ``build_body`` and the closed forms at unit eps
-    (``lattice.cut_parameters``, ``tortoise.body_area_coefficient``) accept
-    and refuse the same profiles, in every mode and at every eps."""
-    residual = chain_closure_residual(q)
+def require_closure(breaks, values) -> None:
+    """Raise :class:`BodyError` when the arc chain of the profile
+    (``breaks``, ``values``) at unit eps does not close to CLOSURE_TOL: the
+    profile violates the two linear closure constraints.  The residual is
+    the profile's own, whatever eps a body is built at, so ``build_body``
+    and the closed forms at unit eps (``lattice.second_order_read``)
+    accept and refuse the same profiles, in every mode and at every eps."""
+    residual = chain_closure_residual(breaks, values)
     if residual > CLOSURE_TOL:
         raise BodyError(
             f"arc chain does not close (residual {residual:.3g} at unit eps): "
@@ -122,7 +123,7 @@ def build_body(q: StepFunction, eps: float) -> ArcBody:
     Raises :class:`BodyError` as ``family_radii`` and ``require_closure`` do.
     """
     radii = family_radii(q, eps)
-    require_closure(q)
+    require_closure(q.breaks, q.values)
     centers = eps * center_offsets(q.breaks, q.values)
     return ArcBody(
         centers=centers,
@@ -143,17 +144,11 @@ def _unit(phi) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
-def _arc_sweeps(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arc angle dphi_i and unit chord u(phi_{i+1}) - u(phi_i)."""
-    phi0 = breaks[:-1]
-    phi1 = breaks[1:]
-    return phi1 - phi0, _unit(phi1) - _unit(phi0)
-
-
 @lru_cache(maxsize=64)  # bounded for sweeps over many break sets
 def _unit_chords(breaks: tuple[float, ...]) -> np.ndarray:
-    """The unit chords du of ``_arc_sweeps`` for one break set, read-only."""
-    du = _arc_sweeps(np.array(breaks))[1]
+    """Unit chord u(phi_{i+1}) - u(phi_i) of each arc of a break set, read-only."""
+    phi = np.array(breaks)
+    du = _unit(phi[1:]) - _unit(phi[:-1])
     du.setflags(write=False)
     return du
 
@@ -176,25 +171,24 @@ def body_area(b: ArcBody) -> float:
     rho^2 * dphi / 2 plus half the cross product of its center with the
     chord vector; no numeric quadrature is involved.
     """
-    dphi, du = _arc_sweeps(b.breaks)
-    cross = _cross(b.centers, du)
-    return float(0.5 * np.sum(b.radii**2 * dphi + b.radii * cross))
+    cross = _cross(b.centers, _unit_chords(tuple(b.breaks)))
+    return float(0.5 * np.sum(b.radii**2 * np.diff(b.breaks) + b.radii * cross))
 
 
-def body_area_gram(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
+def body_area_gram(breaks: np.ndarray, q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Gram matrix of the eps^2 coefficient of ``body_area`` over the
-    profiles in the columns of ``q`` (n, m), all on ``breaks``.
+    profiles in the columns of ``q`` (n, m), all on ``breaks``, with their
+    ``center_offsets`` ``offsets`` (n, m, 2).
 
-    With rho = 1 - eps*q and centers eps*offs (``center_offsets``), the
-    Green sum of ``body_area`` has the eps^2 coefficient
+    With rho = 1 - eps*q and centers eps*offs, the Green sum of
+    ``body_area`` has the eps^2 coefficient
     1/2 sum_i (q_i^2 dphi_i - q_i offs_i x du_i), exactly, since the area
     is quadratic in eps.  Entry [a, b] is its bilinear form at columns a
     and b, so the diagonal holds each profile's coefficient.
     """
-    dphi, du = _arc_sweeps(breaks)
-    w = _cross(center_offsets(breaks, q), du[:, None, :])  # (n, m)
+    w = _cross(offsets, _unit_chords(tuple(breaks))[:, None, :])  # (n, m)
     qw = q.T @ w
-    return 0.5 * (q.T @ (dphi[:, None] * q)) - 0.25 * (qw + qw.T)
+    return 0.5 * (q.T @ (np.diff(breaks)[:, None] * q)) - 0.25 * (qw + qw.T)
 
 
 def diameter_profile(b: ArcBody) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from .body import (
     croft_constants,
     diameter_profile,
 )
-from .lattice import verify_avoidance
+from .lattice import second_order_read, verify_avoidance
 from .stepfn import read_qspec, reference_step_function
 
 DEFAULT_TOL = 1e-9
@@ -189,7 +189,7 @@ def cmd_fit(args) -> int:
         fit = tortoise.fit_net_coefficient(args.mode, eps_values=eps_values, q=q, shift=shift)
     except ValueError as exc:  # too few distinct eps values, or a BodyError
         _usage_error(str(exc))
-    body_c2 = tortoise.body_area_coefficient(q)
+    body_c2 = second_order_read(q, shift)[0]
     out = {
         "mode": args.mode,
         "eps_values": list(eps_values),
@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
         lin, quad = tortoise.series_cut_coefficients(q, mode, shift)
         out[f"{mode}_cut_linear"] = lin
         out[f"{mode}_cut_c2"] = quad
-        out[f"{mode}_net_c2"] = body_c2 - quad  # series_net_coefficient's formula
+        out[f"{mode}_net_c2"] = tortoise.series_net_coefficient(q, mode, shift)
     out["reference_cut_c2_shift_tilt"] = reference.PRINTED_CUT_COEFF_SHIFT_TILT
     out["reference_net_c2_shift_tilt"] = reference.PRINTED_NET_COEFF_SHIFT_TILT
     out["reference_net_c2_shift_only"] = reference.PRINTED_NET_COEFF_SHIFT_ONLY
@@ -260,7 +260,7 @@ def _check_constants(q, shift, inject):
 
 
 def _check_closure(q, shift, inject):
-    res = chain_closure_residual(q)
+    res = chain_closure_residual(q.breaks, q.values)
     return res <= CLOSURE_TOL, f"arc-chain closure residual {res:.3e}"
 
 
@@ -408,10 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         # let values like "-0.1:0.1:0.01" or "-0.05" follow an option flag
         p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+(:.*)?$")
         if "eps" in names:
-            p.add_argument(
+            eps = p.add_mutually_exclusive_group()
+            eps.add_argument(
                 "--eps", action="append", type=_finite_float, help="family parameter"
             )
-            p.add_argument("--eps-range", help="grid a:b:step of family parameters")
+            eps.add_argument("--eps-range", help="grid a:b:step of family parameters")
         if "mode" in names:
             p.add_argument(
                 "--mode",

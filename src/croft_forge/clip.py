@@ -52,7 +52,8 @@ def _arc_point(center, radius, phi) -> tuple[float, float]:
 
 def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
     """Angles in [a, b) where the arc crosses the line n.x = c (n unit);
-    a crossing within TANGENCY_TOL of a break belongs to the arc starting there."""
+    a crossing within TANGENCY_TOL of a break, measured along the arc
+    (TANGENCY_TOL / radius in angle), belongs to the arc starting there."""
     n0, n1 = float(n[0]), float(n[1])
     return _crossings(center[0], center[1], radius, a, b, math.atan2(n1, n0), n0, n1, c)
 
@@ -66,13 +67,14 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
     if abs(t) >= 1.0 - TANGENCY_TOL:
         return []
     base = math.acos(t)
+    window = TANGENCY_TOL / radius  # TANGENCY_TOL along the arc
     out = []
     for branch in (alpha + base, alpha - base):
         # bring the solution into (a, b) modulo 2*pi
         k = math.floor((a - branch) / TWO_PI)
         for m in (k, k + 1, k + 2):
             phi = branch + TWO_PI * m
-            if a - TANGENCY_TOL <= phi < b - TANGENCY_TOL:
+            if a - window <= phi < b - window:
                 out.append(max(phi, a))
     out.sort()
     return out

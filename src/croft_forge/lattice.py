@@ -18,9 +18,12 @@ clips move the caps back by its inverse onto the one unplaced body.
 
 The second-order cut model is read off the six caps of the unplaced body
 at eps = 0 (``cap_area_derivatives``) and paired into each class's
-unit-eps cut data over value columns by ``class_cuts``: ``cut_parameters``
-reads it at one profile and the form (``ansatz``) at many; either is
-exact on any number of arcs under a cap, and neither places a copy.
+unit-eps cut data over value columns by ``class_cuts``, beside the
+body-area Gram of the same columns.  ``second_order_read`` reads both at
+one profile, cached and closure-checked once per computed read
+(``cut_parameters`` is its cuts), and the form (``ansatz``) at many;
+either is exact on any number of arcs under a cap, and neither places a
+copy.
 
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
@@ -61,6 +64,7 @@ from .body import (
     _in_arc,
     _unit,
     antipodal_extremes,
+    body_area_gram,
     build_body,
     center_offsets,
     croft_constants,
@@ -242,7 +246,7 @@ def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
     return out
 
 
-def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts):
+def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts, offsets: np.ndarray):
     """eps = 0 derivatives of the six cap areas over columns (q[:, a], shifts[a]).
 
     Cap j lies beyond the line n.x = cos(phi_c), n at angle j*psi.  A
@@ -255,12 +259,13 @@ def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts):
     and A_et = h1(phi_2) - h1(phi_1), where int h1 over an arc part is
     (m_i + shift) x du - q_i dphi, ``body_area``'s Green term.  Returns A_e,
     A_ec and A_et (6, m) and A_ee (6, m, m) as bilinear forms over the m
-    columns of ``q`` (n, m) and ``shifts`` (m, 2); no body is built and no copy placed.
+    columns of ``q`` (n, m), with their ``center_offsets`` ``offsets``
+    (n, m, 2), and ``shifts`` (m, 2); no body is built and no copy placed.
     """
     phi_c = croft_constants().phi_c
     cot = 1.0 / math.tan(phi_c)
     arcs, ends, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(breaks))
-    centers = center_offsets(breaks, q) + shifts  # (n, m, 2)
+    centers = offsets + shifts  # (n, m, 2)
     qa = q[arcs]  # (6, width, m)
     h1_int = _cross(centers[arcs], du[:, :, None, :]) - qa * dphi[..., None]
     qh = np.swapaxes(qa, 1, 2) @ h1_int  # (6, m, m): int q h1 per cap
@@ -283,35 +288,38 @@ def _cap_jacobians() -> np.ndarray:
 
 
 def class_cuts(breaks: np.ndarray, q: np.ndarray, shifts):
-    """Unit-eps cut data of the three edge classes over the columns of
-    ``cap_area_derivatives``: P_e (3, m), P_ex (3, 2, m) and P_ee (3, m, m).
+    """Unit-eps second-order data over the columns of ``cap_area_derivatives``,
+    from one ``center_offsets``: the body-area Gram B (m, m) of
+    ``body.body_area_gram`` and the edge classes' P_e (3, m), P_ex (3, 2, m)
+    and P_ee (3, m, m).
 
     Class k clips cap 2k off its left copy and cap 2k + 1 off its right one:
     it sums their A_e and A_ee and chains their (A_ec, A_et) through the
     jacobians of ``stripe_caps`` at (0, 0) into the (s, delta)-rows of P_ex.
     """
-    a_e, a_ee, a_ec, a_et = cap_area_derivatives(breaks, q, shifts)
+    offsets = center_offsets(breaks, q)
+    a_e, a_ee, a_ec, a_et = cap_area_derivatives(breaks, q, shifts, offsets)
     rates = np.stack([a_ec, a_et], axis=1).reshape((3, 2, 2) + a_ec.shape[1:])
     p_ex = np.einsum("sri,ksr...->ki...", _cap_jacobians(), rates)
-    return a_e[0::2] + a_e[1::2], p_ex, a_ee[0::2] + a_ee[1::2]
+    gram = body_area_gram(breaks, q, offsets)
+    return gram, a_e[0::2] + a_e[1::2], p_ex, a_ee[0::2] + a_ee[1::2]
 
 
 def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
     """Unit-eps cut data of the three edge classes for the body of ``q``:
-    ``class_cuts`` at the one column (q, shift) (None: the reference shift).
+    the cuts of ``second_order_read``."""
+    return second_order_read(q, shift)[1]
 
-    Every cut is linear in (q, shift) and read exactly at eps = 0, for any
-    number of arcs under a cap.  The read is computed once per (break set,
-    values, shift), keyed by their bits and bounded at 64 entries, while
-    closure is still checked on every call: raises ``BodyError`` when ``q``
-    violates it (``body.require_closure``).
+
+def second_order_read(q: StepFunction, shift=None) -> tuple[float, tuple[PairCut, ...]]:
+    """(B, cuts): the body-area c2 of ``q``, area = pi + B eps^2, and the
+    unit-eps cut data of the three edge classes, ``class_cuts`` at the one
+    column (q, shift) (None: the reference shift), exact for any number of
+    arcs under a cap.  Computed once per (break set, values, shift), keyed
+    by their bits and bounded at 64 entries; each computed read checks
+    closure (``body.require_closure``: ``BodyError``), and no failure is
+    cached, so a read that hits has passed it.
     """
-    require_closure(q)
-    return _closed_cuts(q, shift)
-
-
-def _closed_cuts(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
-    # cut_parameters for a caller that has checked closure (build_body does)
     shift = resolve_shift(shift)
     return _profile_cuts(
         np.asarray(q.breaks, dtype=float).tobytes(),
@@ -321,14 +329,14 @@ def _closed_cuts(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut
 
 
 @lru_cache(maxsize=64)  # bounded for sweeps over many profiles
-def _profile_cuts(breaks: bytes, values: bytes, shift: bytes) -> tuple[PairCut, PairCut, PairCut]:
-    """``cut_parameters``' one-column ``class_cuts`` read, keyed by the bit
-    patterns of the float arrays: -0.0 and 0.0 are two keys, and a values
-    array changed in place is a new one.  The frozen ``PairCut``s are shared."""
-    p_e, p_ex, p_ee = class_cuts(
-        np.frombuffer(breaks), np.frombuffer(values)[:, None], np.frombuffer(shift)[None, :]
-    )
-    return tuple(
+def _profile_cuts(breaks: bytes, values: bytes, shift: bytes):
+    """``second_order_read`` keyed by the bit patterns of the float arrays:
+    -0.0 and 0.0 are two keys, and a values array changed in place is a new
+    one.  The frozen ``PairCut``s are shared."""
+    breaks, values = np.frombuffer(breaks), np.frombuffer(values)
+    require_closure(breaks, values)
+    gram, p_e, p_ex, p_ee = class_cuts(breaks, values[:, None], np.frombuffer(shift)[None, :])
+    return float(gram[0, 0]), tuple(
         PairCut(float(p_e[k, 0]), (float(p_ex[k, 0, 0]), float(p_ex[k, 1, 0])),
                 float(p_ee[k, 0, 0]))
         for k in range(3)

@@ -5,11 +5,10 @@ the plane with one copy per lattice cell; its area over the cell area is
 the packing density.  Four evaluation modes are provided: second-order
 series with shift-only or shift+tilt stripe minimization ("series1",
 "series2"), and exact clipped-arc areas with the same two minimizations
-("exact1", "exact2"); the series modes build no body (closed forms at
-unit eps: ``body_area_coefficient``, ``lattice.cut_parameters``).  That
-cut data is computed once per (break set, values, shift), keyed by bits
-and bounded at 64 entries, so the records of one fit or scan share it;
-closure is still checked once per record.
+("exact1", "exact2"); the series modes build no body.  Each record and
+closed form reads the body-area c2 and the cut data at unit eps from
+``lattice.second_order_read``, cached per (break set, values, shift), so
+the records of one fit or scan compute it once, closure check included.
 
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and
@@ -18,10 +17,10 @@ moves into its copy's own frame by the inverse of the copy's
 ``lattice.copy_motion`` (``unplaced_caps``), and one
 ``clip.halfplane_clip_area`` walk of the one unplaced body per cap gives
 its area and derivatives, chained through the moved cap.  Newton starts
-at the series minimizer of the cap-read cut data (``lattice.cut_parameters``),
-halves any step that raises the area, and stops at the first point it
-has evaluated whose step is below NEWTON_STEP_TOL, without taking that
-step; each ``EdgeCut`` records its steps, its pair-area evaluations
+at the series minimizer of the cap-read cut data, halves any step that
+raises the area, and stops at the first point it has evaluated whose
+step is below NEWTON_STEP_TOL, without taking that step; each
+``EdgeCut`` records its steps, its pair-area evaluations
 (about 2.6 per edge on the reference exact2 fit) and that point's
 gradient norm as a stationarity certificate.  The loop runs on plain
 floats: the caps, the chain rule and the 1 x 1 or 2 x 2 step
@@ -41,16 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, body_area_gram, build_body, family_radii, require_closure
+from .body import ArcBody, body_area, build_body, family_radii
 from .clip import Clip, halfplane_clip_area
-from .lattice import (
-    LATTICE_CONSTANT,
-    _closed_cuts,
-    copy_motion,
-    cut_parameters,
-    edge_ends,
-    stripe_caps,
-)
+from .lattice import LATTICE_CONSTANT, copy_motion, edge_ends, second_order_read, stripe_caps
 from .segments import minimize_pair_shift, minimize_pair_shift_tilt, pair_envelope
 from .stepfn import StepFunction, reference_step_function
 
@@ -281,11 +273,11 @@ def tortoise_area(
     is a rhombus of side one lattice constant.  ``shift`` is the
     pre-rotation shift pair of every copy (None: the reference shift).
     Every mode minimizes the second-order pair area on the unit cut data of
-    ``cut_parameters`` scaled by eps, and the exact modes start Newton at
-    that minimizer, on the caps of the two copies across each class's
-    edge (``lattice.edge_ends``) moved onto the one body.  The series
-    modes build no body: their area is pi + B eps^2, B of
-    ``body_area_coefficient``.
+    ``lattice.second_order_read`` scaled by eps, and the exact modes start
+    Newton at that minimizer, on the caps of the two copies across each
+    class's edge (``lattice.edge_ends``) moved onto the one body.  The
+    series modes build no body: their area is pi + B eps^2, B of the same
+    read.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -293,13 +285,13 @@ def tortoise_area(
         q = reference_step_function()
 
     if mode in SERIES_MODES:
-        family_radii(q, eps)  # closure: cut_parameters below checks it
-        a_body = math.pi + _body_area_c2(q) * eps * eps
-        cuts = cut_parameters(q, shift)
+        family_radii(q, eps)
+        body_c2, cuts = second_order_read(q, shift)
+        a_body = math.pi + body_c2 * eps * eps
     else:
-        body = build_body(q, eps)  # checks closure, once per record
+        body = build_body(q, eps)
         a_body = body_area(body)
-        cuts = _closed_cuts(q, shift)
+        cuts = second_order_read(q, shift)[1]
     with_tilt = mode in TILT_MODES
     per_edge = []
     for k, cut in enumerate(cuts):
@@ -349,29 +341,19 @@ def series_cut_coefficients(
 
     The sum of the three minimized pair areas is
     6*a0 + linear*eps + quadratic*eps**2 in the series modes: the unit cuts
-    of ``cut_parameters``, summed and minimized by ``pair_envelope``.
+    of ``lattice.second_order_read``, summed and minimized by
+    ``pair_envelope``.
     """
-    if q is None:
-        q = reference_step_function()
-    if mode not in SERIES_MODES:
-        raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
-    cuts = cut_parameters(q, shift)
-    _, quad = pair_envelope([c.p_ex for c in cuts], [c.p_ee for c in cuts], mode in TILT_MODES)
-    return sum(c.linear for c in cuts), float(quad)
+    return _series_coefficients(q, mode, shift)[1:]
 
 
 def body_area_coefficient(q: StepFunction | None = None) -> float:
-    """c2 in area(eps) = pi + c2 * eps**2, read off ``body_area``'s Green sum
-    in closed form (``body_area_gram``); no body is built."""
+    """c2 in area(eps) = pi + c2 * eps**2, the B of
+    ``lattice.second_order_read`` at the reference shift (B does not
+    depend on the shift); no body is built."""
     if q is None:
         q = reference_step_function()
-    require_closure(q)
-    return _body_area_c2(q)
-
-
-def _body_area_c2(q: StepFunction) -> float:
-    # body_area_coefficient for callers whose cut_parameters checks closure
-    return float(body_area_gram(q.breaks, q.values[:, None])[0, 0])
+    return second_order_read(q)[0]
 
 
 def series_net_coefficient(
@@ -379,15 +361,25 @@ def series_net_coefficient(
     mode: str = "series2",
     shift=None,
 ) -> float:
-    """Second-order coefficient of the cut-body area, series closed form.
+    """Second-order coefficient of the cut-body area, series closed form:
+    the body-area c2 minus the cut sum's quadratic coefficient, both from
+    one ``lattice.second_order_read``.
 
     Positive means the family improves on the disc-based construction.
-    Closure is checked once, by the ``cut_parameters`` the cut sum reads.
     """
+    body_c2, _, quad = _series_coefficients(q, mode, shift)
+    return body_c2 - quad
+
+
+def _series_coefficients(q, mode, shift) -> tuple[float, float, float]:
+    # (B, linear, quadratic) of one read, after the mode check
     if q is None:
         q = reference_step_function()
-    _, quad = series_cut_coefficients(q, mode, shift)
-    return _body_area_c2(q) - quad
+    if mode not in SERIES_MODES:
+        raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
+    body_c2, cuts = second_order_read(q, shift)
+    _, quad = pair_envelope([c.p_ex for c in cuts], [c.p_ee for c in cuts], mode in TILT_MODES)
+    return body_c2, sum(c.linear for c in cuts), float(quad)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_criterion_2_series_coefficients():
 
 
 def test_criterion_3_body_family():
-    closure = chain_closure_residual(Q)
+    closure = chain_closure_residual(Q.breaks, Q.values)
     offs = center_offsets(Q.breaks, Q.values)
     off_err = max(
         float(np.max(np.abs(offs[:, 0] - reference.X_OFFSETS))),

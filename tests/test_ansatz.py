@@ -21,7 +21,7 @@ from croft_forge.ansatz import (
     jacobi_eigh,
     step_from_halfvalues,
 )
-from croft_forge.body import build_body, croft_constants
+from croft_forge.body import build_body, center_offsets, croft_constants
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PSI,
@@ -452,7 +452,9 @@ def test_cap_derivatives_match_clip_differences():
     profiles = [(reference_step_function(), default_config()),
                 (q36_profile(), default_config())] + _wide_cap_profiles(4)
     for q, shift in profiles:
-        a_e, a_ee, a_ec, a_et = cap_area_derivatives(q.breaks, q.values[:, None], [shift])
+        q_col = q.values[:, None]
+        a_e, a_ee, a_ec, a_et = cap_area_derivatives(
+            q.breaks, q_col, [shift], center_offsets(q.breaks, q_col))
         closed = np.stack([a_e[:, 0], a_ee[:, 0, 0], a_ec[:, 0], a_et[:, 0]], axis=1)
         fine, coarse = (_cap_differences(q, shift, h) for h in (5e-4, 1e-3))
         limit = (4.0 * fine - coarse) / 3.0

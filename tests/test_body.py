@@ -48,7 +48,7 @@ def test_center_offsets_of_a_value_matrix_are_its_columns():
 
 
 def test_chain_closes():
-    assert chain_closure_residual(Q) <= 1e-12
+    assert chain_closure_residual(Q.breaks, Q.values) <= 1e-12
 
 
 def chained_closure_residual(q):
@@ -67,9 +67,9 @@ def test_closure_residual_is_the_chained_gap():
     rng = np.random.default_rng(17)
     for _ in range(50):
         q = seeded_profile(rng)
-        gap = abs(chain_closure_residual(q) - chained_closure_residual(q))
+        gap = abs(chain_closure_residual(q.breaks, q.values) - chained_closure_residual(q))
         assert gap <= 1e-15 * np.sum(np.abs(q.values))
-    assert abs(chain_closure_residual(Q) - chained_closure_residual(Q)) <= 1e-15
+    assert abs(chain_closure_residual(Q.breaks, Q.values) - chained_closure_residual(Q)) <= 1e-15
 
 
 def test_anchor_convention_boundary_starts_at_unit_x():
@@ -102,7 +102,7 @@ def test_closure_is_one_rule_at_every_eps():
     half = Q.values[: Q.n_intervals // 2].copy()
     half[0] += 2.5e-9 / np.hypot(math.cos(Q.breaks[1]) - 1.0, math.sin(Q.breaks[1]))
     q = ansatz.step_from_halfvalues(half, Q)
-    assert 4e-9 <= chain_closure_residual(q) <= 6e-9
+    assert 4e-9 <= chain_closure_residual(q.breaks, q.values) <= 6e-9
     for eps in (0.0, 0.05, 0.1):
         with pytest.raises(BodyError, match="close"):
             build_body(q, eps)

@@ -139,13 +139,16 @@ def test_clip_of_cornered_bodies_matches_the_full_walk():
     its own midpoint, so no side carries past the corner.
 
     Also one line 1e-13 below a corner point that passes as near a break
-    between arcs of radii 2.0 and 0.033 (body 2 of seed 103): the crossing
-    there falls in the window of neither arc and is lost, which inverted
-    a walk that flipped its side at each crossing."""
+    between arcs of radii 2.0 and 0.033 (body 2 of seed 103).  The break
+    window is a distance along the arc, so the crossing there belongs to
+    the arc that starts at the break: both crossings are found, and the
+    clip has derivatives (an angle window, narrower in distance on the
+    small arc, lost it)."""
     body = _cornered_bodies(103)[2]
     point = body.centers[np.flatnonzero(body.radii == 0.0)[0]]
     n = np.array([math.cos(0.5 * math.pi), math.sin(0.5 * math.pi)])
-    assert _assert_clip_is_the_full_walk(body, n, n @ point - 1e-13) == 1
+    assert _assert_clip_is_the_full_walk(body, n, n @ point - 1e-13) == 2
+    assert halfplane_clip_area(body, n, n @ point - 1e-13).grad is not None
     rng = np.random.default_rng(4)
     corners = crossed_twice = 0
     for body in _cornered_bodies(4):

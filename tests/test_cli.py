@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import croft_forge
 import croft_forge.cli
 from croft_forge import ansatz, lattice, svgout, tortoise
-from croft_forge import body as body_module
 from croft_forge.cli import main
 from croft_forge.lattice import PATCH_SITES
 from croft_forge.stepfn import reference_step_function
@@ -147,16 +146,16 @@ def test_fit_csv_cells_are_the_json_values(capsys):
 
 
 def test_fit_reads_each_series_coefficient_once(capsys, monkeypatch):
-    """An exact2 fit reads the cut data (``lattice._closed_cuts``) once per
-    grid eps and once per series mode (8 + 2), computes it once, and the
-    body-area c2 once."""
+    """An exact2 fit reads the second-order data
+    (``lattice.second_order_read``) once per grid eps, once for the
+    body-area c2 and twice per series mode, its cut and its net c2
+    (8 + 1 + 2 * 2), and computes it (``class_cuts``) once."""
     lattice._profile_cuts.cache_clear()
-    cuts = count_calls(monkeypatch, lattice, "_closed_cuts")
+    cuts = count_calls(monkeypatch, lattice, "second_order_read")
     reads = count_calls(monkeypatch, lattice, "class_cuts")
-    grams = count_calls(monkeypatch, body_module, "body_area_gram")
     code, _, _ = run(capsys, "fit", "--mode", "exact2")
     assert code == 0
-    assert (len(cuts), len(reads), len(grams)) == (10, 1, 1)
+    assert (len(cuts), len(reads)) == (13, 1)
 
 
 @pytest.mark.parametrize("n", [None, 2])
@@ -617,6 +616,21 @@ def test_bad_eps_is_usage_error(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [("scan",), ("fit",), ("render", "body")])
+def test_eps_and_eps_range_together_are_a_usage_error(capsys, command):
+    """``--eps`` and ``--eps-range`` exclude each other: given both, each
+    command that takes an eps exits 2 naming the two options, in either
+    order, and prints nothing on stdout."""
+    for argv in ((*command, "--eps-range", "0:1:0.5", "--eps", "0.1"),
+                 (*command, "--eps", "0.1", "--eps-range", "0:1:0.5")):
+        code = _exit_code(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "not allowed with argument" in err
+        assert "--eps-range" in err and "argument --eps" in err
+        assert out == ""
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -796,12 +810,10 @@ def test_fit_scan_and_verify_pass_the_shift_through(capsys, tmp_path, monkeypatc
     net = tortoise.series_net_coefficient(q, "series2", shift)
     area = tortoise.tortoise_area(0.05, "series2", q=q, shift=shift).tortoise_area
     seen = []
-    cuts, closed, check = tortoise.cut_parameters, tortoise._closed_cuts, lattice.verify_avoidance
-    monkeypatch.setattr(tortoise, "cut_parameters",
-                        lambda q, shift=None: seen.append(shift) or cuts(q, shift))
-    # an exact record reads the cut data after build_body's closure check
-    monkeypatch.setattr(tortoise, "_closed_cuts",
-                        lambda q, shift=None: seen.append(shift) or closed(q, shift))
+    read, check = lattice.second_order_read, lattice.verify_avoidance
+    for module in (tortoise, croft_forge.cli):
+        monkeypatch.setattr(module, "second_order_read",
+                            lambda q, shift=None: seen.append(shift) or read(q, shift))
     monkeypatch.setattr(croft_forge.cli, "verify_avoidance",
                         lambda *a, **kw: seen.append(kw["shift"]) or check(*a, **kw))
     code, out, _ = run(capsys, "fit", "--mode", "series2", "--q-spec", path, "--format", "json")
@@ -811,7 +823,7 @@ def test_fit_scan_and_verify_pass_the_shift_through(capsys, tmp_path, monkeypatc
     code, _, _ = run(capsys, "verify", "--checks", "cancellation,series-vs-exact,avoidance",
                      "--q-spec", path)
     assert code == 0
-    assert len(seen) == (8 + 2) + 1 + (1 + 6 + 3 + 3) and all(s == shift for s in seen)
+    assert len(seen) == (8 + 1 + 2 * 2) + 1 + (1 + 6 + 3 + 3) and all(s == shift for s in seen)
 
 
 def test_series_vs_exact_judges_the_last_halving(capsys, tmp_path, monkeypatch):

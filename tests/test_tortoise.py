@@ -14,8 +14,10 @@ from croft_forge import body as body_module
 from croft_forge.body import (
     BodyError,
     body_area,
+    body_area_gram,
     boundary_point,
     build_body,
+    center_offsets,
     croft_constants,
     transform,
 )
@@ -32,6 +34,7 @@ from croft_forge.lattice import (
     edge_ends,
     place_body,
     place_copy,
+    second_order_read,
     site_position,
     stripe_caps,
     verify_avoidance,
@@ -269,7 +272,7 @@ def _direct_cut_bits(q, shift):
     """A direct one-column ``class_cuts`` read of (q, shift), as hex; the
     name bound here is not the one ``count_calls`` counts."""
     shift = default_config() if shift is None else shift
-    p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
+    _, p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
     return [
         tuple(float(x).hex() for x in (p_e[k, 0], p_ex[k, 0, 0], p_ex[k, 1, 0], p_ee[k, 0, 0]))
         for k in range(3)
@@ -281,13 +284,17 @@ def _direct_cut_bits(q, shift):
 )
 def test_cached_cut_parameters_are_the_direct_read(shift):
     """``cut_parameters`` equals a direct ``class_cuts`` read bit for bit, on
-    the first call (a cache miss) and the second (a hit): the reference,
-    q36 and a seeded uniform-48 profile."""
+    the first call (a cache miss) and the second (a hit), and the read's
+    body-area c2 a direct ``body_area_gram`` read: the reference, q36 and a
+    seeded uniform-48 profile."""
     lattice._profile_cuts.cache_clear()
     for q in (Q, q36_profile(), _uniform_48_profile()):
         want = _direct_cut_bits(q, shift)
+        q_col = q.values[:, None]
+        gram = float(body_area_gram(q.breaks, q_col, center_offsets(q.breaks, q_col))[0, 0]).hex()
         assert _cut_bits(cut_parameters(q, shift)) == want
         assert _cut_bits(cut_parameters(q, shift)) == want
+        assert second_order_read(q, shift)[0].hex() == gram
 
 
 def test_cut_cache_keys_are_bit_patterns(monkeypatch):
@@ -310,25 +317,26 @@ def test_cut_cache_keys_are_bit_patterns(monkeypatch):
 
 
 def test_exact2_fit_and_scan_read_the_cut_data_once_per_profile_and_shift(monkeypatch):
-    """Each exact2 record reads the cut data (``lattice._closed_cuts``, the
-    read ``cut_parameters`` makes after its closure check), but
-    ``class_cuts`` runs once per (profile, shift)."""
+    """Each exact2 record reads the cut data (``lattice.second_order_read``),
+    but ``class_cuts`` runs once per (profile, shift).  Closure is checked
+    once per record, by ``build_body``, and once per read that computes."""
     lattice._profile_cuts.cache_clear()
-    cuts = count_calls(monkeypatch, lattice, "_closed_cuts")
+    cuts = count_calls(monkeypatch, lattice, "second_order_read")
     reads = count_calls(monkeypatch, lattice, "class_cuts")
     closures = count_calls(monkeypatch, body_module, "require_closure")
     for run, n_reads in (
         (lambda: fit_net_coefficient("exact2"), 1),
-        (lambda: scan(DEFAULT_FIT_EPS, "exact2"), 1),
-        (lambda: scan(DEFAULT_FIT_EPS, "exact2", shift=FAR_SHIFT), 2),
+        (lambda: scan(DEFAULT_FIT_EPS, "exact2"), 0),
+        (lambda: scan(DEFAULT_FIT_EPS, "exact2", shift=FAR_SHIFT), 1),
     ):
         cuts.clear()
+        reads.clear()
         closures.clear()
         run()
         assert (len(cuts), len(reads)) == (len(DEFAULT_FIT_EPS), n_reads)
-        # build_body checks closure at unit eps, once per record
-        assert all(len(args) == 1 for args in closures)
-        assert len(closures) == len(cuts)
+        # each check is at unit eps, on the profile's breaks and values
+        assert all(len(args) == 2 for args in closures)
+        assert len(closures) == len(cuts) + n_reads
 
 
 def test_open_profile_is_refused_on_every_cut_read():
@@ -616,7 +624,8 @@ def test_open_chain_error_names_the_unit_eps_residual():
 
 def test_closure_is_checked_once_per_series_evaluation(monkeypatch):
     """A series ``tortoise_area``, ``series_net_coefficient`` and a series
-    ``c2_net`` probe compute the closure residual once each."""
+    ``c2_net`` probe compute the closure residual once each, in the read
+    that computes their second-order data, and not again on a cache hit."""
     calls = count_calls(monkeypatch, body_module, "chain_closure_residual")
     v = ansatz.closure_project(np.random.default_rng(3).normal(size=ansatz.N_FREE))
     for mode in ("series1", "series2"):
@@ -625,24 +634,28 @@ def test_closure_is_checked_once_per_series_evaluation(monkeypatch):
             lambda: series_net_coefficient(Q, mode),
             lambda: ansatz.c2_net(v, (0.1, -0.2), mode),
         ):
-            calls.clear()
-            evaluate()
-            assert len(calls) == 1
+            lattice._profile_cuts.cache_clear()
+            for n_checks in (1, 0):
+                calls.clear()
+                evaluate()
+                assert len(calls) == n_checks
 
 
 @pytest.mark.parametrize("mode", ["exact1", "exact2"])
 def test_closure_is_checked_once_per_exact_record(monkeypatch, mode):
-    """An exact ``tortoise_area`` computes the closure residual once, in
-    ``build_body``, and starts Newton from the cut data of
-    ``cut_parameters`` read without a second check: each edge's series gap
+    """An exact ``tortoise_area`` computes the closure residual once in
+    ``build_body``, and once more only when its read of the cut data
+    computes; it starts Newton from that cut data: each edge's series gap
     is to the series record's pair area.  On the reference, q36 and the
     reference with another shift."""
     calls = count_calls(monkeypatch, body_module, "chain_closure_residual")
     series = "series2" if mode == "exact2" else "series1"
+    lattice._profile_cuts.cache_clear()
     for q, shift in ((Q, None), (q36_profile(), None), (Q, (0.1, -0.2))):
-        calls.clear()
-        rec = tortoise_area(0.05, mode, q=q, shift=shift)
-        assert len(calls) == 1
+        for n_checks in (2, 1):
+            calls.clear()
+            rec = tortoise_area(0.05, mode, q=q, shift=shift)
+            assert len(calls) == n_checks
         start = tortoise_area(0.05, series, q=q, shift=shift)
         for e, s in zip(rec.per_edge, start.per_edge):
             assert e.series_gap == e.area - s.area
