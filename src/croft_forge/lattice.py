@@ -19,11 +19,14 @@ clips move the caps back by its inverse onto the one unplaced body.
 The second-order cut model is read off the six caps of the unplaced body
 at eps = 0 (``cap_area_derivatives``) and paired into each class's
 unit-eps cut data over value columns by ``class_cuts``, beside the
-body-area Gram of the same columns.  ``second_order_read`` reads both at
-one profile, cached and closure-checked once per computed read
-(``cut_parameters`` is its cuts), and the form (``ansatz``) at many;
-either is exact on any number of arcs under a cap, and neither places a
-copy.
+body-area Gram of the same columns.  Both are linear or bilinear in the
+column x = (values, shift), so ``class_cuts`` at the n + 2 unit columns
+is the whole cut model of a break set (``_cut_model``), read once per
+break set.  ``second_order_read`` contracts it with one profile's x,
+cached and closure-checked once per computed read (``cut_parameters`` is
+its cuts); the form (``ansatz``) reads ``class_cuts`` at its own basis
+columns.  Either is exact on any number of arcs under a cap, and neither
+places a copy.
 
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
@@ -58,6 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import reference
 from .body import (
     ArcBody,
     _cross,
@@ -100,8 +104,6 @@ def site_position(i: int, j: int) -> np.ndarray:
 
 def default_config() -> tuple[float, float]:
     """The reference shift (sx, sy); an unshifted lattice is (0, 0)."""
-    from . import reference
-
     return (reference.SHIFT_X, reference.SHIFT_Y)
 
 
@@ -307,18 +309,21 @@ def class_cuts(breaks: np.ndarray, q: np.ndarray, shifts):
 
 def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairCut]:
     """Unit-eps cut data of the three edge classes for the body of ``q``:
-    the cuts of ``second_order_read``."""
+    the cuts of ``second_order_read``, a contraction of the break set's
+    cut model with x = (q, shift)."""
     return second_order_read(q, shift)[1]
 
 
 def second_order_read(q: StepFunction, shift=None) -> tuple[float, tuple[PairCut, ...]]:
     """(B, cuts): the body-area c2 of ``q``, area = pi + B eps^2, and the
-    unit-eps cut data of the three edge classes, ``class_cuts`` at the one
-    column (q, shift) (None: the reference shift), exact for any number of
-    arcs under a cap.  Computed once per (break set, values, shift), keyed
-    by their bits and bounded at 64 entries; each computed read checks
-    closure (``body.require_closure``: ``BodyError``), and no failure is
-    cached, so a read that hits has passed it.
+    unit-eps cut data of the three edge classes at the one column x =
+    (q, shift) (None: the reference shift), exact for any number of arcs
+    under a cap.  Each is a contraction of the break set's cut model
+    (``_cut_model``) with x: B = x G x, P_e x, P_ex x and (P_ee x) x.
+    Computed once per (break set, values, shift), keyed by their bits and
+    bounded at 64 entries; each computed read checks closure
+    (``body.require_closure``: ``BodyError``), and no failure is cached,
+    so a read that hits has passed it.
     """
     shift = resolve_shift(shift)
     return _profile_cuts(
@@ -328,17 +333,34 @@ def second_order_read(q: StepFunction, shift=None) -> tuple[float, tuple[PairCut
     )
 
 
+@lru_cache(maxsize=16)  # an entry is 4 (n + 2)^2 floats: 2.7 MB at n = 288
+def _cut_model(breaks: bytes):
+    """``class_cuts`` at the n + 2 unit columns of x = (values, shift) on the
+    break set with these bits: (G, P_e, P_ex, P_ee), shaped (m, m), (3, m),
+    (3, 2, m) and (3, m, m) with m = n + 2, read-only.  B and P_ee are
+    bilinear in x and P_e and P_ex linear, so these four are the whole cut
+    model of the break set."""
+    breaks = np.frombuffer(breaks)
+    n = len(breaks) - 1
+    unit = np.eye(n + 2)
+    out = class_cuts(breaks, unit[:n], unit[n:].T)
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=64)  # bounded for sweeps over many profiles
 def _profile_cuts(breaks: bytes, values: bytes, shift: bytes):
     """``second_order_read`` keyed by the bit patterns of the float arrays:
     -0.0 and 0.0 are two keys, and a values array changed in place is a new
     one.  The frozen ``PairCut``s are shared."""
-    breaks, values = np.frombuffer(breaks), np.frombuffer(values)
-    require_closure(breaks, values)
-    gram, p_e, p_ex, p_ee = class_cuts(breaks, values[:, None], np.frombuffer(shift)[None, :])
-    return float(gram[0, 0]), tuple(
-        PairCut(float(p_e[k, 0]), (float(p_ex[k, 0, 0]), float(p_ex[k, 1, 0])),
-                float(p_ee[k, 0, 0]))
+    values = np.frombuffer(values)
+    require_closure(np.frombuffer(breaks), values)
+    gram, p_e, p_ex, p_ee = _cut_model(breaks)
+    x = np.concatenate([values, np.frombuffer(shift)])
+    linear, rates, quad = p_e @ x, p_ex @ x, (p_ee @ x) @ x
+    return float(x @ gram @ x), tuple(
+        PairCut(float(linear[k]), (float(rates[k, 0]), float(rates[k, 1])), float(quad[k]))
         for k in range(3)
     )
 

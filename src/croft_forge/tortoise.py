@@ -9,6 +9,9 @@ series with shift-only or shift+tilt stripe minimization ("series1",
 closed form reads the body-area c2 and the cut data at unit eps from
 ``lattice.second_order_read``, cached per (break set, values, shift), so
 the records of one fit or scan compute it once, closure check included.
+A computed read contracts the break set's cut model, itself read once
+per break set, with the profile's (values, shift): probes and profiles
+on one break set share one cap read.
 
 The exact modes minimize each stripe pair's clipped area by Newton's
 method on s (exact1) or (s, delta) (exact2), with closed-form first and

@@ -276,6 +276,26 @@ def test_form_sizes_come_from_the_template():
         assert abs(form.value(v, shifts) - direct) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [48, 96])
+def test_c2_net_probes_are_the_form_on_wide_caps(n):
+    """24 seeded series2 ``c2_net`` probes on uniform 48 and 96, break sets
+    with caps over three or more arcs and null directions, each equal the
+    form's value at the closure-projected point to 1e-8 ||H/2|| |u|^2, the
+    rule the benchmark's probe batch is checked by."""
+    template = uniform_zero_profile(n)
+    form = assemble_quadratic_form(template=template)
+    norm = np.linalg.norm(form.hessian / 2.0, 2)
+    rng = np.random.default_rng(n)
+    for _ in range(24):
+        v = rng.standard_normal(n // 2)
+        v /= np.max(np.abs(closure_project(v, template)))
+        shift = rng.standard_normal(2)
+        vp = closure_project(v, template)
+        want = form.value(vp, shift)
+        got = c2_net(v, shift, "series2", template=template)
+        assert abs(got - want) <= 1e-8 * norm * (vp @ vp + shift @ shift)
+
+
 @pytest.mark.parametrize("template", [TWO, FOUR], ids=["two", "four"])
 def test_small_break_sets_give_the_shift_form(template):
     """On two and four intervals the closure null space is empty: every mode

@@ -149,13 +149,16 @@ def test_fit_reads_each_series_coefficient_once(capsys, monkeypatch):
     """An exact2 fit reads the second-order data
     (``lattice.second_order_read``) once per grid eps, once for the
     body-area c2 and twice per series mode, its cut and its net c2
-    (8 + 1 + 2 * 2), and computes it (``class_cuts``) once."""
+    (8 + 1 + 2 * 2), computes it (a miss of ``_profile_cuts``) once, and
+    reads the break set's cut model (``class_cuts``) once."""
+    lattice._cut_model.cache_clear()
     lattice._profile_cuts.cache_clear()
     cuts = count_calls(monkeypatch, lattice, "second_order_read")
     reads = count_calls(monkeypatch, lattice, "class_cuts")
     code, _, _ = run(capsys, "fit", "--mode", "exact2")
     assert code == 0
     assert (len(cuts), len(reads)) == (13, 1)
+    assert lattice._profile_cuts.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", [None, 2])

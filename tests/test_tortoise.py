@@ -14,10 +14,8 @@ from croft_forge import body as body_module
 from croft_forge.body import (
     BodyError,
     body_area,
-    body_area_gram,
     boundary_point,
     build_body,
-    center_offsets,
     croft_constants,
     transform,
 )
@@ -58,7 +56,7 @@ from croft_forge.tortoise import (
     write_scan_csv,
     write_scan_json,
 )
-from break_sets import q36_profile, seeded_profile, uniform_zero_profile
+from break_sets import q36_profile, seeded_break_set, seeded_profile, uniform_zero_profile
 from call_counts import count_calls
 from disc_reference import (
     disc_cut_coefficients,
@@ -121,12 +119,12 @@ def test_series_close_to_exact(eps):
 
 
 def test_series_net_coefficients_pinned():
+    """The series1 c2 to 1e-9, and the headline series2 c2 as tightly as the
+    runtime install's check pins it: 1e-15 from -0.004416785740810."""
     assert series_net_coefficient(mode="series1") == pytest.approx(
         -0.0048968129, abs=1e-9
     )
-    assert series_net_coefficient(mode="series2") == pytest.approx(
-        -0.0044167857, abs=1e-9
-    )
+    assert abs(series_net_coefficient(mode="series2") - -0.004416785740810) <= 1e-15
 
 
 def test_series_modes_second_improves():
@@ -255,12 +253,17 @@ def test_exact2_fit_converges_at_a_far_shift():
     assert abs(fine.c2 - want) <= 1e-5
 
 
-def _uniform_48_profile():
-    """A seeded closure-projected profile on 48 uniform intervals; its values
-    are writable, as ``step_from_halfvalues`` builds them."""
-    template = uniform_zero_profile(48)
-    v = ansatz.closure_project(np.random.default_rng(48).standard_normal(24), template)
+def _closed_profile(template, seed):
+    """A seeded closure-projected profile on ``template``'s break set, scaled
+    to max |q| = 1; its values are writable, as ``step_from_halfvalues``
+    builds them."""
+    v = np.random.default_rng(seed).standard_normal(template.n_intervals // 2)
+    v = ansatz.closure_project(v, template)
     return ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template)
+
+
+def _uniform_48_profile():
+    return _closed_profile(uniform_zero_profile(48), 48)
 
 
 def _cut_bits(cuts):
@@ -268,75 +271,130 @@ def _cut_bits(cuts):
     return [(c.linear.hex(), c.p_ex[0].hex(), c.p_ex[1].hex(), c.p_ee.hex()) for c in cuts]
 
 
-def _direct_cut_bits(q, shift):
-    """A direct one-column ``class_cuts`` read of (q, shift), as hex; the
-    name bound here is not the one ``count_calls`` counts."""
+def assert_direct_read(q, shift):
+    """``second_order_read(q, shift)``, a contraction of the break set's cut
+    model, is a direct one-column ``class_cuts`` read of x = (q, shift)
+    within 1e-14 (1 + |x|^2) for B and P_ee and 1e-14 (1 + |x|) for P_e
+    and P_ex.  The name ``class_cuts`` bound here is not the one
+    ``count_calls`` counts."""
     shift = default_config() if shift is None else shift
-    _, p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
-    return [
-        tuple(float(x).hex() for x in (p_e[k, 0], p_ex[k, 0, 0], p_ex[k, 1, 0], p_ee[k, 0, 0]))
-        for k in range(3)
-    ]
+    gram, p_e, p_ex, p_ee = class_cuts(q.breaks, q.values[:, None], [shift])
+    x = math.hypot(*q.values, *shift)
+    got_b, cuts = second_order_read(q, shift)
+    assert abs(got_b - gram[0, 0]) <= 1e-14 * (1.0 + x * x)
+    for k, c in enumerate(cuts):
+        assert abs(c.p_ee - p_ee[k, 0, 0]) <= 1e-14 * (1.0 + x * x)
+        assert abs(c.linear - p_e[k, 0]) <= 1e-14 * (1.0 + x)
+        assert np.all(np.abs(np.array(c.p_ex) - p_ex[k, :, 0]) <= 1e-14 * (1.0 + x))
+
+
+def _clear_cut_caches():
+    lattice._cut_model.cache_clear()
+    lattice._profile_cuts.cache_clear()
 
 
 @pytest.mark.parametrize(
     "shift", [None, (0.0, 0.0), (-0.0, 0.0), FAR_SHIFT], ids=["reference", "zero", "minus-zero", "far"]
 )
 def test_cached_cut_parameters_are_the_direct_read(shift):
-    """``cut_parameters`` equals a direct ``class_cuts`` read bit for bit, on
-    the first call (a cache miss) and the second (a hit), and the read's
-    body-area c2 a direct ``body_area_gram`` read: the reference, q36 and a
+    """``second_order_read`` returns the same bits on the first call (a
+    cache miss) and the second (a hit), and both are a direct
+    ``class_cuts`` read (``assert_direct_read``): the reference, q36 and a
     seeded uniform-48 profile."""
-    lattice._profile_cuts.cache_clear()
+    _clear_cut_caches()
     for q in (Q, q36_profile(), _uniform_48_profile()):
-        want = _direct_cut_bits(q, shift)
-        q_col = q.values[:, None]
-        gram = float(body_area_gram(q.breaks, q_col, center_offsets(q.breaks, q_col))[0, 0]).hex()
-        assert _cut_bits(cut_parameters(q, shift)) == want
-        assert _cut_bits(cut_parameters(q, shift)) == want
-        assert second_order_read(q, shift)[0].hex() == gram
+        b, cuts = second_order_read(q, shift)
+        assert_direct_read(q, shift)
+        assert second_order_read(q, shift)[0].hex() == b.hex()
+        assert _cut_bits(cut_parameters(q, shift)) == _cut_bits(cuts)
 
 
-def test_cut_cache_keys_are_bit_patterns(monkeypatch):
+def test_cut_cache_keys_are_bit_patterns():
     """A profile or a shift that differs only in the sign of a zero is read
-    on its own, and values changed in place after a call are read afresh."""
-    lattice._profile_cuts.cache_clear()
-    reads = count_calls(monkeypatch, lattice, "class_cuts")
+    on its own, and values changed in place after a call are read afresh:
+    each is a computed read (a miss of ``_profile_cuts``)."""
+    _clear_cut_caches()
     zero = uniform_zero_profile(48)
     signed = ansatz.step_from_halfvalues(np.zeros(24), zero)  # -0.0 on the second half
     assert np.array_equal(signed.values, zero.values)
     for q, shift in ((zero, (0.0, 0.0)), (signed, (0.0, 0.0)), (zero, (-0.0, 0.0)),
                      (zero, (0.0, 0.0)), (signed, (0.0, 0.0))):
-        assert _cut_bits(cut_parameters(q, shift)) == _direct_cut_bits(q, shift)
-    assert len(reads) == 3
+        assert_direct_read(q, shift)
+    assert lattice._profile_cuts.cache_info().misses == 3
     q = _uniform_48_profile()
     before = _cut_bits(cut_parameters(q))
     q.values[:] *= 2.0  # closure is linear, so the doubled profile closes too
-    assert _cut_bits(cut_parameters(q)) == _direct_cut_bits(q, None) != before
-    assert len(reads) == 5
+    assert _cut_bits(cut_parameters(q)) != before
+    assert_direct_read(q, None)
+    assert lattice._profile_cuts.cache_info().misses == 5
 
 
 def test_exact2_fit_and_scan_read_the_cut_data_once_per_profile_and_shift(monkeypatch):
     """Each exact2 record reads the cut data (``lattice.second_order_read``),
-    but ``class_cuts`` runs once per (profile, shift).  Closure is checked
+    but it is computed (a miss of ``_profile_cuts``) once per (profile,
+    shift), and ``class_cuts`` runs once per break set.  Closure is checked
     once per record, by ``build_body``, and once per read that computes."""
-    lattice._profile_cuts.cache_clear()
+    _clear_cut_caches()
     cuts = count_calls(monkeypatch, lattice, "second_order_read")
     reads = count_calls(monkeypatch, lattice, "class_cuts")
     closures = count_calls(monkeypatch, body_module, "require_closure")
-    for run, n_reads in (
-        (lambda: fit_net_coefficient("exact2"), 1),
-        (lambda: scan(DEFAULT_FIT_EPS, "exact2"), 0),
-        (lambda: scan(DEFAULT_FIT_EPS, "exact2", shift=FAR_SHIFT), 1),
+    for run, n_computes, n_reads in (
+        (lambda: fit_net_coefficient("exact2"), 1, 1),
+        (lambda: scan(DEFAULT_FIT_EPS, "exact2"), 0, 0),
+        (lambda: scan(DEFAULT_FIT_EPS, "exact2", shift=FAR_SHIFT), 1, 0),
     ):
         cuts.clear()
         reads.clear()
         closures.clear()
+        misses = lattice._profile_cuts.cache_info().misses
         run()
         assert (len(cuts), len(reads)) == (len(DEFAULT_FIT_EPS), n_reads)
+        assert lattice._profile_cuts.cache_info().misses - misses == n_computes
         # each check is at unit eps, on the profile's breaks and values
         assert all(len(args) == 2 for args in closures)
-        assert len(closures) == len(cuts) + n_reads
+        assert len(closures) == len(cuts) + n_computes
+
+
+@pytest.mark.parametrize(
+    "shift", [None, (0.0, -0.0), (0.3, -0.1)], ids=["reference", "zero", "shifted"]
+)
+def test_contraction_is_the_direct_read(shift):
+    """On the reference, q36, seeded profiles on uniform 12, 24, 48 and 96
+    and on 20 seeded 24-interval break sets, each with caps over one to
+    several arcs."""
+    _clear_cut_caches()
+    profiles = [Q, q36_profile()]
+    profiles += [_closed_profile(uniform_zero_profile(n), n) for n in (12, 24, 48, 96)]
+    profiles += [_closed_profile(seeded_break_set(24, seed), seed) for seed in range(20)]
+    for q in profiles:
+        assert_direct_read(q, shift)
+
+
+def test_contraction_is_the_direct_read_on_uniform_288():
+    _clear_cut_caches()
+    assert_direct_read(_closed_profile(uniform_zero_profile(288), 288), (0.3, -0.1))
+
+
+def test_cut_model_is_read_once_per_break_set():
+    """Six profile reads on one break set compute six times but read its cut
+    model once; the model's four arrays are shaped by m = n + 2 columns
+    and read-only."""
+    _clear_cut_caches()
+    template = uniform_zero_profile(48)
+    for seed in range(3):
+        for shift in (None, (0.3, -0.1)):
+            second_order_read(_closed_profile(template, seed), shift)
+    second_order_read(Q)
+    assert lattice._profile_cuts.cache_info().misses == 7
+    assert lattice._cut_model.cache_info().misses == 2
+    model = lattice._cut_model(template.breaks.tobytes())
+    assert lattice._cut_model.cache_info().misses == 2
+    m = 50
+    assert [x.shape for x in model] == [(m, m), (3, m), (3, 2, m), (3, m, m)]
+    for x in model:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1.0
 
 
 def test_open_profile_is_refused_on_every_cut_read():
