@@ -230,6 +230,12 @@ def antipodal_extremes(centers, radii, breaks):
     return np.sqrt(np.maximum(d2, 0.0)), P, Q
 
 
+def _rotation(angle: float) -> np.ndarray:
+    """The 2 x 2 matrix of the rotation by ``angle`` about the origin."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 def transform(b: ArcBody, rotation: float = 0.0, translation=(0.0, 0.0)) -> ArcBody:
     """Rigidly move a body: rotate about the origin, then translate.
 
@@ -238,10 +244,8 @@ def transform(b: ArcBody, rotation: float = 0.0, translation=(0.0, 0.0)) -> ArcB
     so ``boundary_point`` of the moved body at phi + rotation is the moved
     point of the original at phi.
     """
-    c, s = math.cos(rotation), math.sin(rotation)
-    rot = np.array([[c, -s], [s, c]])
     return ArcBody(
-        centers=b.centers @ rot.T + np.asarray(translation, dtype=float),
+        centers=b.centers @ _rotation(rotation).T + np.asarray(translation, dtype=float),
         radii=b.radii.copy(),
         breaks=b.breaks + rotation,
         epsilon=b.epsilon,

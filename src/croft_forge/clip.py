@@ -21,7 +21,8 @@ that can meet it: one to three arcs for a stripe cap instead of all n.
 ``trim_bodies`` keeps what several half-planes leave of each of several
 bodies as arc pieces, chords and vertices, in one padded table with a
 row per body (``TrimTable``): the table the exact checks of the patch in
-``lattice`` read.  It walks each cut's cap as above, then splits the arcs
+``lattice`` read.  It takes the bodies as stacked arrays and their cuts
+as one padded table, walks each cut's cap as above, then splits the arcs
 of every body with one sort, clips every chord with one array pass, lists
 every piece end as a vertex and pads each group into its rows.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -80,16 +80,17 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
     return out
 
 
-def cap_arcs(body: ArcBody, n0: float, n1: float, alpha: float, c: float) -> list[int]:
+def cap_arcs(arcs, n0: float, n1: float, alpha: float, c: float) -> list[int]:
     """Indices of the arcs that can meet {x : n.x >= c}, in boundary order,
-    for the unit normal n = (n0, n1) of angle ``alpha``.
+    for the unit normal n = (n0, n1) of angle ``alpha``, on the boundary
+    ``arcs``: its (centers, radii, breaks) as lists (``ArcBody.arc_lists``).
 
     Starts at the support arc, the one whose range holds ``alpha``, and
     walks out both ways while the shared endpoint stays within CAP_MARGIN
     of the half-plane.  The support arc is always returned, and every arc
     when the whole boundary is in the half-plane.
     """
-    centers, radii, breaks = body.arc_lists
+    centers, radii, breaks = arcs
     count = len(radii)
     floor = c - CAP_MARGIN
 
@@ -187,7 +188,7 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
     chords = []  # from each kept piece's end to the next one's start
     hits = []  # (center, point) per crossing
     first = end = None  # first start and last end of a kept piece
-    for i in cap_arcs(body, n0, n1, alpha, c):
+    for i in cap_arcs(body.arc_lists, n0, n1, alpha, c):
         center, radius = centers[i], radii[i]
         a, b = breaks[i], breaks[i + 1]
         if radius <= 0.0 or b - a <= 0.0:
@@ -229,7 +230,7 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
     alpha = math.atan2(n1, n0)
     centers, radii, breaks = body.arc_lists
     return [np.array(_arc_point(centers[i], radii[i], phi))
-            for i in cap_arcs(body, n0, n1, alpha, c)
+            for i in cap_arcs(body.arc_lists, n0, n1, alpha, c)
             for phi in _crossings(*centers[i], radii[i], breaks[i], breaks[i + 1],
                                   alpha, n0, n1, c)]
 
@@ -270,24 +271,15 @@ def _padded(sizes, *flat):
     return (*out, ok)
 
 
-def cut_table(cuts_per_body) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, c) cuts of several bodies as arrays (body, cut, 2) of normals
-    and (body, cut) of offsets, zero-padded by ``_padded``, and the mask of
-    real cuts.  A padded cut (0, 0) removes nothing: 0.x - 0 is never above
-    a tolerance."""
-    flat = [cut for cuts in cuts_per_body for cut in cuts]
-    return _padded(np.array([len(cuts) for cuts in cuts_per_body]),
-                   np.array([n for n, _ in flat], dtype=float).reshape(-1, 2),
-                   np.array([c for _, c in flat], dtype=float))
-
-
-def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarray, np.ndarray]:
+def trim_bodies(copies, cuts) -> TrimTable:
     """Exact boundary of each body with its cut half-planes removed, as a
-    ``TrimTable`` with a row per body, and the ``cut_table`` it trimmed by:
-    (table, normals, offsets, cut mask).
+    ``TrimTable`` with a row per body.
 
-    ``cuts_per_body[i]`` holds body i's (n, c) pairs, each the removed
-    half-plane {x : n.x >= c}, as from ``lattice.collect_patch_cuts``.
+    ``copies`` stacks the bodies, all of n arcs: (centers (body, n, 2),
+    radii (body, n), breaks (body, n + 1)), as from ``lattice.place_patch``.
+    ``cuts`` is their cut table, as from ``lattice.patch_cuts``: normals
+    (body, cut, 2), offsets (body, cut) and the mask of real cuts, each
+    real (n, c) the removed half-plane {x : n.x >= c}.
     Each cut line is crossed with the arcs under the cap it removes
     (``cap_arcs``, ``_crossings``); one sort of every crossing
     and every arc end of every body by (body, arc, angle) splits all arcs
@@ -303,37 +295,36 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     bit the one it gets trimmed alone.  Every piece end is a vertex, the
     shared end of two pieces of one arc twice.
     """
-    count = len(bodies)
-    normals, offsets, cut_ok = cut_table(cuts_per_body)
+    centers, radii, breaks = copies
+    normals, offsets, cut_ok = cuts
+    count, arcs = radii.shape
     width = normals.shape[1]
-    # the arcs of all bodies are numbered in turn: body k's from first[k]
-    first = list(accumulate((b.n_arcs for b in bodies), initial=0))
-    centers = np.concatenate([b.centers for b in bodies]).reshape(-1, 2)
-    radii = np.concatenate([b.radii for b in bodies])
     # every crossing (arc, angle, body * width + cut) of a cut line with an
     # arc under its cap, then both ends of every arc (cut -1), sorted by arc
-    # number and angle
+    # number and angle; the arcs of all bodies are numbered in turn
+    lists = list(zip(centers.tolist(), radii.tolist(), breaks.tolist()))
+    lines = normals.tolist(), offsets.tolist()
     found = []
-    for k, (body, cuts) in enumerate(zip(bodies, cuts_per_body)):
-        arc_centers, arc_radii, breaks = body.arc_lists
-        for j, (n, c) in enumerate(cuts):
-            n0, n1 = float(n[0]), float(n[1])
-            alpha = math.atan2(n1, n0)
-            for i in cap_arcs(body, n0, n1, alpha, c):
-                found += [(first[k] + i, phi, k * width + j) for phi in _crossings(
-                    *arc_centers[i], arc_radii[i], breaks[i], breaks[i + 1], alpha, n0, n1, c)]
+    for k, j in zip(*(x.tolist() for x in np.nonzero(cut_ok))):
+        (n0, n1), c = lines[0][k][j], lines[1][k][j]
+        alpha = math.atan2(n1, n0)
+        arc_centers, arc_radii, arc_breaks = lists[k]
+        for i in cap_arcs(lists[k], n0, n1, alpha, c):
+            found += [(k * arcs + i, phi, k * width + j) for phi in _crossings(
+                *arc_centers[i], arc_radii[i], arc_breaks[i], arc_breaks[i + 1],
+                alpha, n0, n1, c)]
     arc, angle, cut = np.array(found, dtype=float).reshape(-1, 3).T
-    ends = np.arange(first[-1])
+    ends = np.arange(count * arcs)
     arc = np.concatenate([arc, ends, ends])
-    angle = np.concatenate([angle, *(b.breaks[:-1] for b in bodies),
-                            *(b.breaks[1:] for b in bodies)])
-    cut = np.concatenate([cut, np.full(2 * first[-1], -1.0)])
+    angle = np.concatenate([angle, breaks[:, :-1].ravel(), breaks[:, 1:].ravel()])
+    cut = np.concatenate([cut, np.full(2 * count * arcs, -1.0)])
+    centers, radii = centers.reshape(-1, 2), radii.reshape(-1)
     order = np.lexsort((angle, arc))
     arc, angle, cut = arc[order].astype(int), angle[order], cut[order]
     # consecutive angles on one arc bound a piece
     same = arc[1:] == arc[:-1]
     idx, lo, hi = arc[:-1][same], angle[:-1][same], angle[1:][same]
-    piece_body = np.searchsorted(first, idx, side="right") - 1
+    piece_body = idx // arcs
     mid, slot = _padded(np.bincount(piece_body, minlength=count),
                         centers[idx] + radii[idx][:, None] * _unit(0.5 * (lo + hi)))
     side = (mid @ np.swapaxes(normals, 1, 2) - offsets[:, None] <= KEEP_TOL)[slot]
@@ -388,10 +379,10 @@ def trim_bodies(bodies, cuts_per_body) -> tuple[TrimTable, np.ndarray, np.ndarra
     order = np.argsort(vertex_body, kind="stable")
     vertices = np.concatenate([start, stop, chord_a, chord_b])[order]
     # every group is sorted by body, so each pads into its rows as it is
-    own = (idx - np.array(first)[piece_body])[wide]  # each piece's arc in its own body
+    own = (idx % arcs)[wide]  # each piece's arc in its own body
     groups = ((piece_body[wide], centers[wide], radii[wide], u0[wide], u1[wide], own),
               (chord_body, chord_a, chord_b, j), (vertex_body[order], vertices))
     table = TrimTable(*(x for rows, *flat in groups
                         for x in _padded(np.bincount(rows, minlength=count), *flat)))
-    return table, normals, offsets, cut_ok
+    return table
 

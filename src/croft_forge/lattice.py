@@ -10,7 +10,7 @@ states both); ``copy_motion`` places the copies
 with it and the cap reads add it to the arc centres.  Every
 nearest-neighbor edge then joins colors c and c+1 and falls into one of
 three classes by direction, read off its neighbor step by an integer
-rule (``collect_patch_cuts``); the geometry of the stripe cut across an
+rule (``patch_layout``); the geometry of the stripe cut across an
 edge depends only on its class.  ``edge_ends`` names the two copies
 across the representative edge of each class and ``copy_motion`` the
 rigid motion of each: ``place_copy`` moves the body by it, and the exact
@@ -31,13 +31,18 @@ places a copy.
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
 states where a stripe's two caps sit across an edge along +x, and
-``collect_patch_cuts`` moves them onto each edge of a patch; the exact
-clip (``clip.halfplane_clip_area``), the trimming and the drawings take
-the pairs as they are.
+``patch_cuts`` moves them onto each edge of the patch, as one padded cut
+table with a row per site; the exact clip (``clip.halfplane_clip_area``)
+takes the pairs as they are, and the trimming and the drawings read the
+table.  The patch itself is ``patch_layout``, built once: each row's
+color and position, each slot's edge class, side, direction and start,
+and the 16 edges, each naming its two slots.  The stripes fill its cut
+table in a few array operations, and ``place_patch`` places the copies
+as stacked arrays, each row ``place_body``'s copy to the bit.
 
-Patch verification is exact (``verify_avoidance``).  The copies are
-trimmed by their stripe half-planes, all in one pass, straight into one
-padded table of arc pieces, chords and vertices, a row per copy
+Patch verification is exact (``verify_avoidance``).  The stacked copies
+are trimmed by the cut table, all in one pass, straight into one padded
+table of arc pieces, chords and vertices, a row per copy
 (``clip.trim_bodies``); all three checks read rows of it.  Distances are
 closed forms over pairs of pieces, vectorised with NumPy, and the
 candidate list is complete: a nearest pair either has an endpoint of a
@@ -56,6 +61,7 @@ No diameter is searched for: each trimmed copy lies on its rigid copy
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +72,7 @@ from .body import (
     ArcBody,
     _cross,
     _in_arc,
+    _rotation,
     _unit,
     antipodal_extremes,
     body_area_gram,
@@ -157,6 +164,21 @@ def place_copy(body: ArcBody, color: int, position, shift=None) -> ArcBody:
 def place_body(body: ArcBody, i: int, j: int, shift=None) -> ArcBody:
     """Copy of ``body`` at lattice site (i, j), placed by ``place_copy``."""
     return place_copy(body, color_index(i, j), site_position(i, j), shift)
+
+
+def place_patch(body: ArcBody, shift=None):
+    """The copies of ``body`` at the rows of ``patch_layout``, stacked:
+    (centers (row, n, 2), radii (row, n), breaks (row, n + 1)).  Row r is
+    ``place_body``'s copy at PATCH_SITES[r] to the bit: the float
+    operations of ``body.transform``, with one rotation product per color
+    and each site's ``copy_motion`` translation."""
+    layout = patch_layout()
+    angles = [rotation_of_color(c) for c in range(3)]
+    turned = np.stack([body.centers @ _rotation(angle).T for angle in angles])[layout.colors]
+    moves = np.array([copy_motion(c, position, body.epsilon, shift)[1]
+                      for c, position in zip(layout.colors.tolist(), layout.positions)])
+    breaks = np.stack([body.breaks + angle for angle in angles])[layout.colors]
+    return turned + moves[:, None], np.broadcast_to(body.radii, turned.shape[:2]), breaks
 
 
 def edge_ends(k: int) -> tuple[tuple[int, tuple[float, float]], tuple[int, tuple[float, float]]]:
@@ -365,48 +387,81 @@ def _profile_cuts(breaks: bytes, values: bytes, shift: bytes):
     )
 
 
-def collect_patch_cuts(
-    sites,
-    stripes: dict[int, tuple[float, float]],
-    stripe_width: float = 2.0,
-):
-    """Cuts per site and the list of edges of a lattice patch.
+# The patch ``PATCH_SITES`` as arrays that depend on neither the stripes
+# nor the body, built once (``patch_layout``).  Row r is the site
+# PATCH_SITES[r], of color colors[r] at positions[r].  Slot j of row r is
+# the j-th cut the row's edges place on its copy, zero-padded to the six of
+# the centre row and masked by ``mask``: the edge's class ``klass``, the
+# ``side`` of the edge the row is on (0 its start, 1 its end: the caps of
+# ``stripe_caps`` in turn), ``turn`` = (cos, sin) of the edge's direction
+# m*pi/3 for neighbor step m, and ``origin``, the position of the edge's
+# start.  ``edges`` lists each edge once as ((row_a, slot_a), (row_b,
+# slot_b), class), from color c to color c+1.
+PatchLayout = namedtuple("PatchLayout", "colors positions klass side turn origin mask edges")
 
-    Returns (cuts, edges): ``cuts[site]`` lists the removed half-planes
-    {x : n.x >= c} of the site's copy as (n, c) pairs, the caps of
-    ``stripe_caps`` moved onto each edge by its rigid motion (a rotation
-    by m*pi/3 for neighbor step m, then a shift to the edge's origin);
-    ``edges`` lists (site_a, site_b, class, slots) with the edge oriented
-    from color c to color c+1, each edge once.  ``slots`` (i_a, i_b) names
-    the two caps the edge places, cuts[site_a][i_a] and cuts[site_b][i_b]:
-    copy a keeps n.x <= c_a under its cut (n, c_a), and copy b keeps
-    n.x >= c_b under its cut (-n, -c_b), so the two cuts state the strip
-    between them.
+
+@lru_cache(maxsize=1)
+def patch_layout() -> PatchLayout:
+    """The ``PatchLayout`` of ``PATCH_SITES``, read-only.
 
     The steps m = 0, 2, 4 lead from color c to c+1 (the other three lead
     back), and the edge of step m has class k = (m/2 - c) mod 3: its
     direction m*psi is 2*c*psi + 2*k*psi mod 2*pi, so at direction 0 the
-    class-k edge starts at color -k mod 3 (``left_color_of_class``).
+    class-k edge starts at color -k mod 3 (``left_color_of_class``).  Each
+    row's slots come in the order its edges are listed.
     """
-    site_set = set(sites)
-    caps = {k: stripe_caps(s, delta, stripe_width) for k, (s, delta) in stripes.items()}
-    cuts: dict[tuple[int, int], list] = {s: [] for s in sites}
+    row = {site: r for r, site in enumerate(PATCH_SITES)}
+    slots = [[] for _ in PATCH_SITES]  # (class, side, turn, start row) per cut
     edges = []
-    for (i, j) in sites:
+    for a, (i, j) in enumerate(PATCH_SITES):
         color = color_index(i, j)
-        origin = site_position(i, j)
         for m in (0, 2, 4):
             di, dj = NEIGHBOR_STEPS[m]
-            other = (i + di, j + dj)
-            if other not in site_set:
+            b = row.get((i + di, j + dj))
+            if b is None:
                 continue
             k = (m // 2 - color) % 3
-            beta = m * PSI
-            for site, (n, c, _, _) in zip(((i, j), other), caps[k]):
-                n = np.array(_rot(beta, n))
-                cuts[site].append((n, c + float(n @ origin)))
-            edges.append(((i, j), other, k, (len(cuts[(i, j)]) - 1, len(cuts[other]) - 1)))
-    return cuts, edges
+            turn = (math.cos(m * PSI), math.sin(m * PSI))
+            for side, r in enumerate((a, b)):
+                slots[r].append((k, side, turn, a))
+            edges.append(((a, len(slots[a]) - 1), (b, len(slots[b]) - 1), k))
+    positions = np.array([site_position(*site) for site in PATCH_SITES])
+    klass, side, turn, start = (np.array(x) for x in zip(*(x for s in slots for x in s)))
+    layout = PatchLayout(np.array([color_index(*site) for site in PATCH_SITES]), positions,
+                         *_padded(np.array([len(s) for s in slots]), klass, side, turn,
+                                  positions[start]), tuple(edges))
+    for x in layout[:-1]:
+        x.setflags(write=False)
+    return layout
+
+
+def patch_cuts(stripes: dict[int, tuple[float, float]], stripe_width: float = 2.0):
+    """The cut table of the patch, on the slots of ``patch_layout``:
+    normals (row, slot, 2), offsets (row, slot) and the mask of real cuts.
+
+    Slot (r, j) holds the cap of ``stripe_caps`` for its class and side,
+    each class's caps at its (shift, tilt) in ``stripes``, moved onto its
+    edge: the normal turned by the edge's direction, n = R n_cap, and the
+    line moved to the edge's start, c = c_cap + n.origin, for the removed
+    half-plane {x : n.x >= c}.  Across an edge, copy a keeps n.x <= c_a
+    under its cut (n, c_a) and copy b keeps n.x >= c_b under its cut
+    (-n, -c_b), so the two cuts state the strip between them.  A padded
+    slot is (0, 0), which removes nothing: 0.x - 0 is never above a
+    tolerance.
+    """
+    layout = patch_layout()
+    caps = [stripe_caps(*stripes[k], stripe_width) for k in range(3)]
+    at = (layout.klass, layout.side)
+    cap = np.array([[n for n, _, _, _ in pair] for pair in caps])[at]
+    cos, sin = layout.turn[..., 0], layout.turn[..., 1]
+    n = np.stack([cos * cap[..., 0] - sin * cap[..., 1], sin * cap[..., 0] + cos * cap[..., 1]],
+                 axis=-1)
+    normals = np.where(layout.mask[..., None], n, 0.0)
+    # n.origin as stacked pair products: the dot ``n @ origin`` takes, which
+    # can round apart from n0*o0 + n1*o1
+    moved = (normals[..., None, :] @ layout.origin[..., None])[..., 0, 0]
+    offsets = np.array([[c for _, c, _, _ in pair] for pair in caps])[at] + moved
+    return normals, np.where(layout.mask, offsets, 0.0), layout.mask
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +544,6 @@ def _dot(x, n):
     return x[..., 0] * n[..., 0] + x[..., 1] * n[..., 1]
 
 
-def _swap(candidates):
-    P, Q, ok = candidates
-    return Q, P, ok
-
-
 def _vertex_vertex(a: TrimTable, b: TrimTable):
     shape = a.vertices.shape[:2] + b.vertices.shape[1:]
     return (np.broadcast_to(a.vertices[:, :, None], shape),
@@ -561,10 +611,13 @@ def _arc_chord(a: TrimTable, b: TrimTable):
     return X, start + s[..., None] * e, ok
 
 
-def _extreme(blocks) -> list[tuple[float, Witness]]:
-    """Per row, the distance and witness of the first nearest existing
+def _extreme(e: int, blocks) -> list[tuple[float, Witness]]:
+    """Per pair, the distance and witness of the first nearest existing
     candidate.  ``blocks`` lists the helper calls in candidate order; each
-    block is reduced to its row minima before the next is built."""
+    block is reduced to its row minima before the next is built.  A block
+    over the e pairs' rows is one candidate kind; a block over 2e rows is
+    a mirrored kind, rows e.. its b->a half, which follows its a->b half
+    with its two points swapped."""
     best = []
     for block in blocks:
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on padding, bad pieces
@@ -573,7 +626,10 @@ def _extreme(blocks) -> list[tuple[float, Witness]]:
         d[~ok] = math.inf  # a block over no pieces (no chords, say) is all inf
         at = (np.arange(len(ok)),
               *np.unravel_index(d.reshape(len(ok), -1).argmin(axis=1), ok.shape[1:]))
-        best.append((d[at], P[at], Q[at]))
+        d, P, Q = d[at], P[at], Q[at]
+        best.append((d[:e], P[:e], Q[:e]))
+        if len(d) > e:
+            best.append((d[e:], Q[e:], P[e:]))
     d, P, Q = (np.stack(x, axis=1) for x in zip(*best))
     return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(d.argmin(axis=1))]
 
@@ -618,27 +674,29 @@ def closest_pairs(table: TrimTable, pairs, normals, offsets, top) -> list[tuple[
     pairs in one batched pass over the candidates the module docstring
     lists (two chords have no isolated interior critical pair).  Each side
     names its body's row and the slot of its edge's cut in the cut table
-    ``normals``, ``offsets`` (``trim_bodies``) and in ``top``, its measured
+    ``normals``, ``offsets`` (``patch_cuts``) and in ``top``, its measured
     extremes (``_support``); ``_strip_prune`` first drops the pieces that
     cannot hold the nearest pair, keeping every candidate that can attain
     the minimum in order, so the distance and the witness are those of the
-    full list.
+    full list.  Vertex-arc, vertex-chord and arc-chord candidates come in
+    mirrored kinds, a to b and b to a: each runs once over both sides'
+    rows against their partners' rows, and ``_extreme`` splits its row
+    minima back into the two kinds, in the list's order.
     """
     if not pairs:
         return []
+    e = len(pairs)
     rows, slots = np.array([a for a, _ in pairs] + [b for _, b in pairs]).T
     p = _strip_prune(_take(table, rows), normals[rows, slots], offsets[rows, slots],
                      top[rows, slots])
-    a, b = _take(p, slice(len(pairs))), _take(p, slice(len(pairs), None))
-    return _extreme([
+    a, b = _take(p, slice(e)), _take(p, slice(e, None))
+    partner = _take(p, np.roll(np.arange(2 * e), e))  # row i: the other side of row i's pair
+    return _extreme(e, [
         lambda: _vertex_vertex(a, b),
-        lambda: _vertex_arc(a, b),
-        lambda: _swap(_vertex_arc(b, a)),
-        lambda: _vertex_chord(a, b),
-        lambda: _swap(_vertex_chord(b, a)),
+        lambda: _vertex_arc(p, partner),
+        lambda: _vertex_chord(p, partner),
         lambda: _arc_arc(a, b),
-        lambda: _arc_chord(a, b),
-        lambda: _swap(_arc_chord(b, a)),
+        lambda: _arc_chord(p, partner),
     ])
 
 
@@ -710,11 +768,12 @@ def verify_avoidance(
     points, (c)'s on the copy.  A copy its cut lines remove entirely is a
     violation of its own: no distance of it can be measured.
 
-    The nine copies are trimmed in one call (``trim_bodies``) into one
-    padded table, a row per site, beside the padded table of its cuts.
-    (a) is one batched support-function pass (``_support``) over every
-    copy and cut.  Each edge names its two cuts (``collect_patch_cuts``),
-    the strip's two lines, so (a)'s support values at them are the
+    The nine copies are placed as stacked arrays (``place_patch``) and
+    trimmed in one call (``trim_bodies``) into one padded table, a row per
+    site, by the patch's padded cut table (``patch_cuts``).  (a) is one
+    batched support-function pass (``_support``) over every copy and cut.
+    Each edge names its two slots (``patch_layout``), the strip's two
+    lines, so (a)'s support values at them are the
     measured extremes ``_strip_prune`` moves the lines out to, and its
     bound holds even if the trimming is wrong.  What the bound leaves
     goes through the candidate helpers once for the 16 edges' rows
@@ -732,10 +791,10 @@ def verify_avoidance(
     shift = resolve_shift(shift)
     sites = PATCH_SITES
     body = build_body(q, eps)
-    cuts, edges = collect_patch_cuts(sites, stripes, stripe_width)
-    # row r of the table holds the trimmed copy of sites[r]
-    copies = [place_body(body, *s, shift) for s in sites]
-    table, normals, offsets, cut_ok = trim_bodies(copies, [cuts[s] for s in sites])
+    normals, offsets, cut_ok = patch_cuts(stripes, stripe_width)
+    # row r of the stacks and of the table holds the copy of sites[r]
+    copies = place_patch(body, shift)
+    table = trim_bodies(copies, (normals, offsets, cut_ok))
     live = np.flatnonzero(table.vertex_ok.any(axis=1)).tolist()
     violations = [f"site {s}: its cut lines leave nothing of its copy"
                   for r, s in enumerate(sites) if r not in live]
@@ -746,23 +805,21 @@ def verify_avoidance(
     violations += [f"site {sites[r]}: trimmed body crosses a cut line by {excess[r, j]:.3e}"
                    for r, j in zip(*np.nonzero(excess > VERIFY_TOL))]
 
-    row = {s: r for r, s in enumerate(sites)}
-    checked = [e for e in edges if row[e[0]] in live and row[e[1]] in live]
-    found = closest_pairs(table, [((row[a], i), (row[b], j)) for a, b, _, (i, j) in checked],
-                          normals, offsets, top)
+    edges = patch_layout().edges
+    checked = [e for e in edges if e[0][0] in live and e[1][0] in live]
+    found = closest_pairs(table, [(a, b) for a, b, _ in checked], normals, offsets, top)
     min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
-    for (a, b, k, _), (d, w) in zip(checked, found):
+    for ((a, _), (b, _), k), (d, w) in zip(checked, found):
         if d < 2.0 - VERIFY_TOL:
             violations.append(
-                f"edge {a}->{b} (class {k}): bodies only {d:.12f} apart, "
+                f"edge {sites[a]}->{sites[b]} (class {k}): bodies only {d:.12f} apart, "
                 f"at {_point(w[0])} and {_point(w[1])}"
             )
 
-    stacked = [np.stack([getattr(c, f) for c in copies]) for f in ("centers", "radii", "breaks")]
-    off = _off_copy(table, stacked, normals, offsets)
+    off = _off_copy(table, copies, normals, offsets)
     violations += [f"site {sites[r]}: trimmed {piece} {i} is off its copy" for piece, mask
                    in zip(("arc piece", "chord"), off) for r, i in zip(*np.nonzero(mask))]
-    diameters = [d for r, d in enumerate(_copy_diameters(stacked)) if r in live]
+    diameters = [d for r, d in enumerate(_copy_diameters(copies)) if r in live]
     max_diam, diameter_witness = max(diameters, key=lambda f: f[0], default=(-math.inf, None))
     for r, (d, w) in zip(live, diameters):
         if d > 2.0 + VERIFY_TOL:

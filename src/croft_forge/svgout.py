@@ -18,10 +18,9 @@ from .lattice import (
     COLORS,
     LATTICE_CONSTANT,
     PATCH_SITES,
-    collect_patch_cuts,
-    color_index,
-    place_body,
-    site_position,
+    patch_cuts,
+    patch_layout,
+    place_patch,
 )
 from .stepfn import StepFunction
 
@@ -94,18 +93,20 @@ def render_body_svg(b: ArcBody) -> str:
 
 def _patch_svg(q, eps, stripes, shift, sites, bounds) -> str:
     """The patch copies at ``sites``, each filled in its color with its cut
-    lines, in a document of ``bounds``."""
-    cuts, _ = collect_patch_cuts(PATCH_SITES, stripes)
-    body = build_body(q, eps)
+    lines, in a document of ``bounds``: the rows of the patch's cut table
+    and stacked copies (``lattice.patch_cuts``, ``lattice.place_patch``)."""
+    layout = patch_layout()
+    normals, offsets, cut_ok = patch_cuts(stripes)
+    centers, radii, breaks = place_patch(build_body(q, eps), shift)
     elements = []
-    for s in sites:
-        fill = FILL_BY_COLOR[COLORS[color_index(*s)]]
+    for r in map(PATCH_SITES.index, sites):
+        fill = FILL_BY_COLOR[COLORS[layout.colors[r]]]
         elements.append(
-            f'<path d="{body_path_d(place_body(body, *s, shift))}" fill="{fill}" '
-            f'stroke="{STROKE}" stroke-width="0.01"/>'
+            f'<path d="{body_path_d(ArcBody(centers[r], radii[r], breaks[r], eps))}" '
+            f'fill="{fill}" stroke="{STROKE}" stroke-width="0.01"/>'
         )
-        for n, c in cuts[s]:
-            elements.append(_line_segment(n, c, site_position(*s)))
+        for n, c in zip(normals[r][cut_ok[r]], offsets[r][cut_ok[r]]):
+            elements.append(_line_segment(n, c, layout.positions[r]))
     return svg_document(elements, bounds)
 
 

@@ -13,7 +13,9 @@ diameter of a trimmed body, checks the bound check (c) of
 wider than its copy.  The reference keeps one record per trimmed body
 (``TrimmedBody``);
 ``body_of_row`` reads a row of a ``croft_forge.clip.TrimTable`` back into
-one, and ``table_of`` stacks records into a table.  Only the tests use it.
+one, and ``table_of`` stacks records into a table; ``stacked`` and
+``cut_table`` put bodies and their cut lists into the arrays
+``croft_forge.clip.trim_bodies`` takes.  Only the tests use it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,23 @@ def table_of(bodies) -> TrimTable:
     return TrimTable(*(x for g in _GROUPS for x in _padded(
         np.array([len(getattr(t, g[0])) for t in bodies]),
         *(np.concatenate([getattr(t, f) for t in bodies]) for f in g))))
+
+
+def stacked(bodies):
+    """Bodies of one number of arcs as the stacked (centers, radii, breaks)
+    that ``croft_forge.clip.trim_bodies`` takes."""
+    return tuple(np.stack([getattr(b, f) for b in bodies]) for f in ("centers", "radii", "breaks"))
+
+
+def cut_table(cuts_per_body):
+    """The (n, c) cuts of several bodies as the cut table that
+    ``croft_forge.clip.trim_bodies`` takes: normals (body, cut, 2) and
+    offsets (body, cut), zero-padded by ``clip._padded``, and the mask of
+    real cuts."""
+    flat = [cut for cuts in cuts_per_body for cut in cuts]
+    return _padded(np.array([len(cuts) for cuts in cuts_per_body]),
+                   np.array([n for n, _ in flat], dtype=float).reshape(-1, 2),
+                   np.array([c for _, c in flat], dtype=float))
 
 
 def _arc_piece_area(center, radius, a, b, ua, ub) -> float:

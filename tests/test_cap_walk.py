@@ -74,6 +74,11 @@ def _cases(seed, count=4):
                 yield body, n, c
 
 
+def _trim(body, cuts):
+    """``trim_bodies`` of the one body by its (n, c) cuts: a table of one row."""
+    return trim_bodies(full_walk.stacked([body]), full_walk.cut_table([cuts]))
+
+
 def _key(points):
     return sorted(tuple(map(float, p)) for p in points)
 
@@ -188,11 +193,11 @@ def test_cap_walk_wraps_and_covers():
     alpha = body.breaks[0]
     n = np.array([math.cos(alpha), math.sin(alpha)])
     top = float(n @ boundary_point(body, alpha))
-    arcs = cap_arcs(body, *n, alpha, top - 0.05)
+    arcs = cap_arcs(body.arc_lists, *n, alpha, top - 0.05)
     assert count - 1 in arcs and 0 in arcs
     assert all((b - a) % count == 1 for a, b in zip(arcs, arcs[1:]))
-    assert sorted(cap_arcs(body, *n, alpha, -10.0)) == list(range(count))
-    assert len(cap_arcs(body, *n, alpha, top + 0.1)) <= 2
+    assert sorted(cap_arcs(body.arc_lists, *n, alpha, -10.0)) == list(range(count))
+    assert len(cap_arcs(body.arc_lists, *n, alpha, top + 0.1)) <= 2
 
 
 def _random_cuts(rng, body, count):
@@ -212,7 +217,7 @@ def _assert_same_trim(body, cuts, table=None, row=0):
     repeats: each group's real entries come first, in order, and its
     padding is zero.  Values compare as numbers: where a crossing at 0.0
     meets a break at -0.0, the two walks order the two angles apart."""
-    table = trim_bodies([body], [cuts])[0] if table is None else table
+    table = _trim(body, cuts) if table is None else table
     for fields, ok in zip(clip._GROUPS, ("arc_ok", "chord_ok", "vertex_ok")):
         mask = getattr(table, ok)[row]
         assert np.array_equal(mask, np.arange(len(mask)) < mask.sum())
@@ -241,15 +246,13 @@ def test_trim_matches_the_full_walk_on_a_patch(width):
     for q, mode in ((REF, "exact2"), (q36_profile(), "series2"), (UNIFORM_36, "series2")):
         body = build_body(q, eps)
         stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
-        cuts, _ = lattice.collect_patch_cuts(sites, stripes, width)
-        bodies = [lattice.place_body(body, *s, SHIFT) for s in sites]
-        table, normals, offsets, cut_ok = trim_bodies(bodies, [cuts[s] for s in sites])
+        normals, offsets, cut_ok = lattice.patch_cuts(stripes, width)
+        table = trim_bodies(lattice.place_patch(body, SHIFT), (normals, offsets, cut_ok))
         assert all(len(x) == len(sites) for x in table)
-        for r, (b, s) in enumerate(zip(bodies, sites)):
-            _assert_same_trim(b, cuts[s], table, r)
-            # the cut table it trimmed by: the site's cuts, then padding
-            assert np.array_equal(normals[r][cut_ok[r]], [n for n, _ in cuts[s]])
-            assert np.array_equal(offsets[r][cut_ok[r]], [c for _, c in cuts[s]])
+        for r, s in enumerate(sites):
+            # each row is its site's copy trimmed alone by its real cuts
+            cuts = list(zip(normals[r][cut_ok[r]], offsets[r][cut_ok[r]]))
+            _assert_same_trim(lattice.place_body(body, *s, SHIFT), cuts, table, r)
         empty = [s for r, s in enumerate(sites) if not table.vertex_ok[r].any()]
         assert empty == {2.0: [], 1.9: [], 3.2: [(0, 0)], 4.0: list(sites)}[width]
 
@@ -266,7 +269,7 @@ def test_a_signed_zero_vertex_pair_stays_two_vertices():
                                breaks=breaks)
     cuts = [(np.array([0.0, 1.0]), 0.0)]
     _assert_same_trim(body, cuts)
-    table = trim_bodies([body], [cuts])[0]
+    table = _trim(body, cuts)
     listed = {v.tobytes() for v in table.vertices[0][table.vertex_ok[0]]}
     assert {np.array([1.0, 0.0]).tobytes(), np.array([1.0, -0.0]).tobytes()} <= listed
 
@@ -287,7 +290,7 @@ def test_trim_decides_an_arc_tangent_to_its_cut_by_its_centre():
     u = np.array([math.cos(theta), math.sin(theta)])
     cuts = [(-u, -(1.0 - 5e-13))]
     _assert_same_trim(disc, cuts)
-    assert not trim_bodies([disc], [cuts])[0].vertex_ok.any()
+    assert not _trim(disc, cuts).vertex_ok.any()
     assert abs(halfplane_clip_area(disc, *cuts[0]).area - math.pi) <= AREA_TOL
 
     body = build_body(REF, -1.0)
@@ -296,7 +299,7 @@ def test_trim_decides_an_arc_tangent_to_its_cut_by_its_centre():
     assert body.radii[3] == 2.0
     cuts = [(u, float(u @ body.centers[3]) + 2.0 * (1.0 - 0.8e-12))]
     _assert_same_trim(body, cuts)
-    table = trim_bodies([body], [cuts])[0]
+    table = _trim(body, cuts)
     assert 3 in table.arc[0][table.arc_ok[0]]
     assert not table.chord_ok.any()
     assert abs(halfplane_clip_area(body, *cuts[0]).area) <= AREA_TOL
@@ -317,7 +320,7 @@ def test_trim_drops_a_chord_a_parallel_cut_removes():
     ends = boundary_line_crossings(disc, x, 0.5)
     assert len(ends) == 2 and x @ (ends[1] - ends[0]) == 0.0
     cuts = [(x, 0.5), (x, 0.3)]
-    t = trim_bodies([disc], [cuts])[0]
+    t = _trim(disc, cuts)
     assert t.chord_ok[0].sum() == 1
     root = math.sqrt(0.91)
     assert np.allclose(t.chord_a[0, 0], [0.3, -root], rtol=0, atol=1e-15)
@@ -372,9 +375,9 @@ def test_exact_records_past_a_corner_match_the_full_walk(monkeypatch, mode, eps)
     walk = clip.cap_arcs
     past = []
 
-    def cap_arcs(b, *line):
-        arcs = walk(b, *line)
-        past.append(any(b.radii[i] == 0.0 for i in arcs[1:-1]))
+    def cap_arcs(arc_lists, *line):
+        arcs = walk(arc_lists, *line)
+        past.append(any(arc_lists[1][i] == 0.0 for i in arcs[1:-1]))
         return arcs
 
     monkeypatch.setattr(clip, "cap_arcs", cap_arcs)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,17 +18,20 @@ from croft_forge.body import (
     diameter_profile,
     transform,
 )
-from croft_forge.clip import boundary_line_crossings, cut_table, trim_bodies
+from croft_forge.clip import boundary_line_crossings, trim_bodies
 from croft_forge.lattice import (
     LATTICE_CONSTANT,
     NEIGHBOR_STEPS,
+    PATCH_SITES,
     PSI,
-    collect_patch_cuts,
     color_index,
     color_of,
     default_config,
     left_color_of_class,
+    patch_cuts,
+    patch_layout,
     place_body,
+    place_patch,
     rotation_of_color,
     site_position,
     verify_avoidance,
@@ -48,7 +50,8 @@ SHIFT = default_config()
 
 def trim_body(body, cuts):
     """The one row of ``clip.trim_bodies`` of the one body, read back."""
-    return full_walk.body_of_row(trim_bodies([body], [cuts])[0], 0)
+    table = trim_bodies(full_walk.stacked([body]), full_walk.cut_table([cuts]))
+    return full_walk.body_of_row(table, 0)
 
 
 def closest_pair(a, b, strip):
@@ -73,7 +76,7 @@ def _strip(cut_a, cut_b):
 
 def halfplane_excess(t, cuts):
     """max of n.x - c over the trimmed body, one per cut (n, c)."""
-    normals, offsets, _ = cut_table([cuts])
+    normals, offsets, _ = full_walk.cut_table([cuts])
     return (lattice._support(full_walk.table_of([t]), normals) - offsets)[0]
 
 
@@ -308,41 +311,84 @@ def test_avoidance_refuses_a_non_finite_shift():
         verify_avoidance(Q, 0.05, stripes, shift=(math.nan, 0.0))
 
 
-def test_collect_patch_cuts_structure():
-    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
-    stripes = {k: (0.0, 0.0) for k in range(3)}
-    cuts, edges = collect_patch_cuts(sites, stripes)
-    # interior site sees all six incident stripes
-    assert len(cuts[(0, 0)]) == 6
-    # the edges are the neighbor pairs from color c to c+1, each once
+def _turned(beta, v):
+    """``v`` turned by the angle ``beta``."""
+    c, s = math.cos(beta), math.sin(beta)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+PATCH_STRIPES = {
+    "flat": {k: (0.0, 0.0) for k in range(3)},
+    "seeded": {k: (float(s), float(t)) for k, (s, t)
+               in enumerate(np.random.default_rng(3).uniform(-0.05, 0.05, (3, 2)))},
+}
+
+
+@pytest.mark.parametrize("width", [2.0, 1.9])
+@pytest.mark.parametrize("stripes", PATCH_STRIPES.values(), ids=PATCH_STRIPES)
+def test_patch_cut_table_structure(stripes, width):
+    """The layout's rows are the patch sites and its edges the neighbor
+    pairs from color c to c+1, each once, naming its two slots in the
+    order each row lists its edges.  Each slot holds its edge's cap of
+    ``stripe_caps`` turned onto the edge: b's normal is -(a's), each
+    offset is its cap offset plus n.(edge origin), and the two lines sit
+    a stripe width apart.  Padded slots are (0, 0) and masked."""
+    layout = patch_layout()
+    normals, offsets, ok = patch_cuts(stripes, width)
+    sites = PATCH_SITES
+    assert layout.colors.tolist() == [color_index(*s) for s in sites]
+    assert np.array_equal(layout.positions, [site_position(*s) for s in sites])
+    # the interior site sees all six incident stripes; real slots come first
+    assert ok.shape == (len(sites), 6) and ok[sites.index((0, 0))].all()
+    assert np.array_equal(ok, np.arange(6) < ok.sum(axis=1)[:, None])
+    assert not normals[~ok].any() and not offsets[~ok].any()
     forward = {
         ((i, j), (i + di, j + dj))
         for (i, j) in sites for di, dj in NEIGHBOR_STEPS
         if (i + di, j + dj) in sites
         and color_index(i + di, j + dj) == (color_index(i, j) + 1) % 3
     }
-    assert len(edges) == len(forward) == 16
-    assert {(a, b) for a, b, _, _ in edges} == forward
-    (_, c_l, _, _), (_, c_r, _, _) = lattice.stripe_caps(0.0, 0.0)
-    slot = dict.fromkeys(sites, 0)
-    for a, b, k, slots in edges:
-        pa, pb = site_position(*a), site_position(*b)
+    assert len(layout.edges) == len(forward) == 16
+    assert {(sites[a], sites[b]) for (a, _), (b, _), _ in layout.edges} == forward
+    slot = [0] * len(sites)
+    for (a, i), (b, j), k in layout.edges:
+        pa, pb = site_position(*sites[a]), site_position(*sites[b])
         beta = math.atan2(pb[1] - pa[1], pb[0] - pa[0])
-        assert k == _class_of_direction(color_index(*a), beta)
-        # each site's cuts come in the order of its edges, and the edge
-        # names its two
-        assert slots == (slot[a], slot[b])
-        (n, c_a), (m, c) = cuts[a][slot[a]], cuts[b][slot[b]]
-        # a's cut (n, c_a) and b's (-n, -c_b): the caps of stripe_caps
-        # turned onto the edge and moved to its start, the strip between
-        # them a stripe width wide
+        assert k == _class_of_direction(color_index(*sites[a]), beta)
+        assert (i, j) == (slot[a], slot[b])
+        for r, at, side in ((a, i, 0), (b, j, 1)):
+            assert (layout.klass[r, at], layout.side[r, at]) == (k, side)
+            assert np.array_equal(layout.origin[r, at], pa)
+            assert np.allclose(layout.turn[r, at], [math.cos(beta), math.sin(beta)],
+                               rtol=0.0, atol=1e-15)
+        (cap, c_l, _, _), (_, c_r, _, _) = lattice.stripe_caps(*stripes[k], width)
+        (n, c_a), (m, c) = (normals[a, i], offsets[a, i]), (normals[b, j], offsets[b, j])
         assert np.array_equal(m, -n)
-        assert np.allclose(n, [math.cos(beta), math.sin(beta)], rtol=0.0, atol=1e-15)
+        assert np.allclose(n, _turned(beta, cap), rtol=0.0, atol=1e-15)
         assert c_a == c_l + float(n @ pa) and c == c_r + float(m @ pa)
-        assert -c - c_a == pytest.approx(2.0, abs=1e-12)
+        assert -c - c_a == pytest.approx(width, abs=1e-12)
         slot[a] += 1
         slot[b] += 1
-    assert slot == {s: len(cuts[s]) for s in sites}
+    assert slot == ok.sum(axis=1).tolist()
+
+
+STACK_PROFILES = {"reference": Q, "q36": q36_profile(), "uniform96": uniform_zero_profile(96)}
+
+
+@pytest.mark.parametrize("q", STACK_PROFILES.values(), ids=STACK_PROFILES)
+def test_stacked_copies_are_the_placed_copies(q):
+    """Each row of ``place_patch`` is ``place_body``'s copy at its site bit
+    for bit (signed zeros included): centres, radii and breaks of all nine
+    sites, at eps +-0.05, with the reference shift and another one."""
+    for eps in (0.05, -0.05):
+        body = build_body(q, eps)
+        for shift in (None, (0.1, -0.2)):
+            copies = place_patch(body, shift)
+            assert [x.shape[0] for x in copies] == [len(PATCH_SITES)] * 3
+            for r, s in enumerate(PATCH_SITES):
+                copy = place_body(body, *s, shift)
+                for got, want in zip(copies, (copy.centers, copy.radii, copy.breaks)):
+                    assert got[r].shape == want.shape and got[r].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +446,15 @@ def _random_profile(seed):
 
 
 def _patch(q, eps, stripes, width):
-    sites = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
+    """The patch's copies, cut lists and edges by site, read off the rows
+    of its cut table: each site's (n, c) pairs in slot order, each edge as
+    (site_a, site_b, class, (slot_a, slot_b))."""
     body = build_body(q, eps)
-    bodies = {s: place_body(body, *s, SHIFT) for s in sites}
-    cuts, edges = collect_patch_cuts(sites, stripes, width)
+    bodies = {s: place_body(body, *s, SHIFT) for s in PATCH_SITES}
+    normals, offsets, ok = patch_cuts(stripes, width)
+    cuts = {s: list(zip(normals[r][ok[r]], offsets[r][ok[r]])) for r, s in enumerate(PATCH_SITES)}
+    edges = [(PATCH_SITES[a], PATCH_SITES[b], k, (i, j))
+             for (a, i), (b, j), k in patch_layout().edges]
     return bodies, cuts, edges
 
 
@@ -478,7 +529,8 @@ def test_no_trimmed_copy_is_wider_than_its_copy(name, q, eps, mode, width):
     stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
     bodies, cuts, _ = _patch(q, eps, stripes, width)
     sites = lattice.PATCH_SITES
-    table = trim_bodies([bodies[s] for s in sites], [cuts[s] for s in sites])[0]
+    table = trim_bodies(full_walk.stacked([bodies[s] for s in sites]),
+                        full_walk.cut_table([cuts[s] for s in sites]))
     bounds = [diameter_profile(bodies[s])[0] for s in sites]
     for r, bound in enumerate(bounds):
         assert full_walk.farthest_pair(full_walk.body_of_row(table, r))[0] <= bound + 2e-15
@@ -490,31 +542,34 @@ def test_no_trimmed_copy_is_wider_than_its_copy(name, q, eps, mode, width):
                for s in sites)
 
 
-def _bulge_radius(body, arc):
-    radii = body.radii.copy()
-    radii[arc] += 1e-7
-    return dataclasses.replace(body, radii=radii)
+def _bulge_radius(copies, r, arc):
+    """Arc ``arc`` of the stacked copy in row r with its radius 1e-7 larger."""
+    centers, radii, breaks = copies
+    radii = radii.copy()
+    radii[r, arc] += 1e-7
+    return centers, radii, breaks
 
 
-def _shift_centre(body, arc):
-    # outward along the arc's middle direction: its farthest pair from the
-    # antipodal arc is then interior to both, on the line of centres
-    mid = 0.5 * (body.breaks[arc] + body.breaks[arc + 1])
-    centers = body.centers.copy()
-    centers[arc] += 1e-7 * np.array([math.cos(mid), math.sin(mid)])
-    return dataclasses.replace(body, centers=centers)
+def _shift_centre(copies, r, arc):
+    """Arc ``arc`` of the stacked copy in row r with its centre moved 1e-7
+    outward along the arc's middle direction: its farthest pair from the
+    antipodal arc is then interior to both, on the line of centres."""
+    centers, radii, breaks = copies
+    mid = 0.5 * (breaks[r, arc] + breaks[r, arc + 1])
+    centers = centers.copy()
+    centers[r, arc] += 1e-7 * np.array([math.cos(mid), math.sin(mid)])
+    return centers, radii, breaks
 
 
 def _fault_at_origin(monkeypatch, fault):
     """Apply ``fault`` to arc 2 of the copy at site (0, 0); arc 2 spans
     [2, 2.93]*pi/12, between the caps at 0 and pi/3."""
-    place = lattice.place_body
+    place = lattice.place_patch
 
-    def faulty(body, i, j, shift):
-        copy = place(body, i, j, shift)
-        return fault(copy, 2) if (i, j) == (0, 0) else copy
+    def faulty(body, shift):
+        return fault(place(body, shift), PATCH_SITES.index((0, 0)), 2)
 
-    monkeypatch.setattr(lattice, "place_body", faulty)
+    monkeypatch.setattr(lattice, "place_patch", faulty)
 
 
 @pytest.mark.parametrize("fault", [_bulge_radius, _shift_centre])
@@ -570,11 +625,10 @@ def test_a_trim_off_its_copy_is_caught(monkeypatch, fault):
     trim = lattice.trim_bodies
     messages = []
 
-    def faulty(bodies, cuts_per_body):
-        table, normals, *rest = trim(bodies, cuts_per_body)
-        table, message = fault(table, normals, lattice.PATCH_SITES.index((0, 0)))
+    def faulty(copies, cuts):
+        table, message = fault(trim(copies, cuts), cuts[0], lattice.PATCH_SITES.index((0, 0)))
         messages.append(message)
-        return (table, normals, *rest)
+        return table
 
     monkeypatch.setattr(lattice, "trim_bodies", faulty)
     report = verify_avoidance(Q, 0.05, stripes)
@@ -717,6 +771,29 @@ def test_batched_report_is_the_per_pair_report(monkeypatch, name, q, eps, mode, 
                                                    stripe_width=width))
 
 
+@pytest.mark.parametrize("name, q, eps, mode, width", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_nearest_pairs_do_not_depend_on_the_edge_orientation(name, q, eps, mode, width):
+    """Every edge of a patch measured from either side: with the two sides
+    of each pair swapped, each distance is bit-identical, and each swapped
+    witness attains it, its first point on the first side's trimmed body.
+    A mirrored candidate kind of ``closest_pairs`` takes both orientations
+    in one block, so this holds its b->a half to its a->b half."""
+    stripes = tortoise.tortoise_area(eps, mode, q=q).stripes()
+    bodies, cuts, _ = _patch(q, eps, stripes, width)
+    normals, offsets, ok = patch_cuts(stripes, width)
+    table = trim_bodies(place_patch(build_body(q, eps), SHIFT), (normals, offsets, ok))
+    top = lattice._support(table, normals)
+    pairs = [(a, b) for a, b, _ in patch_layout().edges]
+    forward = lattice.closest_pairs(table, pairs, normals, offsets, top)
+    swapped = lattice.closest_pairs(table, [(b, a) for a, b in pairs], normals, offsets, top)
+    assert len(forward) == len(swapped) == 16
+    for ((a, _), (b, _)), (d, _), (d_swapped, (p, r)) in zip(pairs, forward, swapped):
+        assert d_swapped.hex() == d.hex()
+        assert np.hypot(p[0] - r[0], p[1] - r[1]) == d
+        assert _on_trimmed_body(bodies[PATCH_SITES[b]], cuts[PATCH_SITES[b]], p)
+        assert _on_trimmed_body(bodies[PATCH_SITES[a]], cuts[PATCH_SITES[a]], r)
+
+
 @pytest.mark.parametrize("width", [2.0, 1.9])
 @pytest.mark.parametrize("name, q, eps, mode", PATCHES, ids=[p[0] for p in PATCHES])
 def test_repeated_vertices_change_no_report(monkeypatch, name, q, eps, mode, width):
@@ -728,8 +805,8 @@ def test_repeated_vertices_change_no_report(monkeypatch, name, q, eps, mode, wid
     trim = lattice.trim_bodies
     repeats = []
 
-    def first_copies(bodies, cuts_per_body):
-        table, *cuts = trim(bodies, cuts_per_body)
+    def first_copies(copies, cuts):
+        table = trim(copies, cuts)
         first = np.zeros_like(table.vertex_ok)
         for r, (row, ok) in enumerate(zip(table.vertices, table.vertex_ok)):
             seen = set()
@@ -737,7 +814,7 @@ def test_repeated_vertices_change_no_report(monkeypatch, name, q, eps, mode, wid
                 first[r, i] = row[i].tobytes() not in seen
                 seen.add(row[i].tobytes())
         repeats.append(int(table.vertex_ok.sum() - first.sum()))
-        return (lattice._keep(table, table.arc_ok, table.chord_ok, first), *cuts)
+        return lattice._keep(table, table.arc_ok, table.chord_ok, first)
 
     monkeypatch.setattr(lattice, "trim_bodies", first_copies)
     assert _bits(verify_avoidance(q, eps, stripes, stripe_width=width)) == _bits(report)
@@ -850,13 +927,14 @@ def test_a_copy_trimmed_past_its_lines_keeps_the_nearest_pairs_exact(monkeypatch
     stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
     trim = lattice.trim_bodies
 
-    def loose(bodies, cuts_per_body):
+    def loose(copies, cuts):
         centre = lattice.PATCH_SITES.index((0, 0))
-        moved = list(cuts_per_body)
-        moved[centre] = [(n, c + 1e-3 * (j + 1)) for j, (n, c) in enumerate(moved[centre])]
-        # a faulty trim: the copies are trimmed by the moved lines, and the
-        # cut table it hands back holds the lines it was given
-        return (trim(bodies, moved)[0], *cut_table(cuts_per_body))
+        normals, offsets, ok = cuts
+        moved = offsets.copy()
+        moved[centre, ok[centre]] += 1e-3 * np.arange(1, ok[centre].sum() + 1)
+        # a faulty trim: the copies are trimmed by the moved lines, while
+        # the checks read the cut table they handed it
+        return trim(copies, (normals, moved, ok))
 
     monkeypatch.setattr(lattice, "trim_bodies", loose)
     report = verify_avoidance(Q, 0.05, stripes)
@@ -869,15 +947,20 @@ def test_a_copy_trimmed_past_its_lines_keeps_the_nearest_pairs_exact(monkeypatch
 
 @pytest.mark.parametrize("width", [2.0, 3.2])
 def test_one_trim_and_one_table_per_verification(monkeypatch, width):
-    """The nine copies are trimmed in one call, not one call each, and
-    their cut table is built once, by that call; the three checks read
-    the table it returns and build no cut table of their own."""
+    """The nine copies are placed in one call as stacked arrays, not one
+    ``place_body`` each, and trimmed in one call, by the one cut table
+    built for the patch; the three checks read that table and build no
+    cut table of their own."""
     stripes = tortoise.tortoise_area(0.05, "series2", q=Q).stripes()
     batched = count_calls(monkeypatch, clip, "trim_bodies")
-    tables = count_calls(monkeypatch, clip, "cut_table")
+    tables = count_calls(monkeypatch, lattice, "patch_cuts")
+    placed = count_calls(monkeypatch, lattice, "place_patch")
+    one_by_one = count_calls(monkeypatch, lattice, "place_body")
     verify_avoidance(Q, 0.05, stripes, stripe_width=width)
-    assert len(batched) == 1 and len(batched[0][0]) == len(lattice.PATCH_SITES)
-    assert len(tables) == 1 and len(tables[0][0]) == len(lattice.PATCH_SITES)
+    assert len(placed) == 1 and not one_by_one
+    assert len(batched) == 1 and all(len(x) == len(PATCH_SITES) for x in batched[0][0])
+    assert len(tables) == 1
+    assert all(len(x) == len(PATCH_SITES) for x in batched[0][1])
 
 
 def test_an_empty_copy_is_a_violation():

@@ -23,13 +23,14 @@ from croft_forge.cli import main
 from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PATCH_SITES,
-    collect_patch_cuts,
     PSI,
     class_cuts,
     cut_parameters,
     copy_motion,
     default_config,
     edge_ends,
+    patch_cuts,
+    patch_layout,
     place_body,
     place_copy,
     second_order_read,
@@ -511,21 +512,24 @@ def test_edge_pair_bodies_are_the_patch_copies():
     """The exact-mode cuts and ``verify_avoidance`` see the same copies and
     the same caps: across every edge of a 3x3 patch, the two ``place_body``
     copies moved so that the edge starts at the origin along +x are the
-    ``place_copy`` copies at ``edge_ends``, and their two patch cuts moved
-    the same way are ``stripe_caps``.  Each copy loses to its cut what the
-    unplaced body loses to its cap of ``unplaced_caps``, moved back by the
-    copy's ``copy_motion``: that side's term of ``pair_clip_area``."""
+    ``place_copy`` copies at ``edge_ends``, and their two slots of the
+    patch cut table moved the same way are ``stripe_caps``.  Each copy
+    loses to its cut what the unplaced body loses to its cap of
+    ``unplaced_caps``, moved back by the copy's ``copy_motion``: that
+    side's term of ``pair_clip_area``."""
     eps = 0.07
     shift = default_config()
     rng = np.random.default_rng(5)
     stripes = {k: (float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.05, 0.05)))
                for k in range(3)}
-    cuts, edges = collect_patch_cuts(PATCH_SITES, stripes, 2.0)
-    # an edge's two cuts are appended to its sites as the edge is listed
-    unread = {site: iter(site_cuts) for site, site_cuts in cuts.items()}
+    normals, offsets, ok = patch_cuts(stripes, 2.0)
+    edges = [(PATCH_SITES[a], PATCH_SITES[b], k, (i, j))
+             for (a, i), (b, j), k in patch_layout().edges]
+    # the edges name every real slot once, each row's in turn
+    unread = {site: iter(range(ok[r].sum())) for r, site in enumerate(PATCH_SITES)}
     phi = np.linspace(0.0, 2.0 * math.pi, 721)
     built = build_body(Q, eps)
-    for a, b, k, _ in edges:
+    for a, b, k, slots in edges:
         pos_a = site_position(*a)
         d = site_position(*b) - pos_a
         beta = math.atan2(d[1], d[0])
@@ -536,11 +540,14 @@ def test_edge_pair_bodies_are_the_patch_copies():
         motions = [copy_motion(color, position, eps, shift) for color, position in ends]
         caps = stripe_caps(*stripes[k], 2.0)
         moved_caps = unplaced_caps(*stripes[k], motions)
-        for site, body, (n, c, _, _), (n_b, c_b, _, _) in zip((a, b), expected, caps, moved_caps):
+        for site, slot, body, (n, c, _, _), (n_b, c_b, _, _) in zip(
+                (a, b), slots, expected, caps, moved_caps):
             placed = place_body(built, *site, shift)
             moved = transform(transform(placed, 0.0, -pos_a), -beta)
             assert np.max(np.abs(boundary_point(moved, phi) - boundary_point(body, phi))) <= 1e-12
-            n_patch, c_patch = next(unread[site])
+            assert next(unread[site]) == slot
+            r = PATCH_SITES.index(site)
+            n_patch, c_patch = normals[r, slot], offsets[r, slot]
             assert np.max(np.abs(back @ n_patch - n)) <= 1e-15
             assert abs(c_patch - n_patch @ pos_a - c) <= 1e-14
             lost = halfplane_clip_area(placed, n_patch, c_patch).area
