@@ -60,7 +60,10 @@ def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
 
 def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
     # arc_line_crossings with the normal's angle alpha and components
-    # taken once per line by the caller
+    # taken once per line by the caller.  Each branch alpha +- acos(t)
+    # solves the cosine equation once per turn; an arc spans at most pi,
+    # so of the turns floor((a - branch)/2pi) + 0, 1, 2 only the first at
+    # or past a - window can fall in [a - window, b - window).
     if radius <= 0.0:
         return []
     t = (c - (n0 * cx + n1 * cy)) / radius
@@ -68,15 +71,19 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
         return []
     base = math.acos(t)
     window = TANGENCY_TOL / radius  # TANGENCY_TOL along the arc
+    start, stop = a - window, b - window
     out = []
     for branch in (alpha + base, alpha - base):
-        # bring the solution into (a, b) modulo 2*pi
-        k = math.floor((a - branch) / TWO_PI)
-        for m in (k, k + 1, k + 2):
-            phi = branch + TWO_PI * m
-            if a - window <= phi < b - window:
-                out.append(max(phi, a))
-    out.sort()
+        turn = math.floor((a - branch) / TWO_PI)
+        phi = branch + TWO_PI * turn
+        if phi < start:
+            phi = branch + TWO_PI * (turn + 1)
+            if phi < start:
+                phi = branch + TWO_PI * (turn + 2)
+        if start <= phi < stop:
+            out.append(a if a > phi else phi)
+    if len(out) == 2 and out[1] < out[0]:
+        out.reverse()
     return out
 
 
@@ -93,25 +100,30 @@ def cap_arcs(arcs, n0: float, n1: float, alpha: float, c: float) -> list[int]:
     centers, radii, breaks = arcs
     count = len(radii)
     floor = c - CAP_MARGIN
-
-    def inside(i, phi):  # arc i at angle phi lies above the floor
-        (x, y), r = centers[i], radii[i]
-        return n0 * (x + r * math.cos(phi)) + n1 * (y + r * math.sin(phi)) >= floor
-
     # the interval of the normal's angle, reduced as in ArcBody.interval_of
     phi = breaks[0] + (alpha - breaks[0]) % TWO_PI
     support = min(bisect_right(breaks, phi) - 1, count - 1)
+    # walk on while the shared endpoint, arc i at angle phi, lies above
+    # the floor
     after = []
     i = support
-    while len(after) < count - 1 and inside(i, breaks[i + 1]):
+    while len(after) < count - 1:
+        (x, y), r, phi = centers[i], radii[i], breaks[i + 1]
+        if not n0 * (x + r * math.cos(phi)) + n1 * (y + r * math.sin(phi)) >= floor:
+            break
         i = (i + 1) % count
         after.append(i)
     before = []
     i = support
-    while len(before) + len(after) < count - 1 and inside(i, breaks[i]):
+    while len(before) + len(after) < count - 1:
+        (x, y), r, phi = centers[i], radii[i], breaks[i]
+        if not n0 * (x + r * math.cos(phi)) + n1 * (y + r * math.sin(phi)) >= floor:
+            break
         i = (i - 1) % count
         before.append(i)
-    return before[::-1] + [support] + after
+    before.reverse()
+    before.append(support)
+    return before + after
 
 
 class Clip(NamedTuple):
@@ -143,18 +155,18 @@ def _chord_derivatives(hits, n, c):
         return (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))
     if len(hits) != 2:
         return None, None
-    t0, t1 = -n[1], n[0]
-    slides = []  # (u, u_c, u_theta) per crossing
-    for center, (x0, x1) in hits:
-        w0, w1 = x0 - center[0], x1 - center[1]
+    n0, n1 = n
+    t0, t1 = -n1, n0
+    first = second = None  # (u, u_c, u_theta) per crossing
+    for (m0, m1), (x0, x1) in hits:
+        w0, w1 = x0 - m0, x1 - m1
         wt = w0 * t0 + w1 * t1
         u = x0 * t0 + x1 * t1
-        u_c = -(w0 * n[0] + w1 * n[1]) / wt
-        u_t = -(w0 * (c * t0 - u * n[0]) + w1 * (c * t1 - u * n[1])) / wt
-        slides.append((u, u_c, u_t))
-    if slides[1] < slides[0]:  # sorted() of two
-        slides.reverse()
-    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = slides
+        first, second = second, (u, -(w0 * n0 + w1 * n1) / wt,
+                                 -(w0 * (c * t0 - u * n0) + w1 * (c * t1 - u * n1)) / wt)
+    if second < first:  # sorted() of two
+        first, second = second, first
+    (u1, u1_c, u1_t), (u2, u2_c, u2_t) = first, second
     a_ct = -(u2_t - u1_t)
     grad = (-(u2 - u1), 0.5 * (u2 * u2 - u1 * u1))
     hess = ((-(u2_c - u1_c), a_ct), (a_ct, u2 * u2_t - u1 * u1_t))
@@ -195,14 +207,14 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
             continue
         cx, cy = center
         t = (c - (n0 * cx + n1 * cy)) / radius
-        if abs(t) >= 1.0 - TANGENCY_TOL:  # no crossing: the arc lies on one side
-            t = math.copysign(2.0, t)
-        cuts = _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) + [b]
+        if abs(t) < 1.0 - TANGENCY_TOL:
+            cuts = _crossings(cx, cy, radius, a, b, alpha, n0, n1, c)
+        else:  # tangent: no crossing, the arc lies on one side
+            cuts, t = [], math.copysign(2.0, t)
+        cuts.append(b)
         lo, u0, u1 = a, math.cos(a), math.sin(a)
         p = (cx + radius * u0, cy + radius * u1)
-        for j, hi in enumerate(cuts):
-            if j:  # lo is a crossing
-                hits.append((center, p))
+        for hi in cuts:
             v0, v1 = math.cos(hi), math.sin(hi)
             q = (cx + radius * v0, cy + radius * v1)
             # lo == hi: a crossing at the start break
@@ -215,6 +227,8 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
                 else:
                     chords.append(0.5 * (end[0] * p[1] - end[1] * p[0]))
                 end = q
+            if hi < b:  # hi is a crossing: each lies below the arc's end b
+                hits.append((center, q))
             lo, u0, u1, p = hi, v0, v1, q
     if end is not None:
         chords.append(0.5 * (end[0] * first[1] - end[1] * first[0]))

@@ -4,10 +4,11 @@ A stripe across a class-k edge removes two caps, one from each copy, and
 is placed by its shift s and tilt delta (``lattice.stripe_caps``).  To
 second order the removed pair area is
 2 a0 + eps P_e + eps P_ex.x + 1/2 x^T P_xx x + 1/2 eps^2 P_ee, with
-x = s or (s, delta): ``lattice.cut_parameters`` reads P_e, P_ex and P_ee
-off the two caps, and P_xx = diag(2d, 2(l + b)) is the pair Hessian on two
-unit discs (``series_coefficients``).  ``pair_envelope`` minimizes it once,
-x = -eps P_xx^-1 P_ex, for a single cut and for the columns of a Gram alike.
+x = s or (s, delta): ``lattice.second_order_read`` reads P_e, P_ex and
+P_ee off the two caps, and P_xx = diag(2d, 2(l + b)) is the pair Hessian on
+two unit discs (``series_coefficients``).  ``pair_envelope`` minimizes it
+once, x = -eps P_xx^-1 P_ex, for a single cut and for the columns of a Gram
+alike; on a single cut it runs on plain floats.
 The paper's disc-cap model (four cap radii and two cap-point displacements)
 and the exact disc-cap minimizers that check it are test code
 (``tests/disc_reference.py``).
@@ -16,6 +17,7 @@ and the exact disc-cap minimizers that check it are test code
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +70,8 @@ class PairCut:
     """Cut data of one edge class at eps, read off its two caps.
 
     ``linear`` is eps P_e, ``p_ex`` the pair (s, delta) of eps P_ex and
-    ``p_ee`` is eps^2 P_ee; ``lattice.cut_parameters`` gives them at unit eps.
+    ``p_ee`` is eps^2 P_ee; ``lattice.second_order_read`` gives them at
+    unit eps.
     """
 
     linear: float
@@ -91,15 +94,25 @@ def pair_envelope(p_ex, p_ee, with_tilt: bool):
     directions, and ``p_ee`` the matching P_ee, numbers or (m, m) Grams; the
     tilt row is dropped without ``with_tilt``.  Returns x per class and the
     quadratic term summed over the classes.
+
+    Numbers take float arithmetic, no NumPy call, to the bits of the array
+    path: the P_ee sum from 0.0 left to right, which is ``np.sum``'s order
+    on fewer than eight entries, and row * row for the outer product.
     """
     sc = series_coefficients()
     curvature = (2.0 * sc.d, 2.0 * (sc.l + sc.b))[: 2 if with_tilt else 1]
-    quadratic = 0.5 * np.sum(p_ee, axis=0)
+    if isinstance(p_ee[0], np.ndarray):
+        total, outer = np.sum(p_ee, axis=0), np.multiply.outer
+    else:
+        total, outer = 0.0, operator.mul
+        for term in p_ee:
+            total += term
+    quadratic = 0.5 * total
     x = []
     for rows in p_ex:
         x.append([-row / p_xx for row, p_xx in zip(rows, curvature)])
         for row, p_xx in zip(rows, curvature):
-            quadratic = quadratic - 0.5 * np.multiply.outer(row, row) / p_xx
+            quadratic = quadratic - 0.5 * outer(row, row) / p_xx
     return x, quadratic
 
 
@@ -109,7 +122,7 @@ def minimize_pair_shift(cut: PairCut) -> tuple[float, float]:
     Returns (s_min, area).
     """
     (x,), quadratic = pair_envelope([cut.p_ex], [cut.p_ee], with_tilt=False)
-    return float(x[0]), 2.0 * series_coefficients().a0 + cut.linear + float(quadratic)
+    return x[0], 2.0 * series_coefficients().a0 + cut.linear + quadratic
 
 
 def minimize_pair_shift_tilt(cut: PairCut) -> tuple[float, float, float]:
@@ -118,5 +131,4 @@ def minimize_pair_shift_tilt(cut: PairCut) -> tuple[float, float, float]:
     Returns (s_min, delta_min, area).
     """
     (x,), quadratic = pair_envelope([cut.p_ex], [cut.p_ee], with_tilt=True)
-    area = 2.0 * series_coefficients().a0 + cut.linear + float(quadratic)
-    return float(x[0]), float(x[1]), area
+    return x[0], x[1], 2.0 * series_coefficients().a0 + cut.linear + quadratic

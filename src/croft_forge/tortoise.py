@@ -308,7 +308,9 @@ def tortoise_area(
             motions = [copy_motion(c, p, eps, shift) for c, p in edge_ends(k)]
             per_edge.append(_minimize_pair_clip(body, motions, k, (s, delta, area), with_tilt))
 
-    a_cut = sum(e.area for e in per_edge)
+    a_cut = 0.0  # left to right: the built-in sum compensates from Python 3.12 on
+    for e in per_edge:
+        a_cut += e.area
     a_t = a_body - a_cut
     cell = LATTICE_CONSTANT**2 * math.sqrt(3.0) / 2.0
     return DensityRecord(
@@ -382,7 +384,10 @@ def _series_coefficients(q, mode, shift) -> tuple[float, float, float]:
         raise ValueError(f"closed forms exist only for series modes, got {mode!r}")
     body_c2, cuts = second_order_read(q, shift)
     _, quad = pair_envelope([c.p_ex for c in cuts], [c.p_ee for c in cuts], mode in TILT_MODES)
-    return body_c2, sum(c.linear for c in cuts), float(quad)
+    linear = 0.0  # left to right, as in tortoise_area
+    for c in cuts:
+        linear += c.linear
+    return body_c2, linear, quad
 
 
 # ---------------------------------------------------------------------------

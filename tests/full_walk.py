@@ -4,7 +4,10 @@ distances by trying every pair of pieces.
 The reference the cap walk of ``croft_forge.clip.cap_arcs`` is checked
 against: the same closed forms as ``croft_forge.clip`` and
 ``croft_forge.clip.trim_bodies``, but each line is intersected with all n
-arcs instead of the one to three arcs under its cap.  ``closest_pair`` is
+arcs instead of the one to three arcs under its cap, and by a crossing
+solver of its own (``crossings``: three turns tried per branch, where
+``croft_forge.clip._crossings`` takes the one that can land in the arc).
+``closest_pair`` is
 the reference for the batched, strip-pruned
 ``croft_forge.lattice.closest_pairs``: the same candidates, one body pair
 at a time, every piece against every piece.  ``farthest_pair``, the exact
@@ -35,9 +38,9 @@ from croft_forge.clip import (
     _arc_point,
     _chord_derivatives,
     _padded,
-    arc_line_crossings,
 )
 from croft_forge.lattice import CONCENTRIC_TOL, Witness
+from croft_forge.stepfn import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,40 @@ def cut_table(cuts_per_body):
     return _padded(np.array([len(cuts) for cuts in cuts_per_body]),
                    np.array([n for n, _ in flat], dtype=float).reshape(-1, 2),
                    np.array([c for _, c in flat], dtype=float))
+
+
+def crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
+    """``croft_forge.clip._crossings`` by trying three turns per branch:
+    angles in [a, b) where the arc of centre (cx, cy) crosses the line
+    n.x = c, n = (n0, n1) of angle ``alpha``; a crossing within
+    TANGENCY_TOL of a break, measured along the arc, belongs to the arc
+    starting there.  Each branch alpha +- acos(t) is tried at the turns
+    floor((a - branch)/2pi) + 0, 1, 2, every one that lands in
+    [a - window, b - window) is kept, and the kept angles are sorted."""
+    if radius <= 0.0:
+        return []
+    t = (c - (n0 * cx + n1 * cy)) / radius
+    if abs(t) >= 1.0 - TANGENCY_TOL:
+        return []
+    base = math.acos(t)
+    window = TANGENCY_TOL / radius  # TANGENCY_TOL along the arc
+    out = []
+    for branch in (alpha + base, alpha - base):
+        # bring the solution into (a, b) modulo 2*pi
+        k = math.floor((a - branch) / TWO_PI)
+        for m in (k, k + 1, k + 2):
+            phi = branch + TWO_PI * m
+            if a - window <= phi < b - window:
+                out.append(max(phi, a))
+    out.sort()
+    return out
+
+
+def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
+    """``crossings`` of the arc of ``center`` with the line n.x = c, the
+    normal's angle taken from n."""
+    n0, n1 = float(n[0]), float(n[1])
+    return crossings(center[0], center[1], radius, a, b, math.atan2(n1, n0), n0, n1, c)
 
 
 def _arc_piece_area(center, radius, a, b, ua, ub) -> float:

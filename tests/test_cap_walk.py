@@ -185,6 +185,57 @@ def test_a_line_tangent_at_an_arc_midpoint_does_not_cross_it(gap):
         assert abs(full_walk.halfplane_clip_area(*line) - want) <= AREA_TOL
 
 
+CROSSING_RADII = (0.0, 0.033, 2.0)
+
+
+def _crossing_case(rng):
+    """One (arc, line) pair as the arguments of ``clip._crossings``: a
+    radius of CROSSING_RADII or a random one, an arc from anywhere in
+    [-2pi, 2pi) spanning up to pi, the normal's angle wrapped by -2pi, 0 or
+    2pi, and a line of one of four kinds: within 1e-12 of the point at a
+    break, within about TANGENCY_TOL of tangent, through a point of the
+    arc, or anywhere across the circle."""
+    radius = CROSSING_RADII[rng.integers(3)] if rng.random() < 0.5 else rng.uniform(0.01, 3.0)
+    cx, cy = rng.uniform(-3.0, 3.0, 2)
+    a = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+    b = a + (math.pi if rng.random() < 0.1 else min(math.pi, 10.0 ** rng.uniform(-12.0, 0.5)))
+    theta = rng.uniform(-math.pi, math.pi)
+    n0, n1 = math.cos(theta), math.sin(theta)
+    alpha = math.atan2(n1, n0) + 2.0 * math.pi * int(rng.integers(-1, 2))
+    kind = rng.integers(4)
+    if kind == 0:  # near the point at a break
+        phi = a if rng.random() < 0.5 else b
+        c = n0 * (cx + radius * math.cos(phi)) + n1 * (cy + radius * math.sin(phi))
+        c += rng.uniform(-1e-12, 1e-12)
+    elif kind == 1:  # near tangency, on either side of TANGENCY_TOL
+        side = 1.0 if rng.random() < 0.5 else -1.0
+        c = n0 * cx + n1 * cy + side * radius * (1.0 - 10.0 ** rng.uniform(-13.0, -11.0))
+    elif kind == 2:  # through a point of the arc
+        phi = rng.uniform(a, b)
+        c = n0 * (cx + radius * math.cos(phi)) + n1 * (cy + radius * math.sin(phi))
+    else:
+        c = n0 * cx + n1 * cy + radius * rng.uniform(-1.1, 1.1)
+    return (float(cx), float(cy), float(radius), float(a), float(b), float(alpha), n0, n1,
+            float(c))
+
+
+def test_crossings_are_the_three_turn_solver_to_the_bit():
+    """``clip._crossings`` takes one turn of each branch; on 12,000 seeded
+    (arc, line) pairs it returns what ``full_walk.crossings``, which tries
+    three turns and sorts, returns, to the bit.  The pairs reach every
+    outcome: no crossing, one, two, and a crossing clamped to the start
+    break."""
+    rng = np.random.default_rng(39)
+    found = {0: 0, 1: 0, 2: 0, "at start": 0}
+    for _ in range(12_000):
+        case = _crossing_case(rng)
+        got = clip._crossings(*case)
+        assert [x.hex() for x in got] == [x.hex() for x in full_walk.crossings(*case)], case
+        found[len(got)] += 1
+        found["at start"] += case[3] in got
+    assert min(found.values()) >= 50, found
+
+
 def test_cap_walk_wraps_and_covers():
     """The walk wraps past arc n-1 on a rotated copy, returns a contiguous
     run in boundary order, and every arc for a line below the body."""

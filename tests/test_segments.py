@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from croft_forge import tortoise
 from croft_forge.body import croft_constants
-from croft_forge.segments import series_coefficients
+from croft_forge.segments import (
+    PairCut,
+    minimize_pair_shift,
+    minimize_pair_shift_tilt,
+    pair_envelope,
+    series_coefficients,
+)
+from croft_forge.stepfn import reference_step_function
 from disc_reference import (
     CapGeometryError,
     DiscCut,
@@ -209,3 +217,66 @@ def test_series_close_to_exact_property(d, r, delta):
     exact = segment_area_exact_tilted(d, r, delta)
     series = segment_area_series_tilted(d, r, delta)
     assert abs(exact - series) <= 2e-3
+
+
+def _array_envelope(cuts, with_tilt):
+    """``pair_envelope`` of the cuts as one-column arrays, on the NumPy calls
+    the Gram path of the form makes: x per class and the quadratic term,
+    read back as floats."""
+    x, quadratic = pair_envelope([[np.array([row]) for row in cut.p_ex] for cut in cuts],
+                                 [np.array([[cut.p_ee]]) for cut in cuts], with_tilt)
+    return [[float(row[0]) for row in rows] for rows in x], float(quadratic[0, 0])
+
+
+def _bits(*values):
+    return [v.hex() for v in values]
+
+
+def _assert_minimizers_are_the_array_envelope(cut):
+    two_a0 = 2.0 * series_coefficients().a0
+    (x,), quadratic = _array_envelope([cut], with_tilt=False)
+    assert _bits(*minimize_pair_shift(cut)) == _bits(x[0], two_a0 + cut.linear + quadratic)
+    (x,), quadratic = _array_envelope([cut], with_tilt=True)
+    assert _bits(*minimize_pair_shift_tilt(cut)) == _bits(
+        x[0], x[1], two_a0 + cut.linear + quadratic)
+
+
+def _assert_net_coefficients_are_the_array_envelope(body_c2, cuts):
+    for mode in tortoise.SERIES_MODES:
+        _, quadratic = _array_envelope(cuts, mode in tortoise.TILT_MODES)
+        assert _bits(tortoise.series_net_coefficient(mode=mode)) == _bits(body_c2 - quadratic)
+
+
+cut_values = st.floats(-4.0, 4.0, allow_nan=False)
+pair_cuts = st.builds(lambda linear, p_es, p_ed, p_ee: PairCut(linear, (p_es, p_ed), p_ee),
+                      cut_values, cut_values, cut_values, cut_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=pair_cuts)
+def test_pair_minimizers_are_the_array_envelope(cut):
+    """The series start of an exact record runs the envelope on floats: the
+    shift and shift+tilt minimizers of a random cut are the array path of
+    ``pair_envelope`` to the bit."""
+    _assert_minimizers_are_the_array_envelope(cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts=st.lists(pair_cuts, min_size=3, max_size=3), body_c2=cut_values)
+def test_series_net_coefficient_is_the_array_envelope(cuts, body_c2):
+    """``series_net_coefficient`` sums the three classes' envelopes on
+    floats: on random cut data (read in place of the profile's) it is the
+    body-area c2 minus the array path's quadratic term, to the bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tortoise, "second_order_read", lambda q, shift=None: (body_c2, tuple(cuts)))
+        _assert_net_coefficients_are_the_array_envelope(body_c2, cuts)
+
+
+def test_reference_envelopes_are_the_array_envelope():
+    """The same on the reference read: each class's cut at every fit eps,
+    and both net coefficients."""
+    body_c2, cuts = tortoise.second_order_read(reference_step_function())
+    for eps in tortoise.DEFAULT_FIT_EPS:
+        for cut in cuts:
+            _assert_minimizers_are_the_array_envelope(cut.scaled(eps))
+    _assert_net_coefficients_are_the_array_envelope(body_c2, cuts)
