@@ -8,10 +8,11 @@ lives on the null space of A plus the shifts, so its size is the
 null-space dimension + 2 (10 + 2 on the reference, 0 + 2 on {0, pi}).
 The eps^2 coefficient of the cut-body area is an exactly quadratic
 function of these variables in every mode.  ``assemble_quadratic_form``
-reads its matrix on the constraint subspace off the six caps of the body
-at eps = 0, in one closed form for every mode and break set: the class cut
-data of ``lattice.class_cuts``, the same cut model the series modes
-minimize; the mode decides only the stripe tilt.  LAPACK
+contracts the break set's cut model (``lattice._cut_model``), read off the
+six caps of the body at eps = 0 in the form's own coordinates (v, shift),
+with its basis columns, in one closed form for every mode and break set:
+the same cut model the series modes minimize and every ``c2_net`` probe
+contracts; the mode decides only the stripe tilt.  LAPACK
 (``numpy.linalg.eigh``) diagonalizes it, checked against the reference
 ``jacobi_eigh``; the best direction skips null directions, which change
 c2 by nothing.
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .body import _unit_chords
-from .lattice import class_cuts
+from .lattice import _cut_model
 from .segments import pair_envelope
 from .stepfn import StepFunction, reference_step_function, require_finite
 from .tortoise import MODES, SERIES_MODES, TILT_MODES, fit_net_coefficient, series_net_coefficient
@@ -145,24 +146,23 @@ def assemble_quadratic_form(
 
     The body-area Gram B of the basis columns minus the cut-area Gram, the
     eps^2 term 1/2 (P_ee - P_ex^T P_xx^-1 P_ex) of ``segments.pair_envelope``,
-    both from one ``lattice.class_cuts`` read of the columns: no body is
-    built, no ``c2_net`` is called, and the mode decides only the stripe
-    tilt (``TILT_MODES``).  The columns are the closure null space and the two
-    shifts, so the form is 2 x 2 on {0, pi}; their step values are one
-    value matrix, with no profile built per column.
+    both contractions of the break set's cached cut model
+    (``lattice._cut_model``, over x = (v, shift), the rows of ``basis``)
+    with the basis: basis^T G basis, P_ex basis and basis^T P_ee basis.  No
+    body is built, no ``c2_net`` is called, and the mode decides only the
+    stripe tilt (``TILT_MODES``).  The columns are the closure null space
+    and the two shifts, so the form is 2 x 2 on {0, pi}.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if template is None:
         template = reference_step_function()
     N = closure_nullspace(template)
-    n_half, n_null = N.shape
-    basis = np.zeros((n_half + 2, n_null + 2))
-    basis[:n_half, :n_null] = N
-    basis[n_half:, n_null:] = np.eye(2)
-    q = np.concatenate([basis[:-2], -basis[:-2]])  # (n, m): column j's step values
-    gram, _, p_ex, p_ee = class_cuts(template.breaks, q, basis[-2:].T)
-    matrix = gram - pair_envelope(p_ex, p_ee, mode in TILT_MODES)[1]
+    basis = np.zeros((len(N) + 2, N.shape[1] + 2))
+    basis[:-2, :-2], basis[-2:, -2:] = N, np.eye(2)
+    gram, _, p_ex, p_ee = _cut_model(np.asarray(template.breaks, dtype=float).tobytes())
+    envelope = pair_envelope(p_ex @ basis, basis.T @ p_ee @ basis, mode in TILT_MODES)[1]
+    matrix = basis.T @ gram @ basis - envelope
     matrix = 0.5 * (matrix + matrix.T)
     hessian = 2.0 * basis @ matrix @ basis.T
     hessian = 0.5 * (hessian + hessian.T)

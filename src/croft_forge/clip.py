@@ -50,20 +50,15 @@ def _arc_point(center, radius, phi) -> tuple[float, float]:
     return (center[0] + radius * math.cos(phi), center[1] + radius * math.sin(phi))
 
 
-def arc_line_crossings(center, radius, a, b, n, c) -> list[float]:
-    """Angles in [a, b) where the arc crosses the line n.x = c (n unit);
-    a crossing within TANGENCY_TOL of a break, measured along the arc
-    (TANGENCY_TOL / radius in angle), belongs to the arc starting there."""
-    n0, n1 = float(n[0]), float(n[1])
-    return _crossings(center[0], center[1], radius, a, b, math.atan2(n1, n0), n0, n1, c)
-
-
 def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
-    # arc_line_crossings with the normal's angle alpha and components
-    # taken once per line by the caller.  Each branch alpha +- acos(t)
-    # solves the cosine equation once per turn; an arc spans at most pi,
-    # so of the turns floor((a - branch)/2pi) + 0, 1, 2 only the first at
-    # or past a - window can fall in [a - window, b - window).
+    """Angles in [a, b) where the arc of ``radius`` about (cx, cy) crosses
+    the line n.x = c, n = (n0, n1) the unit normal of angle ``alpha`` (the
+    caller takes both once per line); a crossing within TANGENCY_TOL of a
+    break, measured along the arc (TANGENCY_TOL / radius in angle), belongs
+    to the arc starting there.  Each branch alpha +- acos(t) solves the
+    cosine equation once per turn; an arc spans at most pi, so of the turns
+    floor((a - branch)/2pi) + 0, 1, 2 only the first at or past a - window
+    can fall in [a - window, b - window)."""
     if radius <= 0.0:
         return []
     t = (c - (n0 * cx + n1 * cy)) / radius

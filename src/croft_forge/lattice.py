@@ -20,13 +20,13 @@ The second-order cut model is read off the six caps of the unplaced body
 at eps = 0 (``cap_area_derivatives``) and paired into each class's
 unit-eps cut data over value columns by ``class_cuts``, beside the
 body-area Gram of the same columns.  Both are linear or bilinear in the
-column x = (values, shift), so ``class_cuts`` at the n + 2 unit columns
-is the whole cut model of a break set (``_cut_model``), read once per
-break set.  ``second_order_read`` contracts it with one profile's x,
+column x = (v, shift), v the n/2 half-values of step values (v, -v), so
+``class_cuts`` at the n/2 + 2 unit columns is the whole cut model of a
+break set (``_cut_model``), read once per break set and contracted by
+every second-order read: ``second_order_read`` with one profile's x,
 cached and closure-checked once per computed read (``cut_parameters`` is
-its cuts); the form (``ansatz``) reads ``class_cuts`` at its own basis
-columns.  Either is exact on any number of arcs under a cap, and neither
-places a copy.
+its cuts), and the form (``ansatz``) with its basis columns.  Each is
+exact on any number of arcs under a cap, and none places a copy.
 
 Every cut has one format: a pair (n, c) for the removed half-plane
 {x : n.x >= c}, n a unit normal, the kept side n.x <= c.  ``stripe_caps``
@@ -232,8 +232,7 @@ def stripe_caps(s: float, delta: float, stripe_width: float = 2.0):
 # Cut data read off the six caps at eps = 0
 
 
-@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
-def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
+def _cap_sub_arcs(breaks) -> tuple:
     """The arcs under the six caps of a break set, cap j covering the normal
     angles j*psi +- phi_c: (arcs, ends, dphi, du, u, du_dphi).
 
@@ -243,8 +242,8 @@ def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
     min(next start, hi).  The rows are zero-padded by ``_padded``, so a
     padded entry is arc 0 with no part under the cap.  ``u`` and
     ``du_dphi`` are the unit normal and its phi-derivative at the two cap
-    ends, shaped (6, 2, 2).  Built once per break set and returned
-    read-only.
+    ends, shaped (6, 2, 2).  Only the cut model reads it, once per break
+    set (``_cut_model``).
     """
     phi_c = croft_constants().phi_c
     n = len(breaks) - 1
@@ -264,10 +263,7 @@ def _cap_sub_arcs(breaks: tuple[float, ...]) -> tuple:
     ends = np.stack([first, last], axis=1) % n
     u = _unit(np.stack([lo, hi], axis=1))
     du_dphi = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    out = (arcs, ends, dphi, du, u, du_dphi)
-    for x in out:
-        x.setflags(write=False)
-    return out
+    return arcs, ends, dphi, du, u, du_dphi
 
 
 def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts, offsets: np.ndarray):
@@ -288,7 +284,7 @@ def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts, offsets: np.
     """
     phi_c = croft_constants().phi_c
     cot = 1.0 / math.tan(phi_c)
-    arcs, ends, dphi, du, u, du_dphi = _cap_sub_arcs(tuple(breaks))
+    arcs, ends, dphi, du, u, du_dphi = _cap_sub_arcs(breaks)
     centers = offsets + shifts  # (n, m, 2)
     qa = q[arcs]  # (6, width, m)
     h1_int = _cross(centers[arcs], du[:, :, None, :]) - qa * dphi[..., None]
@@ -301,14 +297,6 @@ def cap_area_derivatives(breaks: np.ndarray, q: np.ndarray, shifts, offsets: np.
          + h2[:, :, None] * (cot * h2 - dh2)[:, None, :])
     a_ee = 0.5 * (a + np.swapaxes(a, 1, 2)) - 0.5 * (qh + np.swapaxes(qh, 1, 2))
     return h1_int.sum(axis=1), a_ee, -(h1 + h2) / math.sin(phi_c), h2 - h1
-
-
-@lru_cache(maxsize=1)
-def _cap_jacobians() -> np.ndarray:
-    """``stripe_caps(0, 0)``'s jacobians (side, (c, theta), x), read-only."""
-    jacs = np.stack([jac for _, _, jac, _ in stripe_caps(0.0, 0.0)])
-    jacs.setflags(write=False)
-    return jacs
 
 
 def class_cuts(breaks: np.ndarray, q: np.ndarray, shifts):
@@ -324,7 +312,8 @@ def class_cuts(breaks: np.ndarray, q: np.ndarray, shifts):
     offsets = center_offsets(breaks, q)
     a_e, a_ee, a_ec, a_et = cap_area_derivatives(breaks, q, shifts, offsets)
     rates = np.stack([a_ec, a_et], axis=1).reshape((3, 2, 2) + a_ec.shape[1:])
-    p_ex = np.einsum("sri,ksr...->ki...", _cap_jacobians(), rates)
+    jacobians = np.stack([jac for _, _, jac, _ in stripe_caps(0.0, 0.0)])  # (side, (c, theta), x)
+    p_ex = np.einsum("sri,ksr...->ki...", jacobians, rates)
     gram = body_area_gram(breaks, q, offsets)
     return gram, a_e[0::2] + a_e[1::2], p_ex, a_ee[0::2] + a_ee[1::2]
 
@@ -338,10 +327,10 @@ def cut_parameters(q: StepFunction, shift=None) -> tuple[PairCut, PairCut, PairC
 
 def second_order_read(q: StepFunction, shift=None) -> tuple[float, tuple[PairCut, ...]]:
     """(B, cuts): the body-area c2 of ``q``, area = pi + B eps^2, and the
-    unit-eps cut data of the three edge classes at the one column x =
-    (q, shift) (None: the reference shift), exact for any number of arcs
-    under a cap.  Each is a contraction of the break set's cut model
-    (``_cut_model``) with x: B = x G x, P_e x, P_ex x and (P_ee x) x.
+    unit-eps cut data of the three edge classes at x = (v, shift) (None:
+    the reference shift), v the antisymmetric part of ``q``'s values, exact
+    for any number of arcs under a cap: contractions of the break set's cut
+    model (``_cut_model``), B = x G x, P_e x, P_ex x and (P_ee x) x.
     Computed once per (break set, values, shift), keyed by their bits and
     bounded at 64 entries; each computed read checks closure
     (``body.require_closure``: ``BodyError``), and no failure is cached,
@@ -355,17 +344,17 @@ def second_order_read(q: StepFunction, shift=None) -> tuple[float, tuple[PairCut
     )
 
 
-@lru_cache(maxsize=16)  # an entry is 4 (n + 2)^2 floats: 2.7 MB at n = 288
+@lru_cache(maxsize=16)  # an entry is 4 (n/2 + 2)^2 floats: 0.7 MB at n = 288
 def _cut_model(breaks: bytes):
-    """``class_cuts`` at the n + 2 unit columns of x = (values, shift) on the
-    break set with these bits: (G, P_e, P_ex, P_ee), shaped (m, m), (3, m),
-    (3, 2, m) and (3, m, m) with m = n + 2, read-only.  B and P_ee are
-    bilinear in x and P_e and P_ex linear, so these four are the whole cut
-    model of the break set."""
+    """``class_cuts`` at the n/2 + 2 unit columns of x = (v, shift) on the
+    break set with these bits, v the half-values of step values (v, -v):
+    (G, P_e, P_ex, P_ee), shaped (m, m), (3, m), (3, 2, m) and (3, m, m)
+    with m = n/2 + 2, read-only.  B and P_ee are bilinear in x and P_e and
+    P_ex linear, so these four are the whole cut model of the break set."""
     breaks = np.frombuffer(breaks)
-    n = len(breaks) - 1
-    unit = np.eye(n + 2)
-    out = class_cuts(breaks, unit[:n], unit[n:].T)
+    h = (len(breaks) - 1) // 2
+    unit = np.eye(h + 2)
+    out = class_cuts(breaks, np.concatenate([unit[:h], -unit[:h]]), unit[h:].T)
     for x in out:
         x.setflags(write=False)
     return out
@@ -375,11 +364,13 @@ def _cut_model(breaks: bytes):
 def _profile_cuts(breaks: bytes, values: bytes, shift: bytes):
     """``second_order_read`` keyed by the bit patterns of the float arrays:
     -0.0 and 0.0 are two keys, and a values array changed in place is a new
-    one.  The frozen ``PairCut``s are shared."""
+    one.  The frozen ``PairCut``s are shared.  v = (values[:h] - values[h:])
+    / 2 is values[:h] to the bit on an antisymmetric profile."""
     values = np.frombuffer(values)
     require_closure(np.frombuffer(breaks), values)
     gram, p_e, p_ex, p_ee = _cut_model(breaks)
-    x = np.concatenate([values, np.frombuffer(shift)])
+    h = len(values) // 2
+    x = np.concatenate([0.5 * (values[:h] - values[h:]), np.frombuffer(shift)])
     linear, rates, quad = p_e @ x, p_ex @ x, (p_ee @ x) @ x
     return float(x @ gram @ x), tuple(
         PairCut(float(linear[k]), (float(rates[k, 0]), float(rates[k, 1])), float(quad[k]))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,14 +50,19 @@ class StepFunction:
         return len(self.values)
 
 
+def _is_real(x) -> bool:
+    """A real number that is no bool: ints, floats, Fractions, NumPy's."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _to_fraction(b) -> Fraction:
     """A break as a Fraction of pi; StepFunctionError names one it cannot read."""
     try:
         if isinstance(b, Fraction):
             return b
-        if isinstance(b, dict):
-            return Fraction(b["num"], b["den"])
-        if isinstance(b, (int, float)):
+        if isinstance(b, dict) and _is_real(b["num"]) and _is_real(b["den"]):
+            return Fraction(operator.index(b["num"]), operator.index(b["den"]))
+        if _is_real(b):
             return Fraction(float(b) / math.pi).limit_denominator(10**6)
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise StepFunctionError(f"cannot interpret break {b!r}: {exc}") from None
@@ -99,7 +106,8 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
 
     ``breaks`` are rational multiples of pi, given as Fractions,
     {"num", "den"} dicts, or plain radians (converted to the nearest small
-    rational multiple of pi).  The first break must
+    rational multiple of pi); every number, value or break, is a real
+    number that is no bool (``_is_real``).  The first break must
     be 0 and the last 2*pi.  Validation enforces strict monotonicity, the
     pairing of break k with its antipode k + n/2 (checked once per break
     set, ``_break_set``), the value/interval count, finite values (NaN would
@@ -109,7 +117,11 @@ def make_step_function(breaks: Sequence, values: Iterable[float]) -> StepFunctio
     """
     fracs = tuple(_to_fraction(b) for b in breaks)
     brk = _break_set(fracs)
-    vals = np.asarray(list(values), dtype=float)
+    values = list(values)
+    bad = next((i for i, v in enumerate(values) if not _is_real(v)), None)
+    if bad is not None:
+        raise StepFunctionError(f"value[{bad}]={values[bad]!r} is not a real number")
+    vals = np.asarray(values, dtype=float)
     if len(vals) != len(fracs) - 1:
         raise StepFunctionError(
             f"{len(fracs) - 1} intervals but {len(vals)} values"
@@ -141,8 +153,7 @@ def finite_shift(shift) -> tuple[float, float]:
     """The lattice shift (sx, sy) as a pair of floats.  Raises
     StepFunctionError unless it is two finite numbers (a bool is none)."""
     try:
-        ok = (len(shift) == 2 and not any(isinstance(x, bool) for x in shift)
-              and all(math.isfinite(x) for x in shift))
+        ok = len(shift) == 2 and all(_is_real(x) and math.isfinite(x) for x in shift)
     except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
         ok = False
     if not ok:

@@ -26,6 +26,7 @@ from .stepfn import StepFunction
 
 FILL_BY_COLOR = {"red": "#d66", "green": "#6b6", "blue": "#68c"}
 STROKE = "#222"
+CUT_LINE_HALF_LENGTH = 2.2  # a drawn cut line runs this far each way from its anchor
 
 
 def _fmt(x: float) -> str:
@@ -53,13 +54,13 @@ def body_path_d(b: ArcBody) -> str:
     return " ".join(parts)
 
 
-def _line_segment(n, c, anchor, half_len: float = 2.2) -> str:
+def _line_segment(n, c, anchor) -> str:
     """A drawable segment of the line n.x = c near the point ``anchor``."""
     n = np.asarray(n, dtype=float)
     t = np.array([-n[1], n[0]])
     foot = np.asarray(anchor, dtype=float)
     foot = foot + (c - foot @ n) * n
-    p0, p1 = foot - half_len * t, foot + half_len * t
+    p0, p1 = foot - CUT_LINE_HALF_LENGTH * t, foot + CUT_LINE_HALF_LENGTH * t
     return (
         f'<line x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" '
         f'x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}" '

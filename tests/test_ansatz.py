@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from croft_forge import ansatz
+from croft_forge import ansatz, lattice, stepfn
 from croft_forge import body as body_module
-from croft_forge import stepfn
 from croft_forge.ansatz import (
     EIGEN_REFERENCE_TOL,
     N_FREE,
@@ -19,6 +18,7 @@ from croft_forge.ansatz import (
     closure_project,
     eigen_signature,
     jacobi_eigh,
+    signature_of,
     step_from_halfvalues,
 )
 from croft_forge.body import build_body, center_offsets, croft_constants
@@ -26,13 +26,14 @@ from croft_forge.clip import halfplane_clip_area
 from croft_forge.lattice import (
     PSI,
     cap_area_derivatives,
+    class_cuts,
     copy_motion,
     default_config,
     edge_ends,
     place_copy,
     stripe_caps,
 )
-from croft_forge.segments import series_coefficients
+from croft_forge.segments import pair_envelope, series_coefficients
 from croft_forge.reference import Q_VALUES, SHIFT_X, SHIFT_Y
 from croft_forge.stepfn import (
     StepFunctionError,
@@ -43,6 +44,8 @@ from croft_forge.stepfn import (
 from croft_forge.tortoise import (
     DEFAULT_FIT_EPS,
     MODES,
+    SERIES_MODES,
+    TILT_MODES,
     fit_net_coefficient,
     pair_clip_area,
     series_net_coefficient,
@@ -227,7 +230,7 @@ def test_form_reproduces_functional(form):
 def test_form_builds_no_body(monkeypatch, mode, template):
     """Every mode reads the form off the cap terms in closed form: no
     c2_net call, no body is built or moved, and no profile is built per
-    column; the columns are one value matrix."""
+    column; the form contracts the break set's cut model."""
     c2_calls = count_calls(monkeypatch, ansatz, "c2_net")
     bodies = count_calls(monkeypatch, body_module, "build_body")
     copies = count_calls(monkeypatch, body_module, "transform")
@@ -235,6 +238,55 @@ def test_form_builds_no_body(monkeypatch, mode, template):
     form = assemble_quadratic_form(mode, template=template)
     assert form.matrix.shape[0] == (12 if template is None else 6)
     assert c2_calls == bodies == copies == profiles == []
+
+
+def _direct_form(mode, template):
+    """The form read straight off ``class_cuts`` at its basis columns: step
+    values (N; -N) over the two half-turns, then the shift columns."""
+    basis = assemble_quadratic_form(mode, template=template).basis
+    q = np.concatenate([basis[:-2], -basis[:-2]])
+    gram, _, p_ex, p_ee = class_cuts(template.breaks, q, basis[-2:].T)
+    matrix = gram - pair_envelope(p_ex, p_ee, mode in TILT_MODES)[1]
+    return 0.5 * (matrix + matrix.T)
+
+
+FORM_TEMPLATES = {
+    "reference": [reference_step_function()],
+    "q36": [q36_profile()],
+    "uniform": [uniform_zero_profile(n) for n in range(12, 289, 12)],
+    "seeded-24": [seeded_break_set(24, s) for s in range(20)],
+}
+
+
+@pytest.mark.parametrize("mode", SERIES_MODES)
+@pytest.mark.parametrize("name", FORM_TEMPLATES)
+def test_form_contraction_is_the_direct_read(name, mode):
+    """The form, a contraction of the cached cut model over (v, shift), is
+    a direct ``class_cuts`` read at its basis columns within
+    1e-14 ||F||_F, with the same signature, with and without the tilt."""
+    for template in FORM_TEMPLATES[name]:
+        form = assemble_quadratic_form(mode, template=template).matrix
+        direct = _direct_form(mode, template)
+        assert np.max(np.abs(form - direct)) <= 1e-14 * np.linalg.norm(direct)
+        assert signature_of(np.linalg.eigvalsh(form)) == signature_of(np.linalg.eigvalsh(direct))
+
+
+def test_form_and_probes_read_the_cut_model_once_per_break_set(monkeypatch):
+    """On a fresh break set the form runs ``class_cuts`` once, and neither
+    the form again, in either tilt mode, nor a ``c2_net`` batch on that
+    break set runs it again: all contract the one cached cut model."""
+    lattice._cut_model.cache_clear()
+    reads = count_calls(monkeypatch, lattice, "class_cuts")
+    template = seeded_break_set(24, 7)
+    assemble_quadratic_form("series2", template=template)
+    assert len(reads) == 1
+    rng = np.random.default_rng(2)
+    for mode in SERIES_MODES:
+        assemble_quadratic_form(mode, template=template)
+        for _ in range(8):
+            c2_net(rng.standard_normal(12), rng.standard_normal(2), mode, template=template)
+    assert len(reads) == 1
+    assert lattice._cut_model.cache_info().misses == 1
 
 
 def test_unknown_form_mode_is_rejected():

@@ -854,6 +854,28 @@ def test_series_vs_exact_judges_the_last_halving(capsys, tmp_path, monkeypatch):
     assert out.startswith("FAIL series-vs-exact:")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('"breaks": [0, 3.141592653589793, 6.283185307179586], "values": [true, -1.0]',
+     "value[0]=True is not a real number"),
+    ('"breaks": [0, 3.141592653589793, 6.283185307179586], "values": ["0", "-0"]',
+     "value[0]='0' is not a real number"),
+    ('"breaks": [false, 3.141592653589793, 6.283185307179586], "values": [0, 0]',
+     "cannot interpret break False"),
+], ids=["bool-value", "string-value", "bool-break"])
+@pytest.mark.parametrize("command", [("eigen",), ("verify", "--checks", "closure")])
+def test_qspec_entry_that_is_no_real_number_is_usage_error(capsys, tmp_path, spec, message,
+                                                          command):
+    """JSON's true and "0" are no numbers of a q-spec, though NumPy reads
+    them as 1.0 and 0.0."""
+    path = tmp_path / "q.json"
+    path.write_text("{" + spec + "}")
+    code = _exit_code([*command, "--q-spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith(f"error: --q-spec {path}: StepFunctionError: {message}")
+    assert out == ""
+
+
 @pytest.mark.parametrize("shift", ['[0.1]', '[0.1, "0.2"]', '[true, 0]', 'null', '"0, 0"',
                                    '[NaN, 0]', '[1e400, 0]'])
 @pytest.mark.parametrize("command", [("fit",), ("scan", "--eps", "0.05"),

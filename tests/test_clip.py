@@ -9,7 +9,7 @@ from croft_forge.body import body_area, build_body
 from croft_forge.clip import (
     Clip,
     _chord_derivatives,
-    arc_line_crossings,
+    _crossings,
     boundary_line_crossings,
     halfplane_clip_area,
 )
@@ -138,9 +138,8 @@ def test_line_through_a_break_crosses_twice():
 def test_arc_crossing_at_its_ends():
     """A crossing at an arc's start is reported at the start angle; one at
     its end is left to the next arc."""
-    start = arc_line_crossings((0.0, 0.0), 1.0, 0.5, 1.0, (1.0, 0.0), math.cos(0.5))
-    assert start == [0.5]
-    assert arc_line_crossings((0.0, 0.0), 1.0, 0.0, 0.5, (1.0, 0.0), math.cos(0.5)) == []
+    assert _crossings(0.0, 0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.0, math.cos(0.5)) == [0.5]
+    assert _crossings(0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0, math.cos(0.5)) == []
 
 
 def test_clip_derivatives_are_zero_off_the_boundary():

@@ -113,6 +113,45 @@ def test_malformed_break_rejected(brk, message):
         make_step_function([Fraction(0), brk, Fraction(2)], [0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([True, -0.25, -1.0, 0.25], r"value\[0\]=True is not a real number"),
+        ([0.5, "0", -0.5, "-0"], r"value\[1\]='0' is not a real number"),
+        ([0.5, -0.25, None, 0.25], r"value\[2\]=None is not a real number"),
+        ([0.5, -0.25, -0.5, 0.25j], r"value\[3\]=0.25j is not a real number"),
+        ([np.True_, -0.25, -1.0, 0.25], r"value\[0\]=.*True.* is not a real number"),
+    ],
+    ids=["bool", "string", "none", "complex", "numpy-bool"],
+)
+def test_value_that_is_no_real_number_is_refused(values, message):
+    """NumPy would read a bool as 1.0 and a numeric string as its number."""
+    with pytest.raises(StepFunctionError, match=message):
+        make_step_function(SIMPLE_BREAKS, values)
+
+
+@pytest.mark.parametrize(
+    "brk",
+    [False, True, "1.0", {"num": True, "den": 2}, {"num": 1, "den": "2"},
+     {"num": 0.5, "den": 1}, np.True_],
+    ids=["false", "true", "string", "bool-num", "string-den", "float-num", "numpy-bool"],
+)
+def test_break_that_is_no_real_number_is_refused(brk):
+    with pytest.raises(StepFunctionError, match=r"^cannot interpret break "):
+        make_step_function([Fraction(0), brk, Fraction(2)], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "number", [np.int64(0), np.float64(0.0), np.float32(0.0), np.int32(0), 0, 0.0, Fraction(0)],
+    ids=["int64", "float64", "float32", "int32", "int", "float", "fraction"],
+)
+def test_numpy_numbers_are_read_as_breaks_and_values(number):
+    q = make_step_function([number, math.pi, {"num": np.int64(2), "den": np.int64(1)}],
+                           [number, number])
+    assert q.break_fractions == (Fraction(0), Fraction(1), Fraction(2))
+    assert q.values.tolist() == [0.0, 0.0]
+
+
 def test_endpoints_enforced():
     with pytest.raises(StepFunctionError, match="must start"):
         make_step_function([Fraction(0), Fraction(1)], [0.0])
@@ -161,7 +200,7 @@ def test_json_round_trip_with_a_shift(tmp_path):
 
 @pytest.mark.parametrize("shift", [[0.1], [0.1, 0.2, 0.3], [0.1, "0.2"], [True, 0.0], None,
                                    "0.1,0.2", {"x": 0.1, "y": 0.2}, [math.nan, 0.0],
-                                   [0.0, math.inf], [10**400, 0]])
+                                   [0.0, math.inf], [10**400, 0], [0.0, np.False_]])
 def test_malformed_shift_is_refused(shift):
     with pytest.raises(StepFunctionError, match="shift must be a list of two finite numbers"):
         qspec_shift({"shift": shift})

@@ -399,8 +399,8 @@ def test_contraction_is_the_direct_read_on_uniform_288():
 
 def test_cut_model_is_read_once_per_break_set():
     """Six profile reads on one break set compute six times but read its cut
-    model once; the model's four arrays are shaped by m = n + 2 columns
-    and read-only."""
+    model once; the model's four arrays are shaped by m = n/2 + 2 columns,
+    x = (v, shift), and read-only."""
     _clear_cut_caches()
     template = uniform_zero_profile(48)
     for seed in range(3):
@@ -411,12 +411,36 @@ def test_cut_model_is_read_once_per_break_set():
     assert lattice._cut_model.cache_info().misses == 2
     model = lattice._cut_model(template.breaks.tobytes())
     assert lattice._cut_model.cache_info().misses == 2
-    m = 50
+    m = 26
     assert [x.shape for x in model] == [(m, m), (3, m), (3, 2, m), (3, m, m)]
     for x in model:
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 1.0
+
+
+def test_nearly_antisymmetric_profile_reads_its_antisymmetric_part():
+    """A profile whose second half is off by up to 1e-13, within
+    ``ANTISYMMETRY_TOL``, reads the cut data of its antisymmetric part
+    (v, -v), v = (values[:h] - values[h:]) / 2, to the bit, and that part
+    is a direct ``class_cuts`` read; its first half alone reads other
+    bits."""
+    _clear_cut_caches()
+    for template in (Q, q36_profile(), _uniform_48_profile()):
+        h = template.n_intervals // 2
+        off = 1e-13 * np.random.default_rng(h).uniform(-1.0, 1.0, h)
+        values = np.concatenate([template.values[:h], template.values[h:] + off])
+        q = make_step_function(template.break_fractions, values)
+        v = 0.5 * (values[:h] - values[h:])
+        part = make_step_function(template.break_fractions, np.concatenate([v, -v]))
+        first = make_step_function(template.break_fractions,
+                                   np.concatenate([values[:h], -values[:h]]))
+        for shift in (None, (0.3, -0.1)):
+            b, cuts = second_order_read(q, shift)
+            assert_direct_read(part, shift)
+            assert (b.hex(), _cut_bits(cuts)) == (second_order_read(part, shift)[0].hex(),
+                                                   _cut_bits(cut_parameters(part, shift)))
+            assert _cut_bits(cuts) != _cut_bits(cut_parameters(first, shift))
 
 
 def test_open_profile_is_refused_on_every_cut_read():
