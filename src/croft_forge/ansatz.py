@@ -3,9 +3,9 @@
 A candidate profile on n intervals (24 on the reference profile) is n/2
 free step values v (the other n/2 follow by half-turn antisymmetry) plus
 the 2 shift components, a plain pair.  The arc chain closes iff A v = 0,
-with A read off the arc chords of ``body`` (``closure_matrix``); the form
-lives on the null space of A plus the shifts, so its size is the
-null-space dimension + 2 (10 + 2 on the reference, 0 + 2 on {0, pi}).
+with A read off the arc chords of ``body``; A and its null space come from
+one SVD, once per break set (``_closure``).  The form lives on that null
+space plus the shifts: 10 + 2 variables on the reference, 0 + 2 on {0, pi}.
 The eps^2 coefficient of the cut-body area is an exactly quadratic
 function of these variables in every mode.  ``assemble_quadratic_form``
 contracts the break set's cut model (``lattice._cut_model``), read off the
@@ -54,42 +54,34 @@ def step_from_halfvalues(v, template: StepFunction | None = None) -> StepFunctio
 
 
 def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
-    """(2, n/2) matrix A with A v = 0 iff the arc chain closes.
-
-    The chain's gap is -du^T q (``body.chain_closure_residual``), and the
-    antipodal arc of arc i has chord -du_i, so A = -2 du[:n/2]^T.  Built
-    once per break set and returned read-only.
-    """
+    """(2, n/2) matrix A with A v = 0 iff the arc chain closes: the chain's
+    gap is -du^T q (``body.chain_closure_residual``) and the antipodal arc of
+    arc i has chord -du_i, so A = -2 du[:n/2]^T.  Read-only, from ``_closure``."""
     if template is None:
         template = reference_step_function()
-    return _closure_matrix(tuple(template.breaks))
-
-
-@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
-def _closure_matrix(breaks: tuple[float, ...]) -> np.ndarray:
-    du = _unit_chords(breaks)
-    A = -2.0 * du[: len(du) // 2].T
-    A.setflags(write=False)
-    return A
+    return _closure(tuple(template.breaks))[0]
 
 
 def closure_nullspace(template: StepFunction | None = None) -> np.ndarray:
-    """Orthonormal basis (n/2, n/2 - rank A) of the closure subspace.
-
-    The rank is 2 on every break set with at least four intervals and 1 on
-    {0, pi}.  Built once per break set and returned read-only.
-    """
+    """Orthonormal basis (n/2, n/2 - rank A) of the closure subspace, rank 2
+    on every break set with at least four intervals and 1 on {0, pi}.
+    Read-only, from ``_closure``."""
     if template is None:
         template = reference_step_function()
-    return _closure_nullspace(tuple(template.breaks))
+    return _closure(tuple(template.breaks))[1]
 
 
-@lru_cache(maxsize=64)
-def _closure_nullspace(breaks: tuple[float, ...]) -> np.ndarray:
-    A = _closure_matrix(breaks)
-    N = np.linalg.svd(A)[2][np.linalg.matrix_rank(A) :].T.copy()
+@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
+def _closure(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # A and its null space N from one SVD: the right singular vectors past the
+    # rank, counted at numpy.linalg.matrix_rank's tolerance S.max max(A.shape) eps
+    du = _unit_chords(breaks)
+    A = -2.0 * du[: len(du) // 2].T
+    _, S, Vt = np.linalg.svd(A)
+    N = Vt[np.count_nonzero(S > S.max() * (max(A.shape) * np.finfo(float).eps)) :].T.copy()
+    A.setflags(write=False)
     N.setflags(write=False)
-    return N
+    return A, N
 
 
 def closure_project(v, template: StepFunction | None = None) -> np.ndarray:
@@ -109,7 +101,8 @@ def c2_net(
 
     ``v`` is projected onto the closure subspace before evaluation, so
     the functional is defined (and exactly quadratic, in series modes)
-    on all of R^(n/2) x R^2.
+    on all of R^(n/2) x R^2.  Raises ``BodyError`` where it is not finite,
+    as ``series_net_coefficient`` and ``tortoise_area`` do.
     """
     q = step_from_halfvalues(closure_project(v, template), template)
     if mode in SERIES_MODES:

@@ -57,8 +57,9 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
     break, measured along the arc (TANGENCY_TOL / radius in angle), belongs
     to the arc starting there.  Each branch alpha +- acos(t) solves the
     cosine equation once per turn; an arc spans at most pi, so of the turns
-    floor((a - branch)/2pi) + 0, 1, 2 only the first at or past a - window
-    can fall in [a - window, b - window)."""
+    floor((a - branch)/2pi) + 0, 1 only the first at or past a - window can
+    fall in [a - window, b - window).  The second is never below a, so no
+    third is tried."""
     if radius <= 0.0:
         return []
     t = (c - (n0 * cx + n1 * cy)) / radius
@@ -73,8 +74,6 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
         phi = branch + TWO_PI * turn
         if phi < start:
             phi = branch + TWO_PI * (turn + 1)
-            if phi < start:
-                phi = branch + TWO_PI * (turn + 2)
         if start <= phi < stop:
             out.append(a if a > phi else phi)
     if len(out) == 2 and out[1] < out[0]:

@@ -371,8 +371,10 @@ def _profile_cuts(breaks: bytes, values: bytes, shift: bytes):
     gram, p_e, p_ex, p_ee = _cut_model(breaks)
     h = len(values) // 2
     x = np.concatenate([0.5 * (values[:h] - values[h:]), np.frombuffer(shift)])
-    linear, rates, quad = p_e @ x, p_ex @ x, (p_ee @ x) @ x
-    return float(x @ gram @ x), tuple(
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse inf and NaN
+        linear, rates, quad = p_e @ x, p_ex @ x, (p_ee @ x) @ x
+        body_c2 = float(x @ gram @ x)
+    return body_c2, tuple(
         PairCut(float(linear[k]), (float(rates[k, 0]), float(rates[k, 1])), float(quad[k]))
         for k in range(3)
     )

@@ -43,9 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import ArcBody, body_area, build_body, family_radii
+from .body import ArcBody, BodyError, body_area, build_body, family_radii
 from .clip import Clip, halfplane_clip_area
-from .lattice import LATTICE_CONSTANT, copy_motion, edge_ends, second_order_read, stripe_caps
+from .lattice import (
+    LATTICE_CONSTANT, copy_motion, edge_ends, resolve_shift, second_order_read, stripe_caps,
+)
 from .segments import minimize_pair_shift, minimize_pair_shift_tilt, pair_envelope
 from .stepfn import StepFunction, reference_step_function
 
@@ -280,7 +282,9 @@ def tortoise_area(
     Newton at that minimizer, on the caps of the two copies across each
     class's edge (``lattice.edge_ends``) moved onto the one body.  The
     series modes build no body: their area is pi + B eps^2, B of the same
-    read.
+    read.  Raises ``BodyError`` where the area left is not a positive finite
+    number: where the caps overlap, the cuts remove more than the body, and
+    an overflowing eps or shift gives NaN.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -304,6 +308,11 @@ def tortoise_area(
             (s, area), delta = minimize_pair_shift(cut.scaled(eps)), 0.0
         if mode in SERIES_MODES:
             per_edge.append(EdgeCut(k=k, s=s, delta=delta, area=area))
+        elif not all(map(math.isfinite, (s, delta, area))):
+            raise BodyError(
+                f"class {k} at eps={eps}, shift {resolve_shift(shift)}: the series "
+                f"start ({s:.6g}, {delta:.6g}) of Newton is not finite"
+            )
         else:
             motions = [copy_motion(c, p, eps, shift) for c, p in edge_ends(k)]
             per_edge.append(_minimize_pair_clip(body, motions, k, (s, delta, area), with_tilt))
@@ -312,6 +321,11 @@ def tortoise_area(
     for e in per_edge:
         a_cut += e.area
     a_t = a_body - a_cut
+    if not 0.0 < a_t < math.inf:
+        raise BodyError(
+            f"tortoise area {a_t:.6g} at eps={eps}, shift {resolve_shift(shift)} is not a "
+            "positive finite number: the stripe cuts overlap or overflow"
+        )
     cell = LATTICE_CONSTANT**2 * math.sqrt(3.0) / 2.0
     return DensityRecord(
         eps=eps,
@@ -347,7 +361,7 @@ def series_cut_coefficients(
     The sum of the three minimized pair areas is
     6*a0 + linear*eps + quadratic*eps**2 in the series modes: the unit cuts
     of ``lattice.second_order_read``, summed and minimized by
-    ``pair_envelope``.
+    ``pair_envelope``.  Raises ``BodyError`` where one is not finite.
     """
     return _series_coefficients(q, mode, shift)[1:]
 
@@ -371,6 +385,7 @@ def series_net_coefficient(
     one ``lattice.second_order_read``.
 
     Positive means the family improves on the disc-based construction.
+    Raises ``BodyError`` where a coefficient is not finite.
     """
     body_c2, _, quad = _series_coefficients(q, mode, shift)
     return body_c2 - quad
@@ -387,6 +402,11 @@ def _series_coefficients(q, mode, shift) -> tuple[float, float, float]:
     linear = 0.0  # left to right, as in tortoise_area
     for c in cuts:
         linear += c.linear
+    if not all(map(math.isfinite, (body_c2, linear, quad))):
+        raise BodyError(
+            f"second-order coefficients (B, linear, quadratic) = ({body_c2:.6g}, "
+            f"{linear:.6g}, {quad:.6g}) at shift {resolve_shift(shift)} are not all finite"
+        )
     return body_c2, linear, quad
 
 

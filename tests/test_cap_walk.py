@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import full_walk
 from break_sets import q36_profile
@@ -26,7 +28,7 @@ from croft_forge.clip import (
     trim_bodies,
 )
 from croft_forge.lattice import default_config, place_copy
-from croft_forge.stepfn import make_step_function, reference_step_function
+from croft_forge.stepfn import TWO_PI, make_step_function, reference_step_function
 
 SHIFT = default_config()
 REF = reference_step_function()
@@ -234,6 +236,23 @@ def test_crossings_are_the_three_turn_solver_to_the_bit():
         found[len(got)] += 1
         found["at start"] += case[3] in got
     assert min(found.values()) >= 50, found
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.floats(-25.0, 25.0),
+    st.integers(-4, 4),
+    st.integers(-64, 64),
+)
+def test_second_turn_of_a_crossing_is_never_below_the_arc_start(branch, k, ulps):
+    """Where the arc starts within 64 ulps of the branch's turn k, the floor
+    of ``clip._crossings`` can round the wrong way, but the turn after it
+    still lands at or past a: no third turn is ever needed."""
+    a = branch + TWO_PI * k
+    for _ in range(abs(ulps)):
+        a = math.nextafter(a, math.copysign(math.inf, ulps))
+    turn = math.floor((a - branch) / TWO_PI)
+    assert branch + TWO_PI * (turn + 1) >= a
 
 
 def test_cap_walk_wraps_and_covers():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -506,6 +507,61 @@ def test_fit_on_a_large_profile(capsys, tmp_path, mode):
         25.0 * data["reference_body_area_c2"], rel=1e-13
     )
     assert isinstance(data["series2_net_c2"], float)
+
+
+def _far_qspecs(tmp_path):
+    """The reference profile at shift (3, -3), whose caps overlap, and the
+    zero profile on {0, pi} at shift (1e200, 0), whose cut read overflows."""
+    from fractions import Fraction
+    from croft_forge.stepfn import dump_qspec, make_step_function
+
+    far3, huge = tmp_path / "far3.json", tmp_path / "huge.json"
+    dump_qspec(reference_step_function(), far3, shift=(3, -3))
+    two = make_step_function([Fraction(0), Fraction(1), Fraction(2)], np.zeros(2))
+    dump_qspec(two, huge, shift=(1e200, 0))
+    return str(far3), str(huge)
+
+
+def test_scan_writes_an_error_row_for_overlapping_caps(capsys, tmp_path):
+    """The scan printed tortoise area -31.28 and density -2.337 with exit 0;
+    now the record is an error row and no density is printed."""
+    far3, _ = _far_qspecs(tmp_path)
+    code, out, _ = run(capsys, "scan", "--mode", "series2", "--eps", "0.5", "--q-spec", far3)
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "eps,mode,error"
+    assert row.startswith("0.5,series2,tortoise area -31.2788 at eps=0.5, shift (3.0, -3.0)")
+    code, out, _ = run(capsys, "scan", "--mode", "exact1", "--eps=-1", "--eps", "0.1",
+                       "--q-spec", far3, "--format", "json")
+    refused, kept = json.loads(out)
+    assert "density" not in refused and "tortoise area -3.13112" in refused["error"]
+    assert "error" not in kept and kept["density"] > 0.0
+
+
+def test_fit_and_render_refuse_an_impossible_area(capsys, tmp_path):
+    """The fit at shift (1e200, 0) printed c2,nan and a RuntimeWarning with
+    exit 0; it and a render of the far3 record are now usage errors, exit 2,
+    with nothing on stdout and no warning."""
+    far3, huge = _far_qspecs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["fit", "--q-spec", huge], ["render", "tortoise", "--eps", "0.5",
+                                                 "--q-spec", far3]):
+            code = _exit_code(argv)
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err.startswith("error: tortoise area ") and "RuntimeWarning" not in err
+
+
+def test_verify_fails_the_checks_an_overflowing_shift_breaks(capsys, tmp_path):
+    """Each check that reads the overflowing cut data prints a FAIL line."""
+    _, huge = _far_qspecs(tmp_path)
+    code, out, _ = run(capsys, "verify", "--q-spec", huge)
+    assert code == 1
+    lines = out.splitlines()
+    for name in ("cancellation", "series-vs-exact", "avoidance"):
+        (line,) = [x for x in lines if x.split(":")[0].split()[-1] == name]
+        assert line.startswith(f"FAIL {name}: raised BodyError: ")
 
 
 def test_missing_profile_is_usage_error(capsys):

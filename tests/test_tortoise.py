@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -523,6 +524,74 @@ def test_a_record_refuses_a_non_finite_shift(mode, shift):
 def test_series_coefficients_refuse_a_non_finite_shift(mode):
     with pytest.raises(ValueError, match=NON_FINITE_SHIFT):
         series_net_coefficient(Q, mode, (math.nan, 0.0))
+
+
+FAR_SHIFTS = [(1.0, 1.0), (-2.0, 0.3), (3.0, -3.0)]
+TWO_ZERO = make_step_function([Fraction(0), Fraction(1), Fraction(2)], np.zeros(2))
+
+
+def test_a_record_with_overlapping_caps_is_refused():
+    """At shift (3, -3) the six caps overlap: the cut area is more than the
+    body's, which printed tortoise area -31.28 (series2 at eps 0.5) and
+    -3.131 (exact1 at eps -1)."""
+    with pytest.raises(BodyError, match=r"tortoise area -31\.2788 at eps=0\.5, shift \(3\.0, -3\.0\)"):
+        tortoise_area(0.5, "series2", shift=(3, -3))
+    with pytest.raises(BodyError, match=r"tortoise area -3\.13112 at eps=-1\.0, shift"):
+        tortoise_area(-1.0, "exact1", shift=(3, -3))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_overflowing_shift_or_eps_is_refused_without_a_warning(mode):
+    """The zero profile on {0, pi} at shift (1e200, 0), or at eps 1e200,
+    gave NaN and an overflow RuntimeWarning from the cut read; now every
+    record, closed form and probe raises BodyError, and no warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BodyError, match=r"eps=0\.05, shift \(1e\+200, 0\.0\)"):
+            tortoise_area(0.05, mode, q=TWO_ZERO, shift=(1e200, 0.0))
+        with pytest.raises(BodyError, match=r"at eps=1e\+200"):
+            tortoise_area(1e200, mode, q=TWO_ZERO)
+        with pytest.raises(BodyError):
+            ansatz.c2_net([0.0], (1e200, 0.0), mode, template=TWO_ZERO)
+        if mode in tortoise.SERIES_MODES:
+            for read in (series_cut_coefficients, series_net_coefficient):
+                with pytest.raises(BodyError, match=r"shift \(1e\+200, 0\.0\) are not all finite"):
+                    read(TWO_ZERO, mode, (1e200, 0.0))
+
+
+def test_refused_records_are_the_far_shifts():
+    """The exact records of the reference and q36 profiles at eps -1, -0.9,
+    ..., 1 and six shifts: every record left is positive, and the refused
+    ones, whose caps overlap, all lie at the three far shifts."""
+    refused = set()
+    for q in (Q, q36_profile()):
+        for shift in [None, (0.0, 0.0), (0.2, -0.1)] + FAR_SHIFTS:
+            for mode in ("exact1", "exact2"):
+                for i in range(21):
+                    eps = round(-1.0 + 0.1 * i, 10)
+                    try:
+                        assert tortoise_area(eps, mode, q=q, shift=shift).tortoise_area > 0.0
+                    except BodyError:
+                        refused.add(shift)
+                    except ConvergenceError:  # class 2 of exact2 at eps 0.7, shift (3, -3)
+                        assert (mode, eps, shift) == ("exact2", 0.7, (3.0, -3.0))
+    assert refused == set(FAR_SHIFTS)
+
+
+def test_reference_shift_records_are_all_accepted():
+    """656 records at the reference shift: the reference and q36 profiles and
+    closure-projected uniform 96 and 288 profiles (default_rng(n), max |q| =
+    1), eps -1, -0.95, ..., 1, every mode; no record is refused, and the
+    smallest tortoise area is 2.7787."""
+    profiles = [Q, q36_profile()]
+    for n in (96, 288):
+        template = uniform_zero_profile(n)
+        v = ansatz.closure_project(np.random.default_rng(n).standard_normal(n // 2), template)
+        profiles.append(ansatz.step_from_halfvalues(v / np.max(np.abs(v)), template))
+    areas = [tortoise_area(-1.0 + 0.05 * i, mode, q=q).tortoise_area
+             for q in profiles for mode in MODES for i in range(41)]
+    assert len(areas) == 656
+    assert min(areas) >= 2.77
 
 
 def test_scan_and_csv_json_round_trip(tmp_path):
