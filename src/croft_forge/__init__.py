@@ -18,7 +18,6 @@ from .body import (
     diameter_profile,
 )
 from .lattice import (
-    color_of,
     cut_parameters,
     default_config,
     place_body,
@@ -83,7 +82,6 @@ __all__ = [
     "build_body",
     "c2_net",
     "closure_project",
-    "color_of",
     "croft_constants",
     "cut_disc_density",
     "cut_parameters",

@@ -4,29 +4,28 @@ A candidate profile on n intervals (24 on the reference profile) is n/2
 free step values v (the other n/2 follow by half-turn antisymmetry) plus
 the 2 shift components, a plain pair.  The arc chain closes iff A v = 0,
 with A read off the arc chords of ``body``; A and its null space come from
-one SVD, once per break set (``_closure``).  The form lives on that null
-space plus the shifts: 10 + 2 variables on the reference, 0 + 2 on {0, pi}.
-The eps^2 coefficient of the cut-body area is an exactly quadratic
-function of these variables in every mode.  ``assemble_quadratic_form``
-contracts the break set's cut model (``lattice._cut_model``), read off the
-six caps of the body at eps = 0 in the form's own coordinates (v, shift),
-with its basis columns, in one closed form for every mode and break set:
-the same cut model the series modes minimize and every ``c2_net`` probe
-contracts; the mode decides only the stripe tilt.  LAPACK
-(``numpy.linalg.eigh``) diagonalizes it, checked against the reference
-``jacobi_eigh``; the best direction skips null directions, which change
-c2 by nothing.
+one SVD in the break set's one cached read (``body.closure_geometry``).
+The form lives on that null space plus the shifts: 10 + 2 variables on the
+reference, 0 + 2 on {0, pi}.  The eps^2 coefficient of the cut-body area is
+an exactly quadratic function of these variables in every mode.
+``assemble_quadratic_form`` contracts the break set's cut model
+(``lattice._cut_model``), read off the six caps of the body at eps = 0 in
+the form's own coordinates (v, shift), with its basis columns, in one
+closed form for every mode and break set: the same cut model the series
+modes minimize and every ``c2_net`` probe contracts; the mode decides only
+the stripe tilt.  LAPACK (``numpy.linalg.eigh``) diagonalizes it, checked
+against the reference ``jacobi_eigh``; the best direction skips null
+directions, which change c2 by nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .body import _unit_chords
+from .body import closure_geometry
 from .lattice import _cut_model
 from .segments import pair_envelope
 from .stepfn import StepFunction, reference_step_function, require_finite
@@ -56,32 +55,20 @@ def step_from_halfvalues(v, template: StepFunction | None = None) -> StepFunctio
 def closure_matrix(template: StepFunction | None = None) -> np.ndarray:
     """(2, n/2) matrix A with A v = 0 iff the arc chain closes: the chain's
     gap is -du^T q (``body.chain_closure_residual``) and the antipodal arc of
-    arc i has chord -du_i, so A = -2 du[:n/2]^T.  Read-only, from ``_closure``."""
+    arc i has chord -du_i, so A = -2 du[:n/2]^T.  Read-only, from
+    ``body.closure_geometry``."""
     if template is None:
         template = reference_step_function()
-    return _closure(tuple(template.breaks))[0]
+    return closure_geometry(tuple(template.breaks))[1]
 
 
 def closure_nullspace(template: StepFunction | None = None) -> np.ndarray:
     """Orthonormal basis (n/2, n/2 - rank A) of the closure subspace, rank 2
     on every break set with at least four intervals and 1 on {0, pi}.
-    Read-only, from ``_closure``."""
+    Read-only, from ``body.closure_geometry``."""
     if template is None:
         template = reference_step_function()
-    return _closure(tuple(template.breaks))[1]
-
-
-@lru_cache(maxsize=64)  # bounded for sweeps over many break sets
-def _closure(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    # A and its null space N from one SVD: the right singular vectors past the
-    # rank, counted at numpy.linalg.matrix_rank's tolerance S.max max(A.shape) eps
-    du = _unit_chords(breaks)
-    A = -2.0 * du[: len(du) // 2].T
-    _, S, Vt = np.linalg.svd(A)
-    N = Vt[np.count_nonzero(S > S.max() * (max(A.shape) * np.finfo(float).eps)) :].T.copy()
-    A.setflags(write=False)
-    N.setflags(write=False)
-    return A, N
+    return closure_geometry(tuple(template.breaks))[2]
 
 
 def closure_project(v, template: StepFunction | None = None) -> np.ndarray:

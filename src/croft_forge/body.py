@@ -5,10 +5,12 @@ Each interval of the radius profile q contributes one arc of radius
 boundary is continuous, and antipodal intervals share their center, which
 makes every antipodal boundary distance exactly 2 (``diameter_profile``
 checks it in closed form).  The chain closes iff sum_i q_i du_i = 0, with
-du_i = u(phi_{i+1}) - u(phi_i) the unit chord of arc i (``_unit_chords``,
-cached per break set, which ``body_area`` and ``body_area_gram`` also
-read): two linear constraints on q, stated once here and read off by
-``ansatz.closure_matrix``.
+du_i = u(phi_{i+1}) - u(phi_i) the unit chord of arc i: two linear
+constraints on q, stated once here.  One cached read per break set,
+``closure_geometry``, holds the chords du, which ``body_area`` and
+``body_area_gram`` also read, the closure matrix A of the half-values and
+its null basis N, which ``ansatz.closure_matrix`` and
+``ansatz.closure_nullspace`` return.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ def chain_closure_residual(breaks, values) -> float:
     """Gap when chaining the center offsets once around the full turn.
 
     The chain adds (q_{i+1} - q_i) u(phi_{i+1}) per break; summed by parts,
-    the gap is -sum_i q_i du_i with the arc chords du of ``_unit_chords``,
-    so its length is |du^T q|.
+    the gap is -sum_i q_i du_i with the arc chords du of
+    ``closure_geometry``, so its length is |du^T q|.
     """
-    return math.hypot(*(_unit_chords(tuple(breaks)).T @ values).tolist())
+    return math.hypot(*(closure_geometry(tuple(breaks))[0].T @ values).tolist())
 
 
 def require_closure(breaks, values) -> None:
@@ -145,12 +147,21 @@ def _unit(phi) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)  # bounded for sweeps over many break sets
-def _unit_chords(breaks: tuple[float, ...]) -> np.ndarray:
-    """Unit chord u(phi_{i+1}) - u(phi_i) of each arc of a break set, read-only."""
+def closure_geometry(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(du, A, N) of a break set, read-only: the unit chord
+    u(phi_{i+1}) - u(phi_i) of each arc, the closure matrix
+    A = -2 du[:n/2]^T (the antipodal arc of arc i has chord -du_i) and the
+    orthonormal basis N of A's null space, the right singular vectors of
+    one SVD past the rank, counted at ``numpy.linalg.matrix_rank``'s
+    tolerance S.max max(A.shape) eps."""
     phi = np.array(breaks)
     du = _unit(phi[1:]) - _unit(phi[:-1])
-    du.setflags(write=False)
-    return du
+    A = -2.0 * du[: len(du) // 2].T
+    _, S, Vt = np.linalg.svd(A)
+    N = Vt[np.count_nonzero(S > S.max() * (max(A.shape) * np.finfo(float).eps)) :].T.copy()
+    for x in (du, A, N):
+        x.setflags(write=False)
+    return du, A, N
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,7 +182,7 @@ def body_area(b: ArcBody) -> float:
     rho^2 * dphi / 2 plus half the cross product of its center with the
     chord vector; no numeric quadrature is involved.
     """
-    cross = _cross(b.centers, _unit_chords(tuple(b.breaks)))
+    cross = _cross(b.centers, closure_geometry(tuple(b.breaks))[0])
     return float(0.5 * np.sum(b.radii**2 * np.diff(b.breaks) + b.radii * cross))
 
 
@@ -186,7 +197,7 @@ def body_area_gram(breaks: np.ndarray, q: np.ndarray, offsets: np.ndarray) -> np
     is quadratic in eps.  Entry [a, b] is its bilinear form at columns a
     and b, so the diagonal holds each profile's coefficient.
     """
-    w = _cross(offsets, _unit_chords(tuple(breaks))[:, None, :])  # (n, m)
+    w = _cross(offsets, closure_geometry(tuple(breaks))[0][:, None, :])  # (n, m)
     qw = q.T @ w
     return 0.5 * (q.T @ (np.diff(breaks)[:, None] * q)) - 0.25 * (qw + qw.T)
 

@@ -88,8 +88,6 @@ from .stepfn import TWO_PI, StepFunction, finite_shift
 
 PSI = math.pi / 3.0
 
-COLORS = ("red", "green", "blue")
-
 # Lattice index offsets of the six nearest neighbors (basis below); step m
 # points at angle m*pi/3.
 NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -122,12 +120,8 @@ def resolve_shift(shift) -> tuple[float, float]:
 
 
 def color_index(i: int, j: int) -> int:
+    """Color 0, 1 or 2 of site (i, j); every neighbor pair differs by one."""
     return (i - j) % 3
-
-
-def color_of(i: int, j: int) -> str:
-    """Color name of site (i, j); every neighbor pair differs by one."""
-    return COLORS[color_index(i, j)]
 
 
 def rotation_of_color(c: int) -> float:
@@ -627,19 +621,18 @@ def _extreme(e: int, blocks) -> list[tuple[float, Witness]]:
     return [(float(d[r, g]), (P[r, g], Q[r, g])) for r, g in enumerate(d.argmin(axis=1))]
 
 
-def _strip_prune(p: TrimTable, n, c, top) -> TrimTable:
+def _strip_prune(p: TrimTable, n, c) -> TrimTable:
     """Drop from the first bodies (rows 0..e-1) and the second bodies (rows
     e..2e-1) of e pairs every piece that cannot hold the nearest pair.
 
     Row i comes with the cut (n[i], c[i]) its edge places on its body, n a
     unit normal away from the other body: a's cut (n, c_a) and b's
     (-n, -c_b) put body a in n.x <= c_a and body b in n.x >= c_b, so every
-    pair has |P - Q| >= n.Q - n.P.  Each line moves out to its body's
-    measured extreme where that lies beyond it: ``top[i]`` is max n[i].x
-    over row i's body (``_support``), so the bound holds however the
-    bodies were trimmed.  A piece of a then has no pair nearer than c_b
-    minus its largest n.x (an arc piece peaks at M + r*n when n is in its
-    range, else at an end), and the mirror for b.  U is the distance from
+    pair has |P - Q| >= n.Q - n.P.  A piece of a has no pair nearer than
+    c_b minus its largest n.x (an arc piece peaks at M + r*n when n is in
+    its range, else at an end), and the mirror for b.  Each line moves out
+    to the largest top of its row's pieces where that lies beyond it, so
+    the bound holds however the bodies were trimmed.  U is the distance from
     the vertex of a nearest the strip to the nearest vertex of b, an
     achieved distance; a piece whose bound exceeds U + PRUNE_SLACK holds no
     candidate that can attain the minimum.
@@ -652,7 +645,8 @@ def _strip_prune(p: TrimTable, n, c, top) -> TrimTable:
     chord_top = np.where(p.chord_ok, np.maximum(_dot(p.chord_a, n), _dot(p.chord_b, n)),
                          -math.inf)
     vertex_top = np.where(p.vertex_ok, _dot(p.vertices, n), -math.inf)
-    side = np.maximum(c, top)
+    tops = np.concatenate([arc_top, chord_top, vertex_top], axis=1)
+    side = np.maximum(c, tops.max(axis=1, initial=-math.inf))
     nearest = vertex_top[:e].argmax(axis=1)[:, None, None]
     gap = p.vertices[e:] - np.take_along_axis(p.vertices[:e], nearest, axis=1)
     gap = np.where(p.vertex_ok[e:], np.hypot(gap[..., 0], gap[..., 1]), math.inf)
@@ -661,17 +655,16 @@ def _strip_prune(p: TrimTable, n, c, top) -> TrimTable:
     return _keep(p, arc_top >= low, chord_top >= low, vertex_top >= low)
 
 
-def closest_pairs(table: TrimTable, pairs, normals, offsets, top) -> list[tuple[float, Witness]]:
+def closest_pairs(table: TrimTable, pairs, normals, offsets) -> list[tuple[float, Witness]]:
     """Exact distance between the two disjoint trimmed bodies of each pair
     ((row_a, slot_a), (row_b, slot_b)) of ``table`` and its witness, all
     pairs in one batched pass over the candidates the module docstring
     lists (two chords have no isolated interior critical pair).  Each side
     names its body's row and the slot of its edge's cut in the cut table
-    ``normals``, ``offsets`` (``patch_cuts``) and in ``top``, its measured
-    extremes (``_support``); ``_strip_prune`` first drops the pieces that
-    cannot hold the nearest pair, keeping every candidate that can attain
-    the minimum in order, so the distance and the witness are those of the
-    full list.  Vertex-arc, vertex-chord and arc-chord candidates come in
+    ``normals``, ``offsets`` (``patch_cuts``); ``_strip_prune`` first drops
+    the pieces that cannot hold the nearest pair, keeping every candidate
+    that can attain the minimum in order, so the distance and the witness
+    are those of the full list.  Vertex-arc, vertex-chord and arc-chord candidates come in
     mirrored kinds, a to b and b to a: each runs once over both sides'
     rows against their partners' rows, and ``_extreme`` splits its row
     minima back into the two kinds, in the list's order.
@@ -680,8 +673,7 @@ def closest_pairs(table: TrimTable, pairs, normals, offsets, top) -> list[tuple[
         return []
     e = len(pairs)
     rows, slots = np.array([a for a, _ in pairs] + [b for _, b in pairs]).T
-    p = _strip_prune(_take(table, rows), normals[rows, slots], offsets[rows, slots],
-                     top[rows, slots])
+    p = _strip_prune(_take(table, rows), normals[rows, slots], offsets[rows, slots])
     a, b = _take(p, slice(e)), _take(p, slice(e, None))
     partner = _take(p, np.roll(np.arange(2 * e), e))  # row i: the other side of row i's pair
     return _extreme(e, [
@@ -766,11 +758,10 @@ def verify_avoidance(
     site, by the patch's padded cut table (``patch_cuts``).  (a) is one
     batched support-function pass (``_support``) over every copy and cut.
     Each edge names its two slots (``patch_layout``), the strip's two
-    lines, so (a)'s support values at them are the
-    measured extremes ``_strip_prune`` moves the lines out to, and its
-    bound holds even if the trimming is wrong.  What the bound leaves
-    goes through the candidate helpers once for the 16 edges' rows
-    (``closest_pairs``).
+    lines, which ``_strip_prune`` moves out to the extremes of the pieces
+    it prunes, so its bound holds even if the trimming is wrong, and (b)
+    reads nothing of (a).  What the bound leaves goes through the
+    candidate helpers once for the 16 edges' rows (``closest_pairs``).
 
     What the checks guard: (a) holds by construction of the trimming, and
     the strip bounds the distance in (b) below by the stripe width, so at
@@ -792,15 +783,15 @@ def verify_avoidance(
     violations = [f"site {s}: its cut lines leave nothing of its copy"
                   for r, s in enumerate(sites) if r not in live]
 
-    top = _support(table, normals)  # max n.x over each copy, per cut; -inf on an empty one
-    excess = np.where(cut_ok, top - offsets, -math.inf)  # the padding is no cut
+    # max n.x over each copy, per cut (-inf on an empty one); the padding is no cut
+    excess = np.where(cut_ok, _support(table, normals) - offsets, -math.inf)
     max_hp = float(excess.max())
     violations += [f"site {sites[r]}: trimmed body crosses a cut line by {excess[r, j]:.3e}"
                    for r, j in zip(*np.nonzero(excess > VERIFY_TOL))]
 
     edges = patch_layout().edges
     checked = [e for e in edges if e[0][0] in live and e[1][0] in live]
-    found = closest_pairs(table, [(a, b) for a, b, _ in checked], normals, offsets, top)
+    found = closest_pairs(table, [(a, b) for a, b, _ in checked], normals, offsets)
     min_cross, cross_witness = min(found, key=lambda f: f[0], default=(math.inf, None))
     for ((a, _), (b, _), k), (d, w) in zip(checked, found):
         if d < 2.0 - VERIFY_TOL:

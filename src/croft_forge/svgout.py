@@ -15,7 +15,6 @@ import numpy as np
 
 from .body import ArcBody, build_body
 from .lattice import (
-    COLORS,
     LATTICE_CONSTANT,
     PATCH_SITES,
     patch_cuts,
@@ -24,7 +23,7 @@ from .lattice import (
 )
 from .stepfn import StepFunction
 
-FILL_BY_COLOR = {"red": "#d66", "green": "#6b6", "blue": "#68c"}
+FILLS = ("#d66", "#6b6", "#68c")  # red, green, blue, by color index
 STROKE = "#222"
 CUT_LINE_HALF_LENGTH = 2.2  # a drawn cut line runs this far each way from its anchor
 
@@ -101,10 +100,9 @@ def _patch_svg(q, eps, stripes, shift, sites, bounds) -> str:
     centers, radii, breaks = place_patch(build_body(q, eps), shift)
     elements = []
     for r in map(PATCH_SITES.index, sites):
-        fill = FILL_BY_COLOR[COLORS[layout.colors[r]]]
         elements.append(
             f'<path d="{body_path_d(ArcBody(centers[r], radii[r], breaks[r], eps))}" '
-            f'fill="{fill}" stroke="{STROKE}" stroke-width="0.01"/>'
+            f'fill="{FILLS[layout.colors[r]]}" stroke="{STROKE}" stroke-width="0.01"/>'
         )
         for n, c in zip(normals[r][cut_ok[r]], offsets[r][cut_ok[r]]):
             elements.append(_line_segment(n, c, layout.positions[r]))

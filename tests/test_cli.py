@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import croft_forge
 import croft_forge.cli
 from croft_forge import ansatz, lattice, svgout, tortoise
+from croft_forge.body import build_body
 from croft_forge.cli import main
 from croft_forge.lattice import PATCH_SITES
 from croft_forge.stepfn import reference_step_function
@@ -239,6 +240,17 @@ def test_verify_fails_when_the_stripes_leave_no_copy(capsys):
     assert out.count("more)") == 3
 
 
+def test_verify_names_an_off_constant(capsys, monkeypatch):
+    """A constant outside its tolerance fails ``verify --checks constants``
+    with exit 1, the row named."""
+    targets = [(name, get, target + 1e-3 if name == "density" else target, tol)
+               for name, get, target, tol in croft_forge.cli.CONSTANT_TARGETS]
+    monkeypatch.setattr(croft_forge.cli, "CONSTANT_TARGETS", targets)
+    code, out, _ = run(capsys, "verify", "--checks", "constants")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL constants: constants outside tolerance: density"
+
+
 def test_verify_reads_no_tolerance_env(capsys, monkeypatch):
     # the width-1.9 fault leaves a separation shortfall of ~0.035; no
     # environment variable loosens the checks enough to accept it
@@ -258,6 +270,19 @@ def test_render_valid_svg(capsys, tmp_path, target):
     assert code == 0
     root = ET.parse(out_path).getroot()
     assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("eps", [1.0, -1.0])
+def test_a_zero_radius_arc_is_drawn_as_a_segment(eps):
+    """At eps = +-1 one arc of the reference body has radius 0, a corner of
+    its boundary: the path draws it as a segment to its centre, every other
+    arc as an arc command."""
+    b = build_body(reference_step_function(), eps)
+    d = svgout.body_path_d(b)
+    (corner,) = np.flatnonzero(b.radii == 0.0)
+    x, y = b.centers[corner]
+    assert d.count(" L ") == 1 and f" L {svgout._fmt(x)} {svgout._fmt(y)} " in d
+    assert d.count(" A ") == b.n_arcs - 1
 
 
 def _drawn_copies(svg):

@@ -25,7 +25,6 @@ from croft_forge.lattice import (
     PATCH_SITES,
     PSI,
     color_index,
-    color_of,
     default_config,
     left_color_of_class,
     patch_cuts,
@@ -57,14 +56,13 @@ def trim_body(body, cuts):
 def closest_pair(a, b, strip):
     """``lattice.closest_pairs`` of the one pair (a, b), pruned by the strip
     (n, c_a, c_b): a's row has the one cut (n, c_a) and b's the one cut
-    (-n, -c_b), each line moved out to its body's measured extreme, as in
+    (-n, -c_b), each line moved out to its body's extreme, as in
     ``verify_avoidance``."""
     table = full_walk.table_of([a, b])
     n, c_a, c_b = strip
     n = np.asarray(n, dtype=float)
     normals, offsets = np.array([[n], [-n]]), np.array([[c_a], [-c_b]], dtype=float)
-    top = lattice._support(table, normals)
-    return lattice.closest_pairs(table, [((0, 0), (1, 0))], normals, offsets, top)[0]
+    return lattice.closest_pairs(table, [((0, 0), (1, 0))], normals, offsets)[0]
 
 
 def _strip(cut_a, cut_b):
@@ -89,12 +87,12 @@ def test_coloring_is_proper():
     for i in range(-3, 4):
         for j in range(-3, 4):
             for di, dj in NEIGHBOR_STEPS:
-                assert color_of(i, j) != color_of(i + di, j + dj)
+                assert color_index(i, j) != color_index(i + di, j + dj)
 
 
-def test_color_names():
-    assert color_of(0, 0) == "red"
-    assert {color_of(i, 0) for i in range(3)} == {"red", "green", "blue"}
+def test_color_indices():
+    assert color_index(0, 0) == 0
+    assert {color_index(i, 0) for i in range(3)} == {0, 1, 2}
 
 
 def test_neighbor_distances():
@@ -735,7 +733,7 @@ def _per_pair_report(monkeypatch, *args, **kwargs):
     one body pair at a time over all pieces, each body read back from its
     row of the patch table."""
     with monkeypatch.context() as m:
-        m.setattr(lattice, "closest_pairs", lambda table, pairs, normals, offsets, top: [
+        m.setattr(lattice, "closest_pairs", lambda table, pairs, normals, offsets: [
             full_walk.closest_pair(full_walk.body_of_row(table, a),
                                    full_walk.body_of_row(table, b))
             for (a, _), (b, _) in pairs])
@@ -782,10 +780,9 @@ def test_nearest_pairs_do_not_depend_on_the_edge_orientation(name, q, eps, mode,
     bodies, cuts, _ = _patch(q, eps, stripes, width)
     normals, offsets, ok = patch_cuts(stripes, width)
     table = trim_bodies(place_patch(build_body(q, eps), SHIFT), (normals, offsets, ok))
-    top = lattice._support(table, normals)
     pairs = [(a, b) for a, b, _ in patch_layout().edges]
-    forward = lattice.closest_pairs(table, pairs, normals, offsets, top)
-    swapped = lattice.closest_pairs(table, [(b, a) for a, b in pairs], normals, offsets, top)
+    forward = lattice.closest_pairs(table, pairs, normals, offsets)
+    swapped = lattice.closest_pairs(table, [(b, a) for a, b in pairs], normals, offsets)
     assert len(forward) == len(swapped) == 16
     for ((a, _), (b, _)), (d, _), (d_swapped, (p, r)) in zip(pairs, forward, swapped):
         assert d_swapped.hex() == d.hex()

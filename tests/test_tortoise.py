@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -21,7 +22,7 @@ from croft_forge.body import (
     transform,
 )
 from croft_forge.cli import main
-from croft_forge.clip import halfplane_clip_area
+from croft_forge.clip import Clip, halfplane_clip_area
 from croft_forge.lattice import (
     PATCH_SITES,
     PSI,
@@ -103,6 +104,39 @@ def test_pair_clip_area_symmetric_discs():
     motions = [(0.0, (0.0, 0.0)), (0.0, (CROFT.lattice_constant, 0.0))]
     a = pair_clip_area(disc, motions, 0.0, 0.0).area
     assert a == pytest.approx(2 * CROFT.a_c, abs=1e-12)
+
+
+def test_a_pair_with_a_clip_without_derivatives_has_its_area_alone(monkeypatch):
+    """A clip whose line crosses its copy in one point or more than two has
+    no derivatives: the pair keeps the summed area and no derivatives, and
+    Newton cannot step from it."""
+    disc = build_body(zero_step_function(), 0.0)
+    motions = [(0.0, (0.0, 0.0)), (0.0, (CROFT.lattice_constant, 0.0))]
+    full = pair_clip_area(disc, motions, 0.0, 0.0)
+    monkeypatch.setattr(tortoise, "halfplane_clip_area",
+                        lambda body, n, c: Clip(halfplane_clip_area(body, n, c).area))
+    pair = pair_clip_area(disc, motions, 0.0, 0.0)
+    assert pair == Clip(full.area)
+    with pytest.raises(ConvergenceError, match="neither 0 nor 2"):
+        tortoise._pair_derivatives(pair, 0.0, 0.0)
+
+
+def test_a_rising_pair_area_is_no_area_decrease(monkeypatch):
+    """Where each pair area evaluated is above the one before, the halving
+    loop halves the first Newton step below NEWTON_STEP_TOL and raises
+    ``ConvergenceError``, naming the point it could not leave."""
+    calls = itertools.count()
+
+    def rising(*args):
+        pair = pair_clip_area(*args)
+        return pair._replace(area=pair.area + next(calls))
+
+    monkeypatch.setattr(tortoise, "pair_clip_area", rising)
+    with pytest.raises(ConvergenceError, match="class 0 at eps=0.1: no area decrease along "
+                                               "the Newton step from s="):
+        tortoise_area(0.1, "exact2")
+    # the start, then one trial per halving, from the first step down to the tolerance
+    assert 20 < next(calls) < 60
 
 
 @pytest.mark.parametrize("eps", [0.05, -0.07])
@@ -614,6 +648,12 @@ def test_scan_and_csv_json_round_trip(tmp_path):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
         tortoise_area(0.1, "series3")
+
+
+@pytest.mark.parametrize("read", [series_cut_coefficients, series_net_coefficient])
+def test_series_coefficients_refuse_an_exact_mode(read):
+    with pytest.raises(ValueError, match="closed forms exist only for series modes, got 'exact2'"):
+        read(mode="exact2")
 
 
 def test_shift_matters():
