@@ -405,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_options(p, *names):
         """Register the shared options ``names`` that the subcommand reads."""
-        # let values like "-0.1:0.1:0.01" or "-0.05" follow an option flag
-        p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+(:.*)?$")
+        # let values like "-0.1:0.1:0.01", "-0.05" or "-1e-3" follow an
+        # option flag: no flag of this CLI is "-" then a digit or "-."
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         if "eps" in names:
             eps = p.add_mutually_exclusive_group()
             eps.add_argument(

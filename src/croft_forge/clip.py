@@ -3,7 +3,7 @@
 Areas are accumulated in one pass along the boundary, adding the
 sector-minus-triangle closed form of each kept piece as it is found;
 gaps where the boundary leaves the half-plane are closed with straight
-chords, added after the pieces.  Circle-line intersections are solved
+chords, each added as it is found.  Circle-line intersections are solved
 per arc from the cosine equation in the arc's own angle parameter, with
 the normal's angle taken once per line (``_crossings``), and the clip
 and the trim alike keep each piece between them by its midpoint.  The
@@ -50,21 +50,26 @@ def _arc_point(center, radius, phi) -> tuple[float, float]:
     return (center[0] + radius * math.cos(phi), center[1] + radius * math.sin(phi))
 
 
-def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
-    """Angles in [a, b) where the arc of ``radius`` about (cx, cy) crosses
-    the line n.x = c, n = (n0, n1) the unit normal of angle ``alpha`` (the
-    caller takes both once per line); a crossing within TANGENCY_TOL of a
-    break, measured along the arc (TANGENCY_TOL / radius in angle), belongs
-    to the arc starting there.  Each branch alpha +- acos(t) solves the
-    cosine equation once per turn; an arc spans at most pi, so of the turns
-    floor((a - branch)/2pi) + 0, 1 only the first at or past a - window can
-    fall in [a - window, b - window).  The second is never below a, so no
-    third is tried."""
+def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> tuple[float, list[float]]:
+    """(t, angles): the angles in [a, b) where the arc of ``radius`` about
+    (cx, cy) crosses the line n.x = c, n = (n0, n1) the unit normal of
+    angle ``alpha`` (the caller takes both once per line), and the side
+    parameter t = (c - n.M)/r of its centre M, which a piece's midpoint
+    angle is held against (``halfplane_clip_area``).  A line within
+    TANGENCY_TOL of tangent (|t| >= 1 - TANGENCY_TOL) does not cross the
+    circle, and t is then +-2, so the whole arc lies on its centre's side;
+    an arc of radius 0 has t = 2, so nothing of it is inside.  A crossing
+    within TANGENCY_TOL of a break, measured along the arc (TANGENCY_TOL /
+    radius in angle), belongs to the arc starting there.  Each branch
+    alpha +- acos(t) solves the cosine equation once per turn; an arc
+    spans at most pi, so of the turns floor((a - branch)/2pi) + 0, 1 only
+    the first at or past a - window can fall in [a - window, b - window).
+    The second is never below a, so no third is tried."""
     if radius <= 0.0:
-        return []
+        return 2.0, []
     t = (c - (n0 * cx + n1 * cy)) / radius
     if abs(t) >= 1.0 - TANGENCY_TOL:
-        return []
+        return math.copysign(2.0, t), []
     base = math.acos(t)
     window = TANGENCY_TOL / radius  # TANGENCY_TOL along the arc
     start, stop = a - window, b - window
@@ -78,7 +83,7 @@ def _crossings(cx, cy, radius, a, b, alpha, n0, n1, c) -> list[float]:
             out.append(a if a > phi else phi)
     if len(out) == 2 and out[1] < out[0]:
         out.reverse()
-    return out
+    return t, out
 
 
 def cap_arcs(arcs, n0: float, n1: float, alpha: float, c: float) -> list[int]:
@@ -176,35 +181,26 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
     the half-plane to the area as it is found and keeps the crossing
     points for the derivatives.  A piece [lo, hi] of the arc of centre M
     and radius r is inside when its midpoint is: cos((lo + hi)/2 - alpha)
-    >= t, with alpha the normal's angle and t = (c - n.M)/r, the rule
-    ``trim_bodies`` keeps its pieces by.  A line within TANGENCY_TOL of
-    tangent (|t| >= 1 - TANGENCY_TOL) does not cross the circle, so the
-    whole arc is inside exactly when t < 0, wherever its midpoint falls.
-    Each excursion outside is closed by a chord from one kept piece's end
-    to the next one's start, cyclically; the chord terms are added after
-    the arc terms.  The normal's angle is taken once per line, cos and
-    sin once per piece end, for its Green term and its point alike, and
-    one more cos per piece for its side.
+    >= t, with alpha the normal's angle and t the side parameter of
+    ``_crossings``, the rule ``trim_bodies`` keeps its pieces by.  Each
+    excursion outside is closed by a chord from one kept piece's end to
+    the next one's start, cyclically, and its term is added as it is
+    found.  The normal's angle is taken once per line, cos and sin once
+    per piece end, for its Green term and its point alike, and one more
+    cos per piece for its side.
     """
     n0, n1 = float(n[0]), float(n[1])
     n = (n0, n1)
     alpha = math.atan2(n1, n0)
     centers, radii, breaks = body.arc_lists
     area = 0.0
-    chords = []  # from each kept piece's end to the next one's start
     hits = []  # (center, point) per crossing
     first = end = None  # first start and last end of a kept piece
     for i in cap_arcs(body.arc_lists, n0, n1, alpha, c):
         center, radius = centers[i], radii[i]
         a, b = breaks[i], breaks[i + 1]
-        if radius <= 0.0 or b - a <= 0.0:
-            continue
         cx, cy = center
-        t = (c - (n0 * cx + n1 * cy)) / radius
-        if abs(t) < 1.0 - TANGENCY_TOL:
-            cuts = _crossings(cx, cy, radius, a, b, alpha, n0, n1, c)
-        else:  # tangent: no crossing, the arc lies on one side
-            cuts, t = [], math.copysign(2.0, t)
+        t, cuts = _crossings(cx, cy, radius, a, b, alpha, n0, n1, c)
         cuts.append(b)
         lo, u0, u1 = a, math.cos(a), math.sin(a)
         p = (cx + radius * u0, cy + radius * u1)
@@ -218,16 +214,14 @@ def halfplane_clip_area(body: ArcBody, n, c: float) -> Clip:
                 area += 0.5 * (radius * radius * (hi - lo) + radius * cross)
                 if end is None:
                     first = p
-                else:
-                    chords.append(0.5 * (end[0] * p[1] - end[1] * p[0]))
+                else:  # the chord from the last kept piece's end
+                    area += 0.5 * (end[0] * p[1] - end[1] * p[0])
                 end = q
             if hi < b:  # hi is a crossing: each lies below the arc's end b
                 hits.append((center, q))
             lo, u0, u1, p = hi, v0, v1, q
     if end is not None:
-        chords.append(0.5 * (end[0] * first[1] - end[1] * first[0]))
-    for chord in chords:
-        area += chord
+        area += 0.5 * (end[0] * first[1] - end[1] * first[0])
     return Clip(area, *_chord_derivatives(hits, n, c))
 
 
@@ -240,7 +234,7 @@ def boundary_line_crossings(body: ArcBody, n, c: float) -> list[np.ndarray]:
     return [np.array(_arc_point(centers[i], radii[i], phi))
             for i in cap_arcs(body.arc_lists, n0, n1, alpha, c)
             for phi in _crossings(*centers[i], radii[i], breaks[i], breaks[i + 1],
-                                  alpha, n0, n1, c)]
+                                  alpha, n0, n1, c)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,7 @@ def trim_bodies(copies, cuts) -> TrimTable:
         for i in cap_arcs(lists[k], n0, n1, alpha, c):
             found += [(k * arcs + i, phi, k * width + j) for phi in _crossings(
                 *arc_centers[i], arc_radii[i], arc_breaks[i], arc_breaks[i + 1],
-                alpha, n0, n1, c)]
+                alpha, n0, n1, c)[1]]
     arc, angle, cut = np.array(found, dtype=float).reshape(-1, 3).T
     ends = np.arange(count * arcs)
     arc = np.concatenate([arc, ends, ends])
@@ -364,7 +358,7 @@ def trim_bodies(copies, cuts) -> TrimTable:
     g0 = (normals[chord_body] @ p0[:, :, None])[..., 0] - offsets[chord_body]
     g1 = (normals[chord_body] @ (p1 - p0)[:, :, None])[..., 0]
     other = np.arange(width) != j[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = -g0 / g1
     u_hi = np.min(np.where(other & (g1 > 0.0), u, 1.0), axis=1, initial=1.0)
     u_lo = np.max(np.where(other & (g1 < 0.0), u, 0.0), axis=1, initial=0.0)

@@ -138,8 +138,10 @@ def copy_motion(color: int, position, eps: float, shift=None) -> tuple[float, tu
     ``position``, as the (rotation, translation) pair of ``body.transform``:
     R rotates by the color angle and t = position + R * eps * shift.
 
-    This is the one placement rule and the only reader of ``shift``, the
-    per-unit-eps pair (sx, sy); None is the reference ``default_config()``.
+    This is the one placement rule.  ``shift`` is the per-unit-eps pair
+    (sx, sy), None the reference ``default_config()``; its only other
+    reader is ``second_order_read``, as the last two entries of x = (v,
+    shift).
     The shift acts on every copy in its own pre-rotation frame; only this
     convention makes the cut geometry depend on the edge class alone and
     not on which colors the edge happens to join.

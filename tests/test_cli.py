@@ -272,6 +272,14 @@ def test_render_valid_svg(capsys, tmp_path, target):
     assert root.tag.endswith("svg")
 
 
+def test_write_svg_writes_the_rendered_text(tmp_path):
+    """``write_svg`` writes the string a renderer returns, unchanged."""
+    stripes = tortoise.tortoise_area(0.05, "series2").stripes()
+    svg = svgout.render_lattice_svg(reference_step_function(), 0.05, stripes)
+    svgout.write_svg(svg, tmp_path / "lattice.svg")
+    assert (tmp_path / "lattice.svg").read_text() == svg
+
+
 @pytest.mark.parametrize("eps", [1.0, -1.0])
 def test_a_zero_radius_arc_is_drawn_as_a_segment(eps):
     """At eps = +-1 one arc of the reference body has radius 0, a corner of
@@ -689,6 +697,8 @@ def _exit_code(argv):
         # render draws one picture, so it takes one eps
         (("render", "body", "--eps", "0.1", "--eps", "0.9"), "render draws one eps, got 2"),
         (("render", "lattice", "--eps-range", "-0.1:0.1:0.05"), "render draws one eps, got 5"),
+        (("scan", "--eps-range", "0:1e9:1e-3"), "more than 100000 points"),
+        (("scan", "--eps-range=0:1:-1"), "is an empty grid"),
     ],
 )
 def test_bad_eps_is_usage_error(capsys, argv, message):
@@ -698,6 +708,31 @@ def test_bad_eps_is_usage_error(capsys, argv, message):
     assert "error: " in err and message in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("scan", "--eps", "-1e-3"), "-0.001,series2,"),
+        (("scan", "--eps-range", "-1e-2:1e-2:1e-2"), "-0.01,series2,"),
+        (("fit", "--eps", "-1e-2", "--eps", "-5E-3", "--eps", "5e-3", "--eps", "1e-2",
+          "--eps", "2e-2"), "eps_values,[-0.01, -0.005, 0.005, 0.01, 0.02]"),
+    ],
+)
+def test_negative_eps_in_e_notation_follows_its_flag(capsys, argv, first):
+    """A negative eps written in e-notation is read as the option's value,
+    not as an unknown flag."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith(first)
+
+
+def test_render_reads_a_negative_eps_in_e_notation(capsys, tmp_path):
+    out_path = tmp_path / "body.svg"
+    code, _, err = run(capsys, "render", "body", "--eps", "-1E-1", "--out", str(out_path))
+    assert code == 0 and err == ""
+    b = build_body(reference_step_function(), -0.1)
+    assert out_path.read_text() == svgout.render_body_svg(b)
 
 
 @pytest.mark.parametrize("command", [("scan",), ("fit",), ("render", "body")])

@@ -7,6 +7,7 @@ import pytest
 
 from croft_forge.body import body_area, build_body
 from croft_forge.clip import (
+    TANGENCY_TOL,
     Clip,
     _chord_derivatives,
     _crossings,
@@ -138,8 +139,21 @@ def test_line_through_a_break_crosses_twice():
 def test_arc_crossing_at_its_ends():
     """A crossing at an arc's start is reported at the start angle; one at
     its end is left to the next arc."""
-    assert _crossings(0.0, 0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.0, math.cos(0.5)) == [0.5]
-    assert _crossings(0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0, math.cos(0.5)) == []
+    assert _crossings(0.0, 0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.0, math.cos(0.5))[1] == [0.5]
+    assert _crossings(0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0, math.cos(0.5))[1] == []
+
+
+def test_crossings_state_the_side_parameter():
+    """``_crossings`` gives the side parameter t = (c - n.M)/r that the clip
+    holds each piece's midpoint against: as is across the circle, +-2
+    within TANGENCY_TOL of tangent (no crossing), and 2 for a radius-0 arc,
+    of which nothing is kept."""
+    third = math.acos(0.5)
+    assert _crossings(1.0, 0.0, 2.0, -1.5, 1.5, 0.0, 1.0, 0.0, 2.0) == (0.5, [-third, third])
+    near = 1.0 - 0.5 * TANGENCY_TOL
+    assert _crossings(0.0, 0.0, 1.0, -1.0, 1.0, 0.0, 1.0, 0.0, near) == (2.0, [])
+    assert _crossings(0.0, 0.0, 1.0, -1.0, 1.0, 0.0, 1.0, 0.0, -near) == (-2.0, [])
+    assert _crossings(0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 1.0, 0.0, 0.0) == (2.0, [])
 
 
 def test_clip_derivatives_are_zero_off_the_boundary():

@@ -975,3 +975,15 @@ def test_an_empty_copy_is_a_violation():
     report = verify_avoidance(Q, 0.05, stripes, stripe_width=3.2)
     assert report.violations == ["site (0, 0): its cut lines leave nothing of its copy"]
     assert math.isfinite(report.min_cross_distance)
+
+
+def test_an_overflowing_stripe_width_is_reported_without_a_warning():
+    """Width 1e300 overflows the trim's chord parameters u = -g0/g1; the min
+    and max that read them take +-inf as they should, so the report is the
+    one for an empty patch and no warning is raised."""
+    stripes = tortoise.tortoise_area(0.0, "exact2").stripes()
+    report = verify_avoidance(Q, 0.0, stripes, stripe_width=1e300)
+    assert not report.ok
+    assert report.violations == [
+        f"site {s}: its cut lines leave nothing of its copy" for s in lattice.PATCH_SITES
+    ]
